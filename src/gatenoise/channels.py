@@ -28,7 +28,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import cumulative_simpson
+from scipy.integrate import cumulative_simpson, cumulative_trapezoid
 
 from .errors import CPViolationError, NumericalError, ValidationError
 from .filters import IntegralPoint, ou_kernels
@@ -524,7 +524,9 @@ def nm_measure(psd, Omega, t_max, n_grid=4000, amp_psd=None):
         g_eff = g1 + 2.0 * cumulative_simpson(ca, x=times, initial=0.0)
     gbar_minus = 0.25 * (g_eff - np.sqrt(g1**2 + h1**2))
     negativity = np.maximum(0.0, -gbar_minus)
-    ncp = cumulative_simpson(negativity, x=times, initial=0.0)
+    # trapezoid: a non-negative integrand gives exactly non-decreasing N_CP,
+    # which Simpson's rule does not guarantee
+    ncp = cumulative_trapezoid(negativity, x=times, initial=0.0)
     return times, ncp
 
 

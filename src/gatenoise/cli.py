@@ -64,7 +64,7 @@ _BASIS_STATES = {
 # config handling
 
 _DEFAULTS = {
-    "drive": {"phi_rad": 0.0, "n_times": 40},
+    "drive": {"n_times": 40},
     "simulation": {"m_mc": 20000, "dt_s": None, "chunk": 4096},
     "tomography": {
         "shots_per_basis": 100,
@@ -107,6 +107,9 @@ def load_config(path, seed_override=None):
     drive = resolved["drive"]
     if drive["omega_rad_s"] <= 0 or drive["t_max_s"] <= 0 or drive["n_times"] < 1:
         raise ValidationError("drive parameters must be positive")
+    if drive.get("phi_rad", 0.0) != 0.0:
+        raise ValidationError("drive.phi_rad is not supported: every model and the "
+                              "simulator drive about x (phase 0)")
     resolved["_sha256"] = hashlib.sha256(raw).hexdigest()
     resolved["_base_dir"] = str(Path(path).resolve().parent)
     return resolved
@@ -276,7 +279,11 @@ def cmd_predict(args):
 
 
 def reconstruct_channel(states_by_label):
-    """Linear extension of the MC map from the four evolved basis states."""
+    """Linear extension of the MC map from the four evolved basis states.
+
+    Exact when the four states share their noise draws, as in one
+    ``evolve_ensemble`` call on the stacked basis states.
+    """
     e00 = states_by_label["zero"]
     e11 = states_by_label["one"]
     epp = states_by_label["plus"]
@@ -309,15 +316,14 @@ def run_validation(cfg, psd, amp_psd, n_haar=1000, models=("D", "PT", "NC", "NM"
     freq_noise = _noise_source(psd)
     amp_noise = _noise_source(amp_psd) if amp_psd is not None else None
 
-    evolved = {}
-    for k, (label, rho0) in enumerate(_BASIS_STATES.items()):
-        traj = evolve_ensemble(
-            rho0, drive, freq_noise, amp_noise,
-            seed=seed + k, record_every=stride,
-            chunk=cfg["simulation"]["chunk"], n_workers=n_workers,
-        )
-        evolved[label] = traj
-        if out_dir is not None:
+    ensemble = evolve_ensemble(
+        np.stack(list(_BASIS_STATES.values())), drive, freq_noise, amp_noise,
+        seed=seed, record_every=stride,
+        chunk=cfg["simulation"]["chunk"], n_workers=n_workers,
+    )
+    evolved = {label: ensemble[k] for k, label in enumerate(_BASIS_STATES)}
+    if out_dir is not None:
+        for label, traj in evolved.items():
             traj_to_csv(traj, Path(out_dir) / f"langevin_{label}.csv")
     rec_times = evolved["zero"].times
     keep = [int(np.argmin(np.abs(rec_times - t))) for t in times]

@@ -1,40 +1,49 @@
 """Quasi-exact stochastic simulator for a driven qubit under multiplicative noise.
 
-Integrates the amplitude equation
+Solves the amplitude equation
 
-    dc/dt = -(i/2) (Omega + dOmega(t)) sigma_phi c - (i/2) domega(t) sigma_z c
+    dc/dt = -(i/2) (Omega + dOmega(t)) sigma_x c - (i/2) domega(t) sigma_z c
 
-per noise trajectory with Heun's method and averages projectors over the
-ensemble.  Up to time-step and sampling error this is an exact reference for
-the analytic channel constructions, since it makes none of their
-approximations.
+per noise trajectory.  The noise is held constant within each step, so a step
+is the exact SU(2) rotation exp(-(i/2)(n_x sigma_x + n_z sigma_z)) with
+n_x = Omega dt + amplitude increment and n_z = dephasing increment.  Each
+trajectory evolves its propagator U once; every input state is then mapped
+exactly as U rho0 U^dag, mixed states included.  All input states share the
+same noise draws (common random numbers), so one ensemble yields the whole
+Monte Carlo channel.  Up to time-step and sampling error this is an exact
+reference for the analytic channel constructions, since it makes none of
+their approximations.
 """
 
 from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import NumericalError, ValidationError
 from .noise import ZeroSource
 
+# Largest tolerated deviation of a propagator from unitarity, |a|^2 + |b|^2 - 1.
+MAX_NORM_DRIFT = 1e-6
+
+_PAULI_XYZ = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
+
 
 @dataclass
 class DriveConfig:
     """Resonant drive and integration parameters.
 
-    Omega is the Rabi frequency (rad/s), phi the drive phase, dt the
-    integrator step, n_steps the number of steps and m_mc the ensemble size.
+    Omega is the Rabi frequency (rad/s), dt the step, n_steps the number of
+    steps and m_mc the ensemble size.
     """
 
     Omega: float
     dt: float
     n_steps: int
     m_mc: int
-    phi: float = 0.0
 
     def __post_init__(self):
         if self.Omega <= 0 or self.dt <= 0:
@@ -57,12 +66,16 @@ def default_timestep(Omega, tau_c=None, fraction=0.05):
 
 @dataclass
 class DensityTrajectory:
-    """Ensemble-averaged states and Pauli expectations on the time grid."""
+    """Ensemble-averaged states and Pauli expectations on the time grid.
+
+    For a stack of input states the arrays carry the stack's leading axes
+    first; indexing the trajectory selects one input state.
+    """
 
     times: np.ndarray
-    states: np.ndarray          # (n_times, 2, 2) complex
-    pauli_mean: np.ndarray      # (n_times, 3): <sx>, <sy>, <sz>
-    pauli_se: np.ndarray        # (n_times, 3) standard errors
+    states: np.ndarray          # (..., n_times, 2, 2) complex
+    pauli_mean: np.ndarray      # (..., n_times, 3): <sx>, <sy>, <sz>
+    pauli_se: np.ndarray        # (..., n_times, 3) standard errors
     m_mc: int
     max_norm_drift: float = 0.0
     seed: int | None = None
@@ -70,6 +83,10 @@ class DensityTrajectory:
     def __post_init__(self):
         if not np.all(np.diff(self.times) > 0):
             raise ValidationError("times must be strictly increasing")
+
+    def __getitem__(self, k):
+        return replace(self, states=self.states[k], pauli_mean=self.pauli_mean[k],
+                       pauli_se=self.pauli_se[k])
 
 
 def check_density_matrix(rho, tol=1e-12, eig_tol=1e-10):
@@ -85,79 +102,29 @@ def check_density_matrix(rho, tol=1e-12, eig_tol=1e-10):
     return rho
 
 
-def _sigma_phi_apply(c, phi):
-    """sigma_phi @ c for sigma_phi = cos(phi) sx - sin(phi) sy, batched."""
-    out = np.empty_like(c)
-    out[..., 0] = np.exp(1j * phi) * c[..., 1]
-    out[..., 1] = np.exp(-1j * phi) * c[..., 0]
-    return out
+def _bloch_rotation(ar, ai, br, bi):
+    """Bloch-vector rotation of U = [[a, -b*], [b, a*]], shape (3, 3, m).
 
-
-def _sigma_z_apply(c):
-    out = c.copy()
-    out[..., 1] = -out[..., 1]
-    return out
-
-
-def _heun_update(c, drive, deph_inc, amp_inc):
-    """Vectorized Heun step; increments are integrated angles (rad)."""
-    w = deph_inc[..., None]
-    a = amp_inc[..., None]
-
-    def drift(x):
-        return -0.5j * drive.Omega * drive.dt * _sigma_phi_apply(x, drive.phi)
-
-    def diffusion(x):
-        return -0.5j * (w * _sigma_z_apply(x) + a * _sigma_phi_apply(x, drive.phi))
-
-    predictor = c + drift(c) + diffusion(c)
-    new = c + 0.5 * (drift(c) + drift(predictor)) + 0.5 * (diffusion(c) + diffusion(predictor))
-    norms = np.sqrt(np.abs(new[..., 0]) ** 2 + np.abs(new[..., 1]) ** 2)
-    drift_mag = float(np.abs(norms - 1.0).max()) if norms.size else 0.0
-    return new / norms[..., None], drift_mag
-
-
-def heun_step(c, t, drive, dephasing_inc, amplitude_inc=0.0):
-    """Advance one normalized amplitude vector by a single Heun step.
-
-    ``dephasing_inc`` and ``amplitude_inc`` are the integrated noise angles
-    (rad) accumulated over the step.  The result is renormalized; the norm
-    drift removed this way is O(dt^3) and is tracked by the ensemble driver.
+    With U = w - i (x sx + y sy + z sz): w = Re a, z = -Im a, y = Re b,
+    x = -Im b, and U rho U^dag rotates the Bloch vector by the matrix below.
     """
-    c = np.asarray(c, dtype=complex)
-    if abs(np.linalg.norm(c) - 1.0) > 1e-9:
-        raise ValidationError("state vector must be normalized")
-    new, _ = _heun_update(c[None, :], drive, np.array([dephasing_inc]),
-                          np.array([amplitude_inc]))
-    return new[0]
-
-
-def _decompose_initial(rho0, m_mc):
-    """Split a density matrix into eigenstates with trajectory counts."""
-    rho0 = check_density_matrix(rho0)
-    evals, evecs = np.linalg.eigh(rho0)
-    keep = evals > 1e-12
-    evals, evecs = evals[keep], evecs[:, keep]
-    evals = evals / evals.sum()
-    counts = np.floor(evals * m_mc).astype(int)
-    counts[np.argmax(evals)] += m_mc - counts.sum()
-    out = []
-    for k in range(evals.size):
-        if counts[k] > 0:
-            out.append((evecs[:, k].astype(complex), int(counts[k])))
-    return out
+    w, x, y, z = ar, -bi, br, -ai
+    return np.array([
+        [1 - 2 * (y * y + z * z), 2 * (x * y - z * w), 2 * (x * z + y * w)],
+        [2 * (x * y + z * w), 1 - 2 * (x * x + z * z), 2 * (y * z - x * w)],
+        [2 * (x * z - y * w), 2 * (y * z + x * w), 1 - 2 * (x * x + y * y)],
+    ])
 
 
 def evolve_ensemble(rho0, drive, freq_noise, amp_noise=None, *, seed=0,
-                    record_every=1, chunk=4096, n_workers=1,
-                    drift_tolerance=1e-6):
+                    record_every=1, chunk=4096, n_workers=1):
     """Ensemble-average the stochastic evolution of ``rho0``.
 
     Parameters
     ----------
-    rho0 : (2, 2) array
-        Initial state; mixed states are decomposed into an eigenstate
-        ensemble with proportional trajectory counts.
+    rho0 : (..., 2, 2) array
+        One initial state or a stack of them.  Every state is mapped by the
+        same propagators, so the stack shares its random numbers.
     drive : DriveConfig
     freq_noise, amp_noise : noise sources
         Objects with ``increments_block(seed, indices, n_steps, dt)``.
@@ -167,58 +134,67 @@ def evolve_ensemble(rho0, drive, freq_noise, amp_noise=None, *, seed=0,
         so results do not depend on chunking or worker count.
     record_every : int
         Record the state every this many steps (t=0 always included).
-    drift_tolerance : float
-        Maximum tolerated per-step norm drift before renormalization.
 
     Returns
     -------
     DensityTrajectory
+        Arrays lead with the stack axes of ``rho0``.
     """
+    rho0 = np.asarray(rho0, dtype=complex)
+    if rho0.shape[-2:] != (2, 2):
+        raise ValidationError("initial states must be 2x2 density matrices")
+    lead = rho0.shape[:-2]
+    flat = rho0.reshape(-1, 2, 2)
+    for rho in flat:
+        check_density_matrix(rho)
+    bloch0 = np.stack([2.0 * flat[:, 0, 1].real, -2.0 * flat[:, 0, 1].imag,
+                       (flat[:, 0, 0] - flat[:, 1, 1]).real], axis=1)
+
     amp_noise = amp_noise or ZeroSource()
     rec_idx = np.arange(0, drive.n_steps + 1, record_every)
     if rec_idx[-1] != drive.n_steps:
         rec_idx = np.append(rec_idx, drive.n_steps)
     n_rec = rec_idx.size
     rec_set = {int(s): j for j, s in enumerate(rec_idx)}
-
-    groups = _decompose_initial(rho0, drive.m_mc)
-    jobs = []
-    offset = 0
-    for vec, count in groups:
-        for lo in range(0, count, chunk):
-            hi = min(lo + chunk, count)
-            jobs.append((vec, offset + lo, offset + hi))
-        offset += count
+    omega_dt = drive.Omega * drive.dt
+    jobs = [(lo, min(lo + chunk, drive.m_mc)) for lo in range(0, drive.m_mc, chunk)]
 
     def run_chunk(job):
-        vec, lo, hi = job
+        lo, hi = job
         idx = range(lo, hi)
         m = hi - lo
         freq_inc = freq_noise.increments_block(seed, idx, drive.n_steps, drive.dt)
         amp_inc = amp_noise.increments_block(seed + 2**31, idx, drive.n_steps, drive.dt)
-        c = np.tile(vec, (m, 1))
-        sum_rho = np.zeros((n_rec, 2, 2), dtype=complex)
-        sum_p = np.zeros((n_rec, 3))
-        sum_p2 = np.zeros((n_rec, 3))
+        # first column (a, b) of U = [[a, -b*], [b, a*]], as real and imaginary parts
+        ar, ai, br, bi = np.ones(m), np.zeros(m), np.zeros(m), np.zeros(m)
+        sum_p = np.zeros((len(flat), n_rec, 3))
+        sum_p2 = np.zeros((len(flat), n_rec, 3))
         max_drift = 0.0
 
-        def record(j, c):
-            sum_rho[j] += np.einsum("mi,mj->ij", c, c.conj())
-            sx = 2.0 * (c[:, 0].conj() * c[:, 1]).real
-            sy = 2.0 * (c[:, 0].conj() * c[:, 1]).imag
-            sz = np.abs(c[:, 0]) ** 2 - np.abs(c[:, 1]) ** 2
-            for k, s in enumerate((sx, sy, sz)):
-                sum_p[j, k] += s.sum()
-                sum_p2[j, k] += (s * s).sum()
+        def record(j):
+            nonlocal max_drift
+            bloch = np.einsum("ijm,kj->kim", _bloch_rotation(ar, ai, br, bi), bloch0)
+            sum_p[:, j] = bloch.sum(axis=-1)
+            sum_p2[:, j] = (bloch * bloch).sum(axis=-1)
+            drift = np.abs(ar * ar + ai * ai + br * br + bi * bi - 1.0).max()
+            max_drift = np.maximum(max_drift, drift)   # keeps a NaN
 
-        record(0, c)
+        record(0)
         for i in range(drive.n_steps):
-            c, drift_mag = _heun_update(c, drive, freq_inc[:, i], amp_inc[:, i])
-            max_drift = max(max_drift, drift_mag)
+            nx = omega_dt + amp_inc[:, i]
+            nz = freq_inc[:, i]
+            theta = np.sqrt(nx * nx + nz * nz)
+            c = np.cos(0.5 * theta)
+            s = 0.5 * np.sinc(theta / (2.0 * math.pi))   # sin(theta/2) / theta
+            sx, sz = s * nx, s * nz
+            ar, ai, br, bi = (c * ar + sz * ai + sx * bi,
+                              c * ai - sz * ar - sx * br,
+                              c * br + sx * ai - sz * bi,
+                              c * bi - sx * ar + sz * br)
             j = rec_set.get(i + 1)
             if j is not None:
-                record(j, c)
-        return sum_rho, sum_p, sum_p2, max_drift
+                record(j)
+        return sum_p, sum_p2, max_drift
 
     if n_workers > 1:
         with ThreadPoolExecutor(max_workers=n_workers) as pool:
@@ -226,40 +202,28 @@ def evolve_ensemble(rho0, drive, freq_noise, amp_noise=None, *, seed=0,
     else:
         results = [run_chunk(job) for job in jobs]
 
-    sum_rho = sum(r[0] for r in results)
-    sum_p = sum(r[1] for r in results)
-    sum_p2 = sum(r[2] for r in results)
-    max_drift = max(r[3] for r in results)
-    if max_drift > drift_tolerance:
+    sum_p = sum(r[0] for r in results)
+    sum_p2 = sum(r[1] for r in results)
+    max_drift = float(np.max([r[2] for r in results]))
+    if not max_drift <= MAX_NORM_DRIFT:
         raise NumericalError(
-            f"norm drift {max_drift:.3e} exceeds {drift_tolerance:.0e}; reduce dt"
+            f"propagator norm drift {max_drift:.3e} exceeds {MAX_NORM_DRIFT:.0e}"
         )
 
     m = drive.m_mc
-    states = sum_rho / m
     mean = sum_p / m
     var = np.maximum(sum_p2 / m - mean**2, 0.0)
     se = np.sqrt(var / m)
+    states = 0.5 * (np.eye(2) + np.einsum("...i,iab->...ab", mean, _PAULI_XYZ))
     return DensityTrajectory(
         times=drive.dt * rec_idx.astype(float),
-        states=states,
-        pauli_mean=mean,
-        pauli_se=se,
+        states=states.reshape(lead + states.shape[1:]),
+        pauli_mean=mean.reshape(lead + mean.shape[1:]),
+        pauli_se=se.reshape(lead + se.shape[1:]),
         m_mc=m,
         max_norm_drift=max_drift,
         seed=seed,
     )
-
-
-def pauli_expectations(traj):
-    """Per-time Pauli expectations with standard errors.
-
-    Returns (times, mean, se) where mean/se have shape (n_times, 3) in
-    (x, y, z) order.  Values are clipped sanity-checked to [-1, 1].
-    """
-    if np.abs(traj.pauli_mean).max() > 1.0 + 1e-9:
-        raise ValidationError("Pauli expectation outside [-1, 1]")
-    return traj.times, traj.pauli_mean, traj.pauli_se
 
 
 def to_csv(traj, path):

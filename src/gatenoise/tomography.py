@@ -158,7 +158,8 @@ def counts_to_csv(records, path):
         for rec in records:
             for s, sl in enumerate(STATE_LABELS):
                 for b, bl in enumerate(BASIS_LABELS):
-                    fh.write(f"{sl},{bl},{rec.t!r},{rec.counts[s, b, 0]},{rec.counts[s, b, 1]}\n")
+                    fh.write(f"{sl},{bl},{float(rec.t)!r},"
+                             f"{rec.counts[s, b, 0]},{rec.counts[s, b, 1]}\n")
 
 
 def counts_from_csv(path):
@@ -171,11 +172,18 @@ def counts_from_csv(path):
         for line in fh:
             if not line.strip():
                 continue
-            sl, bl, ts, np_, nm_ = line.strip().split(",")
+            fields = line.strip().split(",")
+            if len(fields) != 5:
+                raise ValidationError(f"expected 5 fields in counts row {line.strip()!r}")
+            sl, bl, ts, np_, nm_ = fields
             if sl not in STATE_LABELS or bl not in BASIS_LABELS:
                 raise ValidationError(f"unknown state/basis {sl},{bl}")
-            key = float(ts)
-            rows.setdefault(key, {})[(sl, bl)] = (int(np_), int(nm_))
+            try:
+                key = float(ts)
+                counts = (int(np_), int(nm_))
+            except ValueError as exc:
+                raise ValidationError(f"unparsable number in counts row {line.strip()!r}") from exc
+            rows.setdefault(key, {})[(sl, bl)] = counts
     records = []
     for t in sorted(rows):
         counts = np.zeros((4, 3, 2), dtype=int)

@@ -318,6 +318,18 @@ def test_nm_measure_zero_at_t0_and_positive_with_memory():
     assert np.all(np.diff(ncp) >= -1e-15)
 
 
+def test_nm_measure_monotone_on_tabulated_psd():
+    # Lorentzian + 1/f + plateau table: Simpson's rule gave a first increment
+    # of about -1e-11 here; the clipped negativity must accumulate monotonically
+    f = np.geomspace(1.0, 2.0e4, 40)
+    s = 600.0 / (1.0 + (f / 300.0) ** 2) + 2000.0 / f + 0.05
+    psd = NoisePsd.tabulated(2.0 * math.pi * f, 0.5 * s, 0.5 * s[0], 0.025)
+    Omega = 4000.0
+    times, ncp = nm_measure(psd, Omega, 4.0 * math.pi / Omega, n_grid=200)
+    assert ncp[-1] > 0.0
+    assert np.all(np.diff(ncp) >= 0.0)
+
+
 def test_master_equation_rejects_bad_state():
     with pytest.raises(ValidationError):
         master_equation_evolve(np.eye(2), lambda t: (t, t), 1.0, [1.0])

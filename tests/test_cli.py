@@ -49,6 +49,14 @@ def test_bad_drive_rejected(tmp_path):
     assert main(["predict", "--config", str(cfg_path)]) == 2
 
 
+def test_nonzero_drive_phase_rejected(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    write_config(cfg_path, drive={"omega_rad_s": 1.0 / (5.0 * TAU), "t_max_s": 0.01,
+                                  "n_times": 5, "phi_rad": 1.0})
+    assert main(["predict", "--config", str(cfg_path)]) == 2
+    assert "phi_rad" in capsys.readouterr().err
+
+
 def test_predict_outputs_and_manifest(tmp_path):
     cfg_path = tmp_path / "cfg.json"
     write_config(cfg_path)
@@ -121,6 +129,17 @@ def test_tomography_synthetic_and_counts_modes(tmp_path):
     code = main(["tomography", "--config", str(cfg_path), "--out", str(out),
                  "--counts", str(bad)])
     assert code == 2
+
+
+def test_counts_file_with_malformed_time_exits_2(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    write_config(cfg_path)
+    bad = tmp_path / "bad_counts.csv"
+    bad.write_text("state,basis,time_s,n_plus,n_minus\nplus,x,np.float64(0.001),3,2\n")
+    code = main(["tomography", "--config", str(cfg_path), "--out", str(tmp_path / "tomo"),
+                 "--counts", str(bad)])
+    assert code == 2
+    assert "validation error" in capsys.readouterr().err
 
 
 def test_rb_command(tmp_path):

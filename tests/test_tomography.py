@@ -256,6 +256,26 @@ def test_counts_csv_roundtrip(tmp_path):
         np.testing.assert_array_equal(a.counts, b.counts)
 
 
+def test_counts_csv_roundtrip_numpy_scalar_time(tmp_path):
+    rng = np.random.default_rng(16)
+    recs = [sample_shots(born_probs(CHI_ID, SETUP), 20, rng, t=np.float64(0.001))]
+    path = tmp_path / "counts.csv"
+    counts_to_csv(recs, path)
+    back = counts_from_csv(path)
+    assert back[0].t == 0.001
+    np.testing.assert_array_equal(recs[0].counts, back[0].counts)
+
+
+def test_counts_csv_unparsable_number(tmp_path):
+    path = tmp_path / "bad.csv"
+    path.write_text("state,basis,time_s,n_plus,n_minus\nplus,x,np.float64(0.1),3,2\n")
+    with pytest.raises(ValidationError):
+        counts_from_csv(path)
+    path.write_text("state,basis,time_s,n_plus,n_minus\nplus,x,0.1,3.5,2\n")
+    with pytest.raises(ValidationError):
+        counts_from_csv(path)
+
+
 def test_counts_csv_missing_basis(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text(
