@@ -20,6 +20,13 @@ Process matrices use the plain Pauli basis {I, sx, sy, sz}: a channel is
 diag(1, 0, 0, 0)).  The comoving process matrix is block-diagonal in
 {I, sx} + {sy, sz}; the lab-frame (full evolution) matrix is obtained by
 conjugating with the ideal drive unitary and keeps the same block structure.
+
+All Pauli-basis algebra derives from the stacked array ``PAULIS`` (shape
+(4, 2, 2)) through ``einsum``.  State arguments are ``(..., 2, 2)`` stacks:
+the channel helpers (``apply_chi``, ``apply_kraus``, ``rotate_to_lab``,
+``state_fidelity``, ``rho_to_bloch``) broadcast over the leading axes, so a
+batch of states costs one call, and a single (2, 2) state gives a (2, 2)
+result (a float for ``state_fidelity``).
 """
 
 from __future__ import annotations
@@ -34,11 +41,15 @@ from .errors import CPViolationError, NumericalError, ValidationError
 from .filters import IntegralPoint, ou_kernels
 from .langevin import check_density_matrix
 
-SIGMA_0 = np.eye(2, dtype=complex)
-SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
-SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
-SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
-PAULIS = (SIGMA_0, SIGMA_X, SIGMA_Y, SIGMA_Z)
+PAULIS = np.array(
+    [[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]],
+    dtype=complex,
+)
+PAULIS.setflags(write=False)
+SIGMA_0, SIGMA_X, SIGMA_Y, SIGMA_Z = PAULIS
+
+# chi -> superoperator: E(rho)_il = sum_jk (sum_ab chi_ab P_a,ij P_b,kl) rho_jk
+_SUPER = np.einsum("aij,bkl->abiljk", PAULIS, PAULIS)
 
 
 # --------------------------------------------------------------------- #
@@ -62,24 +73,6 @@ def _sin_half_over_theta(q):
         return math.sin(0.5 * r) / r
     r = math.sqrt(-q)
     return math.sinh(0.5 * r) / r
-
-
-@dataclass(frozen=True)
-class RotationSpec:
-    """Complex-capable rotation angle and axis of the coherence map."""
-
-    theta: complex
-    axis: np.ndarray
-
-
-def rotation_spec(point):
-    """Rotation angle/axis; satisfies theta^2 * (axis . axis) = radicand."""
-    q = point.delta1**2 - point.delta2**2 - point.gamma2**2
-    theta = np.sqrt(complex(q))
-    if abs(theta) < 1e-300:
-        return RotationSpec(0.0 + 0.0j, np.array([1.0, 0.0, 0.0], dtype=complex))
-    axis = np.array([point.delta1, -1j * point.delta2, 1j * point.gamma2]) / theta
-    return RotationSpec(theta, axis)
 
 
 # --------------------------------------------------------------------- #
@@ -116,19 +109,6 @@ class PauliRates:
     @property
     def p(self):
         return self.px + self.py + self.pz
-
-
-def check_process_matrix(chi, herm_tol=1e-10, psd_tol=1e-10, tp_tol=1e-10):
-    chi = chi.matrix if isinstance(chi, ProcessMatrix) else np.asarray(chi, dtype=complex)
-    if np.abs(chi - chi.conj().T).max() > herm_tol:
-        raise ValidationError("process matrix is not Hermitian")
-    min_eig = float(np.linalg.eigvalsh(chi)[0])
-    if min_eig < -psd_tol:
-        raise ValidationError(f"process matrix eigenvalue {min_eig:.3e} < -{psd_tol:.0e}")
-    tp = sum(chi[a, b] * PAULIS[b] @ PAULIS[a] for a in range(4) for b in range(4))
-    if np.abs(tp - SIGMA_0).max() > tp_tol:
-        raise ValidationError("trace-preservation constraint violated")
-    return chi
 
 
 # --------------------------------------------------------------------- #
@@ -172,24 +152,24 @@ def dressed_evolve(rho0, point, with_amplitude=False):
 
 
 def rho_to_bloch(rho):
-    return np.array([np.trace(rho @ P).real for P in PAULIS[1:]])
+    """Bloch vectors tr(rho s_a), a = x, y, z, of a (..., 2, 2) stack."""
+    return np.einsum("aij,...ji->...a", PAULIS[1:], rho).real
 
 
 def bloch_to_rho(r):
-    rho = 0.5 * (SIGMA_0 + r[0] * SIGMA_X + r[1] * SIGMA_Y + r[2] * SIGMA_Z)
-    return rho
+    """Density matrices (I + r . s) / 2 of a (..., 3) stack of Bloch vectors."""
+    return 0.5 * (SIGMA_0 + np.einsum("...a,aij->...ij", r, PAULIS[1:]))
 
 
-def drive_unitary(Omega, t, phi=0.0):
-    """Ideal gate unitary exp(-i t Omega sigma_phi / 2)."""
-    sigma_phi = math.cos(phi) * SIGMA_X - math.sin(phi) * SIGMA_Y
+def drive_unitary(Omega, t):
+    """Ideal gate unitary exp(-i t Omega sigma_x / 2)."""
     angle = 0.5 * Omega * t
-    return math.cos(angle) * SIGMA_0 - 1j * math.sin(angle) * sigma_phi
+    return math.cos(angle) * SIGMA_0 - 1j * math.sin(angle) * SIGMA_X
 
 
-def rotate_to_lab(rho, Omega, t, phi=0.0):
-    """Conjugate a comoving state into the laboratory frame."""
-    U = drive_unitary(Omega, t, phi)
+def rotate_to_lab(rho, Omega, t):
+    """Conjugate comoving states, (..., 2, 2), into the laboratory frame."""
+    U = drive_unitary(Omega, t)
     return U @ rho @ U.conj().T
 
 
@@ -227,27 +207,13 @@ def chi_nm(point, t=0.0, with_amplitude=False, *, cp_tol=1e-8):
 
 def pauli_left_matrix(U):
     """m with chi(Ad_U o E) = m chi(E) m^dag (unitary composed after E)."""
-    m = np.empty((4, 4), dtype=complex)
-    for c in range(4):
-        for a in range(4):
-            m[c, a] = 0.5 * np.trace(PAULIS[c] @ U @ PAULIS[a])
-    return m
+    return 0.5 * np.einsum("cij,jk,aki->ca", PAULIS, U, PAULIS)
 
 
-def pauli_conjugation_matrix(U):
-    """w with chi(Ad_U o E o Ad_U^dag) = w chi(E) w^dag (frame conjugation)."""
-    w = np.empty((4, 4), dtype=complex)
-    Ud = U.conj().T
-    for c in range(4):
-        for a in range(4):
-            w[c, a] = 0.5 * np.trace(PAULIS[c] @ U @ PAULIS[a] @ Ud)
-    return w
-
-
-def chi_full(point, Omega, t, with_amplitude=False, phi=0.0):
+def chi_full(point, Omega, t, with_amplitude=False):
     """Process matrix of the full evolution (ideal gate followed by error)."""
     base = chi_nm(point, t, with_amplitude)
-    m = pauli_left_matrix(drive_unitary(Omega, t, phi))
+    m = pauli_left_matrix(drive_unitary(Omega, t))
     return ProcessMatrix(m @ base.matrix @ m.conj().T, t)
 
 
@@ -264,16 +230,11 @@ def kraus_nc(point, Omega=0.0, t=0.0, with_amplitude=False):
         raise NumericalError(f"effective error rate {eps} outside [0, 1]")
     reduced = IntegralPoint(point.gamma1, 0.0, point.delta1, 0.0, point.dgamma1)
     chi = chi_nm(reduced, t, with_amplitude).matrix
-    rotated = [drive_unitary(Omega, t) @ P @ drive_unitary(Omega, t).conj().T
-               for P in PAULIS]
+    rotated = rotate_to_lab(PAULIS, Omega, t)
     evals, evecs = np.linalg.eigh(chi)
-    ops = []
-    for n in range(4):
-        d = max(evals[n], 0.0)
-        K = math.sqrt(d) * sum(evecs[a, n] * rotated[a] for a in range(4))
-        ops.append(K)
-    ops.sort(key=lambda K: -np.abs(K).max())
-    complete = sum(K.conj().T @ K for K in ops)
+    ops = np.einsum("an,aij->nij", evecs * np.sqrt(np.maximum(evals, 0.0)), rotated)
+    ops = sorted(ops, key=lambda K: -np.abs(K).max())
+    complete = np.einsum("nji,njk->ik", np.conj(ops), ops)
     if np.abs(complete - SIGMA_0).max() > 1e-10:
         raise NumericalError("Kraus completeness violated")
     return KrausSet(ops, t)
@@ -304,58 +265,37 @@ def pauli_chi(rates, t=0.0):
 # channel algebra
 
 def apply_chi(chi, rho):
+    """sum_ab chi_ab s_a rho s_b for a (..., 2, 2) stack of operators."""
     chi = chi.matrix if isinstance(chi, ProcessMatrix) else np.asarray(chi)
-    out = np.zeros((2, 2), dtype=complex)
-    for a in range(4):
-        for b in range(4):
-            if chi[a, b] != 0.0:
-                out += chi[a, b] * PAULIS[a] @ rho @ PAULIS[b]
-    return out
+    return np.einsum("iljk,...jk->...il", np.einsum("ab,abiljk->iljk", chi, _SUPER), rho)
 
 
 def apply_kraus(kraus, rho):
-    ops = kraus.ops if isinstance(kraus, KrausSet) else kraus
-    return sum(K @ rho @ K.conj().T for K in ops)
+    """sum_n K_n rho K_n^dag for a (..., 2, 2) stack of operators."""
+    ops = np.asarray(kraus.ops if isinstance(kraus, KrausSet) else kraus)
+    return np.einsum("nij,...jk,nlk->...il", ops, rho, ops.conj())
 
 
 def kraus_to_chi(kraus, t=0.0):
-    ops = kraus.ops if isinstance(kraus, KrausSet) else kraus
-    coeff = np.array([[0.5 * np.trace(P @ K) for K in ops] for P in PAULIS])
+    ops = np.asarray(kraus.ops if isinstance(kraus, KrausSet) else kraus)
+    coeff = 0.5 * np.einsum("aij,nji->an", PAULIS, ops)
     return ProcessMatrix(coeff @ coeff.conj().T, t)
 
 
-def chi_to_kraus(chi, t=0.0, tol=1e-12):
-    chi = chi.matrix if isinstance(chi, ProcessMatrix) else np.asarray(chi)
-    evals, evecs = np.linalg.eigh(chi)
-    ops = []
-    for n in range(4):
-        if evals[n] > tol:
-            ops.append(math.sqrt(evals[n]) * sum(evecs[a, n] * PAULIS[a] for a in range(4)))
-    return KrausSet(ops, t)
+def _pauli_images(channel):
+    """E(s_a) for the four Paulis, stacked (4, 2, 2).
+
+    ``channel`` may be a ProcessMatrix / raw chi array / KrausSet / list of
+    Kraus operators.
+    """
+    if isinstance(channel, (ProcessMatrix, np.ndarray)):
+        return apply_chi(channel, PAULIS)
+    return apply_kraus(channel, PAULIS)
 
 
 def ptm(channel):
     """Pauli transfer matrix R_ab = (1/2) tr[s_a E(s_b)] (affine row included)."""
-    R = np.empty((4, 4))
-    for b in range(4):
-        if isinstance(channel, (ProcessMatrix, np.ndarray)):
-            image = apply_chi(channel, PAULIS[b])
-        else:
-            image = apply_kraus(channel, PAULIS[b])
-        for a in range(4):
-            val = 0.5 * np.trace(PAULIS[a] @ image)
-            R[a, b] = val.real
-    return R
-
-
-def twirl_chi(chi, t=0.0):
-    """Brute-force Pauli twirl: average of P^dag E(P . P^dag) P over Paulis."""
-    chi = chi.matrix if isinstance(chi, ProcessMatrix) else np.asarray(chi)
-    out = np.zeros_like(chi)
-    for P in PAULIS:
-        w = pauli_conjugation_matrix(P)
-        out += w @ chi @ w.conj().T / 4.0
-    return ProcessMatrix(out, t)
+    return 0.5 * np.einsum("aij,bji->ab", PAULIS, _pauli_images(channel)).real
 
 
 # --------------------------------------------------------------------- #
@@ -368,13 +308,8 @@ def avg_gate_fidelity(channel, target):
     Kraus operators describing the full evolution; ``target`` is the ideal
     unitary.
     """
-    total = 0.0 + 0.0j
-    for b in (1, 2, 3):
-        if isinstance(channel, (ProcessMatrix, np.ndarray)):
-            image = apply_chi(channel, PAULIS[b])
-        else:
-            image = apply_kraus(channel, PAULIS[b])
-        total += np.trace(target @ PAULIS[b] @ target.conj().T @ image)
+    ideal = target @ PAULIS[1:] @ target.conj().T
+    total = np.einsum("bij,bji->", ideal, _pauli_images(channel)[1:])
     if abs(total.imag) > 1e-12 * max(1.0, abs(total.real)):
         raise NumericalError(f"fidelity has imaginary part {total.imag:.3e}")
     return 0.5 + total.real / 12.0
@@ -382,13 +317,8 @@ def avg_gate_fidelity(channel, target):
 
 def gate_fidelity_matrix(target):
     """Matrix G with F = 1/2 + Re sum_ab chi_ab G_ab (fast per-sample reuse)."""
-    G = np.zeros((4, 4), dtype=complex)
-    for b in (1, 2, 3):
-        lhs = target @ PAULIS[b] @ target.conj().T
-        for a in range(4):
-            for c in range(4):
-                G[a, c] += np.trace(lhs @ PAULIS[a] @ PAULIS[b] @ PAULIS[c]) / 12.0
-    return G
+    ideal = target @ PAULIS[1:] @ target.conj().T
+    return np.einsum("bij,ajk,bkl,cli->ac", ideal, PAULIS, PAULIS[1:], PAULIS) / 12.0
 
 
 GATE_ERROR_MODELS = ("D", "NC", "NM", "NC_I", "NM_I")
@@ -419,13 +349,16 @@ def gate_error(point, model):
 
 
 def state_fidelity(a, b):
-    """Uhlmann fidelity of two qubit states: tr(ab) + 2 sqrt(det a det b)."""
+    """Uhlmann fidelity of qubit states: tr(ab) + 2 sqrt(det a det b).
+
+    Broadcasts over (..., 2, 2) stacks; two single states give a float.
+    """
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
-    val = np.trace(a @ b).real + 2.0 * math.sqrt(
-        max(np.linalg.det(a).real, 0.0) * max(np.linalg.det(b).real, 0.0)
-    )
-    return float(min(max(val, 0.0), 1.0))
+    overlap = np.einsum("...ij,...ji->...", a, b).real
+    dets = np.maximum(np.linalg.det(a).real, 0.0) * np.maximum(np.linalg.det(b).real, 0.0)
+    val = np.clip(overlap + 2.0 * np.sqrt(dets), 0.0, 1.0)
+    return float(val) if val.ndim == 0 else val
 
 
 def haar_random_state(rng):
@@ -489,11 +422,8 @@ def master_equation_evolve(rho0, kernels, Omega, times, amp_rate=None):
                     max_step=max(t_max / 200.0, 1e-12))
     if not sol.success:
         raise NumericalError(f"master-equation integration failed: {sol.message}")
-    states = []
-    for k in range(times.size):
-        v = sol.y[:, k]
-        states.append(bloch_to_rho(np.array([v[2], -v[1], v[0]])))
-    return states
+    v1, v2, v3 = sol.y
+    return list(bloch_to_rho(np.stack([v3, -v2, v1], axis=-1)))
 
 
 # --------------------------------------------------------------------- #

@@ -74,8 +74,9 @@ _DEFAULTS = {
         "run_chain": False,
     },
     "rb": {"n_seq": 100, "shots": 100, "max_length": 1024},
-    "outputs": {"formats": ["csv", "json"]},
 }
+_SECTIONS = ("drive", "noise", "simulation", "tomography", "rb", "outputs",
+             "validation", "omega_sweep")
 
 
 def _require(cfg, section, key):
@@ -87,6 +88,10 @@ def _require(cfg, section, key):
 def load_config(path, seed_override=None):
     raw = Path(path).read_bytes()
     cfg = json.loads(raw)
+    unknown = sorted(set(cfg) - set(_SECTIONS))
+    if unknown:
+        raise ValidationError(f"unknown config section(s) {', '.join(unknown)}; "
+                              f"expected some of {', '.join(_SECTIONS)}")
     resolved = {}
     for section, defaults in _DEFAULTS.items():
         resolved[section] = dict(defaults)
@@ -282,19 +287,19 @@ def reconstruct_channel(states_by_label):
     """Linear extension of the MC map from the four evolved basis states.
 
     Exact when the four states share their noise draws, as in one
-    ``evolve_ensemble`` call on the stacked basis states.
+    ``evolve_ensemble`` call on the stacked basis states.  The returned map
+    acts on (..., 2, 2) stacks of states.
     """
     e00 = states_by_label["zero"]
     e11 = states_by_label["one"]
     epp = states_by_label["plus"]
     epi = states_by_label["plus_i"]
     e01 = 0.5 * ((2 * epp - e00 - e11) + 1j * (2 * epi - e00 - e11))
-    e10 = e01.conj().T
+    # images[j, k] = E(|j><k|)
+    images = np.array([[e00, e01], [e01.conj().T, e11]])
 
     def channel(rho):
-        return (
-            rho[0, 0] * e00 + rho[1, 1] * e11 + rho[0, 1] * e01 + rho[1, 0] * e10
-        )
+        return np.einsum("...jk,jkil->...il", rho, images)
 
     return channel
 
@@ -332,13 +337,13 @@ def run_validation(cfg, psd, amp_psd, n_haar=1000, models=("D", "PT", "NC", "NM"
     fi = filtered_integrals(psd, Omega, grid, amp_psd=amp_psd)
     with_amp = amp_psd is not None
     rng = np.random.default_rng(seed + 99)
-    haar = [haar_random_state(rng) for _ in range(n_haar)]
+    haar = np.stack([haar_random_state(rng) for _ in range(n_haar)])
 
     infidelity = {model: np.zeros(grid.size) for model in models}
     for j, idx in enumerate(keep):
-        mc_channel = reconstruct_channel(
+        mc_states = reconstruct_channel(
             {label: evolved[label].states[idx] for label in _BASIS_STATES}
-        )
+        )(haar)
         point = fi.at(j)
         t = grid[j]
         builders = {}
@@ -351,16 +356,9 @@ def run_validation(cfg, psd, amp_psd, n_haar=1000, models=("D", "PT", "NC", "NM"
         if "NM" in models:
             builders["NM"] = chi_nm(point, t, with_amplitude=with_amp)
         for model, obj in builders.items():
-            total = 0.0
-            for rho0 in haar:
-                mc_state = mc_channel(rho0)
-                if model == "NC":
-                    mapped = apply_kraus(obj, rho0)
-                else:
-                    mapped = apply_chi(obj, rho0)
-                model_state = rotate_to_lab(mapped, Omega, t)
-                total += 1.0 - state_fidelity(model_state, mc_state)
-            infidelity[model][j] = total / n_haar
+            mapped = apply_kraus(obj, haar) if model == "NC" else apply_chi(obj, haar)
+            model_states = rotate_to_lab(mapped, Omega, t)
+            infidelity[model][j] = np.mean(1.0 - state_fidelity(model_states, mc_states))
 
     if out_dir is not None:
         snapshots = [

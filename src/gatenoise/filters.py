@@ -187,15 +187,16 @@ class FilteredIntegrals:
 
     def __post_init__(self):
         self.times = np.asarray(self.times, dtype=float)
-        for name in ("gamma1", "gamma2", "delta1", "delta2"):
+        names = ("gamma1", "gamma2", "delta1", "delta2")
+        if self.dgamma1 is not None:
+            names += ("dgamma1",)
+        for name in names:
             arr = np.asarray(getattr(self, name), dtype=float)
             if arr.shape != self.times.shape:
                 raise ValidationError(f"{name} shape does not match the time grid")
             if not np.all(np.isfinite(arr)):
                 raise ValidationError(f"{name} contains non-finite values")
             setattr(self, name, arr)
-        if self.dgamma1 is not None:
-            self.dgamma1 = np.asarray(self.dgamma1, dtype=float)
         if np.any(self.gamma1 < -1e-10 * max(1.0, np.abs(self.gamma1).max())):
             raise ValidationError("Gamma1 must be nonnegative for a decay exponent")
 

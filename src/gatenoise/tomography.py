@@ -75,16 +75,9 @@ class TomographySetup:
         total = sum(m for basis in povm for m in basis)
         if np.abs(total - np.eye(2)).max() > 1e-12:
             raise ValidationError("POVM does not resolve the identity")
-        D = np.empty((4, 3, 2, 4, 4), dtype=complex)
-        for s, rho in enumerate(states):
-            for b in range(3):
-                for m in range(2):
-                    M = povm[b][m]
-                    for alpha in range(4):
-                        for beta in range(4):
-                            D[s, b, m, beta, alpha] = np.trace(
-                                M @ PAULIS[alpha] @ rho @ PAULIS[beta]
-                            )
+        # D[s, b, m, beta, alpha] = tr(M_bm s_alpha rho_s s_beta)
+        D = np.einsum("bmij,ajk,skl,cli->sbmca", np.array(povm), PAULIS,
+                      np.array(states), PAULIS)
         return cls(states=states, povm=povm, d_matrices=D)
 
 
@@ -202,21 +195,18 @@ def counts_from_csv(path):
 # linear inversion
 
 def _hermitian_basis():
-    basis = []
-    for a in range(4):
-        B = np.zeros((4, 4), dtype=complex)
-        B[a, a] = 1.0
-        basis.append(B)
-    for a in range(4):
-        for b in range(a + 1, 4):
-            B = np.zeros((4, 4), dtype=complex)
-            B[a, b] = B[b, a] = 1.0
-            basis.append(B)
-            B = np.zeros((4, 4), dtype=complex)
-            B[a, b] = 1.0j
-            B[b, a] = -1.0j
-            basis.append(B)
-    return basis
+    """(16, 4, 4) basis, over the reals, of the Hermitian 4x4 matrices: the
+    four diagonal units, then for each pair a < b the symmetric and
+    antisymmetric units."""
+    diag = np.zeros((4, 4, 4), dtype=complex)
+    diag[np.arange(4), np.arange(4), np.arange(4)] = 1.0
+    a, b = np.triu_indices(4, 1)
+    pair = np.arange(a.size)
+    off = np.zeros((a.size, 2, 4, 4), dtype=complex)
+    off[pair, 0, a, b] = off[pair, 0, b, a] = 1.0
+    off[pair, 1, a, b] = 1.0j
+    off[pair, 1, b, a] = -1.0j
+    return np.concatenate([diag, off.reshape(-1, 4, 4)])
 
 
 _HBASIS = _hermitian_basis()
@@ -224,22 +214,12 @@ _HBASIS = _hermitian_basis()
 
 def _tp_rows():
     """Real constraint rows enforcing sum chi_ab s_b s_a = I."""
-    rows, rhs = [], []
-    for c in range(4):
-        coeff = np.empty(len(_HBASIS), dtype=complex)
-        for k, B in enumerate(_HBASIS):
-            val = 0.0 + 0.0j
-            for a in range(4):
-                for b in range(4):
-                    if B[a, b] != 0.0:
-                        val += B[a, b] * 0.5 * np.trace(PAULIS[c] @ PAULIS[b] @ PAULIS[a])
-            coeff[k] = val
-        target = 1.0 if c == 0 else 0.0
-        rows.append(coeff.real)
-        rhs.append(target)
-        rows.append(coeff.imag)
-        rhs.append(0.0)
-    return np.array(rows), np.array(rhs)
+    # coeff[c, k] = sum_ab B_k,ab (1/2) tr(s_c s_b s_a)
+    coeff = 0.5 * np.einsum("kab,cij,bjl,ali->ck", _HBASIS, PAULIS, PAULIS, PAULIS)
+    rows = np.stack([coeff.real, coeff.imag], axis=1).reshape(8, _HBASIS.shape[0])
+    rhs = np.zeros(8)
+    rhs[0] = 1.0
+    return rows, rhs
 
 
 def linear_inversion(probs, setup=None):
@@ -253,20 +233,12 @@ def linear_inversion(probs, setup=None):
     """
     setup = setup or default_setup()
     probs = np.asarray(probs, dtype=float)
-    rows, rhs = [], []
-    for s in range(4):
-        for b in range(3):
-            for m in range(2):
-                D = setup.d_matrices[s, b, m]
-                coeff = np.array([np.trace(D @ B) for B in _HBASIS])
-                rows.append(coeff.real)
-                rhs.append(probs[s, b, m])
+    rows = np.einsum("sbmij,kji->sbmk", setup.d_matrices, _HBASIS).real
     tp_rows, tp_rhs = _tp_rows()
-    A = np.vstack([np.array(rows), 100.0 * tp_rows])
-    y = np.concatenate([np.array(rhs), 100.0 * tp_rhs])
+    A = np.vstack([rows.reshape(-1, _HBASIS.shape[0]), 100.0 * tp_rows])
+    y = np.concatenate([probs.reshape(-1), 100.0 * tp_rhs])
     x, *_ = np.linalg.lstsq(A, y, rcond=None)
-    chi = sum(x[k] * _HBASIS[k] for k in range(len(_HBASIS)))
-    return ProcessMatrix(chi)
+    return ProcessMatrix(np.einsum("k,kij->ij", x, _HBASIS))
 
 
 # --------------------------------------------------------------------- #
@@ -581,8 +553,7 @@ def _noise_ptm(channel):
     """Bloch contraction matrix of the per-pulse noise channel."""
     if isinstance(channel, PauliRates):
         channel = pauli_chi(channel)
-    R = ptm(channel if isinstance(channel, (ProcessMatrix, np.ndarray)) else channel)
-    return R
+    return ptm(channel)
 
 
 def _pulse_ptms():

@@ -6,13 +6,12 @@ import pytest
 from gatenoise.channels import (
     PAULIS,
     ProcessMatrix,
+    apply_chi,
     apply_kraus,
     avg_gate_fidelity,
     bloch_to_rho,
-    check_process_matrix,
     chi_full,
     chi_nm,
-    chi_to_kraus,
     depolarizing_chi,
     depolarizing_rate,
     dressed_evolve,
@@ -30,9 +29,8 @@ from gatenoise.channels import (
     pauli_twirl,
     ptm,
     rho_to_bloch,
-    rotation_spec,
+    rotate_to_lab,
     state_fidelity,
-    twirl_chi,
 )
 from gatenoise.errors import CPViolationError, NumericalError, ValidationError
 from gatenoise.filters import IntegralPoint, ZERO_POINT, ou_filtered_integrals, ou_kernels
@@ -40,6 +38,43 @@ from gatenoise.psd import NoisePsd
 
 RHO0 = np.array([[1, 0], [0, 0]], dtype=complex)
 RHOP = 0.5 * np.ones((2, 2), dtype=complex)
+
+
+# --------------------------------------------------------------------- #
+# brute-force oracles
+
+def check_process_matrix(chi, herm_tol=1e-10, psd_tol=1e-10, tp_tol=1e-10):
+    """CP/TP check of a Pauli-basis process matrix by explicit sums."""
+    chi = chi.matrix if isinstance(chi, ProcessMatrix) else np.asarray(chi, dtype=complex)
+    if np.abs(chi - chi.conj().T).max() > herm_tol:
+        raise ValidationError("process matrix is not Hermitian")
+    min_eig = float(np.linalg.eigvalsh(chi)[0])
+    if min_eig < -psd_tol:
+        raise ValidationError(f"process matrix eigenvalue {min_eig:.3e} < -{psd_tol:.0e}")
+    tp = sum(chi[a, b] * PAULIS[b] @ PAULIS[a] for a in range(4) for b in range(4))
+    if np.abs(tp - np.eye(2)).max() > tp_tol:
+        raise ValidationError("trace-preservation constraint violated")
+    return chi
+
+
+def pauli_conjugation_matrix(U):
+    """w with chi(Ad_U o E o Ad_U^dag) = w chi(E) w^dag (frame conjugation)."""
+    w = np.empty((4, 4), dtype=complex)
+    Ud = U.conj().T
+    for c in range(4):
+        for a in range(4):
+            w[c, a] = 0.5 * np.trace(PAULIS[c] @ U @ PAULIS[a] @ Ud)
+    return w
+
+
+def twirl_chi(chi):
+    """Brute-force Pauli twirl: average of P^dag E(P . P^dag) P over Paulis."""
+    chi = chi.matrix if isinstance(chi, ProcessMatrix) else np.asarray(chi)
+    out = np.zeros_like(chi)
+    for P in PAULIS:
+        w = pauli_conjugation_matrix(P)
+        out += w @ chi @ w.conj().T / 4.0
+    return ProcessMatrix(out)
 
 
 def physical_point(rng, with_amplitude=False):
@@ -162,16 +197,6 @@ def test_kraus_pauli_form_at_special_times():
     assert found == {2, 3}
 
 
-def test_chi_eigendecomposition_consistency():
-    rng = np.random.default_rng(8)
-    for _ in range(20):
-        pt = physical_point(rng)
-        pt0 = IntegralPoint(pt.gamma1, 0.0, pt.delta1, 0.0, 0.0)
-        chi = chi_nm(pt0)
-        ks = chi_to_kraus(chi)
-        np.testing.assert_allclose(kraus_to_chi(ks).matrix, chi.matrix, atol=1e-12)
-
-
 def test_chi_full_block_structure_and_gauge():
     rng = np.random.default_rng(4)
     for _ in range(20):
@@ -270,21 +295,57 @@ def test_gate_fidelity_matrix_agrees_with_direct():
         assert fast == pytest.approx(avg_gate_fidelity(chi, U), abs=1e-12)
 
 
+def _apply_chi_loop(chi, rho):
+    return sum(chi[a, b] * PAULIS[a] @ rho @ PAULIS[b] for a in range(4) for b in range(4))
+
+
+def _state_fidelity_scalar(a, b):
+    val = np.trace(a @ b).real + 2.0 * math.sqrt(
+        max(np.linalg.det(a).real, 0.0) * max(np.linalg.det(b).real, 0.0))
+    return min(max(val, 0.0), 1.0)
+
+
+@pytest.mark.parametrize("helper", ["apply_chi", "apply_kraus", "state_fidelity",
+                                    "rotate_to_lab"])
+@pytest.mark.parametrize("shape", [(7,), (3, 5)])
+def test_helpers_broadcast_over_state_stacks(helper, shape):
+    rng = np.random.default_rng(21)
+    pt = physical_point(rng, with_amplitude=True)
+    chi = chi_nm(pt, with_amplitude=True)
+    kraus = kraus_nc(pt, Omega=1.3, t=0.7, with_amplitude=True)
+    n = int(np.prod(shape))
+    states = np.stack([haar_random_state(rng) for _ in range(n)])
+    mixed = 0.5 * states + 0.25 * np.eye(2)
+    reference = {
+        "apply_chi": lambda k: _apply_chi_loop(chi.matrix, states[k]),
+        "apply_kraus": lambda k: sum(K @ states[k] @ K.conj().T for K in kraus.ops),
+        "state_fidelity": lambda k: _state_fidelity_scalar(states[k], mixed[k]),
+        "rotate_to_lab": lambda k: (drive_unitary(1.3, 0.7) @ states[k]
+                                    @ drive_unitary(1.3, 0.7).conj().T),
+    }[helper]
+    call = {
+        "apply_chi": lambda rho, other: apply_chi(chi, rho),
+        "apply_kraus": lambda rho, other: apply_kraus(kraus, rho),
+        "state_fidelity": state_fidelity,
+        "rotate_to_lab": lambda rho, other: rotate_to_lab(rho, 1.3, 0.7),
+    }[helper]
+    stacked = call(states.reshape(shape + (2, 2)), mixed.reshape(shape + (2, 2)))
+    expected = np.array([reference(k) for k in range(n)])
+    assert stacked.shape == shape + expected.shape[1:]
+    np.testing.assert_allclose(stacked.reshape(expected.shape), expected, rtol=0, atol=1e-14)
+    # one state in, one state (or float) out, with the same values
+    single = call(states[0], mixed[0])
+    assert np.shape(single) == expected.shape[1:]
+    if helper == "state_fidelity":
+        assert isinstance(single, float)
+    np.testing.assert_allclose(single, expected[0], rtol=0, atol=1e-14)
+
+
 def test_state_fidelity_examples():
     assert state_fidelity(RHO0, RHO0) == pytest.approx(1.0)
     rho1 = np.array([[0, 0], [0, 1]], dtype=complex)
     assert state_fidelity(RHO0, rho1) == pytest.approx(0.0, abs=1e-15)
     assert state_fidelity(0.5 * np.eye(2), RHO0) == pytest.approx(0.5)
-
-
-def test_rotation_spec_invariant():
-    rng = np.random.default_rng(6)
-    for _ in range(20):
-        pt = physical_point(rng)
-        spec = rotation_spec(pt)
-        lhs = spec.theta**2 * np.dot(spec.axis, spec.axis)
-        rhs = pt.delta1**2 - pt.delta2**2 - pt.gamma2**2
-        assert abs(lhs - rhs) < 1e-10 * max(1.0, abs(rhs))
 
 
 def test_haar_states_are_pure_and_uniform():

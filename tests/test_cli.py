@@ -1,9 +1,23 @@
 import json
+import math
 from pathlib import Path
 
 import numpy as np
+import pytest
 
-from gatenoise.cli import main
+from gatenoise.channels import (
+    PAULIS,
+    chi_nm,
+    depolarizing_chi,
+    depolarizing_rate,
+    drive_unitary,
+    haar_random_state,
+    kraus_nc,
+    pauli_chi,
+    pauli_twirl,
+)
+from gatenoise.cli import build_psds, load_config, main, run_validation
+from gatenoise.filters import filtered_integrals
 
 TAU = 5e-4
 
@@ -57,6 +71,15 @@ def test_nonzero_drive_phase_rejected(tmp_path, capsys):
     assert "phi_rad" in capsys.readouterr().err
 
 
+def test_misspelled_section_rejected(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg = write_config(cfg_path)
+    cfg["simulaton"] = cfg.pop("simulation")
+    cfg_path.write_text(json.dumps(cfg))
+    assert main(["predict", "--config", str(cfg_path), "--seed", "7"]) == 2
+    assert "simulaton" in capsys.readouterr().err
+
+
 def test_predict_outputs_and_manifest(tmp_path):
     cfg_path = tmp_path / "cfg.json"
     write_config(cfg_path)
@@ -101,6 +124,55 @@ def test_validate_reports_model_ordering(tmp_path):
     # depolarizing is the worst description at these noisy parameters
     assert avg["D"] > avg["NM"]
     assert (out / "channel_infidelity.csv").exists()
+
+
+def _complex(obj):
+    return np.asarray(obj["re"]) + 1j * np.asarray(obj["im"])
+
+
+def test_validation_scoring_matches_per_state_loop(tmp_path):
+    """Stacked Haar scoring equals a per-state loop over the same states,
+    written here with explicit Pauli and Kraus sums."""
+    cfg_path = tmp_path / "cfg.json"
+    write_config(cfg_path)
+    cfg = load_config(cfg_path)
+    psd, amp_psd = build_psds(cfg)
+    n_haar = 50
+    grid, infidelity = run_validation(cfg, psd, amp_psd, n_haar=n_haar, out_dir=tmp_path)
+    snapshots = json.loads((tmp_path / "ensemble_states.json").read_text())
+    Omega = cfg["drive"]["omega_rad_s"]
+    fi = filtered_integrals(psd, Omega, grid)
+    rng = np.random.default_rng(cfg["simulation"]["seed"] + 99)
+    haar = [haar_random_state(rng) for _ in range(n_haar)]
+
+    for j, snap in enumerate(snapshots):
+        t = snap["t"]
+        e = {label: _complex(state) for label, state in snap["states"].items()}
+        e01 = 0.5 * ((2 * e["plus"] - e["zero"] - e["one"])
+                     + 1j * (2 * e["plus_i"] - e["zero"] - e["one"]))
+        point = fi.at(j)
+        U = drive_unitary(Omega, t)
+        models = {
+            "D": depolarizing_chi(depolarizing_rate(point)).matrix,
+            "PT": pauli_chi(pauli_twirl(point, t)).matrix,
+            "NC": kraus_nc(point, Omega, t).ops,
+            "NM": chi_nm(point, t).matrix,
+        }
+        for model, obj in models.items():
+            total = 0.0
+            for rho in haar:
+                mc = (rho[0, 0] * e["zero"] + rho[1, 1] * e["one"]
+                      + rho[0, 1] * e01 + rho[1, 0] * e01.conj().T)
+                if model == "NC":
+                    mapped = sum(K @ rho @ K.conj().T for K in obj)
+                else:
+                    mapped = sum(obj[a, b] * PAULIS[a] @ rho @ PAULIS[b]
+                                 for a in range(4) for b in range(4))
+                lab = U @ mapped @ U.conj().T
+                fid = np.trace(lab @ mc).real + 2.0 * math.sqrt(
+                    max(np.linalg.det(lab).real, 0.0) * max(np.linalg.det(mc).real, 0.0))
+                total += 1.0 - min(max(fid, 0.0), 1.0)
+            assert infidelity[model][j] == pytest.approx(total / n_haar, rel=1e-12, abs=0)
 
 
 def test_validate_identical_seeds_bitwise(tmp_path):

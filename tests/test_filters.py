@@ -250,6 +250,16 @@ def test_integrals_container_invariants():
     assert pt.dgamma1 == 0.0
 
 
+@pytest.mark.parametrize("dgamma1", [np.zeros(3), np.array([0.0, np.nan]),
+                                     np.array([0.0, np.inf])])
+def test_integrals_container_checks_dgamma1(dgamma1):
+    z = np.zeros(2)
+    with pytest.raises(ValidationError):
+        FilteredIntegrals(np.array([0.0, 1.0]), z, z, z, z, dgamma1)
+    fi = FilteredIntegrals(np.array([0.0, 1.0]), z, z, z, z, [0.0, 0.25])
+    assert fi.at(1).dgamma1 == 0.25
+
+
 def test_ou_kernels_asymptotics():
     c, tau, Omega = 2.0, 1.0, 3.0
     g1, h1 = ou_kernels(c, tau, Omega, np.array([50.0 * tau]))
