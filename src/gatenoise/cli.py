@@ -75,14 +75,21 @@ _DEFAULTS = {
     },
     "rb": {"n_seq": 100, "shots": 100, "max_length": 1024},
 }
-_SECTIONS = ("drive", "noise", "simulation", "tomography", "rb", "outputs",
-             "validation", "omega_sweep")
-
-
-def _require(cfg, section, key):
-    if section not in cfg or key not in cfg[section]:
-        raise ValidationError(f"config is missing required field {section}.{key}")
-    return cfg[section][key]
+# The keys each section may hold: exactly the ones the commands read.
+_SECTIONS = {
+    "drive": ("omega_rad_s", "t_max_s", "n_times", "phi_rad"),
+    "noise": ("psd", "amplitude_psd"),
+    "simulation": ("seed", "m_mc", "dt_s", "chunk"),
+    "tomography": ("shots_per_basis", "repetitions", "chain_steps", "proposal_width",
+                   "run_chain"),
+    "rb": ("n_seq", "shots", "max_length"),
+    "outputs": ("dir",),
+    "validation": ("n_haar",),
+    "omega_sweep": ("omega_min", "omega_max", "n"),
+}
+# Lower limits of the numeric tomography and validation settings.
+_AT_LEAST_ONE = (("tomography", "shots_per_basis"), ("tomography", "repetitions"),
+                 ("tomography", "chain_steps"), ("validation", "n_haar"))
 
 
 def load_config(path, seed_override=None):
@@ -92,18 +99,21 @@ def load_config(path, seed_override=None):
     if unknown:
         raise ValidationError(f"unknown config section(s) {', '.join(unknown)}; "
                               f"expected some of {', '.join(_SECTIONS)}")
-    resolved = {}
-    for section, defaults in _DEFAULTS.items():
-        resolved[section] = dict(defaults)
-        resolved[section].update(cfg.get(section, {}))
-    for section in cfg:
-        if section not in resolved:
-            resolved[section] = cfg[section]
+    for section, keys in _SECTIONS.items():
+        body = cfg.get(section, {})
+        if not isinstance(body, dict):
+            raise ValidationError(f"config section {section} must be a JSON object")
+        extra = sorted(set(body) - set(keys))
+        if extra:
+            raise ValidationError(f"unknown key(s) {', '.join(f'{section}.{k}' for k in extra)}; "
+                                  f"{section} takes {', '.join(keys)}")
+    resolved = {section: {**_DEFAULTS.get(section, {}), **cfg.get(section, {})}
+                for section in _SECTIONS if section in cfg or section in _DEFAULTS}
 
-    _require(cfg, "drive", "omega_rad_s")
-    _require(cfg, "drive", "t_max_s")
-    _require(cfg, "noise", "psd")
-    _require(cfg, "outputs", "dir")
+    for section, key in (("drive", "omega_rad_s"), ("drive", "t_max_s"), ("noise", "psd"),
+                         ("outputs", "dir")):
+        if key not in cfg.get(section, {}):
+            raise ValidationError(f"config is missing required field {section}.{key}")
     if seed_override is not None:
         resolved.setdefault("simulation", {})["seed"] = int(seed_override)
     if "seed" not in resolved.get("simulation", {}) or resolved["simulation"]["seed"] is None:
@@ -115,6 +125,13 @@ def load_config(path, seed_override=None):
     if drive.get("phi_rad", 0.0) != 0.0:
         raise ValidationError("drive.phi_rad is not supported: every model and the "
                               "simulator drive about x (phase 0)")
+    for section, key in _AT_LEAST_ONE:
+        value = resolved.get(section, {}).get(key, 1)
+        if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+            raise ValidationError(f"{section}.{key} must be an integer >= 1, got {value!r}")
+    width = resolved["tomography"]["proposal_width"]
+    if isinstance(width, bool) or not isinstance(width, (int, float)) or not width > 0:
+        raise ValidationError(f"tomography.proposal_width must be positive, got {width!r}")
     resolved["_sha256"] = hashlib.sha256(raw).hexdigest()
     resolved["_base_dir"] = str(Path(path).resolve().parent)
     return resolved
@@ -380,7 +397,7 @@ def cmd_validate(args):
     out_dir = Path(args.out or cfg["outputs"]["dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
     psd, amp_psd = build_psds(cfg)
-    n_haar = int(cfg.get("validation", {}).get("n_haar", 1000))
+    n_haar = cfg.get("validation", {}).get("n_haar", 1000)
     grid, infidelity = run_validation(cfg, psd, amp_psd, n_haar=n_haar,
                                       n_workers=max(args.threads, 1),
                                       out_dir=out_dir)
@@ -423,11 +440,7 @@ def cmd_tomography(args):
                 "mle_gate_error": 1.0 - avg_gate_fidelity(chi_hat, target),
             }
             if tomo["run_chain"]:
-                post = mh_chain(
-                    rec, setup, n_steps=tomo["chain_steps"],
-                    widths=tomo["proposal_width"], seed=seed, target_unitary=target,
-                )
-                entry["mh"] = _posterior_summary(post)
+                entry["mh"] = _posterior_summary(rec, setup, tomo, seed, target)
             results.append(entry)
     else:
         times = time_grid(cfg)
@@ -454,11 +467,7 @@ def cmd_tomography(args):
             }
             if tomo["run_chain"]:
                 rec = sample_shots(probs, tomo["shots_per_basis"], rng, t=t)
-                post = mh_chain(
-                    rec, setup, n_steps=tomo["chain_steps"],
-                    widths=tomo["proposal_width"], seed=seed, target_unitary=target,
-                )
-                entry["mh"] = _posterior_summary(post)
+                entry["mh"] = _posterior_summary(rec, setup, tomo, seed, target)
             results.append(entry)
 
     (out_dir / "tomography.json").write_text(
@@ -469,13 +478,16 @@ def cmd_tomography(args):
     return 0
 
 
-def _posterior_summary(post):
+def _posterior_summary(rec, setup, tomo, seed, target):
+    post = mh_chain(rec, setup, n_steps=tomo["chain_steps"], width=tomo["proposal_width"],
+                    seed=seed, target_unitary=target)
     return {
         "mean_error": post.mean_error,
         "mode_error": post.mode_error,
         "quantiles": list(post.quantiles),
         "acceptance_rate": post.acceptance_rate,
-        "proposal_widths": post.widths,
+        "proposal_width": post.width,
+        "effective_sample_size": post.ess,
     }
 
 

@@ -5,13 +5,20 @@ measurement matrices, shots are Bernoulli draws against the weighted POVM,
 and snapshots are reconstructed either by linear inversion (exact but
 possibly nonphysical under shot noise) or by likelihood methods constrained
 to trace-normalized positive matrices through a 6-parameter block Cholesky
-factor.  A Metropolis-Hastings sampler over the same parametrization yields
-confidence regions for derived gate errors, and a small Clifford simulator
-provides randomized-benchmarking decays for cross-validation.
+factor ell.  On that manifold every Born probability is a quadratic form,
+``p = ell^T Q ell / |ell|^2``, with the (4, 3, 2, 6, 6) tensor Q built once
+per setup; one pair-normalized likelihood of p serves both the
+maximum-likelihood fit (with its closed-form gradient) and a
+Metropolis-Hastings sampler.  The sampler walks the whole unit sphere with
+a symmetric proposal, so it has no truncation and no Hastings term, and
+yields confidence regions for gate errors, themselves quadratic forms in
+ell.  A small Clifford simulator provides randomized-benchmarking decays
+for cross-validation.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -57,12 +64,15 @@ class TomographySetup:
     ``p(s, b, m) = tr(D chi)`` for the process matrix of the full evolution.
     The six POVM elements carry weight 1/3 per basis so they sum to the
     identity; consequently outcome pairs satisfy p(+) + p(-) = 1/3 for any
-    trace-preserving channel.
+    trace-preserving channel.  ``q_forms[s, b, m]`` is the same probability
+    as a real symmetric 6x6 form in the block-Cholesky vector:
+    ``p = ell^T Q ell / |ell|^2`` (see :func:`ell_form`).
     """
 
     states: list = field(default_factory=list)
     povm: list = field(default_factory=list)
     d_matrices: np.ndarray = None
+    q_forms: np.ndarray = None
 
     @classmethod
     def standard(cls):
@@ -78,17 +88,12 @@ class TomographySetup:
         # D[s, b, m, beta, alpha] = tr(M_bm s_alpha rho_s s_beta)
         D = np.einsum("bmij,ajk,skl,cli->sbmca", np.array(povm), PAULIS,
                       np.array(states), PAULIS)
-        return cls(states=states, povm=povm, d_matrices=D)
+        return cls(states=states, povm=povm, d_matrices=D, q_forms=ell_form(D))
 
 
-_DEFAULT_SETUP = None
-
-
+@functools.cache
 def default_setup():
-    global _DEFAULT_SETUP
-    if _DEFAULT_SETUP is None:
-        _DEFAULT_SETUP = TomographySetup.standard()
-    return _DEFAULT_SETUP
+    return TomographySetup.standard()
 
 
 def born_probs(chi, setup=None):
@@ -133,16 +138,13 @@ def sample_shots(probs, n_shots, rng, t=0.0):
     probability ``3 p(+)`` (the POVM weight removed), so counts are
     binomial and the pair (+, -) always sums to the shot number.
     """
-    probs = np.asarray(probs)
-    shots = np.full((4, 3), int(n_shots)) if np.isscalar(n_shots) else np.asarray(n_shots, dtype=int)
-    counts = np.zeros((4, 3, 2), dtype=int)
-    for s in range(4):
-        for b in range(3):
-            p_plus = float(np.clip(3.0 * probs[s, b, 0], 0.0, 1.0))
-            n_plus = int((rng.random(shots[s, b]) <= p_plus).sum())
-            counts[s, b, 0] = n_plus
-            counts[s, b, 1] = shots[s, b] - n_plus
-    return CountRecord(t=t, shots=shots, counts=counts)
+    shots = np.broadcast_to(np.asarray(n_shots, dtype=int), (4, 3))
+    # one uniform draw per shot, pair after pair in (state, basis) order
+    pair_of_shot = np.repeat(np.arange(12), shots.ravel())
+    p_plus = np.clip(3.0 * np.asarray(probs)[:, :, 0], 0.0, 1.0).ravel()[pair_of_shot]
+    hits = rng.random(pair_of_shot.size) <= p_plus
+    n_plus = np.bincount(pair_of_shot[hits], minlength=12).reshape(4, 3)
+    return CountRecord(t=t, shots=shots, counts=np.stack([n_plus, shots - n_plus], axis=2))
 
 
 def counts_to_csv(records, path):
@@ -242,11 +244,15 @@ def linear_inversion(probs, setup=None):
 
 
 # --------------------------------------------------------------------- #
-# block-Cholesky parametrization
+# block-Cholesky parametrization and the shared likelihood
 
 N_PARAMS = 6
 _DIAG_IDX = (0, 2, 3, 5)       # l11, l22, l33, l44 positions in the vector
-_PARAM_NAMES = ("l11", "l12", "l22", "l33", "l34", "l44")
+# E_k: the entry parameter k fills in L = sum_k ell_k E_k.
+_SLOTS = np.zeros((N_PARAMS, 4, 4), dtype=complex)
+_SLOTS[np.arange(N_PARAMS), [0, 1, 1, 2, 3, 3], [0, 0, 1, 2, 2, 3]] = [1, 1j, 1, 1, 1j, 1]
+# The diagonal entry in each parameter's column of L.
+_COLUMN_DIAG = np.array([0, 0, 2, 3, 3, 5])
 
 
 def chi_from_ell(ell):
@@ -256,63 +262,77 @@ def chi_from_ell(ell):
     (0, 0, i l34, l44); chi = L L^dag / |ell|^2, so the normalization
     constraint |ell| = 1 is equivalent to unit trace.
     """
-    l11, l12, l22, l33, l34, l44 = ell
-    L = np.array(
-        [
-            [l11, 0.0, 0.0, 0.0],
-            [1j * l12, l22, 0.0, 0.0],
-            [0.0, 0.0, l33, 0.0],
-            [0.0, 0.0, 1j * l34, l44],
-        ],
-        dtype=complex,
-    )
+    ell = np.asarray(ell, dtype=float)
     norm2 = float(np.dot(ell, ell))
     if norm2 <= 0.0:
         raise ValidationError("Cholesky parameters cannot all vanish")
+    L = np.einsum("k,kij->ij", ell, _SLOTS)
     return L @ L.conj().T / norm2
 
 
-def _loglik_and_grad(ell, counts, setup):
-    """Pair-normalized log-likelihood and its gradient in ell.
+def ell_form(M):
+    """Real symmetric (..., 6, 6) forms A with Re tr(M chi) = ell^T A ell / |ell|^2.
+
+    ``M`` is a (..., 4, 4) stack and chi = chi_from_ell(ell); since
+    chi = sum_kl ell_k ell_l E_k E_l^dag / |ell|^2, A_kl is the symmetrized
+    Re tr(M E_k E_l^dag).  Born probabilities use M = D; the gate fidelity
+    sum_ab chi_ab G_ab uses M = G^T.
+    """
+    pairs = np.einsum("kia,lja->klij", _SLOTS, _SLOTS.conj())
+    A = np.einsum("...ij,klji->...kl", M, pairs).real
+    return 0.5 * (A + np.swapaxes(A, -1, -2))
+
+
+def fold_ell(ells):
+    """Flip the sign of each column of L whose diagonal entry is negative.
+
+    chi = L L^dag is unchanged; ``ells`` is a (..., 6) stack.
+    """
+    ells = np.asarray(ells, dtype=float)
+    return ells * np.where(ells[..., _COLUMN_DIAG] < 0.0, -1.0, 1.0)
+
+
+PROB_FLOOR = 1e-15
+PAIR_FLOOR = 1e-12
+
+
+def log_likelihood(probs, counts, *, grad=False):
+    """Pair-normalized log-likelihood of Born probabilities ``probs[s, b, m]``.
 
     Each (state, basis) pair is a binomial with success probability
     ``p(+) / (p(+) + p(-))``.  On trace-preserving channels the pair sums
-    are exactly 1/3 and this reduces (up to a constant) to the rescaled
-    multinomial cost ``sum f log tr(D chi)``; off the TP subset of the
-    trace-normalized manifold the plain cost is improper - it grows along a
-    probability-inflating direction (l34) - so the normalized form is the
-    one actually minimized.
+    are exactly 1/3 and this is the multinomial cost ``sum f log tr(D chi)``
+    up to a constant; off the TP subset that plain cost grows along a
+    probability-inflating direction (l34), so both estimators use this one.
+    ``PROB_FLOOR`` is a steep but finite barrier.  With ``grad`` the
+    derivative in ``probs`` (at the floored values) is returned as well.
+    """
+    p = np.maximum(probs, PROB_FLOOR)
+    pair = np.maximum(p.sum(axis=2), PAIR_FLOOR)
+    logl = float(np.log(p).ravel() @ counts.counts.ravel()
+                 - np.log(pair).ravel() @ counts.shots.ravel())
+    if not grad:
+        return logl
+    return logl, counts.counts / p - (counts.shots / pair)[:, :, None]
+
+
+def _born_terms(ell, setup):
+    """(Q ell / |ell|^2, p) with p = ell^T Q ell / |ell|^2 the Born probabilities."""
+    q_ell = (setup.q_forms.reshape(-1, N_PARAMS) @ ell).reshape(4, 3, 2, N_PARAMS)
+    q_ell /= ell @ ell
+    return q_ell, q_ell @ ell
+
+
+def _loglik_and_grad(ell, counts, setup):
+    """Log-likelihood at ``ell`` (any nonzero norm) and its gradient in ell.
+
+    With p = ell^T Q ell / |ell|^2, dp/dell = 2 Q ell / |ell|^2 - 2 p ell / |ell|^2.
     """
     ell = np.asarray(ell, dtype=float)
-    norm2 = float(np.dot(ell, ell))
-    chi = chi_from_ell(ell)
-    probs = born_probs(chi, setup)
-    n = counts.counts.astype(float)
-    # the floor acts as a steep but finite barrier for the optimizer
-    p = np.maximum(probs, 1e-15)
-    pair = np.maximum(p.sum(axis=2, keepdims=True), 1e-12)
-    logl = float((n * np.log(p)).sum() - (counts.shots * np.log(pair[:, :, 0])).sum())
-
-    # dchi/dell_k = (dL L^dag + L dL^dag)/norm2 - chi * 2 ell_k / norm2
-    grad = np.zeros(N_PARAMS)
-    L = np.array(
-        [
-            [ell[0], 0, 0, 0],
-            [1j * ell[1], ell[2], 0, 0],
-            [0, 0, ell[3], 0],
-            [0, 0, 1j * ell[4], ell[5]],
-        ],
-        dtype=complex,
-    )
-    slots = ((0, 0, 1.0), (1, 0, 1j), (1, 1, 1.0), (2, 2, 1.0), (3, 2, 1j), (3, 3, 1.0))
-    weight = n / p - (counts.shots / pair[:, :, 0])[:, :, None]
-    D = setup.d_matrices
-    for k, (r, c, unit) in enumerate(slots):
-        dL = np.zeros((4, 4), dtype=complex)
-        dL[r, c] = unit
-        dchi = (dL @ L.conj().T + L @ dL.conj().T) / norm2 - chi * (2.0 * ell[k] / norm2)
-        dp = np.einsum("sbmij,ji->sbm", D, dchi).real
-        grad[k] = float((weight * dp).sum())
+    q_ell, probs = _born_terms(ell, setup)
+    logl, weight = log_likelihood(probs, counts, grad=True)
+    grad = 2.0 * (weight.ravel() @ q_ell.reshape(-1, N_PARAMS)
+                  - float(weight.ravel() @ probs.ravel()) * ell / (ell @ ell))
     return logl, grad
 
 
@@ -362,118 +382,87 @@ def mle_fit(counts, setup=None, *, n_starts=8, gtol=1e-9, seed=0):
 class ChiPosterior:
     """Markov-chain posterior over the block-Cholesky parameters."""
 
-    ells: np.ndarray            # (n_kept, 6), normalized
+    ells: np.ndarray            # (n_kept, 6), unit norm, nonnegative diagonals
     log_likelihoods: np.ndarray
     gate_errors: np.ndarray
     acceptance_rate: float
-    widths: np.ndarray
+    width: float                # proposal width after burn-in tuning
     mode_ell: np.ndarray
     mean_error: float
     mode_error: float
     quantiles: tuple            # (2.5%, 97.5%) of the gate error
+    ess: float                  # effective sample size of ``gate_errors``
 
 
-def _truncnorm_draw(rng, center, width, lo, hi):
-    for _ in range(1000):
-        x = rng.normal(center, width)
-        if lo <= x <= hi:
-            return x
-    raise NumericalError("truncated-normal proposal failed; widths far too large")
+def effective_sample_size(trace):
+    """Effective sample size of a chain trace.
+
+    The autocorrelation comes from one zero-padded FFT; the integrated
+    autocorrelation time is summed over Geyer's initial positive sequence
+    (pairs rho_2m + rho_2m+1 up to the first nonpositive pair).  The result
+    never exceeds the trace length; a constant trace counts as one sample.
+    """
+    x = np.asarray(trace, dtype=float)
+    if np.ptp(x) == 0.0:
+        return 1.0
+    n = x.size
+    spec = np.fft.rfft(x - x.mean(), 2 * n)
+    acov = np.fft.irfft(spec * spec.conj(), 2 * n)[:n]
+    pairs = (acov[: 2 * (n // 2)] / acov[0]).reshape(-1, 2).sum(axis=1)
+    stop = np.append(np.flatnonzero(pairs <= 0.0), pairs.size)[0]
+    return n / max(2.0 * float(pairs[:stop].sum()) - 1.0, 1.0)
 
 
-def _log_z(center, width, lo, hi):
-    """log of the truncated-normal normalization at a given center."""
-    a = (lo - center) / (width * math.sqrt(2.0))
-    b = (hi - center) / (width * math.sqrt(2.0))
-    return math.log(max(0.5 * (math.erf(b) - math.erf(a)), 1e-300))
-
-
-def mh_chain(counts, setup=None, *, n_steps=100000, widths=0.02, seed=0,
+def mh_chain(counts, setup=None, *, n_steps=100000, width=0.02, seed=0,
              burn_in_frac=0.1, target_unitary=None, quantiles=(2.5, 97.5)):
     """Posterior sampling of the process matrix under the counting likelihood.
 
-    Proposals draw each Cholesky entry from a truncated Gaussian (diagonals
-    in [0, 1], off-diagonals in (-1, 1)), renormalize to the unit sphere to
-    keep the trace fixed, and apply the Hastings correction for the
-    truncation asymmetry.  Widths are tuned during burn-in toward 30%
-    acceptance; a warning is emitted if the post-burn-in rate leaves
-    [0.1, 0.6].  Gate errors are derived per sample against
-    ``target_unitary`` (identity if omitted).
+    The chain walks the whole unit sphere S^5 (uniform prior) with the
+    likelihood :func:`mle_fit` maximizes.  A proposal adds ``width`` times
+    a standard normal 6-vector and renormalizes; its density depends only on
+    the angle between the points, so it is symmetric: no truncation and no
+    Hastings term.  chi is unchanged by column sign flips of L, so kept
+    samples are folded back to nonnegative diagonals.  The width is tuned
+    during burn-in toward 30% acceptance; a warning is emitted if the
+    post-burn-in rate leaves [0.1, 0.6].  Gate errors against
+    ``target_unitary`` (identity if omitted) are 1/2 - ell^T G ell.
     """
     setup = setup or default_setup()
     check_counts(counts)
+    n_burn = int(burn_in_frac * n_steps)
+    if not (0 <= n_burn < n_steps and width > 0.0):
+        raise ValidationError("mh_chain needs width > 0 and a step after burn-in")
     rng = np.random.default_rng(seed)
-    widths = np.full(N_PARAMS, widths, dtype=float) if np.isscalar(widths) else np.asarray(widths, dtype=float)
-    bounds = [(0.0, 1.0) if k in _DIAG_IDX else (-1.0, 1.0) for k in range(N_PARAMS)]
-
-    target = np.eye(2, dtype=complex) if target_unitary is None else target_unitary
-    G = gate_fidelity_matrix(target)
-
-    def loglik(ell):
-        probs = born_probs(chi_from_ell(ell), setup)
-        p = np.maximum(probs, 1e-300)
-        pair = np.maximum(p.sum(axis=2), 1e-12)
-        return float((counts.counts * np.log(p)).sum()
-                     - (counts.shots * np.log(pair)).sum())
-
-    def error_of(ell):
-        chi = chi_from_ell(ell)
-        return float(0.5 - np.real(np.sum(chi * G)))
 
     ell = np.array([1.0, 0.0, 0.05, 0.05, 0.0, 0.05])
     ell /= np.linalg.norm(ell)
-    logl = loglik(ell)
+    logl = log_likelihood(_born_terms(ell, setup)[1], counts)
 
-    n_burn = int(burn_in_frac * n_steps)
-    kept_ells = np.empty((n_steps - n_burn, N_PARAMS))
-    kept_logl = np.empty(n_steps - n_burn)
-    kept_err = np.empty(n_steps - n_burn)
-    accepted_main = 0
-    accepted_recent = 0
+    chain = np.empty((n_steps, N_PARAMS))
+    chain_logl = np.empty(n_steps)
+    accepted = np.zeros(n_steps, dtype=bool)
     window = 200
-
     for step in range(n_steps):
-        prop = np.empty(N_PARAMS)
-        for k in range(N_PARAMS):
-            lo, hi = bounds[k]
-            prop[k] = _truncnorm_draw(rng, ell[k], widths[k], lo, hi)
-        norm = np.linalg.norm(prop)
-        if norm > 0:
-            prop /= norm
-        in_domain = norm > 0 and all(
-            bounds[k][0] <= prop[k] <= bounds[k][1] for k in range(N_PARAMS)
-        )
-        if not in_domain:
-            accept = False
-        else:
-            logl_prop = loglik(prop)
-            hastings = sum(
-                _log_z(ell[k], widths[k], *bounds[k]) - _log_z(prop[k], widths[k], *bounds[k])
-                for k in range(N_PARAMS)
-            )
-            log_alpha = logl_prop - logl + hastings
-            accept = math.log(rng.random() + 1e-300) < log_alpha
-        if accept:
-            ell, logl = prop, logl_prop
-            accepted_recent += 1
-            if step >= n_burn:
-                accepted_main += 1
+        prop = ell + width * rng.standard_normal(N_PARAMS)
+        prop /= math.sqrt(prop @ prop)
+        logl_prop = log_likelihood(_born_terms(prop, setup)[1], counts)
+        if math.log(rng.random() + 1e-300) < logl_prop - logl:
+            ell, logl, accepted[step] = prop, logl_prop, True
+        chain[step], chain_logl[step] = ell, logl
         if step < n_burn and (step + 1) % window == 0:
-            rate = accepted_recent / window
-            widths = np.clip(widths * math.exp(0.8 * (rate - 0.3)), 1e-4, 0.5)
-            accepted_recent = 0
-        if step == n_burn:
-            accepted_recent = 0
-        if step >= n_burn:
-            j = step - n_burn
-            kept_ells[j] = ell
-            kept_logl[j] = logl
-            kept_err[j] = error_of(ell)
+            rate = accepted[step + 1 - window:step + 1].mean()
+            width = float(np.clip(width * math.exp(0.8 * (rate - 0.3)), 1e-4, 0.5))
 
-    rate = accepted_main / max(n_steps - n_burn, 1)
+    kept_ells = fold_ell(chain[n_burn:])
+    kept_logl = chain_logl[n_burn:]
+    target = np.eye(2, dtype=complex) if target_unitary is None else target_unitary
+    G = ell_form(gate_fidelity_matrix(target).T)
+    kept_err = 0.5 - np.einsum("nk,kl,nl->n", kept_ells, G, kept_ells)
+
+    rate = float(accepted[n_burn:].mean())
     if not 0.1 <= rate <= 0.6:
         warnings.warn(
-            f"MH acceptance rate {rate:.2f} outside [0.1, 0.6]; adjust widths",
+            f"MH acceptance rate {rate:.2f} outside [0.1, 0.6]; adjust the width",
             TuningWarning,
         )
     mode_idx = int(np.argmax(kept_logl))
@@ -483,11 +472,12 @@ def mh_chain(counts, setup=None, *, n_steps=100000, widths=0.02, seed=0,
         log_likelihoods=kept_logl,
         gate_errors=kept_err,
         acceptance_rate=rate,
-        widths=widths,
+        width=width,
         mode_ell=kept_ells[mode_idx],
         mean_error=float(kept_err.mean()),
         mode_error=float(kept_err[mode_idx]),
         quantiles=(float(lo_q), float(hi_q)),
+        ess=effective_sample_size(kept_err),
     )
 
 
@@ -535,14 +525,9 @@ def build_clifford_table():
     return table
 
 
-_CLIFFORDS = None
-
-
+@functools.cache
 def clifford_table():
-    global _CLIFFORDS
-    if _CLIFFORDS is None:
-        _CLIFFORDS = build_clifford_table()
-    return _CLIFFORDS
+    return build_clifford_table()
 
 
 def average_pulses_per_clifford():

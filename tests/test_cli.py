@@ -80,6 +80,27 @@ def test_misspelled_section_rejected(tmp_path, capsys):
     assert "simulaton" in capsys.readouterr().err
 
 
+def test_unknown_key_in_known_section_rejected(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    write_config(cfg_path, **{"drive.n_time": 3})
+    assert main(["predict", "--config", str(cfg_path)]) == 2
+    assert "drive.n_time" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, key, value", [
+    ("tomography", "tomography.chain_steps", 0),
+    ("tomography", "tomography.proposal_width", -0.1),
+    ("tomography", "tomography.repetitions", 0),
+    ("tomography", "tomography.shots_per_basis", 0),
+    ("validate", "validation.n_haar", 0),
+])
+def test_out_of_range_setting_rejected(tmp_path, capsys, command, key, value):
+    cfg_path = tmp_path / "cfg.json"
+    write_config(cfg_path, **{"tomography.run_chain": True, key: value})
+    assert main([command, "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
+    assert key in capsys.readouterr().err
+
+
 def test_predict_outputs_and_manifest(tmp_path):
     cfg_path = tmp_path / "cfg.json"
     write_config(cfg_path)
@@ -201,6 +222,22 @@ def test_tomography_synthetic_and_counts_modes(tmp_path):
     code = main(["tomography", "--config", str(cfg_path), "--out", str(out),
                  "--counts", str(bad)])
     assert code == 2
+
+
+def test_tomography_chain_summary_and_byte_identical_reruns(tmp_path):
+    cfg_path = tmp_path / "cfg.json"
+    write_config(cfg_path, drive={"omega_rad_s": 1.0 / (5.0 * TAU),
+                                  "t_max_s": 0.004, "n_times": 1},
+                 **{"tomography.run_chain": True, "tomography.repetitions": 2,
+                    "tomography.proposal_width": 0.1})
+    out1, out2 = tmp_path / "a", tmp_path / "b"
+    assert main(["tomography", "--config", str(cfg_path), "--out", str(out1)]) == 0
+    assert main(["tomography", "--config", str(cfg_path), "--out", str(out2)]) == 0
+    for name in ("tomography.json", "manifest.json"):
+        assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+    mh = json.loads((out1 / "tomography.json").read_text())[0]["mh"]
+    assert mh["proposal_width"] > 0.0
+    assert 1.0 <= mh["effective_sample_size"] <= 2000 - 200
 
 
 def test_counts_file_with_malformed_time_exits_2(tmp_path, capsys):

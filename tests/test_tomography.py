@@ -8,6 +8,7 @@ from gatenoise.channels import (
     avg_gate_fidelity,
     chi_full,
     drive_unitary,
+    gate_fidelity_matrix,
     kraus_to_chi,
 )
 from gatenoise.errors import DegenerateDataError, FitError, TuningWarning, ValidationError
@@ -23,7 +24,11 @@ from gatenoise.tomography import (
     counts_to_csv,
     default_setup,
     depolarizing_rb_lambda,
+    effective_sample_size,
+    ell_form,
+    fold_ell,
     linear_inversion,
+    log_likelihood,
     mh_chain,
     mle_fit,
     rb_simulate,
@@ -136,10 +141,95 @@ def test_sample_shots_binomial_statistics():
     assert abs(means.mean() - n / 2) < 4 * se
 
 
+def test_sample_shots_matches_per_pair_loop():
+    """One uniform draw per shot, pair after pair: the same counts as drawing
+    each (state, basis) pair's shots in turn from the same generator."""
+    rng = np.random.default_rng(26)
+    for i in range(20):
+        probs = born_probs(chi_from_ell(random_manifold_ell(rng, tp=False)), SETUP)
+        shots = 37 if i % 2 else rng.integers(0, 40, size=(4, 3))
+        want = np.zeros((4, 3, 2), dtype=int)
+        loop_rng = np.random.default_rng(i)
+        for s in range(4):
+            for b in range(3):
+                n = shots if np.isscalar(shots) else shots[s, b]
+                p_plus = float(np.clip(3.0 * probs[s, b, 0], 0.0, 1.0))
+                want[s, b, 0] = (loop_rng.random(n) <= p_plus).sum()
+                want[s, b, 1] = n - want[s, b, 0]
+        got = sample_shots(probs, shots, np.random.default_rng(i))
+        np.testing.assert_array_equal(got.counts, want)
+
+
 def test_count_record_validation():
     with pytest.raises(ValidationError):
         CountRecord(t=0.0, shots=np.full((4, 3), 5),
                     counts=np.zeros((4, 3, 2), dtype=int))
+
+
+# --------------------------------------------------------------------- #
+# the quadratic-form likelihood shared by MLE and MH
+
+def test_q_form_probabilities_match_born_matrices():
+    rng = np.random.default_rng(21)
+    for _ in range(50):
+        ell = rng.normal(size=6) * rng.uniform(0.1, 3.0)
+        p_form = np.einsum("k,sbmkl,l->sbm", ell, SETUP.q_forms, ell) / (ell @ ell)
+        assert np.abs(p_form - born_probs(chi_from_ell(ell), SETUP)).max() < 1e-13
+
+
+def test_loglik_gradient_matches_central_differences():
+    from gatenoise.tomography import _loglik_and_grad
+
+    rng = np.random.default_rng(22)
+    rec = sample_shots(born_probs(chi_from_ell(random_manifold_ell(rng)), SETUP), 200, rng)
+    for _ in range(5):
+        ell = random_manifold_ell(rng, tp=False) * rng.uniform(0.5, 2.0)
+        _, grad = _loglik_and_grad(ell, rec, SETUP)
+        h = 1e-6
+        fd = [(_loglik_and_grad(ell + h * e, rec, SETUP)[0]
+               - _loglik_and_grad(ell - h * e, rec, SETUP)[0]) / (2 * h) for e in np.eye(6)]
+        np.testing.assert_allclose(grad, fd, rtol=1e-6, atol=1e-5 * np.abs(grad).max())
+
+
+def test_loglik_is_the_pair_normalized_binomial():
+    rng = np.random.default_rng(23)
+    probs = born_probs(chi_from_ell(random_manifold_ell(rng, tp=False)), SETUP)
+    rec = sample_shots(probs, 50, rng)
+    q = probs[:, :, 0] / probs.sum(axis=2)
+    n_plus, n_minus = rec.counts[:, :, 0], rec.counts[:, :, 1]
+    want = (n_plus * np.log(q) + n_minus * np.log1p(-q)).sum()
+    assert log_likelihood(probs, rec) == pytest.approx(want, rel=1e-12)
+
+
+def test_quadratic_gate_error_matches_avg_gate_fidelity():
+    # a target that is not a multiple of pi: G and its transpose differ
+    target = drive_unitary(2.0, 1.1)
+    G = gate_fidelity_matrix(target)
+    assert np.abs(G - G.T).max() > 1e-3
+    form = ell_form(G.T)
+    rng = np.random.default_rng(24)
+    for _ in range(20):
+        ell = rng.normal(size=6)
+        ell /= np.linalg.norm(ell)
+        want = 1.0 - avg_gate_fidelity(chi_from_ell(ell), target)
+        assert 0.5 - ell @ form @ ell == pytest.approx(want, abs=1e-13)
+    # and through the chain, sample by sample
+    rec = sample_shots(born_probs(chi_full(IntegralPoint(0.05, 0.0, 0.08, 0.0, 0.0), 2.0, 1.1),
+                                  SETUP), 100, rng)
+    post = mh_chain(rec, SETUP, n_steps=2000, seed=4, target_unitary=target)
+    for ell, err in zip(post.ells[::100], post.gate_errors[::100]):
+        assert err == pytest.approx(1.0 - avg_gate_fidelity(chi_from_ell(ell), target),
+                                    abs=1e-13)
+
+
+def test_fold_ell_keeps_chi_and_makes_diagonals_nonnegative():
+    rng = np.random.default_rng(25)
+    ells = rng.normal(size=(40, 6))
+    folded = fold_ell(ells)
+    assert np.all(folded[:, [0, 2, 3, 5]] >= 0.0)
+    np.testing.assert_allclose(np.abs(folded), np.abs(ells), rtol=0, atol=0)
+    for a, b in zip(ells, folded):
+        assert np.abs(chi_from_ell(a) - chi_from_ell(b)).max() < 1e-15
 
 
 # --------------------------------------------------------------------- #
@@ -232,13 +322,65 @@ def test_mh_normalization_invariant():
     post = mh_chain(rec, SETUP, n_steps=5000, seed=1)
     norms = np.linalg.norm(post.ells, axis=1)
     np.testing.assert_allclose(norms, 1.0, atol=1e-12)
+    assert np.all(post.ells[:, [0, 2, 3, 5]] >= 0.0)
 
 
 def test_mh_tuning_warning_for_absurd_widths():
     probs = born_probs(CHI_ID, SETUP)
     rec = sample_shots(probs, 10000, np.random.default_rng(14))
     with pytest.warns(TuningWarning):
-        mh_chain(rec, SETUP, n_steps=3000, widths=0.49, seed=2, burn_in_frac=0.0)
+        mh_chain(rec, SETUP, n_steps=3000, width=0.49, seed=2, burn_in_frac=0.0)
+
+
+@pytest.mark.parametrize("kwargs", [{"n_steps": 0}, {"width": 0.0}, {"width": -0.1},
+                                    {"burn_in_frac": 1.0}])
+def test_mh_rejects_empty_chain_and_bad_width(kwargs):
+    rec = sample_shots(born_probs(CHI_ID, SETUP), 10, np.random.default_rng(16))
+    with pytest.raises(ValidationError):
+        mh_chain(rec, SETUP, **{"n_steps": 100, **kwargs})
+
+
+def test_mh_mean_matches_importance_sampling_oracle():
+    """On a broad posterior (8 shots per setting) the chain's mean gate error
+    matches an importance-sampling average over uniform points of S^5, the
+    chain's prior; a chain on the positive orthant without the ray term of
+    the renormalization misses it by about 0.01."""
+    truth = np.array([0.95, 0.1, 0.2, 0.15, 0.0, 0.1])
+    truth /= np.linalg.norm(truth)
+    rec = sample_shots(born_probs(chi_from_ell(truth), SETUP), 8, np.random.default_rng(2))
+    form = ell_form(gate_fidelity_matrix(np.eye(2)).T)
+    rng = np.random.default_rng(102)
+    logls, errors = [], []
+    for _ in range(8):
+        x = rng.standard_normal((50000, 6))
+        x /= np.linalg.norm(x, axis=1, keepdims=True)
+        probs = np.einsum("nk,sbmkl,nl->nsbm", x, SETUP.q_forms, x)
+        pairs = probs.sum(axis=3)
+        logls.append(np.einsum("nsbm,sbm->n", np.log(probs), rec.counts)
+                     - np.einsum("nsb,sb->n", np.log(pairs), rec.shots))
+        errors.append(0.5 - np.einsum("nk,kl,nl->n", x, form, x))
+    logl = np.concatenate(logls)
+    weight = np.exp(logl - logl.max())
+    weight /= weight.sum()
+    oracle = float(weight @ np.concatenate(errors))
+    assert 1.0 / (weight @ weight) > 1000.0   # the oracle's own sample size
+
+    post = mh_chain(rec, SETUP, n_steps=60000, seed=2)
+    assert abs(post.mean_error - oracle) < 0.004
+
+
+@pytest.mark.parametrize("phi", [0.0, 0.5, 0.9])
+def test_effective_sample_size_of_ar1(phi):
+    rng = np.random.default_rng(17)
+    n = 200000
+    noise = rng.standard_normal(n)
+    x = np.empty(n)
+    x[0] = noise[0] / math.sqrt(1.0 - phi**2)
+    for i in range(1, n):
+        x[i] = phi * x[i - 1] + noise[i]
+    want = n * (1.0 - phi) / (1.0 + phi)
+    assert effective_sample_size(x) == pytest.approx(want, rel=0.1)
+    assert effective_sample_size(np.full(50, 0.3)) == 1.0
 
 
 # --------------------------------------------------------------------- #
