@@ -93,10 +93,11 @@ def adaptive_gk(f, a, b, *, rtol=1e-10, atol=0.0, points=None, max_panels=20000)
     """
     if not b > a:
         raise NumericalError(f"empty integration interval [{a}, {b}]")
-    edges = [a, b]
+    edges = np.array([a, b], dtype=float)
     if points is not None:
-        edges.extend(p for p in points if a < p < b)
-    edges = np.unique(np.asarray(edges, dtype=float))
+        points = np.asarray(points, dtype=float)
+        edges = np.concatenate([edges, points[(points > a) & (points < b)]])
+    edges = np.unique(edges)
     lo = edges[:-1]
     hi = edges[1:]
     k15, g7 = _panel_sums(f, lo, hi)

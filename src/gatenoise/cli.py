@@ -13,6 +13,7 @@ import hashlib
 import json
 import math
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -23,6 +24,7 @@ from .channels import (
     apply_chi,
     apply_kraus,
     avg_gate_fidelity,
+    bloch_to_rho,
     chi_full,
     chi_nm,
     depolarizing_chi,
@@ -33,6 +35,7 @@ from .channels import (
     kraus_nc,
     pauli_chi,
     pauli_twirl,
+    rho_to_bloch,
     rotate_to_lab,
     state_fidelity,
 )
@@ -87,9 +90,14 @@ _SECTIONS = {
     "validation": ("n_haar",),
     "omega_sweep": ("omega_min", "omega_max", "n"),
 }
-# Lower limits of the numeric tomography and validation settings.
-_AT_LEAST_ONE = (("tomography", "shots_per_basis"), ("tomography", "repetitions"),
-                 ("tomography", "chain_steps"), ("validation", "n_haar"))
+# Lower limits of the integer settings.
+_AT_LEAST = {("drive", "n_times"): 1, ("simulation", "m_mc"): 1, ("simulation", "chunk"): 1,
+             ("tomography", "shots_per_basis"): 1, ("tomography", "repetitions"): 1,
+             ("tomography", "chain_steps"): 1, ("validation", "n_haar"): 1,
+             ("rb", "n_seq"): 1, ("rb", "shots"): 1, ("rb", "max_length"): 2,
+             ("omega_sweep", "n"): 1}
+# The keys each PSD kind requires.
+_PSD_KEYS = {"ou": ("c", "tau_c"), "tabulated": ("csv", "sidecar")}
 
 
 def load_config(path, seed_override=None):
@@ -110,8 +118,11 @@ def load_config(path, seed_override=None):
     resolved = {section: {**_DEFAULTS.get(section, {}), **cfg.get(section, {})}
                 for section in _SECTIONS if section in cfg or section in _DEFAULTS}
 
-    for section, key in (("drive", "omega_rad_s"), ("drive", "t_max_s"), ("noise", "psd"),
-                         ("outputs", "dir")):
+    required = [("drive", "omega_rad_s"), ("drive", "t_max_s"), ("noise", "psd"),
+                ("outputs", "dir")]
+    if "omega_sweep" in cfg:
+        required += [("omega_sweep", key) for key in _SECTIONS["omega_sweep"]]
+    for section, key in required:
         if key not in cfg.get(section, {}):
             raise ValidationError(f"config is missing required field {section}.{key}")
     if seed_override is not None:
@@ -119,36 +130,52 @@ def load_config(path, seed_override=None):
     if "seed" not in resolved.get("simulation", {}) or resolved["simulation"]["seed"] is None:
         raise ValidationError("simulation.seed is required for reproducibility")
 
+    for (section, key), low in _AT_LEAST.items():
+        value = resolved.get(section, {}).get(key, low)
+        if isinstance(value, bool) or not isinstance(value, int) or value < low:
+            raise ValidationError(f"{section}.{key} must be an integer >= {low}, got {value!r}")
     drive = resolved["drive"]
-    if drive["omega_rad_s"] <= 0 or drive["t_max_s"] <= 0 or drive["n_times"] < 1:
+    if drive["omega_rad_s"] <= 0 or drive["t_max_s"] <= 0:
         raise ValidationError("drive parameters must be positive")
     if drive.get("phi_rad", 0.0) != 0.0:
         raise ValidationError("drive.phi_rad is not supported: every model and the "
                               "simulator drive about x (phase 0)")
-    for section, key in _AT_LEAST_ONE:
-        value = resolved.get(section, {}).get(key, 1)
-        if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-            raise ValidationError(f"{section}.{key} must be an integer >= 1, got {value!r}")
+    sweep = resolved.get("omega_sweep")
+    if sweep and not (_is_number(sweep["omega_min"]) and _is_number(sweep["omega_max"])
+                      and 0 < sweep["omega_min"] <= sweep["omega_max"]):
+        raise ValidationError("omega_sweep needs 0 < omega_min <= omega_max")
+    noise = resolved["noise"]
+    for key in ("psd", "amplitude_psd") if noise.get("amplitude_psd") else ("psd",):
+        spec = noise[key]
+        kind = spec.get("kind") if isinstance(spec, dict) else None
+        if kind not in _PSD_KEYS:
+            raise ValidationError(f"unknown PSD kind {kind!r} in noise.{key}")
+        missing = [k for k in _PSD_KEYS[kind] if k not in spec]
+        if missing:
+            raise ValidationError(f"noise.{key} of kind {kind} is missing "
+                                  f"{', '.join(missing)}")
     width = resolved["tomography"]["proposal_width"]
-    if isinstance(width, bool) or not isinstance(width, (int, float)) or not width > 0:
+    if not (_is_number(width) and width > 0):
         raise ValidationError(f"tomography.proposal_width must be positive, got {width!r}")
     resolved["_sha256"] = hashlib.sha256(raw).hexdigest()
     resolved["_base_dir"] = str(Path(path).resolve().parent)
     return resolved
 
 
+def _is_number(value):
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _psd_from_spec(spec, base_dir):
-    if spec.get("kind") == "ou":
+    if spec["kind"] == "ou":
         return NoisePsd.ou(spec["c"], spec["tau_c"])
-    if spec.get("kind") == "tabulated":
-        base = Path(base_dir)
-        csv_path = base / spec["csv"]
-        sidecar = base / spec["sidecar"]
-        for p in (csv_path, sidecar):
-            if not p.exists():
-                raise ValidationError(f"referenced PSD file does not exist: {p}")
-        return NoisePsd.from_files(csv_path, sidecar)
-    raise ValidationError(f"unknown PSD kind {spec.get('kind')!r}")
+    base = Path(base_dir)
+    csv_path = base / spec["csv"]
+    sidecar = base / spec["sidecar"]
+    for p in (csv_path, sidecar):
+        if not p.exists():
+            raise ValidationError(f"referenced PSD file does not exist: {p}")
+    return NoisePsd.from_files(csv_path, sidecar)
 
 
 def build_psds(cfg):
@@ -300,96 +327,62 @@ def cmd_predict(args):
     return 0
 
 
-def reconstruct_channel(states_by_label):
-    """Linear extension of the MC map from the four evolved basis states.
-
-    Exact when the four states share their noise draws, as in one
-    ``evolve_ensemble`` call on the stacked basis states.  The returned map
-    acts on (..., 2, 2) stacks of states.
-    """
-    e00 = states_by_label["zero"]
-    e11 = states_by_label["one"]
-    epp = states_by_label["plus"]
-    epi = states_by_label["plus_i"]
-    e01 = 0.5 * ((2 * epp - e00 - e11) + 1j * (2 * epi - e00 - e11))
-    # images[j, k] = E(|j><k|)
-    images = np.array([[e00, e01], [e01.conj().T, e11]])
-
-    def channel(rho):
-        return np.einsum("...jk,jkil->...il", rho, images)
-
-    return channel
-
-
-def run_validation(cfg, psd, amp_psd, n_haar=1000, models=("D", "PT", "NC", "NM"),
-                   n_workers=1, out_dir=None):
+def run_validation(cfg, psd, amp_psd, n_haar=1000, n_workers=1, out_dir=None):
     Omega = cfg["drive"]["omega_rad_s"]
     seed = cfg["simulation"]["seed"]
     tau_c = psd.tau_c if psd.kind == "ou" else None
-    dt = cfg["simulation"]["dt_s"] or default_timestep(Omega, tau_c, fraction=0.002)
+    dt_max = cfg["simulation"]["dt_s"] or default_timestep(Omega, tau_c, fraction=0.002)
     times = time_grid(cfg)
-    n_steps = int(round(times[-1] / dt))
-    dt = times[-1] / n_steps
-    record = np.unique(np.round(times / dt).astype(int))
-    record = record[record > 0]
-    stride = int(np.gcd.reduce(record)) if record.size else 1
-
-    drive = DriveConfig(Omega=Omega, dt=dt, n_steps=n_steps, m_mc=cfg["simulation"]["m_mc"])
+    # the grid is uniform, t_k = k t_1: a whole number of steps per interval
+    per = math.ceil(times[0] / dt_max)
+    drive = DriveConfig(Omega=Omega, dt=times[0] / per, n_steps=per * times.size,
+                        m_mc=cfg["simulation"]["m_mc"])
     freq_noise = _noise_source(psd)
     amp_noise = _noise_source(amp_psd) if amp_psd is not None else None
 
     ensemble = evolve_ensemble(
         np.stack(list(_BASIS_STATES.values())), drive, freq_noise, amp_noise,
-        seed=seed, record_every=stride,
+        seed=seed, record_every=per,
         chunk=cfg["simulation"]["chunk"], n_workers=n_workers,
     )
-    evolved = {label: ensemble[k] for k, label in enumerate(_BASIS_STATES)}
-    if out_dir is not None:
-        for label, traj in evolved.items():
-            traj_to_csv(traj, Path(out_dir) / f"langevin_{label}.csv")
-    rec_times = evolved["zero"].times
-    keep = [int(np.argmin(np.abs(rec_times - t))) for t in times]
-    grid = rec_times[keep]
+    # label the records with the configured grid, not k * per * dt (equal to rounding)
+    ensemble = replace(ensemble, times=np.append(0.0, times))
 
-    fi = filtered_integrals(psd, Omega, grid, amp_psd=amp_psd)
+    fi = filtered_integrals(psd, Omega, times, amp_psd=amp_psd)
     with_amp = amp_psd is not None
     rng = np.random.default_rng(seed + 99)
     haar = np.stack([haar_random_state(rng) for _ in range(n_haar)])
+    haar_bloch = rho_to_bloch(haar)
 
-    infidelity = {model: np.zeros(grid.size) for model in models}
-    for j, idx in enumerate(keep):
-        mc_states = reconstruct_channel(
-            {label: evolved[label].states[idx] for label in _BASIS_STATES}
-        )(haar)
+    infidelity = {model: np.zeros(times.size) for model in ("D", "PT", "NC", "NM")}
+    for j, t in enumerate(times):
+        mc_states = bloch_to_rho(haar_bloch @ ensemble.bloch_map[j + 1].T)
         point = fi.at(j)
-        t = grid[j]
-        builders = {}
-        if "D" in models:
-            builders["D"] = depolarizing_chi(depolarizing_rate(point), t)
-        if "PT" in models:
-            builders["PT"] = pauli_chi(pauli_twirl(point, t, with_amp), t)
-        if "NC" in models:
-            builders["NC"] = kraus_nc(point, Omega, t, with_amplitude=with_amp)
-        if "NM" in models:
-            builders["NM"] = chi_nm(point, t, with_amplitude=with_amp)
-        for model, obj in builders.items():
-            mapped = apply_kraus(obj, haar) if model == "NC" else apply_chi(obj, haar)
-            model_states = rotate_to_lab(mapped, Omega, t)
+        mapped = {
+            "D": apply_chi(depolarizing_chi(depolarizing_rate(point), t), haar),
+            "PT": apply_chi(pauli_chi(pauli_twirl(point, t, with_amp), t), haar),
+            "NC": apply_kraus(kraus_nc(point, Omega, t, with_amplitude=with_amp), haar),
+            "NM": apply_chi(chi_nm(point, t, with_amplitude=with_amp), haar),
+        }
+        for model, states in mapped.items():
+            model_states = rotate_to_lab(states, Omega, t)
             infidelity[model][j] = np.mean(1.0 - state_fidelity(model_states, mc_states))
 
     if out_dir is not None:
+        for k, label in enumerate(_BASIS_STATES):
+            traj_to_csv(ensemble[k], Path(out_dir) / f"langevin_{label}.csv")
         snapshots = [
             {
-                "t": float(grid[j]),
-                "states": {label: evolved[label].states[idx]
-                           for label in _BASIS_STATES},
+                "t": float(t),
+                "states": {label: ensemble.states[k, j + 1]
+                           for k, label in enumerate(_BASIS_STATES)},
             }
-            for j, idx in enumerate(keep)
+            for j, t in enumerate(times)
         ]
         (Path(out_dir) / "ensemble_states.json").write_text(
             json.dumps(snapshots, default=_json_default) + "\n"
         )
-    return grid, infidelity
+    return times, infidelity
 
 
 def cmd_validate(args):

@@ -239,11 +239,14 @@ def _overlap_edges(psd, Omega, t, lo_edge, W):
     width = 3.0 * _PI / t
     if (W - lo_edge) / width > 3000:
         width = (W - lo_edge) / 3000
-    refined = [edges[:1]]
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        n = int(np.ceil((hi - lo) / width))
-        refined.append(np.linspace(lo, hi, n + 1)[1:])
-    return np.concatenate(refined)
+    # n equal panels per interval, nodes as np.linspace(lo, hi, n + 1)[1:] builds them
+    span = np.diff(edges)
+    n = np.ceil(span / width).astype(int)
+    ends = np.cumsum(n)
+    k = np.arange(1, ends[-1] + 1) - np.repeat(ends - n, n)
+    nodes = np.repeat(edges[:-1], n) + k * np.repeat(span / n, n)
+    nodes[ends - 1] = edges[1:]
+    return np.concatenate([edges[:1], nodes])
 
 
 def _overlap(psd, name, Omega, t, rtol):

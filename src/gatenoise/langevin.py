@@ -7,12 +7,12 @@ Solves the amplitude equation
 per noise trajectory.  The noise is held constant within each step, so a step
 is the exact SU(2) rotation exp(-(i/2)(n_x sigma_x + n_z sigma_z)) with
 n_x = Omega dt + amplitude increment and n_z = dephasing increment.  Each
-trajectory evolves its propagator U once; every input state is then mapped
-exactly as U rho0 U^dag, mixed states included.  All input states share the
-same noise draws (common random numbers), so one ensemble yields the whole
-Monte Carlo channel.  Up to time-step and sampling error this is an exact
-reference for the analytic channel constructions, since it makes none of
-their approximations.
+trajectory evolves its propagator U once; the ensemble mean of its Bloch
+rotation is the whole Monte Carlo channel (unital, as every U is unitary),
+and every input state, mixed ones included, maps through it with the same
+noise draws (common random numbers).  Up to time-step and sampling error
+this is an exact reference for the analytic channel constructions, since it
+makes none of their approximations.
 """
 
 from __future__ import annotations
@@ -51,10 +51,6 @@ class DriveConfig:
         if self.n_steps < 1 or self.m_mc < 1:
             raise ValidationError("n_steps and m_mc must be >= 1")
 
-    @property
-    def times(self):
-        return self.dt * np.arange(self.n_steps + 1)
-
 
 def default_timestep(Omega, tau_c=None, fraction=0.05):
     """Step heuristic: a fraction of the shortest dynamical scale."""
@@ -66,16 +62,18 @@ def default_timestep(Omega, tau_c=None, fraction=0.05):
 
 @dataclass
 class DensityTrajectory:
-    """Ensemble-averaged states and Pauli expectations on the time grid.
+    """Ensemble-averaged states, Pauli expectations and channel on the time grid.
 
-    For a stack of input states the arrays carry the stack's leading axes
-    first; indexing the trajectory selects one input state.
+    For a stack of input states the per-state arrays carry the stack's
+    leading axes first; indexing the trajectory selects one input state.
+    The channel at ``times[k]`` maps Bloch vectors as r -> bloch_map[k] @ r.
     """
 
     times: np.ndarray
     states: np.ndarray          # (..., n_times, 2, 2) complex
     pauli_mean: np.ndarray      # (..., n_times, 3): <sx>, <sy>, <sz>
     pauli_se: np.ndarray        # (..., n_times, 3) standard errors
+    bloch_map: np.ndarray       # (n_times, 3, 3)
     m_mc: int
     max_norm_drift: float = 0.0
     seed: int | None = None
@@ -138,7 +136,7 @@ def evolve_ensemble(rho0, drive, freq_noise, amp_noise=None, *, seed=0,
     Returns
     -------
     DensityTrajectory
-        Arrays lead with the stack axes of ``rho0``.
+        Per-state arrays lead with the stack axes of ``rho0``.
     """
     rho0 = np.asarray(rho0, dtype=complex)
     if rho0.shape[-2:] != (2, 2):
@@ -167,14 +165,15 @@ def evolve_ensemble(rho0, drive, freq_noise, amp_noise=None, *, seed=0,
         amp_inc = amp_noise.increments_block(seed + 2**31, idx, drive.n_steps, drive.dt)
         # first column (a, b) of U = [[a, -b*], [b, a*]], as real and imaginary parts
         ar, ai, br, bi = np.ones(m), np.zeros(m), np.zeros(m), np.zeros(m)
-        sum_p = np.zeros((len(flat), n_rec, 3))
+        sum_r = np.zeros((n_rec, 3, 3))
         sum_p2 = np.zeros((len(flat), n_rec, 3))
         max_drift = 0.0
 
         def record(j):
             nonlocal max_drift
-            bloch = np.einsum("ijm,kj->kim", _bloch_rotation(ar, ai, br, bi), bloch0)
-            sum_p[:, j] = bloch.sum(axis=-1)
+            rot = _bloch_rotation(ar, ai, br, bi)
+            sum_r[j] = rot.sum(axis=-1)
+            bloch = np.einsum("ijm,kj->kim", rot, bloch0)
             sum_p2[:, j] = (bloch * bloch).sum(axis=-1)
             drift = np.abs(ar * ar + ai * ai + br * br + bi * bi - 1.0).max()
             max_drift = np.maximum(max_drift, drift)   # keeps a NaN
@@ -194,7 +193,7 @@ def evolve_ensemble(rho0, drive, freq_noise, amp_noise=None, *, seed=0,
             j = rec_set.get(i + 1)
             if j is not None:
                 record(j)
-        return sum_p, sum_p2, max_drift
+        return sum_r, sum_p2, max_drift
 
     if n_workers > 1:
         with ThreadPoolExecutor(max_workers=n_workers) as pool:
@@ -202,7 +201,7 @@ def evolve_ensemble(rho0, drive, freq_noise, amp_noise=None, *, seed=0,
     else:
         results = [run_chunk(job) for job in jobs]
 
-    sum_p = sum(r[0] for r in results)
+    sum_r = sum(r[0] for r in results)
     sum_p2 = sum(r[1] for r in results)
     max_drift = float(np.max([r[2] for r in results]))
     if not max_drift <= MAX_NORM_DRIFT:
@@ -211,7 +210,8 @@ def evolve_ensemble(rho0, drive, freq_noise, amp_noise=None, *, seed=0,
         )
 
     m = drive.m_mc
-    mean = sum_p / m
+    bloch_map = sum_r / m
+    mean = np.einsum("tij,kj->kti", bloch_map, bloch0)
     var = np.maximum(sum_p2 / m - mean**2, 0.0)
     se = np.sqrt(var / m)
     states = 0.5 * (np.eye(2) + np.einsum("...i,iab->...ab", mean, _PAULI_XYZ))
@@ -220,6 +220,7 @@ def evolve_ensemble(rho0, drive, freq_noise, amp_noise=None, *, seed=0,
         states=states.reshape(lead + states.shape[1:]),
         pauli_mean=mean.reshape(lead + mean.shape[1:]),
         pauli_se=se.reshape(lead + se.shape[1:]),
+        bloch_map=bloch_map,
         m_mc=m,
         max_norm_drift=max_drift,
         seed=seed,

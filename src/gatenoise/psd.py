@@ -202,10 +202,11 @@ class NoisePsd:
         flat = np.atleast_1d(t)
         out = np.empty(flat.shape)
         w_max = 50.0 * self.support_scale()
-        pts = list(self.breakpoints())
+        pts = self.breakpoints()
         for i, ti in enumerate(flat):
             if ti != 0.0:
-                pts_i = pts + list(np.arange(1, w_max * abs(ti) / math.pi, 2.0) * math.pi / abs(ti))
+                pts_i = np.concatenate(
+                    [pts, np.arange(1, w_max * abs(ti) / math.pi, 2.0) * math.pi / abs(ti)])
             else:
                 pts_i = pts
             val, _, _ = adaptive_gk(
@@ -228,5 +229,5 @@ def total_power(psd, w_max=None):
         return 0.5 * psd.c * psd.tau_c
     if w_max is None:
         w_max = 200.0 * psd.support_scale()
-    val, _, _ = adaptive_gk(psd.eval, 0.0, w_max, rtol=1e-10, points=list(psd.breakpoints()))
+    val, _, _ = adaptive_gk(psd.eval, 0.0, w_max, rtol=1e-10, points=psd.breakpoints())
     return val / math.pi

@@ -16,16 +16,19 @@ from gatenoise.channels import (
     pauli_chi,
     pauli_twirl,
 )
-from gatenoise.cli import build_psds, load_config, main, run_validation
+from gatenoise import cli
+from gatenoise.cli import build_psds, load_config, main, run_validation, time_grid
 from gatenoise.filters import filtered_integrals
+from gatenoise.langevin import evolve_ensemble
 
 TAU = 5e-4
+OU_PSD = {"kind": "ou", "c": 2.0 / (10.0 * TAU**3), "tau_c": TAU}
 
 
 def write_config(path, **overrides):
     cfg = {
         "drive": {"omega_rad_s": 1.0 / (5.0 * TAU), "t_max_s": 0.01, "n_times": 5},
-        "noise": {"psd": {"kind": "ou", "c": 2.0 / (10.0 * TAU**3), "tau_c": TAU}},
+        "noise": {"psd": OU_PSD},
         "simulation": {"m_mc": 600, "seed": 7},
         "tomography": {"shots_per_basis": 60, "repetitions": 3, "chain_steps": 2000,
                        "run_chain": False},
@@ -93,12 +96,37 @@ def test_unknown_key_in_known_section_rejected(tmp_path, capsys):
     ("tomography", "tomography.repetitions", 0),
     ("tomography", "tomography.shots_per_basis", 0),
     ("validate", "validation.n_haar", 0),
+    ("validate", "simulation.chunk", 0),
+    ("validate", "simulation.m_mc", 10.5),
+    ("predict", "drive.n_times", 2.5),
+    ("rb", "rb.max_length", 1),
+    ("rb", "rb.n_seq", 0),
+    ("rb", "rb.shots", 0),
 ])
 def test_out_of_range_setting_rejected(tmp_path, capsys, command, key, value):
     cfg_path = tmp_path / "cfg.json"
     write_config(cfg_path, **{"tomography.run_chain": True, key: value})
     assert main([command, "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
     assert key in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("section, body, message", [
+    ("omega_sweep", {"omega_min": 1e3, "omega_max": 1e4}, "omega_sweep.n"),
+    ("omega_sweep", {"omega_max": 1e4, "n": 3}, "omega_sweep.omega_min"),
+    ("omega_sweep", {"omega_min": 1e4, "omega_max": 1e3, "n": 3}, "omega_min <= omega_max"),
+    ("omega_sweep", {"omega_min": 0.0, "omega_max": 1e3, "n": 3}, "omega_min <= omega_max"),
+    ("omega_sweep", {"omega_min": 1e3, "omega_max": 1e4, "n": 0}, "omega_sweep.n"),
+    ("noise", {"psd": {"kind": "ou", "tau_c": TAU}}, "noise.psd of kind ou is missing c"),
+    ("noise", {"psd": {"kind": "tabulated", "csv": "psd.csv"}}, "missing sidecar"),
+    ("noise", {"psd": {"kind": "white"}}, "unknown PSD kind 'white'"),
+    ("noise", {"psd": OU_PSD, "amplitude_psd": {"kind": "ou", "c": 1.0}},
+     "noise.amplitude_psd of kind ou is missing tau_c"),
+])
+def test_incomplete_section_rejected(tmp_path, capsys, section, body, message):
+    cfg_path = tmp_path / "cfg.json"
+    write_config(cfg_path, **{section: body})
+    assert main(["predict", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
+    assert message in capsys.readouterr().err
 
 
 def test_predict_outputs_and_manifest(tmp_path):
@@ -196,14 +224,48 @@ def test_validation_scoring_matches_per_state_loop(tmp_path):
             assert infidelity[model][j] == pytest.approx(total / n_haar, rel=1e-12, abs=0)
 
 
-def test_validate_identical_seeds_bitwise(tmp_path):
+def test_validate_steps_on_the_configured_grid(tmp_path, monkeypatch):
+    # dt_s = 3e-4 does not divide t_1 = 2e-3: 7 steps of 2.857e-4 per interval
     cfg_path = tmp_path / "cfg.json"
-    write_config(cfg_path, validation={"n_haar": 20})
+    write_config(cfg_path, **{"simulation.dt_s": 3e-4, "simulation.m_mc": 50,
+                              "validation.n_haar": 10})
+    drives = []
+
+    def recording(rho0, drive, *args, **kwargs):
+        drives.append(drive)
+        return evolve_ensemble(rho0, drive, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "evolve_ensemble", recording)
+    out = tmp_path / "val"
+    assert main(["validate", "--config", str(cfg_path), "--out", str(out)]) == 0
+    times = time_grid(load_config(cfg_path))
+    (drive,) = drives
+    assert drive.dt <= 3e-4
+    assert drive.n_steps == 7 * times.size
+    assert 7 * drive.dt == pytest.approx(times[0], rel=1e-15)
+    table = np.loadtxt(out / "channel_infidelity.csv", delimiter=",", skiprows=1)
+    np.testing.assert_array_equal(table[:, 0], times)
+    snapshots = json.loads((out / "ensemble_states.json").read_text())
+    np.testing.assert_array_equal([snap["t"] for snap in snapshots], times)
+    for label in ("zero", "one", "plus", "plus_i"):
+        rows = np.loadtxt(out / f"langevin_{label}.csv", delimiter=",", skiprows=1)
+        assert rows.shape == (times.size + 1, 7)
+        np.testing.assert_array_equal(rows[:, 0], np.append(0.0, times))
+
+
+def test_validate_identical_seeds_bitwise(tmp_path):
+    # several chunks, so the second run's two threads really split the work
+    cfg_path = tmp_path / "cfg.json"
+    write_config(cfg_path, validation={"n_haar": 20}, **{"simulation.chunk": 128})
     out1, out2 = tmp_path / "v1", tmp_path / "v2"
-    main(["validate", "--config", str(cfg_path), "--out", str(out1)])
-    main(["validate", "--config", str(cfg_path), "--out", str(out2)])
-    assert (out1 / "channel_infidelity.csv").read_bytes() == \
-        (out2 / "channel_infidelity.csv").read_bytes()
+    assert main(["validate", "--config", str(cfg_path), "--out", str(out1)]) == 0
+    assert main(["validate", "--config", str(cfg_path), "--out", str(out2),
+                 "--threads", "2"]) == 0
+    names = sorted(p.name for p in out1.iterdir())
+    assert names == sorted(p.name for p in out2.iterdir())
+    assert "channel_infidelity.csv" in names and "ensemble_states.json" in names
+    for name in names:
+        assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
 
 
 def test_tomography_synthetic_and_counts_modes(tmp_path):

@@ -5,6 +5,7 @@ import pytest
 import scipy.integrate as si
 
 from gatenoise.filters import (
+    _overlap_edges,
     filter_amplitude,
     filter_delta1,
     filter_delta2,
@@ -183,6 +184,86 @@ def test_gamma1_monotone_for_nonnegative_psd():
     times = np.linspace(0.0, 12.0, 40)
     fi = filtered_integrals(psd, 1.5, times, rtol=1e-9)
     assert np.all(np.diff(fi.gamma1) > -1e-12)
+
+
+def _gamma1_gauss_legendre(knots, dens, low, high, Omega, t):
+    """Gamma1(t) = 2 Int_0^inf S(w) F_Gamma1(w) dw in plain numpy.
+
+    S interpolates the table log-log between ``knots`` with constant plateaus
+    outside.  16-point Gauss-Legendre panels no wider than pi / t, with the
+    knots as extra edges, cover [0, X]; beyond X, where S is the high
+    plateau, F = (1/2pi) [sin^2(u t/2)/u^2 at u = w -+ Omega] and sin^2 is
+    replaced by its mean 1/2, which leaves an error below 1e-9 of Gamma1.
+    """
+    def S(w):
+        out = np.exp(np.interp(np.log(np.maximum(w, knots[0])), np.log(knots), np.log(dens)))
+        out[w < knots[0]] = low
+        out[w > knots[-1]] = high
+        return out
+
+    def F(w):
+        sin2 = lambda u: (t / (2 * math.pi)) * np.sinc(u * t / (2 * math.pi)) ** 2
+        return 0.25 * t * (sin2(Omega - w) + sin2(Omega + w))
+
+    X = max(1e4 * max(Omega, 1.0 / t), 2.0 * knots[-1])
+    edges = np.union1d(np.arange(0.0, X, math.pi / t), knots)
+    edges = np.append(edges[edges < X], X)
+    x, wts = np.polynomial.legendre.leggauss(16)
+    lo, hi = edges[:-1, None], edges[1:, None]
+    w = 0.5 * (hi - lo) * x + 0.5 * (hi + lo)
+    inner = float((0.5 * (hi - lo) * S(w) * F(w) * wts).sum())
+    tail = high / (2 * math.pi) * 0.5 * (1.0 / (X - Omega) + 1.0 / (X + Omega))
+    return 2.0 * (inner + tail)
+
+
+def test_tabulated_gamma1_matches_gauss_legendre_oracle():
+    # a Lorentzian plus a nonzero high plateau, and a bump at the Rabi
+    # frequency that sits in an excluded band and must not count
+    Omega = 2000.0
+    band = (1.2e3, 3.5e3)
+    w = np.geomspace(50.0, 2e5, 60)
+    s = 4.0 / (1.0 + (w / 500.0) ** 2) + 0.02
+    inside = (w > band[0]) & (w < band[1])
+    bumped = s + 50.0 * inside
+    psd = NoisePsd.tabulated(w, bumped, s[0], 0.02, excluded_bands=[band])
+    times = [3e-4, 1.5e-3, 6e-3]
+    fi = filtered_integrals(psd, Omega, times)
+    want = [_gamma1_gauss_legendre(w[~inside], s[~inside], s[0], 0.02, Omega, t)
+            for t in times]
+    np.testing.assert_allclose(fi.gamma1, want, rtol=1e-6, atol=0)
+    with_bump = [_gamma1_gauss_legendre(w, bumped, s[0], 0.02, Omega, t) for t in times]
+    assert np.all(np.abs(np.asarray(with_bump) / want - 1) > 0.1)
+
+
+def _overlap_edges_per_interval(psd, Omega, t, lo_edge, W):
+    """Reference build of the quadrature edges: one linspace per interval."""
+    pts = [x for x in (0.5 * Omega, Omega, 1.5 * Omega, 2.0 * Omega) if lo_edge < x < W]
+    pts += [x for x in psd.breakpoints() if lo_edge < x < W]
+    edges = np.unique(np.concatenate([[lo_edge, W], pts]))
+    if t <= 0:
+        return edges
+    width = 3.0 * math.pi / t
+    if (W - lo_edge) / width > 3000:
+        width = (W - lo_edge) / 3000
+    refined = [edges[:1]]
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        n = int(np.ceil((hi - lo) / width))
+        refined.append(np.linspace(lo, hi, n + 1)[1:])
+    return np.concatenate(refined)
+
+
+def test_overlap_edges_match_per_interval_linspace():
+    rng = np.random.default_rng(11)
+    knots = np.sort(np.geomspace(10.0, 1e6, 120) * np.exp(0.01 * rng.standard_normal(120)))
+    psds = (NoisePsd.ou(1e9, 5e-4), NoisePsd.tabulated(knots, 1.0 / knots, 0.1, 1e-6))
+    for i in range(300):
+        psd = psds[i % 2]
+        Omega = 10 ** rng.uniform(2, 5)
+        t = 0.0 if i % 10 == 0 else 10 ** rng.uniform(-5, -1)
+        lo = rng.uniform(0.0, 1e4) if i % 3 == 0 else 0.0
+        W = lo + 10 ** rng.uniform(2, 7)
+        want = _overlap_edges_per_interval(psd, Omega, t, lo, W)
+        np.testing.assert_array_equal(_overlap_edges(psd, Omega, t, lo, W), want)
 
 
 def test_flat_amplitude_psd_gives_linear_dgamma1():
