@@ -14,19 +14,16 @@ from .errors import (
     DegenerateDataError,
     FitError,
     GateNoiseError,
-    NotPositiveSemidefiniteError,
     NumericalError,
     TuningWarning,
     ValidationError,
 )
-from .psd import NoisePsd, total_power
+from .psd import NoisePsd
 
 __all__ = [
     "NoisePsd",
-    "total_power",
     "GateNoiseError",
     "ValidationError",
-    "NotPositiveSemidefiniteError",
     "DegenerateDataError",
     "NumericalError",
     "CPViolationError",

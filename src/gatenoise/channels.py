@@ -123,34 +123,6 @@ def _coherence_block(point, with_amplitude):
     return e_pop, e_c, _cos_half(q), _sin_half_over_theta(q)
 
 
-def bloch_matrix(point, with_amplitude=False):
-    """3x3 Bloch matrix of the comoving error map, axes ordered (x, y, z)."""
-    e_pop, e_c, C, S2 = _coherence_block(point, with_amplitude)
-    g2, d1, d2 = point.gamma2, point.delta1, point.delta2
-    return np.array(
-        [
-            [e_pop, 0.0, 0.0],
-            [0.0, e_c * (C - g2 * S2), -e_c * (d1 - d2) * S2],
-            [0.0, e_c * (d1 + d2) * S2, e_c * (C + g2 * S2)],
-        ]
-    )
-
-
-def dressed_evolve(rho0, point, with_amplitude=False):
-    """Propagate a state with the comoving analytic map.
-
-    The populations of the drive (dressed) eigenstates relax toward 1/2 with
-    exp(-Gamma1); the dressed coherences contract with the half-exponent
-    prefactor and rotate by the complex angle Theta.  The returned state
-    lives in the gate-comoving frame: zero noise returns ``rho0`` itself,
-    and the laboratory state is ``drive_unitary(...) @ rho @ ...``.
-    """
-    rho0 = check_density_matrix(rho0)
-    r = rho_to_bloch(rho0)
-    r_out = bloch_matrix(point, with_amplitude) @ r
-    return bloch_to_rho(r_out)
-
-
 def rho_to_bloch(rho):
     """Bloch vectors tr(rho s_a), a = x, y, z, of a (..., 2, 2) stack."""
     return np.einsum("aij,...ji->...a", PAULIS[1:], rho).real
@@ -276,12 +248,6 @@ def apply_kraus(kraus, rho):
     return np.einsum("nij,...jk,nlk->...il", ops, rho, ops.conj())
 
 
-def kraus_to_chi(kraus, t=0.0):
-    ops = np.asarray(kraus.ops if isinstance(kraus, KrausSet) else kraus)
-    coeff = 0.5 * np.einsum("aij,nji->an", PAULIS, ops)
-    return ProcessMatrix(coeff @ coeff.conj().T, t)
-
-
 def _pauli_images(channel):
     """E(s_a) for the four Paulis, stacked (4, 2, 2).
 
@@ -319,9 +285,6 @@ def gate_fidelity_matrix(target):
     """Matrix G with F = 1/2 + Re sum_ab chi_ab G_ab (fast per-sample reuse)."""
     ideal = target @ PAULIS[1:] @ target.conj().T
     return np.einsum("bij,ajk,bkl,cli->ac", ideal, PAULIS, PAULIS[1:], PAULIS) / 12.0
-
-
-GATE_ERROR_MODELS = ("D", "NC", "NM", "NC_I", "NM_I")
 
 
 def gate_error(point, model):
@@ -378,8 +341,8 @@ def master_equation_evolve(rho0, kernels, Omega, times, amp_rate=None):
 
     Integrates the comoving Bloch equations driven by the instantaneous
     kernels rather than using the closed (first-order Magnus) map, so it is
-    free of the O((noise power)^2) truncation error of
-    :func:`dressed_evolve`.  This is the reference "analytic map" used for
+    free of the O((noise power)^2) truncation error of the closed map
+    ``apply_chi(chi_nm(point), rho)``.  This is the reference "analytic map" used for
     tight Monte Carlo cross-checks.
 
     Parameters

@@ -66,104 +66,102 @@ _BASIS_STATES = {
 # --------------------------------------------------------------------- #
 # config handling
 
-_DEFAULTS = {
-    "drive": {"n_times": 40},
-    "simulation": {"m_mc": 20000, "dt_s": None, "chunk": 4096},
-    "tomography": {
-        "shots_per_basis": 100,
-        "repetitions": 100,
-        "chain_steps": 100000,
-        "proposal_width": 0.02,
-        "run_chain": False,
-    },
-    "rb": {"n_seq": 100, "shots": 100, "max_length": 1024},
+# The config contract, one row per key: (JSON type, range, default).  A key
+# whose default is None also takes null.  "with section" keys are required in
+# an optional section, null if absent.  PSD spec keys are listed by kind.
+_SCHEMA = {
+    "drive.omega_rad_s":          ("number", "> 0", "required"),
+    "drive.t_max_s":              ("number", "> 0", "required"),
+    "drive.n_times":              ("integer", ">= 1", 40),
+    "drive.phi_rad":              ("number", None, 0.0),
+    "noise.psd":                  ("psd", ("ou", "tabulated"), "required"),
+    "noise.amplitude_psd":        ("psd", ("ou", "tabulated"), None),
+    "simulation.seed":            ("integer", ">= 0", "required"),
+    "simulation.m_mc":            ("integer", ">= 1", 20000),
+    "simulation.dt_s":            ("number", "> 0", None),
+    "simulation.chunk":           ("integer", ">= 1", 4096),
+    "tomography.shots_per_basis": ("integer", ">= 1", 100),
+    "tomography.repetitions":     ("integer", ">= 1", 100),
+    "tomography.chain_steps":     ("integer", ">= 1", 100000),
+    "tomography.proposal_width":  ("number", "> 0", 0.02),
+    "tomography.run_chain":       ("boolean", None, False),
+    "rb.n_seq":                   ("integer", ">= 1", 100),
+    "rb.shots":                   ("integer", ">= 1", 100),
+    "rb.max_length":              ("integer", ">= 2", 1024),
+    "outputs.dir":                ("string", None, "required"),
+    "validation.n_haar":          ("integer", ">= 1", 1000),
+    "omega_sweep.omega_min":      ("number", None, "with section"),
+    "omega_sweep.omega_max":      ("number", None, "with section"),
+    "omega_sweep.n":              ("integer", ">= 1", "with section"),
+    "ou.c":                       ("number", ">= 0", "required"),
+    "ou.tau_c":                   ("number", "> 0", "required"),
+    "tabulated.csv":              ("string", None, "required"),
+    "tabulated.sidecar":          ("string", None, "required"),
 }
-# The keys each section may hold: exactly the ones the commands read.
-_SECTIONS = {
-    "drive": ("omega_rad_s", "t_max_s", "n_times", "phi_rad"),
-    "noise": ("psd", "amplitude_psd"),
-    "simulation": ("seed", "m_mc", "dt_s", "chunk"),
-    "tomography": ("shots_per_basis", "repetitions", "chain_steps", "proposal_width",
-                   "run_chain"),
-    "rb": ("n_seq", "shots", "max_length"),
-    "outputs": ("dir",),
-    "validation": ("n_haar",),
-    "omega_sweep": ("omega_min", "omega_max", "n"),
-}
-# Lower limits of the integer settings.
-_AT_LEAST = {("drive", "n_times"): 1, ("simulation", "m_mc"): 1, ("simulation", "chunk"): 1,
-             ("tomography", "shots_per_basis"): 1, ("tomography", "repetitions"): 1,
-             ("tomography", "chain_steps"): 1, ("validation", "n_haar"): 1,
-             ("rb", "n_seq"): 1, ("rb", "shots"): 1, ("rb", "max_length"): 2,
-             ("omega_sweep", "n"): 1}
-# The keys each PSD kind requires.
-_PSD_KEYS = {"ou": ("c", "tau_c"), "tabulated": ("csv", "sidecar")}
+_TYPES = {"number": (int, float), "integer": int, "boolean": bool, "string": str, "psd": dict}
 
 
 def load_config(path, seed_override=None):
-    raw = Path(path).read_bytes()
-    cfg = json.loads(raw)
-    unknown = sorted(set(cfg) - set(_SECTIONS))
+    try:
+        cfg = json.loads(raw := Path(path).read_bytes())
+    except (OSError, ValueError) as exc:
+        raise ValidationError(f"cannot read config {path}: {exc}") from None
+    if not isinstance(cfg, dict):
+        raise ValidationError("config must be a JSON object")
+    kinds = _SCHEMA["noise.psd"][1]
+    sections = [s for s in dict.fromkeys(k.split(".")[0] for k in _SCHEMA) if s not in kinds]
+    unknown = sorted(set(cfg) - set(sections))
     if unknown:
         raise ValidationError(f"unknown config section(s) {', '.join(unknown)}; "
-                              f"expected some of {', '.join(_SECTIONS)}")
-    for section, keys in _SECTIONS.items():
-        body = cfg.get(section, {})
-        if not isinstance(body, dict):
-            raise ValidationError(f"config section {section} must be a JSON object")
-        extra = sorted(set(body) - set(keys))
-        if extra:
-            raise ValidationError(f"unknown key(s) {', '.join(f'{section}.{k}' for k in extra)}; "
-                                  f"{section} takes {', '.join(keys)}")
-    resolved = {section: {**_DEFAULTS.get(section, {}), **cfg.get(section, {})}
-                for section in _SECTIONS if section in cfg or section in _DEFAULTS}
-
-    required = [("drive", "omega_rad_s"), ("drive", "t_max_s"), ("noise", "psd"),
-                ("outputs", "dir")]
-    if "omega_sweep" in cfg:
-        required += [("omega_sweep", key) for key in _SECTIONS["omega_sweep"]]
-    for section, key in required:
-        if key not in cfg.get(section, {}):
-            raise ValidationError(f"config is missing required field {section}.{key}")
-    if seed_override is not None:
-        resolved.setdefault("simulation", {})["seed"] = int(seed_override)
-    if "seed" not in resolved.get("simulation", {}) or resolved["simulation"]["seed"] is None:
-        raise ValidationError("simulation.seed is required for reproducibility")
-
-    for (section, key), low in _AT_LEAST.items():
-        value = resolved.get(section, {}).get(key, low)
-        if isinstance(value, bool) or not isinstance(value, int) or value < low:
-            raise ValidationError(f"{section}.{key} must be an integer >= {low}, got {value!r}")
-    drive = resolved["drive"]
-    if drive["omega_rad_s"] <= 0 or drive["t_max_s"] <= 0:
-        raise ValidationError("drive parameters must be positive")
-    if drive.get("phi_rad", 0.0) != 0.0:
+                              f"expected some of {', '.join(sections)}")
+    if seed_override is not None and isinstance(cfg.get("simulation", {}), dict):
+        cfg["simulation"] = {**cfg.get("simulation", {}), "seed": seed_override}
+    resolved = {s: _resolve(cfg.get(s, {}), s, s, s, given=s in cfg) for s in sections}
+    if resolved["drive"]["phi_rad"] != 0.0:
         raise ValidationError("drive.phi_rad is not supported: every model and the "
                               "simulator drive about x (phase 0)")
-    sweep = resolved.get("omega_sweep")
-    if sweep and not (_is_number(sweep["omega_min"]) and _is_number(sweep["omega_max"])
-                      and 0 < sweep["omega_min"] <= sweep["omega_max"]):
+    sweep = resolved["omega_sweep"]
+    if sweep and not 0 < sweep["omega_min"] <= sweep["omega_max"]:
         raise ValidationError("omega_sweep needs 0 < omega_min <= omega_max")
-    noise = resolved["noise"]
-    for key in ("psd", "amplitude_psd") if noise.get("amplitude_psd") else ("psd",):
-        spec = noise[key]
-        kind = spec.get("kind") if isinstance(spec, dict) else None
-        if kind not in _PSD_KEYS:
-            raise ValidationError(f"unknown PSD kind {kind!r} in noise.{key}")
-        missing = [k for k in _PSD_KEYS[kind] if k not in spec]
-        if missing:
-            raise ValidationError(f"noise.{key} of kind {kind} is missing "
-                                  f"{', '.join(missing)}")
-    width = resolved["tomography"]["proposal_width"]
-    if not (_is_number(width) and width > 0):
-        raise ValidationError(f"tomography.proposal_width must be positive, got {width!r}")
     resolved["_sha256"] = hashlib.sha256(raw).hexdigest()
     resolved["_base_dir"] = str(Path(path).resolve().parent)
     return resolved
 
 
-def _is_number(value):
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+def _resolve(body, group, path, owner, given=True):
+    """Check the JSON object ``body`` against the rows of ``group`` (a section
+    or a PSD kind) and fill in defaults; None for an optional section not given."""
+    rows = {k.split(".")[1]: row for k, row in _SCHEMA.items() if k.split(".")[0] == group}
+    if not isinstance(body, dict):
+        raise ValidationError(f"config section {path} must be a JSON object")
+    extra = sorted(set(body) - set(rows))
+    if extra:
+        raise ValidationError(f"unknown key(s) {', '.join(f'{path}.{k}' for k in extra)}; "
+                              f"{owner} takes {', '.join(rows)}")
+    out = {}
+    for key, (kind, bound, default) in rows.items():
+        name, value = f"{path}.{key}", body.get(key, default)
+        if key not in body and default == "with section" and not given:
+            return None
+        if key not in body and default in ("required", "with section"):
+            raise ValidationError(f"{owner} is missing {key} ({name})")
+        if key not in body or value is None and default is None:
+            pass  # the default, or null where null is the default
+        elif isinstance(value, bool) and kind != "boolean" or not isinstance(value, _TYPES[kind]):
+            raise ValidationError(f"{name} must be of type {kind}, got {value!r}")
+        elif isinstance(value, float) and not math.isfinite(value):
+            raise ValidationError(f"{name} must be finite, got {value!r}")
+        elif kind == "psd" and value.get("kind") not in bound:
+            raise ValidationError(f"unknown PSD kind {value.get('kind')!r} in {name}")
+        elif kind == "psd":
+            spec = {k: v for k, v in value.items() if k != "kind"}
+            value = {"kind": value["kind"],
+                     **_resolve(spec, value["kind"], name, f"{name} of kind {value['kind']}")}
+        elif bound and not (value > float(bound[2:]) if bound.startswith("> ")
+                            else value >= float(bound[3:])):
+            raise ValidationError(f"{name} must be {bound}, got {value!r}")
+        out[key] = value
+    return out
 
 
 def _psd_from_spec(spec, base_dir):
@@ -180,8 +178,8 @@ def _psd_from_spec(spec, base_dir):
 
 def build_psds(cfg):
     psd = _psd_from_spec(cfg["noise"]["psd"], cfg["_base_dir"])
-    amp = cfg["noise"].get("amplitude_psd")
-    amp_psd = _psd_from_spec(amp, cfg["_base_dir"]) if amp else None
+    amp = cfg["noise"]["amplitude_psd"]
+    amp_psd = _psd_from_spec(amp, cfg["_base_dir"]) if amp is not None else None
     return psd, amp_psd
 
 
@@ -309,7 +307,7 @@ def cmd_predict(args):
         json.dumps(snapshots, default=_json_default) + "\n"
     )
 
-    sweep = cfg.get("omega_sweep")
+    sweep = cfg["omega_sweep"]
     if sweep:
         omegas = np.geomspace(sweep["omega_min"], sweep["omega_max"], sweep["n"])
         rows = []
@@ -327,14 +325,20 @@ def cmd_predict(args):
     return 0
 
 
-def run_validation(cfg, psd, amp_psd, n_haar=1000, n_workers=1, out_dir=None):
+def run_validation(cfg, psd, amp_psd, n_haar, n_workers=1, out_dir=None):
     Omega = cfg["drive"]["omega_rad_s"]
     seed = cfg["simulation"]["seed"]
     tau_c = psd.tau_c if psd.kind == "ou" else None
-    dt_max = cfg["simulation"]["dt_s"] or default_timestep(Omega, tau_c, fraction=0.002)
+    dt_max = cfg["simulation"]["dt_s"]
+    if dt_max is None:
+        dt_max = default_timestep(Omega, tau_c, fraction=0.002)
     times = time_grid(cfg)
-    # the grid is uniform, t_k = k t_1: a whole number of steps per interval
-    per = math.ceil(times[0] / dt_max)
+    # the grid is uniform, t_k = k t_1: a whole number of steps per interval,
+    # the fewest whose computed length stays within dt_max (the ceiling of the
+    # rounded quotient t_1 / dt_max can be one too many, never one too few)
+    per = max(math.ceil(times[0] / dt_max) - 1, 1)
+    while times[0] / per > dt_max:
+        per += 1
     drive = DriveConfig(Omega=Omega, dt=times[0] / per, n_steps=per * times.size,
                         m_mc=cfg["simulation"]["m_mc"])
     freq_noise = _noise_source(psd)
@@ -390,7 +394,7 @@ def cmd_validate(args):
     out_dir = Path(args.out or cfg["outputs"]["dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
     psd, amp_psd = build_psds(cfg)
-    n_haar = cfg.get("validation", {}).get("n_haar", 1000)
+    n_haar = cfg["validation"]["n_haar"]
     grid, infidelity = run_validation(cfg, psd, amp_psd, n_haar=n_haar,
                                       n_workers=max(args.threads, 1),
                                       out_dir=out_dir)

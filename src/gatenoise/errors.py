@@ -9,10 +9,6 @@ class ValidationError(GateNoiseError, ValueError):
     """Invalid input: bad arguments, malformed files, broken invariants."""
 
 
-class NotPositiveSemidefiniteError(ValidationError):
-    """A matrix that must be positive semidefinite is not."""
-
-
 class DegenerateDataError(ValidationError):
     """Measurement record is missing counts needed by an estimator."""
 

@@ -1,12 +1,10 @@
-"""Stationary Gaussian noise trajectory generators.
+"""Stationary Gaussian noise for the Langevin ensemble.
 
-Three routes produce trajectories of the dephasing (or Rabi-rate) noise:
+Two sources produce the dephasing (or Rabi-rate) noise of each trajectory:
 
-* exact Ornstein-Uhlenbeck updates, valid for any step size;
-* Cholesky factorization of an autocovariance matrix (works for
-  non-stationary windows too);
-* a Fourier-series construction directly from the PSD for wide-sense
-  stationary processes.
+* ``OUSource``: exact Ornstein-Uhlenbeck updates, valid for any step size;
+* ``PsdSource``: a random Fourier series straight from any PSD, for
+  wide-sense stationary processes (``percival_trajectory``).
 
 All generators are pure functions of their random draws; ensembles use one
 counter-based stream per trajectory index so results are reproducible and
@@ -16,28 +14,11 @@ independent of evaluation order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotPositiveSemidefiniteError, ValidationError
+from .errors import ValidationError
 from .psd import NoisePsd
-
-
-@dataclass
-class NoiseTrajectory:
-    """Sampled noise values on a uniform grid, with seed provenance."""
-
-    dt: float
-    values: np.ndarray
-    seed: tuple | None = None
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        if self.values.size < 1:
-            raise ValidationError("trajectory must contain at least one sample")
-        if not np.all(np.isfinite(self.values)):
-            raise ValidationError("trajectory contains non-finite values")
 
 
 def trajectory_rng(seed, index):
@@ -46,74 +27,9 @@ def trajectory_rng(seed, index):
 
 
 # --------------------------------------------------------------------- #
-# Ornstein-Uhlenbeck process
-
-def ou_step(eta, dt, tau_c, c, u):
-    """One exact update of an OU process.
-
-    eta' = eta * exp(-dt/tau_c) + sqrt((c tau_c / 2)(1 - exp(-2 dt/tau_c))) * u
-
-    Exact for any step size; ``u`` is a unit normal draw.
-    """
-    if dt <= 0 or tau_c <= 0 or c < 0:
-        raise ValidationError(f"need dt > 0, tau_c > 0, c >= 0; got {dt}, {tau_c}, {c}")
-    decay = math.exp(-dt / tau_c)
-    sigma = math.sqrt(0.5 * c * tau_c * (1.0 - decay * decay))
-    return eta * decay + sigma * u
-
-
-def ou_covariance(times, c, tau_c):
-    """Fully relaxed OU autocovariance matrix (c tau/2) exp(-|ti-tj|/tau)."""
-    times = np.asarray(times, dtype=float)
-    gaps = np.abs(times[:, None] - times[None, :])
-    return 0.5 * c * tau_c * np.exp(-gaps / tau_c)
-
-
-# --------------------------------------------------------------------- #
-# covariance-based generation
-
-def check_covariance(cov, tol_factor=1e-10):
-    """Validate symmetry and (tolerant) positive semidefiniteness."""
-    cov = np.asarray(cov, dtype=float)
-    if cov.ndim != 2 or cov.shape[0] != cov.shape[1]:
-        raise ValidationError("covariance must be a square matrix")
-    scale = np.abs(cov).max() or 1.0
-    if np.abs(cov - cov.T).max() > 1e-12 * scale:
-        raise ValidationError("covariance must be symmetric")
-    min_eig = np.linalg.eigvalsh(cov)[0]
-    if min_eig < -tol_factor * scale:
-        raise NotPositiveSemidefiniteError(
-            f"covariance has eigenvalue {min_eig:.3e} below -{tol_factor:.0e} * scale"
-        )
-    return cov
-
-
-def franklin_trajectory(cov, u, dt=None, seed=None):
-    """Trajectory from a covariance matrix: L @ u with cov = L L^T.
-
-    Near-singular matrices get a diagonal jitter of 1e-12 * max|cov| before
-    factorization; genuinely indefinite input raises.
-    """
-    cov = np.asarray(cov, dtype=float)
-    u = np.asarray(u, dtype=float)
-    if u.shape[-1] != cov.shape[0]:
-        raise ValidationError("draw vector length must equal the grid size")
-    try:
-        L = np.linalg.cholesky(cov)
-    except np.linalg.LinAlgError:
-        cov = check_covariance(cov)  # raises if indefinite beyond tolerance
-        scale = np.abs(cov).max() or 1.0
-        L = np.linalg.cholesky(cov + 1e-12 * scale * np.eye(cov.shape[0]))
-    values = u @ L.T
-    if dt is None:
-        return values
-    return NoiseTrajectory(dt=dt, values=values, seed=seed)
-
-
-# --------------------------------------------------------------------- #
 # PSD-based generation (stationary processes)
 
-def percival_trajectory(psd, m_f, t0, tf, draws, seed=None):
+def percival_trajectory(psd, m_f, t0, tf, draws):
     """Trajectory on ``m_f`` grid points from the PSD via a random Fourier series.
 
     Coefficients ``A_m = sqrt(S_m / 2) (u_1 + i u_2)`` with two independent
@@ -158,19 +74,7 @@ def percival_trajectory(psd, m_f, t0, tf, draws, seed=None):
     values = np.fft.fft(nu) / math.sqrt(span)
     if np.abs(values.imag).max() > 1e-10 * max(np.abs(values.real).max(), 1e-300):
         raise ValidationError("Fourier assembly lost Hermitian symmetry")
-    return NoiseTrajectory(dt=span / m_f, values=values.real.copy(), seed=seed)
-
-
-def percival_lag0_variance(psd, m_f, span):
-    """Exact ensemble variance of :func:`percival_trajectory` samples.
-
-    The discrete Parseval sum ``f0 * (S_0 + 2 sum S_m + S_Nyq)``; converges
-    to the process variance as the window grows.
-    """
-    f0 = 1.0 / span
-    freqs = f0 * np.arange(m_f // 2 + 1)
-    S = np.asarray(psd.eval(2.0 * math.pi * freqs), dtype=float)
-    return f0 * (S[0] + 2.0 * S[1:-1].sum() + S[-1])
+    return values.real
 
 
 # --------------------------------------------------------------------- #
@@ -225,19 +129,8 @@ class PsdSource:
         values = np.empty((len(indices), n_steps))
         for row, idx in enumerate(indices):
             draws = trajectory_rng(seed, idx).standard_normal(n_draws)
-            traj = percival_trajectory(self.psd, m_f, 0.0, m_f * dt, draws)
-            values[row] = traj.values[:n_steps]
+            values[row] = percival_trajectory(self.psd, m_f, 0.0, m_f * dt, draws)[:n_steps]
         return values * dt
-
-
-class ConstantSource:
-    """Deterministic constant offset (useful for detuning checks)."""
-
-    def __init__(self, value):
-        self.value = float(value)
-
-    def increments_block(self, seed, indices, n_steps, dt):
-        return np.full((len(indices), n_steps), self.value * dt)
 
 
 class ZeroSource:

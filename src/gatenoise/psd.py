@@ -215,19 +215,3 @@ class NoisePsd:
             )
             out[i] = val / math.pi
         return out[0] if t.ndim == 0 else out.reshape(t.shape)
-
-
-def total_power(psd, w_max=None):
-    """Integrated two-sided power (1/pi) Int_0^wmax S dw (process variance).
-
-    Exact for the OU kind; tabulated PSDs are truncated at ``w_max`` (a
-    nonzero high plateau makes the full integral divergent).
-    """
-    from ._quadrature import adaptive_gk
-
-    if psd.kind == "ou" and w_max is None:
-        return 0.5 * psd.c * psd.tau_c
-    if w_max is None:
-        w_max = 200.0 * psd.support_scale()
-    val, _, _ = adaptive_gk(psd.eval, 0.0, w_max, rtol=1e-10, points=psd.breakpoints())
-    return val / math.pi

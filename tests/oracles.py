@@ -1,0 +1,76 @@
+"""Reference implementations that only the tests use.
+
+Each one is an independent closed form or a plain recursion that the tests
+compare the package against; no pipeline calls them.
+"""
+
+import math
+
+import numpy as np
+
+from gatenoise._quadrature import adaptive_gk
+from gatenoise.channels import PAULIS, KrausSet, ProcessMatrix
+from gatenoise.errors import ValidationError
+
+
+def ou_step(eta, dt, tau_c, c, u):
+    """One exact update of an OU process.
+
+    eta' = eta * exp(-dt/tau_c) + sqrt((c tau_c / 2)(1 - exp(-2 dt/tau_c))) * u
+
+    Exact for any step size; ``u`` is a unit normal draw.
+    """
+    if dt <= 0 or tau_c <= 0 or c < 0:
+        raise ValidationError(f"need dt > 0, tau_c > 0, c >= 0; got {dt}, {tau_c}, {c}")
+    decay = math.exp(-dt / tau_c)
+    sigma = math.sqrt(0.5 * c * tau_c * (1.0 - decay * decay))
+    return eta * decay + sigma * u
+
+
+def percival_lag0_variance(psd, m_f, span):
+    """Exact ensemble variance of ``percival_trajectory`` samples.
+
+    The discrete Parseval sum ``f0 * (S_0 + 2 sum S_m + S_Nyq)``; converges
+    to the process variance as the window grows.
+    """
+    f0 = 1.0 / span
+    freqs = f0 * np.arange(m_f // 2 + 1)
+    S = np.asarray(psd.eval(2.0 * math.pi * freqs), dtype=float)
+    return f0 * (S[0] + 2.0 * S[1:-1].sum() + S[-1])
+
+
+def ou_amplitude_integral(c, tau_c, times):
+    """Exact DGamma1(t) for OU Rabi-rate noise: c tau^2 (t - tau (1 - e^{-t/tau}))."""
+    times = np.atleast_1d(np.asarray(times, dtype=float))
+    return c * tau_c**2 * (times - tau_c * (1.0 - np.exp(-times / tau_c)))
+
+
+def total_power(psd, w_max=None):
+    """Integrated two-sided power (1/pi) Int_0^wmax S dw (process variance).
+
+    Exact for the OU kind; tabulated PSDs are truncated at ``w_max`` (a
+    nonzero high plateau makes the full integral divergent).
+    """
+    if psd.kind == "ou" and w_max is None:
+        return 0.5 * psd.c * psd.tau_c
+    if w_max is None:
+        w_max = 200.0 * psd.support_scale()
+    val, _, _ = adaptive_gk(psd.eval, 0.0, w_max, rtol=1e-10, points=psd.breakpoints())
+    return val / math.pi
+
+
+def kraus_to_chi(kraus, t=0.0):
+    """Process matrix of a Kraus set in the plain Pauli basis."""
+    ops = np.asarray(kraus.ops if isinstance(kraus, KrausSet) else kraus)
+    coeff = 0.5 * np.einsum("aij,nji->an", PAULIS, ops)
+    return ProcessMatrix(coeff @ coeff.conj().T, t)
+
+
+class ConstantSource:
+    """Deterministic constant offset (useful for detuning checks)."""
+
+    def __init__(self, value):
+        self.value = float(value)
+
+    def increments_block(self, seed, indices, n_steps, dt):
+        return np.full((len(indices), n_steps), self.value * dt)

@@ -14,14 +14,12 @@ from gatenoise.channels import (
     chi_nm,
     depolarizing_chi,
     depolarizing_rate,
-    dressed_evolve,
     dressing_validity,
     drive_unitary,
     gate_error,
     gate_fidelity_matrix,
     haar_random_state,
     kraus_nc,
-    kraus_to_chi,
     master_equation_evolve,
     nm_measure,
     pauli_chi,
@@ -35,6 +33,7 @@ from gatenoise.channels import (
 from gatenoise.errors import CPViolationError, NumericalError, ValidationError
 from gatenoise.filters import IntegralPoint, ZERO_POINT, ou_filtered_integrals, ou_kernels
 from gatenoise.psd import NoisePsd
+from oracles import kraus_to_chi
 
 RHO0 = np.array([[1, 0], [0, 0]], dtype=complex)
 RHOP = 0.5 * np.ones((2, 2), dtype=complex)
@@ -92,12 +91,12 @@ def physical_point(rng, with_amplitude=False):
 
 def test_dressed_evolve_identity_at_zero_integrals():
     for rho in (RHO0, RHOP, bloch_to_rho(np.array([0.3, -0.4, 0.5]))):
-        np.testing.assert_allclose(dressed_evolve(rho, ZERO_POINT), rho, atol=1e-15)
+        np.testing.assert_allclose(apply_chi(chi_nm(ZERO_POINT), rho), rho, atol=1e-15)
 
 
 def test_dressed_population_gap_halves_at_log2():
     point = IntegralPoint(math.log(2.0), 0.0, 0.0, 0.0, 0.0)
-    out = dressed_evolve(RHOP, point)
+    out = apply_chi(chi_nm(point), RHOP)
     rho_pp = 0.5 * (1.0 + rho_to_bloch(out)[0])
     assert rho_pp == pytest.approx(0.75, rel=1e-14)
 
@@ -111,7 +110,7 @@ def test_dressed_evolve_matches_master_equation_weak_noise():
     states = master_equation_evolve(RHO0, lambda t: ou_kernels(c, tau, Omega, t),
                                     Omega, times)
     for i in range(times.size):
-        closed = dressed_evolve(RHO0, fi.at(i))
+        closed = apply_chi(chi_nm(fi.at(i)), RHO0)
         assert np.abs(closed - states[i]).max() < 1e-5
 
 

@@ -102,6 +102,14 @@ def test_unknown_key_in_known_section_rejected(tmp_path, capsys):
     ("rb", "rb.max_length", 1),
     ("rb", "rb.n_seq", 0),
     ("rb", "rb.shots", 0),
+    ("predict", "drive.omega_rad_s", "4000"),
+    ("predict", "drive.omega_rad_s", math.nan),
+    ("predict", "drive.t_max_s", math.inf),
+    ("validate", "simulation.dt_s", 0),
+    ("validate", "simulation.dt_s", -1e-6),
+    ("predict", "simulation.seed", 1.5),
+    ("validate", "simulation.seed", -1),
+    ("tomography", "tomography.run_chain", "no"),
 ])
 def test_out_of_range_setting_rejected(tmp_path, capsys, command, key, value):
     cfg_path = tmp_path / "cfg.json"
@@ -121,12 +129,41 @@ def test_out_of_range_setting_rejected(tmp_path, capsys, command, key, value):
     ("noise", {"psd": {"kind": "white"}}, "unknown PSD kind 'white'"),
     ("noise", {"psd": OU_PSD, "amplitude_psd": {"kind": "ou", "c": 1.0}},
      "noise.amplitude_psd of kind ou is missing tau_c"),
+    ("noise", {"psd": {**OU_PSD, "c": "1"}}, "noise.psd.c"),
+    ("noise", {"psd": {**OU_PSD, "tauc": TAU}}, "noise.psd.tauc"),
+    ("noise", {"psd": OU_PSD, "amplitude_psd": {**OU_PSD, "scale": 2.0}},
+     "noise.amplitude_psd.scale"),
 ])
 def test_incomplete_section_rejected(tmp_path, capsys, section, body, message):
     cfg_path = tmp_path / "cfg.json"
     write_config(cfg_path, **{section: body})
     assert main(["predict", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", [None, "{\"drive\": ", "[1, 2]"])
+def test_unreadable_config_rejected(tmp_path, capsys, text):
+    cfg_path = tmp_path / "cfg.json"
+    if text is not None:
+        cfg_path.write_text(text)
+    assert main(["predict", "--config", str(cfg_path)]) == 2
+    assert "validation error" in capsys.readouterr().err
+
+
+def test_readme_example_and_schema_table_match_the_loader(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    example = readme.split("Example config:\n\n```json\n")[1].split("```")[0]
+    (tmp_path / "cfg.json").write_text(example)
+    cfg = load_config(tmp_path / "cfg.json")
+    for section, body in json.loads(example).items():
+        assert {k: cfg[section][k] for k in body} == body
+    rows = [line.split("|")[1:-1] for line in readme.splitlines() if line.startswith("| `")]
+    table = {cells[0].strip(" `"): tuple(c.strip() for c in cells[1:]) for cells in rows}
+    expected = {key: (kind,
+                      ", ".join(bound) if isinstance(bound, tuple) else bound or "any",
+                      default if isinstance(default, str) else json.dumps(default))
+                for key, (kind, bound, default) in cli._SCHEMA.items()}
+    assert table == expected
 
 
 def test_predict_outputs_and_manifest(tmp_path):
@@ -179,11 +216,12 @@ def _complex(obj):
     return np.asarray(obj["re"]) + 1j * np.asarray(obj["im"])
 
 
-def test_validation_scoring_matches_per_state_loop(tmp_path):
+@pytest.mark.parametrize("seed", [3, 5, 7])
+def test_validation_scoring_matches_per_state_loop(tmp_path, seed):
     """Stacked Haar scoring equals a per-state loop over the same states,
     written here with explicit Pauli and Kraus sums."""
     cfg_path = tmp_path / "cfg.json"
-    write_config(cfg_path)
+    write_config(cfg_path, **{"simulation.seed": seed})
     cfg = load_config(cfg_path)
     psd, amp_psd = build_psds(cfg)
     n_haar = 50
@@ -221,13 +259,19 @@ def test_validation_scoring_matches_per_state_loop(tmp_path):
                 fid = np.trace(lab @ mc).real + 2.0 * math.sqrt(
                     max(np.linalg.det(lab).real, 0.0) * max(np.linalg.det(mc).real, 0.0))
                 total += 1.0 - min(max(fid, 0.0), 1.0)
-            assert infidelity[model][j] == pytest.approx(total / n_haar, rel=1e-12, abs=0)
+            # 1 - F keeps about 1e-16 absolute per state: a few ulp of 1.0 as the floor
+            assert infidelity[model][j] == pytest.approx(total / n_haar, rel=1e-12, abs=1e-15)
 
 
-def test_validate_steps_on_the_configured_grid(tmp_path, monkeypatch):
-    # dt_s = 3e-4 does not divide t_1 = 2e-3: 7 steps of 2.857e-4 per interval
+@pytest.mark.parametrize("t_max_s, n_times, dt_s, per", [
+    (0.01, 5, 3e-4, 7),     # dt_s does not divide t_1 = 2e-3: 7 steps of 2.857e-4
+    (1e-3, 10, 1e-6, 100),  # t_1 / dt_s rounds to 100.00000000000001: still 100 steps
+])
+def test_validate_steps_on_the_configured_grid(tmp_path, monkeypatch, t_max_s, n_times,
+                                               dt_s, per):
     cfg_path = tmp_path / "cfg.json"
-    write_config(cfg_path, **{"simulation.dt_s": 3e-4, "simulation.m_mc": 50,
+    write_config(cfg_path, **{"drive.t_max_s": t_max_s, "drive.n_times": n_times,
+                              "simulation.dt_s": dt_s, "simulation.m_mc": 50,
                               "validation.n_haar": 10})
     drives = []
 
@@ -240,9 +284,9 @@ def test_validate_steps_on_the_configured_grid(tmp_path, monkeypatch):
     assert main(["validate", "--config", str(cfg_path), "--out", str(out)]) == 0
     times = time_grid(load_config(cfg_path))
     (drive,) = drives
-    assert drive.dt <= 3e-4
-    assert drive.n_steps == 7 * times.size
-    assert 7 * drive.dt == pytest.approx(times[0], rel=1e-15)
+    assert drive.dt <= dt_s
+    assert drive.n_steps == per * times.size
+    assert per * drive.dt == pytest.approx(times[0], rel=1e-15)
     table = np.loadtxt(out / "channel_infidelity.csv", delimiter=",", skiprows=1)
     np.testing.assert_array_equal(table[:, 0], times)
     snapshots = json.loads((out / "ensemble_states.json").read_text())

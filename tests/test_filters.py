@@ -14,7 +14,6 @@ from gatenoise.filters import (
     filter_tail,
     filtered_integrals,
     filtered_integrals_timedomain,
-    ou_amplitude_integral,
     ou_filtered_integrals,
     ou_kernels,
     FilteredIntegrals,
@@ -22,6 +21,7 @@ from gatenoise.filters import (
 )
 from gatenoise.errors import ValidationError
 from gatenoise.psd import NoisePsd
+from oracles import ou_amplitude_integral
 
 
 # --------------------------------------------------------------------- #

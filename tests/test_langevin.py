@@ -19,8 +19,9 @@ from gatenoise.langevin import (
     evolve_ensemble,
     to_csv,
 )
-from gatenoise.noise import ConstantSource, OUSource, PsdSource, ZeroSource
+from gatenoise.noise import OUSource, PsdSource, ZeroSource
 from gatenoise.psd import NoisePsd
+from oracles import ConstantSource
 
 RHO0 = np.array([[1, 0], [0, 0]], dtype=complex)
 RHOP = 0.5 * np.ones((2, 2), dtype=complex)

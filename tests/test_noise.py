@@ -3,19 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from gatenoise.errors import NotPositiveSemidefiniteError, ValidationError
-from gatenoise.noise import (
-    ConstantSource,
-    OUSource,
-    PsdSource,
-    ZeroSource,
-    franklin_trajectory,
-    ou_covariance,
-    ou_step,
-    percival_lag0_variance,
-    percival_trajectory,
-)
+from gatenoise.errors import ValidationError
+from gatenoise.noise import OUSource, PsdSource, ZeroSource, percival_trajectory, trajectory_rng
 from gatenoise.psd import NoisePsd
+from oracles import ConstantSource, ou_step, percival_lag0_variance
 
 
 # --------------------------------------------------------------------- #
@@ -71,62 +62,12 @@ def test_ou_step_composition_is_distribution_identical():
 
 
 # --------------------------------------------------------------------- #
-# franklin_trajectory
-
-def test_franklin_identity_covariance():
-    u = np.array([0.3, -1.2, 0.77])
-    np.testing.assert_allclose(franklin_trajectory(np.eye(3), u), u)
-
-
-def test_franklin_scaled_identity():
-    u = np.array([1.0, -2.0])
-    np.testing.assert_allclose(franklin_trajectory(4.0 * np.eye(2), u), 2.0 * u)
-
-
-def test_franklin_factorization_roundtrip():
-    times = np.linspace(0, 3.0, 64)
-    cov = ou_covariance(times, 2.0, 0.5)
-    L = np.linalg.cholesky(cov)
-    assert np.abs(L @ L.T - cov).max() <= 1e-8 * np.abs(cov).max()
-
-
-def test_franklin_rejects_indefinite():
-    bad = np.array([[1.0, 0.0], [0.0, -0.5]])
-    with pytest.raises(NotPositiveSemidefiniteError):
-        franklin_trajectory(bad, np.zeros(2))
-
-
-def test_franklin_handles_near_singular():
-    # rank-deficient covariance (perfectly correlated samples)
-    cov = np.ones((16, 16))
-    u = np.random.default_rng(1).standard_normal(16)
-    out = franklin_trajectory(cov, u)
-    assert np.all(np.isfinite(out))
-    np.testing.assert_allclose(out, out[0] * np.ones(16), atol=1e-5)
-
-
-def test_franklin_ou_autocovariance_monte_carlo():
-    c, tau = 2.0, 1.0
-    times = np.linspace(0, 16 * tau, 256)
-    cov = ou_covariance(times, c, tau)
-    rng = np.random.default_rng(11)
-    traj = franklin_trajectory(cov, rng.standard_normal((10000, 256)))
-    dt = times[1] - times[0]
-    for lag_steps in (0, 8, 16):
-        prods = traj[:, : traj.shape[1] - lag_steps] * traj[:, lag_steps:]
-        got = prods.mean()
-        se = prods.mean(axis=1).std(ddof=1) / math.sqrt(traj.shape[0])
-        target = 0.5 * c * tau * math.exp(-lag_steps * dt / tau)
-        assert abs(got - target) < 3 * se
-
-
-# --------------------------------------------------------------------- #
 # percival_trajectory
 
 def test_percival_zero_psd_gives_zero_trajectory():
     psd = NoisePsd.ou(0.0, 1.0)
     traj = percival_trajectory(psd, 16, 0.0, 1.0, np.ones(18))
-    np.testing.assert_allclose(traj.values, 0.0)
+    np.testing.assert_allclose(traj, 0.0)
 
 
 def test_percival_rejects_odd_count():
@@ -147,7 +88,7 @@ def test_percival_flat_psd_parseval():
     acc = np.empty(n_traj)
     for i in range(n_traj):
         traj = percival_trajectory(psd, m_f, 0.0, span, rng.standard_normal(m_f + 2))
-        acc[i] = (traj.values**2).mean()
+        acc[i] = (traj**2).mean()
     target = percival_lag0_variance(psd, m_f, span)
     se = acc.std(ddof=1) / math.sqrt(n_traj)
     assert abs(acc.mean() - target) < 3 * se
@@ -161,27 +102,22 @@ def test_percival_ou_lag0_matches_process_variance():
     acc = np.empty(10000)
     for i in range(10000):
         traj = percival_trajectory(psd, m_f, 0.0, span, rng.standard_normal(m_f + 2))
-        acc[i] = (traj.values**2).mean()
+        acc[i] = (traj**2).mean()
     assert acc.mean() == pytest.approx(0.5 * c * tau, rel=0.05)
 
 
-def test_percival_and_franklin_agree_on_ou_autocovariance():
+def test_percival_matches_ou_autocovariance():
     c, tau = 1.5, 1.0
     psd = NoisePsd.ou(c, tau)
-    times = np.linspace(0, 32 * tau, 128, endpoint=False)
-    cov = ou_covariance(times, c, tau)
     rng = np.random.default_rng(9)
     n = 6000
-    fr = franklin_trajectory(cov, rng.standard_normal((n, 128)))
     pv = np.empty((n, 128))
     for i in range(n):
-        pv[i] = percival_trajectory(psd, 128, 0.0, 32 * tau,
-                                    rng.standard_normal(130)).values
+        pv[i] = percival_trajectory(psd, 128, 0.0, 32 * tau, rng.standard_normal(130))
     lag = 4
-    a = (fr[:, :-lag] * fr[:, lag:]).mean(axis=1)
     b = (pv[:, :-lag] * pv[:, lag:]).mean(axis=1)
-    se = math.hypot(a.std(ddof=1) / math.sqrt(n), b.std(ddof=1) / math.sqrt(n))
-    assert abs(a.mean() - b.mean()) < 3 * se
+    se = b.std(ddof=1) / math.sqrt(n)
+    assert abs(b.mean() - psd.autocovariance(lag * 32 * tau / 128)) < 3 * se
 
 
 # --------------------------------------------------------------------- #
@@ -196,6 +132,18 @@ def test_sources_are_reproducible_and_stream_independent():
     c = src.increments_block(123, [6, 4], 50, 0.01)
     np.testing.assert_array_equal(c[0], a[2])
     np.testing.assert_array_equal(c[1], a[0])
+
+
+def test_ou_source_is_dt_times_the_ou_step_recursion():
+    c, tau, dt, n_steps = 2.0, 0.5, 0.03, 40
+    block = OUSource(c, tau).increments_block(5, [0, 3], n_steps, dt)
+    for row, idx in zip(block, (0, 3)):
+        u = trajectory_rng(5, idx).standard_normal(n_steps + 1)
+        eta, expected = math.sqrt(0.5 * c * tau) * u[0], []
+        for i in range(n_steps):
+            expected.append(dt * eta)
+            eta = ou_step(eta, dt, tau, c, u[i + 1])
+        np.testing.assert_allclose(row, expected, rtol=1e-14, atol=0)
 
 
 def test_constant_and_zero_sources():

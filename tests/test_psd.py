@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gatenoise.errors import ValidationError
-from gatenoise.psd import TWO_PI, NoisePsd, total_power
+from gatenoise.psd import TWO_PI, NoisePsd
+from oracles import total_power
 
 
 def test_ou_eval_zero_frequency():

@@ -9,7 +9,6 @@ from gatenoise.channels import (
     chi_full,
     drive_unitary,
     gate_fidelity_matrix,
-    kraus_to_chi,
 )
 from gatenoise.errors import DegenerateDataError, FitError, TuningWarning, ValidationError
 from gatenoise.filters import IntegralPoint
@@ -34,6 +33,7 @@ from gatenoise.tomography import (
     rb_simulate,
     sample_shots,
 )
+from oracles import kraus_to_chi
 
 SETUP = default_setup()
 CHI_ID = np.diag([1.0, 0, 0, 0]).astype(complex)
