@@ -259,11 +259,6 @@ def _pauli_images(channel):
     return apply_kraus(channel, PAULIS)
 
 
-def ptm(channel):
-    """Pauli transfer matrix R_ab = (1/2) tr[s_a E(s_b)] (affine row included)."""
-    return 0.5 * np.einsum("aij,bji->ab", PAULIS, _pauli_images(channel)).real
-
-
 # --------------------------------------------------------------------- #
 # fidelities and errors
 

@@ -73,7 +73,6 @@ _SCHEMA = {
     "drive.omega_rad_s":          ("number", "> 0", "required"),
     "drive.t_max_s":              ("number", "> 0", "required"),
     "drive.n_times":              ("integer", ">= 1", 40),
-    "drive.phi_rad":              ("number", None, 0.0),
     "noise.psd":                  ("psd", ("ou", "tabulated"), "required"),
     "noise.amplitude_psd":        ("psd", ("ou", "tabulated"), None),
     "simulation.seed":            ("integer", ">= 0", "required"),
@@ -117,9 +116,6 @@ def load_config(path, seed_override=None):
     if seed_override is not None and isinstance(cfg.get("simulation", {}), dict):
         cfg["simulation"] = {**cfg.get("simulation", {}), "seed": seed_override}
     resolved = {s: _resolve(cfg.get(s, {}), s, s, s, given=s in cfg) for s in sections}
-    if resolved["drive"]["phi_rad"] != 0.0:
-        raise ValidationError("drive.phi_rad is not supported: every model and the "
-                              "simulator drive about x (phase 0)")
     sweep = resolved["omega_sweep"]
     if sweep and not 0 < sweep["omega_min"] <= sweep["omega_max"]:
         raise ValidationError("omega_sweep needs 0 < omega_min <= omega_max")
@@ -396,7 +392,7 @@ def cmd_validate(args):
     psd, amp_psd = build_psds(cfg)
     n_haar = cfg["validation"]["n_haar"]
     grid, infidelity = run_validation(cfg, psd, amp_psd, n_haar=n_haar,
-                                      n_workers=max(args.threads, 1),
+                                      n_workers=args.threads,
                                       out_dir=out_dir)
 
     models = list(infidelity)
@@ -568,6 +564,8 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "threads", 1) < 1:
+            raise ValidationError(f"--threads must be >= 1, got {args.threads}")
         return args.func(args)
     except ValidationError as exc:
         print(f"validation error: {exc}", file=sys.stderr)

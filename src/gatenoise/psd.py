@@ -105,38 +105,48 @@ class NoisePsd:
         the sidecar declares ``units`` ("hz_one_sided" or "rad_s_two_sided"),
         plateau levels and optional ``excluded_bands``, all in file units.
         """
-        sidecar = json.loads(Path(sidecar_path).read_text())
+        try:
+            sidecar = json.loads(Path(sidecar_path).read_text())
+        except (OSError, ValueError) as exc:
+            raise ValidationError(f"cannot read PSD sidecar {sidecar_path}: {exc}") from None
+        try:
+            with open(csv_path, newline="") as fh:
+                header, *rows = list(csv.reader(fh)) or [[]]
+        except (OSError, ValueError, csv.Error) as exc:
+            raise ValidationError(f"cannot read PSD file {csv_path}: {exc}") from None
+        if not isinstance(sidecar, dict):
+            raise ValidationError(f"PSD sidecar {sidecar_path} must be a JSON object")
         for key in ("units", "low_plateau", "high_plateau"):
             if key not in sidecar:
                 raise ValidationError(f"PSD sidecar is missing required field {key!r}")
         units = sidecar["units"]
         if units not in ("hz_one_sided", "rad_s_two_sided"):
             raise ValidationError(f"unknown PSD units {units!r}")
+        if len(header) < 2:
+            raise ValidationError(f"PSD file {csv_path} needs two columns")
         freqs, dens = [], []
-        with open(csv_path, newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader)
-            if len(header) < 2:
-                raise ValidationError(f"PSD file {csv_path} needs two columns")
-            for row in reader:
-                if not row or not row[0].strip():
-                    continue
+        for row in rows:
+            if not row or not row[0].strip():
+                continue
+            try:
                 freqs.append(float(row[0]))
                 dens.append(float(row[1]))
+            except (ValueError, IndexError):
+                raise ValidationError(f"PSD file {csv_path}: unparsable row {row!r}") from None
+        try:
+            lo_p, hi_p = float(sidecar["low_plateau"]), float(sidecar["high_plateau"])
+            bands = [(float(lo), float(hi)) for lo, hi in sidecar.get("excluded_bands", [])]
+        except (TypeError, ValueError):
+            raise ValidationError(f"PSD sidecar {sidecar_path}: plateaus must be numbers and "
+                                  "excluded_bands a list of [lo, hi] pairs") from None
         freqs = np.asarray(freqs)
         dens = np.asarray(dens)
         if freqs.size and not np.all(np.diff(freqs) > 0):
             raise ValidationError(f"PSD file {csv_path} frequencies are not strictly increasing")
-        bands = sidecar.get("excluded_bands", [])
         if units == "hz_one_sided":
-            freqs = TWO_PI * freqs
-            dens = dens / 2.0
-            lo_p = sidecar["low_plateau"] / 2.0
-            hi_p = sidecar["high_plateau"] / 2.0
+            freqs, dens = TWO_PI * freqs, dens / 2.0
+            lo_p, hi_p = lo_p / 2.0, hi_p / 2.0
             bands = [(TWO_PI * lo, TWO_PI * hi) for lo, hi in bands]
-        else:
-            lo_p = sidecar["low_plateau"]
-            hi_p = sidecar["high_plateau"]
         return cls.tabulated(freqs, dens, lo_p, hi_p, bands)
 
     def to_files(self, csv_path, sidecar_path):

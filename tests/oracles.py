@@ -9,7 +9,7 @@ import math
 import numpy as np
 
 from gatenoise._quadrature import adaptive_gk
-from gatenoise.channels import PAULIS, KrausSet, ProcessMatrix
+from gatenoise.channels import PAULIS, KrausSet, ProcessMatrix, apply_chi, apply_kraus, pauli_chi
 from gatenoise.errors import ValidationError
 
 
@@ -64,6 +64,55 @@ def kraus_to_chi(kraus, t=0.0):
     ops = np.asarray(kraus.ops if isinstance(kraus, KrausSet) else kraus)
     coeff = 0.5 * np.einsum("aij,nji->an", PAULIS, ops)
     return ProcessMatrix(coeff @ coeff.conj().T, t)
+
+
+def ptm(channel):
+    """Pauli transfer matrix R_ab = (1/2) tr[s_a E(s_b)] (affine row included).
+
+    ``channel`` is a ProcessMatrix / raw chi array / KrausSet / list of
+    Kraus operators.
+    """
+    if isinstance(channel, (ProcessMatrix, np.ndarray)):
+        images = apply_chi(channel, PAULIS)
+    else:
+        images = apply_kraus(channel, PAULIS)
+    return 0.5 * np.einsum("aij,bji->ab", PAULIS, images).real
+
+
+def pulse_unitaries():
+    """+90 and -90 degree pulses about x, then y: exp(-i (angle/2) sigma)."""
+    half = 0.25 * math.pi
+    return [math.cos(half) * PAULIS[0] - 1j * sign * math.sin(half) * PAULIS[axis]
+            for axis in (1, 2) for sign in (1.0, -1.0)]
+
+
+def rb_survival_loop(rates, sequences, words):
+    """Survival of |0> for each Clifford sequence plus its inversion gate,
+    one sequence at a time on 4x4 Pauli transfer matrices.
+
+    Clifford c is the pulse word ``words[c]``; the Pauli channel ``rates``
+    follows every pulse.  The ideal product is an explicit PTM product and
+    the inversion gate is found by trying every Clifford.
+    """
+    pulses = [ptm(KrausSet([U])) for U in pulse_unitaries()]
+    noise = ptm(pauli_chi(rates))
+    noisy, ideal = [], []
+    for word in words:
+        R, I = np.eye(4), np.eye(4)
+        for g in word:
+            R, I = noise @ pulses[g] @ R, pulses[g] @ I
+        noisy.append(R)
+        ideal.append(I)
+    survival = []
+    for seq in sequences:
+        state, total = np.array([1.0, 0.0, 0.0, 1.0]), np.eye(4)
+        for idx in seq:
+            state, total = noisy[idx] @ state, ideal[idx] @ total
+        inv = next(j for j in range(len(words))
+                   if np.abs(ideal[j] @ total - np.eye(4)).max() < 1e-9)
+        state = noisy[inv] @ state
+        survival.append(min(max(0.5 * (state[0] + state[3]), 0.0), 1.0))
+    return np.array(survival)
 
 
 class ConstantSource:

@@ -25,7 +25,6 @@ from gatenoise.channels import (
     pauli_chi,
     pauli_left_matrix,
     pauli_twirl,
-    ptm,
     rho_to_bloch,
     rotate_to_lab,
     state_fidelity,
@@ -33,7 +32,7 @@ from gatenoise.channels import (
 from gatenoise.errors import CPViolationError, NumericalError, ValidationError
 from gatenoise.filters import IntegralPoint, ZERO_POINT, ou_filtered_integrals, ou_kernels
 from gatenoise.psd import NoisePsd
-from oracles import kraus_to_chi
+from oracles import kraus_to_chi, ptm
 
 RHO0 = np.array([[1, 0], [0, 0]], dtype=complex)
 RHOP = 0.5 * np.ones((2, 2), dtype=complex)

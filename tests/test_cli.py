@@ -357,6 +357,42 @@ def test_counts_file_with_malformed_time_exits_2(tmp_path, capsys):
     assert "validation error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["predict", "validate", "tomography", "rb"])
+@pytest.mark.parametrize("threads", [0, -3])
+def test_threads_below_one_rejected(tmp_path, capsys, command, threads):
+    cfg_path = tmp_path / "cfg.json"
+    write_config(cfg_path)
+    assert main([command, "--config", str(cfg_path), "--out", str(tmp_path / "out"),
+                 "--threads", str(threads)]) == 2
+    assert "--threads" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+GOOD_SIDECAR = json.dumps({"units": "hz_one_sided", "low_plateau": 1.0, "high_plateau": 0.1})
+
+
+@pytest.mark.parametrize("csv_text, sidecar_text, bad", [
+    (None, GOOD_SIDECAR, "raw.csv"),
+    ("f,s\n10.0,1.0\n20.0,0.5\n", None, "raw.json"),
+    ("f,s\n10.0,1.0\n20.0,abc\n", GOOD_SIDECAR, "raw.csv"),
+    ("f,s\n10.0,1.0\n20.0\n", GOOD_SIDECAR, "raw.csv"),
+    ("f,s\n10.0,1.0\n20.0,0.5\n", "units: hz_one_sided", "raw.json"),
+    ("f,s\n10.0,1.0\n20.0,0.5\n", GOOD_SIDECAR.replace("1.0", '"high"'), "raw.json"),
+    ("f,s\n10.0,1.0\n20.0,0.5\n", GOOD_SIDECAR[:-1] + ', "excluded_bands": [5]}',
+     "raw.json"),
+], ids=["missing-csv", "missing-sidecar", "non-numeric-cell", "one-field-row",
+        "sidecar-not-json", "non-numeric-plateau", "band-not-a-pair"])
+def test_ingest_psd_malformed_input_exits_2(tmp_path, capsys, csv_text, sidecar_text, bad):
+    raw, sidecar = tmp_path / "raw.csv", tmp_path / "raw.json"
+    if csv_text is not None:
+        raw.write_text(csv_text)
+    if sidecar_text is not None:
+        sidecar.write_text(sidecar_text)
+    assert main(["ingest-psd", str(raw), str(sidecar), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "validation error" in err and bad in err
+
+
 def test_rb_command(tmp_path):
     cfg_path = tmp_path / "cfg.json"
     write_config(cfg_path)
@@ -364,7 +400,9 @@ def test_rb_command(tmp_path):
     assert main(["rb", "--config", str(cfg_path), "--out", str(out)]) == 0
     fit = json.loads((out / "rb_fit.json").read_text())
     assert 0.0 <= fit["lambda"] <= 1.0
-    assert (out / "rb_decay.csv").exists()
+    assert main(["rb", "--config", str(cfg_path), "--out", str(tmp_path / "rb2")]) == 0
+    for name in ("rb_decay.csv", "rb_fit.json"):
+        assert (out / name).read_bytes() == (tmp_path / "rb2" / name).read_bytes()
 
 
 def test_ingest_psd_continuity_and_roundtrip(tmp_path):

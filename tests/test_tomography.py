@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from gatenoise.channels import (
+    KrausSet,
     PauliRates,
     avg_gate_fidelity,
     chi_full,
@@ -18,6 +19,7 @@ from gatenoise.tomography import (
     average_pulses_per_clifford,
     born_probs,
     chi_from_ell,
+    clifford_group,
     clifford_table,
     counts_from_csv,
     counts_to_csv,
@@ -30,10 +32,12 @@ from gatenoise.tomography import (
     log_likelihood,
     mh_chain,
     mle_fit,
+    noisy_clifford_maps,
     rb_simulate,
+    rb_survival,
     sample_shots,
 )
-from oracles import kraus_to_chi
+from oracles import kraus_to_chi, ptm, pulse_unitaries, rb_survival_loop
 
 SETUP = default_setup()
 CHI_ID = np.diag([1.0, 0, 0, 0]).astype(complex)
@@ -435,14 +439,31 @@ def test_clifford_table_properties():
     table = clifford_table()
     assert len(table) == 24
     assert 1.8 < average_pulses_per_clifford() < 2.4
-    # words reproduce their unitaries
-    from gatenoise.tomography import _GEN_ANGLES, _rotation
-    gens = [_rotation(axis, ang) for axis, ang in _GEN_ANGLES]
-    for U, word in table:
-        V = np.eye(2, dtype=complex)
+    rotations = np.array([R for R, _ in table])
+    assert len({R.tobytes() for R in rotations}) == 24
+    assert np.array_equal(rotations[0], np.eye(3))
+    for R, word in table:
+        # the word's pulse product is a unitary whose PTM is the rotation
+        U = np.eye(2, dtype=complex)
         for g in word:
-            V = gens[g] @ V
-        assert abs(abs(np.trace(U.conj().T @ V)) - 2.0) < 1e-9
+            U = pulse_unitaries()[g] @ U
+        np.testing.assert_allclose(ptm(KrausSet([U]))[1:, 1:], R, atol=1e-12)
+    compose, inverse = clifford_group()
+    assert sorted(set(compose.ravel())) == list(range(24))
+    for a in range(24):
+        assert compose[a, 0] == compose[0, a] == a
+        assert compose[a, inverse[a]] == compose[inverse[a], a] == 0
+        for b in range(24):
+            assert np.array_equal(rotations[compose[a, b]], rotations[a] @ rotations[b])
+
+
+@pytest.mark.parametrize("length", [1, 2, 7, 33])
+def test_rb_batched_propagation_matches_per_sequence_oracle(length):
+    rates = PauliRates(4e-3, 8e-3, 2e-3)
+    sequences = np.random.default_rng(length).integers(0, 24, size=(12, length))
+    words = [w for _, w in clifford_table()]
+    np.testing.assert_allclose(rb_survival(noisy_clifford_maps(rates), sequences),
+                               rb_survival_loop(rates, sequences, words), rtol=0, atol=1e-12)
 
 
 def test_rb_noiseless_survival():
@@ -490,7 +511,7 @@ def test_rb_pauli_channel_matches_bloch_prediction():
 
 
 def test_chi_full_is_rotation_composed_with_comoving_map():
-    from gatenoise.channels import chi_nm, ptm
+    from gatenoise.channels import chi_nm
     from gatenoise.filters import ou_filtered_integrals
 
     rng = np.random.default_rng(21)
