@@ -84,7 +84,7 @@ _SCHEMA = {
     "tomography.chain_steps":     ("integer", ">= 1", 100000),
     "tomography.proposal_width":  ("number", "> 0", 0.02),
     "tomography.run_chain":       ("boolean", None, False),
-    "rb.n_seq":                   ("integer", ">= 1", 100),
+    "rb.n_seq":                   ("integer", ">= 2", 100),
     "rb.shots":                   ("integer", ">= 1", 100),
     "rb.max_length":              ("integer", ">= 2", 1024),
     "outputs.dir":                ("string", None, "required"),
@@ -424,9 +424,9 @@ def cmd_tomography(args):
 
     if args.counts:
         records = counts_from_csv(args.counts)
-        for rec in records:
+        chis, _ = mle_fit(records, setup, seed=seed)
+        for rec, chi_hat in zip(records, chis):
             target = drive_unitary(Omega, rec.t)
-            chi_hat, _ = mle_fit(rec, setup, seed=seed)
             entry = {
                 "t": rec.t,
                 "mle_chi": chi_hat.matrix,
@@ -440,27 +440,30 @@ def cmd_tomography(args):
         fi = filtered_integrals(psd, Omega, times, amp_psd=amp_psd)
         with_amp = amp_psd is not None
         rng = np.random.default_rng(seed)
+        n_rep = tomo["repetitions"]
+        chis_true, records, chain_records = [], [], []
         for i, t in enumerate(times):
-            point = fi.at(i)
-            chi_true = chi_full(point, Omega, t, with_amplitude=with_amp)
+            chi_true = chi_full(fi.at(i), Omega, t, with_amplitude=with_amp)
             probs = born_probs(chi_true, setup)
+            chis_true.append(chi_true)
+            records += [sample_shots(probs, tomo["shots_per_basis"], rng, t=t)
+                        for _ in range(n_rep)]
+            if tomo["run_chain"]:
+                chain_records.append(sample_shots(probs, tomo["shots_per_basis"], rng, t=t))
+        chis, _ = mle_fit(records, setup, n_starts=2, seed=seed)
+        for i, t in enumerate(times):
             target = drive_unitary(Omega, t)
-            errors = []
-            for _ in range(tomo["repetitions"]):
-                rec = sample_shots(probs, tomo["shots_per_basis"], rng, t=t)
-                chi_hat, _ = mle_fit(rec, setup, n_starts=2, seed=seed)
-                errors.append(1.0 - avg_gate_fidelity(chi_hat, target))
-            errors = np.sort(np.asarray(errors))
+            errors = np.sort([1.0 - avg_gate_fidelity(chi_hat, target)
+                              for chi_hat in chis[i * n_rep:(i + 1) * n_rep]])
             entry = {
                 "t": t,
-                "true_gate_error": 1.0 - avg_gate_fidelity(chi_true, target),
+                "true_gate_error": 1.0 - avg_gate_fidelity(chis_true[i], target),
                 "mle_mean": float(errors.mean()),
                 "mle_quantiles": [float(np.percentile(errors, 2.5)),
                                   float(np.percentile(errors, 97.5))],
             }
             if tomo["run_chain"]:
-                rec = sample_shots(probs, tomo["shots_per_basis"], rng, t=t)
-                entry["mh"] = _posterior_summary(rec, setup, tomo, seed, target)
+                entry["mh"] = _posterior_summary(chain_records[i], setup, tomo, seed, target)
             results.append(entry)
 
     (out_dir / "tomography.json").write_text(
@@ -510,7 +513,6 @@ def cmd_rb(args):
         "lambda": result.lam,
         "eps_rb": result.eps_rb,
         "eps_rb_per_pulse": result.eps_rb_per_pulse,
-        "alt_fidelity_estimate": result.alt_fidelity_estimate,
         "avg_pulses_per_clifford": result.avg_pulses,
         "analytic_eps_nm_pi_pulse": gate_error(point, "NM"),
     }

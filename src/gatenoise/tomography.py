@@ -8,9 +8,11 @@ to trace-normalized positive matrices through a 6-parameter block Cholesky
 factor ell.  On that manifold every Born probability is a quadratic form,
 ``p = ell^T Q ell / |ell|^2``, with the (4, 3, 2, 6, 6) tensor Q built once
 per setup; one pair-normalized likelihood of p serves both the
-maximum-likelihood fit (with its closed-form gradient) and a
-Metropolis-Hastings sampler.  The sampler walks the whole unit sphere with
-a symmetric proposal, so it has no truncation and no Hastings term, and
+maximum-likelihood fit and a Metropolis-Hastings sampler.  The fit moves
+every start of every snapshot as one stack of unit vectors through a damped
+Newton ascent on the sphere, with the closed-form gradient and Hessian of
+the quadratic forms.  The sampler walks the whole unit sphere with a
+symmetric proposal, so it has no truncation and no Hastings term, and
 yields confidence regions for gate errors, themselves quadratic forms in
 ell.  Randomized benchmarking is index arithmetic on one exact table of
 the 24 Cliffords as signed-permutation Bloch rotations; all sequences of
@@ -25,7 +27,7 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import curve_fit, minimize
+from scipy.optimize import curve_fit
 
 from .channels import PAULIS, ProcessMatrix, gate_fidelity_matrix
 from .errors import DegenerateDataError, FitError, TuningWarning, ValidationError
@@ -316,56 +318,161 @@ def _born_terms(ell, setup):
     return q_ell, q_ell @ ell
 
 
-def _loglik_and_grad(ell, counts, setup):
-    """Log-likelihood at ``ell`` (any nonzero norm) and its gradient in ell.
-
-    With p = ell^T Q ell / |ell|^2, dp/dell = 2 Q ell / |ell|^2 - 2 p ell / |ell|^2.
-    """
-    ell = np.asarray(ell, dtype=float)
-    q_ell, probs = _born_terms(ell, setup)
-    logl, weight = log_likelihood(probs, counts, grad=True)
-    grad = 2.0 * (weight.ravel() @ q_ell.reshape(-1, N_PARAMS)
-                  - float(weight.ravel() @ probs.ravel()) * ell / (ell @ ell))
-    return logl, grad
-
-
 def check_counts(counts):
     if np.any(counts.shots <= 0):
         raise DegenerateDataError("every (state, basis) pair needs at least one shot")
 
 
-def mle_fit(counts, setup=None, *, n_starts=8, gtol=1e-9, seed=0):
-    """Maximum-likelihood snapshot on the block-Cholesky manifold.
+MLE_MAX_ITER = 200   # damped Newton iterations before a fit is reported
+MLE_TOL = 1e-15      # Newton decrement g^T |H|^-1 g per recorded count at convergence
 
-    Minimizes the negative rescaled log-likelihood with a bounded
-    quasi-Newton optimizer and ``n_starts`` restarts (identity-channel
-    start plus random positive draws).  Returns (ProcessMatrix, ell).
+
+def _mle_starts(n_fits, n_starts, seed):
+    """(n_fits, n_starts, 6) unit starts: the identity channel, then random
+    draws with positive diagonals, fit k's from ``default_rng([seed, k])``."""
+    starts = np.empty((n_fits, n_starts, N_PARAMS))
+    starts[:, 0] = [1.0, 0.0, 1e-3, 1e-3, 0.0, 1e-3]
+    for k in range(n_fits):
+        rng = np.random.default_rng([seed, k])
+        draws = rng.uniform(-0.5, 0.5, (n_starts - 1, N_PARAMS))
+        draws[:, _DIAG_IDX] = rng.uniform(0.05, 1.0, (n_starts - 1, len(_DIAG_IDX)))
+        starts[k, 1:] = draws
+    return starts / np.linalg.norm(starts, axis=2, keepdims=True)
+
+
+def _stack_terms(ell, counts, shots, q_mat):
+    """Born terms and floored log-likelihood of a (N, 6) stack of unit vectors.
+
+    ``counts`` is (N, 24) and ``shots`` (N, 12), in :func:`log_likelihood`'s
+    (state, basis, outcome) order, and ``q_mat`` is the (6, 144) matrix of
+    the 24 forms.  Returns (log-likelihood (N,), Q ell (N, 24, 6), p (N, 24)).
+    """
+    q_ell = (ell @ q_mat).reshape(len(ell), -1, N_PARAMS)
+    probs = np.einsum("nik,nk->ni", q_ell, ell)
+    p = np.maximum(probs, PROB_FLOOR)
+    pair = np.maximum(p.reshape(len(ell), -1, 2).sum(axis=2), PAIR_FLOOR)
+    logl = np.einsum("ni,ni->n", counts, np.log(p)) - np.einsum("ni,ni->n", shots, np.log(pair))
+    return logl, q_ell, probs
+
+
+def _tangent_newton(ell, q_ell, probs, counts, shots, q_flat):
+    """Tangent gradient (N, 6) and Riemannian Hessian (N, 6, 6) of the
+    log-likelihood on the unit sphere.
+
+    With u_i = 2 (Q_i ell - p_i ell) the tangent gradient of p_i and
+    w_i = dlogL/dp_i, the gradient is sum_i w_i u_i and the Hessian is
+    P (2 sum_i w_i Q_i - 2 (w.p) I) P, P = I - ell ell^T, plus
+    sum_ij d2logL/dp_i dp_j u_i u_j^T: -c_i / p_i^2 on the diagonal and
+    n / pair^2 within each (+, -) pair, at :func:`log_likelihood`'s floors.
+    """
+    n_rows = len(ell)
+    p = np.maximum(probs, PROB_FLOOR)
+    pair = np.maximum(p.reshape(n_rows, -1, 2).sum(axis=2), PAIR_FLOOR)
+    w = counts / p - np.repeat(shots / pair, 2, axis=1)
+    u = 2.0 * (q_ell - probs[:, :, None] * ell[:, None, :])
+    v = u.reshape(n_rows, -1, 2, N_PARAMS).sum(axis=2)
+    proj = np.eye(N_PARAMS) - ell[:, :, None] * ell[:, None, :]
+    curv = (w @ q_flat).reshape(n_rows, N_PARAMS, N_PARAMS)
+    curv -= np.einsum("ni,ni->n", w, probs)[:, None, None] * np.eye(N_PARAMS)
+    hess = 2.0 * proj @ curv @ proj
+    hess -= np.swapaxes(u * (counts / p**2)[:, :, None], 1, 2) @ u
+    hess += np.swapaxes(v * (shots / pair**2)[:, :, None], 1, 2) @ v
+    return np.einsum("ni,nik->nk", w, u), hess
+
+
+def _ascend(ell, counts, shots, setup):
+    """Damped Newton ascent of a (N, 6) stack of unit starts on S^5.
+
+    Each row steps by (H+ + mu I)^-1 g in the eigenbasis of minus its
+    Riemannian Hessian, with H+ those eigenvalues clipped at zero, and is
+    renormalized; a step is kept only if the log-likelihood does not fall,
+    and mu follows Nielsen's gain-ratio update.  A row freezes once its
+    Newton decrement g^T |H|^-1 g, about twice the log-likelihood still to
+    gain, is at most ``MLE_TOL`` times its total counts.  Returns (ell,
+    log-likelihood, decrement), each per row.
+    """
+    q_flat = setup.q_forms.reshape(-1, N_PARAMS * N_PARAMS)
+    q_mat = setup.q_forms.reshape(-1, N_PARAMS).T
+    out_ell = np.array(ell, dtype=float)
+    out_logl, out_dec = np.empty(len(out_ell)), np.empty(len(out_ell))
+    rows = np.arange(len(out_ell))
+    ell, scale = out_ell.copy(), counts.sum(axis=1)
+    logl, q_ell, probs = _stack_terms(ell, counts, shots, q_mat)
+    mu, nu = scale.copy(), np.full(len(ell), 2.0)  # first steps: short gradient steps
+    for _ in range(MLE_MAX_ITER):
+        grad, hess = _tangent_newton(ell, q_ell, probs, counts, shots, q_flat)
+        # the normal direction gets the total counts as curvature, so it takes no step
+        lam, vec = np.linalg.eigh(scale[:, None, None] * ell[:, :, None] * ell[:, None, :] - hess)
+        grad = np.einsum("nkj,nk->nj", vec, grad)
+        dec = np.einsum("nj,nj->n", grad, grad / np.abs(lam))
+        done = dec <= MLE_TOL * scale
+        if done.any():
+            out_ell[rows[done]], out_logl[rows[done]], out_dec[rows[done]] = (
+                ell[done], logl[done], dec[done])
+            keep = ~done
+            (rows, ell, logl, dec, q_ell, probs, counts, shots, scale, mu, nu, lam, vec, grad) = (
+                x[keep] for x in (rows, ell, logl, dec, q_ell, probs, counts, shots, scale, mu,
+                                  nu, lam, vec, grad))
+            if rows.size == 0:
+                break
+        lam = np.maximum(lam, 0.0)
+        coef = grad / (lam + mu[:, None])
+        trial = ell + np.einsum("nkj,nj->nk", vec, coef)
+        trial /= np.linalg.norm(trial, axis=1, keepdims=True)
+        trial_logl, trial_q, trial_p = _stack_terms(trial, counts, shots, q_mat)
+        # gain ratio against the damped quadratic model
+        rho = (trial_logl - logl) / np.einsum("nj,nj->n", coef, grad - 0.5 * lam * coef)
+        up = trial_logl >= logl
+        ell = np.where(up[:, None], trial, ell)
+        q_ell = np.where(up[:, None, None], trial_q, q_ell)
+        probs = np.where(up[:, None], trial_p, probs)
+        logl = np.where(up, trial_logl, logl)
+        shrink = np.maximum(1.0 / 3.0, 1.0 - (2.0 * np.minimum(rho, 1.0) - 1.0) ** 3)
+        mu = np.where(up, mu * shrink, mu * nu)
+        nu = np.where(up, 2.0, 2.0 * nu)
+    out_ell[rows], out_logl[rows], out_dec[rows] = ell, logl, dec
+    return out_ell, out_logl, out_dec
+
+
+def mle_fit(counts, setup=None, *, n_starts=8, seed=0):
+    """Maximum-likelihood snapshots on the block-Cholesky manifold.
+
+    ``counts`` is one :class:`CountRecord` or a sequence of them; every fit
+    of a call moves as one stack of unit vectors through a damped Newton
+    ascent on the sphere S^5 (:func:`_ascend`), from ``n_starts`` starts
+    per fit: the identity channel plus random draws, fit k's from
+    ``default_rng([seed, k])``.  The sphere has no edge and the column signs
+    of L are a gauge fixed by :func:`fold_ell`, so no bounds are needed.
+    A :class:`TuningWarning` counts the fits whose best start stopped at
+    ``MLE_MAX_ITER`` iterations short of the tolerance, with the largest
+    Newton decrement left.  One record returns (ProcessMatrix, ell); a
+    sequence returns the list of ProcessMatrix and the (n, 6) ell stack.
     """
     setup = setup or default_setup()
-    check_counts(counts)
-    rng = np.random.default_rng(seed)
-    scale = float(counts.counts.sum()) or 1.0
-
-    def cost(ell):
-        logl, grad = _loglik_and_grad(ell, counts, setup)
-        return -logl / scale, -grad / scale
-
-    bounds = [(1e-9, 1.0) if k in _DIAG_IDX else (-1.0, 1.0) for k in range(N_PARAMS)]
-    starts = [np.array([1.0, 0.0, 1e-3, 1e-3, 0.0, 1e-3])]
-    while len(starts) < n_starts:
-        ell = rng.uniform(-0.5, 0.5, N_PARAMS)
-        ell[list(_DIAG_IDX)] = rng.uniform(0.05, 1.0, 4)
-        starts.append(ell)
-
-    best = None
-    for x0 in starts:
-        x0 = x0 / np.linalg.norm(x0)
-        res = minimize(cost, x0, jac=True, method="L-BFGS-B", bounds=bounds,
-                       options={"maxiter": 2000, "ftol": 1e-15, "gtol": gtol})
-        if best is None or res.fun < best.fun:
-            best = res
-    ell = best.x / np.linalg.norm(best.x)
-    return ProcessMatrix(chi_from_ell(ell), counts.t), ell
+    single = isinstance(counts, CountRecord)
+    records = [counts] if single else list(counts)
+    for rec in records:
+        check_counts(rec)
+    n_fits = len(records)
+    starts = _mle_starts(n_fits, n_starts, seed).reshape(-1, N_PARAMS)
+    fit_of_row = np.repeat(np.arange(n_fits), n_starts)
+    rec_counts = np.stack([rec.counts.reshape(-1) for rec in records]).astype(float)
+    rec_shots = np.stack([rec.shots.reshape(-1) for rec in records]).astype(float)
+    ell, logl, dec = _ascend(starts, rec_counts[fit_of_row], rec_shots[fit_of_row], setup)
+    best = np.argmax(logl.reshape(n_fits, n_starts), axis=1) + n_starts * np.arange(n_fits)
+    stalled = dec[best] > MLE_TOL * rec_counts.sum(axis=1)
+    if stalled.any():
+        warnings.warn(
+            f"{np.count_nonzero(stalled)} of {n_fits} MLE fits stopped after {MLE_MAX_ITER} "
+            f"iterations short of the tolerance (largest Newton decrement "
+            f"{dec[best][stalled].max():.1e})",
+            TuningWarning,
+        )
+    ells = fold_ell(ell[best])
+    chis = [ProcessMatrix(chi_from_ell(e), rec.t) for e, rec in zip(ells, records)]
+    if single:
+        return chis[0], ells[0]
+    return chis, ells
 
 
 # --------------------------------------------------------------------- #
@@ -558,7 +665,6 @@ class RBResult:
     lam: float
     eps_rb: float
     eps_rb_per_pulse: float
-    alt_fidelity_estimate: float
     avg_pulses: float
 
 
@@ -607,10 +713,7 @@ def rb_simulate(pulse_channel, *, lengths=None, n_seq=100, shots=100, seed=0):
     ``shots`` repetitions in one draw and fitted to ``A * lam**N + B``.
 
     Returns an :class:`RBResult` carrying the decay ``lam``, the standard
-    average Clifford infidelity ``(1 - lam)/2``, its per-pulse proxy, and
-    the alternative combination ``4(d-1) lam / (3d) + 1/d`` that some
-    benchmarking reports quote, so either reading of the number can be
-    reproduced.
+    average Clifford infidelity ``(1 - lam)/2`` and its per-pulse proxy.
     """
     if lengths is None:
         lengths = [2**k for k in range(1, 11)]
@@ -625,8 +728,7 @@ def rb_simulate(pulse_channel, *, lengths=None, n_seq=100, shots=100, seed=0):
     avg_pulses = average_pulses_per_clifford()
     eps_rb = 0.5 * (1.0 - lam)
     return RBResult(lengths=lengths, survival_mean=mean, survival_se=se, lam=lam,
-                    eps_rb=eps_rb, eps_rb_per_pulse=eps_rb / avg_pulses,
-                    alt_fidelity_estimate=4.0 * lam / 6.0 + 0.5, avg_pulses=avg_pulses)
+                    eps_rb=eps_rb, eps_rb_per_pulse=eps_rb / avg_pulses, avg_pulses=avg_pulses)
 
 
 def depolarizing_rb_lambda(p):

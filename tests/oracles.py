@@ -7,10 +7,20 @@ compare the package against; no pipeline calls them.
 import math
 
 import numpy as np
+from scipy.optimize import minimize
 
 from gatenoise._quadrature import adaptive_gk
 from gatenoise.channels import PAULIS, KrausSet, ProcessMatrix, apply_chi, apply_kraus, pauli_chi
 from gatenoise.errors import ValidationError
+from gatenoise.tomography import (
+    _DIAG_IDX,
+    N_PARAMS,
+    _born_terms,
+    check_counts,
+    chi_from_ell,
+    default_setup,
+    log_likelihood,
+)
 
 
 def ou_step(eta, dt, tau_c, c, u):
@@ -123,3 +133,50 @@ class ConstantSource:
 
     def increments_block(self, seed, indices, n_steps, dt):
         return np.full((len(indices), n_steps), self.value * dt)
+
+
+def loglik_and_grad(ell, counts, setup):
+    """Log-likelihood at ``ell`` (any nonzero norm) and its Euclidean gradient.
+
+    With p = ell^T Q ell / |ell|^2, dp/dell = 2 Q ell / |ell|^2 - 2 p ell / |ell|^2.
+    """
+    ell = np.asarray(ell, dtype=float)
+    q_ell, probs = _born_terms(ell, setup)
+    logl, weight = log_likelihood(probs, counts, grad=True)
+    grad = 2.0 * (weight.ravel() @ q_ell.reshape(-1, N_PARAMS)
+                  - float(weight.ravel() @ probs.ravel()) * ell / (ell @ ell))
+    return logl, grad
+
+
+def mle_fit_lbfgsb(counts, setup=None, *, n_starts=8, gtol=1e-9, seed=0):
+    """Bounded L-BFGS-B maximum likelihood on the block-Cholesky vector.
+
+    Minimizes the negative log-likelihood per count from the identity-channel
+    start plus ``n_starts - 1`` random positive draws of one shared
+    ``default_rng(seed)``, one scipy run per start.  Returns (ProcessMatrix, ell).
+    """
+    setup = setup or default_setup()
+    check_counts(counts)
+    rng = np.random.default_rng(seed)
+    scale = float(counts.counts.sum()) or 1.0
+
+    def cost(ell):
+        logl, grad = loglik_and_grad(ell, counts, setup)
+        return -logl / scale, -grad / scale
+
+    bounds = [(1e-9, 1.0) if k in _DIAG_IDX else (-1.0, 1.0) for k in range(N_PARAMS)]
+    starts = [np.array([1.0, 0.0, 1e-3, 1e-3, 0.0, 1e-3])]
+    while len(starts) < n_starts:
+        ell = rng.uniform(-0.5, 0.5, N_PARAMS)
+        ell[list(_DIAG_IDX)] = rng.uniform(0.05, 1.0, 4)
+        starts.append(ell)
+
+    best = None
+    for x0 in starts:
+        x0 = x0 / np.linalg.norm(x0)
+        res = minimize(cost, x0, jac=True, method="L-BFGS-B", bounds=bounds,
+                       options={"maxiter": 2000, "ftol": 1e-15, "gtol": gtol})
+        if best is None or res.fun < best.fun:
+            best = res
+    ell = best.x / np.linalg.norm(best.x)
+    return ProcessMatrix(chi_from_ell(ell), counts.t), ell

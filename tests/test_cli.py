@@ -101,6 +101,7 @@ def test_unknown_key_in_known_section_rejected(tmp_path, capsys):
     ("predict", "drive.n_times", 2.5),
     ("rb", "rb.max_length", 1),
     ("rb", "rb.n_seq", 0),
+    ("rb", "rb.n_seq", 1),
     ("rb", "rb.shots", 0),
     ("predict", "drive.omega_rad_s", "4000"),
     ("predict", "drive.omega_rad_s", math.nan),
@@ -346,6 +347,26 @@ def test_tomography_chain_summary_and_byte_identical_reruns(tmp_path):
     assert 1.0 <= mh["effective_sample_size"] <= 2000 - 200
 
 
+def test_tomography_counts_reruns_are_byte_identical(tmp_path):
+    from gatenoise.tomography import born_probs, counts_to_csv, default_setup, sample_shots
+
+    cfg_path = tmp_path / "cfg.json"
+    write_config(cfg_path, **{"tomography.run_chain": True, "tomography.chain_steps": 400,
+                              "tomography.proposal_width": 0.1})
+    rng = np.random.default_rng(12)
+    probs = born_probs(np.diag([0.9, 0.05, 0.0, 0.05]).astype(complex), default_setup())
+    counts = tmp_path / "counts.csv"
+    counts_to_csv([sample_shots(probs, 50, rng, t=t) for t in (1e-4, 2e-4, 3e-4)], counts)
+    outs = [tmp_path / "a", tmp_path / "b"]
+    for out in outs:
+        assert main(["tomography", "--config", str(cfg_path), "--out", str(out),
+                     "--counts", str(counts)]) == 0
+    assert (outs[0] / "tomography.json").read_bytes() == (outs[1] / "tomography.json").read_bytes()
+    results = json.loads((outs[0] / "tomography.json").read_text())
+    assert [entry["t"] for entry in results] == [1e-4, 2e-4, 3e-4]
+    assert all("mh" in entry and entry["mle_gate_error"] >= 0.0 for entry in results)
+
+
 def test_counts_file_with_malformed_time_exits_2(tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
     write_config(cfg_path)
@@ -399,6 +420,8 @@ def test_rb_command(tmp_path):
     out = tmp_path / "rb"
     assert main(["rb", "--config", str(cfg_path), "--out", str(out)]) == 0
     fit = json.loads((out / "rb_fit.json").read_text())
+    assert set(fit) == {"lambda", "eps_rb", "eps_rb_per_pulse", "avg_pulses_per_clifford",
+                        "analytic_eps_nm_pi_pulse"}
     assert 0.0 <= fit["lambda"] <= 1.0
     assert main(["rb", "--config", str(cfg_path), "--out", str(tmp_path / "rb2")]) == 0
     for name in ("rb_decay.csv", "rb_fit.json"):

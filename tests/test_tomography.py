@@ -12,10 +12,15 @@ from gatenoise.channels import (
     gate_fidelity_matrix,
 )
 from gatenoise.errors import DegenerateDataError, FitError, TuningWarning, ValidationError
+from gatenoise import tomography
 from gatenoise.filters import IntegralPoint
 from gatenoise.tomography import (
     CountRecord,
     TomographySetup,
+    _ascend,
+    _mle_starts,
+    _stack_terms,
+    _tangent_newton,
     average_pulses_per_clifford,
     born_probs,
     chi_from_ell,
@@ -37,7 +42,14 @@ from gatenoise.tomography import (
     rb_survival,
     sample_shots,
 )
-from oracles import kraus_to_chi, ptm, pulse_unitaries, rb_survival_loop
+from oracles import (
+    kraus_to_chi,
+    loglik_and_grad,
+    mle_fit_lbfgsb,
+    ptm,
+    pulse_unitaries,
+    rb_survival_loop,
+)
 
 SETUP = default_setup()
 CHI_ID = np.diag([1.0, 0, 0, 0]).astype(complex)
@@ -182,16 +194,14 @@ def test_q_form_probabilities_match_born_matrices():
 
 
 def test_loglik_gradient_matches_central_differences():
-    from gatenoise.tomography import _loglik_and_grad
-
     rng = np.random.default_rng(22)
     rec = sample_shots(born_probs(chi_from_ell(random_manifold_ell(rng)), SETUP), 200, rng)
     for _ in range(5):
         ell = random_manifold_ell(rng, tp=False) * rng.uniform(0.5, 2.0)
-        _, grad = _loglik_and_grad(ell, rec, SETUP)
+        _, grad = loglik_and_grad(ell, rec, SETUP)
         h = 1e-6
-        fd = [(_loglik_and_grad(ell + h * e, rec, SETUP)[0]
-               - _loglik_and_grad(ell - h * e, rec, SETUP)[0]) / (2 * h) for e in np.eye(6)]
+        fd = [(loglik_and_grad(ell + h * e, rec, SETUP)[0]
+               - loglik_and_grad(ell - h * e, rec, SETUP)[0]) / (2 * h) for e in np.eye(6)]
         np.testing.assert_allclose(grad, fd, rtol=1e-6, atol=1e-5 * np.abs(grad).max())
 
 
@@ -281,16 +291,108 @@ def test_mle_identity_counts_small_n():
 
 def test_mle_likelihood_at_least_truth():
     # optimizer sanity: fitted likelihood >= likelihood of the true channel
-    from gatenoise.tomography import _loglik_and_grad
-
     rng = np.random.default_rng(8)
     ell = random_manifold_ell(rng)
     probs = born_probs(chi_from_ell(ell), SETUP)
     rec = sample_shots(probs, 500, rng)
     _, ell_hat = mle_fit(rec, SETUP, seed=1)
-    ll_hat, _ = _loglik_and_grad(ell_hat, rec, SETUP)
-    ll_true, _ = _loglik_and_grad(ell, rec, SETUP)
+    ll_hat, _ = loglik_and_grad(ell_hat, rec, SETUP)
+    ll_true, _ = loglik_and_grad(ell, rec, SETUP)
     assert ll_hat >= ll_true - 1e-6
+
+
+def _stacked(records):
+    counts = np.stack([r.counts.reshape(-1) for r in records]).astype(float)
+    shots = np.stack([r.shots.reshape(-1) for r in records]).astype(float)
+    return counts, shots
+
+
+def test_sphere_hessian_matches_central_differences_of_the_gradient():
+    rng = np.random.default_rng(40)
+    probs = born_probs(chi_from_ell(random_manifold_ell(rng)), SETUP)
+    noisy = sample_shots(probs, 300, rng)
+    sparse = sample_shots(born_probs(CHI_ID, SETUP), 40, rng)
+    assert np.any(sparse.counts == 0)
+    q_flat = SETUP.q_forms.reshape(-1, 36)
+    q_mat = SETUP.q_forms.reshape(-1, 6).T
+    for rec in (noisy, sparse):
+        counts, shots = _stacked([rec])
+        for _ in range(4):
+            ell = random_manifold_ell(rng, tp=False)
+            logl, q_ell, p = _stack_terms(ell[None], counts, shots, q_mat)
+            assert logl[0] == pytest.approx(log_likelihood(p.reshape(4, 3, 2), rec), rel=1e-12)
+            grad, hess = _tangent_newton(ell[None], q_ell, p, counts, shots, q_flat)
+            np.testing.assert_allclose(grad[0], loglik_and_grad(ell, rec, SETUP)[1],
+                                       rtol=1e-10, atol=1e-10 * np.abs(grad).max())
+            proj = np.eye(6) - np.outer(ell, ell)
+            for _ in range(3):
+                xi = proj @ rng.normal(size=6)
+                xi /= np.linalg.norm(xi)
+                h = 1e-6
+                fd = proj @ (loglik_and_grad(ell + h * xi, rec, SETUP)[1]
+                             - loglik_and_grad(ell - h * xi, rec, SETUP)[1]) / (2 * h)
+                np.testing.assert_allclose(hess[0] @ xi, fd, rtol=1e-5,
+                                           atol=1e-6 * np.abs(hess).max())
+
+
+def test_batched_mle_matches_one_fit_at_a_time():
+    rng = np.random.default_rng(41)
+    records = [sample_shots(born_probs(random_cptp_chi(rng), SETUP), shots, rng)
+               for shots in (30, 300, 3000, 300, 30)]
+    chis, ells = mle_fit(records, SETUP, n_starts=3, seed=9)
+    assert ells.shape == (5, 6) and len(chis) == 5
+    starts = _mle_starts(5, 3, 9)
+    for k, rec in enumerate(records):
+        ell, logl, _ = _ascend(starts[k], *_stacked([rec] * 3), SETUP)
+        np.testing.assert_allclose(fold_ell(ell[np.argmax(logl)]), ells[k], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(chis[k].matrix, chi_from_ell(ells[k]), rtol=0, atol=1e-15)
+    chi0, ell0 = mle_fit(records[0], SETUP, n_starts=3, seed=9)
+    np.testing.assert_allclose(ell0, ells[0], rtol=0, atol=1e-12)
+
+
+def test_each_fit_draws_its_own_starts(monkeypatch):
+    rng = np.random.default_rng(42)
+    rec = sample_shots(born_probs(random_cptp_chi(rng), SETUP), 200, rng)
+    seen = []
+
+    def spy(starts, *args):
+        seen.append(starts.copy())
+        return _ascend(starts, *args)
+
+    monkeypatch.setattr(tomography, "_ascend", spy)
+    _, ells = mle_fit([rec, rec], SETUP, n_starts=3, seed=5)
+    starts = seen[0].reshape(2, 3, 6)
+    np.testing.assert_array_equal(starts[0, 0], starts[1, 0])  # the identity start
+    assert np.abs(starts[0, 1:] - starts[1, 1:]).min() > 1e-6
+    np.testing.assert_allclose(ells[0], ells[1], rtol=0, atol=1e-8)
+
+
+@pytest.mark.parametrize("seed, shots, kind", [
+    (43, 2000, "near_unitary"),
+    (44, 8, "random"),
+    (45, 2000, "random"),
+])
+def test_mle_reaches_the_lbfgsb_oracle(seed, shots, kind):
+    rng = np.random.default_rng(seed)
+    if kind == "near_unitary":
+        chi = np.diag([0.995, 0.0, 0.0, 0.005]).astype(complex)  # z dephasing
+        probs = born_probs(chi, SETUP)
+        assert np.sum(probs < 1e-15) >= 2
+    else:
+        probs = born_probs(random_cptp_chi(rng), SETUP)
+    records = [sample_shots(probs, shots, rng) for _ in range(6)]
+    _, ells = mle_fit(records, SETUP, n_starts=2, seed=seed)
+    for rec, ell in zip(records, ells):
+        best = loglik_and_grad(mle_fit_lbfgsb(rec, SETUP, n_starts=32, seed=seed)[1], rec, SETUP)[0]
+        assert loglik_and_grad(ell, rec, SETUP)[0] >= best - 1e-9 * abs(best)
+
+
+def test_mle_reports_fits_stopped_at_the_iteration_cap(monkeypatch):
+    rng = np.random.default_rng(46)
+    records = [sample_shots(born_probs(random_cptp_chi(rng), SETUP), 100, rng) for _ in range(3)]
+    monkeypatch.setattr(tomography, "MLE_MAX_ITER", 1)
+    with pytest.warns(TuningWarning, match="3 of 3 MLE fits stopped after 1 iterations"):
+        mle_fit(records, SETUP, n_starts=2)
 
 
 # --------------------------------------------------------------------- #
