@@ -148,7 +148,7 @@ def loglik_and_grad(ell, counts, setup):
     return logl, grad
 
 
-def mle_fit_lbfgsb(counts, setup=None, *, n_starts=8, gtol=1e-9, seed=0):
+def mle_fit_lbfgsb(counts, setup=None, *, n_starts=8, seed=0):
     """Bounded L-BFGS-B maximum likelihood on the block-Cholesky vector.
 
     Minimizes the negative log-likelihood per count from the identity-channel
@@ -175,7 +175,7 @@ def mle_fit_lbfgsb(counts, setup=None, *, n_starts=8, gtol=1e-9, seed=0):
     for x0 in starts:
         x0 = x0 / np.linalg.norm(x0)
         res = minimize(cost, x0, jac=True, method="L-BFGS-B", bounds=bounds,
-                       options={"maxiter": 2000, "ftol": 1e-15, "gtol": gtol})
+                       options={"maxiter": 2000, "ftol": 1e-15, "gtol": 1e-9})
         if best is None or res.fun < best.fun:
             best = res
     ell = best.x / np.linalg.norm(best.x)

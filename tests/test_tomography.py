@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from gatenoise import tomography
 from gatenoise.channels import (
     KrausSet,
     PauliRates,
@@ -12,7 +13,6 @@ from gatenoise.channels import (
     gate_fidelity_matrix,
 )
 from gatenoise.errors import DegenerateDataError, FitError, TuningWarning, ValidationError
-from gatenoise import tomography
 from gatenoise.filters import IntegralPoint
 from gatenoise.tomography import (
     CountRecord,
@@ -385,6 +385,22 @@ def test_mle_reaches_the_lbfgsb_oracle(seed, shots, kind):
     for rec, ell in zip(records, ells):
         best = loglik_and_grad(mle_fit_lbfgsb(rec, SETUP, n_starts=32, seed=seed)[1], rec, SETUP)[0]
         assert loglik_and_grad(ell, rec, SETUP)[0] >= best - 1e-9 * abs(best)
+
+
+def test_newton_ascent_never_lowers_the_likelihood(monkeypatch):
+    rng = np.random.default_rng(47)
+    near_unitary = born_probs(np.diag([0.995, 0.0, 0.0, 0.005]).astype(complex), SETUP)
+    records = [sample_shots(born_probs(random_cptp_chi(rng), SETUP), shots, rng)
+               for shots in (10, 100, 1000)]
+    records += [sample_shots(near_unitary, 2000, rng) for _ in range(3)]
+    starts = _mle_starts(6, 4, 47).reshape(-1, 6)
+    counts, shots = _stacked([rec for rec in records for _ in range(4)])
+    previous = _stack_terms(starts, counts, shots, SETUP.q_forms.reshape(-1, 6).T)[0]
+    for cap in range(1, 41):
+        monkeypatch.setattr(tomography, "MLE_MAX_ITER", cap)
+        logl = _ascend(starts, counts, shots, SETUP)[1]
+        assert np.all(logl >= previous)
+        previous = logl
 
 
 def test_mle_reports_fits_stopped_at_the_iteration_cap(monkeypatch):
