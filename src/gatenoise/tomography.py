@@ -7,11 +7,12 @@ possibly nonphysical under shot noise) or by likelihood methods constrained
 to trace-normalized positive matrices through a 6-parameter block Cholesky
 factor ell.  On that manifold every Born probability is a quadratic form,
 ``p = ell^T Q ell / |ell|^2``, with the (4, 3, 2, 6, 6) tensor Q built once
-per setup; one pair-normalized likelihood of p serves both the
-maximum-likelihood fit and a Metropolis-Hastings sampler.  The fit moves
-every start of every snapshot as one stack of unit vectors through a damped
-Newton ascent on the sphere, with the closed-form gradient and Hessian of
-the quadratic forms.  The sampler walks the whole unit sphere with a
+per setup.  The maximum-likelihood fit and a Metropolis-Hastings sampler
+evaluate one function, the pair-normalized likelihood of a stack of unit
+vectors (:func:`_stack_terms`).  The fit moves every start of every snapshot
+as one stack through a damped Newton ascent on the sphere, with the
+closed-form gradient and Hessian of the quadratic forms.  The sampler scores
+each proposal as a one-row stack and walks the whole unit sphere with a
 symmetric proposal, so it has no truncation and no Hastings term, and
 yields confidence regions for gate errors, themselves quadratic forms in
 ell.  Randomized benchmarking is index arithmetic on one exact table of
@@ -160,20 +161,27 @@ def counts_from_csv(path):
         if header[:5] != ["state", "basis", "time_s", "n_plus", "n_minus"]:
             raise ValidationError(f"unexpected counts header {header}")
         for line in fh:
-            if not line.strip():
+            row = line.strip()
+            if not row:
                 continue
-            fields = line.strip().split(",")
+            fields = row.split(",")
             if len(fields) != 5:
-                raise ValidationError(f"expected 5 fields in counts row {line.strip()!r}")
+                raise ValidationError(f"expected 5 fields in counts row {row!r}")
             sl, bl, ts, np_, nm_ = fields
             if sl not in STATE_LABELS or bl not in BASIS_LABELS:
                 raise ValidationError(f"unknown state/basis {sl},{bl}")
             try:
-                key = float(ts)
+                t = float(ts)
                 counts = (int(np_), int(nm_))
             except ValueError as exc:
-                raise ValidationError(f"unparsable number in counts row {line.strip()!r}") from exc
-            rows.setdefault(key, {})[(sl, bl)] = counts
+                raise ValidationError(f"unparsable number in counts row {row!r}") from exc
+            if not (math.isfinite(t) and t >= 0.0):
+                raise ValidationError(f"time must be finite and >= 0 in counts row {row!r}")
+            if (sl, bl) in rows.setdefault(t, {}):
+                raise ValidationError(f"repeated state, basis and time in counts row {row!r}")
+            rows[t][(sl, bl)] = counts
+    if not rows:
+        raise ValidationError(f"no counts rows in {path}")
     records = []
     for t in sorted(rows):
         counts = np.zeros((4, 3, 2), dtype=int)
@@ -291,36 +299,45 @@ PROB_FLOOR = 1e-15
 PAIR_FLOOR = 1e-12
 
 
-def log_likelihood(probs, counts, *, grad=False):
-    """Pair-normalized log-likelihood of Born probabilities ``probs[s, b, m]``.
+def _stack_records(records):
+    """(N, 24) counts and (N, 12) shots of ``records`` as float stacks, in
+    (state, basis, outcome) order; every pair of every record needs a shot."""
+    if not records:
+        raise ValidationError("no count records to fit")
+    counts = np.stack([rec.counts.reshape(-1) for rec in records]).astype(float)
+    shots = np.stack([rec.shots.reshape(-1) for rec in records]).astype(float)
+    if np.any(shots <= 0):
+        raise DegenerateDataError("every (state, basis) pair needs at least one shot")
+    return counts, shots
+
+
+def _floored(probs):
+    """(N, 24) probabilities floored at ``PROB_FLOOR``, a steep but finite
+    barrier, and their (N, 12) (+, -) pair sums floored at ``PAIR_FLOOR``."""
+    p = np.maximum(probs, PROB_FLOOR)
+    return p, np.maximum(p.reshape(len(p), -1, 2).sum(axis=2), PAIR_FLOOR)
+
+
+def _stack_terms(ell, counts, shots, q_mat):
+    """Born terms and log-likelihood of a (N, 6) stack of unit vectors: the
+    one likelihood of both the MLE and the MH chain.
 
     Each (state, basis) pair is a binomial with success probability
     ``p(+) / (p(+) + p(-))``.  On trace-preserving channels the pair sums
-    are exactly 1/3 and this is the multinomial cost ``sum f log tr(D chi)``
+    are exactly 1/3 and this is the multinomial cost ``sum c log tr(D chi)``
     up to a constant; off the TP subset that plain cost grows along a
     probability-inflating direction (l34), so both estimators use this one.
-    ``PROB_FLOOR`` is a steep but finite barrier.  With ``grad`` the
-    derivative in ``probs`` (at the floored values) is returned as well.
+    ``counts`` and ``shots`` come from :func:`_stack_records` and ``q_mat``
+    is the (6, 144) matrix of the 24 forms.  Row sums are batched matmuls,
+    whose rounding does not depend on the number of rows.  Returns
+    (log-likelihood (N,), Q ell (N, 24, 6), unfloored p (N, 24)).
     """
-    p = np.maximum(probs, PROB_FLOOR)
-    pair = np.maximum(p.sum(axis=2), PAIR_FLOOR)
-    logl = float(np.log(p).ravel() @ counts.counts.ravel()
-                 - np.log(pair).ravel() @ counts.shots.ravel())
-    if not grad:
-        return logl
-    return logl, counts.counts / p - (counts.shots / pair)[:, :, None]
-
-
-def _born_terms(ell, setup):
-    """(Q ell / |ell|^2, p) with p = ell^T Q ell / |ell|^2 the Born probabilities."""
-    q_ell = (setup.q_forms.reshape(-1, N_PARAMS) @ ell).reshape(4, 3, 2, N_PARAMS)
-    q_ell /= ell @ ell
-    return q_ell, q_ell @ ell
-
-
-def check_counts(counts):
-    if np.any(counts.shots <= 0):
-        raise DegenerateDataError("every (state, basis) pair needs at least one shot")
+    q_ell = (ell @ q_mat).reshape(len(ell), -1, N_PARAMS)
+    probs = (q_ell @ ell[:, :, None])[..., 0]
+    p, pair = _floored(probs)
+    logl = ((counts[:, None] @ np.log(p)[..., None])[:, 0, 0]
+            - (shots[:, None] @ np.log(pair)[..., None])[:, 0, 0])
+    return logl, q_ell, probs
 
 
 MLE_MAX_ITER = 200   # damped Newton iterations before a fit is reported
@@ -340,21 +357,6 @@ def _mle_starts(n_fits, n_starts, seed):
     return starts / np.linalg.norm(starts, axis=2, keepdims=True)
 
 
-def _stack_terms(ell, counts, shots, q_mat):
-    """Born terms and floored log-likelihood of a (N, 6) stack of unit vectors.
-
-    ``counts`` is (N, 24) and ``shots`` (N, 12), in :func:`log_likelihood`'s
-    (state, basis, outcome) order, and ``q_mat`` is the (6, 144) matrix of
-    the 24 forms.  Returns (log-likelihood (N,), Q ell (N, 24, 6), p (N, 24)).
-    """
-    q_ell = (ell @ q_mat).reshape(len(ell), -1, N_PARAMS)
-    probs = np.einsum("nik,nk->ni", q_ell, ell)
-    p = np.maximum(probs, PROB_FLOOR)
-    pair = np.maximum(p.reshape(len(ell), -1, 2).sum(axis=2), PAIR_FLOOR)
-    logl = np.einsum("ni,ni->n", counts, np.log(p)) - np.einsum("ni,ni->n", shots, np.log(pair))
-    return logl, q_ell, probs
-
-
 def _tangent_newton(ell, q_ell, probs, counts, shots, q_flat):
     """Tangent gradient (N, 6) and Riemannian Hessian (N, 6, 6) of the
     log-likelihood on the unit sphere.
@@ -363,11 +365,10 @@ def _tangent_newton(ell, q_ell, probs, counts, shots, q_flat):
     w_i = dlogL/dp_i, the gradient is sum_i w_i u_i and the Hessian is
     P (2 sum_i w_i Q_i - 2 (w.p) I) P, P = I - ell ell^T, plus
     sum_ij d2logL/dp_i dp_j u_i u_j^T: -c_i / p_i^2 on the diagonal and
-    n / pair^2 within each (+, -) pair, at :func:`log_likelihood`'s floors.
+    n / pair^2 within each (+, -) pair, at :func:`_floored`'s floors.
     """
     n_rows = len(ell)
-    p = np.maximum(probs, PROB_FLOOR)
-    pair = np.maximum(p.reshape(n_rows, -1, 2).sum(axis=2), PAIR_FLOOR)
+    p, pair = _floored(probs)
     w = counts / p - np.repeat(shots / pair, 2, axis=1)
     u = 2.0 * (q_ell - probs[:, :, None] * ell[:, None, :])
     v = u.reshape(n_rows, -1, 2, N_PARAMS).sum(axis=2)
@@ -451,13 +452,10 @@ def mle_fit(counts, setup=None, *, n_starts=8, seed=0):
     setup = setup or default_setup()
     single = isinstance(counts, CountRecord)
     records = [counts] if single else list(counts)
-    for rec in records:
-        check_counts(rec)
+    rec_counts, rec_shots = _stack_records(records)
     n_fits = len(records)
     starts = _mle_starts(n_fits, n_starts, seed).reshape(-1, N_PARAMS)
     fit_of_row = np.repeat(np.arange(n_fits), n_starts)
-    rec_counts = np.stack([rec.counts.reshape(-1) for rec in records]).astype(float)
-    rec_shots = np.stack([rec.shots.reshape(-1) for rec in records]).astype(float)
     ell, logl, dec = _ascend(starts, rec_counts[fit_of_row], rec_shots[fit_of_row], setup)
     best = np.argmax(logl.reshape(n_fits, n_starts), axis=1) + n_starts * np.arange(n_fits)
     stalled = dec[best] > MLE_TOL * rec_counts.sum(axis=1)
@@ -483,11 +481,9 @@ class ChiPosterior:
     """Markov-chain posterior over the block-Cholesky parameters."""
 
     ells: np.ndarray            # (n_kept, 6), unit norm, nonnegative diagonals
-    log_likelihoods: np.ndarray
     gate_errors: np.ndarray
     acceptance_rate: float
     width: float                # proposal width after burn-in tuning
-    mode_ell: np.ndarray
     mean_error: float
     mode_error: float
     quantiles: tuple            # (2.5%, 97.5%) of the gate error
@@ -514,11 +510,12 @@ def effective_sample_size(trace):
 
 
 def mh_chain(counts, setup=None, *, n_steps=100000, width=0.02, seed=0,
-             burn_in_frac=0.1, target_unitary=None, quantiles=(2.5, 97.5)):
+             burn_in_frac=0.1, target_unitary=None):
     """Posterior sampling of the process matrix under the counting likelihood.
 
     The chain walks the whole unit sphere S^5 (uniform prior) with the
-    likelihood :func:`mle_fit` maximizes.  A proposal adds ``width`` times
+    likelihood :func:`mle_fit` maximizes, scoring each proposal as a one-row
+    stack of :func:`_stack_terms`.  A proposal adds ``width`` times
     a standard normal 6-vector and renormalizes; its density depends only on
     the angle between the points, so it is symmetric: no truncation and no
     Hastings term.  chi is unchanged by column sign flips of L, so kept
@@ -528,15 +525,16 @@ def mh_chain(counts, setup=None, *, n_steps=100000, width=0.02, seed=0,
     ``target_unitary`` (identity if omitted) are 1/2 - ell^T G ell.
     """
     setup = setup or default_setup()
-    check_counts(counts)
+    rec_counts, rec_shots = _stack_records([counts])
     n_burn = int(burn_in_frac * n_steps)
     if not (0 <= n_burn < n_steps and width > 0.0):
         raise ValidationError("mh_chain needs width > 0 and a step after burn-in")
     rng = np.random.default_rng(seed)
+    q_mat = setup.q_forms.reshape(-1, N_PARAMS).T
 
     ell = np.array([1.0, 0.0, 0.05, 0.05, 0.0, 0.05])
     ell /= np.linalg.norm(ell)
-    logl = log_likelihood(_born_terms(ell, setup)[1], counts)
+    logl = _stack_terms(ell[None], rec_counts, rec_shots, q_mat)[0][0]
 
     chain = np.empty((n_steps, N_PARAMS))
     chain_logl = np.empty(n_steps)
@@ -545,7 +543,7 @@ def mh_chain(counts, setup=None, *, n_steps=100000, width=0.02, seed=0,
     for step in range(n_steps):
         prop = ell + width * rng.standard_normal(N_PARAMS)
         prop /= math.sqrt(prop @ prop)
-        logl_prop = log_likelihood(_born_terms(prop, setup)[1], counts)
+        logl_prop = _stack_terms(prop[None], rec_counts, rec_shots, q_mat)[0][0]
         if math.log(rng.random() + 1e-300) < logl_prop - logl:
             ell, logl, accepted[step] = prop, logl_prop, True
         chain[step], chain_logl[step] = ell, logl
@@ -554,7 +552,6 @@ def mh_chain(counts, setup=None, *, n_steps=100000, width=0.02, seed=0,
             width = float(np.clip(width * math.exp(0.8 * (rate - 0.3)), 1e-4, 0.5))
 
     kept_ells = fold_ell(chain[n_burn:])
-    kept_logl = chain_logl[n_burn:]
     target = np.eye(2, dtype=complex) if target_unitary is None else target_unitary
     G = ell_form(gate_fidelity_matrix(target).T)
     kept_err = 0.5 - np.einsum("nk,kl,nl->n", kept_ells, G, kept_ells)
@@ -565,15 +562,13 @@ def mh_chain(counts, setup=None, *, n_steps=100000, width=0.02, seed=0,
             f"MH acceptance rate {rate:.2f} outside [0.1, 0.6]; adjust the width",
             TuningWarning,
         )
-    mode_idx = int(np.argmax(kept_logl))
-    lo_q, hi_q = np.percentile(kept_err, quantiles)
+    mode_idx = int(np.argmax(chain_logl[n_burn:]))
+    lo_q, hi_q = np.percentile(kept_err, (2.5, 97.5))
     return ChiPosterior(
         ells=kept_ells,
-        log_likelihoods=kept_logl,
         gate_errors=kept_err,
         acceptance_rate=rate,
         width=width,
-        mode_ell=kept_ells[mode_idx],
         mean_error=float(kept_err.mean()),
         mode_error=float(kept_err[mode_idx]),
         quantiles=(float(lo_q), float(hi_q)),

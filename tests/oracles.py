@@ -15,11 +15,12 @@ from gatenoise.errors import ValidationError
 from gatenoise.tomography import (
     _DIAG_IDX,
     N_PARAMS,
-    _born_terms,
-    check_counts,
+    PAIR_FLOOR,
+    PROB_FLOOR,
+    _stack_records,
     chi_from_ell,
     default_setup,
-    log_likelihood,
+    fold_ell,
 )
 
 
@@ -135,6 +136,59 @@ class ConstantSource:
         return np.full((len(indices), n_steps), self.value * dt)
 
 
+def log_likelihood(probs, counts, *, grad=False):
+    """Pair-normalized log-likelihood of one record's Born probabilities
+    ``probs[s, b, m]``, written out for that one record: floors, pair sums
+    and the two count-weighted log sums.  With ``grad`` the derivative in
+    ``probs`` (at the floored values) is returned as well.
+    """
+    p = np.maximum(probs, PROB_FLOOR)
+    pair = np.maximum(p.sum(axis=2), PAIR_FLOOR)
+    logl = float(np.log(p).ravel() @ counts.counts.ravel()
+                 - np.log(pair).ravel() @ counts.shots.ravel())
+    if not grad:
+        return logl
+    return logl, counts.counts / p - (counts.shots / pair)[:, :, None]
+
+
+def _born_terms(ell, setup):
+    """(Q ell / |ell|^2, p) with p = ell^T Q ell / |ell|^2 the Born probabilities."""
+    q_ell = (setup.q_forms.reshape(-1, N_PARAMS) @ ell).reshape(4, 3, 2, N_PARAMS)
+    q_ell /= ell @ ell
+    return q_ell, q_ell @ ell
+
+
+def mh_chain_scalar(counts, setup=None, *, n_steps=100000, width=0.02, seed=0,
+                    burn_in_frac=0.1):
+    """Metropolis-Hastings on S^5 one step at a time on :func:`log_likelihood`.
+
+    The same start, proposals, accept rule and burn-in width tuning as
+    ``mh_chain``, drawn from the same ``default_rng(seed)`` stream (one
+    standard normal 6-vector, then one uniform, per step).  Returns (kept
+    folded ells, post-burn-in acceptance rate, width after tuning).
+    """
+    setup = setup or default_setup()
+    n_burn = int(burn_in_frac * n_steps)
+    rng = np.random.default_rng(seed)
+    ell = np.array([1.0, 0.0, 0.05, 0.05, 0.0, 0.05])
+    ell /= np.linalg.norm(ell)
+    logl = log_likelihood(_born_terms(ell, setup)[1], counts)
+    chain = np.empty((n_steps, N_PARAMS))
+    accepted = np.zeros(n_steps, dtype=bool)
+    window = 200
+    for step in range(n_steps):
+        prop = ell + width * rng.standard_normal(N_PARAMS)
+        prop /= math.sqrt(prop @ prop)
+        logl_prop = log_likelihood(_born_terms(prop, setup)[1], counts)
+        if math.log(rng.random() + 1e-300) < logl_prop - logl:
+            ell, logl, accepted[step] = prop, logl_prop, True
+        chain[step] = ell
+        if step < n_burn and (step + 1) % window == 0:
+            rate = accepted[step + 1 - window:step + 1].mean()
+            width = float(np.clip(width * math.exp(0.8 * (rate - 0.3)), 1e-4, 0.5))
+    return fold_ell(chain[n_burn:]), float(accepted[n_burn:].mean()), width
+
+
 def loglik_and_grad(ell, counts, setup):
     """Log-likelihood at ``ell`` (any nonzero norm) and its Euclidean gradient.
 
@@ -156,7 +210,7 @@ def mle_fit_lbfgsb(counts, setup=None, *, n_starts=8, seed=0):
     ``default_rng(seed)``, one scipy run per start.  Returns (ProcessMatrix, ell).
     """
     setup = setup or default_setup()
-    check_counts(counts)
+    _stack_records([counts])  # rejects a (state, basis) pair without shots
     rng = np.random.default_rng(seed)
     scale = float(counts.counts.sum()) or 1.0
 

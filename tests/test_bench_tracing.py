@@ -6,7 +6,10 @@ import importlib.util
 import json
 from pathlib import Path
 
+import numpy as np
+
 import gatenoise.cli as cli
+from gatenoise.tomography import born_probs, counts_to_csv, default_setup, sample_shots
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 WRAPPED = ("filtered_integrals", "evolve_ensemble", "apply_chi", "apply_kraus",
@@ -49,3 +52,36 @@ def test_tracer_instruments_cli_and_uninstalls(tmp_path):
     assert metrics["filters.time_points"] == 2
     assert metrics["channels.apply_calls"] == 2 * 4
     assert set(accounting) == {"step.validate"}
+
+
+def test_tracer_counts_the_chain_steps_of_a_counts_tomography(tmp_path):
+    """``tomography --counts`` with the chain on: one batched MLE call and one
+    ``mh_chain`` call per record, each read by the tracer's hook."""
+    tracing = _load_tracing()
+    n_records, n_steps = 3, 600
+    rng = np.random.default_rng(5)
+    probs = born_probs(np.diag([0.9, 0.05, 0.0, 0.05]).astype(complex), default_setup())
+    counts = tmp_path / "counts.csv"
+    counts_to_csv([sample_shots(probs, 100, rng, t=1e-4 * (k + 1)) for k in range(n_records)],
+                  counts)
+    cfg = {
+        "drive": {"omega_rad_s": 400.0, "t_max_s": 0.004, "n_times": 2},
+        "noise": {"psd": {"kind": "ou", "c": 1.6e9, "tau_c": 5e-4}},
+        "simulation": {"seed": 3},
+        "tomography": {"run_chain": True, "chain_steps": n_steps},
+        "outputs": {"dir": str(tmp_path / "out")},
+    }
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    tracer = tracing.Tracer("tier-1")
+    tracing.instrument(tracer)
+    try:
+        with tracer.span("step.tomography_counts"):
+            assert cli.main(["tomography", "--config", str(cfg_path),
+                             "--counts", str(counts)]) == 0
+    finally:
+        tracer.uninstall()
+    metrics, _ = tracing.layer_metrics(tracer)
+    assert metrics["tomography.mh_steps"] == n_records * n_steps
+    assert metrics["tomography.mle_fits"] == 1
+    assert 0.0 < metrics["tomography.mh_acceptance"] < 1.0

@@ -20,6 +20,7 @@ from gatenoise import cli
 from gatenoise.cli import build_psds, load_config, main, run_validation, time_grid
 from gatenoise.filters import filtered_integrals
 from gatenoise.langevin import evolve_ensemble
+from gatenoise.tomography import BASIS_LABELS, STATE_LABELS
 
 TAU = 5e-4
 OU_PSD = {"kind": "ou", "c": 2.0 / (10.0 * TAU**3), "tau_c": TAU}
@@ -376,6 +377,32 @@ def test_counts_file_with_malformed_time_exits_2(tmp_path, capsys):
                  "--counts", str(bad)])
     assert code == 2
     assert "validation error" in capsys.readouterr().err
+
+
+def _counts_rows(time_text):
+    return "".join(f"{sl},{bl},{time_text},3,2\n" for sl in STATE_LABELS for bl in BASIS_LABELS)
+
+
+@pytest.mark.parametrize("rows, named", [
+    (_counts_rows("1e-4") + "plus,x,1e-4,4,1\n", "plus,x,1e-4,4,1"),
+    (_counts_rows("1e-4") + "zero,z,0.0001,4,1\n", "zero,z,0.0001,4,1"),
+    (_counts_rows("inf"), "plus,x,inf,3,2"),
+    (_counts_rows("nan"), "plus,x,nan,3,2"),
+    (_counts_rows("-1e-4"), "plus,x,-1e-4,3,2"),
+    ("", "no counts rows"),
+], ids=["repeated", "repeated_as_written_otherwise", "inf", "nan", "negative", "no_rows"])
+def test_counts_file_with_bad_rows_exits_2(tmp_path, capsys, rows, named):
+    """A repeated (state, basis, time) row, a time that is not finite and
+    >= 0, and a file with no rows are rejected naming the row or the file."""
+    cfg_path = tmp_path / "cfg.json"
+    write_config(cfg_path)
+    bad = tmp_path / "bad_counts.csv"
+    bad.write_text("state,basis,time_s,n_plus,n_minus\n" + rows)
+    code = main(["tomography", "--config", str(cfg_path), "--out", str(tmp_path / "tomo"),
+                 "--counts", str(bad)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "validation error" in err and named in err
 
 
 @pytest.mark.parametrize("command", ["predict", "validate", "tomography", "rb"])

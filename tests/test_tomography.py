@@ -19,6 +19,7 @@ from gatenoise.tomography import (
     TomographySetup,
     _ascend,
     _mle_starts,
+    _stack_records,
     _stack_terms,
     _tangent_newton,
     average_pulses_per_clifford,
@@ -34,7 +35,6 @@ from gatenoise.tomography import (
     ell_form,
     fold_ell,
     linear_inversion,
-    log_likelihood,
     mh_chain,
     mle_fit,
     noisy_clifford_maps,
@@ -44,7 +44,9 @@ from gatenoise.tomography import (
 )
 from oracles import (
     kraus_to_chi,
+    log_likelihood,
     loglik_and_grad,
+    mh_chain_scalar,
     mle_fit_lbfgsb,
     ptm,
     pulse_unitaries,
@@ -207,12 +209,16 @@ def test_loglik_gradient_matches_central_differences():
 
 def test_loglik_is_the_pair_normalized_binomial():
     rng = np.random.default_rng(23)
-    probs = born_probs(chi_from_ell(random_manifold_ell(rng, tp=False)), SETUP)
-    rec = sample_shots(probs, 50, rng)
-    q = probs[:, :, 0] / probs.sum(axis=2)
-    n_plus, n_minus = rec.counts[:, :, 0], rec.counts[:, :, 1]
-    want = (n_plus * np.log(q) + n_minus * np.log1p(-q)).sum()
-    assert log_likelihood(probs, rec) == pytest.approx(want, rel=1e-12)
+    ells = np.array([random_manifold_ell(rng, tp=False) for _ in range(3)])
+    all_probs = [born_probs(chi_from_ell(ell), SETUP) for ell in ells]
+    records = [sample_shots(probs, 50, rng) for probs in all_probs]
+    logl, _, p = _stack_terms(ells, *_stack_records(records), SETUP.q_forms.reshape(-1, 6).T)
+    for k, (probs, rec) in enumerate(zip(all_probs, records)):
+        np.testing.assert_allclose(p[k], probs.ravel(), rtol=0, atol=1e-13)
+        q = probs[:, :, 0] / probs.sum(axis=2)
+        n_plus, n_minus = rec.counts[:, :, 0], rec.counts[:, :, 1]
+        want = (n_plus * np.log(q) + n_minus * np.log1p(-q)).sum()
+        assert logl[k] == pytest.approx(want, rel=1e-12)
 
 
 def test_quadratic_gate_error_matches_avg_gate_fidelity():
@@ -301,10 +307,11 @@ def test_mle_likelihood_at_least_truth():
     assert ll_hat >= ll_true - 1e-6
 
 
-def _stacked(records):
-    counts = np.stack([r.counts.reshape(-1) for r in records]).astype(float)
-    shots = np.stack([r.shots.reshape(-1) for r in records]).astype(float)
-    return counts, shots
+def test_an_empty_stack_of_records_is_rejected():
+    with pytest.raises(ValidationError, match="no count records"):
+        _stack_records([])
+    with pytest.raises(ValidationError, match="no count records"):
+        mle_fit([], SETUP)
 
 
 def test_sphere_hessian_matches_central_differences_of_the_gradient():
@@ -316,7 +323,7 @@ def test_sphere_hessian_matches_central_differences_of_the_gradient():
     q_flat = SETUP.q_forms.reshape(-1, 36)
     q_mat = SETUP.q_forms.reshape(-1, 6).T
     for rec in (noisy, sparse):
-        counts, shots = _stacked([rec])
+        counts, shots = _stack_records([rec])
         for _ in range(4):
             ell = random_manifold_ell(rng, tp=False)
             logl, q_ell, p = _stack_terms(ell[None], counts, shots, q_mat)
@@ -343,7 +350,7 @@ def test_batched_mle_matches_one_fit_at_a_time():
     assert ells.shape == (5, 6) and len(chis) == 5
     starts = _mle_starts(5, 3, 9)
     for k, rec in enumerate(records):
-        ell, logl, _ = _ascend(starts[k], *_stacked([rec] * 3), SETUP)
+        ell, logl, _ = _ascend(starts[k], *_stack_records([rec] * 3), SETUP)
         np.testing.assert_allclose(fold_ell(ell[np.argmax(logl)]), ells[k], rtol=0, atol=1e-12)
         np.testing.assert_allclose(chis[k].matrix, chi_from_ell(ells[k]), rtol=0, atol=1e-15)
     chi0, ell0 = mle_fit(records[0], SETUP, n_starts=3, seed=9)
@@ -394,7 +401,7 @@ def test_newton_ascent_never_lowers_the_likelihood(monkeypatch):
                for shots in (10, 100, 1000)]
     records += [sample_shots(near_unitary, 2000, rng) for _ in range(3)]
     starts = _mle_starts(6, 4, 47).reshape(-1, 6)
-    counts, shots = _stacked([rec for rec in records for _ in range(4)])
+    counts, shots = _stack_records([rec for rec in records for _ in range(4)])
     previous = _stack_terms(starts, counts, shots, SETUP.q_forms.reshape(-1, 6).T)[0]
     for cap in range(1, 41):
         monkeypatch.setattr(tomography, "MLE_MAX_ITER", cap)
@@ -460,6 +467,17 @@ def test_mh_rejects_empty_chain_and_bad_width(kwargs):
     rec = sample_shots(born_probs(CHI_ID, SETUP), 10, np.random.default_rng(16))
     with pytest.raises(ValidationError):
         mh_chain(rec, SETUP, **{"n_steps": 100, **kwargs})
+
+
+@pytest.mark.parametrize("shots", [8, 100, 1000])
+def test_mh_chain_matches_the_scalar_oracle(shots):
+    rng = np.random.default_rng(48)
+    rec = sample_shots(born_probs(random_cptp_chi(rng), SETUP), shots, rng)
+    post = mh_chain(rec, SETUP, n_steps=5000, seed=6)
+    ells, rate, width = mh_chain_scalar(rec, SETUP, n_steps=5000, seed=6)
+    np.testing.assert_allclose(post.ells, ells, rtol=0, atol=1e-12)
+    assert post.acceptance_rate == pytest.approx(rate, rel=0, abs=1e-12)
+    assert post.width == pytest.approx(width, rel=1e-12)
 
 
 def test_mh_mean_matches_importance_sampling_oracle():
