@@ -30,7 +30,7 @@ def trajectory_rng(seed, index):
 # PSD-based generation (stationary processes)
 
 def percival_trajectory(psd, m_f, t0, tf, draws):
-    """Trajectory on ``m_f`` grid points from the PSD via a random Fourier series.
+    """Trajectories on ``m_f`` grid points from the PSD via a random Fourier series.
 
     Coefficients ``A_m = sqrt(S_m / 2) (u_1 + i u_2)`` with two independent
     unit normals per sampled frequency ``f_m = (m) / (tf - t0)``, assembled
@@ -45,9 +45,9 @@ def percival_trajectory(psd, m_f, t0, tf, draws):
         Even number of grid samples (>= 4).
     t0, tf : float
         Window; the grid spacing is (tf - t0) / m_f.
-    draws : ndarray
-        Unit normal draws, length >= m_f + 2 (two per frequency bin
-        0..m_f/2 inclusive).
+    draws : ndarray, shape (..., n >= m_f + 2)
+        Unit normal draws, two per frequency bin 0..m_f/2, along the last axis;
+        the result has shape ``draws.shape[:-1] + (m_f,)``, row by row.
     """
     if m_f % 2 or m_f < 4:
         raise ValidationError(f"m_f must be even and >= 4, got {m_f}")
@@ -55,24 +55,25 @@ def percival_trajectory(psd, m_f, t0, tf, draws):
         raise ValidationError("need tf > t0")
     draws = np.asarray(draws, dtype=float)
     n_freq = m_f // 2 + 1
-    if draws.size < 2 * n_freq:
-        raise ValidationError(f"need at least {2 * n_freq} draws, got {draws.size}")
+    if draws.shape[-1] < 2 * n_freq:
+        raise ValidationError(f"need at least {2 * n_freq} draws, got {draws.shape[-1]}")
     span = tf - t0
     f0 = 1.0 / span
     freqs = f0 * np.arange(n_freq)
     S = np.asarray(psd.eval(2.0 * math.pi * freqs), dtype=float)
     amp = np.sqrt(0.5 * S)
-    A = amp * (draws[0:2 * n_freq:2] + 1j * draws[1:2 * n_freq:2])
 
-    nu = np.zeros(m_f, dtype=complex)
-    nu[0] = math.sqrt(2.0) * A[0].real
-    nu[1:m_f // 2] = A[1:m_f // 2]
-    nu[m_f // 2] = math.sqrt(2.0) * A[m_f // 2].real
-    nu[m_f // 2 + 1:] = np.conj(A[1:m_f // 2][::-1])
+    # built and transformed in place: a block costs one complex (..., m_f) array
+    nu = np.zeros(draws.shape[:-1] + (m_f,), dtype=complex)
+    np.multiply(amp, draws[..., 0:2 * n_freq:2], out=nu.real[..., :n_freq])
+    np.multiply(amp, draws[..., 1:2 * n_freq:2], out=nu.imag[..., :n_freq])
+    nu[..., [0, n_freq - 1]] = math.sqrt(2.0) * nu.real[..., [0, n_freq - 1]]
+    np.conjugate(nu[..., n_freq - 2:0:-1], out=nu[..., n_freq:])
 
     # values[j] = sum_m nu_m exp(-2pi i m j / m_f) / sqrt(span) = FFT of nu
-    values = np.fft.fft(nu) / math.sqrt(span)
-    if np.abs(values.imag).max() > 1e-10 * max(np.abs(values.real).max(), 1e-300):
+    values = np.divide(np.fft.fft(nu, axis=-1, out=nu), math.sqrt(span), out=nu)
+    imag, real = values.imag, values.real
+    if max(imag.max(), -imag.min()) > 1e-10 * max(real.max(), -real.min(), 1e-300):
         raise ValidationError("Fourier assembly lost Hermitian symmetry")
     return values.real
 
@@ -113,9 +114,12 @@ class OUSource:
 class PsdSource:
     """Stationary noise drawn from an arbitrary PSD via the Fourier route.
 
-    The trajectory is periodic over the simulation window, so spectral
-    content below 1/(n_steps * dt) is absent; use windows spanning several
-    correlation times of the spectrum.
+    Each trajectory is one random Fourier series over ``T = m_f * dt``
+    (``n_steps`` rounded up to even), so its covariance is periodic in the
+    lag.  Bin m carries ``f0 * S(2 pi m f0)``, ``f0 = 1/T``: the DC bin adds
+    a random constant of variance ``f0 * S(0)`` to each trajectory, which can
+    exceed the process variance for a spectrum steep below f0 (1/f, a narrow
+    Lorentzian).  A block takes one PSD evaluation and one FFT.
     """
 
     def __init__(self, psd):
@@ -125,12 +129,10 @@ class PsdSource:
 
     def increments_block(self, seed, indices, n_steps, dt):
         m_f = max(4, n_steps + (n_steps % 2))
-        n_draws = m_f + 2
-        values = np.empty((len(indices), n_steps))
-        for row, idx in enumerate(indices):
-            draws = trajectory_rng(seed, idx).standard_normal(n_draws)
-            values[row] = percival_trajectory(self.psd, m_f, 0.0, m_f * dt, draws)[:n_steps]
-        return values * dt
+        draws = np.stack([trajectory_rng(seed, idx).standard_normal(m_f + 2) for idx in indices])
+        values = percival_trajectory(self.psd, m_f, 0.0, m_f * dt, draws)
+        del draws   # frees m * (m_f + 2) floats before the copy below
+        return values[:, :n_steps] * dt
 
 
 class ZeroSource:

@@ -520,9 +520,9 @@ def mh_chain(counts, setup=None, *, n_steps=100000, width=0.02, seed=0,
     the angle between the points, so it is symmetric: no truncation and no
     Hastings term.  chi is unchanged by column sign flips of L, so kept
     samples are folded back to nonnegative diagonals.  The width is tuned
-    during burn-in toward 30% acceptance; a warning is emitted if the
-    post-burn-in rate leaves [0.1, 0.6].  Gate errors against
-    ``target_unitary`` (identity if omitted) are 1/2 - ell^T G ell.
+    toward 30% acceptance every min(200, burn-in / 4) steps of burn-in; a
+    warning is emitted if the post-burn-in rate leaves [0.1, 0.6].  Gate
+    errors against ``target_unitary`` (identity if omitted) are 1/2 - ell^T G ell.
     """
     setup = setup or default_setup()
     rec_counts, rec_shots = _stack_records([counts])
@@ -539,7 +539,7 @@ def mh_chain(counts, setup=None, *, n_steps=100000, width=0.02, seed=0,
     chain = np.empty((n_steps, N_PARAMS))
     chain_logl = np.empty(n_steps)
     accepted = np.zeros(n_steps, dtype=bool)
-    window = 200
+    window = max(1, min(200, n_burn // 4))
     for step in range(n_steps):
         prop = ell + width * rng.standard_normal(N_PARAMS)
         prop /= math.sqrt(prop @ prop)

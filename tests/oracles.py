@@ -70,6 +70,32 @@ def total_power(psd, w_max=None):
     return val / math.pi
 
 
+def autocovariance_adaptive(psd, t):
+    """C(t) of a tabulated PSD by one adaptive Gauss-Kronrod integral per point.
+
+    Same truncation as ``NoisePsd.autocovariance``: ``(1/pi) Int_0^w_max
+    S(w) cos(w t) dw`` with ``w_max = 50 * support_scale()``, with a
+    breakpoint at every knot and at every half period of cos(w t).
+    """
+    t = np.asarray(t, dtype=float)
+    flat = np.atleast_1d(t)
+    out = np.empty(flat.shape)
+    w_max = 50.0 * psd.support_scale()
+    pts = psd.breakpoints()
+    for i, ti in enumerate(flat):
+        if ti != 0.0:
+            pts_i = np.concatenate(
+                [pts, np.arange(1, w_max * abs(ti) / math.pi, 2.0) * math.pi / abs(ti)])
+        else:
+            pts_i = pts
+        val, _, _ = adaptive_gk(
+            lambda w: psd.eval(w) * np.cos(w * ti), 0.0, w_max,
+            rtol=1e-9, points=pts_i,
+        )
+        out[i] = val / math.pi
+    return out[0] if t.ndim == 0 else out.reshape(t.shape)
+
+
 def kraus_to_chi(kraus, t=0.0):
     """Process matrix of a Kraus set in the plain Pauli basis."""
     ops = np.asarray(kraus.ops if isinstance(kraus, KrausSet) else kraus)
@@ -175,7 +201,7 @@ def mh_chain_scalar(counts, setup=None, *, n_steps=100000, width=0.02, seed=0,
     logl = log_likelihood(_born_terms(ell, setup)[1], counts)
     chain = np.empty((n_steps, N_PARAMS))
     accepted = np.zeros(n_steps, dtype=bool)
-    window = 200
+    window = max(1, min(200, n_burn // 4))
     for step in range(n_steps):
         prop = ell + width * rng.standard_normal(N_PARAMS)
         prop /= math.sqrt(prop @ prop)

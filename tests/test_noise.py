@@ -161,3 +161,22 @@ def test_psd_source_variance():
     vals = src.increments_block(7, range(3000), 600, dt) / dt
     # discard nothing; stationary variance across the whole block
     assert vals.var() == pytest.approx(0.5 * c * tau, rel=0.05)
+
+
+@pytest.mark.parametrize("n_steps", [7, 300])
+def test_psd_source_block_is_the_per_row_series_exactly(n_steps):
+    # one PSD evaluation and one FFT per block give each row bit for bit the
+    # series its own draws give alone, however the indices are chunked
+    w = np.geomspace(1.0, 1e4, 40)
+    psd = NoisePsd.tabulated(w, 5.0 / (1.0 + (w / 300.0) ** 2) + 20.0 / w, 25.0, 0.01)
+    src, dt = PsdSource(psd), 1e-4
+    m_f = n_steps + n_steps % 2
+    rows = [percival_trajectory(psd, m_f, 0.0, m_f * dt,
+                                trajectory_rng(9, idx).standard_normal(m_f + 2))[:n_steps] * dt
+            for idx in range(12)]
+    whole = src.increments_block(9, range(12), n_steps, dt)
+    assert whole.shape == (12, n_steps)
+    np.testing.assert_array_equal(whole, np.array(rows))
+    for chunk in ([0, 1, 2, 3, 4], [5], [11, 6, 8, 7, 10, 9]):
+        np.testing.assert_array_equal(src.increments_block(9, chunk, n_steps, dt),
+                                      np.array(rows)[chunk])

@@ -1,3 +1,4 @@
+import copy
 import json
 
 import numpy as np
@@ -5,9 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gatenoise.channels import nm_measure
 from gatenoise.errors import ValidationError
 from gatenoise.psd import TWO_PI, NoisePsd
-from oracles import total_power
+from oracles import autocovariance_adaptive, total_power
 
 
 def test_ou_eval_zero_frequency():
@@ -150,12 +152,66 @@ def test_ou_autocovariance_matches_total_power():
     assert total_power(psd) == pytest.approx(0.5 * 2.0 * 0.7, rel=1e-6)
 
 
-def test_tabulated_autocovariance_against_ou_samples():
-    # an OU spectrum sampled densely must reproduce the OU autocovariance
+def ou_sampled_table():
+    # an OU spectrum sampled densely, so C(t) is close to the OU closed form
     c, tau = 1.3, 0.2
     w = np.geomspace(1e-3 / tau, 2e3 / tau, 1200)
     ou = NoisePsd.ou(c, tau)
-    tab = NoisePsd.tabulated(w, ou.eval(w), ou.eval(w[0]), 0.0)
+    return NoisePsd.tabulated(w, ou.eval(w), ou.eval(w[0]), 0.0)
+
+
+def measured_style_table():
+    """Lorentzian + 1/f + white plateau in one-sided Hz with 3% knot scatter
+    and a bump inside an excluded band, ingested into two-sided rad/s."""
+    rng = np.random.default_rng(17)
+    f = np.geomspace(1.0, 2.0e4, 200)
+    s = 600.0 / (1.0 + (f / 300.0) ** 2) + 2000.0 / f + 0.05
+    s *= np.exp(0.03 * rng.standard_normal(f.size))
+    s[(f > 2e3) & (f < 5e3)] += 50.0
+    return NoisePsd.tabulated(TWO_PI * f, s / 2.0, s[0] / 2.0, 0.025,
+                              excluded_bands=[(TWO_PI * 2e3, TWO_PI * 5e3)])
+
+
+OMEGA = 4000.0
+T_MAX = 4.0 * np.pi / OMEGA
+
+
+def test_tabulated_autocovariance_against_ou_samples():
+    c, tau = 1.3, 0.2
+    tab = ou_sampled_table()
     for t in (0.0, 0.5 * tau, 2.0 * tau):
         assert tab.autocovariance(t) == pytest.approx(
             0.5 * c * tau * np.exp(-t / tau), rel=2e-3)
+
+
+@pytest.mark.parametrize("table, t_max, n", [(measured_style_table, T_MAX, 300),
+                                             (ou_sampled_table, 0.4, 60)])
+def test_tabulated_autocovariance_matches_adaptive_quadrature(table, t_max, n):
+    # every other point negative; the oracle's cost grows with |t| w_max
+    psd = table()
+    t = np.linspace(0.0, t_max, n) * (-1.0) ** np.arange(n)
+    ref = autocovariance_adaptive(psd, t)
+    np.testing.assert_allclose(psd.autocovariance(t), ref, rtol=0, atol=1e-6 * ref[0])
+
+
+def test_tabulated_autocovariance_shapes_and_parity():
+    psd = measured_style_table()
+    t = np.linspace(-T_MAX, T_MAX, 12).reshape(3, 4)
+    grid = psd.autocovariance(t)
+    assert grid.shape == (3, 4)
+    np.testing.assert_array_equal(grid, psd.autocovariance(-t))
+    scalar = psd.autocovariance(float(t[1, 2]))
+    assert type(scalar) is float and scalar == pytest.approx(grid[1, 2], rel=1e-13)
+    assert type(psd.autocovariance(0.0)) is float
+    assert psd.autocovariance(np.array([0.0])).shape == (1,)
+
+
+def test_nm_measure_on_a_table_matches_the_adaptive_autocovariance():
+    psd = measured_style_table()
+    slow = copy.copy(psd)
+    slow.autocovariance = lambda t: autocovariance_adaptive(psd, t)
+    times, ncp = nm_measure(psd, OMEGA, T_MAX, n_grid=300)
+    times_ref, ncp_ref = nm_measure(slow, OMEGA, T_MAX, n_grid=300)
+    np.testing.assert_array_equal(times, times_ref)
+    assert ncp_ref[-1] > 0.0
+    np.testing.assert_allclose(ncp, ncp_ref, rtol=0, atol=1e-6 * ncp_ref.max())

@@ -13,7 +13,7 @@ from gatenoise.channels import (
     gate_fidelity_matrix,
 )
 from gatenoise.errors import DegenerateDataError, FitError, TuningWarning, ValidationError
-from gatenoise.filters import IntegralPoint
+from gatenoise.filters import IntegralPoint, ou_filtered_integrals
 from gatenoise.tomography import (
     CountRecord,
     TomographySetup,
@@ -698,3 +698,16 @@ def test_born_probs_match_langevin_frequencies():
                 p_ex = float(np.trace(SETUP.povm[b][m] @ rho_ex).real)
                 assert abs(p_mc - p_ex) < 3 * se_p
                 assert abs(probs_map[s, b, m] - p_ex) < 2e-4
+
+
+def test_mh_tunes_its_width_on_a_chain_shorter_than_2000_steps():
+    # a gate snapshot after two Rabi flops under OU noise (Omega tau_c = 2),
+    # 1000 shots per setting; a 1500-step chain has 150 burn-in steps, where
+    # one 200-step tuning window never closed
+    omega, t = 4000.0, 4.0 * math.pi / 4000.0
+    fi = ou_filtered_integrals(1.6e9, 5e-4, omega, [t])
+    probs = born_probs(chi_full(fi.at(0), omega, t), SETUP)
+    rec = sample_shots(probs, 1000, np.random.default_rng(61))
+    post = mh_chain(rec, SETUP, n_steps=1500, seed=5)
+    assert post.width != 0.02
+    assert 0.15 <= post.acceptance_rate <= 0.5
