@@ -55,39 +55,44 @@ _WG15[1:-1:2] = np.concatenate([_WG_HALF[:-1], _WG_HALF[::-1]])
 
 
 def _panel_sums(f, lo, hi):
-    """K15 and G7 estimates for a batch of panels [lo_i, hi_i]."""
+    """K15 and G7 estimates, shape (..., npanels), for panels [lo_i, hi_i]."""
     mid = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
     # nodes shape (npanels, 15)
     x = mid[:, None] + half[:, None] * _XGK[None, :]
-    fx = f(x.ravel()).reshape(x.shape)
+    fx = np.asarray(f(x.ravel()))
+    fx = fx.reshape(fx.shape[:-1] + x.shape)
     k15 = half * (fx @ _WGK)
     g7 = half * (fx @ _WG15)
     return k15, g7
 
 
 def adaptive_gk(f, a, b, *, rtol=1e-10, atol=0.0, points=None, max_panels=20000):
-    """Integrate vectorized ``f`` over [a, b].
+    """Integrate vectorized ``f`` over [a, b], one row or a stack of rows.
 
     Parameters
     ----------
     f : callable
-        Maps a 1d ndarray of abscissae to integrand values.
+        Maps a 1d ndarray of n abscissae to integrand values of shape (n,),
+        or (k, n) for k integrands sharing one node set: each node is
+        evaluated once for all rows.
     points : sequence, optional
         Interior breakpoints used for the initial subdivision (singular or
         oscillation-scale markers).
-    rtol, atol : float
-        Global error targets; iteration stops when the summed K15-G7 error
-        estimate drops below ``max(atol, rtol * |integral|)``.
+    rtol, atol : float or (k,) array
+        Per-row error targets; iteration stops when every row's summed
+        K15-G7 error estimate is below ``max(atol, rtol * abs_total)``.  A
+        panel is bisected when any row's error on it exceeds that row's
+        share of its tolerance.
     max_panels : int
         Hard cap on the number of panels.
 
     Returns
     -------
-    total : float
-    err : float
-        Final global error estimate.
-    abs_total : float
+    total : float or (k,) array
+    err : float or (k,) array
+        Final error estimate per row.
+    abs_total : float or (k,) array
         Sum of panel magnitudes; tolerances are taken relative to this so
         that integrals oscillating to a small net value still converge.
     """
@@ -104,33 +109,34 @@ def adaptive_gk(f, a, b, *, rtol=1e-10, atol=0.0, points=None, max_panels=20000)
     err = np.abs(k15 - g7)
 
     for _ in range(64):
-        total = k15.sum()
-        abs_total = np.abs(k15).sum()
-        tol = max(atol, rtol * abs_total)
-        if err.sum() <= tol:
-            return total, err.sum(), abs_total
+        abs_total = np.abs(k15).sum(axis=-1)
+        tol = np.maximum(atol, rtol * abs_total)
+        if np.all(err.sum(axis=-1) <= tol):
+            return k15.sum(axis=-1), err.sum(axis=-1), abs_total
         if lo.size >= max_panels:
             break
-        # Split every panel whose error exceeds its fair share of the budget.
-        bad = err > tol / max(lo.size, 1)
+        # Split every panel on which some row's error exceeds its fair share
+        # of that row's budget.
+        share = err / np.maximum(tol, np.finfo(float).tiny)[..., None]
+        share = share.reshape(-1, lo.size).max(axis=0)
+        bad = share > 1.0 / lo.size
         if not bad.any():
-            bad[np.argmax(err)] = True
+            bad[np.argmax(share)] = True
         mids = 0.5 * (lo[bad] + hi[bad])
         new_lo = np.concatenate([lo[~bad], lo[bad], mids])
         new_hi = np.concatenate([hi[~bad], mids, hi[bad]])
-        keep_k, keep_g = k15[~bad], g7[~bad]
         k15b, g7b = _panel_sums(f, np.concatenate([lo[bad], mids]),
                                 np.concatenate([mids, hi[bad]]))
         lo, hi = new_lo, new_hi
-        k15 = np.concatenate([keep_k, k15b])
-        g7 = np.concatenate([keep_g, g7b])
+        k15 = np.concatenate([k15[..., ~bad], k15b], axis=-1)
+        g7 = np.concatenate([g7[..., ~bad], g7b], axis=-1)
         err = np.abs(k15 - g7)
 
-    total = k15.sum()
-    abs_total = np.abs(k15).sum()
-    if err.sum() > max(atol, rtol * abs_total) * 10:
+    total = k15.sum(axis=-1)
+    abs_total = np.abs(k15).sum(axis=-1)
+    if np.any(err.sum(axis=-1) > np.maximum(atol, rtol * abs_total) * 10):
         raise NumericalError(
             "adaptive quadrature did not converge: "
-            f"estimate={total:.6e}, error={err.sum():.3e}, panels={lo.size}"
+            f"estimate={total}, error={err.sum(axis=-1)}, panels={lo.size}"
         )
-    return total, err.sum(), abs_total
+    return total, err.sum(axis=-1), abs_total

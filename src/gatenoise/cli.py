@@ -42,7 +42,6 @@ from .channels import (
 from .errors import GateNoiseError, NumericalError, ValidationError
 from .filters import filtered_integrals
 from .langevin import DriveConfig, default_timestep, evolve_ensemble
-from .langevin import to_csv as traj_to_csv
 from .noise import OUSource, PsdSource
 from .psd import NoisePsd
 from .tomography import (
@@ -276,7 +275,10 @@ def cmd_predict(args):
     times = time_grid(cfg)
 
     fi, rows = _error_curves(psd, amp_psd, Omega, times)
-    fi.to_csv(out_dir / "filtered_integrals.csv")
+    dg = np.zeros_like(fi.times) if fi.dgamma1 is None else fi.dgamma1
+    _write_csv(out_dir / "filtered_integrals.csv",
+               ["t", "gamma1", "gamma2", "delta1", "delta2", "dgamma1"],
+               zip(fi.times, fi.gamma1, fi.gamma2, fi.delta1, fi.delta2, dg))
     _write_csv(
         out_dir / "error_curves.csv",
         ["t", "eps_d", "eps_nc", "eps_nm", "eps_nc_i", "eps_nm_i", "p_d", "p_x", "p_y", "p_z"],
@@ -324,7 +326,9 @@ def cmd_predict(args):
 def run_validation(cfg, psd, amp_psd, n_haar, n_workers=1, out_dir=None):
     Omega = cfg["drive"]["omega_rad_s"]
     seed = cfg["simulation"]["seed"]
-    tau_c = psd.tau_c if psd.kind == "ou" else None
+    # the shortest correlation time of the OU spectra is a dynamical scale too
+    taus = [p.tau_c for p in (psd, amp_psd) if p is not None and p.kind == "ou"]
+    tau_c = min(taus, default=None)
     dt_max = cfg["simulation"]["dt_s"]
     if dt_max is None:
         dt_max = default_timestep(Omega, tau_c, fraction=0.002)
@@ -370,7 +374,10 @@ def run_validation(cfg, psd, amp_psd, n_haar, n_workers=1, out_dir=None):
 
     if out_dir is not None:
         for k, label in enumerate(_BASIS_STATES):
-            traj_to_csv(ensemble[k], Path(out_dir) / f"langevin_{label}.csv")
+            _write_csv(Path(out_dir) / f"langevin_{label}.csv",
+                       ["t", "sx", "sy", "sz", "se_sx", "se_sy", "se_sz"],
+                       np.column_stack([ensemble.times, ensemble.pauli_mean[k],
+                                        ensemble.pauli_se[k]]))
         snapshots = [
             {
                 "t": float(t),

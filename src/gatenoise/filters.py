@@ -1,14 +1,25 @@
 """Filter functions and filtered integrals of a noise PSD.
 
 A resonant Rabi drive of angular frequency ``Omega`` filters the dephasing
-noise spectrum through five drive-dependent spectral windows.  Overlap
-integrals of those windows with the two-sided PSD give the decay exponents
+noise spectrum through drive-dependent spectral windows.  Overlap integrals
+of those windows with the two-sided PSD give the decay exponents
 ``Gamma1, Gamma2``, the coherent rotation angles ``Delta1, Delta2``, and
 (for amplitude noise) the extra decay ``DGamma1``:
 
-    Gamma_i(t) = Int dw S(w) F_Gamma_i(w, Omega, t)     over the real line,
-    Delta_i(t) = Int dw S(w) F_Delta_i(w, Omega, t),
-    DGamma1(t) = Int dw S_amp(w) F_amp(w, t).
+    Gamma1(t) = Int dw S(w) F_Gamma1(w, Omega, t)     over the real line,
+    Delta1(t) = Int dw S(w) F_Delta1(w, Omega, t),
+    Gamma2(t) = cos(Omega t) Int dw S(w) M(w, Omega, t),
+    Delta2(t) = sin(Omega t) Int dw S(w) M(w, Omega, t),
+    DGamma1(t) = 2 Int dw S_amp(w) F_Gamma1(w, 0, t).
+
+Three windows cover the tuple: the Gamma2 and Delta2 filters share the
+memory window M, and the amplitude window is twice the Gamma1 window at
+Omega = 0.  Per time point and PSD, one adaptive quadrature pass integrates
+S*F and the bare F for all three windows on one node set, escalating the
+upper limit W until the tuple converges.  Beyond W the PSD is taken as the
+plateau S(W); its tail is the white-noise total of F (Gamma1: t/4, Delta1:
+0, M: sin(Omega t) / (4 Omega), per unit S on [0, inf)) minus the bare
+integral on [0, W], so no special functions are needed.
 
 Everything downstream (density-matrix maps, process matrices, Pauli rates,
 gate errors) is a function of this tuple alone.
@@ -26,32 +37,28 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import cumulative_simpson
-from scipy.special import sici
 
 from ._quadrature import adaptive_gk
 from .errors import NumericalError, ValidationError
 
 _PI = math.pi
+_TINY = np.finfo(float).tiny
 
 
 # --------------------------------------------------------------------- #
-# filter functions (vectorized, removable singularities handled exactly)
-
-def _eta(x, t):
-    """Nascent delta eta_{2/t}(x) = (t / 2pi) * sinc(x t / 2pi)**2."""
-    return (t / (2.0 * _PI)) * np.sinc(x * t / (2.0 * _PI)) ** 2
-
+# filter functions (vectorized, removable singularities handled exactly;
+# every window vanishes at t = 0 through its t or t^2 prefactor)
 
 def filter_gamma1(omega, Omega, t):
     """Decay filter: (t/4) * (eta_{2/t}(Omega - w) + eta_{2/t}(Omega + w)).
 
-    Concentrates around w = +-Omega as t grows, so the long-time decay rate
-    is set by the PSD at the Rabi frequency.
+    eta_{2/t}(x) = (t / 2pi) * sinc(x t / 2pi)**2 is a nascent delta, so the
+    filter concentrates around w = +-Omega as t grows and the long-time
+    decay rate is set by the PSD at the Rabi frequency.
     """
     omega = np.asarray(omega, dtype=float)
-    if t == 0.0:
-        return np.zeros_like(omega)
-    return 0.25 * t * (_eta(Omega - omega, t) + _eta(Omega + omega, t))
+    k = t / (2.0 * _PI)
+    return (t * k / 4.0) * (np.sinc((Omega - omega) * k) ** 2 + np.sinc((Omega + omega) * k) ** 2)
 
 
 def _sin_minus_lin(z):
@@ -74,101 +81,33 @@ def filter_delta1(omega, Omega, t):
     pieces and are evaluated through a series expansion.
     """
     omega = np.asarray(omega, dtype=float)
-    if t == 0.0:
-        return np.zeros_like(omega)
     u = (omega - Omega) * t
     v = (omega + Omega) * t
     return (t * t / (4.0 * _PI)) * (_sin_minus_lin(u) - _sin_minus_lin(v))
 
 
-def _sinc_pair(omega, Omega, t):
-    """sin((w-O)t/2) sin((w+O)t/2) / ((w-O)(w+O)) via stable sinc products."""
-    u = omega - Omega
-    v = omega + Omega
-    return (t * t / 4.0) * np.sinc(u * t / (2.0 * _PI)) * np.sinc(v * t / (2.0 * _PI))
+def filter_memory(omega, Omega, t):
+    """Memory window M shared by Gamma2 and Delta2.
 
-
-def filter_gamma2(omega, Omega, t):
-    """Memory filter attached to Gamma2; vanishes whenever cos(Omega t) = 0.
-
-    Equals cos(Omega t) (cos(Omega t) - cos(w t)) / (pi (w^2 - Omega^2)),
-    the normalization that reproduces the defining time-domain kernel.
+    Equals (cos(Omega t) - cos(w t)) / (pi (w^2 - Omega^2)), evaluated as
+    the stable sinc product sin(u t/2) sin(v t/2) / (pi u v) at u, v = w -+
+    Omega; the Gamma2 and Delta2 filters are cos(Omega t) M and
+    sin(Omega t) M, the normalization that reproduces the defining
+    time-domain kernels.
     """
     omega = np.asarray(omega, dtype=float)
-    if t == 0.0:
-        return np.zeros_like(omega)
-    return (math.cos(Omega * t) / _PI) * _sinc_pair(omega, Omega, t)
+    k = t / (2.0 * _PI)
+    return (t * t / (4.0 * _PI)) * np.sinc((omega - Omega) * k) * np.sinc((omega + Omega) * k)
 
 
-def filter_delta2(omega, Omega, t):
-    """Memory filter attached to Delta2; vanishes whenever sin(Omega t) = 0."""
-    omega = np.asarray(omega, dtype=float)
-    if t == 0.0:
-        return np.zeros_like(omega)
-    return (math.sin(Omega * t) / _PI) * _sinc_pair(omega, Omega, t)
+def _windows(omega, Omega, t):
+    """The three windows (F_Gamma1, F_Delta1, M), stacked as rows."""
+    return np.stack([f(omega, Omega, t) for f in (filter_gamma1, filter_delta1, filter_memory)])
 
 
-def filter_amplitude(omega, t):
-    """Amplitude-noise decay filter F(w, t) = t * eta_{2/t}(w)."""
-    omega = np.asarray(omega, dtype=float)
-    if t == 0.0:
-        return np.zeros_like(omega)
-    return t * _eta(omega, t)
-
-
-_FREQ_FILTERS = {
-    "gamma1": filter_gamma1,
-    "gamma2": filter_gamma2,
-    "delta1": filter_delta1,
-    "delta2": filter_delta2,
-}
-
-
-# --------------------------------------------------------------------- #
-# analytic tails against a constant plateau
-
-def _eta_tail(X, t):
-    """Int_X^inf eta_{2/t}(x) dx for X > 0."""
-    si, _ = sici(X * t)
-    return (2.0 / (_PI * t)) * (np.sin(0.5 * X * t) ** 2 / X + 0.5 * t * (0.5 * _PI - si))
-
-
-def _log_ci(z):
-    """Ci(z) - ln(z), finite as z -> 0 (tends to the Euler constant)."""
-    _, ci = sici(z)
-    return ci - np.log(z)
-
-
-def filter_tail(name, W, Omega, t):
-    """Integral of a filter over [W, inf) for W > Omega, in closed form.
-
-    Multiplied by the plateau density it gives the exact tail contribution,
-    which is how high-frequency plateaus enter without truncation error.
-    """
-    if t == 0.0:
-        return 0.0
-    if name == "amplitude":
-        return t * _eta_tail(W, t)
-    if W <= Omega:
-        raise ValidationError("tail start must exceed the Rabi frequency")
-    wu, wv = W - Omega, W + Omega
-    if name == "gamma1":
-        return 0.25 * t * (_eta_tail(wu, t) + _eta_tail(wv, t))
-    if name == "delta1":
-        def H(z):
-            return _log_ci(z) - np.sin(z) / z
-        return (t / (4.0 * _PI)) * (H(wv * t) - H(wu * t))
-    if name in ("gamma2", "delta2"):
-        si_u, _ = sici(wu * t)
-        si_v, _ = sici(wv * t)
-        # _log_ci carries the log(w t) term, so the ratio log(wv/wu) is
-        # already contained in the difference below.
-        bracket = math.cos(Omega * t) * (
-            _log_ci(wu * t) - _log_ci(wv * t)
-        ) + math.sin(Omega * t) * (_PI - si_u - si_v)
-        lead = math.cos(Omega * t) if name == "gamma2" else math.sin(Omega * t)
-        return lead / (4.0 * _PI * Omega) * bracket
-    raise ValidationError(f"unknown filter {name!r}")
+def _white_totals(Omega, t):
+    """Int_0^inf of each window: a white two-sided PSD S0 gives 2 S0 times these."""
+    return np.array([0.25 * t, 0.0, 0.25 * t * np.sinc(Omega * t / _PI)])
 
 
 # --------------------------------------------------------------------- #
@@ -208,14 +147,6 @@ class FilteredIntegrals:
             float(self.delta1[i]), float(self.delta2[i]), dg,
         )
 
-    def to_csv(self, path):
-        header = "t,gamma1,gamma2,delta1,delta2,dgamma1"
-        dg = np.zeros_like(self.times) if self.dgamma1 is None else self.dgamma1
-        with open(path, "w") as fh:
-            fh.write(header + "\n")
-            for row in zip(self.times, self.gamma1, self.gamma2, self.delta1, self.delta2, dg):
-                fh.write(",".join(repr(float(x)) for x in row) + "\n")
-
 
 @dataclass(frozen=True)
 class IntegralPoint:
@@ -249,45 +180,54 @@ def _overlap_edges(psd, Omega, t, lo_edge, W):
     return np.concatenate([edges[:1], nodes])
 
 
-def _overlap(psd, name, Omega, t, rtol):
-    """2 * [ Int_0^W S*F dw + plateau * tail(W) ], escalating W to converge."""
+def _overlap(psd, Omega, t, rtol):
+    """2 * Int_0^inf S * (F_Gamma1, F_Delta1, M) dw, escalating W to converge.
+
+    Each window integrates S*F and the bare F on [0, W] as rows of one
+    quadrature; beyond W the PSD is the plateau S(W), whose tail is the white
+    total of F minus the bare part.
+    """
     if t == 0.0:
-        return 0.0
-    if name == "amplitude":
-        filt = lambda w: filter_amplitude(w, t)
-    else:
-        filt = lambda w: _FREQ_FILTERS[name](w, Omega, t)
-    # Start where the filter carries its mass; the escalation below extends
+        return np.zeros(3)
+
+    def rows(w):
+        f = _windows(w, Omega, t)
+        return np.concatenate([psd.eval(w) * f, f])
+
+    # Start where the filters carry their mass; the escalation below extends
     # the window over any remaining PSD structure.
     base = max(Omega, 20.0 / t)
     if psd.kind == "ou":
         base = max(base, 1.0 / psd.tau_c)
     W = 6.0 * base
-    inner = 0.0
-    abs_scale = 0.0
+    inner = np.zeros(6)
+    abs_scale = np.zeros(3)
     lo = 0.0
     prev = None
     for _ in range(8):
+        table_done = psd.kind == "tabulated" and W >= psd.support_scale()
+        plateau = psd.high_plateau if table_done else float(psd.eval(W))
+        # the bare rows count only times the plateau: their absolute target is
+        # the S*F rows' target divided by it
         part, _err, abs_part = adaptive_gk(
-            lambda w: psd.eval(w) * filt(w), lo, W,
-            rtol=rtol, atol=rtol * abs_scale,
+            rows, lo, W,
+            rtol=rtol, atol=rtol * np.concatenate([abs_scale, abs_scale / max(plateau, _TINY)]),
             points=_overlap_edges(psd, Omega, t, lo, W)[1:-1],
         )
         inner += part
-        abs_scale = max(abs_scale, abs_part)
-        table_done = psd.kind == "tabulated" and W >= psd.support_scale()
-        plateau = psd.high_plateau if table_done else float(psd.eval(W))
-        total = 2.0 * (inner + plateau * filter_tail(name, W, Omega, t))
+        abs_scale = np.maximum(abs_scale, abs_part[:3])
+        total = 2.0 * (inner[:3] + plateau * (_white_totals(Omega, t) - inner[3:]))
         # A x3 window escalation shrinks the residual of an w^-2 spectrum by
         # ~x27, so a small step-to-step change bounds the remaining error.
-        if prev is not None and abs(total - prev) <= rtol * 100 * max(abs(total), abs_scale):
+        if prev is not None and np.all(
+                np.abs(total - prev) <= rtol * 100 * np.maximum(np.abs(total), abs_scale)):
             return total
         if table_done:
             return total
         prev = total
         lo, W = W, 3.0 * W
     raise NumericalError(
-        f"filtered integral {name} did not converge (Omega={Omega}, t={t}, W={W})"
+        f"filtered integrals did not converge (Omega={Omega}, t={t}, W={W})"
     )
 
 
@@ -310,15 +250,13 @@ def filtered_integrals(psd, Omega, times, amp_psd=None, *, rtol=1e-8):
     times = np.atleast_1d(np.asarray(times, dtype=float))
     if np.any(times < 0):
         raise ValidationError("times must be nonnegative")
-    out = {name: np.zeros(times.size) for name in _FREQ_FILTERS}
-    dg = np.zeros(times.size) if amp_psd is not None else None
-    for i, t in enumerate(times):
-        for name in _FREQ_FILTERS:
-            out[name][i] = _overlap(psd, name, Omega, t, rtol)
-        if amp_psd is not None:
-            dg[i] = _overlap(amp_psd, "amplitude", Omega, t, rtol)
-    return FilteredIntegrals(times, out["gamma1"], out["gamma2"],
-                             out["delta1"], out["delta2"], dg)
+    g1, d1, mem = np.array([_overlap(psd, Omega, t, rtol) for t in times]).reshape(-1, 3).T
+    dg = None
+    if amp_psd is not None:
+        # the amplitude window is twice the Gamma1 window at Omega = 0
+        dg = np.array([2.0 * _overlap(amp_psd, 0.0, t, rtol)[0] for t in times])
+    return FilteredIntegrals(times, g1, np.cos(Omega * times) * mem,
+                             d1, np.sin(Omega * times) * mem, dg)
 
 
 # --------------------------------------------------------------------- #

@@ -225,12 +225,3 @@ def evolve_ensemble(rho0, drive, freq_noise, amp_noise=None, *, seed=0,
         max_norm_drift=max_drift,
         seed=seed,
     )
-
-
-def to_csv(traj, path):
-    """Write `t,sx,sy,sz,se_sx,se_sy,se_sz` rows."""
-    with open(path, "w") as fh:
-        fh.write("t,sx,sy,sz,se_sx,se_sy,se_sz\n")
-        for i, t in enumerate(traj.times):
-            row = [t, *traj.pauli_mean[i], *traj.pauli_se[i]]
-            fh.write(",".join(repr(float(x)) for x in row) + "\n")

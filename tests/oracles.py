@@ -8,6 +8,7 @@ import math
 
 import numpy as np
 from scipy.optimize import minimize
+from scipy.special import sici
 
 from gatenoise._quadrature import adaptive_gk
 from gatenoise.channels import PAULIS, KrausSet, ProcessMatrix, apply_chi, apply_kraus, pauli_chi
@@ -94,6 +95,51 @@ def autocovariance_adaptive(psd, t):
         )
         out[i] = val / math.pi
     return out[0] if t.ndim == 0 else out.reshape(t.shape)
+
+
+def _eta_tail(X, t):
+    """Int_X^inf eta_{2/t}(x) dx for X > 0."""
+    si, _ = sici(X * t)
+    return (2.0 / (math.pi * t)) * (np.sin(0.5 * X * t) ** 2 / X + 0.5 * t * (0.5 * math.pi - si))
+
+
+def _log_ci(z):
+    """Ci(z) - ln(z), finite as z -> 0 (tends to the Euler constant)."""
+    _, ci = sici(z)
+    return ci - np.log(z)
+
+
+def filter_tail_sici(name, W, Omega, t):
+    """Integral of a named filter over [W, inf) for W > Omega, from Si and Ci.
+
+    ``name`` is one of gamma1, delta1, gamma2 (cos(Omega t) times the memory
+    window), delta2 (sin(Omega t) times it) and amplitude (twice the gamma1
+    window at Omega = 0).
+    """
+    if t == 0.0:
+        return 0.0
+    if name == "amplitude":
+        return t * _eta_tail(W, t)
+    if W <= Omega:
+        raise ValidationError("tail start must exceed the Rabi frequency")
+    wu, wv = W - Omega, W + Omega
+    if name == "gamma1":
+        return 0.25 * t * (_eta_tail(wu, t) + _eta_tail(wv, t))
+    if name == "delta1":
+        def H(z):
+            return _log_ci(z) - np.sin(z) / z
+        return (t / (4.0 * math.pi)) * (H(wv * t) - H(wu * t))
+    if name in ("gamma2", "delta2"):
+        si_u, _ = sici(wu * t)
+        si_v, _ = sici(wv * t)
+        # _log_ci carries the log(w t) term, so the ratio log(wv/wu) is
+        # already contained in the difference below.
+        bracket = math.cos(Omega * t) * (
+            _log_ci(wu * t) - _log_ci(wv * t)
+        ) + math.sin(Omega * t) * (math.pi - si_u - si_v)
+        lead = math.cos(Omega * t) if name == "gamma2" else math.sin(Omega * t)
+        return lead / (4.0 * math.pi * Omega) * bracket
+    raise ValidationError(f"unknown filter {name!r}")
 
 
 def kraus_to_chi(kraus, t=0.0):

@@ -299,6 +299,82 @@ def test_validate_steps_on_the_configured_grid(tmp_path, monkeypatch, t_max_s, n
         np.testing.assert_array_equal(rows[:, 0], np.append(0.0, times))
 
 
+def _rows_text(header, rows):
+    """CSV text as the removed per-module writers produced it: repr(float) rows."""
+    lines = [header] + [",".join(repr(float(x)) for x in row) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("with_amp", [False, True])
+def test_filtered_integrals_csv_export(tmp_path, with_amp):
+    cfg_path = tmp_path / "cfg.json"
+    noise = {"psd": OU_PSD}
+    if with_amp:
+        noise["amplitude_psd"] = {"kind": "ou", "c": 1e6, "tau_c": TAU}
+    write_config(cfg_path, noise=noise)
+    out = tmp_path / "pred"
+    assert main(["predict", "--config", str(cfg_path), "--out", str(out)]) == 0
+    cfg = load_config(cfg_path)
+    psd, amp_psd = build_psds(cfg)
+    times = time_grid(cfg)
+    fi = filtered_integrals(psd, cfg["drive"]["omega_rad_s"], times, amp_psd=amp_psd)
+    dg = fi.dgamma1 if with_amp else np.zeros(times.size)
+    assert with_amp == bool(np.all(dg > 0))
+    want = _rows_text("t,gamma1,gamma2,delta1,delta2,dgamma1",
+                      zip(fi.times, fi.gamma1, fi.gamma2, fi.delta1, fi.delta2, dg))
+    assert (out / "filtered_integrals.csv").read_text() == want
+    assert len(want.strip().split("\n")) == times.size + 1
+
+
+def test_langevin_csv_export(tmp_path, monkeypatch):
+    cfg_path = tmp_path / "cfg.json"
+    write_config(cfg_path, **{"simulation.m_mc": 50, "validation.n_haar": 10})
+    ensembles = []
+
+    def recording(*args, **kwargs):
+        ensembles.append(evolve_ensemble(*args, **kwargs))
+        return ensembles[-1]
+
+    monkeypatch.setattr(cli, "evolve_ensemble", recording)
+    out = tmp_path / "val"
+    assert main(["validate", "--config", str(cfg_path), "--out", str(out)]) == 0
+    (ensemble,) = ensembles
+    times = np.append(0.0, time_grid(load_config(cfg_path)))
+    for k, label in enumerate(("zero", "one", "plus", "plus_i")):
+        traj = ensemble[k]
+        want = _rows_text("t,sx,sy,sz,se_sx,se_sy,se_sz",
+                          ([t, *traj.pauli_mean[i], *traj.pauli_se[i]]
+                           for i, t in enumerate(times)))
+        assert (out / f"langevin_{label}.csv").read_text() == want
+        assert len(want.strip().split("\n")) == times.size + 1
+
+
+def test_default_step_follows_the_shorter_amplitude_tau_c(tmp_path, monkeypatch):
+    tau_amp = TAU / 5.0
+    cfg_path = tmp_path / "cfg.json"
+    drives = []
+
+    class Stop(Exception):
+        pass
+
+    def recording(rho0, drive, *args, **kwargs):
+        drives.append(drive)
+        raise Stop
+
+    monkeypatch.setattr(cli, "evolve_ensemble", recording)
+    for amp in (None, {"kind": "ou", "c": 1e6, "tau_c": tau_amp}):
+        noise = {"psd": OU_PSD} if amp is None else {"psd": OU_PSD, "amplitude_psd": amp}
+        write_config(cfg_path, noise=noise)
+        cfg = load_config(cfg_path)
+        assert cfg["simulation"]["dt_s"] is None
+        psd, amp_psd = build_psds(cfg)
+        with pytest.raises(Stop):
+            run_validation(cfg, psd, amp_psd, n_haar=1)
+    without, with_amp = drives
+    assert without.dt > 0.002 * tau_amp
+    assert with_amp.dt <= 0.002 * tau_amp
+
+
 def test_validate_identical_seeds_bitwise(tmp_path):
     # several chunks, so the second run's two threads really split the work
     cfg_path = tmp_path / "cfg.json"

@@ -4,14 +4,14 @@ import numpy as np
 import pytest
 import scipy.integrate as si
 
+from gatenoise._quadrature import adaptive_gk
 from gatenoise.filters import (
     _overlap_edges,
-    filter_amplitude,
+    _white_totals,
+    _windows,
     filter_delta1,
-    filter_delta2,
     filter_gamma1,
-    filter_gamma2,
-    filter_tail,
+    filter_memory,
     filtered_integrals,
     filtered_integrals_timedomain,
     ou_filtered_integrals,
@@ -21,7 +21,7 @@ from gatenoise.filters import (
 )
 from gatenoise.errors import ValidationError
 from gatenoise.psd import NoisePsd
-from oracles import ou_amplitude_integral
+from oracles import filter_tail_sici, ou_amplitude_integral
 
 
 # --------------------------------------------------------------------- #
@@ -33,7 +33,7 @@ def test_gamma1_filter_normalization():
         X = 20.0 * Omega + 2000.0 / t
         val, _ = si.quad(lambda w: filter_gamma1(np.atleast_1d(w), Omega, t)[0],
                          0.0, X, limit=4000, points=[Omega, 2 * Omega])
-        total = 2.0 * (val + filter_tail("gamma1", X, Omega, t))
+        total = 2.0 * (val + filter_tail_sici("gamma1", X, Omega, t))
         assert total == pytest.approx(0.5 * t, rel=1e-6)
 
 
@@ -77,32 +77,37 @@ def test_delta1_long_time_crosses_zero_at_resonance():
 def test_filters_parity_even_on_random_grid():
     rng = np.random.default_rng(2)
     w = rng.uniform(-30, 30, 300)
-    for f in (filter_gamma1, filter_delta1, filter_gamma2, filter_delta2):
+    for f in (filter_gamma1, filter_delta1, filter_memory):
         np.testing.assert_allclose(f(w, 2.2, 1.7), f(-w, 2.2, 1.7), atol=1e-15)
-    np.testing.assert_allclose(filter_amplitude(w, 1.7), filter_amplitude(-w, 1.7))
+    # the amplitude window is the Gamma1 window at Omega = 0
+    np.testing.assert_allclose(filter_gamma1(w, 0.0, 1.7), filter_gamma1(-w, 0.0, 1.7))
 
 
 def test_gamma2_vanishes_at_quarter_period():
+    # Gamma2 = cos(Omega t) Int S M and Delta2 = sin(Omega t) Int S M
     Omega = 3.0
-    t = 0.5 * math.pi / Omega  # cos(Omega t) = 0
-    w = np.linspace(-10, 10, 101)
-    np.testing.assert_allclose(filter_gamma2(w, Omega, t), 0.0, atol=1e-16)
+    psd = NoisePsd.ou(1.0, 0.2)
+    quarter, half = 0.5 * math.pi / Omega, math.pi / Omega
+    fi = filtered_integrals(psd, Omega, [quarter, half])
+    assert abs(fi.gamma2[0]) <= 1e-15 * fi.gamma1[0]
+    assert abs(fi.delta2[1]) <= 1e-15 * fi.gamma1[1]
+    assert abs(fi.delta2[0]) > 0.1 * fi.gamma1[0]
 
 
 def test_filters_zero_at_t0():
     w = np.linspace(-5, 5, 11)
-    for f in (filter_gamma1, filter_delta1, filter_gamma2, filter_delta2):
+    for f in (filter_gamma1, filter_delta1, filter_memory):
         np.testing.assert_array_equal(f(w, 1.0, 0.0), np.zeros_like(w))
 
 
 def test_amplitude_filter_values():
+    # F_amp(w, t) = t eta_{2/t}(w), twice the Gamma1 window at Omega = 0
     t = 2.1
-    assert filter_amplitude(np.array([0.0]), t)[0] == pytest.approx(
-        t * t / (2 * math.pi), rel=1e-12)
+    amp = lambda w: 2.0 * filter_gamma1(np.atleast_1d(w), 0.0, t)
+    assert amp(0.0)[0] == pytest.approx(t * t / (2 * math.pi), rel=1e-12)
     X = 3000.0 / t
-    val, _ = si.quad(lambda w: filter_amplitude(np.atleast_1d(w), t)[0],
-                     0.0, X, limit=4000)
-    assert 2.0 * (val + filter_tail("amplitude", X, 0.0, t)) == pytest.approx(t, rel=1e-7)
+    val, _ = si.quad(lambda w: amp(w)[0], 0.0, X, limit=4000)
+    assert 2.0 * (val + filter_tail_sici("amplitude", X, 0.0, t)) == pytest.approx(t, rel=1e-7)
 
 
 def test_tail_formulas_match_fourier_quadrature():
@@ -145,7 +150,43 @@ def test_tail_formulas_match_fourier_quadrature():
         if sin_part is not None:
             part, _ = si.quad(sin_part, W, np.inf, weight="sin", wvar=t, limlst=200)
             brute += part
-        assert filter_tail(name, W, Omega, t) == pytest.approx(brute, rel=1e-8), name
+        assert filter_tail_sici(name, W, Omega, t) == pytest.approx(brute, rel=1e-8), name
+
+
+def test_white_minus_bare_tail_matches_sici_oracle():
+    # the tail over [W, inf) is the white total minus the window on [0, W]
+    rng = np.random.default_rng(29)
+    for i in range(100):
+        t = 10 ** rng.uniform(-1, 1.5)
+        Omega = 0.0 if i % 5 == 0 else 10 ** rng.uniform(-1, 2)
+        W = Omega + 10 ** rng.uniform(-1, 3) / t
+        pts = np.concatenate([[Omega, 2 * Omega], np.arange(1, W * t / math.pi) * math.pi / t])
+        bare, _, _ = adaptive_gk(lambda w: _windows(w, Omega, t), 0.0, W, rtol=1e-13,
+                                 points=pts)
+        g1, d1, mem = _white_totals(Omega, t) - bare
+        got = {"gamma1": g1, "delta1": d1}
+        if Omega > 0:
+            got.update(gamma2=math.cos(Omega * t) * mem, delta2=math.sin(Omega * t) * mem)
+        else:
+            got.update(amplitude=2.0 * g1)
+        for name, value in got.items():
+            want = filter_tail_sici(name, W, Omega, t)
+            assert abs(value - want) <= 1e-11 * 0.25 * t, (name, Omega, t, W)
+
+
+def test_adaptive_gk_rows_equal_one_row_runs():
+    rows = (lambda x: np.sin(7.0 * x) * np.exp(-x),
+            lambda x: 1.0 / (1.0 + x * x),
+            lambda x: x**3 - np.sin(50.0 * x),
+            lambda x: np.zeros_like(x))
+    rtol = 1e-10
+    total, err, abs_total = adaptive_gk(lambda x: np.stack([f(x) for f in rows]),
+                                        0.0, 4.0, rtol=rtol, points=[1.0])
+    assert total.shape == err.shape == abs_total.shape == (len(rows),)
+    for k, f in enumerate(rows):
+        one, _, one_abs = adaptive_gk(f, 0.0, 4.0, rtol=rtol, points=[1.0])
+        assert abs(total[k] - one) <= rtol * max(abs_total[k], one_abs)
+        assert err[k] <= rtol * abs_total[k]
 
 
 # --------------------------------------------------------------------- #
@@ -266,6 +307,22 @@ def test_overlap_edges_match_per_interval_linspace():
         np.testing.assert_array_equal(_overlap_edges(psd, Omega, t, lo, W), want)
 
 
+def test_flat_table_gives_the_white_closed_forms():
+    s0 = 0.37
+    knots = np.geomspace(1.0, 1e4, 7)
+    flat = NoisePsd.tabulated(knots, np.full(knots.size, s0), s0, s0)
+    Omega = 30.0
+    times = np.array([0.0, 0.01, 0.3, 2.0, 7.5])
+    fi = filtered_integrals(flat, Omega, times, amp_psd=flat)
+    memory = s0 * np.sin(Omega * times) / (2.0 * Omega)
+    want = {"gamma1": 0.5 * s0 * times, "delta1": np.zeros(times.size),
+            "gamma2": np.cos(Omega * times) * memory, "delta2": np.sin(Omega * times) * memory,
+            "dgamma1": s0 * times}
+    for name, value in want.items():
+        scale = np.maximum(np.abs(value), 0.5 * s0 * times)
+        np.testing.assert_array_less(np.abs(getattr(fi, name) - value), 1e-9 * scale + 1e-300)
+
+
 def test_flat_amplitude_psd_gives_linear_dgamma1():
     s0 = 0.37
     flat = NoisePsd.tabulated([1e-8, 1e8], [s0, s0], s0, s0)
@@ -347,12 +404,3 @@ def test_ou_kernels_asymptotics():
     S = c * tau**2 / (1 + (Omega * tau) ** 2)
     assert g1[0] == pytest.approx(0.5 * S, rel=1e-10)
     assert h1[0] == pytest.approx(0.5 * S * Omega * tau, rel=1e-10)
-
-
-def test_csv_export(tmp_path):
-    fi = ou_filtered_integrals(1.0, 1.0, 2.0, [0.0, 1.0])
-    path = tmp_path / "fi.csv"
-    fi.to_csv(path)
-    lines = path.read_text().strip().split("\n")
-    assert lines[0] == "t,gamma1,gamma2,delta1,delta2,dgamma1"
-    assert len(lines) == 3

@@ -17,7 +17,6 @@ from gatenoise.langevin import (
     check_density_matrix,
     default_timestep,
     evolve_ensemble,
-    to_csv,
 )
 from gatenoise.noise import OUSource, PsdSource, ZeroSource
 from gatenoise.psd import NoisePsd
@@ -263,13 +262,3 @@ def test_psd_source_matches_ou_source_statistics():
         for k in range(3):
             se = math.hypot(a.pauli_se[i, k], b.pauli_se[i, k])
             assert abs(a.pauli_mean[i, k] - b.pauli_mean[i, k]) < 4 * max(se, 1e-4)
-
-
-def test_csv_export(tmp_path):
-    drive = DriveConfig(Omega=1.0, dt=0.1, n_steps=5, m_mc=2)
-    traj = evolve_ensemble(RHO0, drive, ZeroSource(), seed=0)
-    path = tmp_path / "traj.csv"
-    to_csv(traj, path)
-    lines = path.read_text().strip().split("\n")
-    assert lines[0] == "t,sx,sy,sz,se_sx,se_sy,se_sz"
-    assert len(lines) == 7
