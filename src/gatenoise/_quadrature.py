@@ -54,6 +54,12 @@ _WG15 = np.zeros(15)
 _WG15[1:-1:2] = np.concatenate([_WG_HALF[:-1], _WG_HALF[::-1]])
 
 
+def sorted_unique(x):
+    """``np.unique`` of a NaN-free 1d array, without numpy 2's lazy numpy.ma import."""
+    x = np.sort(x)
+    return x[np.concatenate([[True], x[1:] != x[:-1]])]
+
+
 def _panel_sums(f, lo, hi):
     """K15 and G7 estimates, shape (..., npanels), for panels [lo_i, hi_i]."""
     mid = 0.5 * (lo + hi)
@@ -102,7 +108,7 @@ def adaptive_gk(f, a, b, *, rtol=1e-10, atol=0.0, points=None, max_panels=20000)
     if points is not None:
         points = np.asarray(points, dtype=float)
         edges = np.concatenate([edges, points[(points > a) & (points < b)]])
-    edges = np.unique(edges)
+    edges = sorted_unique(edges)
     lo = edges[:-1]
     hi = edges[1:]
     k15, g7 = _panel_sums(f, lo, hi)
@@ -140,3 +146,23 @@ def adaptive_gk(f, a, b, *, rtol=1e-10, atol=0.0, points=None, max_panels=20000)
             f"estimate={total}, error={err.sum(axis=-1)}, panels={lo.size}"
         )
     return total, err.sum(axis=-1), abs_total
+
+
+def cumulative_trapezoid(y, h):
+    """Running trapezoid integral of samples ``y`` on a grid of step ``h``, from 0."""
+    return np.concatenate([[0.0], np.cumsum(0.5 * h * (y[:-1] + y[1:]))])
+
+
+def cumulative_simpson(y, h):
+    """Running Simpson integral of samples ``y`` on a grid of step ``h``, from 0:
+    scipy's scheme, h/12 (5 f_i + 8 f_i+1 - f_i+2) on even intervals i, the
+    mirror formula on odd ones and the last, the trapezoid below 3 points."""
+    y = np.asarray(y, dtype=float)
+    if y.size < 3:
+        return cumulative_trapezoid(y, h)
+    f0, f1, f2 = y[:-2:2], y[1:-1:2], y[2::2]
+    parts = np.empty(y.size - 1)
+    parts[:-1:2] = 5.0 * f0 + 8.0 * f1 - f2
+    parts[1::2] = -f0 + 8.0 * f1 + 5.0 * f2
+    parts[-1] = -y[-3] + 8.0 * y[-2] + 5.0 * y[-1]
+    return np.concatenate([[0.0], np.cumsum(parts * (h / 12.0))])

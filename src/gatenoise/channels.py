@@ -35,8 +35,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import cumulative_simpson, cumulative_trapezoid
 
+from ._quadrature import cumulative_simpson, cumulative_trapezoid
 from .errors import CPViolationError, NumericalError, ValidationError
 from .filters import IntegralPoint, ou_kernels
 from .langevin import check_density_matrix
@@ -399,22 +399,22 @@ def nm_measure(psd, Omega, t_max, n_grid=4000, amp_psd=None):
 
     Returns (times, N(t)) on a uniform grid.
     """
-    times = np.linspace(0.0, t_max, n_grid)
+    times, h = np.linspace(0.0, t_max, n_grid, retstep=True)
     if psd.kind == "ou":
         g1, h1 = ou_kernels(psd.c, psd.tau_c, Omega, times)
     else:
         cu = psd.autocovariance(times)
-        g1 = cumulative_simpson(cu * np.cos(Omega * times), x=times, initial=0.0)
-        h1 = cumulative_simpson(cu * np.sin(Omega * times), x=times, initial=0.0)
+        g1 = cumulative_simpson(cu * np.cos(Omega * times), h)
+        h1 = cumulative_simpson(cu * np.sin(Omega * times), h)
     g_eff = g1.copy()
     if amp_psd is not None:
         ca = amp_psd.autocovariance(times)
-        g_eff = g1 + 2.0 * cumulative_simpson(ca, x=times, initial=0.0)
+        g_eff = g1 + 2.0 * cumulative_simpson(ca, h)
     gbar_minus = 0.25 * (g_eff - np.sqrt(g1**2 + h1**2))
     negativity = np.maximum(0.0, -gbar_minus)
     # trapezoid: a non-negative integrand gives exactly non-decreasing N_CP,
     # which Simpson's rule does not guarantee
-    ncp = cumulative_trapezoid(negativity, x=times, initial=0.0)
+    ncp = cumulative_trapezoid(negativity, h)
     return times, ncp
 
 

@@ -17,7 +17,7 @@ from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
-import scipy
+import numpy.random  # noqa: F401  loaded with the module: numpy 2 defers it to first use
 
 from . import __version__
 from .channels import (
@@ -50,6 +50,7 @@ from .tomography import (
     default_setup,
     mh_chain,
     mle_fit,
+    percentiles,
     rb_simulate,
     sample_shots,
 )
@@ -198,7 +199,6 @@ def write_manifest(cfg, out_dir, command):
         "versions": {
             "gatenoise": __version__,
             "numpy": np.__version__,
-            "scipy": scipy.__version__,
             "python": sys.version.split()[0],
         },
     }
@@ -466,8 +466,7 @@ def cmd_tomography(args):
                 "t": t,
                 "true_gate_error": 1.0 - avg_gate_fidelity(chis_true[i], target),
                 "mle_mean": float(errors.mean()),
-                "mle_quantiles": [float(np.percentile(errors, 2.5)),
-                                  float(np.percentile(errors, 97.5))],
+                "mle_quantiles": [float(q) for q in percentiles(errors, (2.5, 97.5))],
             }
             if tomo["run_chain"]:
                 entry["mh"] = _posterior_summary(chain_records[i], setup, tomo, seed, target)

@@ -36,9 +36,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import cumulative_simpson
 
-from ._quadrature import adaptive_gk
+from ._quadrature import adaptive_gk, cumulative_simpson, sorted_unique
 from .errors import NumericalError, ValidationError
 
 _PI = math.pi
@@ -163,7 +162,7 @@ ZERO_POINT = IntegralPoint(0.0, 0.0, 0.0, 0.0, 0.0)
 def _overlap_edges(psd, Omega, t, lo_edge, W):
     pts = [x for x in (0.5 * Omega, Omega, 1.5 * Omega, 2.0 * Omega) if lo_edge < x < W]
     pts += [x for x in psd.breakpoints() if lo_edge < x < W]
-    edges = np.unique(np.concatenate([[lo_edge, W], pts]))
+    edges = sorted_unique(np.concatenate([[lo_edge, W], pts]))
     if t <= 0:
         return edges
     # keep at most ~1.5 filter oscillations per starting panel
@@ -292,10 +291,10 @@ def filtered_integrals_timedomain(autocov, Omega, times, *, n_grid=None, rtol=1e
     prev = None
     for _ in range(6):
         n = n_grid + 1 - (n_grid % 2)  # odd point count for Simpson
-        u = np.linspace(0.0, t_max, n)
+        u, h = np.linspace(0.0, t_max, n, retstep=True)
         cu = np.asarray(autocov(u), dtype=float)
-        g1 = cumulative_simpson(cu * np.cos(Omega * u), x=u, initial=0.0)
-        h1 = cumulative_simpson(cu * np.sin(Omega * u), x=u, initial=0.0)
+        g1 = cumulative_simpson(cu * np.cos(Omega * u), h)
+        h1 = cumulative_simpson(cu * np.sin(Omega * u), h)
         c2, s2 = np.cos(2.0 * Omega * u), np.sin(2.0 * Omega * u)
         kernels = {
             "gamma1": g1,
@@ -304,7 +303,7 @@ def filtered_integrals_timedomain(autocov, Omega, times, *, n_grid=None, rtol=1e
             "delta2": s2 * g1 - c2 * h1,
         }
         vals = {
-            k: np.interp(times, u, cumulative_simpson(v, x=u, initial=0.0))
+            k: np.interp(times, u, cumulative_simpson(v, h))
             for k, v in kernels.items()
         }
         if prev is not None:

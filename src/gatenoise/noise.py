@@ -16,6 +16,8 @@ from __future__ import annotations
 import math
 
 import numpy as np
+import numpy.fft  # noqa: F401  loaded with the module: numpy 2 defers it to first use
+import numpy.random  # noqa: F401
 
 from .errors import ValidationError
 from .psd import NoisePsd

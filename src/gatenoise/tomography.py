@@ -28,7 +28,8 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import curve_fit
+import numpy.fft  # noqa: F401  loaded with the module: numpy 2 defers it to first use
+import numpy.random  # noqa: F401
 
 from .channels import PAULIS, ProcessMatrix, gate_fidelity_matrix
 from .errors import DegenerateDataError, FitError, TuningWarning, ValidationError
@@ -490,6 +491,15 @@ class ChiPosterior:
     ess: float                  # effective sample size of ``gate_errors``
 
 
+def percentiles(x, q):
+    """``np.percentile(x, q)``, same rule and rounding, without its lazy numpy.ma import."""
+    x = np.sort(np.ravel(x))
+    pos = (x.size - 1) * (np.asarray(q, dtype=float) / 100.0)
+    lo = np.floor(pos).astype(int)
+    a, b, t = x[lo], x[np.minimum(lo + 1, x.size - 1)], pos - lo
+    return np.where(t >= 0.5, b - (b - a) * (1.0 - t), a + (b - a) * t)
+
+
 def effective_sample_size(trace):
     """Effective sample size of a chain trace.
 
@@ -563,7 +573,7 @@ def mh_chain(counts, setup=None, *, n_steps=100000, width=0.02, seed=0,
             TuningWarning,
         )
     mode_idx = int(np.argmax(chain_logl[n_burn:]))
-    lo_q, hi_q = np.percentile(kept_err, (2.5, 97.5))
+    lo_q, hi_q = percentiles(kept_err, (2.5, 97.5))
     return ChiPosterior(
         ells=kept_ells,
         gate_errors=kept_err,
@@ -663,8 +673,31 @@ class RBResult:
     avg_pulses: float
 
 
+def _rb_profile(lam, lengths, mean):
+    """Least residual sum of squares of ``A * lam**N + B`` over (A, B) in
+    [0, 1]^2, at each ``lam``: the free linear fit if it lies in the box,
+    else the best clipped one-variable fit on one of the four edges."""
+    tiny = np.finfo(float).tiny  # where v is constant every A is optimal: take 0
+    v = lam[:, None] ** lengths
+    vbar, ybar = v.mean(axis=1), mean.mean()
+    vc = v - vbar[:, None]
+    a_free = vc @ (mean - ybar) / np.maximum((vc * vc).sum(axis=1), tiny)
+    vv = np.maximum((v * v).sum(axis=1), tiny)
+    z = np.zeros_like(lam)
+    a = np.stack([a_free, z, z + 1.0, v @ mean / vv, v @ (mean - 1.0) / vv])
+    b = np.stack([ybar - a_free * vbar, z + ybar, ybar - vbar, z, z + 1.0])
+    a[3:], b[1:3] = np.clip(a[3:], 0.0, 1.0), np.clip(b[1:3], 0.0, 1.0)
+    rss = ((a[..., None] * v + b[..., None] - mean) ** 2).sum(axis=-1)
+    rss[0, (np.abs(a[0] - 0.5) > 0.5) | (np.abs(b[0] - 0.5) > 0.5)] = np.inf
+    return rss.min(axis=0)
+
+
 def fit_rb_decay(lengths, mean, se, *, shots=100, n_seq=100):
     """Fit survival-vs-length data to A * lam**N + B and return lam.
+
+    Least squares over A, B, lam in [0, 1] by variable projection (Golub &
+    Pereyra 1973): the profile :func:`_rb_profile` is minimized on a grid
+    log-spaced in 1 - lam, then on finer grids around the best point.
 
     Raises :class:`FitError` for non-decaying (rising) data; survival that is
     flat at 1/2 within noise is reported as lam = 0 (fully decohered at the
@@ -681,18 +714,14 @@ def fit_rb_decay(lengths, mean, se, *, shots=100, n_seq=100):
         return 1.0
     if mean.max() - 0.5 < 4.0 * noise_floor:
         return 0.0  # fully decohered already at the shortest sequence
-    good = mean - 0.5 > noise_floor
-    slope = np.polyfit(lengths[good], np.log(mean[good] - 0.5), 1)[0] if good.sum() > 1 else -1e-3
-    lam0 = float(np.clip(math.exp(slope), 1e-3, 0.999999))
-    try:
-        popt, _ = curve_fit(
-            lambda N, A, lam, B: A * lam**N + B,
-            lengths, mean, p0=(0.5, lam0, 0.5),
-            bounds=([0.0, 0.0, 0.0], [1.0, 1.0, 1.0]), maxfev=20000,
-        )
-    except RuntimeError as exc:
-        raise FitError(f"decay fit failed: {exc}") from exc
-    lam = float(popt[1])
+    grid = np.append(1.0 - np.geomspace(1.0, 1e-12, 241), 1.0)
+    while True:
+        k = int(np.argmin(_rb_profile(grid, lengths, mean)))
+        lo, hi = grid[max(k - 1, 0)], grid[min(k + 1, grid.size - 1)]
+        if hi - lo < 1e-10:
+            break
+        grid = np.linspace(lo, hi, 65)
+    lam = float(grid[k])
     if lam > 1.0 - 1e-9:
         raise FitError("benchmarking data does not decay")
     return lam

@@ -7,12 +7,12 @@ compare the package against; no pipeline calls them.
 import math
 
 import numpy as np
-from scipy.optimize import minimize
+from scipy.optimize import curve_fit, minimize
 from scipy.special import sici
 
 from gatenoise._quadrature import adaptive_gk
 from gatenoise.channels import PAULIS, KrausSet, ProcessMatrix, apply_chi, apply_kraus, pauli_chi
-from gatenoise.errors import ValidationError
+from gatenoise.errors import FitError, ValidationError
 from gatenoise.tomography import (
     _DIAG_IDX,
     N_PARAMS,
@@ -306,3 +306,33 @@ def mle_fit_lbfgsb(counts, setup=None, *, n_starts=8, seed=0):
             best = res
     ell = best.x / np.linalg.norm(best.x)
     return ProcessMatrix(chi_from_ell(ell), counts.t), ell
+
+
+def fit_rb_decay_curve_fit(lengths, mean, se, *, shots=100, n_seq=100, **tols):
+    """``fit_rb_decay`` by bounded nonlinear least squares (scipy's
+    ``curve_fit``), from a log-linear first guess of lam.
+
+    Returns (lam, popt): popt is (A, lam, B), or None where the data take
+    one of the early exits (rising, all at 1, flat at 1/2).
+    """
+    lengths = np.asarray(lengths, dtype=float)
+    mean = np.asarray(mean, dtype=float)
+    noise_floor = max(float(np.max(se)), 1.0 / math.sqrt(shots * n_seq))
+    trend = float(np.polyfit(lengths, mean, 1)[0] * (lengths[-1] - lengths[0]))
+    if trend > 4.0 * noise_floor:
+        raise FitError("benchmarking data does not decay (survival increases)")
+    if np.all(mean > 1.0 - 1e-12):
+        return 1.0, None
+    if mean.max() - 0.5 < 4.0 * noise_floor:
+        return 0.0, None
+    good = mean - 0.5 > noise_floor
+    slope = np.polyfit(lengths[good], np.log(mean[good] - 0.5), 1)[0] if good.sum() > 1 else -1e-3
+    lam0 = float(np.clip(math.exp(slope), 1e-3, 0.999999))
+    popt, _ = curve_fit(
+        lambda N, A, lam, B: A * lam**N + B,
+        lengths, mean, p0=(0.5, lam0, 0.5),
+        bounds=([0.0, 0.0, 0.0], [1.0, 1.0, 1.0]), maxfev=20000, **tols,
+    )
+    if popt[1] > 1.0 - 1e-9:
+        raise FitError("benchmarking data does not decay")
+    return float(popt[1]), popt

@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -178,7 +181,7 @@ def test_predict_outputs_and_manifest(tmp_path):
         assert (out / name).exists()
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["seed"] == 7
-    assert "gatenoise" in manifest["versions"]
+    assert set(manifest["versions"]) == {"gatenoise", "numpy", "python"}
 
 
 def test_predict_is_byte_reproducible(tmp_path):
@@ -596,3 +599,66 @@ def test_units_invariance_through_pipeline(tmp_path):
         assert main(["predict", "--config", str(cfg_path), "--out", str(out)]) == 0
         outs.append(np.loadtxt(out / "error_curves.csv", delimiter=",", skiprows=1))
     np.testing.assert_allclose(outs[0], outs[1], atol=1e-10)
+
+
+IMPORT_GUARD = """
+import json, sys
+import gatenoise.cli as cli
+report = [["import gatenoise.cli", 0, sorted(m for m in sys.modules if m.startswith("scipy"))]]
+for argv in json.loads(sys.argv[1]):
+    loaded = set(sys.modules)
+    code = cli.main(argv)
+    new = sorted(m for m in set(sys.modules) - loaded if m.startswith(("scipy", "numpy.")))
+    report.append([" ".join(argv[:2]), code, new])
+print(json.dumps(report))
+"""
+
+
+def test_commands_import_neither_scipy_nor_numpy_submodules(tmp_path):
+    """scipy stays a test-only dependency, and numpy 2's lazy submodules
+    (numpy.random, numpy.fft, numpy.ma) load with the CLI or not at all,
+    never inside a command's own time."""
+    from gatenoise.tomography import born_probs, counts_to_csv, default_setup, sample_shots
+
+    f = np.geomspace(1.0, 2e4, 60)
+    raw = tmp_path / "raw.csv"
+    np.savetxt(raw, np.column_stack([f, 600.0 / (1.0 + (f / 300.0) ** 2) + 0.05]),
+               delimiter=",", header="freq_hz,psd", comments="")
+    sidecar = tmp_path / "raw.json"
+    sidecar.write_text(json.dumps({"units": "hz_one_sided", "low_plateau": 600.05,
+                                   "high_plateau": 0.05}))
+    ing = tmp_path / "ingested"
+    small = {"drive": {"omega_rad_s": 1.0 / (5.0 * TAU), "t_max_s": 0.004, "n_times": 2},
+             "simulation": {"m_mc": 200, "seed": 7}, "validation": {"n_haar": 20}}
+    configs = {
+        "ou": small,
+        "tabulated": {**small, "noise": {"psd": {
+            "kind": "tabulated", "csv": str(ing / "psd_normalized.csv"),
+            "sidecar": str(ing / "psd_normalized.json")}}},
+        "chain": {**small, "tomography": {"shots_per_basis": 60, "repetitions": 2,
+                                          "chain_steps": 400, "run_chain": True}},
+    }
+    for name, overrides in configs.items():
+        write_config(tmp_path / f"{name}.json", **overrides)
+    probs = born_probs(np.diag([0.9, 0.05, 0.0, 0.05]).astype(complex), default_setup())
+    counts_to_csv([sample_shots(probs, 50, np.random.default_rng(12), t=2e-3)],
+                  tmp_path / "counts.csv")
+
+    def run(command, cfg, *extra):
+        return [command, "--config", str(tmp_path / f"{cfg}.json"),
+                "--out", str(tmp_path / f"out_{command}_{cfg}"), *extra]
+
+    argvs = [["ingest-psd", str(raw), str(sidecar), "--out", str(ing)],
+             run("predict", "ou"), run("validate", "ou"), run("validate", "tabulated"),
+             run("tomography", "ou"),
+             run("tomography", "chain", "--counts", str(tmp_path / "counts.csv")),
+             run("rb", "ou")]
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    proc = subprocess.run([sys.executable, "-c", IMPORT_GUARD, json.dumps(argvs)],
+                          capture_output=True, text=True, env=env, check=True)
+    report = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert len(report) == len(argvs) + 1
+    assert report == [[step, 0, []] for step, _, _ in report], proc.stderr
+

@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 import scipy.integrate as si
 
-from gatenoise._quadrature import adaptive_gk
+from gatenoise._quadrature import (
+    adaptive_gk,
+    cumulative_simpson,
+    cumulative_trapezoid,
+    sorted_unique,
+)
 from gatenoise.filters import (
     _overlap_edges,
     _white_totals,
@@ -187,6 +192,22 @@ def test_adaptive_gk_rows_equal_one_row_runs():
         one, _, one_abs = adaptive_gk(f, 0.0, 4.0, rtol=rtol, points=[1.0])
         assert abs(total[k] - one) <= rtol * max(abs_total[k], one_abs)
         assert err[k] <= rtol * abs_total[k]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 300, 4001])
+@pytest.mark.parametrize("ours, scipys", [(cumulative_simpson, si.cumulative_simpson),
+                                          (cumulative_trapezoid, si.cumulative_trapezoid)])
+def test_cumulative_rules_match_scipy(n, ours, scipys):
+    u = np.linspace(0.0, 1.7, n)
+    y = np.exp(u) + np.cos(5.0 * u) + 0.5   # positive, so every partial sum is too
+    ref = scipys(y, x=u, initial=0.0)
+    np.testing.assert_allclose(ours(y, 1.7 / (n - 1)), ref, rtol=1e-13, atol=0.0)
+
+
+def test_sorted_unique_matches_numpy():
+    x = np.random.default_rng(3).integers(0, 40, 200) * 0.25
+    np.testing.assert_array_equal(sorted_unique(x), np.unique(x))
+    np.testing.assert_array_equal(sorted_unique(np.array([2.0])), [2.0])
 
 
 # --------------------------------------------------------------------- #

@@ -206,6 +206,21 @@ def test_tabulated_autocovariance_shapes_and_parity():
     assert psd.autocovariance(np.array([0.0])).shape == (1,)
 
 
+def test_nm_measure_matches_the_scipy_cumulative_rules(monkeypatch):
+    import scipy.integrate as si
+
+    import gatenoise.channels as channels
+
+    psd = measured_style_table()
+    times, ncp = nm_measure(psd, OMEGA, T_MAX, n_grid=4000)
+    for name in ("cumulative_simpson", "cumulative_trapezoid"):
+        rule = getattr(si, name)
+        monkeypatch.setattr(channels, name, lambda y, h, rule=rule: rule(y, x=times, initial=0.0))
+    _, ncp_ref = nm_measure(psd, OMEGA, T_MAX, n_grid=4000)
+    assert ncp_ref[-1] > 0.0
+    np.testing.assert_allclose(ncp, ncp_ref, rtol=0, atol=1e-12 * ncp_ref.max())
+
+
 def test_nm_measure_on_a_table_matches_the_adaptive_autocovariance():
     psd = measured_style_table()
     slow = copy.copy(psd)

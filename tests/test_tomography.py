@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import lsq_linear
 
 from gatenoise import tomography
 from gatenoise.channels import (
@@ -43,6 +44,7 @@ from gatenoise.tomography import (
     sample_shots,
 )
 from oracles import (
+    fit_rb_decay_curve_fit,
     kraus_to_chi,
     log_likelihood,
     loglik_and_grad,
@@ -631,6 +633,66 @@ def test_rb_fit_flat_at_half_is_fully_decohered():
     lengths = np.array([2, 8, 32, 128])
     flat = np.array([0.502, 0.499, 0.501, 0.5])
     assert fit_rb_decay(lengths, flat, 0.005 * np.ones(4), shots=100, n_seq=100) == 0.0
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 40, 1350])
+def test_percentiles_match_numpy_bitwise(n):
+    x = np.random.default_rng(n).standard_normal(n)
+    q = (0.0, 2.5, 50.0, 97.5, 100.0)
+    np.testing.assert_array_equal(tomography.percentiles(x, q), np.percentile(x, q))
+
+
+def _rb_case(seed, monkeypatch):
+    """RB data of one fixed seed, as ``rb_simulate`` hands them to the fit.
+
+    A quarter each: anisotropic Pauli rates, depolarizing rates, decays
+    that are nearly flat near 1 (p <= 3e-5) and decays that are flat at 1/2
+    after the first lengths (p >= 0.05).
+    """
+    rng = np.random.default_rng([12, seed])
+    kind = seed % 4
+    p = 10.0 ** rng.uniform(*[(-4.0, -1.5), (-4.0, -1.5), (-6.0, -4.5), (-1.3, -0.7)][kind])
+    split = np.full(3, 1.0 / 3.0) if kind == 1 else rng.dirichlet(np.ones(3))
+    seen = []
+    monkeypatch.setattr(tomography, "fit_rb_decay", lambda *a, **k: seen.append((a, k)) or 0.5)
+    rb_simulate(PauliRates(*(p * split)), n_seq=30, shots=100, seed=seed)
+    monkeypatch.undo()
+    (lengths, mean, se), kw = seen[0]
+    return lengths, mean, se, kw
+
+
+def _bounded_rss(lam, lengths, mean):
+    """Least residual sum of squares over (A, B) in [0, 1]^2 at fixed lam."""
+    design = np.column_stack([lam ** lengths.astype(float), np.ones(lengths.size)])
+    return 2.0 * lsq_linear(design, mean, bounds=(0.0, 1.0), method="bvls").cost
+
+
+CONVERGED = {"ftol": 1e-15, "xtol": 1e-15, "gtol": 1e-15}
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_rb_variable_projection_matches_curve_fit(seed, monkeypatch):
+    # At scipy's default tolerances curve_fit stops short on flat profiles
+    # (9 of these 60 seeds end 2e-10 to 0.9% above the least RSS), so lam is
+    # compared with curve_fit run to convergence, and the RSS with both.
+    from gatenoise.tomography import fit_rb_decay
+
+    lengths, mean, se, kw = _rb_case(seed, monkeypatch)
+    try:
+        lam_ref, popt = fit_rb_decay_curve_fit(lengths, mean, se, **kw, **CONVERGED)
+    except FitError:
+        with pytest.raises(FitError):
+            fit_rb_decay(lengths, mean, se, **kw)
+        return
+    lam = fit_rb_decay(lengths, mean, se, **kw)
+    if popt is None:
+        assert lam == lam_ref
+        return
+    assert abs(lam - lam_ref) <= 1e-6
+    rss = _bounded_rss(lam, lengths, mean)
+    for tols in ({}, CONVERGED):
+        A, lam_ref, B = fit_rb_decay_curve_fit(lengths, mean, se, **kw, **tols)[1]
+        assert rss <= np.sum((A * lam_ref ** lengths.astype(float) + B - mean) ** 2) * (1 + 1e-9)
 
 
 def test_rb_pauli_channel_matches_bloch_prediction():
