@@ -417,11 +417,3 @@ def nm_measure(psd, Omega, t_max, n_grid=4000, amp_psd=None):
     ncp = cumulative_trapezoid(negativity, h)
     return times, ncp
 
-
-def dressing_validity(tau_c, psd):
-    """Validity parameter sqrt(tau_c / T2) of the second-order truncation."""
-    s0 = psd.eval(0.0)
-    if s0 <= 0:
-        return 0.0
-    t2 = 2.0 / s0
-    return math.sqrt(tau_c / t2)

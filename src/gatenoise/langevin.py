@@ -24,7 +24,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import NumericalError, ValidationError
-from .noise import ZeroSource
 
 # Largest tolerated deviation of a propagator from unitarity, |a|^2 + |b|^2 - 1.
 MAX_NORM_DRIFT = 1e-6
@@ -124,8 +123,11 @@ def evolve_ensemble(rho0, drive, freq_noise, amp_noise=None, *, seed=0,
         One initial state or a stack of them.  Every state is mapped by the
         same propagators, so the stack shares its random numbers.
     drive : DriveConfig
-    freq_noise, amp_noise : noise sources
-        Objects with ``increments_block(seed, indices, n_steps, dt)``.
+    freq_noise, amp_noise : noise sources or None
+        Objects whose ``increments_block(seed, indices, n_steps, dt)`` returns
+        a time-major ``(n_steps, m)`` block of per-step noise integrals; any
+        other shape raises ``ValidationError``, but no shape check can catch
+        the transposed layout when m == n_steps.  ``None``: no noise there.
     seed : int
         Master seed; trajectory ``i`` always uses stream ``(seed, i)`` for
         the frequency noise and ``(seed + 2**31, i)`` for amplitude noise,
@@ -148,7 +150,6 @@ def evolve_ensemble(rho0, drive, freq_noise, amp_noise=None, *, seed=0,
     bloch0 = np.stack([2.0 * flat[:, 0, 1].real, -2.0 * flat[:, 0, 1].imag,
                        (flat[:, 0, 0] - flat[:, 1, 1]).real], axis=1)
 
-    amp_noise = amp_noise or ZeroSource()
     rec_idx = np.arange(0, drive.n_steps + 1, record_every)
     if rec_idx[-1] != drive.n_steps:
         rec_idx = np.append(rec_idx, drive.n_steps)
@@ -157,12 +158,21 @@ def evolve_ensemble(rho0, drive, freq_noise, amp_noise=None, *, seed=0,
     omega_dt = drive.Omega * drive.dt
     jobs = [(lo, min(lo + chunk, drive.m_mc)) for lo in range(0, drive.m_mc, chunk)]
 
+    def steps_block(source, stream_seed, idx, axis):
+        if source is None:
+            return None
+        block = source.increments_block(stream_seed, idx, drive.n_steps, drive.dt)
+        if np.shape(block) != (drive.n_steps, len(idx)):
+            raise ValidationError(f"{axis} noise block has shape {np.shape(block)}, expected "
+                                  f"(n_steps, m) = {(drive.n_steps, len(idx))}")
+        return block
+
     def run_chunk(job):
         lo, hi = job
         idx = range(lo, hi)
         m = hi - lo
-        freq_inc = freq_noise.increments_block(seed, idx, drive.n_steps, drive.dt)
-        amp_inc = amp_noise.increments_block(seed + 2**31, idx, drive.n_steps, drive.dt)
+        freq_inc = steps_block(freq_noise, seed, idx, "frequency")
+        amp_inc = steps_block(amp_noise, seed + 2**31, idx, "amplitude")
         # first column (a, b) of U = [[a, -b*], [b, a*]], as real and imaginary parts
         ar, ai, br, bi = np.ones(m), np.zeros(m), np.zeros(m), np.zeros(m)
         sum_r = np.zeros((n_rec, 3, 3))
@@ -180,8 +190,8 @@ def evolve_ensemble(rho0, drive, freq_noise, amp_noise=None, *, seed=0,
 
         record(0)
         for i in range(drive.n_steps):
-            nx = omega_dt + amp_inc[:, i]
-            nz = freq_inc[:, i]
+            nx = omega_dt if amp_inc is None else omega_dt + amp_inc[i]
+            nz = 0.0 if freq_inc is None else freq_inc[i]
             theta = np.sqrt(nx * nx + nz * nz)
             c = np.cos(0.5 * theta)
             s = 0.5 * np.sinc(theta / (2.0 * math.pi))   # sin(theta/2) / theta

@@ -6,9 +6,11 @@ Two sources produce the dephasing (or Rabi-rate) noise of each trajectory:
 * ``PsdSource``: a random Fourier series straight from any PSD, for
   wide-sense stationary processes (``percival_trajectory``).
 
-All generators are pure functions of their random draws; ensembles use one
-counter-based stream per trajectory index so results are reproducible and
-independent of evaluation order.
+The contract of a source: ``increments_block(seed, indices, n_steps, dt)``
+returns the per-step noise integrals as a C-contiguous ``(n_steps, m)``
+block, time-major; column ``j`` depends only on the stream
+``trajectory_rng(seed, indices[j])``, so results are reproducible and
+independent of chunking and evaluation order.
 """
 
 from __future__ import annotations
@@ -28,56 +30,62 @@ def trajectory_rng(seed, index):
     return np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, index))))
 
 
+def _stream_normals(seed, indices, k):
+    """(k, m) unit normals, column j from trajectory ``indices[j]``'s stream.
+    Streams fill a (tile, k) buffer copied in transposed, far faster than one
+    strided column write per stream."""
+    m, tile = len(indices), 64
+    out = np.empty((k, m))
+    buf = np.empty((min(tile, m), k))
+    for lo in range(0, m, tile):
+        rows = buf[:min(tile, m - lo)]
+        for row, idx in zip(rows, indices[lo:lo + tile]):
+            trajectory_rng(seed, idx).standard_normal(k, out=row)
+        out[:, lo:lo + len(rows)] = rows.T
+    return out
+
+
 # --------------------------------------------------------------------- #
 # PSD-based generation (stationary processes)
 
-def percival_trajectory(psd, m_f, t0, tf, draws):
+def percival_trajectory(psd, m_f, span, draws):
     """Trajectories on ``m_f`` grid points from the PSD via a random Fourier series.
 
-    Coefficients ``A_m = sqrt(S_m / 2) (u_1 + i u_2)`` with two independent
-    unit normals per sampled frequency ``f_m = (m) / (tf - t0)``, assembled
-    Hermitian-symmetrically so the output is exactly real.  ``S_m`` is the
-    two-sided density at ``w = 2 pi f_m``, which makes the lag-0 covariance
-    of the ensemble equal the trapezoid approximation of the PSD integral.
+    Coefficients ``A_m = sqrt(S_m / 2) (u_1 + i u_2)``, two unit normals per
+    frequency ``f_m = m / span`` (real ``sqrt(S_m) u_1`` at DC and Nyquist),
+    summed by one inverse real FFT, so the output is real by construction.
+    ``S_m`` is the two-sided density at ``w = 2 pi f_m``, which makes the lag-0
+    covariance of the ensemble the trapezoid approximation of the PSD integral.
 
     Parameters
     ----------
     psd : NoisePsd
     m_f : int
         Even number of grid samples (>= 4).
-    t0, tf : float
-        Window; the grid spacing is (tf - t0) / m_f.
-    draws : ndarray, shape (..., n >= m_f + 2)
-        Unit normal draws, two per frequency bin 0..m_f/2, along the last axis;
-        the result has shape ``draws.shape[:-1] + (m_f,)``, row by row.
+    span : float
+        Window length; the grid spacing is span / m_f.
+    draws : ndarray, shape (n >= m_f + 2, ...)
+        Unit normals, two per frequency bin 0..m_f/2, along the first axis;
+        the result has shape ``(m_f,) + draws.shape[1:]``, column by column.
     """
     if m_f % 2 or m_f < 4:
         raise ValidationError(f"m_f must be even and >= 4, got {m_f}")
-    if not tf > t0:
-        raise ValidationError("need tf > t0")
+    if not span > 0:
+        raise ValidationError("need span > 0")
     draws = np.asarray(draws, dtype=float)
     n_freq = m_f // 2 + 1
-    if draws.shape[-1] < 2 * n_freq:
-        raise ValidationError(f"need at least {2 * n_freq} draws, got {draws.shape[-1]}")
-    span = tf - t0
+    if draws.shape[0] < 2 * n_freq:
+        raise ValidationError(f"need at least {2 * n_freq} draws, got {draws.shape[0]}")
     f0 = 1.0 / span
-    freqs = f0 * np.arange(n_freq)
-    S = np.asarray(psd.eval(2.0 * math.pi * freqs), dtype=float)
-    amp = np.sqrt(0.5 * S)
+    S = np.asarray(psd.eval(2.0 * math.pi * (f0 * np.arange(n_freq))), dtype=float)
+    amp = np.sqrt(0.5 * f0 * S).reshape((n_freq,) + (1,) * (draws.ndim - 1))
 
-    # built and transformed in place: a block costs one complex (..., m_f) array
-    nu = np.zeros(draws.shape[:-1] + (m_f,), dtype=complex)
-    np.multiply(amp, draws[..., 0:2 * n_freq:2], out=nu.real[..., :n_freq])
-    np.multiply(amp, draws[..., 1:2 * n_freq:2], out=nu.imag[..., :n_freq])
-    nu[..., [0, n_freq - 1]] = math.sqrt(2.0) * nu.real[..., [0, n_freq - 1]]
-    np.conjugate(nu[..., n_freq - 2:0:-1], out=nu[..., n_freq:])
-
-    # values[j] = sum_m nu_m exp(-2pi i m j / m_f) / sqrt(span) = FFT of nu
-    values = np.divide(np.fft.fft(nu, axis=-1, out=nu), math.sqrt(span), out=nu)
-    imag, real = values.imag, values.real
-    if max(imag.max(), -imag.min()) > 1e-10 * max(real.max(), -real.min(), 1e-300):
-        raise ValidationError("Fourier assembly lost Hermitian symmetry")
-    return values.real
+    # sum of A_m exp(-2 pi i m j / m_f) over +-m = unnormalized irfft of conj(A)
+    half = np.empty((n_freq,) + draws.shape[1:], dtype=complex)
+    np.multiply(amp, draws[0:2 * n_freq:2], out=half.real)
+    np.multiply(-amp, draws[1:2 * n_freq:2], out=half.imag)
+    half[[0, -1]] = math.sqrt(2.0) * half.real[[0, -1]]
+    return np.fft.irfft(half, m_f, axis=0, norm="forward")
 
 
 # --------------------------------------------------------------------- #
@@ -98,19 +106,15 @@ class OUSource:
         self.tau_c = float(tau_c)
 
     def increments_block(self, seed, indices, n_steps, dt):
-        m = len(indices)
-        normals = np.empty((m, n_steps + 1))
-        for row, idx in enumerate(indices):
-            normals[row] = trajectory_rng(seed, idx).standard_normal(n_steps + 1)
         decay = math.exp(-dt / self.tau_c)
         sigma = math.sqrt(0.5 * self.c * self.tau_c * (1.0 - decay * decay))
-        stat = math.sqrt(0.5 * self.c * self.tau_c)
-        values = np.empty((m, n_steps))
-        eta = stat * normals[:, 0]
-        for i in range(n_steps):
-            values[:, i] = eta
-            eta = eta * decay + sigma * normals[:, i + 1]
-        return values * dt
+        eta = _stream_normals(seed, indices, n_steps)
+        eta[0] *= math.sqrt(0.5 * self.c * self.tau_c)
+        for i in range(1, n_steps):
+            eta[i] *= sigma
+            eta[i] += eta[i - 1] * decay
+        eta *= dt
+        return eta
 
 
 class PsdSource:
@@ -121,7 +125,7 @@ class PsdSource:
     lag.  Bin m carries ``f0 * S(2 pi m f0)``, ``f0 = 1/T``: the DC bin adds
     a random constant of variance ``f0 * S(0)`` to each trajectory, which can
     exceed the process variance for a spectrum steep below f0 (1/f, a narrow
-    Lorentzian).  A block takes one PSD evaluation and one FFT.
+    Lorentzian).  A block takes one PSD evaluation and one inverse real FFT.
     """
 
     def __init__(self, psd):
@@ -131,14 +135,7 @@ class PsdSource:
 
     def increments_block(self, seed, indices, n_steps, dt):
         m_f = max(4, n_steps + (n_steps % 2))
-        draws = np.stack([trajectory_rng(seed, idx).standard_normal(m_f + 2) for idx in indices])
-        values = percival_trajectory(self.psd, m_f, 0.0, m_f * dt, draws)
-        del draws   # frees m * (m_f + 2) floats before the copy below
-        return values[:, :n_steps] * dt
-
-
-class ZeroSource:
-    """No noise at all."""
-
-    def increments_block(self, seed, indices, n_steps, dt):
-        return np.zeros((len(indices), n_steps))
+        values = percival_trajectory(self.psd, m_f, m_f * dt,
+                                     _stream_normals(seed, indices, m_f + 2))[:n_steps]
+        values *= dt
+        return values

@@ -205,7 +205,7 @@ class ConstantSource:
         self.value = float(value)
 
     def increments_block(self, seed, indices, n_steps, dt):
-        return np.full((len(indices), n_steps), self.value * dt)
+        return np.full((n_steps, len(indices)), self.value * dt)
 
 
 def log_likelihood(probs, counts, *, grad=False):

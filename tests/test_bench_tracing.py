@@ -49,6 +49,8 @@ def test_tracer_instruments_cli_and_uninstalls(tmp_path):
     # 20 steps of 1e-4 s per 2e-3 s grid interval, two intervals
     assert metrics["langevin.ensembles"] == 1
     assert metrics["langevin.traj_steps"] == 20 * 40
+    # the draw counter reads increments_block's (indices, n_steps) arguments
+    assert metrics["noise.ou.draws"] == 20 * 40
     assert metrics["filters.time_points"] == 2
     assert metrics["channels.apply_calls"] == 2 * 4
     assert set(accounting) == {"step.validate"}

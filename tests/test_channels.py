@@ -14,7 +14,6 @@ from gatenoise.channels import (
     chi_nm,
     depolarizing_chi,
     depolarizing_rate,
-    dressing_validity,
     drive_unitary,
     gate_error,
     gate_fidelity_matrix,
@@ -392,12 +391,6 @@ def test_nm_measure_monotone_on_tabulated_psd():
 def test_master_equation_rejects_bad_state():
     with pytest.raises(ValidationError):
         master_equation_evolve(np.eye(2), lambda t: (t, t), 1.0, [1.0])
-
-
-def test_dressing_validity_parameter():
-    psd = NoisePsd.ou(2.0 / (10.0 * (5e-4) ** 3), 5e-4)
-    zeta = dressing_validity(5e-4, psd)
-    assert zeta == pytest.approx(math.sqrt(0.1), rel=1e-6)
 
 
 def test_process_matrix_container_validation():

@@ -18,7 +18,7 @@ from gatenoise.langevin import (
     default_timestep,
     evolve_ensemble,
 )
-from gatenoise.noise import OUSource, PsdSource, ZeroSource
+from gatenoise.noise import OUSource, PsdSource
 from gatenoise.psd import NoisePsd
 from oracles import ConstantSource
 
@@ -30,7 +30,7 @@ def test_exact_step_rabi_flopping():
     # one coarse step per 0.9 rad of drive: exact rotations, no step error
     Omega = 3.0
     drive = DriveConfig(Omega=Omega, dt=0.3, n_steps=40, m_mc=1)
-    traj = evolve_ensemble(RHO0, drive, ZeroSource(), seed=0)
+    traj = evolve_ensemble(RHO0, drive, None, seed=0)
     np.testing.assert_allclose(traj.pauli_mean[:, 2], np.cos(Omega * traj.times),
                                rtol=0, atol=1e-12)
     np.testing.assert_allclose(traj.pauli_mean[:, 1], -np.sin(Omega * traj.times),
@@ -71,7 +71,7 @@ class _SubsampledOU:
     def increments_block(self, seed, indices, n_steps, dt):
         k = int(round(dt / self.dt_fine))
         fine = self.source.increments_block(seed, indices, n_steps * k, self.dt_fine)
-        return fine[:, ::k] * (dt / self.dt_fine)
+        return fine[::k] * (dt / self.dt_fine)
 
 
 def test_dt_halving_convergence():
@@ -94,9 +94,9 @@ def test_dt_halving_convergence():
 def test_evolve_ensemble_rejects_invalid_state():
     drive = DriveConfig(Omega=1.0, dt=0.1, n_steps=1, m_mc=1)
     with pytest.raises(ValidationError):
-        evolve_ensemble(2.0 * RHO0, drive, ZeroSource())
+        evolve_ensemble(2.0 * RHO0, drive, None)
     with pytest.raises(ValidationError):
-        evolve_ensemble(np.array([1.0, 0.0], complex), drive, ZeroSource())
+        evolve_ensemble(np.array([1.0, 0.0], complex), drive, None)
 
 
 def test_common_random_numbers_reconstruct_channel():
@@ -127,7 +127,7 @@ def test_common_random_numbers_reconstruct_channel():
 def test_zero_noise_ensemble_is_pure_rabi():
     Omega = 3.0
     drive = DriveConfig(Omega=Omega, dt=0.002 / Omega, n_steps=500, m_mc=3)
-    traj = evolve_ensemble(RHO0, drive, ZeroSource(), seed=0, record_every=50)
+    traj = evolve_ensemble(RHO0, drive, None, seed=0, record_every=50)
     sz = traj.pauli_mean[:, 2]
     np.testing.assert_allclose(sz, np.cos(Omega * traj.times), atol=1e-5)
     # identical trajectories: variance is pure rounding noise
@@ -147,7 +147,7 @@ def test_norm_drift_bounded_and_tracked():
 def test_non_finite_noise_raises_numerical_error():
     class NanSource:
         def increments_block(self, seed, indices, n_steps, dt):
-            return np.full((len(indices), n_steps), np.nan)
+            return np.full((n_steps, len(indices)), np.nan)
 
     drive = DriveConfig(Omega=1.0, dt=0.01, n_steps=10, m_mc=3)
     with pytest.raises(NumericalError):
@@ -170,7 +170,7 @@ def test_mixed_state_decomposition():
     # maximally mixed input stays maximally mixed under any unitary noise
     drive = DriveConfig(Omega=5.0, dt=1e-3, n_steps=100, m_mc=10)
     rho_mixed = 0.5 * np.eye(2, dtype=complex)
-    traj = evolve_ensemble(rho_mixed, drive, ZeroSource(), seed=0, record_every=100)
+    traj = evolve_ensemble(rho_mixed, drive, None, seed=0, record_every=100)
     np.testing.assert_allclose(traj.states[-1], 0.5 * np.eye(2), atol=1e-10)
     # a mixture evolves as the same mixture of its eigenstate ensembles
     src = OUSource(4e6, 1e-3)
@@ -185,12 +185,17 @@ def test_mixed_state_decomposition():
 
 def test_trajectory_count_mismatch_raises():
     class ShortSource:
+        def __init__(self, steps_short, traj_short):
+            self.short = steps_short, traj_short
+
         def increments_block(self, seed, indices, n_steps, dt):
-            return np.zeros((len(indices), n_steps - 1))
+            return np.zeros((n_steps - self.short[0], len(indices) - self.short[1]))
 
     drive = DriveConfig(Omega=1.0, dt=0.01, n_steps=10, m_mc=2)
-    with pytest.raises(Exception):
-        evolve_ensemble(RHO0, drive, ShortSource(), seed=0)
+    with pytest.raises(ValidationError, match=r"frequency.*\(9, 2\).*\(10, 2\)"):
+        evolve_ensemble(RHO0, drive, ShortSource(1, 0), seed=0)
+    with pytest.raises(ValidationError, match=r"amplitude.*\(10, 1\).*\(10, 2\)"):
+        evolve_ensemble(RHO0, drive, None, ShortSource(0, 1), seed=0)
 
 
 def test_seed_reproducibility_and_worker_invariance():
@@ -229,7 +234,7 @@ def test_single_axis_maps_match_master_equation():
 
     # amplitude noise only: Rabi-axis noise, populations of |+> frozen
     amp = OUSource(0.5 * c_freq, tau)
-    traj = evolve_ensemble(RHOP, drive, ZeroSource(), amp, seed=22, record_every=100)
+    traj = evolve_ensemble(RHOP, drive, None, amp, seed=22, record_every=100)
     np.testing.assert_allclose(traj.pauli_mean[:, 0], 1.0, atol=1e-9)
 
     zero_kernels = lambda t: (np.zeros_like(t), np.zeros_like(t))
@@ -240,7 +245,7 @@ def test_single_axis_maps_match_master_equation():
         val, _ = quad(amp_cov, 0.0, t)
         return 2.0 * val
 
-    traj0 = evolve_ensemble(RHO0, drive, ZeroSource(), amp, seed=23, record_every=100)
+    traj0 = evolve_ensemble(RHO0, drive, None, amp, seed=23, record_every=100)
     states = master_equation_evolve(RHO0, zero_kernels, Omega, traj0.times[1:], amp_rate=amp_rate)
     for i, t in enumerate(traj0.times[1:]):
         r_an = rho_to_bloch(rotate_to_lab(states[i], Omega, t))

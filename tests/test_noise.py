@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from gatenoise.errors import ValidationError
-from gatenoise.noise import OUSource, PsdSource, ZeroSource, percival_trajectory, trajectory_rng
+from gatenoise.noise import OUSource, PsdSource, percival_trajectory, trajectory_rng
 from gatenoise.psd import NoisePsd
 from oracles import ConstantSource, ou_step, percival_lag0_variance
 
@@ -66,16 +66,16 @@ def test_ou_step_composition_is_distribution_identical():
 
 def test_percival_zero_psd_gives_zero_trajectory():
     psd = NoisePsd.ou(0.0, 1.0)
-    traj = percival_trajectory(psd, 16, 0.0, 1.0, np.ones(18))
+    traj = percival_trajectory(psd, 16, 1.0, np.ones(18))
     np.testing.assert_allclose(traj, 0.0)
 
 
 def test_percival_rejects_odd_count():
     psd = NoisePsd.ou(1.0, 1.0)
     with pytest.raises(ValidationError):
-        percival_trajectory(psd, 15, 0.0, 1.0, np.ones(40))
+        percival_trajectory(psd, 15, 1.0, np.ones(40))
     with pytest.raises(ValidationError):
-        percival_trajectory(psd, 16, 1.0, 1.0, np.ones(40))
+        percival_trajectory(psd, 16, 0.0, np.ones(40))
 
 
 def test_percival_flat_psd_parseval():
@@ -87,7 +87,7 @@ def test_percival_flat_psd_parseval():
     n_traj = 10000
     acc = np.empty(n_traj)
     for i in range(n_traj):
-        traj = percival_trajectory(psd, m_f, 0.0, span, rng.standard_normal(m_f + 2))
+        traj = percival_trajectory(psd, m_f, span, rng.standard_normal(m_f + 2))
         acc[i] = (traj**2).mean()
     target = percival_lag0_variance(psd, m_f, span)
     se = acc.std(ddof=1) / math.sqrt(n_traj)
@@ -101,7 +101,7 @@ def test_percival_ou_lag0_matches_process_variance():
     rng = np.random.default_rng(5)
     acc = np.empty(10000)
     for i in range(10000):
-        traj = percival_trajectory(psd, m_f, 0.0, span, rng.standard_normal(m_f + 2))
+        traj = percival_trajectory(psd, m_f, span, rng.standard_normal(m_f + 2))
         acc[i] = (traj**2).mean()
     assert acc.mean() == pytest.approx(0.5 * c * tau, rel=0.05)
 
@@ -113,7 +113,7 @@ def test_percival_matches_ou_autocovariance():
     n = 6000
     pv = np.empty((n, 128))
     for i in range(n):
-        pv[i] = percival_trajectory(psd, 128, 0.0, 32 * tau, rng.standard_normal(130))
+        pv[i] = percival_trajectory(psd, 128, 32 * tau, rng.standard_normal(130))
     lag = 4
     b = (pv[:, :-lag] * pv[:, lag:]).mean(axis=1)
     se = b.std(ddof=1) / math.sqrt(n)
@@ -128,30 +128,28 @@ def test_sources_are_reproducible_and_stream_independent():
     a = src.increments_block(123, range(4, 8), 50, 0.01)
     b = src.increments_block(123, range(4, 8), 50, 0.01)
     np.testing.assert_array_equal(a, b)
-    # same indices in different order give the same per-index rows
+    # same indices in different order give the same per-index columns
     c = src.increments_block(123, [6, 4], 50, 0.01)
-    np.testing.assert_array_equal(c[0], a[2])
-    np.testing.assert_array_equal(c[1], a[0])
+    np.testing.assert_array_equal(c[:, 0], a[:, 2])
+    np.testing.assert_array_equal(c[:, 1], a[:, 0])
 
 
 def test_ou_source_is_dt_times_the_ou_step_recursion():
     c, tau, dt, n_steps = 2.0, 0.5, 0.03, 40
     block = OUSource(c, tau).increments_block(5, [0, 3], n_steps, dt)
-    for row, idx in zip(block, (0, 3)):
+    for col, idx in zip(block.T, (0, 3)):
         u = trajectory_rng(5, idx).standard_normal(n_steps + 1)
         eta, expected = math.sqrt(0.5 * c * tau) * u[0], []
         for i in range(n_steps):
             expected.append(dt * eta)
             eta = ou_step(eta, dt, tau, c, u[i + 1])
-        np.testing.assert_allclose(row, expected, rtol=1e-14, atol=0)
+        np.testing.assert_allclose(col, expected, rtol=1e-14, atol=0)
 
 
-def test_constant_and_zero_sources():
+def test_constant_source_is_time_major():
     const = ConstantSource(3.0)
     np.testing.assert_allclose(const.increments_block(0, range(2), 4, 0.5),
-                               1.5 * np.ones((2, 4)))
-    zero = ZeroSource()
-    assert zero.increments_block(0, range(3), 5, 0.1).sum() == 0.0
+                               1.5 * np.ones((4, 2)))
 
 
 def test_psd_source_variance():
@@ -164,19 +162,26 @@ def test_psd_source_variance():
 
 
 @pytest.mark.parametrize("n_steps", [7, 300])
-def test_psd_source_block_is_the_per_row_series_exactly(n_steps):
-    # one PSD evaluation and one FFT per block give each row bit for bit the
-    # series its own draws give alone, however the indices are chunked
+@pytest.mark.parametrize("kind", ["ou", "psd"])
+def test_source_block_is_the_per_column_series_exactly(kind, n_steps):
+    # a block is C-contiguous and time-major, and each column is bit for bit
+    # the block its own index gives alone, however the indices are chunked
+    # (150 columns span three of the 64-stream buffers that fill a block);
+    # a PSD block is one PSD evaluation and one inverse FFT, yet each column
+    # is also exactly the series its own draws give
     w = np.geomspace(1.0, 1e4, 40)
     psd = NoisePsd.tabulated(w, 5.0 / (1.0 + (w / 300.0) ** 2) + 20.0 / w, 25.0, 0.01)
-    src, dt = PsdSource(psd), 1e-4
-    m_f = n_steps + n_steps % 2
-    rows = [percival_trajectory(psd, m_f, 0.0, m_f * dt,
-                                trajectory_rng(9, idx).standard_normal(m_f + 2))[:n_steps] * dt
-            for idx in range(12)]
-    whole = src.increments_block(9, range(12), n_steps, dt)
-    assert whole.shape == (12, n_steps)
-    np.testing.assert_array_equal(whole, np.array(rows))
-    for chunk in ([0, 1, 2, 3, 4], [5], [11, 6, 8, 7, 10, 9]):
-        np.testing.assert_array_equal(src.increments_block(9, chunk, n_steps, dt),
-                                      np.array(rows)[chunk])
+    src = OUSource(2e6, 3e-3) if kind == "ou" else PsdSource(psd)
+    dt = 1e-4
+    cols = np.stack([src.increments_block(9, [idx], n_steps, dt)[:, 0] for idx in range(150)],
+                    axis=1)
+    for chunk in (range(150), [0, 1, 2, 3, 4], [5], [149, 6, 80, 7, 100, 9]):
+        block = src.increments_block(9, chunk, n_steps, dt)
+        assert block.shape == (n_steps, len(chunk)) and block.flags.c_contiguous
+        np.testing.assert_array_equal(block, cols[:, chunk])
+    if kind == "psd":
+        m_f = n_steps + n_steps % 2
+        for idx in range(150):
+            series = percival_trajectory(psd, m_f, m_f * dt,
+                                         trajectory_rng(9, idx).standard_normal(m_f + 2))
+            np.testing.assert_array_equal(cols[:, idx], series[:n_steps] * dt)
