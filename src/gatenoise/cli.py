@@ -40,7 +40,7 @@ from .channels import (
     state_fidelity,
 )
 from .errors import GateNoiseError, NumericalError, ValidationError
-from .filters import filtered_integrals
+from .filters import filtered_integrals, ou_amplitude_integral, ou_filtered_integrals
 from .langevin import DriveConfig, default_timestep, evolve_ensemble
 from .noise import OUSource, PsdSource
 from .psd import NoisePsd
@@ -179,6 +179,17 @@ def build_psds(cfg):
     return psd, amp_psd
 
 
+def job_integrals(psd, Omega, times, amp_psd=None):
+    """The filtered-integral tuple of a job: the OU closed forms when every
+    PSD is OU, else the adaptive quadrature of ``filtered_integrals``."""
+    if psd.kind == "ou" and (amp_psd is None or amp_psd.kind == "ou"):
+        fi = ou_filtered_integrals(psd.c, psd.tau_c, Omega, times)
+        if amp_psd is None:
+            return fi
+        return replace(fi, dgamma1=ou_amplitude_integral(amp_psd.c, amp_psd.tau_c, fi.times))
+    return filtered_integrals(psd, Omega, times, amp_psd=amp_psd)
+
+
 def _noise_source(psd):
     if psd.kind == "ou":
         return OUSource(psd.c, psd.tau_c)
@@ -247,7 +258,7 @@ def cmd_ingest_psd(args):
 
 
 def _error_curves(psd, amp_psd, Omega, times):
-    fi = filtered_integrals(psd, Omega, times, amp_psd=amp_psd)
+    fi = job_integrals(psd, Omega, times, amp_psd)
     rows = []
     for i, t in enumerate(times):
         point = fi.at(i)
@@ -311,7 +322,7 @@ def cmd_predict(args):
         rows = []
         for om in omegas:
             t_pi = math.pi / om
-            fi_om = filtered_integrals(psd, om, [t_pi], amp_psd=amp_psd)
+            fi_om = job_integrals(psd, om, [t_pi], amp_psd)
             point = fi_om.at(0)
             rows.append([om, gate_error(point, "NM"), gate_error(point, "NM_I"),
                          gate_error(point, "D")])
@@ -323,7 +334,9 @@ def cmd_predict(args):
     return 0
 
 
-def run_validation(cfg, psd, amp_psd, n_haar, n_workers=1, out_dir=None):
+def _validation(cfg, psd, amp_psd, n_haar, n_workers):
+    """The grid, per-model mean infidelities against the Langevin channel,
+    and the ensemble."""
     Omega = cfg["drive"]["omega_rad_s"]
     seed = cfg["simulation"]["seed"]
     # the shortest correlation time of the OU spectra is a dynamical scale too
@@ -352,7 +365,7 @@ def run_validation(cfg, psd, amp_psd, n_haar, n_workers=1, out_dir=None):
     # label the records with the configured grid, not k * per * dt (equal to rounding)
     ensemble = replace(ensemble, times=np.append(0.0, times))
 
-    fi = filtered_integrals(psd, Omega, times, amp_psd=amp_psd)
+    fi = job_integrals(psd, Omega, times, amp_psd)
     with_amp = amp_psd is not None
     rng = np.random.default_rng(seed + 99)
     haar = np.stack([haar_random_state(rng) for _ in range(n_haar)])
@@ -372,24 +385,44 @@ def run_validation(cfg, psd, amp_psd, n_haar, n_workers=1, out_dir=None):
             model_states = rotate_to_lab(states, Omega, t)
             infidelity[model][j] = np.mean(1.0 - state_fidelity(model_states, mc_states))
 
+    return times, infidelity, ensemble
+
+
+def _write_ensemble(out_dir, times, ensemble):
+    for k, label in enumerate(_BASIS_STATES):
+        _write_csv(Path(out_dir) / f"langevin_{label}.csv",
+                   ["t", "sx", "sy", "sz", "se_sx", "se_sy", "se_sz"],
+                   np.column_stack([ensemble.times, ensemble.pauli_mean[k],
+                                    ensemble.pauli_se[k]]))
+    snapshots = [
+        {
+            "t": float(t),
+            "states": {label: ensemble.states[k, j + 1]
+                       for k, label in enumerate(_BASIS_STATES)},
+        }
+        for j, t in enumerate(times)
+    ]
+    (Path(out_dir) / "ensemble_states.json").write_text(
+        json.dumps(snapshots, default=_json_default) + "\n"
+    )
+
+
+def run_validation(cfg, psd, amp_psd, n_haar, n_workers=1, out_dir=None):
+    """Grid and per-model mean infidelities; with ``out_dir``, also write the
+    ensemble's per-state files there."""
+    times, infidelity, ensemble = _validation(cfg, psd, amp_psd, n_haar, n_workers)
     if out_dir is not None:
-        for k, label in enumerate(_BASIS_STATES):
-            _write_csv(Path(out_dir) / f"langevin_{label}.csv",
-                       ["t", "sx", "sy", "sz", "se_sx", "se_sy", "se_sz"],
-                       np.column_stack([ensemble.times, ensemble.pauli_mean[k],
-                                        ensemble.pauli_se[k]]))
-        snapshots = [
-            {
-                "t": float(t),
-                "states": {label: ensemble.states[k, j + 1]
-                           for k, label in enumerate(_BASIS_STATES)},
-            }
-            for j, t in enumerate(times)
-        ]
-        (Path(out_dir) / "ensemble_states.json").write_text(
-            json.dumps(snapshots, default=_json_default) + "\n"
-        )
+        _write_ensemble(out_dir, times, ensemble)
     return times, infidelity
+
+
+def _variance_ratio(ensemble):
+    """Per grid time, the plain Monte Carlo variance averaged over input states
+    and components, divided by the same average of the control-variate
+    variance (1 where that is 0)."""
+    plain = (ensemble.plain_se[:, 1:] ** 2).mean(axis=(0, 2))
+    adjusted = (ensemble.pauli_se[:, 1:] ** 2).mean(axis=(0, 2))
+    return np.where(adjusted > 0, plain / np.where(adjusted > 0, adjusted, 1.0), 1.0)
 
 
 def cmd_validate(args):
@@ -398,23 +431,25 @@ def cmd_validate(args):
     out_dir.mkdir(parents=True, exist_ok=True)
     psd, amp_psd = build_psds(cfg)
     n_haar = cfg["validation"]["n_haar"]
-    grid, infidelity = run_validation(cfg, psd, amp_psd, n_haar=n_haar,
-                                      n_workers=args.threads,
-                                      out_dir=out_dir)
+    grid, infidelity, ensemble = _validation(cfg, psd, amp_psd, n_haar, args.threads)
+    _write_ensemble(out_dir, grid, ensemble)
 
     models = list(infidelity)
     rows = [[t, *[infidelity[m][j] for m in models]] for j, t in enumerate(grid)]
     _write_csv(out_dir / "channel_infidelity.csv", ["t", *[m.lower() for m in models]], rows)
+    ratio = _variance_ratio(ensemble)
     report = {
         "time_averaged": {m: float(infidelity[m].mean()) for m in models},
         "peak": {m: float(infidelity[m].max()) for m in models},
         "n_haar": n_haar,
+        "mc_variance_ratio": ratio,
     }
     (out_dir / "validation_report.json").write_text(
-        json.dumps(report, indent=2, sort_keys=True) + "\n"
+        json.dumps(report, indent=2, sort_keys=True, default=_json_default) + "\n"
     )
     write_manifest(cfg, out_dir, "validate")
-    print(f"validate: wrote {out_dir}")
+    print(f"validate: wrote {out_dir}; median Monte Carlo variance ratio "
+          f"(plain / control variate) {float(percentiles(ratio, 50)):.3g}")
     return 0
 
 
@@ -444,7 +479,7 @@ def cmd_tomography(args):
             results.append(entry)
     else:
         times = time_grid(cfg)
-        fi = filtered_integrals(psd, Omega, times, amp_psd=amp_psd)
+        fi = job_integrals(psd, Omega, times, amp_psd)
         with_amp = amp_psd is not None
         rng = np.random.default_rng(seed)
         n_rep = tomo["repetitions"]
@@ -500,7 +535,7 @@ def cmd_rb(args):
     psd, amp_psd = build_psds(cfg)
     Omega = cfg["drive"]["omega_rad_s"]
     t_pi = math.pi / Omega
-    fi = filtered_integrals(psd, Omega, [t_pi], amp_psd=amp_psd)
+    fi = job_integrals(psd, Omega, [t_pi], amp_psd)
     point = fi.at(0)
     rates = pauli_twirl(point, t_pi, with_amplitude=amp_psd is not None)
 

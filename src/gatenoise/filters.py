@@ -352,6 +352,16 @@ def ou_filtered_integrals(c, tau_c, Omega, times):
     return FilteredIntegrals(times, g1, g2, d1, d2)
 
 
+def ou_amplitude_integral(c, tau_c, times):
+    """Exact DGamma1(t) for OU Rabi-rate noise: c tau^2 (t - tau (1 - e^{-t/tau})).
+
+    Twice Gamma1 at Omega = 0, written without the sin(Omega t) / Omega
+    terms of :func:`ou_filtered_integrals`.
+    """
+    times = np.atleast_1d(np.asarray(times, dtype=float))
+    return c * tau_c**2 * (times + tau_c * np.expm1(-times / tau_c))
+
+
 def ou_kernels(c, tau_c, Omega, times):
     """Instantaneous kernels (g1, h1) for OU noise, in closed form.
 

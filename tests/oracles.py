@@ -51,12 +51,6 @@ def percival_lag0_variance(psd, m_f, span):
     return f0 * (S[0] + 2.0 * S[1:-1].sum() + S[-1])
 
 
-def ou_amplitude_integral(c, tau_c, times):
-    """Exact DGamma1(t) for OU Rabi-rate noise: c tau^2 (t - tau (1 - e^{-t/tau}))."""
-    times = np.atleast_1d(np.asarray(times, dtype=float))
-    return c * tau_c**2 * (times - tau_c * (1.0 - np.exp(-times / tau_c)))
-
-
 def total_power(psd, w_max=None):
     """Integrated two-sided power (1/pi) Int_0^wmax S dw (process variance).
 
@@ -336,3 +330,68 @@ def fit_rb_decay_curve_fit(lengths, mean, se, *, shots=100, n_seq=100, **tols):
     if popt[1] > 1.0 - 1e-9:
         raise FitError("benchmarking data does not decay")
     return float(popt[1]), popt
+
+
+def ensemble_samples(drive, freq_noise, amp_noise=None, *, seed=0, record_every=1):
+    """Per-trajectory Bloch rotations and first-order control vectors at the records.
+
+    A plain reference for ``evolve_ensemble``'s estimator: the noise blocks
+    come from the same streams, each step multiplies the (m, 2, 2) stack of
+    propagators by cos(theta/2) I - i sin(theta/2)/theta (n_x sx + n_z sz),
+    R_ij = tr(s_i U s_j U^dag) / 2, and the control vector sums
+    (amplitude increment, n_z sin(Omega t_mid), n_z cos(Omega t_mid)) step by
+    step, keeping the components of the noisy axes.  Returns R with shape
+    (n_rec, m, 3, 3) and a with shape (n_rec, m, p).
+    """
+    m, n = drive.m_mc, drive.n_steps
+    zero = np.zeros((n, m))
+    nz = zero if freq_noise is None else freq_noise.increments_block(seed, range(m), n, drive.dt)
+    amp = zero if amp_noise is None else amp_noise.increments_block(
+        seed + 2**31, range(m), n, drive.dt)
+    nx = drive.Omega * drive.dt + amp
+    sigma = PAULIS[1:]
+    U = np.broadcast_to(np.eye(2, dtype=complex), (m, 2, 2)).copy()
+    a = np.zeros((m, 3))
+    rots, ctrls = [], []
+
+    def record():
+        rots.append(0.5 * np.einsum("iab,mbc,jcd,mad->mij", sigma, U, sigma, U.conj()).real)
+        keep = ([0] if amp_noise is not None else []) + ([1, 2] if freq_noise is not None else [])
+        ctrls.append(a[:, keep].copy())
+
+    record()
+    for i in range(n):
+        theta = np.hypot(nx[i], nz[i])
+        s = np.where(theta > 0, np.sin(0.5 * theta) / np.where(theta > 0, theta, 1.0), 0.5)
+        step = (np.cos(0.5 * theta)[:, None, None] * np.eye(2)
+                - 1j * s[:, None, None] * (nx[i][:, None, None] * sigma[0]
+                                           + nz[i][:, None, None] * sigma[2]))
+        U = step @ U
+        phase = drive.Omega * drive.dt * (i + 0.5)
+        a += np.column_stack([amp[i], nz[i] * np.sin(phase), nz[i] * np.cos(phase)])
+        if (i + 1) % record_every == 0 or i + 1 == n:
+            record()
+    return np.array(rots), np.array(ctrls)
+
+
+def control_variate_fit(rots, ctrls, bloch0):
+    """Least-squares regression of every Bloch-map entry on [1, a], per record.
+
+    Returns the intercepts (the control-variate channel, since E[a] = 0), the
+    per-state residual standard errors sqrt(SSR / (m - p - 1) / m), the plain
+    means and the plain standard errors sqrt(Var / m) of Y_k = R b0_k.
+    """
+    n_rec, m = rots.shape[:2]
+    maps, se, plain, plain_se = [], [], [], []
+    for rot, a in zip(rots, ctrls):
+        design = np.column_stack([np.ones(m), a])
+        coef = np.linalg.lstsq(design, rot.reshape(m, 9), rcond=None)[0]
+        resid = (rot.reshape(m, 9) - design @ coef).reshape(m, 3, 3)
+        y = np.einsum("mij,kj->kmi", rot, bloch0)
+        maps.append(coef[0].reshape(3, 3))
+        ssr = (np.einsum("mij,kj->kmi", resid, bloch0) ** 2).sum(axis=1)
+        se.append(np.sqrt(ssr / (m - a.shape[1] - 1) / m))
+        plain.append(y.mean(axis=1))
+        plain_se.append(y.std(axis=1) / math.sqrt(m))
+    return (np.array(maps), np.stack(se, axis=1), np.stack(plain, axis=1),
+            np.stack(plain_se, axis=1))

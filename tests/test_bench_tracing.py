@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 
 import gatenoise.cli as cli
+from gatenoise.psd import NoisePsd
 from gatenoise.tomography import born_probs, counts_to_csv, default_setup, sample_shots
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
@@ -27,9 +28,16 @@ def _load_tracing():
 def test_tracer_instruments_cli_and_uninstalls(tmp_path):
     tracing = _load_tracing()
     originals = {name: getattr(cli, name) for name in WRAPPED}
+    # a tabulated amplitude PSD: an all-OU job takes the closed forms, and
+    # the quadrature, whose name the tracer wraps, would not run
+    omegas = np.geomspace(10.0, 1e5, 20)
+    NoisePsd.tabulated(omegas, 1e3 / (1.0 + (omegas * 5e-4) ** 2), 1e3, 0.0).to_files(
+        tmp_path / "amp.csv", tmp_path / "amp.json")
     cfg = {
         "drive": {"omega_rad_s": 400.0, "t_max_s": 0.004, "n_times": 2},
-        "noise": {"psd": {"kind": "ou", "c": 1.6e9, "tau_c": 5e-4}},
+        "noise": {"psd": {"kind": "ou", "c": 1.6e9, "tau_c": 5e-4},
+                  "amplitude_psd": {"kind": "tabulated", "csv": "amp.csv",
+                                    "sidecar": "amp.json"}},
         "simulation": {"m_mc": 20, "seed": 3, "dt_s": 1e-4},
         "validation": {"n_haar": 5},
         "outputs": {"dir": str(tmp_path / "out")},
@@ -51,6 +59,7 @@ def test_tracer_instruments_cli_and_uninstalls(tmp_path):
     assert metrics["langevin.traj_steps"] == 20 * 40
     # the draw counter reads increments_block's (indices, n_steps) arguments
     assert metrics["noise.ou.draws"] == 20 * 40
+    assert metrics["noise.fourier.draws"] == 20 * 40
     assert metrics["filters.time_points"] == 2
     assert metrics["channels.apply_calls"] == 2 * 4
     assert set(accounting) == {"step.validate"}

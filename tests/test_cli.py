@@ -21,8 +21,9 @@ from gatenoise.channels import (
 )
 from gatenoise import cli
 from gatenoise.cli import build_psds, load_config, main, run_validation, time_grid
-from gatenoise.filters import filtered_integrals
+from gatenoise.filters import filtered_integrals, ou_filtered_integrals
 from gatenoise.langevin import evolve_ensemble
+from gatenoise.psd import NoisePsd
 from gatenoise.tomography import BASIS_LABELS, STATE_LABELS
 
 TAU = 5e-4
@@ -233,7 +234,7 @@ def test_validation_scoring_matches_per_state_loop(tmp_path, seed):
     grid, infidelity = run_validation(cfg, psd, amp_psd, n_haar=n_haar, out_dir=tmp_path)
     snapshots = json.loads((tmp_path / "ensemble_states.json").read_text())
     Omega = cfg["drive"]["omega_rad_s"]
-    fi = filtered_integrals(psd, Omega, grid)
+    fi = cli.job_integrals(psd, Omega, grid)
     rng = np.random.default_rng(cfg["simulation"]["seed"] + 99)
     haar = [haar_random_state(rng) for _ in range(n_haar)]
 
@@ -320,13 +321,42 @@ def test_filtered_integrals_csv_export(tmp_path, with_amp):
     cfg = load_config(cfg_path)
     psd, amp_psd = build_psds(cfg)
     times = time_grid(cfg)
-    fi = filtered_integrals(psd, cfg["drive"]["omega_rad_s"], times, amp_psd=amp_psd)
+    Omega = cfg["drive"]["omega_rad_s"]
+    # an all-OU job takes the closed forms, which the quadrature matches
+    fi = cli.job_integrals(psd, Omega, times, amp_psd)
+    np.testing.assert_array_equal(
+        fi.gamma1, ou_filtered_integrals(OU_PSD["c"], TAU, Omega, times).gamma1)
+    quad = filtered_integrals(psd, Omega, times, amp_psd=amp_psd)
+    for name in ("gamma1", "gamma2", "delta1", "delta2") + ("dgamma1",) * with_amp:
+        scale = np.abs(getattr(quad, name)).max()
+        np.testing.assert_allclose(getattr(fi, name), getattr(quad, name), rtol=0,
+                                   atol=1e-7 * scale)
     dg = fi.dgamma1 if with_amp else np.zeros(times.size)
     assert with_amp == bool(np.all(dg > 0))
     want = _rows_text("t,gamma1,gamma2,delta1,delta2,dgamma1",
                       zip(fi.times, fi.gamma1, fi.gamma2, fi.delta1, fi.delta2, dg))
     assert (out / "filtered_integrals.csv").read_text() == want
     assert len(want.strip().split("\n")) == times.size + 1
+
+
+def test_filtered_integrals_csv_export_tabulated(tmp_path):
+    # a job with a tabulated PSD takes the quadrature for the whole tuple
+    omegas = np.geomspace(10.0, 1e6, 40)
+    NoisePsd.tabulated(omegas, 3e3 / (1.0 + (omegas * TAU) ** 2) + 0.5, 3e3, 0.5).to_files(
+        tmp_path / "psd.csv", tmp_path / "psd.json")
+    cfg_path = tmp_path / "cfg.json"
+    write_config(cfg_path, noise={
+        "psd": {"kind": "tabulated", "csv": "psd.csv", "sidecar": "psd.json"},
+        "amplitude_psd": {"kind": "ou", "c": 1e6, "tau_c": TAU}})
+    out = tmp_path / "pred"
+    assert main(["predict", "--config", str(cfg_path), "--out", str(out)]) == 0
+    cfg = load_config(cfg_path)
+    psd, amp_psd = build_psds(cfg)
+    times = time_grid(cfg)
+    fi = filtered_integrals(psd, cfg["drive"]["omega_rad_s"], times, amp_psd=amp_psd)
+    want = _rows_text("t,gamma1,gamma2,delta1,delta2,dgamma1",
+                      zip(fi.times, fi.gamma1, fi.gamma2, fi.delta1, fi.delta2, fi.dgamma1))
+    assert (out / "filtered_integrals.csv").read_text() == want
 
 
 def test_langevin_csv_export(tmp_path, monkeypatch):
@@ -350,6 +380,31 @@ def test_langevin_csv_export(tmp_path, monkeypatch):
                            for i, t in enumerate(times)))
         assert (out / f"langevin_{label}.csv").read_text() == want
         assert len(want.strip().split("\n")) == times.size + 1
+
+
+def test_validation_report_carries_the_variance_ratio(tmp_path, monkeypatch, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    write_config(cfg_path, **{"simulation.m_mc": 200, "validation.n_haar": 10})
+    ensembles = []
+
+    def recording(*args, **kwargs):
+        ensembles.append(evolve_ensemble(*args, **kwargs))
+        return ensembles[-1]
+
+    monkeypatch.setattr(cli, "evolve_ensemble", recording)
+    out = tmp_path / "val"
+    assert main(["validate", "--config", str(cfg_path), "--out", str(out)]) == 0
+    (ensemble,) = ensembles
+    ratio = json.loads((out / "validation_report.json").read_text())["mc_variance_ratio"]
+    # per grid time: plain variance over control-variate variance, each
+    # averaged over the four basis states and three components
+    plain = (ensemble.plain_se[:, 1:] ** 2).mean(axis=(0, 2))
+    adjusted = (ensemble.pauli_se[:, 1:] ** 2).mean(axis=(0, 2))
+    np.testing.assert_allclose(ratio, plain / adjusted, rtol=1e-15)
+    assert len(ratio) == time_grid(load_config(cfg_path)).size
+    # the fitted coefficient never loses more than the m / (m - p - 1) correction
+    assert min(ratio) >= (200 - 2 - 1) / 200 * (1 - 1e-12)
+    assert f"ratio (plain / control variate) {np.median(ratio):.3g}" in capsys.readouterr().out
 
 
 def test_default_step_follows_the_shorter_amplitude_tau_c(tmp_path, monkeypatch):

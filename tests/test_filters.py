@@ -19,6 +19,7 @@ from gatenoise.filters import (
     filter_memory,
     filtered_integrals,
     filtered_integrals_timedomain,
+    ou_amplitude_integral,
     ou_filtered_integrals,
     ou_kernels,
     FilteredIntegrals,
@@ -26,7 +27,7 @@ from gatenoise.filters import (
 )
 from gatenoise.errors import ValidationError
 from gatenoise.psd import NoisePsd
-from oracles import filter_tail_sici, ou_amplitude_integral
+from oracles import filter_tail_sici
 
 
 # --------------------------------------------------------------------- #
@@ -354,13 +355,13 @@ def test_flat_amplitude_psd_gives_linear_dgamma1():
 
 
 def test_ou_amplitude_integral_closed_form():
-    c, tau = 0.8, 0.4
-    amp = NoisePsd.ou(c, tau)
+    # the CLI's closed form for OU jobs against the quadrature it replaces
     deph = NoisePsd.ou(0.0, 1.0)
-    times = np.array([0.1, 1.0, 3.0])
-    fi = filtered_integrals(deph, 1.0, times, amp_psd=amp)
-    np.testing.assert_allclose(fi.dgamma1, ou_amplitude_integral(c, tau, times),
-                               rtol=1e-6)
+    for c, tau, times in [(0.8, 0.4, [0.1, 1.0, 3.0]),
+                          (1e6, 5e-4, [1e-5, 2e-3, 0.01]),   # the CLI tests' amplitude PSD
+                          (1.6e9, 5e-4, [7.9e-5, 1.6e-3, 3.1e-3])]:
+        fi = filtered_integrals(deph, 1.0, times, amp_psd=NoisePsd.ou(c, tau))
+        np.testing.assert_allclose(ou_amplitude_integral(c, tau, times), fi.dgamma1, rtol=1e-7)
 
 
 def test_timedomain_route_matches_closed_forms():

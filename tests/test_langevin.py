@@ -1,4 +1,6 @@
 import math
+import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,10 +22,17 @@ from gatenoise.langevin import (
 )
 from gatenoise.noise import OUSource, PsdSource
 from gatenoise.psd import NoisePsd
-from oracles import ConstantSource
+from oracles import ConstantSource, control_variate_fit, ensemble_samples
 
 RHO0 = np.array([[1, 0], [0, 0]], dtype=complex)
 RHOP = 0.5 * np.ones((2, 2), dtype=complex)
+RHOPI = 0.5 * np.array([[1, -1j], [1j, 1]], dtype=complex)
+# |0>, |+>, |+i>: their Pauli means are the columns z, x, y of the Bloch map
+COLUMNS = np.stack([RHO0, RHOP, RHOPI])
+BLOCH_COLUMNS = np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+# criterion 4's regime: Omega tau_c = 2, where the first-order variate carries most
+# of the variance
+C4 = {"c": 1.6e9, "tau_c": 5e-4, "Omega": 4000.0, "dt": 2e-6}
 
 
 def test_exact_step_rabi_flopping():
@@ -267,3 +276,103 @@ def test_psd_source_matches_ou_source_statistics():
         for k in range(3):
             se = math.hypot(a.pauli_se[i, k], b.pauli_se[i, k])
             assert abs(a.pauli_mean[i, k] - b.pauli_mean[i, k]) < 4 * max(se, 1e-4)
+
+
+# --------------------------------------------------------------------- #
+# the control-variate estimator
+
+@pytest.mark.parametrize("with_amp", [False, True])
+def test_control_variate_is_the_regression_intercept(with_amp):
+    # the channel is the intercept of a least-squares fit of each entry on
+    # [1, a] over the ensemble, the errors are its residual errors; the
+    # oracle propagates 2x2 matrices and sums the control step by step
+    drive = DriveConfig(Omega=C4["Omega"], dt=C4["dt"], n_steps=300, m_mc=300)
+    freq = OUSource(C4["c"], C4["tau_c"])
+    amp = OUSource(0.3 * C4["c"], 2.0 * C4["tau_c"]) if with_amp else None
+    traj = evolve_ensemble(COLUMNS, drive, freq, amp, seed=8, record_every=60, chunk=128)
+    rots, ctrls = ensemble_samples(drive, freq, amp, seed=8, record_every=60)
+    assert ctrls.shape == (6, 300, 3 if with_amp else 2)
+    maps, se, plain, plain_se = control_variate_fit(rots, ctrls, BLOCH_COLUMNS)
+    np.testing.assert_allclose(traj.bloch_map, maps, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(traj.pauli_mean, np.einsum("tij,kj->kti", maps, BLOCH_COLUMNS),
+                               rtol=0, atol=1e-12)
+    # variances come from raw sums: Var ~ 1e-9 against means ~ 1 keeps ~1e-8 of it
+    np.testing.assert_allclose(traj.pauli_se[:, 1:], se[:, 1:], rtol=1e-6)
+    np.testing.assert_allclose(traj.plain_se[:, 1:], plain_se[:, 1:], rtol=1e-6)
+    # t = 0: no noise yet, so no control and no error
+    assert np.all(traj.pauli_se[:, 0] == 0.0) and np.all(traj.bloch_map[0] == np.eye(3))
+
+
+def test_control_variate_mean_within_plain_errors_of_the_plain_mean():
+    # same seed: the adjusted mean sits within 4 plain standard errors of the
+    # plain mean at every (record, entry)
+    drive = DriveConfig(Omega=C4["Omega"], dt=C4["dt"], n_steps=785, m_mc=400)
+    source = OUSource(C4["c"], C4["tau_c"])
+    traj = evolve_ensemble(COLUMNS, drive, source, seed=41, record_every=157)
+    rots, _ = ensemble_samples(drive, source, seed=41, record_every=157)
+    plain = np.einsum("tmij,kj->kti", rots, BLOCH_COLUMNS) / drive.m_mc
+    assert np.all(np.abs(traj.pauli_mean - plain) <= 4.0 * traj.plain_se)
+
+
+def test_control_mean_is_zero_within_its_error():
+    # E[a] = 0 for zero-mean noise: the sample mean of every component at
+    # every record lies within 3 of its own standard errors of 0
+    drive = DriveConfig(Omega=C4["Omega"], dt=C4["dt"], n_steps=785, m_mc=2000)
+    freq = OUSource(C4["c"], C4["tau_c"])
+    amp = OUSource(0.3 * C4["c"], 2.0 * C4["tau_c"])
+    _, ctrls = ensemble_samples(drive, freq, amp, seed=2026, record_every=157)
+    a = ctrls[1:]
+    z = a.mean(axis=1) / (a.std(axis=1) / math.sqrt(drive.m_mc))
+    assert np.all(np.abs(z) < 3.0), z
+
+
+def test_control_variate_z_scores_against_a_large_independent_ensemble():
+    """Bounds fixed before the run: over 20 seeds, the z-scores of the adjusted
+    Bloch-map entries against an independent ensemble 50x the size (its own
+    standard error in the denominator) have |mean| < 0.3 and a standard
+    deviation in [0.8, 1.25]."""
+    drive = DriveConfig(Omega=C4["Omega"], dt=C4["dt"], n_steps=785, m_mc=200)
+    source = OUSource(C4["c"], C4["tau_c"])
+    ref = evolve_ensemble(COLUMNS, replace(drive, m_mc=10000), source, seed=999,
+                          record_every=157)
+    z = []
+    for seed in range(1, 21):
+        traj = evolve_ensemble(COLUMNS, drive, source, seed=seed, record_every=157)
+        se = np.hypot(traj.pauli_se, ref.pauli_se)[:, 1:]
+        z.append((traj.pauli_mean - ref.pauli_mean)[:, 1:] / se)
+    z = np.array(z)
+    assert abs(z.mean()) < 0.3 and 0.8 <= z.std() <= 1.25, (z.mean(), z.std())
+
+
+def test_control_variate_gain_in_criterion_4_regime():
+    # two Rabi flops at Omega tau_c = 2 over 25 records, as the validate bench
+    drive = DriveConfig(Omega=C4["Omega"], dt=C4["dt"], n_steps=1575, m_mc=400)
+    basis = np.stack([RHO0, np.diag([0.0, 1.0]).astype(complex), RHOP, RHOPI])
+    traj = evolve_ensemble(basis, drive, OUSource(C4["c"], C4["tau_c"]), seed=402,
+                           record_every=63)
+    gain = (traj.plain_se[:, 1:] ** 2).mean() / (traj.pauli_se[:, 1:] ** 2).mean()
+    assert gain >= 5.0, gain
+
+
+def test_control_variate_never_loses_in_criterion_3_regime():
+    # fully decohering: the first-order variate explains little, and the
+    # fitted coefficient keeps every error within 5% of the plain one
+    tau = 5e-4
+    drive = DriveConfig(Omega=1.0 / (5.0 * tau), dt=0.05 * tau, n_steps=2400, m_mc=2000)
+    traj = evolve_ensemble(np.stack([RHO0, RHOP]), drive, OUSource(2.0 / (10.0 * tau**3), tau),
+                           seed=11, record_every=60)
+    assert np.all(traj.pauli_se <= 1.05 * traj.plain_se)
+
+
+@pytest.mark.parametrize("m_mc, c", [(1, 1.6e9), (50, 0.0)])
+def test_degenerate_ensembles_fall_back_to_the_plain_estimator(m_mc, c):
+    drive = DriveConfig(Omega=C4["Omega"], dt=C4["dt"], n_steps=100, m_mc=m_mc)
+    source = OUSource(c, C4["tau_c"])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        traj = evolve_ensemble(COLUMNS, drive, source, seed=3, record_every=20)
+    rots, _ = ensemble_samples(drive, source, seed=3, record_every=20)
+    plain = np.einsum("tmij,kj->kti", rots, BLOCH_COLUMNS) / m_mc
+    assert np.all(np.isfinite(traj.pauli_mean)) and np.all(np.isfinite(traj.pauli_se))
+    np.testing.assert_array_equal(traj.pauli_se, traj.plain_se)
+    np.testing.assert_allclose(traj.pauli_mean, plain, rtol=0, atol=1e-12)
