@@ -1,6 +1,6 @@
 """Analytic error channels of a driven qubit from filtered noise integrals.
 
-All channels are built from one snapshot of the filtered-integral tuple.
+All channels are built from a snapshot of the filtered-integral tuple.
 The primitive object is the gate-comoving (toggling-frame) map, whose Bloch
 action is
 
@@ -21,24 +21,32 @@ diag(1, 0, 0, 0)).  The comoving process matrix is block-diagonal in
 {I, sx} + {sy, sz}; the lab-frame (full evolution) matrix is obtained by
 conjugating with the ideal drive unitary and keeps the same block structure.
 
+The builders broadcast over the fields of the snapshot they are given: a
+scalar :class:`IntegralPoint` (or ``fi.at(i)``) gives one (4, 4) process
+matrix, four (2, 2) Kraus operators and scalar rates, and a whole
+:class:`FilteredIntegrals` with its ``times`` gives (T, 4, 4) and
+(T, 4, 2, 2) stacks and array rates.  Times and Rabi frequencies broadcast
+with the fields.
+
 All Pauli-basis algebra derives from the stacked array ``PAULIS`` (shape
-(4, 2, 2)) through ``einsum``.  State arguments are ``(..., 2, 2)`` stacks:
+(4, 2, 2)) through ``einsum``.  State and channel arguments are stacks too:
 the channel helpers (``apply_chi``, ``apply_kraus``, ``rotate_to_lab``,
-``state_fidelity``, ``rho_to_bloch``) broadcast over the leading axes, so a
-batch of states costs one call, and a single (2, 2) state gives a (2, 2)
-result (a float for ``state_fidelity``).
+``state_fidelity``, ``rho_to_bloch``, ``avg_gate_fidelity``) broadcast the
+leading axes of their arguments against each other, numpy style, so a batch
+costs one call, and single (2, 2) states and (4, 4) channels give a (2, 2)
+result (a float for ``state_fidelity`` and ``avg_gate_fidelity``).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from ._quadrature import cumulative_simpson, cumulative_trapezoid
 from .errors import CPViolationError, NumericalError, ValidationError
-from .filters import IntegralPoint, ou_kernels
+from .filters import ou_kernels
 from .langevin import check_density_matrix
 
 PAULIS = np.array(
@@ -52,27 +60,8 @@ SIGMA_0, SIGMA_X, SIGMA_Y, SIGMA_Z = PAULIS
 _SUPER = np.einsum("aij,bkl->abiljk", PAULIS, PAULIS)
 
 
-# --------------------------------------------------------------------- #
-# entire functions of the rotation-angle radicand
-
-def _cos_half(q):
-    """cos(Theta/2) as a real function of q = Theta^2."""
-    if abs(q) < 1e-6:
-        return 1.0 - q / 8.0 + q * q / 384.0
-    if q > 0:
-        return math.cos(0.5 * math.sqrt(q))
-    return math.cosh(0.5 * math.sqrt(-q))
-
-
-def _sin_half_over_theta(q):
-    """sin(Theta/2) / Theta as a real function of q = Theta^2."""
-    if abs(q) < 1e-6:
-        return 0.5 - q / 48.0 + q * q / 3840.0
-    if q > 0:
-        r = math.sqrt(q)
-        return math.sin(0.5 * r) / r
-    r = math.sqrt(-q)
-    return math.sinh(0.5 * r) / r
+def _dagger(a):
+    return np.swapaxes(a.conj(), -1, -2)
 
 
 # --------------------------------------------------------------------- #
@@ -80,22 +69,24 @@ def _sin_half_over_theta(q):
 
 @dataclass
 class ProcessMatrix:
-    """4x4 Pauli-basis process matrix snapshot at time ``t``."""
+    """Pauli-basis process matrix, (4, 4) or a (..., 4, 4) stack, at ``t``."""
 
     matrix: np.ndarray
     t: float = 0.0
 
     def __post_init__(self):
         self.matrix = np.asarray(self.matrix, dtype=complex)
-        if self.matrix.shape != (4, 4):
+        if self.matrix.shape[-2:] != (4, 4):
             raise ValidationError("process matrix must be 4x4")
 
 
 @dataclass
 class KrausSet:
-    """Operator-sum representation; completeness sum K^dag K = I."""
+    """Operator-sum representation; completeness sum K^dag K = I.
 
-    ops: list
+    ``ops`` is (n, 2, 2), or a (..., n, 2, 2) stack of operator sets."""
+
+    ops: np.ndarray
     t: float = 0.0
 
 
@@ -115,12 +106,22 @@ class PauliRates:
 # core map construction
 
 def _coherence_block(point, with_amplitude):
-    """(E_pop, E_c, C, S2) pieces of the comoving Bloch map."""
-    e_pop = math.exp(-point.gamma1)
-    dg = point.dgamma1 if with_amplitude else 0.0
-    e_c = math.exp(-0.5 * (point.gamma1 + dg))
-    q = point.delta1**2 - point.delta2**2 - point.gamma2**2
-    return e_pop, e_c, _cos_half(q), _sin_half_over_theta(q)
+    """(E_pop, E_c, C, S2) pieces of the comoving Bloch map.
+
+    C = cos(Theta/2) and S2 = sin(Theta/2) / Theta are entire, real
+    functions of q = Theta^2, evaluated on the complex root sqrt(q + 0j) so
+    that one expression covers both signs of q and q = 0.
+    """
+    e_pop = np.exp(-point.gamma1)
+    e_c = np.exp(-0.5 * (point.gamma1 + (point.dgamma1 if with_amplitude else 0.0)))
+    theta = np.sqrt(point.delta1**2 - point.delta2**2 - point.gamma2**2 + 0j)
+    return e_pop, e_c, np.cos(0.5 * theta).real, 0.5 * np.sinc(theta / (2.0 * math.pi)).real
+
+
+def _memoryless(point):
+    """The snapshot with the memory integrals Gamma2 and Delta2 dropped."""
+    zero = np.zeros_like(point.gamma2)
+    return replace(point, gamma2=zero, delta2=zero)
 
 
 def rho_to_bloch(rho):
@@ -134,15 +135,16 @@ def bloch_to_rho(r):
 
 
 def drive_unitary(Omega, t):
-    """Ideal gate unitary exp(-i t Omega sigma_x / 2)."""
-    angle = 0.5 * Omega * t
-    return math.cos(angle) * SIGMA_0 - 1j * math.sin(angle) * SIGMA_X
+    """Ideal gate unitary exp(-i t Omega sigma_x / 2), stacked over the
+    broadcast shape of ``Omega`` and ``t``."""
+    angle = np.asarray(0.5 * Omega * t)[..., None, None]
+    return np.cos(angle) * SIGMA_0 - 1j * np.sin(angle) * SIGMA_X
 
 
 def rotate_to_lab(rho, Omega, t):
     """Conjugate comoving states, (..., 2, 2), into the laboratory frame."""
     U = drive_unitary(Omega, t)
-    return U @ rho @ U.conj().T
+    return _apply_super(np.einsum("...ij,...lk->...iljk", U, U.conj()), rho)
 
 
 # --------------------------------------------------------------------- #
@@ -159,16 +161,16 @@ def chi_nm(point, t=0.0, with_amplitude=False, *, cp_tol=1e-8):
         rounding issue.
     """
     e_pop, e_c, C, S2 = _coherence_block(point, with_amplitude)
-    chi = np.zeros((4, 4), dtype=complex)
-    chi[0, 0] = 0.25 * (1.0 + e_pop + 2.0 * e_c * C)
-    chi[1, 1] = 0.25 * (1.0 + e_pop - 2.0 * e_c * C)
-    chi[0, 1] = 0.5j * e_c * point.delta1 * S2
-    chi[1, 0] = np.conj(chi[0, 1])
-    chi[2, 2] = 0.25 * (1.0 - e_pop - 2.0 * e_c * point.gamma2 * S2)
-    chi[3, 3] = 0.25 * (1.0 - e_pop + 2.0 * e_c * point.gamma2 * S2)
-    chi[2, 3] = 0.5 * e_c * point.delta2 * S2
-    chi[3, 2] = chi[2, 3]
-    min_eig = float(np.linalg.eigvalsh(chi)[0])
+    chi = np.zeros(np.shape(e_pop) + (4, 4), dtype=complex)
+    chi[..., 0, 0] = 0.25 * (1.0 + e_pop + 2.0 * e_c * C)
+    chi[..., 1, 1] = 0.25 * (1.0 + e_pop - 2.0 * e_c * C)
+    chi[..., 0, 1] = 0.5j * e_c * point.delta1 * S2
+    chi[..., 1, 0] = np.conj(chi[..., 0, 1])
+    chi[..., 2, 2] = 0.25 * (1.0 - e_pop - 2.0 * e_c * point.gamma2 * S2)
+    chi[..., 3, 3] = 0.25 * (1.0 - e_pop + 2.0 * e_c * point.gamma2 * S2)
+    chi[..., 2, 3] = 0.5 * e_c * point.delta2 * S2
+    chi[..., 3, 2] = chi[..., 2, 3]
+    min_eig = float(np.linalg.eigvalsh(chi)[..., 0].min())
     if min_eig < -cp_tol:
         raise CPViolationError(
             f"process matrix eigenvalue {min_eig:.3e}; inputs outside the "
@@ -179,14 +181,14 @@ def chi_nm(point, t=0.0, with_amplitude=False, *, cp_tol=1e-8):
 
 def pauli_left_matrix(U):
     """m with chi(Ad_U o E) = m chi(E) m^dag (unitary composed after E)."""
-    return 0.5 * np.einsum("cij,jk,aki->ca", PAULIS, U, PAULIS)
+    return 0.5 * np.einsum("cij,...jk,aki->...ca", PAULIS, U, PAULIS)
 
 
 def chi_full(point, Omega, t, with_amplitude=False):
     """Process matrix of the full evolution (ideal gate followed by error)."""
     base = chi_nm(point, t, with_amplitude)
     m = pauli_left_matrix(drive_unitary(Omega, t))
-    return ProcessMatrix(m @ base.matrix @ m.conj().T, t)
+    return ProcessMatrix(m @ base.matrix @ _dagger(m), t)
 
 
 def kraus_nc(point, Omega=0.0, t=0.0, with_amplitude=False):
@@ -196,17 +198,22 @@ def kraus_nc(point, Omega=0.0, t=0.0, with_amplitude=False):
     memory integrals Gamma2, Delta2 dropped, then expressed in the
     gate-rotated Pauli frame.  For this channel the rotation commutes with
     the map, so the operators represent the error channel in either frame.
+    The operators of each snapshot are ordered by their largest entry,
+    largest first (ties keep the eigenvalue order).
     """
-    eps = 1.0 - math.exp(-point.gamma1)
-    if not -1e-12 <= eps <= 1.0 + 1e-12:
-        raise NumericalError(f"effective error rate {eps} outside [0, 1]")
-    reduced = IntegralPoint(point.gamma1, 0.0, point.delta1, 0.0, point.dgamma1)
-    chi = chi_nm(reduced, t, with_amplitude).matrix
-    rotated = rotate_to_lab(PAULIS, Omega, t)
+    eps = 1.0 - np.exp(-np.asarray(point.gamma1))
+    bad = eps[~((eps >= -1e-12) & (eps <= 1.0 + 1e-12))]
+    if bad.size:
+        raise NumericalError(f"effective error rate {bad[0]} outside [0, 1]")
+    chi = chi_nm(_memoryless(point), t, with_amplitude).matrix
+    U = drive_unitary(Omega, t)[..., None, :, :]
+    rotated = U @ PAULIS @ _dagger(U)
     evals, evecs = np.linalg.eigh(chi)
-    ops = np.einsum("an,aij->nij", evecs * np.sqrt(np.maximum(evals, 0.0)), rotated)
-    ops = sorted(ops, key=lambda K: -np.abs(K).max())
-    complete = np.einsum("nji,njk->ik", np.conj(ops), ops)
+    weighted = evecs * np.sqrt(np.maximum(evals, 0.0))[..., None, :]
+    ops = np.einsum("...an,...aij->...nij", weighted, rotated)
+    order = np.argsort(-np.abs(ops).max(axis=(-2, -1)), axis=-1, kind="stable")
+    ops = np.take_along_axis(ops, order[..., None, None], axis=-3)
+    complete = np.einsum("...nji,...njk->...ik", ops.conj(), ops)
     if np.abs(complete - SIGMA_0).max() > 1e-10:
         raise NumericalError("Kraus completeness violated")
     return KrausSet(ops, t)
@@ -215,48 +222,60 @@ def kraus_nc(point, Omega=0.0, t=0.0, with_amplitude=False):
 def pauli_twirl(point, t=0.0, with_amplitude=False):
     """Pauli error rates of the twirled channel (diagonal of chi_nm)."""
     chi = chi_nm(point, t, with_amplitude).matrix
-    return PauliRates(chi[1, 1].real, chi[2, 2].real, chi[3, 3].real, t)
+    return PauliRates(chi[..., 1, 1].real, chi[..., 2, 2].real, chi[..., 3, 3].real, t)
 
 
 def depolarizing_rate(point):
     """Depolarizing probability matched to the same average gate error."""
-    return 0.75 * (1.0 - math.exp(-point.gamma1))
+    return 0.75 * (1.0 - np.exp(-point.gamma1))
+
+
+def _diagonal_chi(diagonal, t):
+    diagonal = np.stack(np.broadcast_arrays(*diagonal), axis=-1)
+    return ProcessMatrix(diagonal[..., None] * np.eye(4), t)
 
 
 def depolarizing_chi(p, t=0.0):
-    return ProcessMatrix(np.diag([1.0 - p, p / 3.0, p / 3.0, p / 3.0]).astype(complex), t)
+    return _diagonal_chi((1.0 - p, p / 3.0, p / 3.0, p / 3.0), t)
 
 
 def pauli_chi(rates, t=0.0):
-    return ProcessMatrix(
-        np.diag([1.0 - rates.p, rates.px, rates.py, rates.pz]).astype(complex), t
-    )
+    return _diagonal_chi((1.0 - rates.p, rates.px, rates.py, rates.pz), t)
 
 
 # --------------------------------------------------------------------- #
 # channel algebra
 
+def _apply_super(sup, rho):
+    """E(rho)_il = sum_jk sup_iljk rho_jk, broadcasting the leading axes."""
+    return np.einsum("...iljk,...jk->...il", sup, rho)
+
+
 def apply_chi(chi, rho):
-    """sum_ab chi_ab s_a rho s_b for a (..., 2, 2) stack of operators."""
+    """sum_ab chi_ab s_a rho s_b; the leading axes of a (..., 4, 4) chi and a
+    (..., 2, 2) stack of operators broadcast against each other."""
     chi = chi.matrix if isinstance(chi, ProcessMatrix) else np.asarray(chi)
-    return np.einsum("iljk,...jk->...il", np.einsum("ab,abiljk->iljk", chi, _SUPER), rho)
+    return _apply_super(np.einsum("...ab,abiljk->...iljk", chi, _SUPER), rho)
 
 
 def apply_kraus(kraus, rho):
-    """sum_n K_n rho K_n^dag for a (..., 2, 2) stack of operators."""
+    """sum_n K_n rho K_n^dag; the leading axes of (..., n, 2, 2) operators and
+    a (..., 2, 2) stack of operators broadcast against each other."""
     ops = np.asarray(kraus.ops if isinstance(kraus, KrausSet) else kraus)
-    return np.einsum("nij,...jk,nlk->...il", ops, rho, ops.conj())
+    return _apply_super(np.einsum("...nij,...nlk->...iljk", ops, ops.conj()), rho)
 
 
 def _pauli_images(channel):
-    """E(s_a) for the four Paulis, stacked (4, 2, 2).
+    """E(s_a) for the four Paulis, stacked (..., 4, 2, 2).
 
     ``channel`` may be a ProcessMatrix / raw chi array / KrausSet / list of
-    Kraus operators.
+    Kraus operators, or a stack of them.
     """
     if isinstance(channel, (ProcessMatrix, np.ndarray)):
-        return apply_chi(channel, PAULIS)
-    return apply_kraus(channel, PAULIS)
+        chi = channel.matrix if isinstance(channel, ProcessMatrix) else channel
+        return apply_chi(chi[..., None, :, :], PAULIS)
+    ops = np.asarray(channel.ops if isinstance(channel, KrausSet) else channel)
+    return apply_kraus(ops[..., None, :, :, :], PAULIS)
 
 
 # --------------------------------------------------------------------- #
@@ -267,12 +286,14 @@ def avg_gate_fidelity(channel, target):
 
     ``channel`` may be a ProcessMatrix / raw chi array / KrausSet / list of
     Kraus operators describing the full evolution; ``target`` is the ideal
-    unitary.
+    unitary.  Stacks of channels and of targets broadcast against each other;
+    one channel and one target give a float.
     """
-    ideal = target @ PAULIS[1:] @ target.conj().T
-    total = np.einsum("bij,bji->", ideal, _pauli_images(channel)[1:])
-    if abs(total.imag) > 1e-12 * max(1.0, abs(total.real)):
-        raise NumericalError(f"fidelity has imaginary part {total.imag:.3e}")
+    target = np.asarray(target)[..., None, :, :]
+    ideal = target @ PAULIS[1:] @ _dagger(target)
+    total = np.einsum("...bij,...bji->...", ideal, _pauli_images(channel)[..., 1:, :, :])
+    if np.any(np.abs(total.imag) > 1e-12 * np.maximum(1.0, np.abs(total.real))):
+        raise NumericalError(f"fidelity has imaginary part {np.abs(total.imag).max():.3e}")
     return 0.5 + total.real / 12.0
 
 
@@ -283,27 +304,20 @@ def gate_fidelity_matrix(target):
 
 
 def gate_error(point, model):
-    """Closed-form average gate error for one snapshot.
+    """Closed-form average gate error of a snapshot.
 
     Models: "D" depolarizing-equivalent, "NC" memoryless non-Clifford,
     "NM" with memory terms, and the "_I" variants including amplitude noise
     through DGamma1.
     """
-    e_pop = math.exp(-point.gamma1)
-    if model == "D":
-        return 0.5 * (1.0 - e_pop)
-    if model in ("NC", "NM"):
-        e_c = math.exp(-0.5 * point.gamma1)
-    elif model in ("NC_I", "NM_I"):
-        e_c = math.exp(-0.5 * (point.gamma1 + point.dgamma1))
-    else:
+    if model not in ("D", "NC", "NM", "NC_I", "NM_I"):
         raise ValidationError(f"unknown gate-error model {model!r}")
     if model.startswith("NC"):
-        cos_term = math.cos(0.5 * point.delta1)
-    else:
-        q = point.delta1**2 - point.delta2**2 - point.gamma2**2
-        cos_term = _cos_half(q)
-    return 0.5 - (e_pop + 2.0 * e_c * cos_term) / 6.0
+        point = _memoryless(point)
+    e_pop, e_c, C, _ = _coherence_block(point, model.endswith("_I"))
+    if model == "D":
+        return 0.5 * (1.0 - e_pop)
+    return 0.5 - (e_pop + 2.0 * e_c * C) / 6.0
 
 
 def state_fidelity(a, b):
@@ -319,13 +333,14 @@ def state_fidelity(a, b):
     return float(val) if val.ndim == 0 else val
 
 
-def haar_random_state(rng):
-    """Random pure qubit state, uniform over the Bloch sphere."""
-    z = rng.uniform(-1.0, 1.0)
-    phi = rng.uniform(0.0, 2.0 * math.pi)
-    s = math.sqrt(1.0 - z * z)
-    r = np.array([s * math.cos(phi), s * math.sin(phi), z])
-    return bloch_to_rho(r)
+def haar_random_state(rng, n):
+    """(n, 2, 2) random pure qubit states, uniform over the Bloch sphere.
+
+    Each state draws z and then phi from ``rng``, state after state.
+    """
+    z, phi = rng.uniform((-1.0, 0.0), (1.0, 2.0 * math.pi), size=(n, 2)).T
+    s = np.sqrt(1.0 - z * z)
+    return bloch_to_rho(np.stack([s * np.cos(phi), s * np.sin(phi), z], axis=-1))
 
 
 # --------------------------------------------------------------------- #

@@ -181,7 +181,8 @@ def build_psds(cfg):
 
 def job_integrals(psd, Omega, times, amp_psd=None):
     """The filtered-integral tuple of a job: the OU closed forms when every
-    PSD is OU, else the adaptive quadrature of ``filtered_integrals``."""
+    PSD is OU, else the adaptive quadrature of ``filtered_integrals``.
+    ``Omega`` is one Rabi frequency or an array aligned with ``times``."""
     if psd.kind == "ou" and (amp_psd is None or amp_psd.kind == "ou"):
         fi = ou_filtered_integrals(psd.c, psd.tau_c, Omega, times)
         if amp_psd is None:
@@ -257,26 +258,6 @@ def cmd_ingest_psd(args):
     return 0
 
 
-def _error_curves(psd, amp_psd, Omega, times):
-    fi = job_integrals(psd, Omega, times, amp_psd)
-    rows = []
-    for i, t in enumerate(times):
-        point = fi.at(i)
-        rates = pauli_twirl(point, t)
-        row = [
-            t,
-            gate_error(point, "D"),
-            gate_error(point, "NC"),
-            gate_error(point, "NM"),
-            gate_error(point, "NC_I"),
-            gate_error(point, "NM_I"),
-            depolarizing_rate(point),
-            rates.px, rates.py, rates.pz,
-        ]
-        rows.append(row)
-    return fi, rows
-
-
 def cmd_predict(args):
     cfg = load_config(args.config, args.seed)
     out_dir = Path(args.out or cfg["outputs"]["dir"])
@@ -284,34 +265,33 @@ def cmd_predict(args):
     psd, amp_psd = build_psds(cfg)
     Omega = cfg["drive"]["omega_rad_s"]
     times = time_grid(cfg)
+    with_amp = amp_psd is not None
 
-    fi, rows = _error_curves(psd, amp_psd, Omega, times)
-    dg = np.zeros_like(fi.times) if fi.dgamma1 is None else fi.dgamma1
+    fi = job_integrals(psd, Omega, times, amp_psd)
     _write_csv(out_dir / "filtered_integrals.csv",
                ["t", "gamma1", "gamma2", "delta1", "delta2", "dgamma1"],
-               zip(fi.times, fi.gamma1, fi.gamma2, fi.delta1, fi.delta2, dg))
+               zip(fi.times, fi.gamma1, fi.gamma2, fi.delta1, fi.delta2, fi.dgamma1))
+    rates = pauli_twirl(fi, times, with_amplitude=with_amp)
     _write_csv(
         out_dir / "error_curves.csv",
         ["t", "eps_d", "eps_nc", "eps_nm", "eps_nc_i", "eps_nm_i", "p_d", "p_x", "p_y", "p_z"],
-        rows,
+        zip(times, *(gate_error(fi, model) for model in ("D", "NC", "NM", "NC_I", "NM_I")),
+            depolarizing_rate(fi), rates.px, rates.py, rates.pz),
     )
 
-    with_amp = amp_psd is not None
-    snapshots = []
-    for i, t in enumerate(times):
-        point = fi.at(i)
-        chi = chi_nm(point, t, with_amplitude=with_amp)
-        kraus = kraus_nc(point, Omega, t, with_amplitude=with_amp)
-        rates = pauli_twirl(point, t, with_amplitude=with_amp)
-        snapshots.append(
-            {
-                "t": t,
-                "chi": chi.matrix,
-                "chi_full": chi_full(point, Omega, t, with_amplitude=with_amp).matrix,
-                "kraus": [K for K in kraus.ops],
-                "pauli_rates": {"px": rates.px, "py": rates.py, "pz": rates.pz},
-            }
-        )
+    chi = chi_nm(fi, times, with_amplitude=with_amp).matrix
+    chi_lab = chi_full(fi, Omega, times, with_amplitude=with_amp).matrix
+    kraus = kraus_nc(fi, Omega, times, with_amplitude=with_amp).ops
+    snapshots = [
+        {
+            "t": t,
+            "chi": chi[i],
+            "chi_full": chi_lab[i],
+            "kraus": list(kraus[i]),
+            "pauli_rates": {"px": rates.px[i], "py": rates.py[i], "pz": rates.pz[i]},
+        }
+        for i, t in enumerate(times)
+    ]
     (out_dir / "channels.json").write_text(
         json.dumps(snapshots, default=_json_default) + "\n"
     )
@@ -319,15 +299,10 @@ def cmd_predict(args):
     sweep = cfg["omega_sweep"]
     if sweep:
         omegas = np.geomspace(sweep["omega_min"], sweep["omega_max"], sweep["n"])
-        rows = []
-        for om in omegas:
-            t_pi = math.pi / om
-            fi_om = job_integrals(psd, om, [t_pi], amp_psd)
-            point = fi_om.at(0)
-            rows.append([om, gate_error(point, "NM"), gate_error(point, "NM_I"),
-                         gate_error(point, "D")])
+        fi = job_integrals(psd, omegas, math.pi / omegas, amp_psd)
         _write_csv(out_dir / "pi_pulse_sweep.csv",
-                   ["omega_rad_s", "eps_nm", "eps_nm_i", "eps_d"], rows)
+                   ["omega_rad_s", "eps_nm", "eps_nm_i", "eps_d"],
+                   zip(omegas, *(gate_error(fi, model) for model in ("NM", "NM_I", "D"))))
 
     write_manifest(cfg, out_dir, "predict")
     print(f"predict: wrote {out_dir}")
@@ -367,24 +342,22 @@ def _validation(cfg, psd, amp_psd, n_haar, n_workers):
 
     fi = job_integrals(psd, Omega, times, amp_psd)
     with_amp = amp_psd is not None
-    rng = np.random.default_rng(seed + 99)
-    haar = np.stack([haar_random_state(rng) for _ in range(n_haar)])
-    haar_bloch = rho_to_bloch(haar)
-
-    infidelity = {model: np.zeros(times.size) for model in ("D", "PT", "NC", "NM")}
-    for j, t in enumerate(times):
-        mc_states = bloch_to_rho(haar_bloch @ ensemble.bloch_map[j + 1].T)
-        point = fi.at(j)
-        mapped = {
-            "D": apply_chi(depolarizing_chi(depolarizing_rate(point), t), haar),
-            "PT": apply_chi(pauli_chi(pauli_twirl(point, t, with_amp), t), haar),
-            "NC": apply_kraus(kraus_nc(point, Omega, t, with_amplitude=with_amp), haar),
-            "NM": apply_chi(chi_nm(point, t, with_amplitude=with_amp), haar),
-        }
-        for model, states in mapped.items():
-            model_states = rotate_to_lab(states, Omega, t)
-            infidelity[model][j] = np.mean(1.0 - state_fidelity(model_states, mc_states))
-
+    haar = haar_random_state(np.random.default_rng(seed + 99), n_haar)
+    # every Haar state (axis 0) at every grid time (axis 1)
+    mc_states = bloch_to_rho(np.einsum("tab,nb->nta", ensemble.bloch_map[1:],
+                                       rho_to_bloch(haar)))
+    haar = haar[:, None]
+    mapped = {
+        "D": apply_chi(depolarizing_chi(depolarizing_rate(fi), times), haar),
+        "PT": apply_chi(pauli_chi(pauli_twirl(fi, times, with_amp), times), haar),
+        "NC": apply_kraus(kraus_nc(fi, Omega, times, with_amplitude=with_amp), haar),
+        "NM": apply_chi(chi_nm(fi, times, with_amplitude=with_amp), haar),
+    }
+    infidelity = {
+        model: np.mean(1.0 - state_fidelity(rotate_to_lab(states, Omega, times), mc_states),
+                       axis=0)
+        for model, states in mapped.items()
+    }
     return times, infidelity, ensemble
 
 
@@ -467,44 +440,41 @@ def cmd_tomography(args):
     if args.counts:
         records = counts_from_csv(args.counts)
         chis, _ = mle_fit(records, setup, seed=seed)
-        for rec, chi_hat in zip(records, chis):
-            target = drive_unitary(Omega, rec.t)
-            entry = {
-                "t": rec.t,
-                "mle_chi": chi_hat.matrix,
-                "mle_gate_error": 1.0 - avg_gate_fidelity(chi_hat, target),
-            }
+        targets = drive_unitary(Omega, np.array([rec.t for rec in records]))
+        errors = 1.0 - avg_gate_fidelity(np.array([chi.matrix for chi in chis]), targets)
+        for rec, chi_hat, target, error in zip(records, chis, targets, errors):
+            entry = {"t": rec.t, "mle_chi": chi_hat.matrix, "mle_gate_error": error}
             if tomo["run_chain"]:
                 entry["mh"] = _posterior_summary(rec, setup, tomo, seed, target)
             results.append(entry)
     else:
         times = time_grid(cfg)
         fi = job_integrals(psd, Omega, times, amp_psd)
-        with_amp = amp_psd is not None
+        chis_true = chi_full(fi, Omega, times, with_amplitude=amp_psd is not None).matrix
         rng = np.random.default_rng(seed)
         n_rep = tomo["repetitions"]
-        chis_true, records, chain_records = [], [], []
-        for i, t in enumerate(times):
-            chi_true = chi_full(fi.at(i), Omega, t, with_amplitude=with_amp)
-            probs = born_probs(chi_true, setup)
-            chis_true.append(chi_true)
+        records, chain_records = [], []
+        for probs, t in zip(born_probs(chis_true, setup), times):
             records += [sample_shots(probs, tomo["shots_per_basis"], rng, t=t)
                         for _ in range(n_rep)]
             if tomo["run_chain"]:
                 chain_records.append(sample_shots(probs, tomo["shots_per_basis"], rng, t=t))
         chis, _ = mle_fit(records, setup, n_starts=2, seed=seed)
+        targets = drive_unitary(Omega, times)
+        # per time: the true channel, then its n_rep fits
+        stack = np.concatenate([chis_true[:, None], np.array(
+            [chi.matrix for chi in chis]).reshape(times.size, n_rep, 4, 4)], axis=1)
+        errors = 1.0 - avg_gate_fidelity(stack, targets[:, None])
         for i, t in enumerate(times):
-            target = drive_unitary(Omega, t)
-            errors = np.sort([1.0 - avg_gate_fidelity(chi_hat, target)
-                              for chi_hat in chis[i * n_rep:(i + 1) * n_rep]])
+            fits = np.sort(errors[i, 1:])
             entry = {
                 "t": t,
-                "true_gate_error": 1.0 - avg_gate_fidelity(chis_true[i], target),
-                "mle_mean": float(errors.mean()),
-                "mle_quantiles": [float(q) for q in percentiles(errors, (2.5, 97.5))],
+                "true_gate_error": errors[i, 0],
+                "mle_mean": float(fits.mean()),
+                "mle_quantiles": [float(q) for q in percentiles(fits, (2.5, 97.5))],
             }
             if tomo["run_chain"]:
-                entry["mh"] = _posterior_summary(chain_records[i], setup, tomo, seed, target)
+                entry["mh"] = _posterior_summary(chain_records[i], setup, tomo, seed, targets[i])
             results.append(entry)
 
     (out_dir / "tomography.json").write_text(

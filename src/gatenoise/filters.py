@@ -15,8 +15,9 @@ of those windows with the two-sided PSD give the decay exponents
 Three windows cover the tuple: the Gamma2 and Delta2 filters share the
 memory window M, and the amplitude window is twice the Gamma1 window at
 Omega = 0.  Per time point and PSD, one adaptive quadrature pass integrates
-S*F and the bare F for all three windows on one node set, escalating the
-upper limit W until the tuple converges.  Beyond W the PSD is taken as the
+S*F and the bare F for the windows it needs (all three for the dephasing
+PSD, the Gamma1 window alone for the amplitude PSD) on one node set,
+escalating the upper limit W until the tuple converges.  Beyond W the PSD is taken as the
 plateau S(W); its tail is the white-noise total of F (Gamma1: t/4, Delta1:
 0, M: sin(Omega t) / (4 Omega), per unit S on [0, inf)) minus the bare
 integral on [0, W], so no special functions are needed.
@@ -99,9 +100,9 @@ def filter_memory(omega, Omega, t):
     return (t * t / (4.0 * _PI)) * np.sinc((omega - Omega) * k) * np.sinc((omega + Omega) * k)
 
 
-def _windows(omega, Omega, t):
-    """The three windows (F_Gamma1, F_Delta1, M), stacked as rows."""
-    return np.stack([f(omega, Omega, t) for f in (filter_gamma1, filter_delta1, filter_memory)])
+def _windows(omega, Omega, t, n):
+    """The first ``n`` of the windows (F_Gamma1, F_Delta1, M), stacked as rows."""
+    return np.stack([f(omega, Omega, t) for f in (filter_gamma1, filter_delta1, filter_memory)[:n]])
 
 
 def _white_totals(Omega, t):
@@ -114,7 +115,10 @@ def _white_totals(Omega, t):
 
 @dataclass
 class FilteredIntegrals:
-    """The tuple {Gamma1, Gamma2, Delta1, Delta2[, DGamma1]} on a time grid."""
+    """The tuple {Gamma1, Gamma2, Delta1, Delta2, DGamma1} on a time grid.
+
+    ``dgamma1`` is zeros when there is no amplitude noise.
+    """
 
     times: np.ndarray
     gamma1: np.ndarray
@@ -125,10 +129,9 @@ class FilteredIntegrals:
 
     def __post_init__(self):
         self.times = np.asarray(self.times, dtype=float)
-        names = ("gamma1", "gamma2", "delta1", "delta2")
-        if self.dgamma1 is not None:
-            names += ("dgamma1",)
-        for name in names:
+        if self.dgamma1 is None:
+            self.dgamma1 = np.zeros_like(self.times)
+        for name in ("gamma1", "gamma2", "delta1", "delta2", "dgamma1"):
             arr = np.asarray(getattr(self, name), dtype=float)
             if arr.shape != self.times.shape:
                 raise ValidationError(f"{name} shape does not match the time grid")
@@ -140,10 +143,9 @@ class FilteredIntegrals:
 
     def at(self, i):
         """Scalar snapshot of the integrals at grid index ``i``."""
-        dg = 0.0 if self.dgamma1 is None else float(self.dgamma1[i])
         return IntegralPoint(
             float(self.gamma1[i]), float(self.gamma2[i]),
-            float(self.delta1[i]), float(self.delta2[i]), dg,
+            float(self.delta1[i]), float(self.delta2[i]), float(self.dgamma1[i]),
         )
 
 
@@ -179,18 +181,19 @@ def _overlap_edges(psd, Omega, t, lo_edge, W):
     return np.concatenate([edges[:1], nodes])
 
 
-def _overlap(psd, Omega, t, rtol):
-    """2 * Int_0^inf S * (F_Gamma1, F_Delta1, M) dw, escalating W to converge.
+def _overlap(psd, Omega, t, rtol, n):
+    """2 * Int_0^inf S * F dw for the first ``n`` windows of (F_Gamma1,
+    F_Delta1, M), escalating W to converge.
 
     Each window integrates S*F and the bare F on [0, W] as rows of one
     quadrature; beyond W the PSD is the plateau S(W), whose tail is the white
     total of F minus the bare part.
     """
     if t == 0.0:
-        return np.zeros(3)
+        return np.zeros(n)
 
     def rows(w):
-        f = _windows(w, Omega, t)
+        f = _windows(w, Omega, t, n)
         return np.concatenate([psd.eval(w) * f, f])
 
     # Start where the filters carry their mass; the escalation below extends
@@ -199,8 +202,8 @@ def _overlap(psd, Omega, t, rtol):
     if psd.kind == "ou":
         base = max(base, 1.0 / psd.tau_c)
     W = 6.0 * base
-    inner = np.zeros(6)
-    abs_scale = np.zeros(3)
+    inner = np.zeros(2 * n)
+    abs_scale = np.zeros(n)
     lo = 0.0
     prev = None
     for _ in range(8):
@@ -214,8 +217,8 @@ def _overlap(psd, Omega, t, rtol):
             points=_overlap_edges(psd, Omega, t, lo, W)[1:-1],
         )
         inner += part
-        abs_scale = np.maximum(abs_scale, abs_part[:3])
-        total = 2.0 * (inner[:3] + plateau * (_white_totals(Omega, t) - inner[3:]))
+        abs_scale = np.maximum(abs_scale, abs_part[:n])
+        total = 2.0 * (inner[:n] + plateau * (_white_totals(Omega, t)[:n] - inner[n:]))
         # A x3 window escalation shrinks the residual of an w^-2 spectrum by
         # ~x27, so a small step-to-step change bounds the remaining error.
         if prev is not None and np.all(
@@ -237,23 +240,26 @@ def filtered_integrals(psd, Omega, times, amp_psd=None, *, rtol=1e-8):
     ----------
     psd : NoisePsd
         Dephasing (frequency) noise PSD, two-sided in rad/s.
-    Omega : float
-        Rabi frequency in rad/s.
+    Omega : float or array_like
+        Rabi frequency in rad/s, one for all times or one per time.
     times : array_like
         Nonnegative evaluation times in seconds.
     amp_psd : NoisePsd, optional
-        Rabi-rate (amplitude) noise PSD; fills ``dgamma1`` when given.
+        Rabi-rate (amplitude) noise PSD; fills ``dgamma1`` when given, which
+        is zeros otherwise.
     rtol : float
         Relative quadrature tolerance per integral.
     """
     times = np.atleast_1d(np.asarray(times, dtype=float))
     if np.any(times < 0):
         raise ValidationError("times must be nonnegative")
-    g1, d1, mem = np.array([_overlap(psd, Omega, t, rtol) for t in times]).reshape(-1, 3).T
+    Omega = np.broadcast_to(np.asarray(Omega, dtype=float), times.shape)
+    g1, d1, mem = np.array([_overlap(psd, om, t, rtol, 3)
+                            for om, t in zip(Omega, times)]).reshape(-1, 3).T
     dg = None
     if amp_psd is not None:
         # the amplitude window is twice the Gamma1 window at Omega = 0
-        dg = np.array([2.0 * _overlap(amp_psd, 0.0, t, rtol)[0] for t in times])
+        dg = np.array([2.0 * _overlap(amp_psd, 0.0, t, rtol, 1)[0] for t in times])
     return FilteredIntegrals(times, g1, np.cos(Omega * times) * mem,
                              d1, np.sin(Omega * times) * mem, dg)
 
@@ -327,6 +333,7 @@ def ou_filtered_integrals(c, tau_c, Omega, times):
 
     Obtained by integrating the OU autocovariance against the drive kernels
     in closed form; used as the reference for the quadrature routes.
+    ``Omega`` may be an array aligned with ``times``.
     """
     times = np.atleast_1d(np.asarray(times, dtype=float))
     a = Omega * tau_c

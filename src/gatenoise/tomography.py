@@ -94,11 +94,11 @@ def default_setup():
 
 
 def born_probs(chi, setup=None):
-    """Measurement probabilities p[s, b, m] = tr(D_{s,b,m} chi)."""
+    """Measurement probabilities p[..., s, b, m] = tr(D_{s,b,m} chi) of a
+    (..., 4, 4) chi."""
     setup = setup or default_setup()
     chi = chi.matrix if isinstance(chi, ProcessMatrix) else np.asarray(chi)
-    probs = np.einsum("sbmij,ji->sbm", setup.d_matrices, chi).real
-    return probs
+    return np.einsum("sbmij,...ji->...sbm", setup.d_matrices, chi).real
 
 
 # --------------------------------------------------------------------- #

@@ -1,6 +1,7 @@
 """The traced benchmark wraps functions at the names ``gatenoise.cli`` binds
 (bench/tracing.py).  A renamed or dropped import there crashes every traced
-benchmark run, so the tracer is installed, exercised and removed here too."""
+benchmark run, so every wrapped name is checked, and the tracer is installed,
+exercised and removed here too."""
 
 import importlib.util
 import json
@@ -13,9 +14,6 @@ from gatenoise.psd import NoisePsd
 from gatenoise.tomography import born_probs, counts_to_csv, default_setup, sample_shots
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
-WRAPPED = ("filtered_integrals", "evolve_ensemble", "apply_chi", "apply_kraus",
-           "state_fidelity", "rotate_to_lab", "avg_gate_fidelity", "haar_random_state",
-           "mle_fit", "mh_chain", "rb_simulate", "born_probs")
 
 
 def _load_tracing():
@@ -25,9 +23,30 @@ def _load_tracing():
     return module
 
 
+def _wrapped_names(tracing):
+    """The names ``tracing.instrument`` wraps on ``gatenoise.cli``, noted by a
+    tracer whose ``install`` records instead of wrapping."""
+    names = []
+
+    class Recorder(tracing.Tracer):
+        def install(self, owner, attr, name, **kwargs):
+            if owner is cli:
+                names.append(attr)
+
+    tracing.instrument(Recorder("names"))
+    return names
+
+
+def test_every_wrapped_name_is_bound_on_cli():
+    tracing = _load_tracing()
+    names = _wrapped_names(tracing)
+    assert set(tracing.BUILDERS) <= set(names)
+    assert [name for name in names if not callable(getattr(cli, name, None))] == []
+
+
 def test_tracer_instruments_cli_and_uninstalls(tmp_path):
     tracing = _load_tracing()
-    originals = {name: getattr(cli, name) for name in WRAPPED}
+    originals = {name: getattr(cli, name) for name in _wrapped_names(tracing)}
     # a tabulated amplitude PSD: an all-OU job takes the closed forms, and
     # the quadrature, whose name the tracer wraps, would not run
     omegas = np.geomspace(10.0, 1e5, 20)
@@ -61,7 +80,8 @@ def test_tracer_instruments_cli_and_uninstalls(tmp_path):
     assert metrics["noise.ou.draws"] == 20 * 40
     assert metrics["noise.fourier.draws"] == 20 * 40
     assert metrics["filters.time_points"] == 2
-    assert metrics["channels.apply_calls"] == 2 * 4
+    # one call per model (D, PT, NC, NM) for every time and Haar state
+    assert metrics["channels.apply_calls"] == 4
     assert set(accounting) == {"step.validate"}
 
 

@@ -29,7 +29,13 @@ from gatenoise.channels import (
     state_fidelity,
 )
 from gatenoise.errors import CPViolationError, NumericalError, ValidationError
-from gatenoise.filters import IntegralPoint, ZERO_POINT, ou_filtered_integrals, ou_kernels
+from gatenoise.filters import (
+    FilteredIntegrals,
+    IntegralPoint,
+    ZERO_POINT,
+    ou_filtered_integrals,
+    ou_kernels,
+)
 from gatenoise.psd import NoisePsd
 from oracles import kraus_to_chi, ptm
 
@@ -311,7 +317,7 @@ def test_helpers_broadcast_over_state_stacks(helper, shape):
     chi = chi_nm(pt, with_amplitude=True)
     kraus = kraus_nc(pt, Omega=1.3, t=0.7, with_amplitude=True)
     n = int(np.prod(shape))
-    states = np.stack([haar_random_state(rng) for _ in range(n)])
+    states = haar_random_state(rng, n)
     mixed = 0.5 * states + 0.25 * np.eye(2)
     reference = {
         "apply_chi": lambda k: _apply_chi_loop(chi.matrix, states[k]),
@@ -347,12 +353,118 @@ def test_state_fidelity_examples():
 
 def test_haar_states_are_pure_and_uniform():
     rng = np.random.default_rng(7)
-    zs = []
-    for _ in range(500):
-        rho = haar_random_state(rng)
-        assert np.linalg.eigvalsh(rho)[1] == pytest.approx(1.0, abs=1e-12)
-        zs.append(np.trace(rho @ PAULIS[3]).real)
-    assert abs(np.mean(zs)) < 0.15
+    states = haar_random_state(rng, 500)
+    assert states.shape == (500, 2, 2)
+    np.testing.assert_allclose(np.linalg.eigvalsh(states)[:, 1], 1.0, rtol=0, atol=1e-12)
+    assert abs(np.mean(rho_to_bloch(states)[:, 2])) < 0.15
+
+
+def test_haar_stack_equals_single_draws():
+    a, b = np.random.default_rng(41), np.random.default_rng(41)
+    stacked = haar_random_state(a, 30)
+    singles = np.concatenate([haar_random_state(b, 1) for _ in range(30)])
+    assert stacked.tobytes() == singles.tobytes()
+    # z, then phi, per state: the stream of the scalar draws
+    c = np.random.default_rng(41)
+    for rho in stacked:
+        z, phi = c.uniform(-1.0, 1.0), c.uniform(0.0, 2.0 * math.pi)
+        s = math.sqrt(1.0 - z * z)
+        np.testing.assert_allclose(rho_to_bloch(rho), [s * math.cos(phi), s * math.sin(phi), z],
+                                   rtol=0, atol=1e-15)
+
+
+# --------------------------------------------------------------------- #
+# builders over a time grid
+
+def _grid(seed, with_amplitude, n=24):
+    """``n`` random physical snapshots plus two with tied Kraus weights, as
+    scalar points and as one FilteredIntegrals, with times and Rabi rates."""
+    rng = np.random.default_rng(seed)
+    points = [physical_point(rng, with_amplitude) for _ in range(n)]
+    points += [ZERO_POINT, IntegralPoint(0.5, 0.0, 0.0, 0.0, 0.0)]
+    times = rng.uniform(0.0, 5.0, len(points))
+    omegas = rng.uniform(0.5, 5.0, len(points))
+    fields = {name: [getattr(p, name) for p in points]
+              for name in ("gamma1", "gamma2", "delta1", "delta2", "dgamma1")}
+    return points, FilteredIntegrals(times, **fields), times, omegas
+
+
+@pytest.mark.parametrize("with_amplitude", [False, True])
+def test_builders_on_a_grid_equal_pointwise_calls(with_amplitude):
+    points, fi, times, omegas = _grid(31 + with_amplitude, with_amplitude)
+    flag = with_amplitude
+    targets = drive_unitary(omegas, times)
+    rates = pauli_twirl(fi, times, flag)
+    stacked = {
+        "chi_nm": chi_nm(fi, times, flag).matrix,
+        "chi_full": chi_full(fi, omegas, times, flag).matrix,
+        "kraus_nc": kraus_nc(fi, omegas, times, flag).ops,
+        "pauli_twirl": np.stack([rates.px, rates.py, rates.pz], axis=-1),
+        "depolarizing_rate": depolarizing_rate(fi),
+        "depolarizing_chi": depolarizing_chi(depolarizing_rate(fi), times).matrix,
+        "pauli_chi": pauli_chi(rates, times).matrix,
+        "gate_error": np.stack([gate_error(fi, m) for m in ("D", "NC", "NM", "NC_I", "NM_I")],
+                               axis=-1),
+        "drive_unitary": targets,
+        "pauli_left_matrix": pauli_left_matrix(targets),
+    }
+    assert stacked["chi_nm"].shape == (len(points), 4, 4)
+    assert stacked["kraus_nc"].shape == (len(points), 4, 2, 2)
+    for i, (pt, t, om) in enumerate(zip(points, times, omegas)):
+        r = pauli_twirl(pt, t, flag)
+        U = drive_unitary(om, t)
+        single = {
+            "chi_nm": chi_nm(pt, t, flag).matrix,
+            "chi_full": chi_full(pt, om, t, flag).matrix,
+            "kraus_nc": kraus_nc(pt, om, t, flag).ops,
+            "pauli_twirl": [r.px, r.py, r.pz],
+            "depolarizing_rate": depolarizing_rate(pt),
+            "depolarizing_chi": depolarizing_chi(depolarizing_rate(pt), t).matrix,
+            "pauli_chi": pauli_chi(r, t).matrix,
+            "gate_error": [gate_error(pt, m) for m in ("D", "NC", "NM", "NC_I", "NM_I")],
+            "drive_unitary": U,
+            "pauli_left_matrix": pauli_left_matrix(U),
+        }
+        for name, value in single.items():
+            # kraus_nc: the same operators in the same order as the scalar call
+            np.testing.assert_allclose(stacked[name][i], value, rtol=0, atol=1e-14,
+                                       err_msg=name)
+    # scalar snapshots keep scalar shapes
+    pt, t, om = points[0], times[0], omegas[0]
+    assert chi_full(pt, om, t, flag).matrix.shape == (4, 4)
+    assert np.ndim(pauli_twirl(pt, t, flag).px) == 0
+    assert isinstance(gate_error(pt, "NM"), float)
+
+
+def test_one_cp_violating_snapshot_in_a_grid_raises():
+    points, _, times, _ = _grid(33, True)
+    bad = points + [IntegralPoint(0.01, 0.8, 0.0, 0.0, 0.0)]
+    fi = FilteredIntegrals(np.append(times, 1.0),
+                           *[[getattr(p, name) for p in bad]
+                             for name in ("gamma1", "gamma2", "delta1", "delta2", "dgamma1")])
+    with pytest.raises(CPViolationError):
+        chi_nm(fi, fi.times)
+    with pytest.raises(CPViolationError):
+        pauli_twirl(fi, fi.times)
+
+
+def test_avg_gate_fidelity_on_stacks_equals_scalar_calls():
+    points, fi, times, omegas = _grid(34, True)
+    chis = chi_full(fi, omegas, times, True)
+    kraus = kraus_nc(fi, omegas, times, True)
+    targets = drive_unitary(omegas, times)
+    fid_chi = avg_gate_fidelity(chis, targets)
+    fid_kraus = avg_gate_fidelity(kraus, targets)
+    # one channel against every target broadcasts too
+    fid_one = avg_gate_fidelity(chis.matrix[0], targets)
+    for i in range(len(points)):
+        assert isinstance(avg_gate_fidelity(chis.matrix[i], targets[i]), float)
+        assert fid_chi[i] == pytest.approx(avg_gate_fidelity(chis.matrix[i], targets[i]),
+                                           rel=0, abs=1e-14)
+        assert fid_kraus[i] == pytest.approx(avg_gate_fidelity(list(kraus.ops[i]), targets[i]),
+                                             rel=0, abs=1e-14)
+        assert fid_one[i] == pytest.approx(avg_gate_fidelity(chis.matrix[0], targets[i]),
+                                           rel=0, abs=1e-14)
 
 
 # --------------------------------------------------------------------- #

@@ -195,6 +195,44 @@ def test_predict_is_byte_reproducible(tmp_path):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
+def test_error_curves_pauli_columns_include_amplitude_noise(tmp_path):
+    """With an amplitude PSD, the p_x, p_y, p_z columns of error_curves.csv
+    are the Pauli rates of channels.json, amplitude noise included."""
+    Omega, t_max = 4000.0, 1.05e-3
+    ou = {"kind": "ou", "c": 5e8, "tau_c": 1e-3}
+    cfg_path = tmp_path / "cfg.json"
+    write_config(cfg_path, drive={"omega_rad_s": Omega, "t_max_s": t_max, "n_times": 3},
+                 noise={"psd": ou, "amplitude_psd": ou})
+    out = tmp_path / "pred"
+    assert main(["predict", "--config", str(cfg_path), "--out", str(out)]) == 0
+    table = np.loadtxt(out / "error_curves.csv", delimiter=",", skiprows=1)
+    snapshots = json.loads((out / "channels.json").read_text())
+    rates = [[snap["pauli_rates"][k] for k in ("px", "py", "pz")] for snap in snapshots]
+    np.testing.assert_array_equal(table[:, 7:10], rates)
+    # dephasing alone gives a p_x about 100 times smaller at t_max
+    times = time_grid(load_config(cfg_path))
+    dephasing = pauli_twirl(cli.job_integrals(NoisePsd.ou(5e8, 1e-3), Omega, times), times)
+    assert table[-1, 7] > 10.0 * dephasing.px[-1]
+
+
+@pytest.mark.parametrize("kind", ["ou", "tabulated"])
+def test_pi_pulse_sweep_in_one_call_equals_per_omega_calls(kind):
+    """``job_integrals`` with an Omega array aligned with the times gives, to
+    the bit, the tuple of one call per Omega."""
+    if kind == "ou":
+        psd = NoisePsd.ou(OU_PSD["c"], TAU)
+    else:
+        omegas = np.geomspace(10.0, 1e7, 40)
+        psd = NoisePsd.tabulated(omegas, 3e3 / (1.0 + (omegas * TAU) ** 2) + 0.5, 3e3, 0.5)
+    amp_psd = NoisePsd.ou(1e6, TAU)
+    omegas = np.geomspace(2e3, 2e6, 6)
+    swept = cli.job_integrals(psd, omegas, math.pi / omegas, amp_psd)
+    for k, om in enumerate(omegas):
+        single = cli.job_integrals(psd, float(om), [math.pi / om], amp_psd)
+        for name in ("times", "gamma1", "gamma2", "delta1", "delta2", "dgamma1"):
+            assert getattr(swept, name)[k] == getattr(single, name)[0], (name, om)
+
+
 def test_zero_noise_predict_gives_zero_errors(tmp_path):
     cfg_path = tmp_path / "cfg.json"
     write_config(cfg_path, noise={"psd": {"kind": "ou", "c": 0.0, "tau_c": TAU}})
@@ -236,7 +274,7 @@ def test_validation_scoring_matches_per_state_loop(tmp_path, seed):
     Omega = cfg["drive"]["omega_rad_s"]
     fi = cli.job_integrals(psd, Omega, grid)
     rng = np.random.default_rng(cfg["simulation"]["seed"] + 99)
-    haar = [haar_random_state(rng) for _ in range(n_haar)]
+    haar = haar_random_state(rng, n_haar)
 
     for j, snap in enumerate(snapshots):
         t = snap["t"]

@@ -167,7 +167,7 @@ def test_white_minus_bare_tail_matches_sici_oracle():
         Omega = 0.0 if i % 5 == 0 else 10 ** rng.uniform(-1, 2)
         W = Omega + 10 ** rng.uniform(-1, 3) / t
         pts = np.concatenate([[Omega, 2 * Omega], np.arange(1, W * t / math.pi) * math.pi / t])
-        bare, _, _ = adaptive_gk(lambda w: _windows(w, Omega, t), 0.0, W, rtol=1e-13,
+        bare, _, _ = adaptive_gk(lambda w: _windows(w, Omega, t, 3), 0.0, W, rtol=1e-13,
                                  points=pts)
         g1, d1, mem = _white_totals(Omega, t) - bare
         got = {"gamma1": g1, "delta1": d1}
@@ -354,6 +354,18 @@ def test_flat_amplitude_psd_gives_linear_dgamma1():
     np.testing.assert_allclose(fi.dgamma1, s0 * np.asarray(times), rtol=1e-7)
 
 
+def test_amplitude_pass_equals_the_gamma1_row_at_zero_rabi_rate():
+    # the amplitude pass integrates the Gamma1 window alone; the full
+    # three-window pass at Omega = 0 carries the same window in its Gamma1 row
+    omegas = np.geomspace(10.0, 1e5, 60)
+    amp = NoisePsd.tabulated(omegas, 1e3 / (1.0 + (omegas * 5e-4) ** 2) + 2e4 / omegas,
+                             1e3 + 2e3, 0.2)
+    times = np.linspace(2e-4, 4e-3, 6)
+    fi = filtered_integrals(NoisePsd.ou(1.0, 1e-3), 4000.0, times, amp_psd=amp)
+    np.testing.assert_allclose(fi.dgamma1, 2.0 * filtered_integrals(amp, 0.0, times).gamma1,
+                               rtol=1e-12, atol=0)
+
+
 def test_ou_amplitude_integral_closed_form():
     # the CLI's closed form for OU jobs against the quadrature it replaces
     deph = NoisePsd.ou(0.0, 1.0)
@@ -408,6 +420,8 @@ def test_integrals_container_invariants():
     pt = fi.at(1)
     assert isinstance(pt, IntegralPoint)
     assert pt.dgamma1 == 0.0
+    # without amplitude noise the DGamma1 field is zeros, not absent
+    np.testing.assert_array_equal(fi.dgamma1, np.zeros(2))
 
 
 @pytest.mark.parametrize("dgamma1", [np.zeros(3), np.array([0.0, np.nan]),

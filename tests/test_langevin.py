@@ -122,7 +122,7 @@ def test_common_random_numbers_reconstruct_channel():
     assert stacked.bloch_map.shape == (5, 3, 3)
     np.testing.assert_allclose(stacked.bloch_map[0], np.eye(3), rtol=0, atol=1e-15)
     rng = np.random.default_rng(5)
-    rho = haar_random_state(rng)
+    rho = haar_random_state(rng, 1)[0]
     rho = 0.8 * rho + 0.1 * np.eye(2)
     single = evolve_ensemble(rho, drive, src, seed=17, record_every=30, chunk=128)
     mapped = bloch_to_rho(stacked.bloch_map @ rho_to_bloch(rho))
