@@ -47,7 +47,6 @@ import numpy as np
 from ._quadrature import cumulative_simpson, cumulative_trapezoid
 from .errors import CPViolationError, NumericalError, ValidationError
 from .filters import ou_kernels
-from .langevin import check_density_matrix
 
 PAULIS = np.array(
     [[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]],
@@ -122,6 +121,19 @@ def _memoryless(point):
     """The snapshot with the memory integrals Gamma2 and Delta2 dropped."""
     zero = np.zeros_like(point.gamma2)
     return replace(point, gamma2=zero, delta2=zero)
+
+
+def check_density_matrix(rho, tol=1e-12, eig_tol=1e-10):
+    rho = np.asarray(rho, dtype=complex)
+    if rho.shape != (2, 2):
+        raise ValidationError("density matrix must be 2x2")
+    if np.abs(rho - rho.conj().T).max() > tol:
+        raise ValidationError("density matrix is not Hermitian")
+    if abs(np.trace(rho).real - 1.0) > tol or abs(np.trace(rho).imag) > tol:
+        raise ValidationError("density matrix must have unit trace")
+    if np.linalg.eigvalsh(rho)[0] < -eig_tol:
+        raise ValidationError("density matrix has a negative eigenvalue")
+    return rho
 
 
 def rho_to_bloch(rho):

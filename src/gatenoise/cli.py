@@ -319,7 +319,7 @@ def _validation(cfg, psd, amp_psd, n_haar, n_workers):
     tau_c = min(taus, default=None)
     dt_max = cfg["simulation"]["dt_s"]
     if dt_max is None:
-        dt_max = default_timestep(Omega, tau_c, fraction=0.002)
+        dt_max = default_timestep(Omega, tau_c)
     times = time_grid(cfg)
     # the grid is uniform, t_k = k t_1: a whole number of steps per interval,
     # the fewest whose computed length stays within dt_max (the ceiling of the

@@ -31,6 +31,11 @@ adjusted mean is unbiased up to O(1/m) from the fitted beta, but need not be
 exactly a physical state: its deviation from one is within its standard
 error.  A record with no resolved control direction, or with m <= r + 1
 trajectories, keeps the plain estimate.
+
+All of it is read off two moments per record of z = (vec R, a): the mean
+and the centred co-moment.  Chunks form both about their own mean and merge
+exactly in job order (Chan, Golub and LeVeque, Am. Stat. 37, 242, 1983), so
+no variance is a difference of raw sums and the worker count changes no bit.
 """
 
 from __future__ import annotations
@@ -41,12 +46,15 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .channels import bloch_to_rho, check_density_matrix, rho_to_bloch
 from .errors import NumericalError, ValidationError
 
 # Largest tolerated deviation of a propagator from unitarity, |a|^2 + |b|^2 - 1.
 MAX_NORM_DRIFT = 1e-6
 
-_PAULI_XYZ = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
+# Default step over the shortest dynamical scale; test_dt_halving_convergence
+# backs this value, and ROADMAP direction 1 re-judges it.
+STEP_FRACTION = 0.002
 
 
 @dataclass
@@ -69,12 +77,12 @@ class DriveConfig:
             raise ValidationError("n_steps and m_mc must be >= 1")
 
 
-def default_timestep(Omega, tau_c=None, fraction=0.05):
-    """Step heuristic: a fraction of the shortest dynamical scale."""
+def default_timestep(Omega, tau_c=None):
+    """Step heuristic: ``STEP_FRACTION`` of the shortest dynamical scale."""
     scale = 2.0 * math.pi / Omega
     if tau_c is not None:
         scale = min(scale, tau_c)
-    return fraction * scale
+    return STEP_FRACTION * scale
 
 
 @dataclass
@@ -92,7 +100,6 @@ class DensityTrajectory:
     pauli_se: np.ndarray        # (..., n_times, 3) standard errors
     plain_se: np.ndarray        # (..., n_times, 3) standard errors of the plain mean
     bloch_map: np.ndarray       # (n_times, 3, 3)
-    m_mc: int
     max_norm_drift: float = 0.0
 
     def __post_init__(self):
@@ -102,19 +109,6 @@ class DensityTrajectory:
     def __getitem__(self, k):
         return replace(self, states=self.states[k], pauli_mean=self.pauli_mean[k],
                        pauli_se=self.pauli_se[k], plain_se=self.plain_se[k])
-
-
-def check_density_matrix(rho, tol=1e-12, eig_tol=1e-10):
-    rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (2, 2):
-        raise ValidationError("density matrix must be 2x2")
-    if np.abs(rho - rho.conj().T).max() > tol:
-        raise ValidationError("density matrix is not Hermitian")
-    if abs(np.trace(rho).real - 1.0) > tol or abs(np.trace(rho).imag) > tol:
-        raise ValidationError("density matrix must have unit trace")
-    if np.linalg.eigvalsh(rho)[0] < -eig_tol:
-        raise ValidationError("density matrix has a negative eigenvalue")
-    return rho
 
 
 def _bloch_rotation(a, b):
@@ -131,26 +125,28 @@ def _bloch_rotation(a, b):
     ])
 
 
-def _control_variate(sum_r, sum_ra, sum_a, sum_aa, sum_p2, bloch0, m):
-    """Control-variate channel and per-state standard errors from the ensemble sums.
+def _control_variate(mean, cov, bloch0, m):
+    """Control-variate channel and per-state standard errors from the moments.
 
-    Per record j: sum_r (3, 3) = sum R, sum_ra (3, 3, p) = sum R (x) a,
-    sum_a (p) = sum a, sum_aa (p, p) = sum a a^T, and per input state k
-    sum_p2[k, j] (3) = sum Y_k^2 with Y_k = R b0_k.  Returns the adjusted
-    Bloch maps, means, standard errors and the plain standard errors.
+    Per record t: mean[t] (9 + p) and cov[t] (9 + p, 9 + p) are the ensemble
+    mean and covariance of z = (vec R, a); per input state k, Y_k = R b0_k.
+    Returns the adjusted Bloch maps, means, standard errors and the plain
+    standard errors.
     """
-    r_mean = sum_r / m
-    a_mean = sum_a / m
-    cov_ra = sum_ra / m - r_mean[..., None] * a_mean[:, None, None, :]
-    cov_aa = sum_aa / m - a_mean[:, :, None] * a_mean[:, None, :]
-    plain = np.einsum("tij,kj->kti", r_mean, bloch0)
-    var = np.maximum(sum_p2 / m - plain**2, 0.0)
+    n_rec, p = mean.shape[0], mean.shape[1] - 9
+    r_mean = mean[:, :9].reshape(n_rec, 3, 3)
+    a_mean = mean[:, 9:]
+    cov_rr = cov[:, :9, :9].reshape(n_rec, 3, 3, 3, 3)
+    cov_ra = cov[:, :9, 9:].reshape(n_rec, 3, 3, p)
+    cov_aa = cov[:, 9:, 9:]
+    # Var(Y_ki) = sum_jl b_kj b_kl Cov(R_ij, R_il)
+    var = np.maximum(np.einsum("tijil,kj,kl->kti", cov_rr, bloch0, bloch0), 0.0)
     beta = np.zeros_like(cov_ra)
     resid = var.copy()
-    for j, (cov, raw) in enumerate(zip(cov_aa, sum_aa)):
+    for j in range(n_rec):
         # directions of a resolved above the rounding of its raw second moment
-        w, vecs = np.linalg.eigh(cov)
-        keep = w > 1e-12 * np.trace(raw) / m
+        w, vecs = np.linalg.eigh(cov_aa[j])
+        keep = w > 1e-12 * (np.trace(cov_aa[j]) + a_mean[j] @ a_mean[j])
         r = int(keep.sum())
         if r == 0 or m <= r + 1:
             continue
@@ -160,8 +156,8 @@ def _control_variate(sum_r, sum_ra, sum_a, sum_aa, sum_p2, bloch0, m):
         explained = np.einsum("kip,pq,kiq->ki", cov_ya, inv, cov_ya)
         resid[:, j] = np.maximum(var[:, j] - explained, 0.0) * (m / (m - r - 1))
     bloch_map = r_mean - np.einsum("tijp,tp->tij", beta, a_mean)
-    mean = np.einsum("tij,kj->kti", bloch_map, bloch0)
-    return bloch_map, mean, np.sqrt(resid / m), np.sqrt(var / m)
+    pauli_mean = np.einsum("tij,kj->kti", bloch_map, bloch0)
+    return bloch_map, pauli_mean, np.sqrt(resid / m), np.sqrt(var / m)
 
 
 def evolve_ensemble(rho0, drive, freq_noise, amp_noise=None, *, seed=0,
@@ -200,14 +196,13 @@ def evolve_ensemble(rho0, drive, freq_noise, amp_noise=None, *, seed=0,
     flat = rho0.reshape(-1, 2, 2)
     for rho in flat:
         check_density_matrix(rho)
-    bloch0 = np.stack([2.0 * flat[:, 0, 1].real, -2.0 * flat[:, 0, 1].imag,
-                       (flat[:, 0, 0] - flat[:, 1, 1]).real], axis=1)
+    bloch0 = rho_to_bloch(flat)
 
     rec_idx = np.arange(0, drive.n_steps + 1, record_every)
     if rec_idx[-1] != drive.n_steps:
         rec_idx = np.append(rec_idx, drive.n_steps)
     n_rec = rec_idx.size
-    rec_set = {int(s): j for j, s in enumerate(rec_idx)}
+    intervals = list(zip(np.append(0, rec_idx[:-1]), rec_idx))   # steps before each record
     omega_dt = drive.Omega * drive.dt
     # toggling-frame weights (sin, cos of Omega t_mid) of the dephasing increments
     phase = omega_dt * (np.arange(drive.n_steps) + 0.5)
@@ -234,53 +229,38 @@ def evolve_ensemble(rho0, drive, freq_noise, amp_noise=None, *, seed=0,
         a, b = np.ones(m, dtype=complex), np.zeros(m, dtype=complex)
         # control vector: rows (a_y, a_z) with dephasing noise, then a_x with amplitude noise
         ctrl = np.zeros((n_ctrl, m))
-        sum_r = np.zeros((n_rec, 3, 3))
-        sum_ra = np.zeros((n_rec, 3, 3, n_ctrl))
-        sum_a = np.zeros((n_rec, n_ctrl))
-        sum_aa = np.zeros((n_rec, n_ctrl, n_ctrl))
-        sum_p2 = np.zeros((len(flat), n_rec, 3))
+        mean = np.empty((n_rec, 9 + n_ctrl))
+        comoment = np.empty((n_rec, 9 + n_ctrl, 9 + n_ctrl))
         max_drift = 0.0
-
-        def record(j):
-            nonlocal max_drift
-            if j > 0:
-                steps = slice(rec_idx[j - 1], rec_idx[j])
-                if freq_inc is not None:
-                    ctrl[:2] += np.einsum("sl,lm->sm", trig[:, steps], freq_inc[steps])
-                if amp_inc is not None:
-                    ctrl[-1] += amp_inc[steps].sum(axis=0)
-            rot = _bloch_rotation(a, b)
-            sum_r[j] = rot.sum(axis=-1)
-            sum_ra[j] = np.einsum("ijm,pm->ijp", rot, ctrl)
-            sum_a[j] = ctrl.sum(axis=-1)
-            sum_aa[j] = np.einsum("pm,qm->pq", ctrl, ctrl)
-            bloch = np.einsum("ijm,kj->kim", rot, bloch0)
-            sum_p2[:, j] = (bloch * bloch).sum(axis=-1)
+        w = np.empty(m, dtype=complex)
+        for j, (start, stop) in enumerate(intervals):
+            for i in range(start, stop):
+                nx = omega_dt if amp_inc is None else omega_dt + amp_inc[i]
+                nz = 0.0 if freq_inc is None else freq_inc[i]
+                # exp(-(i/2)(nx sx + nz sz)) = [[u, v], [v, u*]] with u = cos(theta/2) - i s nz,
+                # v = -i s nx and s = sin(theta/2) / theta; w holds u*
+                theta = np.sqrt(nx * nx + nz * nz)
+                half = 0.5 * theta
+                s = np.sin(half) / np.maximum(theta, 1e-300)
+                np.cos(half, out=w.real)
+                np.multiply(s, nz, out=w.imag)
+                v = -1j * (s * nx)
+                va = v * a
+                a *= w.conjugate()
+                a += v * b
+                b *= w
+                b += va
+            if freq_inc is not None:
+                ctrl[:2] += np.einsum("sl,lm->sm", trig[:, start:stop], freq_inc[start:stop])
+            if amp_inc is not None:
+                ctrl[-1] += amp_inc[start:stop].sum(axis=0)
+            z = np.concatenate([_bloch_rotation(a, b).reshape(9, m), ctrl])
+            mean[j] = z.mean(axis=1)
+            dev = z - mean[j][:, None]
+            comoment[j] = dev @ dev.T
             drift = np.abs(a.real**2 + a.imag**2 + b.real**2 + b.imag**2 - 1.0).max()
             max_drift = np.maximum(max_drift, drift)   # keeps a NaN
-
-        record(0)
-        w = np.empty(m, dtype=complex)
-        for i in range(drive.n_steps):
-            nx = omega_dt if amp_inc is None else omega_dt + amp_inc[i]
-            nz = 0.0 if freq_inc is None else freq_inc[i]
-            # exp(-(i/2)(nx sx + nz sz)) = [[u, v], [v, u*]] with u = cos(theta/2) - i s nz,
-            # v = -i s nx and s = sin(theta/2) / theta; w holds u*
-            theta = np.sqrt(nx * nx + nz * nz)
-            half = 0.5 * theta
-            s = np.sin(half) / np.maximum(theta, 1e-300)
-            np.cos(half, out=w.real)
-            np.multiply(s, nz, out=w.imag)
-            v = -1j * (s * nx)
-            va = v * a
-            a *= w.conjugate()
-            a += v * b
-            b *= w
-            b += va
-            j = rec_set.get(i + 1)
-            if j is not None:
-                record(j)
-        return sum_r, sum_ra, sum_a, sum_aa, sum_p2, max_drift
+        return m, mean, comoment, max_drift
 
     if n_workers > 1:
         with ThreadPoolExecutor(max_workers=n_workers) as pool:
@@ -288,16 +268,19 @@ def evolve_ensemble(rho0, drive, freq_noise, amp_noise=None, *, seed=0,
     else:
         results = [run_chunk(job) for job in jobs]
 
-    sums = [sum(r[k] for r in results) for k in range(5)]
-    max_drift = float(np.max([r[5] for r in results]))
+    max_drift = float(np.max([r[3] for r in results]))
     if not max_drift <= MAX_NORM_DRIFT:
         raise NumericalError(
             f"propagator norm drift {max_drift:.3e} exceeds {MAX_NORM_DRIFT:.0e}"
         )
 
+    # chunk moments combined about the ensemble mean
     m = drive.m_mc
-    bloch_map, mean, se, plain_se = _control_variate(*sums, bloch0, m)
-    states = 0.5 * (np.eye(2) + np.einsum("...i,iab->...ab", mean, _PAULI_XYZ))
+    z_mean = sum(n * mu for n, mu, _, _ in results) / m
+    comoment = sum(m2 + n * (mu - z_mean)[:, :, None] * (mu - z_mean)[:, None, :]
+                   for n, mu, m2, _ in results)
+    bloch_map, mean, se, plain_se = _control_variate(z_mean, comoment / m, bloch0, m)
+    states = bloch_to_rho(mean)
     return DensityTrajectory(
         times=drive.dt * rec_idx.astype(float),
         states=states.reshape(lead + states.shape[1:]),
@@ -305,6 +288,5 @@ def evolve_ensemble(rho0, drive, freq_noise, amp_noise=None, *, seed=0,
         pauli_se=se.reshape(lead + se.shape[1:]),
         plain_se=plain_se.reshape(lead + plain_se.shape[1:]),
         bloch_map=bloch_map,
-        m_mc=m,
         max_norm_drift=max_drift,
     )
