@@ -442,10 +442,10 @@ def cmd_tomography(args):
         chis, _ = mle_fit(records, setup, seed=seed)
         targets = drive_unitary(Omega, np.array([rec.t for rec in records]))
         errors = 1.0 - avg_gate_fidelity(np.array([chi.matrix for chi in chis]), targets)
-        for rec, chi_hat, target, error in zip(records, chis, targets, errors):
+        for i, (rec, chi_hat, target, error) in enumerate(zip(records, chis, targets, errors)):
             entry = {"t": rec.t, "mle_chi": chi_hat.matrix, "mle_gate_error": error}
             if tomo["run_chain"]:
-                entry["mh"] = _posterior_summary(rec, setup, tomo, seed, target)
+                entry["mh"] = _posterior_summary(rec, setup, tomo, [seed, i], target)
             results.append(entry)
     else:
         times = time_grid(cfg)
@@ -474,7 +474,8 @@ def cmd_tomography(args):
                 "mle_quantiles": [float(q) for q in percentiles(fits, (2.5, 97.5))],
             }
             if tomo["run_chain"]:
-                entry["mh"] = _posterior_summary(chain_records[i], setup, tomo, seed, targets[i])
+                entry["mh"] = _posterior_summary(chain_records[i], setup, tomo, [seed, i],
+                                                 targets[i])
             results.append(entry)
 
     (out_dir / "tomography.json").write_text(

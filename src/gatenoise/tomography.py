@@ -12,8 +12,8 @@ evaluate one function, the pair-normalized likelihood of a stack of unit
 vectors (:func:`_stack_terms`).  The fit moves every start of every snapshot
 as one stack through a damped Newton ascent on the sphere, with the
 closed-form gradient and Hessian of the quadratic forms.  The sampler scores
-each proposal as a one-row stack and walks the whole unit sphere with a
-symmetric proposal, so it has no truncation and no Hastings term, and
+the proposals from one point as one stack and walks the whole unit sphere
+with a symmetric proposal, so it has no truncation and no Hastings term, and
 yields confidence regions for gate errors, themselves quadratic forms in
 ell.  Randomized benchmarking is index arithmetic on one exact table of
 the 24 Cliffords as signed-permutation Bloch rotations; all sequences of
@@ -329,8 +329,9 @@ def _stack_terms(ell, counts, shots, q_mat):
     up to a constant; off the TP subset that plain cost grows along a
     probability-inflating direction (l34), so both estimators use this one.
     ``counts`` and ``shots`` come from :func:`_stack_records` and ``q_mat``
-    is the (6, 144) matrix of the 24 forms.  Row sums are batched matmuls,
-    whose rounding does not depend on the number of rows.  Returns
+    is the (6, 144) matrix of the 24 forms.  ``ell @ q_mat`` is a 2-D matmul:
+    a row can round differently in a stack than alone, and the batched forms
+    that would not cost 3-10 times more at 16-64 rows.  Returns
     (log-likelihood (N,), Q ell (N, 24, 6), unfloored p (N, 24)).
     """
     q_ell = (ell @ q_mat).reshape(len(ell), -1, N_PARAMS)
@@ -343,6 +344,7 @@ def _stack_terms(ell, counts, shots, q_mat):
 
 MLE_MAX_ITER = 200   # damped Newton iterations before a fit is reported
 MLE_TOL = 1e-15      # Newton decrement g^T |H|^-1 g per recorded count at convergence
+MH_PREFETCH = 16     # MH proposals from one point scored as one stack (Brockwell 2006)
 
 
 def _mle_starts(n_fits, n_starts, seed):
@@ -524,15 +526,17 @@ def mh_chain(counts, setup=None, *, n_steps=100000, width=0.02, seed=0,
     """Posterior sampling of the process matrix under the counting likelihood.
 
     The chain walks the whole unit sphere S^5 (uniform prior) with the
-    likelihood :func:`mle_fit` maximizes, scoring each proposal as a one-row
-    stack of :func:`_stack_terms`.  A proposal adds ``width`` times
-    a standard normal 6-vector and renormalizes; its density depends only on
-    the angle between the points, so it is symmetric: no truncation and no
-    Hastings term.  chi is unchanged by column sign flips of L, so kept
-    samples are folded back to nonnegative diagonals.  The width is tuned
-    toward 30% acceptance every min(200, burn-in / 4) steps of burn-in; a
-    warning is emitted if the post-burn-in rate leaves [0.1, 0.6].  Gate
-    errors against ``target_unitary`` (identity if omitted) are 1/2 - ell^T G ell.
+    likelihood :func:`mle_fit` maximizes.  A proposal adds ``width`` times a
+    standard normal 6-vector and renormalizes; its density depends only on the
+    angle between the points, so it is symmetric: no truncation and no Hastings
+    term.  Normals, then uniforms, are drawn up front; until one is accepted,
+    proposals share their start, so up to ``MH_PREFETCH`` of them are scored as
+    one stack of :func:`_stack_terms` and walked to the first acceptance
+    (pre-fetching, Brockwell 2006).  chi is unchanged by column sign flips of L,
+    so kept samples are folded back to nonnegative diagonals.  The width is
+    tuned toward 30% acceptance every min(200, burn-in / 4) steps of burn-in; a
+    warning is emitted if the post-burn-in rate leaves [0.1, 0.6].  Gate errors
+    against ``target_unitary`` (identity if omitted) are 1/2 - ell^T G ell.
     """
     setup = setup or default_setup()
     rec_counts, rec_shots = _stack_records([counts])
@@ -546,19 +550,29 @@ def mh_chain(counts, setup=None, *, n_steps=100000, width=0.02, seed=0,
     ell /= np.linalg.norm(ell)
     logl = _stack_terms(ell[None], rec_counts, rec_shots, q_mat)[0][0]
 
+    normals = rng.standard_normal((n_steps, N_PARAMS))
+    log_u = np.log(rng.random(n_steps) + 1e-300)
     chain = np.empty((n_steps, N_PARAMS))
     chain_logl = np.empty(n_steps)
     accepted = np.zeros(n_steps, dtype=bool)
     window = max(1, min(200, n_burn // 4))
-    for step in range(n_steps):
-        prop = ell + width * rng.standard_normal(N_PARAMS)
-        prop /= math.sqrt(prop @ prop)
-        logl_prop = _stack_terms(prop[None], rec_counts, rec_shots, q_mat)[0][0]
-        if math.log(rng.random() + 1e-300) < logl_prop - logl:
-            ell, logl, accepted[step] = prop, logl_prop, True
-        chain[step], chain_logl[step] = ell, logl
-        if step < n_burn and (step + 1) % window == 0:
-            rate = accepted[step + 1 - window:step + 1].mean()
+    step = 0
+    while step < n_steps:
+        stop = min(step + MH_PREFETCH, n_steps)
+        if step < n_burn:   # the width changes at each tuning-window boundary
+            stop = min(stop, step + window - step % window)
+        props = ell + width * normals[step:stop]
+        props /= np.linalg.norm(props, axis=1, keepdims=True)
+        logl_props = _stack_terms(props, rec_counts, rec_shots, q_mat)[0]
+        hits = np.flatnonzero(log_u[step:stop] < logl_props - logl)
+        end = stop if hits.size == 0 else step + int(hits[0]) + 1
+        chain[step:end], chain_logl[step:end] = ell, logl
+        if hits.size:
+            ell, logl, accepted[end - 1] = props[hits[0]], logl_props[hits[0]], True
+            chain[end - 1], chain_logl[end - 1] = ell, logl
+        step = end
+        if step <= n_burn and step % window == 0:
+            rate = accepted[step - window:step].mean()
             width = float(np.clip(width * math.exp(0.8 * (rate - 0.3)), 1e-4, 0.5))
 
     kept_ells = fold_ell(chain[n_burn:])

@@ -229,13 +229,16 @@ def mh_chain_scalar(counts, setup=None, *, n_steps=100000, width=0.02, seed=0,
     """Metropolis-Hastings on S^5 one step at a time on :func:`log_likelihood`.
 
     The same start, proposals, accept rule and burn-in width tuning as
-    ``mh_chain``, drawn from the same ``default_rng(seed)`` stream (one
-    standard normal 6-vector, then one uniform, per step).  Returns (kept
-    folded ells, post-burn-in acceptance rate, width after tuning).
+    ``mh_chain``, drawn from the same ``default_rng(seed)`` stream in the
+    same block order (all the standard normal 6-vectors, then all the
+    uniforms), but scored one proposal at a time.  Returns (kept folded
+    ells, post-burn-in acceptance rate, width after tuning).
     """
     setup = setup or default_setup()
     n_burn = int(burn_in_frac * n_steps)
     rng = np.random.default_rng(seed)
+    normals = rng.standard_normal((n_steps, N_PARAMS))
+    uniforms = rng.random(n_steps)
     ell = np.array([1.0, 0.0, 0.05, 0.05, 0.0, 0.05])
     ell /= np.linalg.norm(ell)
     logl = log_likelihood(_born_terms(ell, setup)[1], counts)
@@ -243,10 +246,10 @@ def mh_chain_scalar(counts, setup=None, *, n_steps=100000, width=0.02, seed=0,
     accepted = np.zeros(n_steps, dtype=bool)
     window = max(1, min(200, n_burn // 4))
     for step in range(n_steps):
-        prop = ell + width * rng.standard_normal(N_PARAMS)
+        prop = ell + width * normals[step]
         prop /= math.sqrt(prop @ prop)
         logl_prop = log_likelihood(_born_terms(prop, setup)[1], counts)
-        if math.log(rng.random() + 1e-300) < logl_prop - logl:
+        if math.log(uniforms[step] + 1e-300) < logl_prop - logl:
             ell, logl, accepted[step] = prop, logl_prop, True
         chain[step] = ell
         if step < n_burn and (step + 1) % window == 0:

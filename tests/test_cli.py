@@ -540,6 +540,31 @@ def test_tomography_counts_reruns_are_byte_identical(tmp_path):
     assert all("mh" in entry and entry["mle_gate_error"] >= 0.0 for entry in results)
 
 
+def test_tomography_chains_of_equal_records_draw_their_own_streams(tmp_path):
+    """Two records with equal counts at different times: the acceptance rate
+    and the tuned width depend only on the counts and the chain's draws, so
+    they coincide unless each record's chain has its own stream."""
+    from gatenoise.tomography import born_probs, counts_to_csv, default_setup, sample_shots
+
+    cfg_path = tmp_path / "cfg.json"
+    write_config(cfg_path, **{"tomography.run_chain": True, "tomography.chain_steps": 400,
+                              "tomography.proposal_width": 0.1})
+    probs = born_probs(np.diag([0.9, 0.05, 0.0, 0.05]).astype(complex), default_setup())
+    rec = sample_shots(probs, 50, np.random.default_rng(13), t=1e-4)
+    twin = sample_shots(probs, 50, np.random.default_rng(13), t=2e-4)
+    np.testing.assert_array_equal(rec.counts, twin.counts)
+    counts = tmp_path / "counts.csv"
+    counts_to_csv([rec, twin], counts)
+    outs = [tmp_path / "a", tmp_path / "b"]
+    for out in outs:
+        assert main(["tomography", "--config", str(cfg_path), "--out", str(out),
+                     "--counts", str(counts)]) == 0
+    assert (outs[0] / "tomography.json").read_bytes() == (outs[1] / "tomography.json").read_bytes()
+    first, second = (entry["mh"] for entry in json.loads((outs[0] / "tomography.json").read_text()))
+    assert ((first["acceptance_rate"], first["proposal_width"])
+            != (second["acceptance_rate"], second["proposal_width"]))
+
+
 def test_counts_file_with_malformed_time_exits_2(tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
     write_config(cfg_path)

@@ -482,6 +482,40 @@ def test_mh_chain_matches_the_scalar_oracle(shots):
     assert post.width == pytest.approx(width, rel=1e-12)
 
 
+@pytest.mark.filterwarnings("ignore::gatenoise.errors.TuningWarning")
+@pytest.mark.parametrize("chi_seed, shots, chain", [
+    # 256 burn-in steps, four whole 64-step windows; then 257 steps, one left over
+    (49, 100, {"n_steps": 777, "burn_in_frac": 0.33}),
+    (49, 100, {"n_steps": 779, "burn_in_frac": 0.33}),
+    (50, 100, {"n_steps": 500, "burn_in_frac": 0.0}),
+    (51, 100, {"n_steps": 1}),
+    (54, 10000, {"n_steps": 1000, "width": 0.49, "burn_in_frac": 0.0}),    # rejects whole batches
+    (52, 8, {"n_steps": 1000, "width": 1e-3}),                              # accepts nearly all
+], ids=["burn-in-whole-windows", "burn-in-partial-window", "no-burn-in", "one-step",
+        "rejecting", "accepting"])
+def test_mh_prefetch_depth_changes_no_step(monkeypatch, chi_seed, shots, chain):
+    """A pre-fetched batch ends at its first acceptance and at each tuning
+    window of the burn-in, so the depth does not change the chain: depths 1,
+    3 and 16 walk the same steps as the one-proposal-at-a-time oracle."""
+    chi = random_cptp_chi(np.random.default_rng(chi_seed))
+    rec = sample_shots(born_probs(chi, SETUP), shots, np.random.default_rng(53))
+    ells, rate, width = mh_chain_scalar(rec, SETUP, seed=7, **chain)
+    posts = []
+    for depth in (1, 3, 16):
+        monkeypatch.setattr(tomography, "MH_PREFETCH", depth)
+        posts.append(mh_chain(rec, SETUP, seed=7, **chain))
+    for post in posts:
+        np.testing.assert_allclose(post.ells, ells, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(post.ells, posts[0].ells, rtol=0, atol=1e-12)
+        assert post.acceptance_rate == rate == posts[0].acceptance_rate
+        assert post.width == pytest.approx(width, rel=1e-12)
+        assert post.width == pytest.approx(posts[0].width, rel=1e-12)
+    if shots == 10000:
+        assert 0.0 < rate < 0.05
+    elif shots == 8:
+        assert rate > 0.9
+
+
 def test_mh_mean_matches_importance_sampling_oracle():
     """On a broad posterior (8 shots per setting) the chain's mean gate error
     matches an importance-sampling average over uniform points of S^5, the
