@@ -12,6 +12,9 @@ import numpy as np
 
 from .errors import NumericalError
 
+# hard cap on the number of panels of one adaptive_gk call
+MAX_PANELS = 20000
+
 # 15-point Kronrod nodes on [0, 1-side]; full rule is symmetric about 0.
 _XGK_HALF = np.array(
     [
@@ -73,7 +76,7 @@ def _panel_sums(f, lo, hi):
     return k15, g7
 
 
-def adaptive_gk(f, a, b, *, rtol=1e-10, atol=0.0, points=None, max_panels=20000):
+def adaptive_gk(f, a, b, *, rtol=1e-10, atol=0.0, points=None):
     """Integrate vectorized ``f`` over [a, b], one row or a stack of rows.
 
     Parameters
@@ -89,9 +92,7 @@ def adaptive_gk(f, a, b, *, rtol=1e-10, atol=0.0, points=None, max_panels=20000)
         Per-row error targets; iteration stops when every row's summed
         K15-G7 error estimate is below ``max(atol, rtol * abs_total)``.  A
         panel is bisected when any row's error on it exceeds that row's
-        share of its tolerance.
-    max_panels : int
-        Hard cap on the number of panels.
+        share of its tolerance.  Bisection stops at ``MAX_PANELS`` panels.
 
     Returns
     -------
@@ -119,7 +120,7 @@ def adaptive_gk(f, a, b, *, rtol=1e-10, atol=0.0, points=None, max_panels=20000)
         tol = np.maximum(atol, rtol * abs_total)
         if np.all(err.sum(axis=-1) <= tol):
             return k15.sum(axis=-1), err.sum(axis=-1), abs_total
-        if lo.size >= max_panels:
+        if lo.size >= MAX_PANELS:
             break
         # Split every panel on which some row's error exceeds its fair share
         # of that row's budget.

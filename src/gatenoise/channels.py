@@ -46,7 +46,6 @@ import numpy as np
 
 from ._quadrature import cumulative_simpson, cumulative_trapezoid
 from .errors import CPViolationError, NumericalError, ValidationError
-from .filters import ou_kernels
 
 PAULIS = np.array(
     [[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]],
@@ -57,6 +56,9 @@ SIGMA_0, SIGMA_X, SIGMA_Y, SIGMA_Z = PAULIS
 
 # chi -> superoperator: E(rho)_il = sum_jk (sum_ab chi_ab P_a,ij P_b,kl) rho_jk
 _SUPER = np.einsum("aij,bkl->abiljk", PAULIS, PAULIS)
+
+# chi_nm rejects a process matrix with an eigenvalue below -CP_TOL
+CP_TOL = 1e-8
 
 
 def _dagger(a):
@@ -162,13 +164,13 @@ def rotate_to_lab(rho, Omega, t):
 # --------------------------------------------------------------------- #
 # process matrices
 
-def chi_nm(point, t=0.0, with_amplitude=False, *, cp_tol=1e-8):
+def chi_nm(point, t=0.0, with_amplitude=False):
     """Block-diagonal comoving process matrix including memory terms.
 
     Raises
     ------
     CPViolationError
-        If an eigenvalue drops below ``-cp_tol``; this flags inputs outside
+        If an eigenvalue drops below ``-CP_TOL``; this flags inputs outside
         the validity regime of the second-order treatment rather than a
         rounding issue.
     """
@@ -183,7 +185,7 @@ def chi_nm(point, t=0.0, with_amplitude=False, *, cp_tol=1e-8):
     chi[..., 2, 3] = 0.5 * e_c * point.delta2 * S2
     chi[..., 3, 2] = chi[..., 2, 3]
     min_eig = float(np.linalg.eigvalsh(chi)[..., 0].min())
-    if min_eig < -cp_tol:
+    if min_eig < -CP_TOL:
         raise CPViolationError(
             f"process matrix eigenvalue {min_eig:.3e}; inputs outside the "
             "validity regime (correlation time too long for this decay)"
@@ -356,62 +358,6 @@ def haar_random_state(rng, n):
 
 
 # --------------------------------------------------------------------- #
-# exact propagation of the dressed master equation
-
-def master_equation_evolve(rho0, kernels, Omega, times, amp_rate=None):
-    """Exact solution of the second-order dressed master equation.
-
-    Integrates the comoving Bloch equations driven by the instantaneous
-    kernels rather than using the closed (first-order Magnus) map, so it is
-    free of the O((noise power)^2) truncation error of the closed map
-    ``apply_chi(chi_nm(point), rho)``.  This is the reference "analytic map" used for
-    tight Monte Carlo cross-checks.
-
-    Parameters
-    ----------
-    rho0 : (2, 2) array
-    kernels : callable
-        Maps an array of times to the pair (g1, h1) of cosine/sine overlap
-        kernels of the noise autocovariance, e.g.
-        ``lambda t: ou_kernels(c, tau_c, Omega, t)``.
-    amp_rate : callable, optional
-        Instantaneous amplitude-noise decay rate 2*Int_0^t C_amp(u) du.
-
-    Returns
-    -------
-    list of (2, 2) arrays, comoving-frame states at ``times``.
-    """
-    from scipy.integrate import solve_ivp
-
-    rho0 = check_density_matrix(rho0)
-    r = rho_to_bloch(rho0)
-    v0 = np.array([r[2], -r[1], r[0]])  # dressed components (v1, v2, v3)
-
-    def rhs(t, v):
-        g1, h1 = kernels(np.array([t]))
-        g1, h1 = float(g1[0]), float(h1[0])
-        ct, st = math.cos(Omega * t), math.sin(Omega * t)
-        a = ct * g1 + st * h1
-        b = st * g1 - ct * h1
-        pv = ct * v[0] - st * v[1]
-        extra = 0.5 * float(amp_rate(t)) if amp_rate is not None else 0.0
-        return [
-            a * pv - (g1 + extra) * v[0],
-            -b * pv - (g1 + extra) * v[1],
-            -g1 * v[2],
-        ]
-
-    times = np.asarray(times, dtype=float)
-    t_max = float(times.max())
-    sol = solve_ivp(rhs, [0.0, t_max], v0, t_eval=times, rtol=1e-10, atol=1e-12,
-                    max_step=max(t_max / 200.0, 1e-12))
-    if not sol.success:
-        raise NumericalError(f"master-equation integration failed: {sol.message}")
-    v1, v2, v3 = sol.y
-    return list(bloch_to_rho(np.stack([v3, -v2, v1], axis=-1)))
-
-
-# --------------------------------------------------------------------- #
 # non-Markovianity measure
 
 def nm_measure(psd, Omega, t_max, n_grid=4000, amp_psd=None):
@@ -424,15 +370,16 @@ def nm_measure(psd, Omega, t_max, n_grid=4000, amp_psd=None):
     the negative part of the smaller rate, so it vanishes identically when
     the memory kernels are dropped.
 
+    Both PSD kinds take one route: ``psd.autocovariance`` on the grid, then
+    ``g1 = Int_0^t C(u) cos(Omega u) du`` and ``h1`` (with sin) by cumulative
+    Simpson.
+
     Returns (times, N(t)) on a uniform grid.
     """
     times, h = np.linspace(0.0, t_max, n_grid, retstep=True)
-    if psd.kind == "ou":
-        g1, h1 = ou_kernels(psd.c, psd.tau_c, Omega, times)
-    else:
-        cu = psd.autocovariance(times)
-        g1 = cumulative_simpson(cu * np.cos(Omega * times), h)
-        h1 = cumulative_simpson(cu * np.sin(Omega * times), h)
+    cu = psd.autocovariance(times)
+    g1 = cumulative_simpson(cu * np.cos(Omega * times), h)
+    h1 = cumulative_simpson(cu * np.sin(Omega * times), h)
     g_eff = g1.copy()
     if amp_psd is not None:
         ca = amp_psd.autocovariance(times)

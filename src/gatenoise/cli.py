@@ -526,7 +526,7 @@ def cmd_rb(args):
         "eps_rb": result.eps_rb,
         "eps_rb_per_pulse": result.eps_rb_per_pulse,
         "avg_pulses_per_clifford": result.avg_pulses,
-        "analytic_eps_nm_pi_pulse": gate_error(point, "NM"),
+        "analytic_eps_nm_pi_pulse": gate_error(point, "NM_I"),
     }
     (out_dir / "rb_fit.json").write_text(json.dumps(fit, indent=2, sort_keys=True) + "\n")
     write_manifest(cfg, out_dir, "rb")

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._quadrature import adaptive_gk, cumulative_simpson, sorted_unique
+from ._quadrature import adaptive_gk, sorted_unique
 from .errors import NumericalError, ValidationError
 
 _PI = math.pi
@@ -158,9 +158,6 @@ class IntegralPoint:
     dgamma1: float = 0.0
 
 
-ZERO_POINT = IntegralPoint(0.0, 0.0, 0.0, 0.0, 0.0)
-
-
 def _overlap_edges(psd, Omega, t, lo_edge, W):
     pts = [x for x in (0.5 * Omega, Omega, 1.5 * Omega, 2.0 * Omega) if lo_edge < x < W]
     pts += [x for x in psd.breakpoints() if lo_edge < x < W]
@@ -265,67 +262,6 @@ def filtered_integrals(psd, Omega, times, amp_psd=None, *, rtol=1e-8):
 
 
 # --------------------------------------------------------------------- #
-# time-domain route (independent cross-check of the frequency-domain path)
-
-def filtered_integrals_timedomain(autocov, Omega, times, *, n_grid=None, rtol=1e-7):
-    """Filtered integrals from the autocovariance by nested time quadrature.
-
-    The four kernels reduce to the two primitive integrals
-    ``g1(t) = Int_0^t C(u) cos(Omega u) du`` and
-    ``h1(t) = Int_0^t C(u) sin(Omega u) du`` through::
-
-        gamma1 = g1                      delta1 = h1
-        gamma2 = cos(2 Omega t) g1 + sin(2 Omega t) h1
-        delta2 = sin(2 Omega t) g1 - cos(2 Omega t) h1
-
-    followed by one cumulative integration.  Entirely independent of the
-    frequency-domain quadrature, so it serves as an oracle for it.
-    """
-    times = np.atleast_1d(np.asarray(times, dtype=float))
-    if np.any(times < 0):
-        raise ValidationError("times must be nonnegative")
-    t_max = float(times.max())
-    if t_max == 0.0:
-        z = np.zeros(times.size)
-        return FilteredIntegrals(times, z, z.copy(), z.copy(), z.copy())
-
-    if n_grid is None:
-        cycles = Omega * t_max / (2.0 * _PI)
-        n_grid = int(max(4096, 80 * cycles))
-        n_grid = min(n_grid, 2**21)
-
-    prev = None
-    for _ in range(6):
-        n = n_grid + 1 - (n_grid % 2)  # odd point count for Simpson
-        u, h = np.linspace(0.0, t_max, n, retstep=True)
-        cu = np.asarray(autocov(u), dtype=float)
-        g1 = cumulative_simpson(cu * np.cos(Omega * u), h)
-        h1 = cumulative_simpson(cu * np.sin(Omega * u), h)
-        c2, s2 = np.cos(2.0 * Omega * u), np.sin(2.0 * Omega * u)
-        kernels = {
-            "gamma1": g1,
-            "delta1": h1,
-            "gamma2": c2 * g1 + s2 * h1,
-            "delta2": s2 * g1 - c2 * h1,
-        }
-        vals = {
-            k: np.interp(times, u, cumulative_simpson(v, h))
-            for k, v in kernels.items()
-        }
-        if prev is not None:
-            scale = max(abs(vals["gamma1"]).max(), 1e-300)
-            drift = max(np.abs(vals[k] - prev[k]).max() for k in vals)
-            if drift <= rtol * scale:
-                break
-        prev = vals
-        n_grid *= 2
-        if n_grid > 2**21:
-            break
-    return FilteredIntegrals(times, vals["gamma1"], vals["gamma2"],
-                             vals["delta1"], vals["delta2"])
-
-
-# --------------------------------------------------------------------- #
 # closed forms for Ornstein-Uhlenbeck noise (built-in oracle)
 
 def ou_filtered_integrals(c, tau_c, Omega, times):
@@ -367,21 +303,3 @@ def ou_amplitude_integral(c, tau_c, times):
     """
     times = np.atleast_1d(np.asarray(times, dtype=float))
     return c * tau_c**2 * (times + tau_c * np.expm1(-times / tau_c))
-
-
-def ou_kernels(c, tau_c, Omega, times):
-    """Instantaneous kernels (g1, h1) for OU noise, in closed form.
-
-    ``g1`` is the decay rate of the dressed populations; together with
-    ``h1`` it determines the canonical rates of the time-local generator.
-    """
-    times = np.atleast_1d(np.asarray(times, dtype=float))
-    a = Omega * tau_c
-    D = 1.0 + a * a
-    S = c * tau_c**2 / D
-    E = np.exp(-times / tau_c)
-    sin_ot = np.sin(Omega * times)
-    cos_ot = np.cos(Omega * times)
-    g1 = 0.5 * S * (1.0 - E * (cos_ot - a * sin_ot))
-    h1 = 0.5 * S * (a - E * (a * cos_ot + sin_ot))
-    return g1, h1

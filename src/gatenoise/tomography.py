@@ -767,14 +767,3 @@ def rb_simulate(pulse_channel, *, lengths=None, n_seq=100, shots=100, seed=0):
     eps_rb = 0.5 * (1.0 - lam)
     return RBResult(lengths=lengths, survival_mean=mean, survival_se=se, lam=lam,
                     eps_rb=eps_rb, eps_rb_per_pulse=eps_rb / avg_pulses, avg_pulses=avg_pulses)
-
-
-def depolarizing_rb_lambda(p):
-    """Analytic per-Clifford decay for per-pulse depolarizing noise p.
-
-    Each pulse contracts the Bloch vector by mu = 1 - 4p/3; a Clifford with
-    k pulses contributes mu^k, so the sequence-averaged decay per Clifford
-    is the table average of mu^k.
-    """
-    mu = 1.0 - 4.0 * p / 3.0
-    return float(np.mean([mu ** len(word) for _, word in clifford_table()]))

@@ -1,18 +1,32 @@
 """Reference implementations that only the tests use.
 
-Each one is an independent closed form or a plain recursion that the tests
-compare the package against; no pipeline calls them.
+Each one is an independent closed form, a plain recursion or a separate
+numerical route (scipy's ODE solver, nested time quadrature) that the tests
+compare the package against; no pipeline calls them, so they live here and
+the package itself imports numpy only.
 """
 
 import math
 
 import numpy as np
+from scipy.integrate import cumulative_trapezoid, solve_ivp
 from scipy.optimize import curve_fit, minimize
 from scipy.special import sici
 
-from gatenoise._quadrature import adaptive_gk
-from gatenoise.channels import PAULIS, KrausSet, ProcessMatrix, apply_chi, apply_kraus, pauli_chi
-from gatenoise.errors import FitError, ValidationError
+from gatenoise._quadrature import adaptive_gk, cumulative_simpson
+from gatenoise.channels import (
+    PAULIS,
+    KrausSet,
+    ProcessMatrix,
+    apply_chi,
+    apply_kraus,
+    bloch_to_rho,
+    check_density_matrix,
+    pauli_chi,
+    rho_to_bloch,
+)
+from gatenoise.errors import FitError, NumericalError, ValidationError
+from gatenoise.filters import FilteredIntegrals, IntegralPoint
 from gatenoise.tomography import (
     _DIAG_IDX,
     N_PARAMS,
@@ -20,9 +34,12 @@ from gatenoise.tomography import (
     PROB_FLOOR,
     _stack_records,
     chi_from_ell,
+    clifford_table,
     default_setup,
     fold_ell,
 )
+
+ZERO_POINT = IntegralPoint(0.0, 0.0, 0.0, 0.0, 0.0)
 
 
 def ou_step(eta, dt, tau_c, c, u):
@@ -136,6 +153,95 @@ def filter_tail_sici(name, W, Omega, t):
     raise ValidationError(f"unknown filter {name!r}")
 
 
+def filtered_integrals_timedomain(autocov, Omega, times, *, n_grid=None, rtol=1e-7):
+    """Filtered integrals from the autocovariance by nested time quadrature.
+
+    The four kernels reduce to the two primitive integrals
+    ``g1(t) = Int_0^t C(u) cos(Omega u) du`` and
+    ``h1(t) = Int_0^t C(u) sin(Omega u) du`` through::
+
+        gamma1 = g1                      delta1 = h1
+        gamma2 = cos(2 Omega t) g1 + sin(2 Omega t) h1
+        delta2 = sin(2 Omega t) g1 - cos(2 Omega t) h1
+
+    followed by one cumulative integration.  Entirely independent of the
+    frequency-domain quadrature, so it serves as an oracle for it.
+    """
+    times = np.atleast_1d(np.asarray(times, dtype=float))
+    if np.any(times < 0):
+        raise ValidationError("times must be nonnegative")
+    t_max = float(times.max())
+    if t_max == 0.0:
+        z = np.zeros(times.size)
+        return FilteredIntegrals(times, z, z.copy(), z.copy(), z.copy())
+
+    if n_grid is None:
+        cycles = Omega * t_max / (2.0 * math.pi)
+        n_grid = int(max(4096, 80 * cycles))
+        n_grid = min(n_grid, 2**21)
+
+    prev = None
+    for _ in range(6):
+        n = n_grid + 1 - (n_grid % 2)  # odd point count for Simpson
+        u, h = np.linspace(0.0, t_max, n, retstep=True)
+        cu = np.asarray(autocov(u), dtype=float)
+        g1 = cumulative_simpson(cu * np.cos(Omega * u), h)
+        h1 = cumulative_simpson(cu * np.sin(Omega * u), h)
+        c2, s2 = np.cos(2.0 * Omega * u), np.sin(2.0 * Omega * u)
+        kernels = {
+            "gamma1": g1,
+            "delta1": h1,
+            "gamma2": c2 * g1 + s2 * h1,
+            "delta2": s2 * g1 - c2 * h1,
+        }
+        vals = {
+            k: np.interp(times, u, cumulative_simpson(v, h))
+            for k, v in kernels.items()
+        }
+        if prev is not None:
+            scale = max(abs(vals["gamma1"]).max(), 1e-300)
+            drift = max(np.abs(vals[k] - prev[k]).max() for k in vals)
+            if drift <= rtol * scale:
+                break
+        prev = vals
+        n_grid *= 2
+        if n_grid > 2**21:
+            break
+    return FilteredIntegrals(times, vals["gamma1"], vals["gamma2"],
+                             vals["delta1"], vals["delta2"])
+
+
+def ou_kernels(c, tau_c, Omega, times):
+    """Instantaneous kernels (g1, h1) for OU noise, in closed form.
+
+    ``g1`` is the decay rate of the dressed populations; together with
+    ``h1`` it determines the canonical rates of the time-local generator.
+    """
+    times = np.atleast_1d(np.asarray(times, dtype=float))
+    a = Omega * tau_c
+    D = 1.0 + a * a
+    S = c * tau_c**2 / D
+    E = np.exp(-times / tau_c)
+    sin_ot = np.sin(Omega * times)
+    cos_ot = np.cos(Omega * times)
+    g1 = 0.5 * S * (1.0 - E * (cos_ot - a * sin_ot))
+    h1 = 0.5 * S * (a - E * (a * cos_ot + sin_ot))
+    return g1, h1
+
+
+def nm_measure_ou(c, tau_c, Omega, t_max, n_grid):
+    """``nm_measure`` for OU noise with the closed-form kernels ``ou_kernels``.
+
+    Same uniform grid and the same cumulative trapezoid over the negative
+    part of the smaller canonical rate ``(g1 - sqrt(g1^2 + h1^2)) / 4``;
+    only the kernels are exact.  Returns (times, N(t)).
+    """
+    times, h = np.linspace(0.0, t_max, n_grid, retstep=True)
+    g1, h1 = ou_kernels(c, tau_c, Omega, times)
+    negativity = np.maximum(0.0, -0.25 * (g1 - np.sqrt(g1**2 + h1**2)))
+    return times, cumulative_trapezoid(negativity, dx=h, initial=0.0)
+
+
 def kraus_to_chi(kraus, t=0.0):
     """Process matrix of a Kraus set in the plain Pauli basis."""
     ops = np.asarray(kraus.ops if isinstance(kraus, KrausSet) else kraus)
@@ -154,6 +260,57 @@ def ptm(channel):
     else:
         images = apply_kraus(channel, PAULIS)
     return 0.5 * np.einsum("aij,bji->ab", PAULIS, images).real
+
+
+def master_equation_evolve(rho0, kernels, Omega, times, amp_rate=None):
+    """Exact solution of the second-order dressed master equation.
+
+    Integrates the comoving Bloch equations driven by the instantaneous
+    kernels rather than using the closed (first-order Magnus) map, so it is
+    free of the O((noise power)^2) truncation error of the closed map
+    ``apply_chi(chi_nm(point), rho)``.  This is the reference "analytic map" used for
+    tight Monte Carlo cross-checks.
+
+    Parameters
+    ----------
+    rho0 : (2, 2) array
+    kernels : callable
+        Maps an array of times to the pair (g1, h1) of cosine/sine overlap
+        kernels of the noise autocovariance, e.g.
+        ``lambda t: ou_kernels(c, tau_c, Omega, t)``.
+    amp_rate : callable, optional
+        Instantaneous amplitude-noise decay rate 2*Int_0^t C_amp(u) du.
+
+    Returns
+    -------
+    list of (2, 2) arrays, comoving-frame states at ``times``.
+    """
+    rho0 = check_density_matrix(rho0)
+    r = rho_to_bloch(rho0)
+    v0 = np.array([r[2], -r[1], r[0]])  # dressed components (v1, v2, v3)
+
+    def rhs(t, v):
+        g1, h1 = kernels(np.array([t]))
+        g1, h1 = float(g1[0]), float(h1[0])
+        ct, st = math.cos(Omega * t), math.sin(Omega * t)
+        a = ct * g1 + st * h1
+        b = st * g1 - ct * h1
+        pv = ct * v[0] - st * v[1]
+        extra = 0.5 * float(amp_rate(t)) if amp_rate is not None else 0.0
+        return [
+            a * pv - (g1 + extra) * v[0],
+            -b * pv - (g1 + extra) * v[1],
+            -g1 * v[2],
+        ]
+
+    times = np.asarray(times, dtype=float)
+    t_max = float(times.max())
+    sol = solve_ivp(rhs, [0.0, t_max], v0, t_eval=times, rtol=1e-10, atol=1e-12,
+                    max_step=max(t_max / 200.0, 1e-12))
+    if not sol.success:
+        raise NumericalError(f"master-equation integration failed: {sol.message}")
+    v1, v2, v3 = sol.y
+    return list(bloch_to_rho(np.stack([v3, -v2, v1], axis=-1)))
 
 
 def pulse_unitaries():
@@ -190,6 +347,17 @@ def rb_survival_loop(rates, sequences, words):
         state = noisy[inv] @ state
         survival.append(min(max(0.5 * (state[0] + state[3]), 0.0), 1.0))
     return np.array(survival)
+
+
+def depolarizing_rb_lambda(p):
+    """Analytic per-Clifford decay for per-pulse depolarizing noise p.
+
+    Each pulse contracts the Bloch vector by mu = 1 - 4p/3; a Clifford with
+    k pulses contributes mu^k, so the sequence-averaged decay per Clifford
+    is the table average of mu^k.
+    """
+    mu = 1.0 - 4.0 * p / 3.0
+    return float(np.mean([mu ** len(word) for _, word in clifford_table()]))
 
 
 class ConstantSource:

@@ -16,7 +16,6 @@ from gatenoise.channels import (
     chi_full,
     drive_unitary,
     gate_error,
-    master_equation_evolve,
     nm_measure,
     pauli_chi,
     pauli_left_matrix,
@@ -25,13 +24,7 @@ from gatenoise.channels import (
     rotate_to_lab,
 )
 from gatenoise.cli import main as cli_main, run_validation
-from gatenoise.filters import (
-    IntegralPoint,
-    filtered_integrals,
-    filtered_integrals_timedomain,
-    ou_filtered_integrals,
-    ou_kernels,
-)
+from gatenoise.filters import IntegralPoint, filtered_integrals, ou_filtered_integrals
 from gatenoise.langevin import DriveConfig, evolve_ensemble
 from gatenoise.noise import OUSource
 from gatenoise.psd import NoisePsd
@@ -40,7 +33,6 @@ from gatenoise.tomography import (
     born_probs,
     chi_from_ell,
     default_setup,
-    depolarizing_rb_lambda,
     linear_inversion,
     mh_chain,
     mle_fit,
@@ -48,6 +40,12 @@ from gatenoise.tomography import (
     sample_shots,
 )
 from gatenoise.channels import PauliRates
+from oracles import (
+    depolarizing_rb_lambda,
+    filtered_integrals_timedomain,
+    master_equation_evolve,
+    ou_kernels,
+)
 
 REPORT = Path(__file__).resolve().parent.parent / "acceptance_report.txt"
 

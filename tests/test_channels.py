@@ -19,7 +19,6 @@ from gatenoise.channels import (
     gate_fidelity_matrix,
     haar_random_state,
     kraus_nc,
-    master_equation_evolve,
     nm_measure,
     pauli_chi,
     pauli_left_matrix,
@@ -29,15 +28,16 @@ from gatenoise.channels import (
     state_fidelity,
 )
 from gatenoise.errors import CPViolationError, NumericalError, ValidationError
-from gatenoise.filters import (
-    FilteredIntegrals,
-    IntegralPoint,
-    ZERO_POINT,
-    ou_filtered_integrals,
-    ou_kernels,
-)
+from gatenoise.filters import FilteredIntegrals, IntegralPoint, ou_filtered_integrals
 from gatenoise.psd import NoisePsd
-from oracles import kraus_to_chi, ptm
+from oracles import (
+    ZERO_POINT,
+    kraus_to_chi,
+    master_equation_evolve,
+    nm_measure_ou,
+    ou_kernels,
+    ptm,
+)
 
 RHO0 = np.array([[1, 0], [0, 0]], dtype=complex)
 RHOP = 0.5 * np.ones((2, 2), dtype=complex)
@@ -486,6 +486,19 @@ def test_nm_measure_zero_at_t0_and_positive_with_memory():
     assert ncp[0] == 0.0
     assert ncp[-1] > 0.0
     assert np.all(np.diff(ncp) >= -1e-15)
+
+
+@pytest.mark.parametrize("n_grid, bound", [(3200, 1e-9), (300, 1e-6)])
+def test_nm_measure_on_ou_matches_the_closed_form_kernels(n_grid, bound):
+    # criterion 7's OU noise, Omega grid and horizon: the autocovariance route
+    # differs from the exact kernels only by its Simpson rule
+    c, tau = 1.6e9, 5e-4
+    psd = NoisePsd.ou(c, tau)
+    for Omega in np.geomspace(0.2 / tau, 3.0 / tau, 20):
+        times, ncp = nm_measure(psd, Omega, 8.0 * tau, n_grid=n_grid)
+        times_ref, ncp_ref = nm_measure_ou(c, tau, Omega, 8.0 * tau, n_grid)
+        np.testing.assert_array_equal(times, times_ref)
+        assert np.abs(ncp - ncp_ref).max() <= bound * ncp_ref.max(), Omega
 
 
 def test_nm_measure_monotone_on_tabulated_psd():

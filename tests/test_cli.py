@@ -1,3 +1,4 @@
+import ast
 import json
 import math
 import os
@@ -14,6 +15,7 @@ from gatenoise.channels import (
     depolarizing_chi,
     depolarizing_rate,
     drive_unitary,
+    gate_error,
     haar_random_state,
     kraus_nc,
     pauli_chi,
@@ -21,7 +23,7 @@ from gatenoise.channels import (
 )
 from gatenoise import cli
 from gatenoise.cli import build_psds, load_config, main, run_validation, time_grid
-from gatenoise.filters import filtered_integrals, ou_filtered_integrals
+from gatenoise.filters import filtered_integrals, ou_amplitude_integral, ou_filtered_integrals
 from gatenoise.langevin import evolve_ensemble
 from gatenoise.psd import NoisePsd
 from gatenoise.tomography import BASIS_LABELS, STATE_LABELS
@@ -652,6 +654,26 @@ def test_rb_command(tmp_path):
         assert (out / name).read_bytes() == (tmp_path / "rb2" / name).read_bytes()
 
 
+def test_rb_analytic_error_includes_amplitude_noise(tmp_path):
+    """The simulated pulses carry the amplitude-noise Pauli rates, so the
+    analytic pi-pulse error written beside them is the NM_I one."""
+    c, tau, Omega = 1.6e9, 5e-4, 4000.0
+    ou = {"kind": "ou", "c": c, "tau_c": tau}
+    cfg_path = tmp_path / "cfg.json"
+    write_config(cfg_path, drive={"omega_rad_s": Omega, "t_max_s": 0.01, "n_times": 5},
+                 noise={"psd": ou, "amplitude_psd": ou})
+    assert main(["rb", "--config", str(cfg_path), "--out", str(tmp_path / "rb")]) == 0
+    fit = json.loads((tmp_path / "rb" / "rb_fit.json").read_text())
+
+    t_pi = math.pi / Omega
+    fi = ou_filtered_integrals(c, tau, Omega, [t_pi])
+    fi.dgamma1 = ou_amplitude_integral(c, tau, [t_pi])
+    assert fit["analytic_eps_nm_pi_pulse"] == pytest.approx(gate_error(fi.at(0), "NM_I"),
+                                                            rel=1e-9)
+    assert fit["analytic_eps_nm_pi_pulse"] == pytest.approx(0.0395, abs=5e-5)
+    assert gate_error(fi.at(0), "NM") == pytest.approx(0.0151, abs=5e-5)
+
+
 def test_ingest_psd_continuity_and_roundtrip(tmp_path):
     f = np.geomspace(10.0, 1e6, 80)
     s = 4.0 / (1.0 + (f / 3e3) ** 2) + 0.05
@@ -780,3 +802,21 @@ def test_commands_import_neither_scipy_nor_numpy_submodules(tmp_path):
     assert len(report) == len(argvs) + 1
     assert report == [[step, 0, []] for step, _, _ in report], proc.stderr
 
+
+def test_package_imports_no_scipy():
+    """scipy is a test extra: no module of the package imports it, at any
+    depth (inside functions too)."""
+    package = Path(cli.__file__).resolve().parent
+    paths = sorted(package.rglob("*.py"))
+    found = []
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""] if node.level == 0 else []
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno} {name}" for name in names
+                      if name.split(".")[0] == "scipy"]
+    assert paths and found == []

@@ -18,16 +18,14 @@ from gatenoise.filters import (
     filter_gamma1,
     filter_memory,
     filtered_integrals,
-    filtered_integrals_timedomain,
     ou_amplitude_integral,
     ou_filtered_integrals,
-    ou_kernels,
     FilteredIntegrals,
     IntegralPoint,
 )
 from gatenoise.errors import ValidationError
 from gatenoise.psd import NoisePsd
-from oracles import filter_tail_sici
+from oracles import filter_tail_sici, filtered_integrals_timedomain, ou_kernels
 
 
 # --------------------------------------------------------------------- #

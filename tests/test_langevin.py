@@ -5,15 +5,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from gatenoise.channels import (
-    bloch_to_rho,
-    haar_random_state,
-    master_equation_evolve,
-    rho_to_bloch,
-    rotate_to_lab,
-)
+from gatenoise.channels import bloch_to_rho, haar_random_state, rho_to_bloch, rotate_to_lab
 from gatenoise.errors import NumericalError, ValidationError
-from gatenoise.filters import ou_kernels
 from gatenoise.langevin import (
     DriveConfig,
     check_density_matrix,
@@ -22,7 +15,13 @@ from gatenoise.langevin import (
 )
 from gatenoise.noise import OUSource, PsdSource
 from gatenoise.psd import NoisePsd
-from oracles import ConstantSource, control_variate_fit, ensemble_samples
+from oracles import (
+    ConstantSource,
+    control_variate_fit,
+    ensemble_samples,
+    master_equation_evolve,
+    ou_kernels,
+)
 
 RHO0 = np.array([[1, 0], [0, 0]], dtype=complex)
 RHOP = 0.5 * np.ones((2, 2), dtype=complex)

@@ -31,7 +31,6 @@ from gatenoise.tomography import (
     counts_from_csv,
     counts_to_csv,
     default_setup,
-    depolarizing_rb_lambda,
     effective_sample_size,
     ell_form,
     fold_ell,
@@ -44,12 +43,15 @@ from gatenoise.tomography import (
     sample_shots,
 )
 from oracles import (
+    depolarizing_rb_lambda,
     fit_rb_decay_curve_fit,
     kraus_to_chi,
     log_likelihood,
     loglik_and_grad,
+    master_equation_evolve,
     mh_chain_scalar,
     mle_fit_lbfgsb,
+    ou_kernels,
     ptm,
     pulse_unitaries,
     rb_survival_loop,
@@ -768,10 +770,9 @@ def test_born_probs_match_langevin_frequencies():
     sampling depth resolves the truncation floor itself, ~1e-4 in
     probability at these parameters.)
     """
-    from gatenoise.filters import ou_filtered_integrals, ou_kernels
     from gatenoise.langevin import DriveConfig, evolve_ensemble
     from gatenoise.noise import OUSource
-    from gatenoise.channels import master_equation_evolve, rotate_to_lab
+    from gatenoise.channels import rotate_to_lab
 
     tau, c, Omega = 5e-4, 1.6e9, 4000.0
     t_pi = math.pi / Omega
