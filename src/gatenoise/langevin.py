@@ -41,7 +41,6 @@ no variance is a difference of raw sums and the worker count changes no bit.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -263,6 +262,8 @@ def evolve_ensemble(rho0, drive, freq_noise, amp_noise=None, *, seed=0,
         return m, mean, comoment, max_drift
 
     if n_workers > 1:
+        from concurrent.futures import ThreadPoolExecutor  # its imports cost every 1-thread run
+
         with ThreadPoolExecutor(max_workers=n_workers) as pool:
             results = list(pool.map(run_chunk, jobs))
     else:

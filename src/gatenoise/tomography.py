@@ -11,13 +11,15 @@ per setup.  The maximum-likelihood fit and a Metropolis-Hastings sampler
 evaluate one function, the pair-normalized likelihood of a stack of unit
 vectors (:func:`_stack_terms`).  The fit moves every start of every snapshot
 as one stack through a damped Newton ascent on the sphere, with the
-closed-form gradient and Hessian of the quadratic forms.  The sampler scores
+closed-form gradient and Hessian of the quadratic forms, each start in its
+own diagonally pivoted chart of the factor.  The sampler scores
 the proposals from one point as one stack and walks the whole unit sphere
 with a symmetric proposal, so it has no truncation and no Hastings term, and
 yields confidence regions for gate errors, themselves quadratic forms in
 ell.  Randomized benchmarking is index arithmetic on one exact table of
 the 24 Cliffords as signed-permutation Bloch rotations; all sequences of
-one length propagate under per-pulse Pauli noise as one stack.
+one length propagate under per-pulse Pauli noise as one stack of (Bloch
+axis, value) pairs.
 """
 
 from __future__ import annotations
@@ -63,13 +65,16 @@ class TomographySetup:
     identity; consequently outcome pairs satisfy p(+) + p(-) = 1/3 for any
     trace-preserving channel.  ``q_forms[s, b, m]`` is the same probability
     as a real symmetric 6x6 form in the block-Cholesky vector:
-    ``p = ell^T Q ell / |ell|^2`` (see :func:`ell_form`).
+    ``p = ell^T Q ell / |ell|^2`` (see :func:`ell_form`).  ``chart_forms[k]``
+    holds the forms of pivot chart k (see :func:`_rechart`); chart 0 is
+    ``q_forms``.
     """
 
     states: list = field(default_factory=list)
     povm: list = field(default_factory=list)
     d_matrices: np.ndarray = None
     q_forms: np.ndarray = None
+    chart_forms: np.ndarray = None
 
     @classmethod
     def standard(cls):
@@ -85,7 +90,9 @@ class TomographySetup:
         # D[s, b, m, beta, alpha] = tr(M_bm s_alpha rho_s s_beta)
         D = np.einsum("bmij,ajk,skl,cli->sbmca", np.array(povm), PAULIS,
                       np.array(states), PAULIS)
-        return cls(states=states, povm=povm, d_matrices=D, q_forms=ell_form(D))
+        # chart k factors chi in the basis order _CHART_ORDER[k]: its forms conjugate D
+        charts = np.stack([ell_form(D[..., order, :][..., order]) for order in _CHART_ORDER])
+        return cls(states=states, povm=povm, d_matrices=D, q_forms=charts[0], chart_forms=charts)
 
 
 @functools.cache
@@ -257,6 +264,14 @@ _SLOTS = np.zeros((N_PARAMS, 4, 4), dtype=complex)
 _SLOTS[np.arange(N_PARAMS), [0, 1, 1, 2, 3, 3], [0, 0, 1, 2, 2, 3]] = [1, 1j, 1, 1, 1j, 1]
 # The diagonal entry in each parameter's column of L.
 _COLUMN_DIAG = np.array([0, 0, 2, 3, 3, 5])
+# Pivot charts: bit j of chart k swaps which basis element leads 2x2 block j.
+_CHART_ORDER = np.array([[0, 1, 2, 3], [1, 0, 2, 3], [0, 1, 3, 2], [1, 0, 3, 2]])
+_CHART_BITS = np.array([1, 2])
+PIVOT_RATIO = 0.25   # a block re-factors once l11^2 < PIVOT_RATIO (l12^2 + l22^2)
+PIVOT_DECREMENT = 1.0   # ... once its row has under about half a nat left to gain
+# (ell * ell) @ _PIVOT_GAP: each block's l11^2 - PIVOT_RATIO (l12^2 + l22^2)
+_PIVOT_GAP = np.kron(np.eye(2), [[1.0], [-PIVOT_RATIO], [-PIVOT_RATIO]])
+_EYE = np.eye(N_PARAMS)
 
 
 def chi_from_ell(ell):
@@ -285,6 +300,36 @@ def ell_form(M):
     pairs = np.einsum("kia,lja->klij", _SLOTS, _SLOTS.conj())
     A = np.einsum("...ij,klji->...kl", M, pairs).real
     return 0.5 * (A + np.swapaxes(A, -1, -2))
+
+
+def _rechart(ell, flip):
+    """Re-factor the 2x2 blocks of L flagged in ``flip`` (N, 2) with the other
+    basis element leading; ``ell`` is a (N, 6) stack.
+
+    A block (a, b, c) of rows (a, 0), (i b, c) becomes (h, -a b / h, a c / h)
+    with h = hypot(b, c), the lower Cholesky factor of the block with its two
+    basis elements swapped, so chi and the norm stay put; at h = 0 it becomes
+    (0, 0, |a|).  For a >= 0 the map is an involution.
+    """
+    out = np.array(ell, dtype=float)
+    blocks = out.reshape(-1, 2, 3)
+    a, b, c = blocks[flip].T
+    h = np.hypot(b, c)
+    safe = np.where(h > 0.0, h, 1.0)
+    blocks[flip] = np.stack([h, -a * b / safe, np.where(h > 0.0, a * c / safe, np.abs(a))], 1)
+    return out
+
+
+def _pivot(ell, chart, ready):
+    """Re-chart each block, on the rows flagged ``ready``, of a (N, 6) stack
+    whose leading diagonal squared is below ``PIVOT_RATIO`` times its
+    trailing entries squared; returns the new (ell, chart) and whether any
+    block flipped.  A flipped block leads by a factor 1 / PIVOT_RATIO, so it
+    does not flip back until it has moved that far again."""
+    flip = ((ell * ell) @ _PIVOT_GAP < 0.0) & ready[:, None]
+    if not flip.any():
+        return ell, chart, False
+    return _rechart(ell, flip), chart ^ (flip @ _CHART_BITS), True
 
 
 def fold_ell(ells):
@@ -316,10 +361,17 @@ def _floored(probs):
     """(N, 24) probabilities floored at ``PROB_FLOOR``, a steep but finite
     barrier, and their (N, 12) (+, -) pair sums floored at ``PAIR_FLOOR``."""
     p = np.maximum(probs, PROB_FLOOR)
-    return p, np.maximum(p.reshape(len(p), -1, 2).sum(axis=2), PAIR_FLOOR)
+    return p, np.maximum(p[:, ::2] + p[:, 1::2], PAIR_FLOOR)
 
 
-def _stack_terms(ell, counts, shots, q_mat):
+def _in_chart(prod, chart):
+    """Each row's own chart block of a (N, n_charts * m) product with the
+    stacked chart forms, as (N, m)."""
+    n_charts = len(_CHART_ORDER)
+    return prod.reshape(len(prod) * n_charts, -1)[n_charts * np.arange(len(prod)) + chart]
+
+
+def _stack_terms(ell, counts, shots, q_mat, chart=None):
     """Born terms and log-likelihood of a (N, 6) stack of unit vectors: the
     one likelihood of both the MLE and the MH chain.
 
@@ -329,12 +381,17 @@ def _stack_terms(ell, counts, shots, q_mat):
     up to a constant; off the TP subset that plain cost grows along a
     probability-inflating direction (l34), so both estimators use this one.
     ``counts`` and ``shots`` come from :func:`_stack_records` and ``q_mat``
-    is the (6, 144) matrix of the 24 forms.  ``ell @ q_mat`` is a 2-D matmul:
-    a row can round differently in a stack than alone, and the batched forms
-    that would not cost 3-10 times more at 16-64 rows.  Returns
-    (log-likelihood (N,), Q ell (N, 24, 6), unfloored p (N, 24)).
+    is the (6, 144) matrix of the 24 forms, or with ``chart`` (N,) the
+    (6, 576) matrix of every chart's forms, of which each row takes its own.
+    ``ell @ q_mat`` is a 2-D matmul: a row can round differently in a stack
+    than alone, and the batched forms that would not cost 3-10 times more at
+    16-64 rows.  Returns (log-likelihood (N,), Q ell (N, 24, 6), unfloored
+    p (N, 24)).
     """
-    q_ell = (ell @ q_mat).reshape(len(ell), -1, N_PARAMS)
+    q_ell = ell @ q_mat
+    if chart is not None:
+        q_ell = _in_chart(q_ell, chart)
+    q_ell = q_ell.reshape(len(ell), -1, N_PARAMS)
     probs = (q_ell @ ell[:, :, None])[..., 0]
     p, pair = _floored(probs)
     logl = ((counts[:, None] @ np.log(p)[..., None])[:, 0, 0]
@@ -360,9 +417,10 @@ def _mle_starts(n_fits, n_starts, seed):
     return starts / np.linalg.norm(starts, axis=2, keepdims=True)
 
 
-def _tangent_newton(ell, q_ell, probs, counts, shots, q_flat):
+def _tangent_newton(ell, q_ell, probs, counts, shots, q_flat, chart=None):
     """Tangent gradient (N, 6) and Riemannian Hessian (N, 6, 6) of the
-    log-likelihood on the unit sphere.
+    log-likelihood on the unit sphere; ``q_flat`` is the (24, 36) forms, or
+    with ``chart`` the (24, 144) forms of every chart.
 
     With u_i = 2 (Q_i ell - p_i ell) the tangent gradient of p_i and
     w_i = dlogL/dp_i, the gradient is sum_i w_i u_i and the Hessian is
@@ -372,15 +430,19 @@ def _tangent_newton(ell, q_ell, probs, counts, shots, q_flat):
     """
     n_rows = len(ell)
     p, pair = _floored(probs)
-    w = counts / p - np.repeat(shots / pair, 2, axis=1)
+    c_p, n_pair = counts / p, shots / pair
+    w = c_p - np.repeat(n_pair, 2, axis=1)
     u = 2.0 * (q_ell - probs[:, :, None] * ell[:, None, :])
-    v = u.reshape(n_rows, -1, 2, N_PARAMS).sum(axis=2)
-    proj = np.eye(N_PARAMS) - ell[:, :, None] * ell[:, None, :]
-    curv = (w @ q_flat).reshape(n_rows, N_PARAMS, N_PARAMS)
-    curv -= np.einsum("ni,ni->n", w, probs)[:, None, None] * np.eye(N_PARAMS)
+    v = u[:, ::2] + u[:, 1::2]
+    proj = _EYE - ell[:, :, None] * ell[:, None, :]
+    curv = w @ q_flat
+    if chart is not None:
+        curv = _in_chart(curv, chart)
+    curv = curv.reshape(n_rows, N_PARAMS, N_PARAMS)
+    curv -= np.einsum("ni,ni->n", w, probs)[:, None, None] * _EYE
     hess = 2.0 * proj @ curv @ proj
-    hess -= np.swapaxes(u * (counts / p**2)[:, :, None], 1, 2) @ u
-    hess += np.swapaxes(v * (shots / pair**2)[:, :, None], 1, 2) @ v
+    hess -= np.swapaxes(u * (c_p / p)[:, :, None], 1, 2) @ u
+    hess += np.swapaxes(v * (n_pair / pair)[:, :, None], 1, 2) @ v
     return np.einsum("ni,nik->nk", w, u), hess
 
 
@@ -392,38 +454,71 @@ def _ascend(ell, counts, shots, setup):
     renormalized; a step is kept only if the log-likelihood does not fall,
     and mu follows Nielsen's gain-ratio update.  A row freezes once its
     Newton decrement g^T |H|^-1 g, about twice the log-likelihood still to
-    gain, is at most ``MLE_TOL`` times its total counts.  Returns (ell,
+    gain, is at most ``MLE_TOL`` times its total counts.
+
+    Each row carries a pivot chart, one bit per 2x2 block of L: which basis
+    element leads the block's lower Cholesky factor.  The standard chart has
+    a gauge on the cone boundary: at l11 -> 0, (l12, l22) rotate freely and
+    the Hessian's smallest eigenvalue falls like l11^2, so a fit whose
+    maximum lies there crawls.  Diagonal pivoting removes it (Higham,
+    "Analysis of the Cholesky decomposition of a semi-definite matrix",
+    1990): before each step, on the rows whose last decrement is below
+    ``PIVOT_DECREMENT``, a block with l11^2 < ``PIVOT_RATIO`` (l12^2 +
+    l22^2) is re-factored in the swapped order (:func:`_pivot`), and the row
+    scores with that chart's forms from then on.  chi is unchanged, so the
+    row keeps its recorded log-likelihood.  Far from its maximum a row
+    stays put: a pivot puts the old small diagonal into the trailing entry,
+    which chi holds only squared, and a row whose maximum is inside the cone
+    would climb out of that slowly.  Returns (ell in the standard chart,
     log-likelihood, decrement), each per row.
     """
-    q_flat = setup.q_forms.reshape(-1, N_PARAMS * N_PARAMS)
-    q_mat = setup.q_forms.reshape(-1, N_PARAMS).T
+    n_charts = len(_CHART_ORDER)
+    q_mats = setup.chart_forms.reshape(n_charts, -1, N_PARAMS).swapaxes(1, 2)  # (4, 6, 144)
+    q_flats = setup.chart_forms.reshape(n_charts, -1, N_PARAMS * N_PARAMS)    # (4, 24, 36)
+    stacked = np.concatenate(q_mats, axis=1), np.concatenate(q_flats, axis=1)
+
+    def operands(chart):
+        """Forms for :func:`_stack_terms` and :func:`_tangent_newton`: rows all
+        in one chart take its forms alone, as one plain matmul."""
+        if (chart == chart[0]).all():
+            return q_mats[chart[0]], q_flats[chart[0]], None
+        return *stacked, chart
+
     out_ell = np.array(ell, dtype=float)
     out_logl, out_dec = np.empty(len(out_ell)), np.empty(len(out_ell))
     rows = np.arange(len(out_ell))
     ell, scale = out_ell.copy(), counts.sum(axis=1)
-    logl, q_ell, probs = _stack_terms(ell, counts, shots, q_mat)
+    chart, out_chart = np.zeros(len(ell), dtype=int), np.zeros(len(ell), dtype=int)
+    logl, q_ell, probs = _stack_terms(ell, counts, shots, q_mats[0])
     mu, nu = scale.copy(), np.full(len(ell), 2.0)  # first steps: short gradient steps
+    dec = np.full(len(ell), np.inf)
+    q_mat, q_flat, pick = operands(chart)
     for _ in range(MLE_MAX_ITER):
-        grad, hess = _tangent_newton(ell, q_ell, probs, counts, shots, q_flat)
+        ell, chart, flipped = _pivot(ell, chart, dec < PIVOT_DECREMENT)
+        if flipped:   # the rows keep their recorded log-likelihoods
+            q_mat, q_flat, pick = operands(chart)
+            q_ell, probs = _stack_terms(ell, counts, shots, q_mat, pick)[1:]
+        grad, hess = _tangent_newton(ell, q_ell, probs, counts, shots, q_flat, pick)
         # the normal direction gets the total counts as curvature, so it takes no step
         lam, vec = np.linalg.eigh(scale[:, None, None] * ell[:, :, None] * ell[:, None, :] - hess)
         grad = np.einsum("nkj,nk->nj", vec, grad)
         dec = np.einsum("nj,nj->n", grad, grad / np.abs(lam))
         done = dec <= MLE_TOL * scale
         if done.any():
-            out_ell[rows[done]], out_logl[rows[done]], out_dec[rows[done]] = (
-                ell[done], logl[done], dec[done])
+            out_ell[rows[done]], out_chart[rows[done]] = ell[done], chart[done]
+            out_logl[rows[done]], out_dec[rows[done]] = logl[done], dec[done]
             keep = ~done
-            (rows, ell, logl, dec, q_ell, probs, counts, shots, scale, mu, nu, lam, vec, grad) = (
-                x[keep] for x in (rows, ell, logl, dec, q_ell, probs, counts, shots, scale, mu,
-                                  nu, lam, vec, grad))
+            (rows, ell, chart, logl, dec, q_ell, probs, counts, shots, scale, mu, nu, lam, vec,
+             grad) = (x[keep] for x in (rows, ell, chart, logl, dec, q_ell, probs, counts, shots,
+                                         scale, mu, nu, lam, vec, grad))
             if rows.size == 0:
                 break
+            q_mat, q_flat, pick = operands(chart)
         lam = np.maximum(lam, 0.0)
         coef = grad / (lam + mu[:, None])
         trial = ell + np.einsum("nkj,nj->nk", vec, coef)
         trial /= np.linalg.norm(trial, axis=1, keepdims=True)
-        trial_logl, trial_q, trial_p = _stack_terms(trial, counts, shots, q_mat)
+        trial_logl, trial_q, trial_p = _stack_terms(trial, counts, shots, q_mat, pick)
         # gain ratio against the damped quadratic model
         rho = (trial_logl - logl) / np.einsum("nj,nj->n", coef, grad - 0.5 * lam * coef)
         up = trial_logl >= logl
@@ -434,8 +529,8 @@ def _ascend(ell, counts, shots, setup):
         shrink = np.maximum(1.0 / 3.0, 1.0 - (2.0 * np.minimum(rho, 1.0) - 1.0) ** 3)
         mu = np.where(up, mu * shrink, mu * nu)
         nu = np.where(up, 2.0, 2.0 * nu)
-    out_ell[rows], out_logl[rows], out_dec[rows] = ell, logl, dec
-    return out_ell, out_logl, out_dec
+    out_ell[rows], out_chart[rows], out_logl[rows], out_dec[rows] = ell, chart, logl, dec
+    return _rechart(out_ell, (out_chart[:, None] & _CHART_BITS) > 0), out_logl, out_dec
 
 
 def mle_fit(counts, setup=None, *, n_starts=8, seed=0):
@@ -447,6 +542,8 @@ def mle_fit(counts, setup=None, *, n_starts=8, seed=0):
     per fit: the identity channel plus random draws, fit k's from
     ``default_rng([seed, k])``.  The sphere has no edge and the column signs
     of L are a gauge fixed by :func:`fold_ell`, so no bounds are needed.
+    On the cone boundary (a pi pulse, chi_II -> 0) each start finishes in a
+    diagonally pivoted chart of L, and ell comes back in the standard one.
     A :class:`TuningWarning` counts the fits whose best start stopped at
     ``MLE_MAX_ITER`` iterations short of the tolerance, with the largest
     Newton decrement left.  One record returns (ProcessMatrix, ell); a
@@ -662,18 +759,29 @@ def rb_survival(maps, sequences):
     """Survival of |0> under the noisy ``maps`` of each row of ``sequences``
     ((n_seq, L) Clifford indices, column 0 first) and its inversion gate.
 
-    The Bloch vectors propagate as one (n_seq, 3) stack; the ideal product
-    is a table index, so the inversion gate is one lookup.
+    Pauli-noisy Clifford maps are signed permutations times a diagonal, so
+    each takes a Bloch vector along one axis to one along another: map c
+    sends axis k to ``out_axis[c, k]`` scaled by ``coef[c, k]``.  The stack
+    propagates as (axis, value) pairs gathered from those tables, and the
+    ideal product is a table index, so the inversion gate is one lookup.
+    Raises :class:`ValidationError` for a map with two nonzeros in a column.
     """
+    maps = np.asarray(maps, dtype=float)
+    if np.any(np.count_nonzero(maps, axis=1) > 1):
+        raise ValidationError("rb_survival needs monomial Bloch maps (Pauli-noisy Cliffords)")
+    out_axis = np.argmax(maps != 0.0, axis=1)   # (24, 3): the row of column k's entry
+    out_axis, coef = out_axis.ravel(), np.take_along_axis(maps, out_axis[:, None], 1).ravel()
     compose, inverse = clifford_group()
     sequences = np.asarray(sequences, dtype=int)
-    r = np.tile([0.0, 0.0, 1.0], (len(sequences), 1))
+    axis, value = np.full(len(sequences), 2), np.ones(len(sequences))
     ideal = np.zeros(len(sequences), dtype=int)
     for step in sequences.T:
-        r = np.einsum("nij,nj->ni", maps[step], r)
+        at = 3 * step + axis
+        axis, value = out_axis[at], coef[at] * value
         ideal = compose[step, ideal]
-    r = np.einsum("nij,nj->ni", maps[inverse[ideal]], r)
-    return np.clip(0.5 * (1.0 + r[:, 2]), 0.0, 1.0)
+    at = 3 * inverse[ideal] + axis
+    z = np.where(out_axis[at] == 2, coef[at] * value, 0.0)
+    return np.clip(0.5 * (1.0 + z), 0.0, 1.0)
 
 
 @dataclass

@@ -506,6 +506,21 @@ def test_tomography_synthetic_and_counts_modes(tmp_path):
     assert code == 2
 
 
+@pytest.mark.filterwarnings("error")
+def test_synthetic_tomography_through_pi_pulses_fits_every_snapshot(tmp_path):
+    # two Rabi flops at 4000 rad/s: the snapshots at pi pulses have chi_II -> 0,
+    # where a fixed Cholesky chart stops 3 of these 60 fits at the iteration cap
+    cfg_path = tmp_path / "cfg.json"
+    write_config(cfg_path, drive={"omega_rad_s": 4000.0, "t_max_s": math.pi / 1000.0,
+                                  "n_times": 4},
+                 noise={"psd": {"kind": "ou", "c": 1.6e9, "tau_c": 5e-4}},
+                 simulation={"seed": 20240222},
+                 **{"tomography.repetitions": 15, "tomography.shots_per_basis": 2000})
+    out = tmp_path / "tomo"
+    assert main(["tomography", "--config", str(cfg_path), "--out", str(out)]) == 0
+    assert len(json.loads((out / "tomography.json").read_text())) == 4
+
+
 def test_tomography_chain_summary_and_byte_identical_reruns(tmp_path):
     cfg_path = tmp_path / "cfg.json"
     write_config(cfg_path, drive={"omega_rad_s": 1.0 / (5.0 * TAU),

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -20,6 +21,8 @@ from gatenoise.tomography import (
     TomographySetup,
     _ascend,
     _mle_starts,
+    _pivot,
+    _rechart,
     _stack_records,
     _stack_terms,
     _tangent_newton,
@@ -414,6 +417,81 @@ def test_newton_ascent_never_lowers_the_likelihood(monkeypatch):
         previous = logl
 
 
+CHART_FLIPS = np.array([[False, False], [True, False], [False, True], [True, True]])
+
+
+def test_rechart_keeps_chi_and_is_an_involution():
+    rng = np.random.default_rng(48)
+    ells = np.array([random_manifold_ell(rng, tp=False) for _ in range(20)])
+    np.testing.assert_array_equal(SETUP.chart_forms[0], SETUP.q_forms)
+    for k, order in enumerate(tomography._CHART_ORDER):
+        flip = np.tile(CHART_FLIPS[k], (len(ells), 1))
+        charted = _rechart(ells, flip)
+        np.testing.assert_allclose(np.linalg.norm(charted, axis=1), 1.0, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(_rechart(charted, flip), ells, rtol=0, atol=1e-15)
+        forms = SETUP.chart_forms[k].reshape(-1, 6, 6)
+        for ell, e_k in zip(ells, charted):
+            chi = chi_from_ell(ell)
+            # chart k factors chi with its basis in the order _CHART_ORDER[k]
+            np.testing.assert_allclose(chi_from_ell(e_k)[np.ix_(order, order)], chi,
+                                       rtol=0, atol=1e-15)
+            np.testing.assert_allclose(np.einsum("i,oij,j->o", e_k, forms, e_k),
+                                       born_probs(chi, SETUP).ravel(), rtol=0, atol=1e-15)
+
+
+def test_rechart_at_a_vanishing_trailing_pair_is_exact():
+    # h = hypot(l12, l22) = 0 in the chart: back in the standard chart the
+    # block is (0, 0, |a|), with no 0/0
+    charts = np.array([3, 2])
+    ell = np.array([[0.6, 0.0, 0.0, -0.8, 0.0, 0.0], [0.0, 0.0, 0.6, 0.8, 0.0, 0.0]])
+    with np.errstate(all="raise"):
+        back = _rechart(ell, CHART_FLIPS[charts])
+    np.testing.assert_array_equal(back, [[0.0, 0.0, 0.6, 0.0, 0.0, 0.8]] * 2)
+    for e, e_std, order in zip(ell, back, tomography._CHART_ORDER[charts]):
+        np.testing.assert_array_equal(chi_from_ell(e)[np.ix_(order, order)], chi_from_ell(e_std))
+
+
+def test_pivot_flips_only_blocks_past_the_margin():
+    rng = np.random.default_rng(49)
+    ells = rng.normal(size=(400, 6)) * rng.choice([1e-3, 0.1, 1.0], size=(400, 6))
+    ells /= np.linalg.norm(ells, axis=1, keepdims=True)
+    chart = rng.integers(0, 4, 400)
+    ready = rng.random(400) < 0.8
+    sq = (ells * ells).reshape(-1, 2, 3)
+    past = sq[..., 0] < tomography.PIVOT_RATIO * (sq[..., 1] + sq[..., 2])
+    assert past[ready].any() and (~past[ready]).any() and past[~ready].any()
+    new_ell, new_chart, flipped = _pivot(ells, chart, ready)
+    assert flipped
+    changed = ((chart ^ new_chart)[:, None] & tomography._CHART_BITS) > 0
+    np.testing.assert_array_equal(changed, past & ready[:, None])
+    np.testing.assert_array_equal(new_ell.reshape(-1, 2, 3)[~changed],
+                                  ells.reshape(-1, 2, 3)[~changed])
+    # a flipped block now leads by more than 1 / PIVOT_RATIO: it stays put
+    again = _pivot(new_ell, new_chart, np.ones(400, dtype=bool))
+    sq = (new_ell * new_ell).reshape(-1, 2, 3)
+    lead, trail = sq[changed][:, 0], sq[changed][:, 1] + sq[changed][:, 2]
+    assert np.all(lead > trail / tomography.PIVOT_RATIO)
+    assert not (((again[1] ^ new_chart)[:, None] & tomography._CHART_BITS) > 0)[changed].any()
+
+
+def test_pi_pulse_fits_converge_to_the_lbfgsb_oracle():
+    # near a pi pulse chi_II -> 0: a fixed Cholesky chart stops 2 of these fits at the cap
+    t = math.pi / 4000.0
+    chi = chi_full(ou_filtered_integrals(1.6e9, 5e-4, 4000.0, [t]).at(0), 4000.0, t).matrix
+    assert chi[0, 0].real < 1e-3
+    rng = np.random.default_rng(3)
+    records = [sample_shots(born_probs(chi, SETUP), 2000, rng) for _ in range(6)]
+    counts, shots = _stack_records([rec for rec in records for _ in range(2)])
+    _, _, dec = _ascend(_mle_starts(6, 2, 3).reshape(-1, 6), counts, shots, SETUP)
+    assert np.all(dec <= tomography.MLE_TOL * counts.sum(axis=1))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", TuningWarning)
+        _, ells = mle_fit(records, SETUP, n_starts=2, seed=3)
+    for rec, ell in zip(records, ells):
+        best = loglik_and_grad(mle_fit_lbfgsb(rec, SETUP, n_starts=32, seed=3)[1], rec, SETUP)[0]
+        assert loglik_and_grad(ell, rec, SETUP)[0] >= best - 1e-9 * abs(best)
+
+
 def test_mle_reports_fits_stopped_at_the_iteration_cap(monkeypatch):
     rng = np.random.default_rng(46)
     records = [sample_shots(born_probs(random_cptp_chi(rng), SETUP), 100, rng) for _ in range(3)]
@@ -638,6 +716,13 @@ def test_rb_batched_propagation_matches_per_sequence_oracle(length):
     words = [w for _, w in clifford_table()]
     np.testing.assert_allclose(rb_survival(noisy_clifford_maps(rates), sequences),
                                rb_survival_loop(rates, sequences, words), rtol=0, atol=1e-12)
+
+
+def test_rb_survival_rejects_non_monomial_maps():
+    maps = noisy_clifford_maps(PauliRates(4e-3, 8e-3, 2e-3))
+    maps[5, 0, 1] = 0.1
+    with pytest.raises(ValidationError, match="monomial"):
+        rb_survival(maps, np.zeros((3, 4), dtype=int))
 
 
 def test_rb_noiseless_survival():
