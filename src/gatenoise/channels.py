@@ -56,6 +56,9 @@ SIGMA_0, SIGMA_X, SIGMA_Y, SIGMA_Z = PAULIS
 
 # chi -> superoperator: E(rho)_il = sum_jk (sum_ab chi_ab P_a,ij P_b,kl) rho_jk
 _SUPER = np.einsum("aij,bkl->abiljk", PAULIS, PAULIS)
+# chi -> Pauli transfer matrix: R_ij = sum_ab chi_ab tr(s_i s_a s_j s_b) / 2; as a
+# (16, 16) matrix _PTM^dag _PTM = 4 I, so chi = sum_ij conj(_PTM[i, j]) R_ij / 4
+_PTM = 0.5 * np.einsum("iuv,avw,jwx,bxu->ijab", PAULIS, PAULIS, PAULIS, PAULIS)
 
 # chi_nm rejects a process matrix with an eigenvalue below -CP_TOL
 CP_TOL = 1e-8
@@ -157,8 +160,7 @@ def drive_unitary(Omega, t):
 
 def rotate_to_lab(rho, Omega, t):
     """Conjugate comoving states, (..., 2, 2), into the laboratory frame."""
-    U = drive_unitary(Omega, t)
-    return _apply_super(np.einsum("...ij,...lk->...iljk", U, U.conj()), rho)
+    return apply_kraus(drive_unitary(Omega, t)[..., None, :, :], rho)
 
 
 # --------------------------------------------------------------------- #
@@ -279,42 +281,38 @@ def apply_kraus(kraus, rho):
     return _apply_super(np.einsum("...nij,...nlk->...iljk", ops, ops.conj()), rho)
 
 
-def _pauli_images(channel):
-    """E(s_a) for the four Paulis, stacked (..., 4, 2, 2).
-
-    ``channel`` may be a ProcessMatrix / raw chi array / KrausSet / list of
-    Kraus operators, or a stack of them.
-    """
-    if isinstance(channel, (ProcessMatrix, np.ndarray)):
-        chi = channel.matrix if isinstance(channel, ProcessMatrix) else channel
-        return apply_chi(chi[..., None, :, :], PAULIS)
-    ops = np.asarray(channel.ops if isinstance(channel, KrausSet) else channel)
-    return apply_kraus(ops[..., None, :, :, :], PAULIS)
-
-
 # --------------------------------------------------------------------- #
 # fidelities and errors
 
 def avg_gate_fidelity(channel, target):
-    """Average gate fidelity 1/2 + (1/12) sum_b tr[U s_b U^dag E(s_b)].
+    """Average gate fidelity 1/2 + Re sum_ab chi_ab G_ab (:func:`gate_fidelity_matrix`).
 
     ``channel`` may be a ProcessMatrix / raw chi array / KrausSet / list of
     Kraus operators describing the full evolution; ``target`` is the ideal
     unitary.  Stacks of channels and of targets broadcast against each other;
     one channel and one target give a float.
     """
-    target = np.asarray(target)[..., None, :, :]
-    ideal = target @ PAULIS[1:] @ _dagger(target)
-    total = np.einsum("...bij,...bji->...", ideal, _pauli_images(channel)[..., 1:, :, :])
+    if isinstance(channel, (ProcessMatrix, np.ndarray)):
+        chi = channel.matrix if isinstance(channel, ProcessMatrix) else channel
+    else:  # Kraus operators, through their Pauli coefficients tr(s_a K_n) / 2
+        ops = np.asarray(channel.ops if isinstance(channel, KrausSet) else channel)
+        k = 0.5 * np.einsum("aij,...nji->...na", PAULIS, ops)
+        chi = np.einsum("...na,...nb->...ab", k, k.conj())
+    total = np.einsum("...ab,...ab->...", chi, gate_fidelity_matrix(target))
     if np.any(np.abs(total.imag) > 1e-12 * np.maximum(1.0, np.abs(total.real))):
         raise NumericalError(f"fidelity has imaginary part {np.abs(total.imag).max():.3e}")
-    return 0.5 + total.real / 12.0
+    return 0.5 + total.real
 
 
 def gate_fidelity_matrix(target):
-    """Matrix G with F = 1/2 + Re sum_ab chi_ab G_ab (fast per-sample reuse)."""
-    ideal = target @ PAULIS[1:] @ target.conj().T
-    return np.einsum("bij,ajk,bkl,cli->ac", ideal, PAULIS, PAULIS[1:], PAULIS) / 12.0
+    """Matrix G with F = 1/2 + Re sum_ab chi_ab G_ab = 1/2 + tr(R_U^T R_E) / 6 over
+    the Bloch blocks of the Pauli transfer matrices (Nielsen, Phys. Lett. A 303,
+    249 (2002)), for a unitary or a (..., 2, 2) stack; R_U is the PTM of the
+    target's chi, c c^dag with c_a = tr(s_a U) / 2.  The constant is 1/2 for any
+    chi, not R_00 / 2 = tr(chi) / 2."""
+    c = 0.5 * np.einsum("aij,...ji->...a", PAULIS, target)
+    r_u = np.einsum("ijab,...a,...b->...ij", _PTM[1:, 1:], c, c.conj()).real
+    return np.einsum("...ij,ijab->...ab", r_u, _PTM[1:, 1:]) / 6.0
 
 
 def gate_error(point, model):

@@ -86,7 +86,7 @@ _SCHEMA = {
     "tomography.run_chain":       ("boolean", None, False),
     "rb.n_seq":                   ("integer", ">= 2", 100),
     "rb.shots":                   ("integer", ">= 1", 100),
-    "rb.max_length":              ("integer", ">= 2", 1024),
+    "rb.max_length":              ("integer", ">= 4", 1024),
     "outputs.dir":                ("string", None, "required"),
     "validation.n_haar":          ("integer", ">= 1", 1000),
     "omega_sweep.omega_min":      ("number", None, "with section"),
@@ -239,6 +239,14 @@ def _json_default(obj):
 # --------------------------------------------------------------------- #
 # commands
 
+def _open_run(args):
+    """Config, (created) output directory and PSDs of a config-driven command."""
+    cfg = load_config(args.config, args.seed)
+    out_dir = Path(args.out or cfg["outputs"]["dir"])
+    out_dir.mkdir(parents=True, exist_ok=True)
+    return cfg, out_dir, *build_psds(cfg)
+
+
 def cmd_ingest_psd(args):
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -259,10 +267,7 @@ def cmd_ingest_psd(args):
 
 
 def cmd_predict(args):
-    cfg = load_config(args.config, args.seed)
-    out_dir = Path(args.out or cfg["outputs"]["dir"])
-    out_dir.mkdir(parents=True, exist_ok=True)
-    psd, amp_psd = build_psds(cfg)
+    cfg, out_dir, psd, amp_psd = _open_run(args)
     Omega = cfg["drive"]["omega_rad_s"]
     times = time_grid(cfg)
     with_amp = amp_psd is not None
@@ -399,10 +404,7 @@ def _variance_ratio(ensemble):
 
 
 def cmd_validate(args):
-    cfg = load_config(args.config, args.seed)
-    out_dir = Path(args.out or cfg["outputs"]["dir"])
-    out_dir.mkdir(parents=True, exist_ok=True)
-    psd, amp_psd = build_psds(cfg)
+    cfg, out_dir, psd, amp_psd = _open_run(args)
     n_haar = cfg["validation"]["n_haar"]
     grid, infidelity, ensemble = _validation(cfg, psd, amp_psd, n_haar, args.threads)
     _write_ensemble(out_dir, grid, ensemble)
@@ -427,10 +429,7 @@ def cmd_validate(args):
 
 
 def cmd_tomography(args):
-    cfg = load_config(args.config, args.seed)
-    out_dir = Path(args.out or cfg["outputs"]["dir"])
-    out_dir.mkdir(parents=True, exist_ok=True)
-    psd, amp_psd = build_psds(cfg)
+    cfg, out_dir, psd, amp_psd = _open_run(args)
     Omega = cfg["drive"]["omega_rad_s"]
     tomo = cfg["tomography"]
     setup = default_setup()
@@ -500,10 +499,7 @@ def _posterior_summary(rec, setup, tomo, seed, target):
 
 
 def cmd_rb(args):
-    cfg = load_config(args.config, args.seed)
-    out_dir = Path(args.out or cfg["outputs"]["dir"])
-    out_dir.mkdir(parents=True, exist_ok=True)
-    psd, amp_psd = build_psds(cfg)
+    cfg, out_dir, psd, amp_psd = _open_run(args)
     Omega = cfg["drive"]["omega_rad_s"]
     t_pi = math.pi / Omega
     fi = job_integrals(psd, Omega, [t_pi], amp_psd)

@@ -69,6 +69,8 @@ class NoisePsd:
         densities = np.asarray(densities, dtype=float)
         if omegas.ndim != 1 or omegas.shape != densities.shape:
             raise ValidationError("omegas and densities must be matching 1d arrays")
+        if not np.isfinite(np.concatenate([omegas, densities, [low_plateau, high_plateau]])).all():
+            raise ValidationError("tabulated frequencies, densities and plateaus must be finite")
         if omegas.size and not np.all(np.diff(omegas) > 0):
             raise ValidationError("tabulated frequencies must be strictly increasing")
         if np.any(omegas <= 0):
@@ -77,7 +79,7 @@ class NoisePsd:
             raise ValidationError("densities and plateau values must be nonnegative")
         bands = tuple((float(lo), float(hi)) for lo, hi in excluded_bands)
         for lo, hi in bands:
-            if not 0 <= lo < hi:
+            if not 0 <= lo < hi < math.inf:
                 raise ValidationError(f"bad excluded band ({lo}, {hi})")
         keep = np.ones(omegas.size, dtype=bool)
         for lo, hi in bands:

@@ -33,7 +33,7 @@ import numpy as np
 import numpy.fft  # noqa: F401  loaded with the module: numpy 2 defers it to first use
 import numpy.random  # noqa: F401
 
-from .channels import PAULIS, ProcessMatrix, gate_fidelity_matrix
+from .channels import _PTM, PAULIS, ProcessMatrix, gate_fidelity_matrix
 from .errors import DegenerateDataError, FitError, TuningWarning, ValidationError
 
 
@@ -166,7 +166,7 @@ def counts_from_csv(path):
     rows = {}
     with open(path) as fh:
         header = fh.readline().strip().split(",")
-        if header[:5] != ["state", "basis", "time_s", "n_plus", "n_minus"]:
+        if header != ["state", "basis", "time_s", "n_plus", "n_minus"]:
             raise ValidationError(f"unexpected counts header {header}")
         for line in fh:
             row = line.strip()
@@ -207,51 +207,22 @@ def counts_from_csv(path):
 # --------------------------------------------------------------------- #
 # linear inversion
 
-def _hermitian_basis():
-    """(16, 4, 4) basis, over the reals, of the Hermitian 4x4 matrices: the
-    four diagonal units, then for each pair a < b the symmetric and
-    antisymmetric units."""
-    diag = np.zeros((4, 4, 4), dtype=complex)
-    diag[np.arange(4), np.arange(4), np.arange(4)] = 1.0
-    a, b = np.triu_indices(4, 1)
-    pair = np.arange(a.size)
-    off = np.zeros((a.size, 2, 4, 4), dtype=complex)
-    off[pair, 0, a, b] = off[pair, 0, b, a] = 1.0
-    off[pair, 1, a, b] = 1.0j
-    off[pair, 1, b, a] = -1.0j
-    return np.concatenate([diag, off.reshape(-1, 4, 4)])
-
-
-_HBASIS = _hermitian_basis()
-
-
-def _tp_rows():
-    """Real constraint rows enforcing sum chi_ab s_b s_a = I."""
-    # coeff[c, k] = sum_ab B_k,ab (1/2) tr(s_c s_b s_a)
-    coeff = 0.5 * np.einsum("kab,cij,bjl,ali->ck", _HBASIS, PAULIS, PAULIS, PAULIS)
-    rows = np.stack([coeff.real, coeff.imag], axis=1).reshape(8, _HBASIS.shape[0])
-    rhs = np.zeros(8)
-    rhs[0] = 1.0
-    return rows, rhs
-
-
 def linear_inversion(probs, setup=None):
-    """Invert Born probabilities to the (possibly nonphysical) process matrix.
+    """Closed-form, trace-preserving process matrix of Born probabilities.
 
-    Solves the 24 outcome equations together with the trace-preservation
-    constraints in the 16-real-parameter Hermitian space.  With exact
-    probabilities the round trip through :func:`born_probs` is exact to
-    machine precision; with noisy frequencies the result may have negative
-    eigenvalues, which is reported by the caller rather than repaired here.
+    Basis b's contrast p(+) - p(-) is c_b0 + c_b . r on the output Bloch vector
+    r, c_ba = tr(s_a (M_b+ - M_b-)) / 2; the states' r and input Bloch vectors
+    give the affine map [t | M], and the Pauli transfer matrix [[1, 0], [t, M]]
+    gives chi.  Noisy frequencies may give negative eigenvalues, left to the caller.
     """
     setup = setup or default_setup()
-    probs = np.asarray(probs, dtype=float)
-    rows = np.einsum("sbmij,kji->sbmk", setup.d_matrices, _HBASIS).real
-    tp_rows, tp_rhs = _tp_rows()
-    A = np.vstack([rows.reshape(-1, _HBASIS.shape[0]), 100.0 * tp_rows])
-    y = np.concatenate([probs.reshape(-1), 100.0 * tp_rhs])
-    x, *_ = np.linalg.lstsq(A, y, rcond=None)
-    return ProcessMatrix(np.einsum("k,kij->ij", x, _HBASIS))
+    probs, povm = np.asarray(probs, dtype=float), np.array(setup.povm)
+    c = 0.5 * np.einsum("aij,bji->ba", PAULIS, povm[:, 0] - povm[:, 1]).real
+    r_out = np.linalg.solve(c[:, 1:], (probs[:, :, 0] - probs[:, :, 1] - c[:, 0]).T)
+    r_in = np.einsum("aij,sji->sa", PAULIS, np.array(setup.states)).real  # rows (1, r)
+    ptm = np.eye(4)
+    ptm[1:] = np.linalg.solve(r_in, r_out.T).T
+    return ProcessMatrix(np.einsum("ijab,ij->ab", _PTM.conj(), ptm) / 4.0)
 
 
 # --------------------------------------------------------------------- #
@@ -673,8 +644,7 @@ def mh_chain(counts, setup=None, *, n_steps=100000, width=0.02, seed=0,
             width = float(np.clip(width * math.exp(0.8 * (rate - 0.3)), 1e-4, 0.5))
 
     kept_ells = fold_ell(chain[n_burn:])
-    target = np.eye(2, dtype=complex) if target_unitary is None else target_unitary
-    G = ell_form(gate_fidelity_matrix(target).T)
+    G = ell_form(gate_fidelity_matrix(np.eye(2) if target_unitary is None else target_unitary).T)
     kept_err = 0.5 - np.einsum("nk,kl,nl->n", kept_ells, G, kept_ells)
 
     rate = float(accepted[n_burn:].mean())
@@ -823,9 +793,12 @@ def fit_rb_decay(lengths, mean, se, *, shots=100, n_seq=100):
 
     Raises :class:`FitError` for non-decaying (rising) data; survival that is
     flat at 1/2 within noise is reported as lam = 0 (fully decohered at the
-    shortest length).
+    shortest length).  Raises :class:`ValidationError` for fewer than two
+    distinct lengths.
     """
     lengths = np.asarray(lengths, dtype=float)
+    if len(set(lengths.tolist())) < 2:
+        raise ValidationError("fit_rb_decay needs at least two distinct sequence lengths")
     mean = np.asarray(mean, dtype=float)
     se = np.asarray(se, dtype=float)
     noise_floor = max(float(se.max()), 1.0 / math.sqrt(shots * n_seq))

@@ -262,6 +262,39 @@ def ptm(channel):
     return 0.5 * np.einsum("aij,bji->ab", PAULIS, images).real
 
 
+def _hermitian_basis():
+    """(16, 4, 4) basis, over the reals, of the Hermitian 4x4 matrices: the
+    four diagonal units, then for each pair a < b the symmetric and
+    antisymmetric units."""
+    diag = np.zeros((4, 4, 4), dtype=complex)
+    diag[np.arange(4), np.arange(4), np.arange(4)] = 1.0
+    a, b = np.triu_indices(4, 1)
+    pair = np.arange(a.size)
+    off = np.zeros((a.size, 2, 4, 4), dtype=complex)
+    off[pair, 0, a, b] = off[pair, 0, b, a] = 1.0
+    off[pair, 1, a, b] = 1.0j
+    off[pair, 1, b, a] = -1.0j
+    return np.concatenate([diag, off.reshape(-1, 4, 4)])
+
+
+def linear_inversion_lstsq(probs, setup=None):
+    """``linear_inversion`` by least squares: the 24 outcome equations and the
+    trace-preservation constraints sum chi_ab s_b s_a = I (weighted 100) in
+    the 16-real-parameter Hermitian space."""
+    setup = setup or default_setup()
+    basis = _hermitian_basis()
+    rows = np.einsum("sbmij,kji->sbmk", setup.d_matrices, basis).real
+    # tp[c, k] = sum_ab B_k,ab (1/2) tr(s_c s_b s_a)
+    tp = 0.5 * np.einsum("kab,cij,bjl,ali->ck", basis, PAULIS, PAULIS, PAULIS)
+    tp_rows = np.stack([tp.real, tp.imag], axis=1).reshape(8, basis.shape[0])
+    tp_rhs = np.zeros(8)
+    tp_rhs[0] = 1.0
+    A = np.vstack([rows.reshape(-1, basis.shape[0]), 100.0 * tp_rows])
+    y = np.concatenate([np.asarray(probs, dtype=float).reshape(-1), 100.0 * tp_rhs])
+    x, *_ = np.linalg.lstsq(A, y, rcond=None)
+    return ProcessMatrix(np.einsum("k,kij->ij", x, basis))
+
+
 def master_equation_evolve(rho0, kernels, Omega, times, amp_rate=None):
     """Exact solution of the second-order dressed master equation.
 

@@ -288,14 +288,32 @@ def test_avg_gate_fidelity_examples():
 
 
 def test_gate_fidelity_matrix_agrees_with_direct():
+    """F = 1/2 + Re sum chi G and ``avg_gate_fidelity``, on stacks of chi (the
+    lab-frame channels, and positive chi off TP and off unit trace) and of
+    Kraus sets against a stack of targets, equal 1/2 + tr(R_U^T R_E) / 6 over
+    the Bloch blocks of the Pauli transfer matrices from ``oracles.ptm``."""
+    points, fi, times, omegas = _grid(5, True)
+    targets = drive_unitary(omegas, times)
+    G = gate_fidelity_matrix(targets)
     rng = np.random.default_rng(5)
-    U = drive_unitary(1.7, 0.9)
-    G = gate_fidelity_matrix(U)
-    for _ in range(10):
-        pt = physical_point(rng)
-        chi = chi_full(pt, 1.7, 0.9).matrix
-        fast = 0.5 + np.real(np.sum(chi * G))
-        assert fast == pytest.approx(avg_gate_fidelity(chi, U), abs=1e-12)
+    A = rng.normal(size=(len(points), 4, 4)) + 1j * rng.normal(size=(len(points), 4, 4))
+    loose = A @ np.swapaxes(A.conj(), -1, -2)
+    loose *= rng.uniform(0.7, 1.3, len(points))[:, None, None] / np.trace(
+        loose, axis1=-2, axis2=-1).real[:, None, None]
+    kraus = kraus_nc(fi, omegas, times, True)
+    fid_kraus = avg_gate_fidelity(kraus, targets)
+    for chis in (chi_full(fi, omegas, times, True).matrix, loose):
+        fast = 0.5 + np.real(np.sum(chis * G, axis=(-2, -1)))
+        fid_chi = avg_gate_fidelity(chis, targets)
+        for i, U in enumerate(targets):
+            R_U = ptm([U])[1:, 1:]
+            want = 0.5 + np.trace(R_U.T @ ptm(chis[i])[1:, 1:]) / 6.0
+            assert fast[i] == pytest.approx(want, rel=0, abs=1e-14)
+            assert fid_chi[i] == pytest.approx(want, rel=0, abs=1e-14)
+    for i, U in enumerate(targets):
+        want = 0.5 + np.trace(ptm([U])[1:, 1:].T @ ptm(list(kraus.ops[i]))[1:, 1:]) / 6.0
+        assert fid_kraus[i] == pytest.approx(want, rel=0, abs=1e-14)
+        np.testing.assert_allclose(gate_fidelity_matrix(U), G[i], rtol=0, atol=1e-16)
 
 
 def _apply_chi_loop(chi, rho):

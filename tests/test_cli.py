@@ -107,6 +107,7 @@ def test_unknown_key_in_known_section_rejected(tmp_path, capsys):
     ("validate", "simulation.m_mc", 10.5),
     ("predict", "drive.n_times", 2.5),
     ("rb", "rb.max_length", 1),
+    ("rb", "rb.max_length", 3),
     ("rb", "rb.n_seq", 0),
     ("rb", "rb.n_seq", 1),
     ("rb", "rb.shots", 0),
@@ -593,6 +594,18 @@ def test_counts_file_with_malformed_time_exits_2(tmp_path, capsys):
     assert "validation error" in capsys.readouterr().err
 
 
+def test_counts_header_with_extra_columns_exits_2(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    write_config(cfg_path)
+    bad = tmp_path / "bad_counts.csv"
+    bad.write_text("state,basis,time_s,n_plus,n_minus,note\n" + "".join(
+        f"{sl},{bl},1e-4,3,2\n" for sl in STATE_LABELS for bl in BASIS_LABELS))
+    code = main(["tomography", "--config", str(cfg_path), "--out", str(tmp_path / "tomo"),
+                 "--counts", str(bad)])
+    assert code == 2
+    assert "unexpected counts header" in capsys.readouterr().err
+
+
 def _counts_rows(time_text):
     return "".join(f"{sl},{bl},{time_text},3,2\n" for sl in STATE_LABELS for bl in BASIS_LABELS)
 
@@ -653,6 +666,28 @@ def test_ingest_psd_malformed_input_exits_2(tmp_path, capsys, csv_text, sidecar_
     assert main(["ingest-psd", str(raw), str(sidecar), "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert "validation error" in err and bad in err
+
+
+@pytest.mark.parametrize("row, sidecar", [
+    ("20.0,nan", GOOD_SIDECAR),
+    ("20.0,inf", GOOD_SIDECAR),
+    ("inf,0.5", GOOD_SIDECAR),
+    ("20.0,0.5", GOOD_SIDECAR.replace("0.1", "NaN")),
+], ids=["nan-density", "inf-density", "inf-frequency", "nan-plateau"])
+def test_non_finite_psd_table_exits_2_on_ingest_and_in_a_config(tmp_path, capsys, row,
+                                                                sidecar):
+    raw, side = tmp_path / "raw.csv", tmp_path / "raw.json"
+    raw.write_text(f"f,s\n10.0,1.0\n{row}\n")
+    side.write_text(sidecar)
+    assert main(["ingest-psd", str(raw), str(side), "--out", str(tmp_path / "out")]) == 2
+    ingest_err = capsys.readouterr().err
+    assert "must be finite" in ingest_err
+    assert not (tmp_path / "out" / "psd_normalized.json").exists()
+    cfg_path = tmp_path / "cfg.json"
+    write_config(cfg_path, noise={"psd": {"kind": "tabulated", "csv": "raw.csv",
+                                          "sidecar": "raw.json"}})
+    assert main(["predict", "--config", str(cfg_path), "--out", str(tmp_path / "pred")]) == 2
+    assert capsys.readouterr().err == ingest_err
 
 
 def test_rb_command(tmp_path):

@@ -65,6 +65,21 @@ def test_tabulated_needs_two_samples():
                            excluded_bands=[(5.0, 25.0)])
 
 
+@pytest.mark.parametrize("omegas, densities, low, high, bands", [
+    ([10.0, 20.0], [1.0, np.nan], 1.0, 1.0, ()),
+    ([10.0, 20.0], [np.inf, 1.0], 1.0, 1.0, ()),
+    ([10.0, 20.0], [1.0, 1.0], np.nan, 1.0, ()),
+    ([10.0, 20.0], [1.0, 1.0], 1.0, np.inf, ()),
+    ([10.0, np.inf], [1.0, 1.0], 1.0, 1.0, ()),
+    ([np.nan, 20.0], [1.0, 1.0], 1.0, 1.0, ()),
+    ([10.0, 20.0, 30.0], [1.0, 1.0, 1.0], 1.0, 1.0, [(25.0, np.inf)]),
+], ids=["nan-density", "inf-density", "nan-plateau", "inf-plateau", "inf-frequency",
+        "nan-frequency", "inf-band-edge"])
+def test_tabulated_rejects_non_finite_values(omegas, densities, low, high, bands):
+    with pytest.raises(ValidationError):
+        NoisePsd.tabulated(omegas, densities, low, high, excluded_bands=bands)
+
+
 def test_plateaus_outside_range():
     psd = NoisePsd.tabulated([10.0, 100.0], [4.0, 2.0], 9.0, 0.5)
     assert psd.eval(1.0) == 9.0

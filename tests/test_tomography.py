@@ -7,6 +7,7 @@ from scipy.optimize import lsq_linear
 
 from gatenoise import tomography
 from gatenoise.channels import (
+    PAULIS,
     KrausSet,
     PauliRates,
     avg_gate_fidelity,
@@ -49,6 +50,7 @@ from oracles import (
     depolarizing_rb_lambda,
     fit_rb_decay_curve_fit,
     kraus_to_chi,
+    linear_inversion_lstsq,
     log_likelihood,
     loglik_and_grad,
     master_equation_evolve,
@@ -126,6 +128,22 @@ def test_linear_inversion_roundtrip_random_cptp():
         rec = linear_inversion(probs, SETUP)
         assert np.abs(rec.matrix - chi).max() < 1e-10
         np.testing.assert_allclose(born_probs(rec, SETUP), probs, atol=1e-12)
+
+
+def test_linear_inversion_matches_the_least_squares_oracle():
+    """The closed form equals the weighted least squares over the Hermitian
+    basis, on exact probabilities and on shot-noise frequencies, and is
+    trace preserving either way."""
+    rng = np.random.default_rng(11)
+    for shots in (None, 60, 2000):
+        for _ in range(20):
+            probs = born_probs(random_cptp_chi(rng), SETUP)
+            if shots is not None:
+                probs = sample_shots(probs, shots, rng).frequencies()
+            chi = linear_inversion(probs, SETUP).matrix
+            assert np.abs(chi - linear_inversion_lstsq(probs, SETUP).matrix).max() < 1e-12
+            tp = np.einsum("ab,bij,ajk->ik", chi, PAULIS, PAULIS)
+            assert np.abs(tp - np.eye(2)).max() < 1e-15
 
 
 def test_linear_inversion_shot_noise_can_be_nonphysical():
@@ -737,6 +755,14 @@ def test_rb_depolarizing_oracle():
     lam_pred = depolarizing_rb_lambda(p)
     assert abs(res.lam - lam_pred) / lam_pred < 0.02
     assert abs(res.lam - lam_pred) / (1.0 - lam_pred) < 0.10
+
+
+@pytest.mark.parametrize("lengths", [[2], [4, 4, 4]])
+def test_rb_fit_needs_two_distinct_lengths(lengths):
+    from gatenoise.tomography import fit_rb_decay
+    n = len(lengths)
+    with pytest.raises(ValidationError, match="two distinct"):
+        fit_rb_decay(lengths, np.full(n, 0.93), np.full(n, 0.01), shots=100, n_seq=100)
 
 
 def test_rb_fit_rejects_increasing_data():
