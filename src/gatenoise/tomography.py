@@ -146,7 +146,7 @@ def sample_shots(probs, n_shots, rng, t=0.0):
     # one uniform draw per shot, pair after pair in (state, basis) order
     pair_of_shot = np.repeat(np.arange(12), shots.ravel())
     p_plus = np.clip(3.0 * np.asarray(probs)[:, :, 0], 0.0, 1.0).ravel()[pair_of_shot]
-    hits = rng.random(pair_of_shot.size) <= p_plus
+    hits = rng.random(pair_of_shot.size) < p_plus
     n_plus = np.bincount(pair_of_shot[hits], minlength=12).reshape(4, 3)
     return CountRecord(t=t, shots=shots, counts=np.stack([n_plus, shots - n_plus], axis=2))
 
@@ -238,10 +238,7 @@ _COLUMN_DIAG = np.array([0, 0, 2, 3, 3, 5])
 # Pivot charts: bit j of chart k swaps which basis element leads 2x2 block j.
 _CHART_ORDER = np.array([[0, 1, 2, 3], [1, 0, 2, 3], [0, 1, 3, 2], [1, 0, 3, 2]])
 _CHART_BITS = np.array([1, 2])
-PIVOT_RATIO = 0.25   # a block re-factors once l11^2 < PIVOT_RATIO (l12^2 + l22^2)
-PIVOT_DECREMENT = 1.0   # ... once its row has under about half a nat left to gain
-# (ell * ell) @ _PIVOT_GAP: each block's l11^2 - PIVOT_RATIO (l12^2 + l22^2)
-_PIVOT_GAP = np.kron(np.eye(2), [[1.0], [-PIVOT_RATIO], [-PIVOT_RATIO]])
+PIVOT_DECREMENT = 1.0   # rows pivot once they have under about half a nat left to gain
 _EYE = np.eye(N_PARAMS)
 
 
@@ -293,11 +290,11 @@ def _rechart(ell, flip):
 
 def _pivot(ell, chart, ready):
     """Re-chart each block, on the rows flagged ``ready``, of a (N, 6) stack
-    whose leading diagonal squared is below ``PIVOT_RATIO`` times its
-    trailing entries squared; returns the new (ell, chart) and whether any
-    block flipped.  A flipped block leads by a factor 1 / PIVOT_RATIO, so it
-    does not flip back until it has moved that far again."""
-    flip = ((ell * ell) @ _PIVOT_GAP < 0.0) & ready[:, None]
+    whose leading diagonal squared is below its trailing entries squared
+    (the other diagonal of its block of chi is the larger); returns the new
+    (ell, chart) and whether any block flipped.  A flipped block leads with
+    the old trailing sum against the old l11^2: it does not flip straight back."""
+    flip = (ell[:, ::3] ** 2 < ell[:, 1::3] ** 2 + ell[:, 2::3] ** 2) & ready[:, None]
     if not flip.any():
         return ell, chart, False
     return _rechart(ell, flip), chart ^ (flip @ _CHART_BITS), True
@@ -434,14 +431,14 @@ def _ascend(ell, counts, shots, setup):
     maximum lies there crawls.  Diagonal pivoting removes it (Higham,
     "Analysis of the Cholesky decomposition of a semi-definite matrix",
     1990): before each step, on the rows whose last decrement is below
-    ``PIVOT_DECREMENT``, a block with l11^2 < ``PIVOT_RATIO`` (l12^2 +
-    l22^2) is re-factored in the swapped order (:func:`_pivot`), and the row
-    scores with that chart's forms from then on.  chi is unchanged, so the
-    row keeps its recorded log-likelihood.  Far from its maximum a row
-    stays put: a pivot puts the old small diagonal into the trailing entry,
-    which chi holds only squared, and a row whose maximum is inside the cone
-    would climb out of that slowly.  Returns (ell in the standard chart,
-    log-likelihood, decrement), each per row.
+    ``PIVOT_DECREMENT``, a block whose other diagonal of chi is the larger,
+    l11^2 < l12^2 + l22^2, is re-factored with it leading (:func:`_pivot`),
+    and the row scores with that chart's forms from then on.  chi is
+    unchanged, so the row keeps its recorded log-likelihood.  Far from its
+    maximum a row stays put: a pivot puts the old small diagonal into the
+    trailing entry, which chi holds only squared, and a row whose maximum is
+    inside the cone would climb out of that slowly.  Returns (ell in the
+    standard chart, log-likelihood, decrement), each per row.
     """
     n_charts = len(_CHART_ORDER)
     q_mats = setup.chart_forms.reshape(n_charts, -1, N_PARAMS).swapaxes(1, 2)  # (4, 6, 144)
@@ -520,6 +517,8 @@ def mle_fit(counts, setup=None, *, n_starts=8, seed=0):
     Newton decrement left.  One record returns (ProcessMatrix, ell); a
     sequence returns the list of ProcessMatrix and the (n, 6) ell stack.
     """
+    if n_starts < 1:
+        raise ValidationError(f"mle_fit needs n_starts >= 1, got {n_starts}")
     setup = setup or default_setup()
     single = isinstance(counts, CountRecord)
     records = [counts] if single else list(counts)

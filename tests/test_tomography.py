@@ -172,6 +172,23 @@ def test_sample_shots_certain_outcome():
     assert np.all(rec.counts[:, :, 0] == 100)
 
 
+def test_sample_shots_counts_no_hit_at_zero_probability():
+    """A uniform draw of exactly 0.0 is no hit where p(+) is 0, and a hit
+    wherever p(+) is positive."""
+    class ZeroDraws:
+        def random(self, size):
+            return np.zeros(size)
+
+    probs = np.zeros((4, 3, 2))
+    probs[:, :, 1] = 1.0 / 3.0
+    probs[1, 2] = [1.0 / 3.0, 0.0]
+    probs[2, 0] = [1.0 / 9.0, 2.0 / 9.0]
+    rec = sample_shots(probs, 20, ZeroDraws())
+    want = np.zeros((4, 3), dtype=int)
+    want[1, 2] = want[2, 0] = 20
+    np.testing.assert_array_equal(rec.counts[:, :, 0], want)
+
+
 def test_sample_shots_binomial_statistics():
     probs = np.full((4, 3, 2), 1.0 / 6.0)
     n, reps = 1000, 1000
@@ -197,7 +214,7 @@ def test_sample_shots_matches_per_pair_loop():
             for b in range(3):
                 n = shots if np.isscalar(shots) else shots[s, b]
                 p_plus = float(np.clip(3.0 * probs[s, b, 0], 0.0, 1.0))
-                want[s, b, 0] = (loop_rng.random(n) <= p_plus).sum()
+                want[s, b, 0] = (loop_rng.random(n) < p_plus).sum()
                 want[s, b, 1] = n - want[s, b, 0]
         got = sample_shots(probs, shots, np.random.default_rng(i))
         np.testing.assert_array_equal(got.counts, want)
@@ -469,26 +486,23 @@ def test_rechart_at_a_vanishing_trailing_pair_is_exact():
         np.testing.assert_array_equal(chi_from_ell(e)[np.ix_(order, order)], chi_from_ell(e_std))
 
 
-def test_pivot_flips_only_blocks_past_the_margin():
+def test_pivot_leads_each_ready_block_with_its_larger_diagonal():
     rng = np.random.default_rng(49)
     ells = rng.normal(size=(400, 6)) * rng.choice([1e-3, 0.1, 1.0], size=(400, 6))
     ells /= np.linalg.norm(ells, axis=1, keepdims=True)
     chart = rng.integers(0, 4, 400)
     ready = rng.random(400) < 0.8
     sq = (ells * ells).reshape(-1, 2, 3)
-    past = sq[..., 0] < tomography.PIVOT_RATIO * (sq[..., 1] + sq[..., 2])
-    assert past[ready].any() and (~past[ready]).any() and past[~ready].any()
+    smaller = sq[..., 0] < sq[..., 1] + sq[..., 2]
+    assert smaller[ready].any() and (~smaller[ready]).any() and smaller[~ready].any()
     new_ell, new_chart, flipped = _pivot(ells, chart, ready)
     assert flipped
     changed = ((chart ^ new_chart)[:, None] & tomography._CHART_BITS) > 0
-    np.testing.assert_array_equal(changed, past & ready[:, None])
+    np.testing.assert_array_equal(changed, smaller & ready[:, None])
     np.testing.assert_array_equal(new_ell.reshape(-1, 2, 3)[~changed],
                                   ells.reshape(-1, 2, 3)[~changed])
-    # a flipped block now leads by more than 1 / PIVOT_RATIO: it stays put
+    # a flipped block now leads with the larger diagonal: it stays put
     again = _pivot(new_ell, new_chart, np.ones(400, dtype=bool))
-    sq = (new_ell * new_ell).reshape(-1, 2, 3)
-    lead, trail = sq[changed][:, 0], sq[changed][:, 1] + sq[changed][:, 2]
-    assert np.all(lead > trail / tomography.PIVOT_RATIO)
     assert not (((again[1] ^ new_chart)[:, None] & tomography._CHART_BITS) > 0)[changed].any()
 
 
@@ -508,6 +522,33 @@ def test_pi_pulse_fits_converge_to_the_lbfgsb_oracle():
     for rec, ell in zip(records, ells):
         best = loglik_and_grad(mle_fit_lbfgsb(rec, SETUP, n_starts=32, seed=3)[1], rec, SETUP)[0]
         assert loglik_and_grad(ell, rec, SETUP)[0] >= best - 1e-9 * abs(best)
+
+
+def test_the_bench_synthetic_stack_fits_in_few_iterations(monkeypatch):
+    # the synthetic tomography stack of the tomography-rb benchmark: OU noise
+    # over two Rabi flops, 15 records of 2000 shots at each of 4 times
+    omega = 4000.0
+    t_max = 4.0 * math.pi / omega
+    times = np.linspace(t_max / 4, t_max, 4)
+    chis = chi_full(ou_filtered_integrals(1.6e9, 5e-4, omega, times), omega, times).matrix
+    rng = np.random.default_rng(20240222)
+    records = [sample_shots(probs, 2000, rng, t=t)
+               for probs, t in zip(born_probs(chis, SETUP), times) for _ in range(15)]
+    calls = []
+    newton = tomography._tangent_newton
+    monkeypatch.setattr(tomography, "_tangent_newton",
+                        lambda *args: calls.append(1) or newton(*args))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", TuningWarning)
+        mle_fit(records, SETUP, n_starts=2, seed=20240222)
+    assert len(calls) <= 35
+
+
+@pytest.mark.parametrize("n_starts", [0, -1])
+def test_mle_needs_a_start(n_starts):
+    rec = sample_shots(born_probs(CHI_ID, SETUP), 10, np.random.default_rng(0))
+    with pytest.raises(ValidationError, match="n_starts"):
+        mle_fit(rec, SETUP, n_starts=n_starts)
 
 
 def test_mle_reports_fits_stopped_at_the_iteration_cap(monkeypatch):
