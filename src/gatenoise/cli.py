@@ -438,7 +438,7 @@ def cmd_tomography(args):
 
     if args.counts:
         records = counts_from_csv(args.counts)
-        chis, _ = mle_fit(records, setup, seed=seed)
+        chis, _ = mle_fit(records, setup)
         targets = drive_unitary(Omega, np.array([rec.t for rec in records]))
         errors = 1.0 - avg_gate_fidelity(np.array([chi.matrix for chi in chis]), targets)
         for i, (rec, chi_hat, target, error) in enumerate(zip(records, chis, targets, errors)):
@@ -458,7 +458,7 @@ def cmd_tomography(args):
                         for _ in range(n_rep)]
             if tomo["run_chain"]:
                 chain_records.append(sample_shots(probs, tomo["shots_per_basis"], rng, t=t))
-        chis, _ = mle_fit(records, setup, n_starts=2, seed=seed)
+        chis, _ = mle_fit(records, setup)
         targets = drive_unitary(Omega, times)
         # per time: the true channel, then its n_rep fits
         stack = np.concatenate([chis_true[:, None], np.array(

@@ -1,7 +1,7 @@
 """Simulated and data-driven process tomography of the dynamical error map.
 
 Probabilities follow Born's rule ``p = tr(D chi)`` with precomputed
-measurement matrices, shots are Bernoulli draws against the weighted POVM,
+measurement matrices, counts are binomial draws against the weighted POVM,
 and snapshots are reconstructed either by linear inversion (exact but
 possibly nonphysical under shot noise) or by likelihood methods constrained
 to trace-normalized positive matrices through a 6-parameter block Cholesky
@@ -136,29 +136,15 @@ class CountRecord:
 
 
 def sample_shots(probs, n_shots, rng, t=0.0):
-    """Bernoulli-sample a CountRecord from Born probabilities.
+    """Draw a CountRecord from Born probabilities.
 
-    Each shot compares a uniform draw with the conditional success
-    probability ``3 p(+)`` (the POVM weight removed), so counts are
-    binomial and the pair (+, -) always sums to the shot number.
+    Each (state, basis) pair's + count is one binomial draw over its shots
+    with success probability ``3 p(+)`` (the POVM weight removed), the law
+    of a count of Bernoulli shots; the - count is the rest of the shots.
     """
     shots = np.broadcast_to(np.asarray(n_shots, dtype=int), (4, 3))
-    # one uniform draw per shot, pair after pair in (state, basis) order
-    pair_of_shot = np.repeat(np.arange(12), shots.ravel())
-    p_plus = np.clip(3.0 * np.asarray(probs)[:, :, 0], 0.0, 1.0).ravel()[pair_of_shot]
-    hits = rng.random(pair_of_shot.size) < p_plus
-    n_plus = np.bincount(pair_of_shot[hits], minlength=12).reshape(4, 3)
+    n_plus = rng.binomial(shots, np.clip(3.0 * np.asarray(probs)[:, :, 0], 0.0, 1.0))
     return CountRecord(t=t, shots=shots, counts=np.stack([n_plus, shots - n_plus], axis=2))
-
-
-def counts_to_csv(records, path):
-    with open(path, "w") as fh:
-        fh.write("state,basis,time_s,n_plus,n_minus\n")
-        for rec in records:
-            for s, sl in enumerate(STATE_LABELS):
-                for b, bl in enumerate(BASIS_LABELS):
-                    fh.write(f"{sl},{bl},{float(rec.t)!r},"
-                             f"{rec.counts[s, b, 0]},{rec.counts[s, b, 1]}\n")
 
 
 def counts_from_csv(path):
@@ -377,7 +363,7 @@ def _mle_starts(n_fits, n_starts, seed):
     draws with positive diagonals, fit k's from ``default_rng([seed, k])``."""
     starts = np.empty((n_fits, n_starts, N_PARAMS))
     starts[:, 0] = [1.0, 0.0, 1e-3, 1e-3, 0.0, 1e-3]
-    for k in range(n_fits):
+    for k in range(n_fits if n_starts > 1 else 0):  # no stream to seed for one start
         rng = np.random.default_rng([seed, k])
         draws = rng.uniform(-0.5, 0.5, (n_starts - 1, N_PARAMS))
         draws[:, _DIAG_IDX] = rng.uniform(0.05, 1.0, (n_starts - 1, len(_DIAG_IDX)))
@@ -501,15 +487,16 @@ def _ascend(ell, counts, shots, setup):
     return _rechart(out_ell, (out_chart[:, None] & _CHART_BITS) > 0), out_logl, out_dec
 
 
-def mle_fit(counts, setup=None, *, n_starts=8, seed=0):
+def mle_fit(counts, setup=None, *, n_starts=1, seed=0):
     """Maximum-likelihood snapshots on the block-Cholesky manifold.
 
     ``counts`` is one :class:`CountRecord` or a sequence of them; every fit
     of a call moves as one stack of unit vectors through a damped Newton
-    ascent on the sphere S^5 (:func:`_ascend`), from ``n_starts`` starts
-    per fit: the identity channel plus random draws, fit k's from
-    ``default_rng([seed, k])``.  The sphere has no edge and the column signs
-    of L are a gauge fixed by :func:`fold_ell`, so no bounds are needed.
+    ascent on the sphere S^5 (:func:`_ascend`).  By default each fit starts
+    from the identity channel alone; ``n_starts`` > 1 adds random starts,
+    fit k's from ``default_rng([seed, k])``, and keeps each fit's best.
+    The sphere has no edge and the column signs of L are a gauge fixed by
+    :func:`fold_ell`, so no bounds are needed.
     On the cone boundary (a pi pulse, chi_II -> 0) each start finishes in a
     diagonally pivoted chart of L, and ell comes back in the standard one.
     A :class:`TuningWarning` counts the fits whose best start stopped at

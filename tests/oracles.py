@@ -29,9 +29,12 @@ from gatenoise.errors import FitError, NumericalError, ValidationError
 from gatenoise.filters import FilteredIntegrals, IntegralPoint
 from gatenoise.tomography import (
     _DIAG_IDX,
+    BASIS_LABELS,
     N_PARAMS,
     PAIR_FLOOR,
     PROB_FLOOR,
+    STATE_LABELS,
+    CountRecord,
     _stack_records,
     chi_from_ell,
     clifford_table,
@@ -401,6 +404,33 @@ class ConstantSource:
 
     def increments_block(self, seed, indices, n_steps, dt):
         return np.full((n_steps, len(indices)), self.value * dt)
+
+
+def sample_shots_per_shot(probs, n_shots, rng, t=0.0):
+    """Bernoulli-sample a CountRecord from Born probabilities.
+
+    Each shot compares a uniform draw with the conditional success
+    probability ``3 p(+)`` (the POVM weight removed), so counts are
+    binomial and the pair (+, -) always sums to the shot number.
+    """
+    shots = np.broadcast_to(np.asarray(n_shots, dtype=int), (4, 3))
+    # one uniform draw per shot, pair after pair in (state, basis) order
+    pair_of_shot = np.repeat(np.arange(12), shots.ravel())
+    p_plus = np.clip(3.0 * np.asarray(probs)[:, :, 0], 0.0, 1.0).ravel()[pair_of_shot]
+    hits = rng.random(pair_of_shot.size) < p_plus
+    n_plus = np.bincount(pair_of_shot[hits], minlength=12).reshape(4, 3)
+    return CountRecord(t=t, shots=shots, counts=np.stack([n_plus, shots - n_plus], axis=2))
+
+
+def counts_to_csv(records, path):
+    """Write CountRecords as the counts CSV that ``counts_from_csv`` reads."""
+    with open(path, "w") as fh:
+        fh.write("state,basis,time_s,n_plus,n_minus\n")
+        for rec in records:
+            for s, sl in enumerate(STATE_LABELS):
+                for b, bl in enumerate(BASIS_LABELS):
+                    fh.write(f"{sl},{bl},{float(rec.t)!r},"
+                             f"{rec.counts[s, b, 0]},{rec.counts[s, b, 1]}\n")
 
 
 def log_likelihood(probs, counts, *, grad=False):

@@ -11,7 +11,8 @@ import numpy as np
 
 import gatenoise.cli as cli
 from gatenoise.psd import NoisePsd
-from gatenoise.tomography import born_probs, counts_to_csv, default_setup, sample_shots
+from gatenoise.tomography import born_probs, default_setup, sample_shots
+from oracles import counts_to_csv
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 

@@ -27,6 +27,7 @@ from gatenoise.filters import filtered_integrals, ou_amplitude_integral, ou_filt
 from gatenoise.langevin import evolve_ensemble
 from gatenoise.psd import NoisePsd
 from gatenoise.tomography import BASIS_LABELS, STATE_LABELS
+from oracles import counts_to_csv
 
 TAU = 5e-4
 OU_PSD = {"kind": "ou", "c": 2.0 / (10.0 * TAU**3), "tau_c": TAU}
@@ -539,7 +540,7 @@ def test_tomography_chain_summary_and_byte_identical_reruns(tmp_path):
 
 
 def test_tomography_counts_reruns_are_byte_identical(tmp_path):
-    from gatenoise.tomography import born_probs, counts_to_csv, default_setup, sample_shots
+    from gatenoise.tomography import born_probs, default_setup, sample_shots
 
     cfg_path = tmp_path / "cfg.json"
     write_config(cfg_path, **{"tomography.run_chain": True, "tomography.chain_steps": 400,
@@ -562,7 +563,7 @@ def test_tomography_chains_of_equal_records_draw_their_own_streams(tmp_path):
     """Two records with equal counts at different times: the acceptance rate
     and the tuned width depend only on the counts and the chain's draws, so
     they coincide unless each record's chain has its own stream."""
-    from gatenoise.tomography import born_probs, counts_to_csv, default_setup, sample_shots
+    from gatenoise.tomography import born_probs, default_setup, sample_shots
 
     cfg_path = tmp_path / "cfg.json"
     write_config(cfg_path, **{"tomography.run_chain": True, "tomography.chain_steps": 400,
@@ -808,7 +809,7 @@ def test_commands_import_neither_scipy_nor_numpy_submodules(tmp_path):
     """scipy stays a test-only dependency, and numpy 2's lazy submodules
     (numpy.random, numpy.fft, numpy.ma) load with the CLI or not at all,
     never inside a command's own time."""
-    from gatenoise.tomography import born_probs, counts_to_csv, default_setup, sample_shots
+    from gatenoise.tomography import born_probs, default_setup, sample_shots
 
     f = np.geomspace(1.0, 2e4, 60)
     raw = tmp_path / "raw.csv"

@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 from scipy.optimize import lsq_linear
+from scipy.stats import chi2_contingency
 
 from gatenoise import tomography
 from gatenoise.channels import (
@@ -33,7 +34,6 @@ from gatenoise.tomography import (
     clifford_group,
     clifford_table,
     counts_from_csv,
-    counts_to_csv,
     default_setup,
     effective_sample_size,
     ell_form,
@@ -47,6 +47,7 @@ from gatenoise.tomography import (
     sample_shots,
 )
 from oracles import (
+    counts_to_csv,
     depolarizing_rb_lambda,
     fit_rb_decay_curve_fit,
     kraus_to_chi,
@@ -60,6 +61,7 @@ from oracles import (
     ptm,
     pulse_unitaries,
     rb_survival_loop,
+    sample_shots_per_shot,
 )
 
 SETUP = default_setup()
@@ -74,9 +76,9 @@ def random_manifold_ell(rng, tp=True):
     return ell / np.linalg.norm(ell)
 
 
-def random_cptp_chi(rng):
+def random_cptp_chi(rng, n_kraus=3):
     """Random CPTP channel via normalized random Kraus operators."""
-    ops = [rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)) for _ in range(3)]
+    ops = [rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)) for _ in range(n_kraus)]
     total = sum(K.conj().T @ K for K in ops)
     evals, evecs = np.linalg.eigh(total)
     inv_sqrt = evecs @ np.diag(evals**-0.5) @ evecs.conj().T
@@ -172,23 +174,6 @@ def test_sample_shots_certain_outcome():
     assert np.all(rec.counts[:, :, 0] == 100)
 
 
-def test_sample_shots_counts_no_hit_at_zero_probability():
-    """A uniform draw of exactly 0.0 is no hit where p(+) is 0, and a hit
-    wherever p(+) is positive."""
-    class ZeroDraws:
-        def random(self, size):
-            return np.zeros(size)
-
-    probs = np.zeros((4, 3, 2))
-    probs[:, :, 1] = 1.0 / 3.0
-    probs[1, 2] = [1.0 / 3.0, 0.0]
-    probs[2, 0] = [1.0 / 9.0, 2.0 / 9.0]
-    rec = sample_shots(probs, 20, ZeroDraws())
-    want = np.zeros((4, 3), dtype=int)
-    want[1, 2] = want[2, 0] = 20
-    np.testing.assert_array_equal(rec.counts[:, :, 0], want)
-
-
 def test_sample_shots_binomial_statistics():
     probs = np.full((4, 3, 2), 1.0 / 6.0)
     n, reps = 1000, 1000
@@ -201,23 +186,68 @@ def test_sample_shots_binomial_statistics():
     assert abs(means.mean() - n / 2) < 4 * se
 
 
-def test_sample_shots_matches_per_pair_loop():
-    """One uniform draw per shot, pair after pair: the same counts as drawing
-    each (state, basis) pair's shots in turn from the same generator."""
-    rng = np.random.default_rng(26)
+def test_sample_shots_has_the_exact_binomial_moments():
+    """Each pair's + count has mean n q and variance n q (1 - q), q = 3 p(+),
+    at p(+) in {0, 1e-3, 1/6, 1/3} with unequal shots per pair: exactly
+    where q is 0 or 1, within 5 standard errors of the sample moments
+    elsewhere."""
+    p_plus = np.repeat([0.0, 1e-3, 1.0 / 6.0, 1.0 / 3.0], 3).reshape(4, 3)
+    probs = np.stack([p_plus, 1.0 / 3.0 - p_plus], axis=2)
+    shots = np.array([[2, 9, 40], [3, 70, 1000], [1, 11, 300], [5, 60, 2000]])
+    reps = 20000
+    rng = np.random.default_rng(31)
+    plus = np.array([sample_shots(probs, shots, rng).counts[:, :, 0] for _ in range(reps)])
+    q = 3.0 * p_plus
+    mean, var = shots * q, shots * q * (1.0 - q)
+    np.testing.assert_array_equal(plus[:, q == 0.0], 0)
+    np.testing.assert_array_equal(plus[:, q == 1.0], np.broadcast_to(shots[q == 1.0], (reps, 3)))
+    spread = (q > 0.0) & (q < 1.0)
+    # fourth central moment of the binomial, for the standard error of the sample variance
+    mu4 = var * (1.0 + 3.0 * (shots - 2.0) * q * (1.0 - q))
+    se_var = np.sqrt((mu4 - var**2 * (reps - 3.0) / (reps - 1.0)) / reps)
+    assert np.all(np.abs(plus.mean(axis=0) - mean)[spread] < 5.0 * np.sqrt(var / reps)[spread])
+    assert np.all(np.abs(plus.var(axis=0, ddof=1) - var)[spread] < 5.0 * se_var[spread])
+
+
+def test_sample_shots_agrees_in_law_with_the_per_shot_oracle():
+    """Per pair, the binomial draw and the per-shot Bernoulli oracle give the
+    same distribution of + counts: a chi-square test of homogeneity on 4000
+    records from each does not reject at 1e-4."""
+    rng = np.random.default_rng(32)
+    reps = 4000
+    for _ in range(3):
+        probs = born_probs(chi_from_ell(random_manifold_ell(rng, tp=False)), SETUP)
+        shots = rng.integers(1, 80, size=(4, 3))
+        fast = np.array([sample_shots(probs, shots, rng).counts[:, :, 0] for _ in range(reps)])
+        slow = np.array([sample_shots_per_shot(probs, shots, rng).counts[:, :, 0]
+                         for _ in range(reps)])
+        for s in range(4):
+            for b in range(3):
+                table = np.array([np.bincount(x[:, s, b], minlength=shots[s, b] + 1)
+                                  for x in (fast, slow)])
+                # merge neighbouring counts until every column holds at least 20 records
+                columns, acc = [], np.zeros(2, dtype=int)
+                for col in table.T:
+                    acc = acc + col
+                    if acc.sum() >= 20:
+                        columns.append(acc)
+                        acc = np.zeros(2, dtype=int)
+                if columns:
+                    columns[-1] = columns[-1] + acc
+                if len(columns) < 2:   # q = 0 or 1: both samplers are certain
+                    np.testing.assert_array_equal(fast[:, s, b], slow[:, s, b])
+                    continue
+                assert chi2_contingency(np.array(columns).T)[1] > 1e-4
+
+
+def test_sample_shots_counts_sum_to_the_shots():
+    rng = np.random.default_rng(33)
     for i in range(20):
         probs = born_probs(chi_from_ell(random_manifold_ell(rng, tp=False)), SETUP)
         shots = 37 if i % 2 else rng.integers(0, 40, size=(4, 3))
-        want = np.zeros((4, 3, 2), dtype=int)
-        loop_rng = np.random.default_rng(i)
-        for s in range(4):
-            for b in range(3):
-                n = shots if np.isscalar(shots) else shots[s, b]
-                p_plus = float(np.clip(3.0 * probs[s, b, 0], 0.0, 1.0))
-                want[s, b, 0] = (loop_rng.random(n) < p_plus).sum()
-                want[s, b, 1] = n - want[s, b, 0]
-        got = sample_shots(probs, shots, np.random.default_rng(i))
-        np.testing.assert_array_equal(got.counts, want)
+        rec = sample_shots(probs, shots, rng)
+        assert rec.counts.min() >= 0
+        np.testing.assert_array_equal(rec.counts.sum(axis=2), np.broadcast_to(shots, (4, 3)))
 
 
 def test_count_record_validation():
@@ -386,7 +416,7 @@ def test_sphere_hessian_matches_central_differences_of_the_gradient():
 
 def test_batched_mle_matches_one_fit_at_a_time():
     rng = np.random.default_rng(41)
-    records = [sample_shots(born_probs(random_cptp_chi(rng), SETUP), shots, rng)
+    records = [sample_shots_per_shot(born_probs(random_cptp_chi(rng), SETUP), shots, rng)
                for shots in (30, 300, 3000, 300, 30)]
     chis, ells = mle_fit(records, SETUP, n_starts=3, seed=9)
     assert ells.shape == (5, 6) and len(chis) == 5
@@ -401,7 +431,7 @@ def test_batched_mle_matches_one_fit_at_a_time():
 
 def test_each_fit_draws_its_own_starts(monkeypatch):
     rng = np.random.default_rng(42)
-    rec = sample_shots(born_probs(random_cptp_chi(rng), SETUP), 200, rng)
+    rec = sample_shots_per_shot(born_probs(random_cptp_chi(rng), SETUP), 200, rng)
     seen = []
 
     def spy(starts, *args):
@@ -525,8 +555,9 @@ def test_pi_pulse_fits_converge_to_the_lbfgsb_oracle():
 
 
 def test_the_bench_synthetic_stack_fits_in_few_iterations(monkeypatch):
-    # the synthetic tomography stack of the tomography-rb benchmark: OU noise
-    # over two Rabi flops, 15 records of 2000 shots at each of 4 times
+    # the synthetic tomography stack of the tomography-rb benchmark, fitted as
+    # the CLI fits it: OU noise over two Rabi flops, 15 records of 2000 shots
+    # at each of 4 times, one identity start per record
     omega = 4000.0
     t_max = 4.0 * math.pi / omega
     times = np.linspace(t_max / 4, t_max, 4)
@@ -540,8 +571,38 @@ def test_the_bench_synthetic_stack_fits_in_few_iterations(monkeypatch):
                         lambda *args: calls.append(1) or newton(*args))
     with warnings.catch_warnings():
         warnings.simplefilter("error", TuningWarning)
-        mle_fit(records, SETUP, n_starts=2, seed=20240222)
+        mle_fit(records, SETUP)
     assert len(calls) <= 35
+
+
+def far_unitary_chi(rng):
+    """A rotation by pi/2 to pi about a random axis: a rank-one channel far
+    from the identity start."""
+    axis = rng.normal(size=3)
+    axis /= np.linalg.norm(axis)
+    theta = rng.uniform(0.5 * math.pi, math.pi)
+    u = math.cos(theta / 2) * np.eye(2) - 1j * math.sin(theta / 2) * np.einsum(
+        "i,ijk->jk", axis, PAULIS[1:])
+    return kraus_to_chi([u]).matrix
+
+
+def test_the_identity_start_alone_reaches_the_best_of_eight():
+    """The CLI fits each record from the identity start only: on hard records
+    (unitaries far from the identity, 2- and 3-Kraus channels, non-TP points
+    of the manifold, 2 to 5000 shots) that start ends within 1e-9 nats of
+    the best of 8 starts."""
+    rng = np.random.default_rng(2203)
+    kinds = [far_unitary_chi, lambda r: random_cptp_chi(r, 2), random_cptp_chi,
+             lambda r: chi_from_ell(random_manifold_ell(r, tp=False))]
+    records = [sample_shots(born_probs(kind(rng), SETUP), shots, rng)
+               for kind in kinds for shots in (2, 8, 50, 500, 5000) for _ in range(4)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", TuningWarning)
+        _, one = mle_fit(records, SETUP)
+        _, eight = mle_fit(records, SETUP, n_starts=8, seed=2203)
+    gap = [loglik_and_grad(e8, rec, SETUP)[0] - loglik_and_grad(e1, rec, SETUP)[0]
+           for rec, e1, e8 in zip(records, one, eight)]
+    assert max(gap) <= 1e-9
 
 
 @pytest.mark.parametrize("n_starts", [0, -1])
@@ -637,7 +698,7 @@ def test_mh_prefetch_depth_changes_no_step(monkeypatch, chi_seed, shots, chain):
     window of the burn-in, so the depth does not change the chain: depths 1,
     3 and 16 walk the same steps as the one-proposal-at-a-time oracle."""
     chi = random_cptp_chi(np.random.default_rng(chi_seed))
-    rec = sample_shots(born_probs(chi, SETUP), shots, np.random.default_rng(53))
+    rec = sample_shots_per_shot(born_probs(chi, SETUP), shots, np.random.default_rng(53))
     ells, rate, width = mh_chain_scalar(rec, SETUP, seed=7, **chain)
     posts = []
     for depth in (1, 3, 16):
@@ -662,7 +723,8 @@ def test_mh_mean_matches_importance_sampling_oracle():
     the renormalization misses it by about 0.01."""
     truth = np.array([0.95, 0.1, 0.2, 0.15, 0.0, 0.1])
     truth /= np.linalg.norm(truth)
-    rec = sample_shots(born_probs(chi_from_ell(truth), SETUP), 8, np.random.default_rng(2))
+    rec = sample_shots_per_shot(born_probs(chi_from_ell(truth), SETUP), 8,
+                                np.random.default_rng(2))
     form = ell_form(gate_fidelity_matrix(np.eye(2)).T)
     rng = np.random.default_rng(102)
     logls, errors = [], []
