@@ -3,6 +3,8 @@ simulated tomography and randomized benchmarking.
 
 Every command reads a single JSON config, writes plot-ready CSV/JSON plus a
 manifest (config hash, seed, versions), and is bit-reproducible for a fixed
+manifest.  ``main`` opens and closes every config-driven run: outputs first,
+then ``manifest.json``, then one summary line; a failed run writes no
 manifest.  Exit codes: 0 ok, 2 validation error, 3 numerical failure.
 """
 
@@ -239,14 +241,6 @@ def _json_default(obj):
 # --------------------------------------------------------------------- #
 # commands
 
-def _open_run(args):
-    """Config, (created) output directory and PSDs of a config-driven command."""
-    cfg = load_config(args.config, args.seed)
-    out_dir = Path(args.out or cfg["outputs"]["dir"])
-    out_dir.mkdir(parents=True, exist_ok=True)
-    return cfg, out_dir, *build_psds(cfg)
-
-
 def cmd_ingest_psd(args):
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -266,8 +260,11 @@ def cmd_ingest_psd(args):
     return 0
 
 
-def cmd_predict(args):
-    cfg, out_dir, psd, amp_psd = _open_run(args)
+# A config-driven command's body gets the run ``main`` opened: the parsed
+# arguments, the config, the created output directory and the PSDs.  It
+# writes its outputs and returns the suffix of the summary line, if any.
+
+def cmd_predict(args, cfg, out_dir, psd, amp_psd):
     Omega = cfg["drive"]["omega_rad_s"]
     times = time_grid(cfg)
     with_amp = amp_psd is not None
@@ -308,10 +305,6 @@ def cmd_predict(args):
         _write_csv(out_dir / "pi_pulse_sweep.csv",
                    ["omega_rad_s", "eps_nm", "eps_nm_i", "eps_d"],
                    zip(omegas, *(gate_error(fi, model) for model in ("NM", "NM_I", "D"))))
-
-    write_manifest(cfg, out_dir, "predict")
-    print(f"predict: wrote {out_dir}")
-    return 0
 
 
 def _validation(cfg, psd, amp_psd, n_haar, n_workers):
@@ -403,8 +396,7 @@ def _variance_ratio(ensemble):
     return np.where(adjusted > 0, plain / np.where(adjusted > 0, adjusted, 1.0), 1.0)
 
 
-def cmd_validate(args):
-    cfg, out_dir, psd, amp_psd = _open_run(args)
+def cmd_validate(args, cfg, out_dir, psd, amp_psd):
     n_haar = cfg["validation"]["n_haar"]
     grid, infidelity, ensemble = _validation(cfg, psd, amp_psd, n_haar, args.threads)
     _write_ensemble(out_dir, grid, ensemble)
@@ -422,30 +414,23 @@ def cmd_validate(args):
     (out_dir / "validation_report.json").write_text(
         json.dumps(report, indent=2, sort_keys=True, default=_json_default) + "\n"
     )
-    write_manifest(cfg, out_dir, "validate")
-    print(f"validate: wrote {out_dir}; median Monte Carlo variance ratio "
-          f"(plain / control variate) {float(percentiles(ratio, 50)):.3g}")
-    return 0
+    return (f"; median Monte Carlo variance ratio "
+            f"(plain / control variate) {float(percentiles(ratio, 50)):.3g}")
 
 
-def cmd_tomography(args):
-    cfg, out_dir, psd, amp_psd = _open_run(args)
+def cmd_tomography(args, cfg, out_dir, psd, amp_psd):
     Omega = cfg["drive"]["omega_rad_s"]
     tomo = cfg["tomography"]
     setup = default_setup()
     seed = cfg["simulation"]["seed"]
-    results = []
 
     if args.counts:
-        records = counts_from_csv(args.counts)
+        records = chain_records = counts_from_csv(args.counts)
         chis, _ = mle_fit(records, setup)
         targets = drive_unitary(Omega, np.array([rec.t for rec in records]))
         errors = 1.0 - avg_gate_fidelity(np.array([chi.matrix for chi in chis]), targets)
-        for i, (rec, chi_hat, target, error) in enumerate(zip(records, chis, targets, errors)):
-            entry = {"t": rec.t, "mle_chi": chi_hat.matrix, "mle_gate_error": error}
-            if tomo["run_chain"]:
-                entry["mh"] = _posterior_summary(rec, setup, tomo, [seed, i], target)
-            results.append(entry)
+        results = [{"t": rec.t, "mle_chi": chi_hat.matrix, "mle_gate_error": error}
+                   for rec, chi_hat, error in zip(records, chis, errors)]
     else:
         times = time_grid(cfg)
         fi = job_integrals(psd, Omega, times, amp_psd)
@@ -464,42 +449,36 @@ def cmd_tomography(args):
         stack = np.concatenate([chis_true[:, None], np.array(
             [chi.matrix for chi in chis]).reshape(times.size, n_rep, 4, 4)], axis=1)
         errors = 1.0 - avg_gate_fidelity(stack, targets[:, None])
+        results = []
         for i, t in enumerate(times):
             fits = np.sort(errors[i, 1:])
-            entry = {
+            results.append({
                 "t": t,
                 "true_gate_error": errors[i, 0],
                 "mle_mean": float(fits.mean()),
                 "mle_quantiles": [float(q) for q in percentiles(fits, (2.5, 97.5))],
+            })
+
+    if tomo["run_chain"]:
+        # the chain of entry i runs on its own record and stream [seed, i]
+        for i, (entry, rec, target) in enumerate(zip(results, chain_records, targets)):
+            post = mh_chain(rec, setup, n_steps=tomo["chain_steps"],
+                            width=tomo["proposal_width"], seed=[seed, i], target_unitary=target)
+            entry["mh"] = {
+                "mean_error": post.mean_error,
+                "mode_error": post.mode_error,
+                "quantiles": list(post.quantiles),
+                "acceptance_rate": post.acceptance_rate,
+                "proposal_width": post.width,
+                "effective_sample_size": post.ess,
             }
-            if tomo["run_chain"]:
-                entry["mh"] = _posterior_summary(chain_records[i], setup, tomo, [seed, i],
-                                                 targets[i])
-            results.append(entry)
 
     (out_dir / "tomography.json").write_text(
         json.dumps(results, default=_json_default, indent=2) + "\n"
     )
-    write_manifest(cfg, out_dir, "tomography")
-    print(f"tomography: wrote {out_dir}")
-    return 0
 
 
-def _posterior_summary(rec, setup, tomo, seed, target):
-    post = mh_chain(rec, setup, n_steps=tomo["chain_steps"], width=tomo["proposal_width"],
-                    seed=seed, target_unitary=target)
-    return {
-        "mean_error": post.mean_error,
-        "mode_error": post.mode_error,
-        "quantiles": list(post.quantiles),
-        "acceptance_rate": post.acceptance_rate,
-        "proposal_width": post.width,
-        "effective_sample_size": post.ess,
-    }
-
-
-def cmd_rb(args):
-    cfg, out_dir, psd, amp_psd = _open_run(args)
+def cmd_rb(args, cfg, out_dir, psd, amp_psd):
     Omega = cfg["drive"]["omega_rad_s"]
     t_pi = math.pi / Omega
     fi = job_integrals(psd, Omega, [t_pi], amp_psd)
@@ -525,12 +504,17 @@ def cmd_rb(args):
         "analytic_eps_nm_pi_pulse": gate_error(point, "NM_I"),
     }
     (out_dir / "rb_fit.json").write_text(json.dumps(fit, indent=2, sort_keys=True) + "\n")
-    write_manifest(cfg, out_dir, "rb")
-    print(f"rb: wrote {out_dir}")
-    return 0
 
 
 # --------------------------------------------------------------------- #
+
+_COMMANDS = (
+    ("predict", cmd_predict, "filtered integrals, channels, error curves"),
+    ("validate", cmd_validate, "Langevin ensemble vs analytic channels"),
+    ("tomography", cmd_tomography, "MLE / posterior reconstruction per time"),
+    ("rb", cmd_rb, "randomized-benchmarking decay simulation"),
+)
+
 
 def build_parser():
     parser = argparse.ArgumentParser(
@@ -538,45 +522,40 @@ def build_parser():
         description="Error channels of driven single-qubit gates from noise PSDs",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p):
+    for name, body, help_text in _COMMANDS:
+        p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="JSON run configuration")
         p.add_argument("--seed", type=int, default=None, help="override simulation.seed")
         p.add_argument("--out", default=None, help="output directory (default from config)")
         p.add_argument("--threads", type=int, default=1, help="worker threads")
-
-    p = sub.add_parser("predict", help="filtered integrals, channels, error curves")
-    add_common(p)
-    p.set_defaults(func=cmd_predict)
-
-    p = sub.add_parser("validate", help="Langevin ensemble vs analytic channels")
-    add_common(p)
-    p.set_defaults(func=cmd_validate)
-
-    p = sub.add_parser("tomography", help="MLE / posterior reconstruction per time")
-    add_common(p)
-    p.add_argument("--counts", default=None, help="counts CSV instead of synthetic data")
-    p.set_defaults(func=cmd_tomography)
-
-    p = sub.add_parser("rb", help="randomized-benchmarking decay simulation")
-    add_common(p)
-    p.set_defaults(func=cmd_rb)
+        if name == "tomography":
+            p.add_argument("--counts", default=None, help="counts CSV instead of synthetic data")
+        p.set_defaults(body=body)
 
     p = sub.add_parser("ingest-psd", help="normalize a raw PSD file")
     p.add_argument("raw_csv")
     p.add_argument("sidecar")
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_ingest_psd)
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        if getattr(args, "threads", 1) < 1:
+        if args.command == "ingest-psd":
+            return cmd_ingest_psd(args)
+        if args.threads < 1:
             raise ValidationError(f"--threads must be >= 1, got {args.threads}")
-        return args.func(args)
+        if args.threads > 1 and args.body is not cmd_validate:
+            raise ValidationError(f"--threads must be 1 for {args.command} "
+                                  f"(only validate runs in parallel), got {args.threads}")
+        cfg = load_config(args.config, args.seed)
+        out_dir = Path(args.out or cfg["outputs"]["dir"])
+        out_dir.mkdir(parents=True, exist_ok=True)
+        suffix = args.body(args, cfg, out_dir, *build_psds(cfg))
+        write_manifest(cfg, out_dir, args.command)
+        print(f"{args.command}: wrote {out_dir}{suffix or ''}")
+        return 0
     except ValidationError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return 2

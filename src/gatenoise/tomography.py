@@ -129,11 +129,6 @@ class CountRecord:
         if np.any(self.counts.sum(axis=2) != self.shots):
             raise ValidationError("counts do not sum to shots")
 
-    def frequencies(self):
-        with np.errstate(invalid="ignore", divide="ignore"):
-            freq = self.counts / (3.0 * self.shots[:, :, None])
-        return np.nan_to_num(freq)
-
 
 def sample_shots(probs, n_shots, rng, t=0.0):
     """Draw a CountRecord from Born probabilities.
@@ -149,31 +144,35 @@ def sample_shots(probs, n_shots, rng, t=0.0):
 
 def counts_from_csv(path):
     """Parse the counts CSV into CountRecords keyed by time."""
+    try:
+        with open(path) as fh:
+            header, *lines = fh.read().split("\n")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ValidationError(f"cannot read counts file {path}: {exc}") from None
+    header = header.strip().split(",")
+    if header != ["state", "basis", "time_s", "n_plus", "n_minus"]:
+        raise ValidationError(f"unexpected counts header {header}")
     rows = {}
-    with open(path) as fh:
-        header = fh.readline().strip().split(",")
-        if header != ["state", "basis", "time_s", "n_plus", "n_minus"]:
-            raise ValidationError(f"unexpected counts header {header}")
-        for line in fh:
-            row = line.strip()
-            if not row:
-                continue
-            fields = row.split(",")
-            if len(fields) != 5:
-                raise ValidationError(f"expected 5 fields in counts row {row!r}")
-            sl, bl, ts, np_, nm_ = fields
-            if sl not in STATE_LABELS or bl not in BASIS_LABELS:
-                raise ValidationError(f"unknown state/basis {sl},{bl}")
-            try:
-                t = float(ts)
-                counts = (int(np_), int(nm_))
-            except ValueError as exc:
-                raise ValidationError(f"unparsable number in counts row {row!r}") from exc
-            if not (math.isfinite(t) and t >= 0.0):
-                raise ValidationError(f"time must be finite and >= 0 in counts row {row!r}")
-            if (sl, bl) in rows.setdefault(t, {}):
-                raise ValidationError(f"repeated state, basis and time in counts row {row!r}")
-            rows[t][(sl, bl)] = counts
+    for line in lines:
+        row = line.strip()
+        if not row:
+            continue
+        fields = row.split(",")
+        if len(fields) != 5:
+            raise ValidationError(f"expected 5 fields in counts row {row!r}")
+        sl, bl, ts, np_, nm_ = fields
+        if sl not in STATE_LABELS or bl not in BASIS_LABELS:
+            raise ValidationError(f"unknown state/basis {sl},{bl}")
+        try:
+            t = float(ts)
+            counts = (int(np_), int(nm_))
+        except ValueError as exc:
+            raise ValidationError(f"unparsable number in counts row {row!r}") from exc
+        if not (math.isfinite(t) and t >= 0.0):
+            raise ValidationError(f"time must be finite and >= 0 in counts row {row!r}")
+        if (sl, bl) in rows.setdefault(t, {}):
+            raise ValidationError(f"repeated state, basis and time in counts row {row!r}")
+        rows[t][(sl, bl)] = counts
     if not rows:
         raise ValidationError(f"no counts rows in {path}")
     records = []

@@ -422,6 +422,14 @@ def sample_shots_per_shot(probs, n_shots, rng, t=0.0):
     return CountRecord(t=t, shots=shots, counts=np.stack([n_plus, shots - n_plus], axis=2))
 
 
+def frequencies(rec):
+    """Observed outcome frequencies of a CountRecord, scaled like Born
+    probabilities (each basis weighted 1/3); 0 where a pair has no shots."""
+    with np.errstate(invalid="ignore", divide="ignore"):
+        freq = rec.counts / (3.0 * rec.shots[:, :, None])
+    return np.nan_to_num(freq)
+
+
 def counts_to_csv(records, path):
     """Write CountRecords as the counts CSV that ``counts_from_csv`` reads."""
     with open(path, "w") as fh:

@@ -23,6 +23,7 @@ from gatenoise.channels import (
 )
 from gatenoise import cli
 from gatenoise.cli import build_psds, load_config, main, run_validation, time_grid
+from gatenoise.errors import NumericalError
 from gatenoise.filters import filtered_integrals, ou_amplitude_integral, ou_filtered_integrals
 from gatenoise.langevin import evolve_ensemble
 from gatenoise.psd import NoisePsd
@@ -642,6 +643,79 @@ def test_threads_below_one_rejected(tmp_path, capsys, command, threads):
                  "--threads", str(threads)]) == 2
     assert "--threads" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["predict", "tomography", "rb"])
+@pytest.mark.parametrize("threads", [2, 7])
+def test_threads_above_one_rejected_where_nothing_runs_in_parallel(tmp_path, capsys, command,
+                                                                   threads):
+    cfg_path = tmp_path / "cfg.json"
+    write_config(cfg_path)
+    assert main([command, "--config", str(cfg_path), "--out", str(tmp_path / "out"),
+                 "--threads", str(threads)]) == 2
+    assert "--threads" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("kind", ["missing", "directory", "undecodable"])
+def test_unreadable_counts_file_exits_2(tmp_path, capsys, kind):
+    cfg_path = tmp_path / "cfg.json"
+    write_config(cfg_path)
+    counts = tmp_path / "counts.csv"
+    if kind == "directory":
+        counts.mkdir()
+    elif kind == "undecodable":
+        counts.write_bytes(b"state,basis,time_s,n_plus,n_minus\n\xff\xfe,x,1e-4,3,2\n")
+    out = tmp_path / "tomo"
+    assert main(["tomography", "--config", str(cfg_path), "--out", str(out),
+                 "--counts", str(counts)]) == 2
+    err = capsys.readouterr().err
+    assert "validation error" in err and str(counts) in err
+    assert not (out / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("command", ["predict", "validate", "tomography", "rb"])
+def test_config_driven_run_lifecycle(tmp_path, capsys, monkeypatch, command):
+    """A run writes its manifest, named for the command, and ends with one
+    summary line; a body that fails after the config loads writes no manifest."""
+    cfg_path = tmp_path / "cfg.json"
+    write_config(cfg_path, validation={"n_haar": 5}, **{"simulation.m_mc": 50})
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg_path), "--out", str(out)]) == 0
+    assert json.loads((out / "manifest.json").read_text())["command"] == command
+    last = capsys.readouterr().out.splitlines()[-1]
+    if command == "validate":
+        assert last.startswith(f"validate: wrote {out}; median Monte Carlo variance ratio ")
+    else:
+        assert last == f"{command}: wrote {out}"
+
+    def fail(*args, **kwargs):
+        raise NumericalError("injected")
+
+    monkeypatch.setattr(cli, "job_integrals", fail)
+    failed = tmp_path / "failed"
+    assert main([command, "--config", str(cfg_path), "--out", str(failed)]) == 3
+    assert "injected" in capsys.readouterr().err
+    assert not (failed / "manifest.json").exists()
+
+
+def test_parser_keeps_the_commands_their_flags_and_defaults():
+    parser = cli.build_parser()
+    assert "{predict,validate,tomography,rb,ingest-psd}" in parser.format_usage()
+    common = {"config": "c.json", "seed": None, "out": None, "threads": 1}
+    for command in ("predict", "validate", "tomography", "rb"):
+        args = vars(parser.parse_args([command, "--config", "c.json"]))
+        args = {k: v for k, v in args.items() if k not in ("body", "func")}
+        expected = {"command": command, **common}
+        if command == "tomography":
+            expected["counts"] = None
+        assert args == expected
+        with pytest.raises(SystemExit):
+            parser.parse_args([command])
+    args = vars(parser.parse_args(["ingest-psd", "raw.csv", "raw.json", "--out", "d"]))
+    args = {k: v for k, v in args.items() if k not in ("body", "func")}
+    assert args == {"command": "ingest-psd", "raw_csv": "raw.csv", "sidecar": "raw.json",
+                    "out": "d"}
 
 
 GOOD_SIDECAR = json.dumps({"units": "hz_one_sided", "low_plateau": 1.0, "high_plateau": 0.1})
