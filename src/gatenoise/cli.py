@@ -439,10 +439,11 @@ def cmd_tomography(args, cfg, out_dir, psd, amp_psd):
         n_rep = tomo["repetitions"]
         records, chain_records = [], []
         for probs, t in zip(born_probs(chis_true, setup), times):
-            records += [sample_shots(probs, tomo["shots_per_basis"], rng, t=t)
-                        for _ in range(n_rep)]
-            if tomo["run_chain"]:
-                chain_records.append(sample_shots(probs, tomo["shots_per_basis"], rng, t=t))
+            # the n_rep fitted records, then the chain's, in one draw
+            drawn = sample_shots(np.broadcast_to(probs, (n_rep + tomo["run_chain"], 4, 3, 2)),
+                                 tomo["shots_per_basis"], rng, t=t)
+            records += drawn[:n_rep]
+            chain_records += drawn[n_rep:]
         chis, _ = mle_fit(records, setup)
         targets = drive_unitary(Omega, times)
         # per time: the true channel, then its n_rep fits
@@ -551,8 +552,16 @@ def main(argv=None):
                                   f"(only validate runs in parallel), got {args.threads}")
         cfg = load_config(args.config, args.seed)
         out_dir = Path(args.out or cfg["outputs"]["dir"])
+        made = [d for d in (out_dir, *out_dir.parents) if not d.exists()]  # deepest first
         out_dir.mkdir(parents=True, exist_ok=True)
-        suffix = args.body(args, cfg, out_dir, *build_psds(cfg))
+        try:
+            suffix = args.body(args, cfg, out_dir, *build_psds(cfg))
+        except BaseException:   # a failed run leaves no empty directory of its own behind
+            for d in made:
+                if any(d.iterdir()):
+                    break
+                d.rmdir()
+            raise
         write_manifest(cfg, out_dir, args.command)
         print(f"{args.command}: wrote {out_dir}{suffix or ''}")
         return 0

@@ -9,7 +9,8 @@ factor ell.  On that manifold every Born probability is a quadratic form,
 ``p = ell^T Q ell / |ell|^2``, with the (4, 3, 2, 6, 6) tensor Q built once
 per setup.  The maximum-likelihood fit and a Metropolis-Hastings sampler
 evaluate one function, the pair-normalized likelihood of a stack of unit
-vectors (:func:`_stack_terms`).  The fit moves every start of every snapshot
+vectors (:func:`_stack_terms`).  The fit starts each snapshot at its
+linear-inversion estimate and moves every start of every snapshot
 as one stack through a damped Newton ascent on the sphere, with the
 closed-form gradient and Hessian of the quadratic forms, each start in its
 own diagonally pivoted chart of the factor.  The sampler scores
@@ -131,15 +132,23 @@ class CountRecord:
 
 
 def sample_shots(probs, n_shots, rng, t=0.0):
-    """Draw a CountRecord from Born probabilities.
+    """Draw a CountRecord from (4, 3, 2) Born probabilities, or a list of
+    them, all at ``t``, from a (..., 4, 3, 2) stack.
 
     Each (state, basis) pair's + count is one binomial draw over its shots
     with success probability ``3 p(+)`` (the POVM weight removed), the law
     of a count of Bernoulli shots; the - count is the rest of the shots.
+    A stack is one binomial call in C order, so it draws what one call per
+    record would, in turn, from the same generator.
     """
-    shots = np.broadcast_to(np.asarray(n_shots, dtype=int), (4, 3))
-    n_plus = rng.binomial(shots, np.clip(3.0 * np.asarray(probs)[:, :, 0], 0.0, 1.0))
-    return CountRecord(t=t, shots=shots, counts=np.stack([n_plus, shots - n_plus], axis=2))
+    p_plus = np.clip(3.0 * np.asarray(probs)[..., 0], 0.0, 1.0)
+    shots = np.broadcast_to(np.asarray(n_shots, dtype=int), p_plus.shape)
+    n_plus = rng.binomial(shots, p_plus)
+    counts = np.stack([n_plus, shots - n_plus], axis=-1)
+    if p_plus.ndim == 2:
+        return CountRecord(t=t, shots=shots, counts=counts)
+    return [CountRecord(t=t, shots=s, counts=c)
+            for s, c in zip(shots.reshape(-1, 4, 3), counts.reshape(-1, 4, 3, 2))]
 
 
 def counts_from_csv(path):
@@ -193,7 +202,8 @@ def counts_from_csv(path):
 # linear inversion
 
 def linear_inversion(probs, setup=None):
-    """Closed-form, trace-preserving process matrix of Born probabilities.
+    """Closed-form, trace-preserving process matrix of (..., 4, 3, 2) Born
+    probabilities: one (4, 4) chi per record of a stack.
 
     Basis b's contrast p(+) - p(-) is c_b0 + c_b . r on the output Bloch vector
     r, c_ba = tr(s_a (M_b+ - M_b-)) / 2; the states' r and input Bloch vectors
@@ -203,11 +213,12 @@ def linear_inversion(probs, setup=None):
     setup = setup or default_setup()
     probs, povm = np.asarray(probs, dtype=float), np.array(setup.povm)
     c = 0.5 * np.einsum("aij,bji->ba", PAULIS, povm[:, 0] - povm[:, 1]).real
-    r_out = np.linalg.solve(c[:, 1:], (probs[:, :, 0] - probs[:, :, 1] - c[:, 0]).T)
+    contrast = probs[..., 0] - probs[..., 1] - c[:, 0]     # (..., state, basis)
+    r_out = np.linalg.solve(c[:, 1:], np.swapaxes(contrast, -1, -2))
     r_in = np.einsum("aij,sji->sa", PAULIS, np.array(setup.states)).real  # rows (1, r)
-    ptm = np.eye(4)
-    ptm[1:] = np.linalg.solve(r_in, r_out.T).T
-    return ProcessMatrix(np.einsum("ijab,ij->ab", _PTM.conj(), ptm) / 4.0)
+    ptm = np.broadcast_to(np.eye(4), probs.shape[:-3] + (4, 4)).copy()
+    ptm[..., 1:, :] = np.swapaxes(np.linalg.solve(r_in, np.swapaxes(r_out, -1, -2)), -1, -2)
+    return ProcessMatrix(np.einsum("ijab,...ij->...ab", _PTM.conj(), ptm) / 4.0)
 
 
 # --------------------------------------------------------------------- #
@@ -359,7 +370,8 @@ MH_PREFETCH = 16     # MH proposals from one point scored as one stack (Brockwel
 
 def _mle_starts(n_fits, n_starts, seed):
     """(n_fits, n_starts, 6) unit starts: the identity channel, then random
-    draws with positive diagonals, fit k's from ``default_rng([seed, k])``."""
+    draws with positive diagonals, fit k's from ``default_rng([seed, k])``;
+    :func:`mle_fit` puts each fit's linear-inversion start in place of the first."""
     starts = np.empty((n_fits, n_starts, N_PARAMS))
     starts[:, 0] = [1.0, 0.0, 1e-3, 1e-3, 0.0, 1e-3]
     for k in range(n_fits if n_starts > 1 else 0):  # no stream to seed for one start
@@ -368,6 +380,38 @@ def _mle_starts(n_fits, n_starts, seed):
         draws[:, _DIAG_IDX] = rng.uniform(0.05, 1.0, (n_starts - 1, len(_DIAG_IDX)))
         starts[k, 1:] = draws
     return starts / np.linalg.norm(starts, axis=2, keepdims=True)
+
+
+START_FLOOR = 1e-4   # eigenvalue floor of a start's blocks: keeps it off the cone boundary
+
+
+def _inversion_starts(counts, shots, setup):
+    """(N, 6) unit starts at the records' linear-inversion estimates, each in
+    the pivot chart (N,) that leads both 2x2 blocks with the larger diagonal.
+
+    ``counts`` and ``shots`` come from :func:`_stack_records`.  Each model
+    block (chi_kk, Im chi_lk, chi_ll), (k, l) = (0, 1) and (2, 3), of the
+    estimate at frequencies counts / (3 shots) has its eigenvalues raised to
+    ``START_FLOOR``: the projection onto the positive cone (Smolin, Gambetta
+    and Smith, PRL 108, 070502, 2012), kept off its boundary, where a
+    trailing Cholesky entry would start at 0.  The block is factored with its
+    larger diagonal d leading, (sqrt(d), +-Im chi_lk / sqrt(d), sqrt(det / d)),
+    the sign flipped in the swapped order, as :func:`_pivot` would lead it.
+    """
+    freqs = counts / (3.0 * np.repeat(shots, 2, axis=1))
+    chi = linear_inversion(freqs.reshape(-1, 4, 3, 2), setup).matrix
+    diag, off = np.diagonal(chi, axis1=1, axis2=2).real, chi[:, [1, 3], [0, 2]].imag
+    blocks = np.stack([diag[:, ::2], off, off, diag[:, 1::2]], axis=-1).reshape(-1, 2, 2, 2)
+    lam, vec = np.linalg.eigh(blocks)
+    lam = np.maximum(lam, START_FLOOR)
+    diag = np.einsum("...ij,...j->...i", vec * vec, lam)
+    off = np.einsum("...j,...j->...", vec[..., 0, :] * vec[..., 1, :], lam)
+    flip = diag[..., 1] > diag[..., 0]
+    lead = np.where(flip, diag[..., 1], diag[..., 0])
+    root = np.sqrt(lead)
+    ell = np.stack([root, np.where(flip, -off, off) / root,
+                    np.sqrt(lam[..., 0] * lam[..., 1] / lead)], axis=-1).reshape(-1, N_PARAMS)
+    return ell / np.linalg.norm(ell, axis=1, keepdims=True), flip @ _CHART_BITS
 
 
 def _tangent_newton(ell, q_ell, probs, counts, shots, q_flat, chart=None):
@@ -399,8 +443,10 @@ def _tangent_newton(ell, q_ell, probs, counts, shots, q_flat, chart=None):
     return np.einsum("ni,nik->nk", w, u), hess
 
 
-def _ascend(ell, counts, shots, setup):
-    """Damped Newton ascent of a (N, 6) stack of unit starts on S^5.
+def _ascend(ell, counts, shots, setup, chart=None):
+    """Damped Newton ascent of a (N, 6) stack of unit starts on S^5, each
+    given in its pivot chart ``chart`` (N,) (default: the standard chart);
+    :func:`mle_fit` starts every fit at its linear-inversion estimate.
 
     Each row steps by (H+ + mu I)^-1 g in the eigenbasis of minus its
     Riemannian Hessian, with H+ those eigenvalues clipped at zero, and is
@@ -441,11 +487,12 @@ def _ascend(ell, counts, shots, setup):
     out_logl, out_dec = np.empty(len(out_ell)), np.empty(len(out_ell))
     rows = np.arange(len(out_ell))
     ell, scale = out_ell.copy(), counts.sum(axis=1)
-    chart, out_chart = np.zeros(len(ell), dtype=int), np.zeros(len(ell), dtype=int)
-    logl, q_ell, probs = _stack_terms(ell, counts, shots, q_mats[0])
+    chart = np.zeros(len(ell), dtype=int) if chart is None else np.asarray(chart)
+    out_chart = chart.copy()
+    q_mat, q_flat, pick = operands(chart)
+    logl, q_ell, probs = _stack_terms(ell, counts, shots, q_mat, pick)
     mu, nu = scale.copy(), np.full(len(ell), 2.0)  # first steps: short gradient steps
     dec = np.full(len(ell), np.inf)
-    q_mat, q_flat, pick = operands(chart)
     for _ in range(MLE_MAX_ITER):
         ell, chart, flipped = _pivot(ell, chart, dec < PIVOT_DECREMENT)
         if flipped:   # the rows keep their recorded log-likelihoods
@@ -492,8 +539,11 @@ def mle_fit(counts, setup=None, *, n_starts=1, seed=0):
     ``counts`` is one :class:`CountRecord` or a sequence of them; every fit
     of a call moves as one stack of unit vectors through a damped Newton
     ascent on the sphere S^5 (:func:`_ascend`).  By default each fit starts
-    from the identity channel alone; ``n_starts`` > 1 adds random starts,
-    fit k's from ``default_rng([seed, k])``, and keeps each fit's best.
+    from its record's linear-inversion estimate alone, projected into the
+    model and factored with each block's larger diagonal leading
+    (:func:`_inversion_starts`), all fits in one stacked pass; ``n_starts``
+    > 1 adds random starts in the standard chart, fit k's from
+    ``default_rng([seed, k])``, and keeps each fit's best.
     The sphere has no edge and the column signs of L are a gauge fixed by
     :func:`fold_ell`, so no bounds are needed.
     On the cone boundary (a pi pulse, chi_II -> 0) each start finishes in a
@@ -510,9 +560,11 @@ def mle_fit(counts, setup=None, *, n_starts=1, seed=0):
     records = [counts] if single else list(counts)
     rec_counts, rec_shots = _stack_records(records)
     n_fits = len(records)
-    starts = _mle_starts(n_fits, n_starts, seed).reshape(-1, N_PARAMS)
+    starts, chart = _mle_starts(n_fits, n_starts, seed), np.zeros((n_fits, n_starts), dtype=int)
+    starts[:, 0], chart[:, 0] = _inversion_starts(rec_counts, rec_shots, setup)
     fit_of_row = np.repeat(np.arange(n_fits), n_starts)
-    ell, logl, dec = _ascend(starts, rec_counts[fit_of_row], rec_shots[fit_of_row], setup)
+    ell, logl, dec = _ascend(starts.reshape(-1, N_PARAMS), rec_counts[fit_of_row],
+                             rec_shots[fit_of_row], setup, chart.ravel())
     best = np.argmax(logl.reshape(n_fits, n_starts), axis=1) + n_starts * np.arange(n_fits)
     stalled = dec[best] > MLE_TOL * rec_counts.sum(axis=1)
     if stalled.any():

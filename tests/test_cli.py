@@ -674,6 +674,29 @@ def test_unreadable_counts_file_exits_2(tmp_path, capsys, kind):
     assert not (out / "manifest.json").exists()
 
 
+@pytest.mark.parametrize("existed", [False, True], ids=["new-out", "existing-out"])
+@pytest.mark.parametrize("failure", ["missing-counts", "missing-psd-table"])
+def test_a_failed_run_removes_only_the_empty_directories_it_made(tmp_path, capsys, failure,
+                                                                 existed):
+    cfg_path = tmp_path / "cfg.json"
+    if failure == "missing-counts":
+        write_config(cfg_path)
+        command = ["tomography", "--counts", str(tmp_path / "nope.csv")]
+    else:
+        write_config(cfg_path, noise={"psd": {"kind": "tabulated",
+                                              "csv": "ingested/psd_normalized.csv",
+                                              "sidecar": "ingested/psd_normalized.json"}})
+        command = ["predict"]
+    out = tmp_path / "runs" / "out"
+    if existed:
+        out.mkdir(parents=True)
+    assert main([*command, "--config", str(cfg_path), "--out", str(out)]) == 2
+    assert "validation error" in capsys.readouterr().err
+    assert out.exists() == existed and (tmp_path / "runs").exists() == existed
+    if existed:
+        assert not any(out.iterdir())
+
+
 @pytest.mark.parametrize("command", ["predict", "validate", "tomography", "rb"])
 def test_config_driven_run_lifecycle(tmp_path, capsys, monkeypatch, command):
     """A run writes its manifest, named for the command, and ends with one

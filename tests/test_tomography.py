@@ -22,6 +22,7 @@ from gatenoise.tomography import (
     CountRecord,
     TomographySetup,
     _ascend,
+    _inversion_starts,
     _mle_starts,
     _pivot,
     _rechart,
@@ -241,6 +242,20 @@ def test_sample_shots_agrees_in_law_with_the_per_shot_oracle():
                 assert chi2_contingency(np.array(columns).T)[1] > 1e-4
 
 
+def test_a_stack_of_records_draws_what_one_call_per_record_draws():
+    rng = np.random.default_rng(2206)
+    probs = born_probs(np.array([random_cptp_chi(rng) for _ in range(5)]), SETUP)
+    stack = np.broadcast_to(probs[:, None], (5, 4, 4, 3, 2))
+    batched = sample_shots(stack, 300, np.random.default_rng(7), t=0.25)
+    loop_rng = np.random.default_rng(7)
+    loop = [sample_shots(p, 300, loop_rng, t=0.25) for p in stack.reshape(-1, 4, 3, 2)]
+    assert len(batched) == len(loop) == 20
+    for one, other in zip(batched, loop):
+        np.testing.assert_array_equal(one.counts, other.counts)
+        np.testing.assert_array_equal(one.shots, other.shots)
+        assert one.t == other.t == 0.25
+
+
 def test_sample_shots_counts_sum_to_the_shots():
     rng = np.random.default_rng(33)
     for i in range(20):
@@ -421,9 +436,10 @@ def test_batched_mle_matches_one_fit_at_a_time():
                for shots in (30, 300, 3000, 300, 30)]
     chis, ells = mle_fit(records, SETUP, n_starts=3, seed=9)
     assert ells.shape == (5, 6) and len(chis) == 5
-    starts = _mle_starts(5, 3, 9)
+    starts, chart = _mle_starts(5, 3, 9), np.zeros((5, 3), dtype=int)
+    starts[:, 0], chart[:, 0] = _inversion_starts(*_stack_records(records), SETUP)
     for k, rec in enumerate(records):
-        ell, logl, _ = _ascend(starts[k], *_stack_records([rec] * 3), SETUP)
+        ell, logl, _ = _ascend(starts[k], *_stack_records([rec] * 3), SETUP, chart[k])
         np.testing.assert_allclose(fold_ell(ell[np.argmax(logl)]), ells[k], rtol=0, atol=1e-12)
         np.testing.assert_allclose(chis[k].matrix, chi_from_ell(ells[k]), rtol=0, atol=1e-15)
     chi0, ell0 = mle_fit(records[0], SETUP, n_starts=3, seed=9)
@@ -436,13 +452,15 @@ def test_each_fit_draws_its_own_starts(monkeypatch):
     seen = []
 
     def spy(starts, *args):
-        seen.append(starts.copy())
+        seen.append((starts.copy(), args[-1].copy()))
         return _ascend(starts, *args)
 
     monkeypatch.setattr(tomography, "_ascend", spy)
     _, ells = mle_fit([rec, rec], SETUP, n_starts=3, seed=5)
-    starts = seen[0].reshape(2, 3, 6)
-    np.testing.assert_array_equal(starts[0, 0], starts[1, 0])  # the identity start
+    starts, chart = seen[0][0].reshape(2, 3, 6), seen[0][1].reshape(2, 3)
+    first, first_chart = _inversion_starts(*_stack_records([rec]), SETUP)
+    np.testing.assert_array_equal(starts[:, 0], np.repeat(first, 2, axis=0))  # the record's own
+    np.testing.assert_array_equal(chart, [[first_chart[0], 0, 0]] * 2)   # random starts: chart 0
     assert np.abs(starts[0, 1:] - starts[1, 1:]).min() > 1e-6
     np.testing.assert_allclose(ells[0], ells[1], rtol=0, atol=1e-8)
 
@@ -558,7 +576,7 @@ def test_pi_pulse_fits_converge_to_the_lbfgsb_oracle():
 def test_the_bench_synthetic_stack_fits_in_few_iterations(monkeypatch):
     # the synthetic tomography stack of the tomography-rb benchmark, fitted as
     # the CLI fits it: OU noise over two Rabi flops, 15 records of 2000 shots
-    # at each of 4 times, one identity start per record
+    # at each of 4 times, one linear-inversion start per record
     omega = 4000.0
     t_max = 4.0 * math.pi / omega
     times = np.linspace(t_max / 4, t_max, 4)
@@ -566,14 +584,15 @@ def test_the_bench_synthetic_stack_fits_in_few_iterations(monkeypatch):
     rng = np.random.default_rng(20240222)
     records = [sample_shots(probs, 2000, rng, t=t)
                for probs, t in zip(born_probs(chis, SETUP), times) for _ in range(15)]
-    calls = []
+    rows = []
     newton = tomography._tangent_newton
     monkeypatch.setattr(tomography, "_tangent_newton",
-                        lambda *args: calls.append(1) or newton(*args))
+                        lambda ell, *args: rows.append(len(ell)) or newton(ell, *args))
     with warnings.catch_warnings():
         warnings.simplefilter("error", TuningWarning)
         mle_fit(records, SETUP)
-    assert len(calls) <= 35
+    assert len(rows) <= 23      # iterations of the stack: 21 from the linear-inversion starts
+    assert sum(rows) <= 760     # rows summed over them: 705
 
 
 def far_unitary_chi(rng):
@@ -587,11 +606,11 @@ def far_unitary_chi(rng):
     return kraus_to_chi([u]).matrix
 
 
-def test_the_identity_start_alone_reaches_the_best_of_eight():
-    """The CLI fits each record from the identity start only: on hard records
-    (unitaries far from the identity, 2- and 3-Kraus channels, non-TP points
-    of the manifold, 2 to 5000 shots) that start ends within 1e-9 nats of
-    the best of 8 starts."""
+def test_the_linear_inversion_start_alone_reaches_the_best_of_eight():
+    """The CLI fits each record from its linear-inversion start only: on hard
+    records (unitaries far from the identity, 2- and 3-Kraus channels, non-TP
+    points of the manifold, 2 to 5000 shots) that start ends within 1e-9 nats
+    of the best of 8 starts."""
     rng = np.random.default_rng(2203)
     kinds = [far_unitary_chi, lambda r: random_cptp_chi(r, 2), random_cptp_chi,
              lambda r: chi_from_ell(random_manifold_ell(r, tp=False))]
@@ -604,6 +623,48 @@ def test_the_identity_start_alone_reaches_the_best_of_eight():
     gap = [loglik_and_grad(e8, rec, SETUP)[0] - loglik_and_grad(e1, rec, SETUP)[0]
            for rec, e1, e8 in zip(records, one, eight)]
     assert max(gap) <= 1e-9
+
+
+def test_the_start_of_exact_probabilities_is_the_true_ell():
+    # exact frequencies invert to chi itself, whose blocks all clear the floor
+    rng = np.random.default_rng(2204)
+    ells = np.array([random_manifold_ell(rng) for _ in range(200)])
+    chis = np.array([chi_from_ell(e) for e in ells])
+    assert min(np.linalg.eigvalsh(chi[np.ix_(b, b)])[0]
+               for chi in chis for b in ([0, 1], [2, 3])) > tomography.START_FLOOR
+    counts = born_probs(chis, SETUP).reshape(200, -1) * 3000.0
+    starts, chart = _inversion_starts(counts, np.full((200, 12), 1000.0), SETUP)
+    back = fold_ell(_rechart(starts, (chart[:, None] & tomography._CHART_BITS) > 0))
+    np.testing.assert_allclose(back, ells, rtol=0, atol=1e-12)
+    # each block leads with its larger diagonal, so the start does not pivot again
+    assert 0 < np.count_nonzero(chart) < 200
+    assert not _pivot(starts, chart, np.ones(200, dtype=bool))[2]
+
+
+@pytest.mark.parametrize("gate, bit", [(0, 0), (1, 1)])
+def test_a_unitary_start_is_raised_off_the_cone_boundary(gate, bit):
+    # the identity and the X gate: every block eigenvalue below the floor is raised to it
+    chi = np.zeros((4, 4), dtype=complex)
+    chi[gate, gate] = 1.0
+    counts = born_probs(chi, SETUP).reshape(1, -1) * 300.0
+    start, chart = _inversion_starts(counts, np.full((1, 12), 100.0), SETUP)
+    assert chart[0] & 1 == bit    # the block of I and X leads with the gate's element
+    std = _rechart(start, (chart[:, None] & tomography._CHART_BITS) > 0)[0]
+    floor = tomography.START_FLOOR
+    expect = np.full(4, floor)
+    expect[gate] = 1.0
+    np.testing.assert_allclose(chi_from_ell(std), np.diag(expect) / expect.sum(), rtol=0,
+                               atol=1e-15)
+
+
+def test_stacked_linear_inversion_equals_one_record_at_a_time():
+    rng = np.random.default_rng(2205)
+    probs = born_probs(np.array([random_cptp_chi(rng) for _ in range(6)]), SETUP)
+    freqs = np.array([frequencies(sample_shots(p, 40, rng)) for p in probs]).reshape(2, 3, 4, 3, 2)
+    stacked = linear_inversion(freqs, SETUP).matrix
+    assert stacked.shape == (2, 3, 4, 4)
+    for idx in np.ndindex(2, 3):
+        np.testing.assert_array_equal(stacked[idx], linear_inversion(freqs[idx], SETUP).matrix)
 
 
 @pytest.mark.parametrize("n_starts", [0, -1])
