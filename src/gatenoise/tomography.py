@@ -8,8 +8,8 @@ to trace-normalized positive matrices through a 6-parameter block Cholesky
 factor ell.  On that manifold every Born probability is a quadratic form,
 ``p = ell^T Q ell / |ell|^2``, with the (4, 3, 2, 6, 6) tensor Q built once
 per setup.  The maximum-likelihood fit and a Metropolis-Hastings sampler
-evaluate one function, the pair-normalized likelihood of a stack of unit
-vectors (:func:`_stack_terms`).  The fit starts each snapshot at its
+evaluate one pair-normalized likelihood of a stack of unit vectors, with one
+floor rule (:func:`_log_likelihood`).  The fit starts each snapshot at its
 linear-inversion estimate and moves every start of every snapshot
 as one stack through a damped Newton ascent on the sphere, with the
 closed-form gradient and Hessian of the quadratic forms, each start in its
@@ -307,6 +307,8 @@ def fold_ell(ells):
 
 PROB_FLOOR = 1e-15
 PAIR_FLOOR = 1e-12
+# a likelihood row: 24 Born probabilities, then their 12 (+, -) pair sums
+_FLOORS = np.array([PROB_FLOOR] * 24 + [PAIR_FLOOR] * 12)
 
 
 def _stack_records(records):
@@ -321,11 +323,21 @@ def _stack_records(records):
     return counts, shots
 
 
-def _floored(probs):
-    """(N, 24) probabilities floored at ``PROB_FLOOR``, a steep but finite
-    barrier, and their (N, 12) (+, -) pair sums floored at ``PAIR_FLOOR``."""
-    p = np.maximum(probs, PROB_FLOOR)
-    return p, np.maximum(p[:, ::2] + p[:, 1::2], PAIR_FLOOR)
+def _floored(terms):
+    """(N, 36) likelihood rows floored in place, a steep but finite barrier;
+    a pair sum is that of the unfloored probabilities."""
+    return np.maximum(terms, _FLOORS, out=terms)
+
+
+def _with_pairs(probs):
+    """(N, 36) likelihood rows of (N, 24) Born probabilities."""
+    return np.concatenate([probs, probs[:, ::2] + probs[:, 1::2]], axis=1)
+
+
+def _log_likelihood(terms, weights):
+    """Log-likelihood of (N, 36) likelihood rows, overwritten by their floored
+    logs; ``weights``, the counts then minus the shots, are (36,) or (N, 36)."""
+    return np.vecdot(np.log(_floored(terms), out=terms), weights)
 
 
 def _in_chart(prod, chart):
@@ -336,8 +348,9 @@ def _in_chart(prod, chart):
 
 
 def _stack_terms(ell, counts, shots, q_mat, chart=None):
-    """Born terms and log-likelihood of a (N, 6) stack of unit vectors: the
-    one likelihood of both the MLE and the MH chain.
+    """Born terms and log-likelihood of a (N, 6) stack of unit vectors for
+    the MLE; the MH chain scores with :func:`_batch_scorer`, both through
+    :func:`_log_likelihood`.
 
     Each (state, basis) pair is a binomial with success probability
     ``p(+) / (p(+) + p(-))``.  On trace-preserving channels the pair sums
@@ -357,9 +370,7 @@ def _stack_terms(ell, counts, shots, q_mat, chart=None):
         q_ell = _in_chart(q_ell, chart)
     q_ell = q_ell.reshape(len(ell), -1, N_PARAMS)
     probs = (q_ell @ ell[:, :, None])[..., 0]
-    p, pair = _floored(probs)
-    logl = ((counts[:, None] @ np.log(p)[..., None])[:, 0, 0]
-            - (shots[:, None] @ np.log(pair)[..., None])[:, 0, 0])
+    logl = _log_likelihood(_with_pairs(probs), np.concatenate([counts, -shots], axis=1))
     return logl, q_ell, probs
 
 
@@ -426,7 +437,8 @@ def _tangent_newton(ell, q_ell, probs, counts, shots, q_flat, chart=None):
     n / pair^2 within each (+, -) pair, at :func:`_floored`'s floors.
     """
     n_rows = len(ell)
-    p, pair = _floored(probs)
+    terms = _floored(_with_pairs(probs))
+    p, pair = terms[:, :24], terms[:, 24:]
     c_p, n_pair = counts / p, shots / pair
     w = c_p - np.repeat(n_pair, 2, axis=1)
     u = 2.0 * (q_ell - probs[:, :, None] * ell[:, None, :])
@@ -626,6 +638,22 @@ def effective_sample_size(trace):
     return n / max(2.0 * float(pairs[:stop].sum()) - 1.0, 1.0)
 
 
+def _batch_scorer(record, setup):
+    """Log-likelihood on ``record`` of (k, 6) unit stacks, as :func:`mh_chain`
+    scores them: one matmul of the rows' outer products ell ell^T against the
+    24 Born forms and the 12 pair forms Q(+) + Q(-), then :func:`_log_likelihood`."""
+    counts, shots = _stack_records([record])
+    forms = setup.q_forms.reshape(12, 2, N_PARAMS * N_PARAMS)
+    forms = np.concatenate([forms.reshape(24, -1), forms.sum(axis=1)]).T
+    weights = np.concatenate([counts[0], -shots[0]])
+
+    def score(ells):
+        outer = (ells[:, :, None] * ells[:, None, :]).reshape(len(ells), -1)
+        return _log_likelihood(outer @ forms, weights)
+
+    return score
+
+
 def mh_chain(counts, setup=None, *, n_steps=100000, width=0.02, seed=0,
              burn_in_frac=0.1, target_unitary=None):
     """Posterior sampling of the process matrix under the counting likelihood.
@@ -636,24 +664,23 @@ def mh_chain(counts, setup=None, *, n_steps=100000, width=0.02, seed=0,
     angle between the points, so it is symmetric: no truncation and no Hastings
     term.  Normals, then uniforms, are drawn up front; until one is accepted,
     proposals share their start, so up to ``MH_PREFETCH`` of them are scored as
-    one stack of :func:`_stack_terms` and walked to the first acceptance
-    (pre-fetching, Brockwell 2006).  chi is unchanged by column sign flips of L,
-    so kept samples are folded back to nonnegative diagonals.  The width is
-    tuned toward 30% acceptance every min(200, burn-in / 4) steps of burn-in; a
-    warning is emitted if the post-burn-in rate leaves [0.1, 0.6].  Gate errors
-    against ``target_unitary`` (identity if omitted) are 1/2 - ell^T G ell.
+    one stack and walked to the first acceptance (pre-fetching, Brockwell
+    2006); :func:`_batch_scorer` scores each stack and the start.  chi is
+    unchanged by column sign flips of L, so kept samples are folded back to
+    nonnegative diagonals.  The width is tuned toward 30% acceptance every
+    min(200, burn-in / 4) steps of burn-in; a warning is emitted if the
+    post-burn-in rate leaves [0.1, 0.6].  Gate errors against
+    ``target_unitary`` (identity if omitted) are 1/2 - ell^T G ell.
     """
-    setup = setup or default_setup()
-    rec_counts, rec_shots = _stack_records([counts])
+    score = _batch_scorer(counts, setup or default_setup())
     n_burn = int(burn_in_frac * n_steps)
     if not (0 <= n_burn < n_steps and width > 0.0):
         raise ValidationError("mh_chain needs width > 0 and a step after burn-in")
     rng = np.random.default_rng(seed)
-    q_mat = setup.q_forms.reshape(-1, N_PARAMS).T
 
     ell = np.array([1.0, 0.0, 0.05, 0.05, 0.0, 0.05])
     ell /= np.linalg.norm(ell)
-    logl = _stack_terms(ell[None], rec_counts, rec_shots, q_mat)[0][0]
+    logl = score(ell[None])[0]
 
     normals = rng.standard_normal((n_steps, N_PARAMS))
     log_u = np.log(rng.random(n_steps) + 1e-300)
@@ -667,13 +694,14 @@ def mh_chain(counts, setup=None, *, n_steps=100000, width=0.02, seed=0,
         if step < n_burn:   # the width changes at each tuning-window boundary
             stop = min(stop, step + window - step % window)
         props = ell + width * normals[step:stop]
-        props /= np.linalg.norm(props, axis=1, keepdims=True)
-        logl_props = _stack_terms(props, rec_counts, rec_shots, q_mat)[0]
-        hits = np.flatnonzero(log_u[step:stop] < logl_props - logl)
-        end = stop if hits.size == 0 else step + int(hits[0]) + 1
+        props /= np.sqrt((props * props).sum(axis=1, keepdims=True))  # as np.linalg.norm
+        logl_props = score(props)
+        hits = log_u[step:stop] < logl_props - logl
+        first = int(hits.argmax())
+        end = step + first + 1 if hits[first] else stop
         chain[step:end], chain_logl[step:end] = ell, logl
-        if hits.size:
-            ell, logl, accepted[end - 1] = props[hits[0]], logl_props[hits[0]], True
+        if hits[first]:
+            ell, logl, accepted[end - 1] = props[first], logl_props[first], True
             chain[end - 1], chain_logl[end - 1] = ell, logl
         step = end
         if step <= n_burn and step % window == 0:

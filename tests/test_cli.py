@@ -27,7 +27,7 @@ from gatenoise.errors import NumericalError
 from gatenoise.filters import filtered_integrals, ou_amplitude_integral, ou_filtered_integrals
 from gatenoise.langevin import evolve_ensemble
 from gatenoise.psd import NoisePsd
-from gatenoise.tomography import BASIS_LABELS, STATE_LABELS
+from gatenoise.tomography import BASIS_LABELS, STATE_LABELS, ChiPosterior, CountRecord
 from oracles import counts_to_csv
 
 TAU = 5e-4
@@ -558,6 +558,43 @@ def test_tomography_counts_reruns_are_byte_identical(tmp_path):
     results = json.loads((outs[0] / "tomography.json").read_text())
     assert [entry["t"] for entry in results] == [1e-4, 2e-4, 3e-4]
     assert all("mh" in entry and entry["mle_gate_error"] >= 0.0 for entry in results)
+
+
+@pytest.mark.parametrize("from_counts", [False, True], ids=["synthetic", "counts"])
+def test_tomography_calls_mh_chain_once_per_chain_record(tmp_path, monkeypatch, from_counts):
+    """``bench/tracing.py`` wraps ``cli.mh_chain`` and reads ``n_steps`` from
+    its keywords and the acceptance rate of the posterior it returns, once
+    per call: ``tomography`` makes one call per chain record, on both paths."""
+    from gatenoise.tomography import born_probs, default_setup, sample_shots
+
+    calls = []
+
+    def spy(*args, **kwargs):
+        post = real(*args, **kwargs)
+        calls.append((args, kwargs, post))
+        return post
+
+    real = cli.mh_chain
+    monkeypatch.setattr(cli, "mh_chain", spy)
+    cfg_path = tmp_path / "cfg.json"
+    write_config(cfg_path, **{"drive.t_max_s": 0.004, "drive.n_times": 3,
+                              "tomography.run_chain": True, "tomography.chain_steps": 400,
+                              "tomography.repetitions": 2, "tomography.proposal_width": 0.05})
+    argv = ["tomography", "--config", str(cfg_path), "--out", str(tmp_path / "out")]
+    if from_counts:
+        probs = born_probs(np.diag([0.9, 0.05, 0.0, 0.05]).astype(complex), default_setup())
+        rng = np.random.default_rng(14)
+        counts_to_csv([sample_shots(probs, 50, rng, t=t) for t in (1e-4, 2e-4, 3e-4, 4e-4)],
+                      tmp_path / "counts.csv")
+        argv += ["--counts", str(tmp_path / "counts.csv")]
+    assert main(argv) == 0
+    results = json.loads((tmp_path / "out" / "tomography.json").read_text())
+    assert len(calls) == len(results) == (4 if from_counts else 3)
+    for (args, kwargs, post), entry in zip(calls, results):
+        assert isinstance(args[0], CountRecord) and args[0].t == entry["t"]
+        assert kwargs["n_steps"] == 400
+        assert isinstance(post, ChiPosterior)
+        assert post.acceptance_rate == entry["mh"]["acceptance_rate"]
 
 
 def test_tomography_chains_of_equal_records_draw_their_own_streams(tmp_path):

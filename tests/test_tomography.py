@@ -19,9 +19,11 @@ from gatenoise.channels import (
 from gatenoise.errors import DegenerateDataError, FitError, TuningWarning, ValidationError
 from gatenoise.filters import IntegralPoint, ou_filtered_integrals
 from gatenoise.tomography import (
+    PROB_FLOOR,
     CountRecord,
     TomographySetup,
     _ascend,
+    _batch_scorer,
     _inversion_starts,
     _mle_starts,
     _pivot,
@@ -307,6 +309,34 @@ def test_loglik_is_the_pair_normalized_binomial():
         n_plus, n_minus = rec.counts[:, :, 0], rec.counts[:, :, 1]
         want = (n_plus * np.log(q) + n_minus * np.log1p(-q)).sum()
         assert logl[k] == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("n_rows", [1, 16])
+def test_batch_scorer_matches_the_fit_and_the_oracle(n_rows):
+    """The MH chain's scorer, the fit's ``_stack_terms`` and the written-out
+    oracle give one log-likelihood to 1e-12 relative, on 16 unit vectors
+    (TP and non-TP, the identity and points next to it, whose Born
+    probabilities lie below ``PROB_FLOOR``) scored as stacks of ``n_rows``,
+    on records with zero-count outcomes."""
+    rng = np.random.default_rng(72)
+    ells = rng.standard_normal((16, 6))                       # l34 free: not TP
+    ells[:4] = [random_manifold_ell(rng) for _ in range(4)]   # TP
+    ells[4:6] = np.eye(6)[0] + [[0, 0, 1e-9, 1e-9, 0, 1e-9], np.zeros(6)]
+    ells /= np.linalg.norm(ells, axis=1, keepdims=True)
+    records = [sample_shots(born_probs(CHI_ID, SETUP), 2000, rng),
+               sample_shots(born_probs(random_cptp_chi(rng), SETUP), 8, rng)]
+    q_mat = SETUP.q_forms.reshape(-1, 6).T
+    assert born_probs(chi_from_ell(ells[5]), SETUP).min() < PROB_FLOOR
+    for rec in records:
+        assert np.any(rec.counts == 0)
+        score = _batch_scorer(rec, SETUP)
+        counts, shots = _stack_records([rec] * n_rows)
+        for stack in ells.reshape(-1, n_rows, 6):
+            got = score(stack)
+            np.testing.assert_allclose(got, _stack_terms(stack, counts, shots, q_mat)[0],
+                                       rtol=1e-12, atol=0)
+            want = [log_likelihood(born_probs(chi_from_ell(ell), SETUP), rec) for ell in stack]
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
 
 
 def test_quadratic_gate_error_matches_avg_gate_fidelity():
@@ -742,6 +772,24 @@ def test_mh_chain_matches_the_scalar_oracle(shots):
     np.testing.assert_allclose(post.ells, ells, rtol=0, atol=1e-12)
     assert post.acceptance_rate == pytest.approx(rate, rel=0, abs=1e-12)
     assert post.width == pytest.approx(width, rel=1e-12)
+
+
+@pytest.mark.parametrize("flops", [0.5, 1.0, 1.5, 2.0])
+def test_mh_chain_at_bench_shape_matches_the_scalar_oracle(flops):
+    """A 2500-step chain, as on the benchmark's counts records: 250 burn-in
+    steps in tuning windows of 62 and a last partial one of 2, on an OU
+    snapshot (Omega tau_c = 2) at 1000 shots per setting."""
+    omega = 4000.0
+    t = 2.0 * math.pi * flops / omega
+    fi = ou_filtered_integrals(1.6e9, 5e-4, omega, [t])
+    rec = sample_shots(born_probs(chi_full(fi.at(0), omega, t), SETUP), 1000,
+                       np.random.default_rng(73))
+    post = mh_chain(rec, SETUP, n_steps=2500, seed=[402, 1])
+    ells, rate, width = mh_chain_scalar(rec, SETUP, n_steps=2500, seed=[402, 1])
+    np.testing.assert_allclose(post.ells, ells, rtol=0, atol=1e-12)
+    assert post.acceptance_rate == rate
+    assert post.width == pytest.approx(width, rel=1e-12)
+    assert post.width != 0.02   # the windows tuned it
 
 
 @pytest.mark.filterwarnings("ignore::gatenoise.errors.TuningWarning")
