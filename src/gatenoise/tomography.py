@@ -4,23 +4,24 @@ Probabilities follow Born's rule ``p = tr(D chi)`` with precomputed
 measurement matrices, counts are binomial draws against the weighted POVM,
 and snapshots are reconstructed either by linear inversion (exact but
 possibly nonphysical under shot noise) or by likelihood methods constrained
-to trace-normalized positive matrices through a 6-parameter block Cholesky
-factor ell.  On that manifold every Born probability is a quadratic form,
-``p = ell^T Q ell / |ell|^2``, with the (4, 3, 2, 6, 6) tensor Q built once
-per setup.  The maximum-likelihood fit and a Metropolis-Hastings sampler
-evaluate one pair-normalized likelihood of a stack of unit vectors, with one
-floor rule (:func:`_log_likelihood`).  The fit starts each snapshot at its
-linear-inversion estimate and moves every start of every snapshot
-as one stack through a damped Newton ascent on the sphere, with the
-closed-form gradient and Hessian of the quadratic forms, each start in its
-own diagonally pivoted chart of the factor.  The sampler scores
-the proposals from one point as one stack and walks the whole unit sphere
-with a symmetric proposal, so it has no truncation and no Hastings term, and
-yields confidence regions for gate errors, themselves quadratic forms in
-ell.  Randomized benchmarking is index arithmetic on one exact table of
-the 24 Cliffords as signed-permutation Bloch rotations; all sequences of
-one length propagate under per-pulse Pauli noise as one stack of (Bloch
-axis, value) pairs.
+to trace-preserving positive matrices through a block Cholesky factor ell
+whose (Y, Z) block is diagonal: the fits move its 5 trace-preserving entries
+and hold the sixth, l34, at 0.  On that manifold every Born probability is a
+quadratic form, ``p = ell^T Q ell / |ell|^2``, with the forms Q built once
+per setup, and every (+, -) pair sums to 1/3.  The maximum-likelihood fit
+and a Metropolis-Hastings sampler evaluate one plain multinomial likelihood
+of a stack of unit vectors, with one floor (:func:`_log_likelihood`).  The
+fit starts each snapshot at its linear-inversion estimate and moves every
+start of every snapshot as one stack through a damped Newton ascent on the
+sphere, with the closed-form gradient and Hessian of the quadratic forms,
+each start with one pivot bit on the (I, X) block of the factor.  The
+sampler scores the proposals from one point as one stack and walks the whole
+unit sphere with a symmetric proposal, so it has no truncation and no
+Hastings term, and yields confidence regions for gate errors, themselves
+quadratic forms in ell.  Randomized benchmarking is index arithmetic on one
+exact table of the 24 Cliffords as signed-permutation Bloch rotations; all
+sequences of one length propagate under per-pulse Pauli noise as one stack
+of (Bloch axis, value) pairs.
 """
 
 from __future__ import annotations
@@ -67,8 +68,8 @@ class TomographySetup:
     trace-preserving channel.  ``q_forms[s, b, m]`` is the same probability
     as a real symmetric 6x6 form in the block-Cholesky vector:
     ``p = ell^T Q ell / |ell|^2`` (see :func:`ell_form`).  ``chart_forms[k]``
-    holds the forms of pivot chart k (see :func:`_rechart`); chart 0 is
-    ``q_forms``.
+    holds the 5x5 forms in the trace-preserving entries (``_TP``) of pivot
+    chart k (see :func:`_rechart`); chart 0 is ``q_forms`` without l34.
     """
 
     states: list = field(default_factory=list)
@@ -93,7 +94,8 @@ class TomographySetup:
                       np.array(states), PAULIS)
         # chart k factors chi in the basis order _CHART_ORDER[k]: its forms conjugate D
         charts = np.stack([ell_form(D[..., order, :][..., order]) for order in _CHART_ORDER])
-        return cls(states=states, povm=povm, d_matrices=D, q_forms=charts[0], chart_forms=charts)
+        return cls(states=states, povm=povm, d_matrices=D, q_forms=charts[0],
+                   chart_forms=charts[..., _TP, :][..., _TP])
 
 
 @functools.cache
@@ -225,17 +227,19 @@ def linear_inversion(probs, setup=None):
 # block-Cholesky parametrization and the shared likelihood
 
 N_PARAMS = 6
-_DIAG_IDX = (0, 2, 3, 5)       # l11, l22, l33, l44 positions in the vector
 # E_k: the entry parameter k fills in L = sum_k ell_k E_k.
 _SLOTS = np.zeros((N_PARAMS, 4, 4), dtype=complex)
 _SLOTS[np.arange(N_PARAMS), [0, 1, 1, 2, 3, 3], [0, 0, 1, 2, 2, 3]] = [1, 1j, 1, 1, 1j, 1]
 # The diagonal entry in each parameter's column of L.
 _COLUMN_DIAG = np.array([0, 0, 2, 3, 3, 5])
-# Pivot charts: bit j of chart k swaps which basis element leads 2x2 block j.
-_CHART_ORDER = np.array([[0, 1, 2, 3], [1, 0, 2, 3], [0, 1, 3, 2], [1, 0, 3, 2]])
-_CHART_BITS = np.array([1, 2])
+# The trace-preserving entries, all but l34: the fit and the chain move these five.
+_TP = np.array([0, 1, 2, 3, 5])
+N_TP = len(_TP)
+_DIAG_IDX = (0, 2, 3, 4)       # l11, l22, l33, l44 positions among the TP entries
+# Pivot charts: chart 1 swaps which basis element, I or X, leads the (I, X) block.
+_CHART_ORDER = np.array([[0, 1, 2, 3], [1, 0, 2, 3]])
 PIVOT_DECREMENT = 1.0   # rows pivot once they have under about half a nat left to gain
-_EYE = np.eye(N_PARAMS)
+_EYE = np.eye(N_TP)
 
 
 def chi_from_ell(ell):
@@ -243,7 +247,9 @@ def chi_from_ell(ell):
 
     L has rows (l11, 0, 0, 0), (i l12, l22, 0, 0), (0, 0, l33, 0),
     (0, 0, i l34, l44); chi = L L^dag / |ell|^2, so the normalization
-    constraint |ell| = 1 is equivalent to unit trace.
+    constraint |ell| = 1 is equivalent to unit trace.  l34 = ell[4] fills an
+    imaginary chi_32, which no trace-preserving channel has: the fit and the
+    chain hold it at 0 and move the other five entries (``_TP``).
     """
     ell = np.asarray(ell, dtype=float)
     norm2 = float(np.dot(ell, ell))
@@ -267,33 +273,34 @@ def ell_form(M):
 
 
 def _rechart(ell, flip):
-    """Re-factor the 2x2 blocks of L flagged in ``flip`` (N, 2) with the other
-    basis element leading; ``ell`` is a (N, 6) stack.
+    """Re-factor the (I, X) block of L, on the rows flagged in ``flip`` (N,),
+    with the other basis element leading; ``ell`` is a (N, 5) stack of TP
+    entries.
 
-    A block (a, b, c) of rows (a, 0), (i b, c) becomes (h, -a b / h, a c / h)
+    The block (a, b, c) of rows (a, 0), (i b, c) becomes (h, -a b / h, a c / h)
     with h = hypot(b, c), the lower Cholesky factor of the block with its two
     basis elements swapped, so chi and the norm stay put; at h = 0 it becomes
-    (0, 0, |a|).  For a >= 0 the map is an involution.
+    (0, 0, |a|).  For a >= 0 the map is an involution.  The (Y, Z) block is
+    diagonal and needs no pivot.
     """
     out = np.array(ell, dtype=float)
-    blocks = out.reshape(-1, 2, 3)
-    a, b, c = blocks[flip].T
+    a, b, c = out[flip, :3].T
     h = np.hypot(b, c)
     safe = np.where(h > 0.0, h, 1.0)
-    blocks[flip] = np.stack([h, -a * b / safe, np.where(h > 0.0, a * c / safe, np.abs(a))], 1)
+    out[flip, :3] = np.stack([h, -a * b / safe, np.where(h > 0.0, a * c / safe, np.abs(a))], 1)
     return out
 
 
 def _pivot(ell, chart, ready):
-    """Re-chart each block, on the rows flagged ``ready``, of a (N, 6) stack
-    whose leading diagonal squared is below its trailing entries squared
-    (the other diagonal of its block of chi is the larger); returns the new
-    (ell, chart) and whether any block flipped.  A flipped block leads with
-    the old trailing sum against the old l11^2: it does not flip straight back."""
-    flip = (ell[:, ::3] ** 2 < ell[:, 1::3] ** 2 + ell[:, 2::3] ** 2) & ready[:, None]
+    """Re-chart the rows, among those flagged ``ready``, of a (N, 5) stack
+    whose leading diagonal squared is below its (I, X) block's trailing
+    entries squared (chi_11 is the larger diagonal); returns the new
+    (ell, chart) and whether any row flipped.  A flipped row leads with the
+    old trailing sum against the old l11^2: it does not flip straight back."""
+    flip = (ell[:, 0] ** 2 < ell[:, 1] ** 2 + ell[:, 2] ** 2) & ready
     if not flip.any():
         return ell, chart, False
-    return _rechart(ell, flip), chart ^ (flip @ _CHART_BITS), True
+    return _rechart(ell, flip), chart ^ flip, True
 
 
 def fold_ell(ells):
@@ -305,10 +312,13 @@ def fold_ell(ells):
     return ells * np.where(ells[..., _COLUMN_DIAG] < 0.0, -1.0, 1.0)
 
 
+def _padded(ell):
+    """Folded 6-entry ells (:func:`fold_ell`) of a (..., 5) stack of TP entries;
+    adding 0.0 turns the l34 of a flipped column from -0.0 to 0.0."""
+    return fold_ell(np.insert(ell, 4, 0.0, axis=-1)) + 0.0
+
+
 PROB_FLOOR = 1e-15
-PAIR_FLOOR = 1e-12
-# a likelihood row: 24 Born probabilities, then their 12 (+, -) pair sums
-_FLOORS = np.array([PROB_FLOOR] * 24 + [PAIR_FLOOR] * 12)
 
 
 def _stack_records(records):
@@ -323,21 +333,12 @@ def _stack_records(records):
     return counts, shots
 
 
-def _floored(terms):
-    """(N, 36) likelihood rows floored in place, a steep but finite barrier;
-    a pair sum is that of the unfloored probabilities."""
-    return np.maximum(terms, _FLOORS, out=terms)
-
-
-def _with_pairs(probs):
-    """(N, 36) likelihood rows of (N, 24) Born probabilities."""
-    return np.concatenate([probs, probs[:, ::2] + probs[:, 1::2]], axis=1)
-
-
-def _log_likelihood(terms, weights):
-    """Log-likelihood of (N, 36) likelihood rows, overwritten by their floored
-    logs; ``weights``, the counts then minus the shots, are (36,) or (N, 36)."""
-    return np.vecdot(np.log(_floored(terms), out=terms), weights)
+def _log_likelihood(probs, counts):
+    """Multinomial log-likelihood sum_i c_i log p_i of (N, 24) Born
+    probabilities, each floored at ``PROB_FLOOR`` (a steep but finite
+    barrier); ``probs`` is overwritten by the floored logs and ``counts`` is
+    (24,) or (N, 24)."""
+    return np.vecdot(np.log(np.maximum(probs, PROB_FLOOR, out=probs), out=probs), counts)
 
 
 def _in_chart(prod, chart):
@@ -347,31 +348,27 @@ def _in_chart(prod, chart):
     return prod.reshape(len(prod) * n_charts, -1)[n_charts * np.arange(len(prod)) + chart]
 
 
-def _stack_terms(ell, counts, shots, q_mat, chart=None):
-    """Born terms and log-likelihood of a (N, 6) stack of unit vectors for
+def _stack_terms(ell, counts, q_mat, chart=None):
+    """Born terms and log-likelihood of a (N, 5) stack of unit vectors for
     the MLE; the MH chain scores with :func:`_batch_scorer`, both through
     :func:`_log_likelihood`.
 
-    Each (state, basis) pair is a binomial with success probability
-    ``p(+) / (p(+) + p(-))``.  On trace-preserving channels the pair sums
-    are exactly 1/3 and this is the multinomial cost ``sum c log tr(D chi)``
-    up to a constant; off the TP subset that plain cost grows along a
-    probability-inflating direction (l34), so both estimators use this one.
-    ``counts`` and ``shots`` come from :func:`_stack_records` and ``q_mat``
-    is the (6, 144) matrix of the 24 forms, or with ``chart`` (N,) the
-    (6, 576) matrix of every chart's forms, of which each row takes its own.
-    ``ell @ q_mat`` is a 2-D matmul: a row can round differently in a stack
-    than alone, and the batched forms that would not cost 3-10 times more at
-    16-64 rows.  Returns (log-likelihood (N,), Q ell (N, 24, 6), unfloored
-    p (N, 24)).
+    On the trace-preserving model every (state, basis) pair sums to 1/3, so
+    the binomial of each pair is the multinomial cost ``sum c log tr(D chi)``
+    up to a constant.  ``counts`` come from :func:`_stack_records` and
+    ``q_mat`` is the (5, 120) matrix of the 24 forms, or with ``chart`` (N,)
+    the (5, 240) matrix of both charts' forms, of which each row takes its
+    own.  ``ell @ q_mat`` is a 2-D matmul: a row can round differently in a
+    stack than alone, and the batched forms that would not cost 3-10 times
+    more at 16-64 rows.  Returns (log-likelihood (N,), Q ell (N, 24, 5),
+    unfloored p (N, 24)).
     """
     q_ell = ell @ q_mat
     if chart is not None:
         q_ell = _in_chart(q_ell, chart)
-    q_ell = q_ell.reshape(len(ell), -1, N_PARAMS)
+    q_ell = q_ell.reshape(len(ell), -1, N_TP)
     probs = (q_ell @ ell[:, :, None])[..., 0]
-    logl = _log_likelihood(_with_pairs(probs), np.concatenate([counts, -shots], axis=1))
-    return logl, q_ell, probs
+    return _log_likelihood(probs.copy(), counts), q_ell, probs
 
 
 MLE_MAX_ITER = 200   # damped Newton iterations before a fit is reported
@@ -380,14 +377,14 @@ MH_PREFETCH = 16     # MH proposals from one point scored as one stack (Brockwel
 
 
 def _mle_starts(n_fits, n_starts, seed):
-    """(n_fits, n_starts, 6) unit starts: the identity channel, then random
+    """(n_fits, n_starts, 5) unit starts: the identity channel, then random
     draws with positive diagonals, fit k's from ``default_rng([seed, k])``;
     :func:`mle_fit` puts each fit's linear-inversion start in place of the first."""
-    starts = np.empty((n_fits, n_starts, N_PARAMS))
-    starts[:, 0] = [1.0, 0.0, 1e-3, 1e-3, 0.0, 1e-3]
+    starts = np.empty((n_fits, n_starts, N_TP))
+    starts[:, 0] = [1.0, 0.0, 1e-3, 1e-3, 1e-3]
     for k in range(n_fits if n_starts > 1 else 0):  # no stream to seed for one start
         rng = np.random.default_rng([seed, k])
-        draws = rng.uniform(-0.5, 0.5, (n_starts - 1, N_PARAMS))
+        draws = rng.uniform(-0.5, 0.5, (n_starts - 1, N_TP))
         draws[:, _DIAG_IDX] = rng.uniform(0.05, 1.0, (n_starts - 1, len(_DIAG_IDX)))
         starts[k, 1:] = draws
     return starts / np.linalg.norm(starts, axis=2, keepdims=True)
@@ -397,66 +394,62 @@ START_FLOOR = 1e-4   # eigenvalue floor of a start's blocks: keeps it off the co
 
 
 def _inversion_starts(counts, shots, setup):
-    """(N, 6) unit starts at the records' linear-inversion estimates, each in
-    the pivot chart (N,) that leads both 2x2 blocks with the larger diagonal.
+    """(N, 5) unit starts at the records' linear-inversion estimates, each in
+    the pivot chart (N,) that leads the (I, X) block with its larger diagonal.
 
-    ``counts`` and ``shots`` come from :func:`_stack_records`.  Each model
-    block (chi_kk, Im chi_lk, chi_ll), (k, l) = (0, 1) and (2, 3), of the
-    estimate at frequencies counts / (3 shots) has its eigenvalues raised to
-    ``START_FLOOR``: the projection onto the positive cone (Smolin, Gambetta
-    and Smith, PRL 108, 070502, 2012), kept off its boundary, where a
-    trailing Cholesky entry would start at 0.  The block is factored with its
-    larger diagonal d leading, (sqrt(d), +-Im chi_lk / sqrt(d), sqrt(det / d)),
-    the sign flipped in the swapped order, as :func:`_pivot` would lead it.
+    ``counts`` and ``shots`` come from :func:`_stack_records`.  The model's
+    (I, X) block (chi_00, Im chi_10, chi_11) of the estimate at frequencies
+    counts / (3 shots) has its eigenvalues raised to ``START_FLOOR``: the
+    projection onto the positive cone (Smolin, Gambetta and Smith, PRL 108,
+    070502, 2012), kept off its boundary, where a trailing Cholesky entry
+    would start at 0.  The block is factored with its larger diagonal d
+    leading, (sqrt(d), +-Im chi_10 / sqrt(d), sqrt(det / d)), the sign
+    flipped in the swapped order, as :func:`_pivot` would lead it.  The
+    model's (Y, Z) block is diagonal: l33 and l44 are the square roots of
+    chi_22 and chi_33, each raised to ``START_FLOOR`` first.
     """
     freqs = counts / (3.0 * np.repeat(shots, 2, axis=1))
     chi = linear_inversion(freqs.reshape(-1, 4, 3, 2), setup).matrix
-    diag, off = np.diagonal(chi, axis1=1, axis2=2).real, chi[:, [1, 3], [0, 2]].imag
-    blocks = np.stack([diag[:, ::2], off, off, diag[:, 1::2]], axis=-1).reshape(-1, 2, 2, 2)
-    lam, vec = np.linalg.eigh(blocks)
+    diag, off = np.diagonal(chi, axis1=1, axis2=2).real, chi[:, 1, 0].imag
+    lam, vec = np.linalg.eigh(np.stack([diag[:, 0], off, off, diag[:, 1]], 1).reshape(-1, 2, 2))
     lam = np.maximum(lam, START_FLOOR)
-    diag = np.einsum("...ij,...j->...i", vec * vec, lam)
-    off = np.einsum("...j,...j->...", vec[..., 0, :] * vec[..., 1, :], lam)
-    flip = diag[..., 1] > diag[..., 0]
-    lead = np.where(flip, diag[..., 1], diag[..., 0])
+    block = np.einsum("nij,nj->ni", vec * vec, lam)   # the floored block's diagonal
+    off = np.einsum("nj,nj->n", vec[:, 0] * vec[:, 1], lam)
+    flip = block[:, 1] > block[:, 0]
+    lead = np.where(flip, block[:, 1], block[:, 0])
     root = np.sqrt(lead)
-    ell = np.stack([root, np.where(flip, -off, off) / root,
-                    np.sqrt(lam[..., 0] * lam[..., 1] / lead)], axis=-1).reshape(-1, N_PARAMS)
-    return ell / np.linalg.norm(ell, axis=1, keepdims=True), flip @ _CHART_BITS
+    ell = np.column_stack([root, np.where(flip, -off, off) / root,
+                           np.sqrt(lam[:, 0] * lam[:, 1] / lead),
+                           np.sqrt(np.maximum(diag[:, 2:], START_FLOOR))])
+    return ell / np.linalg.norm(ell, axis=1, keepdims=True), flip.astype(int)
 
 
-def _tangent_newton(ell, q_ell, probs, counts, shots, q_flat, chart=None):
-    """Tangent gradient (N, 6) and Riemannian Hessian (N, 6, 6) of the
-    log-likelihood on the unit sphere; ``q_flat`` is the (24, 36) forms, or
-    with ``chart`` the (24, 144) forms of every chart.
+def _tangent_newton(ell, q_ell, probs, counts, q_flat, chart=None):
+    """Tangent gradient (N, 5) and Riemannian Hessian (N, 5, 5) of the
+    log-likelihood on the unit sphere; ``q_flat`` is the (24, 25) forms, or
+    with ``chart`` the (24, 50) forms of both charts.
 
     With u_i = 2 (Q_i ell - p_i ell) the tangent gradient of p_i and
-    w_i = dlogL/dp_i, the gradient is sum_i w_i u_i and the Hessian is
-    P (2 sum_i w_i Q_i - 2 (w.p) I) P, P = I - ell ell^T, plus
-    sum_ij d2logL/dp_i dp_j u_i u_j^T: -c_i / p_i^2 on the diagonal and
-    n / pair^2 within each (+, -) pair, at :func:`_floored`'s floors.
+    w_i = c_i / p_i = dlogL/dp_i, the gradient is sum_i w_i u_i and the
+    Hessian is P (2 sum_i w_i Q_i - 2 (w.p) I) P, P = I - ell ell^T, minus
+    sum_i c_i / p_i^2 u_i u_i^T, each p_i in w_i at ``PROB_FLOOR``'s floor.
     """
-    n_rows = len(ell)
-    terms = _floored(_with_pairs(probs))
-    p, pair = terms[:, :24], terms[:, 24:]
-    c_p, n_pair = counts / p, shots / pair
-    w = c_p - np.repeat(n_pair, 2, axis=1)
+    p = np.maximum(probs, PROB_FLOOR)
+    w = counts / p
     u = 2.0 * (q_ell - probs[:, :, None] * ell[:, None, :])
-    v = u[:, ::2] + u[:, 1::2]
     proj = _EYE - ell[:, :, None] * ell[:, None, :]
     curv = w @ q_flat
     if chart is not None:
         curv = _in_chart(curv, chart)
-    curv = curv.reshape(n_rows, N_PARAMS, N_PARAMS)
+    curv = curv.reshape(len(ell), N_TP, N_TP)
     curv -= np.einsum("ni,ni->n", w, probs)[:, None, None] * _EYE
     hess = 2.0 * proj @ curv @ proj
-    hess -= np.swapaxes(u * (c_p / p)[:, :, None], 1, 2) @ u
-    hess += np.swapaxes(v * (n_pair / pair)[:, :, None], 1, 2) @ v
+    hess -= np.swapaxes(u * (w / p)[:, :, None], 1, 2) @ u
     return np.einsum("ni,nik->nk", w, u), hess
 
 
-def _ascend(ell, counts, shots, setup, chart=None):
-    """Damped Newton ascent of a (N, 6) stack of unit starts on S^5, each
+def _ascend(ell, counts, setup, chart=None):
+    """Damped Newton ascent of a (N, 5) stack of unit starts on S^4, each
     given in its pivot chart ``chart`` (N,) (default: the standard chart);
     :func:`mle_fit` starts every fit at its linear-inversion estimate.
 
@@ -467,15 +460,16 @@ def _ascend(ell, counts, shots, setup, chart=None):
     Newton decrement g^T |H|^-1 g, about twice the log-likelihood still to
     gain, is at most ``MLE_TOL`` times its total counts.
 
-    Each row carries a pivot chart, one bit per 2x2 block of L: which basis
-    element leads the block's lower Cholesky factor.  The standard chart has
-    a gauge on the cone boundary: at l11 -> 0, (l12, l22) rotate freely and
-    the Hessian's smallest eigenvalue falls like l11^2, so a fit whose
-    maximum lies there crawls.  Diagonal pivoting removes it (Higham,
+    Each row carries a pivot chart, one bit: which basis element, I or X,
+    leads the lower Cholesky factor of the (I, X) block of L (the (Y, Z)
+    block is diagonal).  The standard chart has a gauge on the cone
+    boundary: at l11 -> 0, (l12, l22) rotate freely and the Hessian's
+    smallest eigenvalue falls like l11^2, so a fit whose maximum lies there
+    (a pi pulse, chi_II -> 0) crawls.  Diagonal pivoting removes it (Higham,
     "Analysis of the Cholesky decomposition of a semi-definite matrix",
     1990): before each step, on the rows whose last decrement is below
-    ``PIVOT_DECREMENT``, a block whose other diagonal of chi is the larger,
-    l11^2 < l12^2 + l22^2, is re-factored with it leading (:func:`_pivot`),
+    ``PIVOT_DECREMENT``, a row whose chi_11 is the larger diagonal,
+    l11^2 < l12^2 + l22^2, is re-factored with X leading (:func:`_pivot`),
     and the row scores with that chart's forms from then on.  chi is
     unchanged, so the row keeps its recorded log-likelihood.  Far from its
     maximum a row stays put: a pivot puts the old small diagonal into the
@@ -484,8 +478,8 @@ def _ascend(ell, counts, shots, setup, chart=None):
     standard chart, log-likelihood, decrement), each per row.
     """
     n_charts = len(_CHART_ORDER)
-    q_mats = setup.chart_forms.reshape(n_charts, -1, N_PARAMS).swapaxes(1, 2)  # (4, 6, 144)
-    q_flats = setup.chart_forms.reshape(n_charts, -1, N_PARAMS * N_PARAMS)    # (4, 24, 36)
+    q_mats = setup.chart_forms.reshape(n_charts, -1, N_TP).swapaxes(1, 2)  # (2, 5, 120)
+    q_flats = setup.chart_forms.reshape(n_charts, -1, N_TP * N_TP)        # (2, 24, 25)
     stacked = np.concatenate(q_mats, axis=1), np.concatenate(q_flats, axis=1)
 
     def operands(chart):
@@ -502,15 +496,15 @@ def _ascend(ell, counts, shots, setup, chart=None):
     chart = np.zeros(len(ell), dtype=int) if chart is None else np.asarray(chart)
     out_chart = chart.copy()
     q_mat, q_flat, pick = operands(chart)
-    logl, q_ell, probs = _stack_terms(ell, counts, shots, q_mat, pick)
+    logl, q_ell, probs = _stack_terms(ell, counts, q_mat, pick)
     mu, nu = scale.copy(), np.full(len(ell), 2.0)  # first steps: short gradient steps
     dec = np.full(len(ell), np.inf)
     for _ in range(MLE_MAX_ITER):
         ell, chart, flipped = _pivot(ell, chart, dec < PIVOT_DECREMENT)
         if flipped:   # the rows keep their recorded log-likelihoods
             q_mat, q_flat, pick = operands(chart)
-            q_ell, probs = _stack_terms(ell, counts, shots, q_mat, pick)[1:]
-        grad, hess = _tangent_newton(ell, q_ell, probs, counts, shots, q_flat, pick)
+            q_ell, probs = _stack_terms(ell, counts, q_mat, pick)[1:]
+        grad, hess = _tangent_newton(ell, q_ell, probs, counts, q_flat, pick)
         # the normal direction gets the total counts as curvature, so it takes no step
         lam, vec = np.linalg.eigh(scale[:, None, None] * ell[:, :, None] * ell[:, None, :] - hess)
         grad = np.einsum("nkj,nk->nj", vec, grad)
@@ -520,8 +514,8 @@ def _ascend(ell, counts, shots, setup, chart=None):
             out_ell[rows[done]], out_chart[rows[done]] = ell[done], chart[done]
             out_logl[rows[done]], out_dec[rows[done]] = logl[done], dec[done]
             keep = ~done
-            (rows, ell, chart, logl, dec, q_ell, probs, counts, shots, scale, mu, nu, lam, vec,
-             grad) = (x[keep] for x in (rows, ell, chart, logl, dec, q_ell, probs, counts, shots,
+            (rows, ell, chart, logl, dec, q_ell, probs, counts, scale, mu, nu, lam, vec,
+             grad) = (x[keep] for x in (rows, ell, chart, logl, dec, q_ell, probs, counts,
                                          scale, mu, nu, lam, vec, grad))
             if rows.size == 0:
                 break
@@ -530,7 +524,7 @@ def _ascend(ell, counts, shots, setup, chart=None):
         coef = grad / (lam + mu[:, None])
         trial = ell + np.einsum("nkj,nj->nk", vec, coef)
         trial /= np.linalg.norm(trial, axis=1, keepdims=True)
-        trial_logl, trial_q, trial_p = _stack_terms(trial, counts, shots, q_mat, pick)
+        trial_logl, trial_q, trial_p = _stack_terms(trial, counts, q_mat, pick)
         # gain ratio against the damped quadratic model
         rho = (trial_logl - logl) / np.einsum("nj,nj->n", coef, grad - 0.5 * lam * coef)
         up = trial_logl >= logl
@@ -542,24 +536,26 @@ def _ascend(ell, counts, shots, setup, chart=None):
         mu = np.where(up, mu * shrink, mu * nu)
         nu = np.where(up, 2.0, 2.0 * nu)
     out_ell[rows], out_chart[rows], out_logl[rows], out_dec[rows] = ell, chart, logl, dec
-    return _rechart(out_ell, (out_chart[:, None] & _CHART_BITS) > 0), out_logl, out_dec
+    return _rechart(out_ell, out_chart > 0), out_logl, out_dec
 
 
 def mle_fit(counts, setup=None, *, n_starts=1, seed=0):
-    """Maximum-likelihood snapshots on the block-Cholesky manifold.
+    """Maximum-likelihood snapshots on the trace-preserving block-Cholesky
+    manifold.
 
     ``counts`` is one :class:`CountRecord` or a sequence of them; every fit
-    of a call moves as one stack of unit vectors through a damped Newton
-    ascent on the sphere S^5 (:func:`_ascend`).  By default each fit starts
-    from its record's linear-inversion estimate alone, projected into the
-    model and factored with each block's larger diagonal leading
-    (:func:`_inversion_starts`), all fits in one stacked pass; ``n_starts``
-    > 1 adds random starts in the standard chart, fit k's from
-    ``default_rng([seed, k])``, and keeps each fit's best.
+    of a call moves as one stack of unit 5-vectors of TP entries through a
+    damped Newton ascent on the sphere S^4 (:func:`_ascend`).  By default
+    each fit starts from its record's linear-inversion estimate alone,
+    projected into the model and factored with the larger diagonal of its
+    (I, X) block leading (:func:`_inversion_starts`), all fits in one
+    stacked pass; ``n_starts`` > 1 adds random starts in the standard chart,
+    fit k's from ``default_rng([seed, k])``, and keeps each fit's best.
     The sphere has no edge and the column signs of L are a gauge fixed by
     :func:`fold_ell`, so no bounds are needed.
     On the cone boundary (a pi pulse, chi_II -> 0) each start finishes in a
-    diagonally pivoted chart of L, and ell comes back in the standard one.
+    diagonally pivoted chart of L, and ell comes back in the standard one,
+    padded to 6 entries with l34 = 0.
     A :class:`TuningWarning` counts the fits whose best start stopped at
     ``MLE_MAX_ITER`` iterations short of the tolerance, with the largest
     Newton decrement left.  One record returns (ProcessMatrix, ell); a
@@ -574,9 +570,8 @@ def mle_fit(counts, setup=None, *, n_starts=1, seed=0):
     n_fits = len(records)
     starts, chart = _mle_starts(n_fits, n_starts, seed), np.zeros((n_fits, n_starts), dtype=int)
     starts[:, 0], chart[:, 0] = _inversion_starts(rec_counts, rec_shots, setup)
-    fit_of_row = np.repeat(np.arange(n_fits), n_starts)
-    ell, logl, dec = _ascend(starts.reshape(-1, N_PARAMS), rec_counts[fit_of_row],
-                             rec_shots[fit_of_row], setup, chart.ravel())
+    ell, logl, dec = _ascend(starts.reshape(-1, N_TP), np.repeat(rec_counts, n_starts, axis=0),
+                             setup, chart.ravel())
     best = np.argmax(logl.reshape(n_fits, n_starts), axis=1) + n_starts * np.arange(n_fits)
     stalled = dec[best] > MLE_TOL * rec_counts.sum(axis=1)
     if stalled.any():
@@ -586,7 +581,7 @@ def mle_fit(counts, setup=None, *, n_starts=1, seed=0):
             f"{dec[best][stalled].max():.1e})",
             TuningWarning,
         )
-    ells = fold_ell(ell[best])
+    ells = _padded(ell[best])
     chis = [ProcessMatrix(chi_from_ell(e), rec.t) for e, rec in zip(ells, records)]
     if single:
         return chis[0], ells[0]
@@ -600,7 +595,7 @@ def mle_fit(counts, setup=None, *, n_starts=1, seed=0):
 class ChiPosterior:
     """Markov-chain posterior over the block-Cholesky parameters."""
 
-    ells: np.ndarray            # (n_kept, 6), unit norm, nonnegative diagonals
+    ells: np.ndarray            # (n_kept, 6), unit norm, nonnegative diagonals, l34 = 0
     gate_errors: np.ndarray
     acceptance_rate: float
     width: float                # proposal width after burn-in tuning
@@ -639,17 +634,15 @@ def effective_sample_size(trace):
 
 
 def _batch_scorer(record, setup):
-    """Log-likelihood on ``record`` of (k, 6) unit stacks, as :func:`mh_chain`
-    scores them: one matmul of the rows' outer products ell ell^T against the
-    24 Born forms and the 12 pair forms Q(+) + Q(-), then :func:`_log_likelihood`."""
-    counts, shots = _stack_records([record])
-    forms = setup.q_forms.reshape(12, 2, N_PARAMS * N_PARAMS)
-    forms = np.concatenate([forms.reshape(24, -1), forms.sum(axis=1)]).T
-    weights = np.concatenate([counts[0], -shots[0]])
+    """Log-likelihood on ``record`` of (k, 5) unit stacks of TP entries, as
+    :func:`mh_chain` scores them: one matmul of the rows' outer products
+    ell ell^T against the 24 Born forms, then :func:`_log_likelihood`."""
+    counts = _stack_records([record])[0][0]
+    forms = setup.chart_forms[0].reshape(24, -1).T
 
     def score(ells):
         outer = (ells[:, :, None] * ells[:, None, :]).reshape(len(ells), -1)
-        return _log_likelihood(outer @ forms, weights)
+        return _log_likelihood(outer @ forms, counts)
 
     return score
 
@@ -658,33 +651,34 @@ def mh_chain(counts, setup=None, *, n_steps=100000, width=0.02, seed=0,
              burn_in_frac=0.1, target_unitary=None):
     """Posterior sampling of the process matrix under the counting likelihood.
 
-    The chain walks the whole unit sphere S^5 (uniform prior) with the
-    likelihood :func:`mle_fit` maximizes.  A proposal adds ``width`` times a
-    standard normal 6-vector and renormalizes; its density depends only on the
-    angle between the points, so it is symmetric: no truncation and no Hastings
-    term.  Normals, then uniforms, are drawn up front; until one is accepted,
-    proposals share their start, so up to ``MH_PREFETCH`` of them are scored as
-    one stack and walked to the first acceptance (pre-fetching, Brockwell
-    2006); :func:`_batch_scorer` scores each stack and the start.  chi is
-    unchanged by column sign flips of L, so kept samples are folded back to
-    nonnegative diagonals.  The width is tuned toward 30% acceptance every
-    min(200, burn-in / 4) steps of burn-in; a warning is emitted if the
+    The chain walks the whole unit sphere S^4 of TP entries (uniform prior)
+    with the likelihood :func:`mle_fit` maximizes.  A proposal adds ``width``
+    (finite and > 0) times a standard normal 5-vector and renormalizes; its
+    density depends only on the angle between the points, so it is
+    symmetric: no truncation and no Hastings term.  Normals, then uniforms,
+    are drawn up front; until one is accepted, proposals share their start,
+    so up to ``MH_PREFETCH`` of them are scored as one stack and walked to
+    the first acceptance (pre-fetching, Brockwell 2006); :func:`_batch_scorer`
+    scores each stack and the start.  chi is unchanged by column sign flips
+    of L, so kept samples are folded back to nonnegative diagonals and padded
+    to 6 entries with l34 = 0.  The width is tuned toward 30% acceptance
+    every min(200, burn-in / 4) steps of burn-in; a warning is emitted if the
     post-burn-in rate leaves [0.1, 0.6].  Gate errors against
     ``target_unitary`` (identity if omitted) are 1/2 - ell^T G ell.
     """
     score = _batch_scorer(counts, setup or default_setup())
     n_burn = int(burn_in_frac * n_steps)
-    if not (0 <= n_burn < n_steps and width > 0.0):
-        raise ValidationError("mh_chain needs width > 0 and a step after burn-in")
+    if not (0 <= n_burn < n_steps and 0.0 < width < math.inf):
+        raise ValidationError("mh_chain needs a finite width > 0 and a step after burn-in")
     rng = np.random.default_rng(seed)
 
-    ell = np.array([1.0, 0.0, 0.05, 0.05, 0.0, 0.05])
+    ell = np.array([1.0, 0.0, 0.05, 0.05, 0.05])
     ell /= np.linalg.norm(ell)
     logl = score(ell[None])[0]
 
-    normals = rng.standard_normal((n_steps, N_PARAMS))
+    normals = rng.standard_normal((n_steps, N_TP))
     log_u = np.log(rng.random(n_steps) + 1e-300)
-    chain = np.empty((n_steps, N_PARAMS))
+    chain = np.empty((n_steps, N_TP))
     chain_logl = np.empty(n_steps)
     accepted = np.zeros(n_steps, dtype=bool)
     window = max(1, min(200, n_burn // 4))
@@ -708,7 +702,7 @@ def mh_chain(counts, setup=None, *, n_steps=100000, width=0.02, seed=0,
             rate = accepted[step - window:step].mean()
             width = float(np.clip(width * math.exp(0.8 * (rate - 0.3)), 1e-4, 0.5))
 
-    kept_ells = fold_ell(chain[n_burn:])
+    kept_ells = _padded(chain[n_burn:])
     G = ell_form(gate_fidelity_matrix(np.eye(2) if target_unitary is None else target_unitary).T)
     kept_err = 0.5 - np.einsum("nk,kl,nl->n", kept_ells, G, kept_ells)
 

@@ -29,9 +29,10 @@ from gatenoise.errors import FitError, NumericalError, ValidationError
 from gatenoise.filters import FilteredIntegrals, IntegralPoint
 from gatenoise.tomography import (
     _DIAG_IDX,
+    _TP,
     BASIS_LABELS,
     N_PARAMS,
-    PAIR_FLOOR,
+    N_TP,
     PROB_FLOOR,
     STATE_LABELS,
     CountRecord,
@@ -442,18 +443,16 @@ def counts_to_csv(records, path):
 
 
 def log_likelihood(probs, counts, *, grad=False):
-    """Pair-normalized log-likelihood of one record's Born probabilities
-    ``probs[s, b, m]``, written out for that one record: floors, pair sums
-    and the two count-weighted log sums.  With ``grad`` the derivative in
-    ``probs`` (at the floored values) is returned as well.
+    """Multinomial log-likelihood sum c log p of one record's Born
+    probabilities ``probs[s, b, m]``, each floored at ``PROB_FLOOR``, written
+    out for that one record.  With ``grad`` the derivative in ``probs`` (at
+    the floored values) is returned as well.
     """
     p = np.maximum(probs, PROB_FLOOR)
-    pair = np.maximum(p.sum(axis=2), PAIR_FLOOR)
-    logl = float(np.log(p).ravel() @ counts.counts.ravel()
-                 - np.log(pair).ravel() @ counts.shots.ravel())
+    logl = float(np.log(p).ravel() @ counts.counts.ravel())
     if not grad:
         return logl
-    return logl, counts.counts / p - (counts.shots / pair)[:, :, None]
+    return logl, counts.counts / p
 
 
 def _born_terms(ell, setup):
@@ -465,18 +464,21 @@ def _born_terms(ell, setup):
 
 def mh_chain_scalar(counts, setup=None, *, n_steps=100000, width=0.02, seed=0,
                     burn_in_frac=0.1):
-    """Metropolis-Hastings on S^5 one step at a time on :func:`log_likelihood`.
+    """Metropolis-Hastings on the S^4 of trace-preserving entries (l34 = 0)
+    one step at a time on :func:`log_likelihood`.
 
     The same start, proposals, accept rule and burn-in width tuning as
     ``mh_chain``, drawn from the same ``default_rng(seed)`` stream in the
-    same block order (all the standard normal 6-vectors, then all the
-    uniforms), but scored one proposal at a time.  Returns (kept folded
-    ells, post-burn-in acceptance rate, width after tuning).
+    same block order (all the standard normal 5-vectors, then all the
+    uniforms), but scored one proposal at a time on the 6-entry forms.
+    Returns (kept folded 6-entry ells, post-burn-in acceptance rate, width
+    after tuning).
     """
     setup = setup or default_setup()
     n_burn = int(burn_in_frac * n_steps)
     rng = np.random.default_rng(seed)
-    normals = rng.standard_normal((n_steps, N_PARAMS))
+    normals = np.zeros((n_steps, N_PARAMS))
+    normals[:, _TP] = rng.standard_normal((n_steps, N_TP))
     uniforms = rng.random(n_steps)
     ell = np.array([1.0, 0.0, 0.05, 0.05, 0.0, 0.05])
     ell /= np.linalg.norm(ell)
@@ -511,27 +513,34 @@ def loglik_and_grad(ell, counts, setup):
 
 
 def mle_fit_lbfgsb(counts, setup=None, *, n_starts=8, seed=0):
-    """Bounded L-BFGS-B maximum likelihood on the block-Cholesky vector.
+    """Bounded L-BFGS-B maximum likelihood on the trace-preserving entries of
+    the block-Cholesky vector (l34 = 0).
 
-    Minimizes the negative log-likelihood per count from the identity-channel
-    start plus ``n_starts - 1`` random positive draws of one shared
-    ``default_rng(seed)``, one scipy run per start.  Returns (ProcessMatrix, ell).
+    Minimizes the negative log-likelihood per count over the 5 entries from
+    the identity-channel start plus ``n_starts - 1`` random positive draws
+    of one shared ``default_rng(seed)``, one scipy run per start.  Returns
+    (ProcessMatrix, 6-entry ell).
     """
     setup = setup or default_setup()
     _stack_records([counts])  # rejects a (state, basis) pair without shots
     rng = np.random.default_rng(seed)
     scale = float(counts.counts.sum()) or 1.0
 
-    def cost(ell):
-        logl, grad = loglik_and_grad(ell, counts, setup)
-        return -logl / scale, -grad / scale
+    def padded(x):
+        ell = np.zeros(N_PARAMS)
+        ell[_TP] = x
+        return ell
 
-    bounds = [(1e-9, 1.0) if k in _DIAG_IDX else (-1.0, 1.0) for k in range(N_PARAMS)]
-    starts = [np.array([1.0, 0.0, 1e-3, 1e-3, 0.0, 1e-3])]
+    def cost(x):
+        logl, grad = loglik_and_grad(padded(x), counts, setup)
+        return -logl / scale, -grad[_TP] / scale
+
+    bounds = [(1e-9, 1.0) if k in _DIAG_IDX else (-1.0, 1.0) for k in range(N_TP)]
+    starts = [np.array([1.0, 0.0, 1e-3, 1e-3, 1e-3])]
     while len(starts) < n_starts:
-        ell = rng.uniform(-0.5, 0.5, N_PARAMS)
-        ell[list(_DIAG_IDX)] = rng.uniform(0.05, 1.0, 4)
-        starts.append(ell)
+        x = rng.uniform(-0.5, 0.5, N_TP)
+        x[list(_DIAG_IDX)] = rng.uniform(0.05, 1.0, 4)
+        starts.append(x)
 
     best = None
     for x0 in starts:
@@ -540,7 +549,7 @@ def mle_fit_lbfgsb(counts, setup=None, *, n_starts=8, seed=0):
                        options={"maxiter": 2000, "ftol": 1e-15, "gtol": 1e-9})
         if best is None or res.fun < best.fun:
             best = res
-    ell = best.x / np.linalg.norm(best.x)
+    ell = padded(best.x / np.linalg.norm(best.x))
     return ProcessMatrix(chi_from_ell(ell), counts.t), ell
 
 
