@@ -14,6 +14,12 @@ noise draws (common random numbers).  Up to time-step and sampling error
 this is an exact reference for the analytic channel constructions, since it
 makes none of their approximations.
 
+Steps are applied slab by slab.  A chunk of m trajectories cuts each record
+interval into slabs of up to ``SLAB_SIZE // m`` steps and computes the
+rotation coefficients of a whole slab at once.  Each step then updates the
+first column (a, b) of every U, held as one (2, m) array, in one fused
+update (a, b) <- (u a + v b, u* b + v a): three array calls per step.
+
 The mean is a control-variate estimate (Glasserman, Monte Carlo Methods in
 Financial Engineering, 2004, sec. 4.1).  Along each trajectory the step also
 sums the first-order (filter-function) rotation vector of the noise in the
@@ -41,6 +47,7 @@ no variance is a difference of raw sums and the worker count changes no bit.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -54,6 +61,12 @@ MAX_NORM_DRIFT = 1e-6
 # Default step over the shortest dynamical scale; test_dt_halving_convergence
 # backs this value, and ROADMAP direction 1 re-judges it.
 STEP_FRACTION = 0.002
+
+# Trajectory-steps per slab of step coefficients: a chunk of m trajectories
+# computes the coefficients of max(1, SLAB_SIZE // m) steps at a time, never
+# more than one record interval's, so the slab's buffers (1.25 MB at most
+# when m <= SLAB_SIZE) stay in cache.
+SLAB_SIZE = 1 << 14
 
 
 @dataclass
@@ -70,10 +83,17 @@ class DriveConfig:
     m_mc: int
 
     def __post_init__(self):
-        if self.Omega <= 0 or self.dt <= 0:
-            raise ValidationError("Omega and dt must be positive")
-        if self.n_steps < 1 or self.m_mc < 1:
-            raise ValidationError("n_steps and m_mc must be >= 1")
+        if not (math.isfinite(self.Omega) and self.Omega > 0
+                and math.isfinite(self.dt) and self.dt > 0):
+            raise ValidationError("Omega and dt must be positive and finite")
+        _check_count("n_steps", self.n_steps)
+        _check_count("m_mc", self.m_mc)
+
+
+def _check_count(name, value):
+    """Raise ``ValidationError`` unless ``value`` is an integer >= 1."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+        raise ValidationError(f"{name} must be an integer >= 1, got {value!r}")
 
 
 def default_timestep(Omega, tau_c=None):
@@ -188,6 +208,9 @@ def evolve_ensemble(rho0, drive, freq_noise, amp_noise=None, *, seed=0,
         ``pauli_se`` are those of the control-variate estimator (module
         docstring); ``plain_se`` is the plain sample mean's.
     """
+    for name, value in (("record_every", record_every), ("chunk", chunk),
+                        ("n_workers", n_workers)):
+        _check_count(name, value)
     rho0 = np.asarray(rho0, dtype=complex)
     if rho0.shape[-2:] != (2, 2):
         raise ValidationError("initial states must be 2x2 density matrices")
@@ -224,35 +247,51 @@ def evolve_ensemble(rho0, drive, freq_noise, amp_noise=None, *, seed=0,
         m = hi - lo
         freq_inc = steps_block(freq_noise, seed, idx, "frequency")
         amp_inc = steps_block(amp_noise, seed + 2**31, idx, "amplitude")
-        # first column (a, b) of U = [[a, -b*], [b, a*]]
-        a, b = np.ones(m, dtype=complex), np.zeros(m, dtype=complex)
+        # first column (a, b) of U = [[a, -b*], [b, a*]] as one array; ba swaps its rows
+        ab = np.zeros((2, m), dtype=complex)
+        ab[0] = 1.0
+        ba = ab[::-1]
+        vab = np.empty_like(ab)
+        slab = min(max(1, SLAB_SIZE // m), record_every, drive.n_steps)
+        # slab buffers, reused: fresh temporaries of a slab's size cost page faults
+        nx_buf, theta_buf, half_buf, s_buf = np.empty((4, slab, m))
+        uu = np.empty((slab, 2, m), dtype=complex)
+        v_buf = np.empty((slab, m), dtype=complex)
         # control vector: rows (a_y, a_z) with dephasing noise, then a_x with amplitude noise
         ctrl = np.zeros((n_ctrl, m))
         mean = np.empty((n_rec, 9 + n_ctrl))
         comoment = np.empty((n_rec, 9 + n_ctrl, 9 + n_ctrl))
         max_drift = 0.0
-        w = np.empty(m, dtype=complex)
         for j, (start, stop) in enumerate(intervals):
-            for i in range(start, stop):
-                nx = omega_dt if amp_inc is None else omega_dt + amp_inc[i]
-                nz = 0.0 if freq_inc is None else freq_inc[i]
+            for i0 in range(start, stop, slab):
+                i1 = min(i0 + slab, stop)
+                n = i1 - i0
+                nx = omega_dt if amp_inc is None else np.add(omega_dt, amp_inc[i0:i1],
+                                                             out=nx_buf[:n])
+                nz = 0.0 if freq_inc is None else freq_inc[i0:i1]
                 # exp(-(i/2)(nx sx + nz sz)) = [[u, v], [v, u*]] with u = cos(theta/2) - i s nz,
-                # v = -i s nx and s = sin(theta/2) / theta; w holds u*
-                theta = np.sqrt(nx * nx + nz * nz)
-                half = 0.5 * theta
-                s = np.sin(half) / np.maximum(theta, 1e-300)
-                np.cos(half, out=w.real)
-                np.multiply(s, nz, out=w.imag)
-                v = -1j * (s * nx)
-                va = v * a
-                a *= w.conjugate()
-                a += v * b
-                b *= w
-                b += va
+                # v = -i s nx and s = sin(theta/2) / theta; uu[k] holds (u, u*) of step i0 + k
+                theta, half, s, v = theta_buf[:n], half_buf[:n], s_buf[:n], v_buf[:n]
+                u, uc = uu[:n, 0], uu[:n, 1]
+                nx2 = omega_dt * omega_dt if amp_inc is None else np.multiply(nx, nx, out=theta)
+                np.add(nx2, np.multiply(nz, nz, out=half), out=theta)
+                np.sqrt(theta, out=theta)
+                np.multiply(0.5, theta, out=half)
+                np.divide(np.sin(half, out=s), np.maximum(theta, 1e-300, out=theta), out=s)
+                np.cos(half, out=uc.real)
+                np.multiply(s, nz, out=uc.imag)
+                np.conjugate(uc, out=u)
+                np.multiply(-1j, np.multiply(s, nx, out=theta), out=v)
+                # (a, b) <- (u a + v b, u* b + v a)
+                for k in range(n):
+                    np.multiply(ba, v[k], out=vab)
+                    ab *= uu[k]
+                    ab += vab
             if freq_inc is not None:
                 ctrl[:2] += np.einsum("sl,lm->sm", trig[:, start:stop], freq_inc[start:stop])
             if amp_inc is not None:
                 ctrl[-1] += amp_inc[start:stop].sum(axis=0)
+            a, b = ab
             z = np.concatenate([_bloch_rotation(a, b).reshape(9, m), ctrl])
             mean[j] = z.mean(axis=1)
             dev = z - mean[j][:, None]

@@ -110,9 +110,10 @@ class OUSource:
         sigma = math.sqrt(0.5 * self.c * self.tau_c * (1.0 - decay * decay))
         eta = _stream_normals(seed, indices, n_steps)
         eta[0] *= math.sqrt(0.5 * self.c * self.tau_c)
+        eta[1:] *= sigma
+        tmp = np.empty(eta.shape[1])
         for i in range(1, n_steps):
-            eta[i] *= sigma
-            eta[i] += eta[i - 1] * decay
+            eta[i] += np.multiply(eta[i - 1], decay, out=tmp)
         eta *= dt
         return eta
 

@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from gatenoise import langevin
 from gatenoise.channels import bloch_to_rho, haar_random_state, rho_to_bloch, rotate_to_lab
 from gatenoise.errors import NumericalError, ValidationError
 from gatenoise.langevin import (
@@ -105,6 +106,23 @@ def test_evolve_ensemble_rejects_invalid_state():
         evolve_ensemble(2.0 * RHO0, drive, None)
     with pytest.raises(ValidationError):
         evolve_ensemble(np.array([1.0, 0.0], complex), drive, None)
+
+
+@pytest.mark.parametrize("field, value", [("Omega", math.nan), ("dt", math.inf),
+                                          ("n_steps", 2.5)])
+def test_drive_config_rejects_bad_values(field, value):
+    args = {"Omega": 1.0, "dt": 0.1, "n_steps": 1, "m_mc": 1, field: value}
+    with pytest.raises(ValidationError, match=field):
+        DriveConfig(**args)
+
+
+@pytest.mark.parametrize("option, value", [("record_every", 0), ("record_every", -3),
+                                           ("record_every", 2.5), ("chunk", 0), ("chunk", -1),
+                                           ("n_workers", 0)])
+def test_evolve_ensemble_rejects_bad_counts(option, value):
+    drive = DriveConfig(Omega=1.0, dt=0.1, n_steps=4, m_mc=2)
+    with pytest.raises(ValidationError, match=option):
+        evolve_ensemble(RHO0, drive, None, **{option: value})
 
 
 def test_common_random_numbers_reconstruct_channel():
@@ -280,26 +298,28 @@ def test_psd_source_matches_ou_source_statistics():
 # --------------------------------------------------------------------- #
 # the control-variate estimator
 
-@pytest.mark.parametrize("with_amp", [False, True])
+@pytest.mark.parametrize("with_amp", [False, True, "alone"])
 def test_control_variate_is_the_regression_intercept(with_amp):
     # the channel is the intercept of a least-squares fit of each entry on
     # [1, a] over the ensemble, the errors are its residual errors; the
     # oracle propagates 2x2 matrices and sums the control step by step
     drive = DriveConfig(Omega=C4["Omega"], dt=C4["dt"], n_steps=300, m_mc=300)
-    freq = OUSource(C4["c"], C4["tau_c"])
+    freq = None if with_amp == "alone" else OUSource(C4["c"], C4["tau_c"])
     amp = OUSource(0.3 * C4["c"], 2.0 * C4["tau_c"]) if with_amp else None
     traj = evolve_ensemble(COLUMNS, drive, freq, amp, seed=8, record_every=60, chunk=128)
     rots, ctrls = ensemble_samples(drive, freq, amp, seed=8, record_every=60)
-    assert ctrls.shape == (6, 300, 3 if with_amp else 2)
+    assert ctrls.shape == (6, 300, 2 * (freq is not None) + (amp is not None))
     maps, se, plain, plain_se = control_variate_fit(rots, ctrls, BLOCH_COLUMNS)
     np.testing.assert_allclose(traj.bloch_map, maps, rtol=0, atol=1e-12)
     np.testing.assert_allclose(traj.pauli_mean, np.einsum("tij,kj->kti", maps, BLOCH_COLUMNS),
                                rtol=0, atol=1e-12)
     # plain variances are centred moments and agree to rounding; the residual
     # variance Var(Y) - Cov(Y, a) Cov(a, a)^+ Cov(a, Y) cancels about 9 digits at
-    # early records, so even on identical samples it differs from lstsq by ~5e-9
-    np.testing.assert_allclose(traj.pauli_se[:, 1:], se[:, 1:], rtol=1e-6)
-    np.testing.assert_allclose(traj.plain_se[:, 1:], plain_se[:, 1:], rtol=1e-10)
+    # early records, so even on identical samples it differs from lstsq by ~5e-9;
+    # amplitude noise alone keeps <sx> of |+> at 1, errors of 0 that the
+    # oracle's rotations leave at rounding, ~1e-16
+    np.testing.assert_allclose(traj.pauli_se[:, 1:], se[:, 1:], rtol=1e-6, atol=1e-15)
+    np.testing.assert_allclose(traj.plain_se[:, 1:], plain_se[:, 1:], rtol=1e-10, atol=1e-15)
     # t = 0: no noise yet, so no control and no error
     assert np.all(traj.pauli_se[:, 0] == 0.0) and np.all(traj.bloch_map[0] == np.eye(3))
 
@@ -315,6 +335,22 @@ def test_chunk_moments_combine_exactly():
         traj = evolve_ensemble(COLUMNS, drive, freq, seed=8, record_every=60, chunk=chunk)
         np.testing.assert_allclose(traj.bloch_map, ref.bloch_map, rtol=0, atol=2e-15)
         np.testing.assert_allclose(traj.plain_se, ref.plain_se, rtol=1e-12)
+
+
+def test_slab_size_changes_no_bit(monkeypatch):
+    # slabs of one step, of 5 steps (SLAB_SIZE // m for chunks of 20 and 17
+    # trajectories) and of a whole record interval; record_every 7 leaves each
+    # interval a short last slab of 5-step slabs
+    drive = DriveConfig(Omega=C4["Omega"], dt=C4["dt"], n_steps=60, m_mc=37)
+    freq = OUSource(C4["c"], C4["tau_c"])
+    amp = OUSource(0.3 * C4["c"], 2.0 * C4["tau_c"])
+    runs = []
+    for slab in (1, 100, 10**9):
+        monkeypatch.setattr(langevin, "SLAB_SIZE", slab)
+        runs.append(evolve_ensemble(COLUMNS, drive, freq, amp, seed=3, record_every=7, chunk=20))
+    for traj in runs[1:]:
+        for field in ("bloch_map", "pauli_mean", "pauli_se", "plain_se", "max_norm_drift"):
+            assert np.array_equal(getattr(traj, field), getattr(runs[0], field)), field
 
 
 def test_control_variate_mean_within_plain_errors_of_the_plain_mean():
