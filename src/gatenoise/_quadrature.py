@@ -50,11 +50,12 @@ _WG_HALF = np.array(
     ]
 )
 
-# Assemble full symmetric node/weight vectors (15 nodes).
+# The full symmetric rule: 15 nodes, and the K15 and G7 weights as the
+# columns of one (15, 2) matrix.
 _XGK = np.concatenate([-_XGK_HALF[:-1], _XGK_HALF[::-1]])
-_WGK = np.concatenate([_WGK_HALF[:-1], _WGK_HALF[::-1]])
-_WG15 = np.zeros(15)
-_WG15[1:-1:2] = np.concatenate([_WG_HALF[:-1], _WG_HALF[::-1]])
+_W_KG = np.zeros((15, 2))
+_W_KG[:, 0] = np.concatenate([_WGK_HALF[:-1], _WGK_HALF[::-1]])
+_W_KG[1:-1:2, 1] = np.concatenate([_WG_HALF[:-1], _WG_HALF[::-1]])
 
 
 def sorted_unique(x):
@@ -70,10 +71,8 @@ def _panel_sums(f, lo, hi):
     # nodes shape (npanels, 15)
     x = mid[:, None] + half[:, None] * _XGK[None, :]
     fx = np.asarray(f(x.ravel()))
-    fx = fx.reshape(fx.shape[:-1] + x.shape)
-    k15 = half * (fx @ _WGK)
-    g7 = half * (fx @ _WG15)
-    return k15, g7
+    kg = fx.reshape(fx.shape[:-1] + x.shape) @ _W_KG
+    return half * kg[..., 0], half * kg[..., 1]
 
 
 def adaptive_gk(f, a, b, *, rtol=1e-10, atol=0.0, points=None):

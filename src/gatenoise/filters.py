@@ -14,13 +14,15 @@ of those windows with the two-sided PSD give the decay exponents
 
 Three windows cover the tuple: the Gamma2 and Delta2 filters share the
 memory window M, and the amplitude window is twice the Gamma1 window at
-Omega = 0.  Per time point and PSD, one adaptive quadrature pass integrates
-S*F and the bare F for the windows it needs (all three for the dephasing
-PSD, the Gamma1 window alone for the amplitude PSD) on one node set,
-escalating the upper limit W until the tuple converges.  Beyond W the PSD is taken as the
-plateau S(W); its tail is the white-noise total of F (Gamma1: t/4, Delta1:
-0, M: sin(Omega t) / (4 Omega), per unit S on [0, inf)) minus the bare
-integral on [0, W], so no special functions are needed.
+Omega = 0; :func:`_windows` evaluates all three from one tangent per node.
+Per time point and PSD, one adaptive quadrature pass integrates S*F and
+the bare F for the windows it needs (all three for the dephasing PSD, the
+Gamma1 window alone for the amplitude PSD) as the rows of one buffer on
+one node set, escalating the upper limit W until the tuple converges.
+Beyond W the PSD is taken as the plateau S(W); its tail is the white-noise
+total of F (Gamma1: t/4, Delta1: 0, M: sin(Omega t) / (4 Omega), per unit
+S on [0, inf)) minus the bare integral on [0, W], so no special functions
+are needed.
 
 Everything downstream (density-matrix maps, process matrices, Pauli rates,
 gate errors) is a function of this tuple alone.
@@ -46,68 +48,99 @@ _TINY = np.finfo(float).tiny
 
 
 # --------------------------------------------------------------------- #
-# filter functions (vectorized, removable singularities handled exactly;
-# every window vanishes at t = 0 through its t or t^2 prefactor)
+# filter-function windows
 
-def filter_gamma1(omega, Omega, t):
-    """Decay filter: (t/4) * (eta_{2/t}(Omega - w) + eta_{2/t}(Omega + w)).
+# 2 g(2x) = (sin x cos x - x) / x^2 = x sum_k (-4)^k x^(2k-2) / (2k+1)!,
+# k = 1..8, for g(u) = (sin u - u) / u^2, leading coefficient first for
+# Horner; below |x| = 1/2 the first dropped term is under 1e-16 of the sum.
+_SIN_MINUS_LIN = tuple((-4.0) ** k / math.factorial(2 * k + 1) for k in range(8, 0, -1))
 
-    eta_{2/t}(x) = (t / 2pi) * sinc(x t / 2pi)**2 is a nascent delta, so the
-    filter concentrates around w = +-Omega as t grows and the long-time
-    decay rate is set by the PSD at the Rabi frequency.
+
+def _sin_minus_lin(x, sin_cos):
+    """2 g(2x) = (sin x cos x - x) / x**2 from x and sin x cos x, where
+    g(u) = (sin u - u) / u**2; by its Taylor series below |x| = 1/2.
+
+    The direct quotient loses ~1e-16 / x**2 of itself to the cancellation in
+    sin x cos x - x, so the series takes over before that passes 1e-15.
     """
-    omega = np.asarray(omega, dtype=float)
-    k = t / (2.0 * _PI)
-    return (t * k / 4.0) * (np.sinc((Omega - omega) * k) ** 2 + np.sinc((Omega + omega) * k) ** 2)
-
-
-def _sin_minus_lin(z):
-    """(sin z - z) / z**2 with a series branch near zero."""
-    z = np.asarray(z, dtype=float)
-    out = np.empty_like(z)
-    small = np.abs(z) < 1e-4
-    zs = z[small]
-    out[small] = -zs / 6.0 + zs**3 / 120.0 - zs**5 / 5040.0
-    zb = z[~small]
-    out[~small] = (np.sin(zb) - zb) / zb**2
+    out = np.empty_like(x)
+    small = np.abs(x) < 0.5
+    np.divide(sin_cos - x, x * x, out=out, where=~small)
+    xs = x[small]
+    z = xs * xs
+    p = _SIN_MINUS_LIN[0]
+    for c in _SIN_MINUS_LIN[1:]:
+        p = p * z + c
+    out[small] = xs * p
     return out
 
 
-def filter_delta1(omega, Omega, t):
-    """Coherent filter: dispersive window responsible for over/under-rotation.
+def _sin_cos(x, sin, cos):
+    """sin x and cos x into ``sin`` and ``cos``, each within a few ulps, from
+    tau = tan(x/2) as tau r and r - 1 with r = 2 / (1 + tau^2).
 
-    Equals ``Omega t / (2 pi (Omega^2 - w^2))`` plus its finite-time
-    correction; the apparent poles at w = +-Omega cancel between the two
-    pieces and are evaluated through a series expansion.
+    numpy vectorizes float64 tan on x86 where it does not vectorize sin and
+    cos, so this costs about a third of np.sin plus np.cos there.
     """
-    omega = np.asarray(omega, dtype=float)
-    u = (omega - Omega) * t
-    v = (omega + Omega) * t
-    return (t * t / (4.0 * _PI)) * (_sin_minus_lin(u) - _sin_minus_lin(v))
+    tau = np.tan(0.5 * x)
+    r = 2.0 / (1.0 + tau * tau)
+    np.multiply(tau, r, out=sin)
+    np.subtract(r, 1.0, out=cos)
 
 
-def filter_memory(omega, Omega, t):
-    """Memory window M shared by Gamma2 and Delta2.
+def _windows(omega, Omega, t, n, out=None):
+    """The first ``n`` of the windows (F_Gamma1, F_Delta1, M) at the 1d
+    ``omega``, as rows.
 
-    Equals (cos(Omega t) - cos(w t)) / (pi (w^2 - Omega^2)), evaluated as
-    the stable sinc product sin(u t/2) sin(v t/2) / (pi u v) at u, v = w -+
-    Omega; the Gamma2 and Delta2 filters are cos(Omega t) M and
-    sin(Omega t) M, the normalization that reproduces the defining
-    time-domain kernels.
+    With x = (|w| - |Omega|) t / 2, y = x + |Omega| t, a = sin x / x and
+    b = sin y / y (1 at a zero):
+
+        F_Gamma1 = (t^2 / 8 pi) (a^2 + b^2),
+        F_Delta1 = (t^2 / 4 pi) (g(2x) - g(2y)) sign(Omega),
+        M        = (t^2 / 4 pi) a b,
+
+    with g(u) = (sin u - u) / u^2 (Green et al., New J. Phys. 15, 095004,
+    2013).  F_Gamma1 is a nascent delta at w = +-Omega as t grows, F_Delta1
+    the dispersive window Omega t / (2 pi (Omega^2 - w^2)) plus its
+    finite-time correction, and M = (cos Omega t - cos w t) /
+    (2 pi (w^2 - Omega^2)).  One sine and cosine of x per node give
+    everything: those of y by angle addition with the scalar phase
+    |Omega| t, and sin 2x as 2 sin x cos x.  Every window is even in w and
+    vanishes at t = 0.  ``out``, if given, receives the (n, N) rows.
     """
-    omega = np.asarray(omega, dtype=float)
-    k = t / (2.0 * _PI)
-    return (t * t / (4.0 * _PI)) * np.sinc((omega - Omega) * k) * np.sinc((omega + Omega) * k)
-
-
-def _windows(omega, Omega, t, n):
-    """The first ``n`` of the windows (F_Gamma1, F_Delta1, M), stacked as rows."""
-    return np.stack([f(omega, Omega, t) for f in (filter_gamma1, filter_delta1, filter_memory)[:n]])
+    w = np.abs(omega)
+    rabi = abs(Omega)
+    phi = rabi * t
+    cos_phi, sin_phi = math.cos(phi), math.sin(phi)
+    # x and y as the rows of xy, and their sines and cosines
+    xy = np.empty((2,) + w.shape)
+    np.multiply(w - rabi, 0.5 * t, out=xy[0])
+    np.add(xy[0], phi, out=xy[1])
+    sin, cos = np.empty_like(xy), np.empty_like(xy)
+    _sin_cos(xy[0], sin[0], cos[0])
+    np.add(sin[0] * cos_phi, cos[0] * sin_phi, out=sin[1])
+    a, b = np.divide(sin, xy, out=np.ones_like(xy), where=xy != 0.0)
+    k = t * t / (4.0 * _PI)
+    if out is None:
+        out = np.empty((n,) + w.shape)
+    np.multiply(a, a, out=out[0])
+    out[0] += b * b
+    out[0] *= 0.5 * k
+    if n > 1:
+        np.subtract(cos[0] * cos_phi, sin[0] * sin_phi, out=cos[1])
+        g = _sin_minus_lin(xy, sin * cos)
+        np.subtract(g[0], g[1], out=out[1])
+        out[1] *= 0.5 * k if Omega >= 0 else -0.5 * k
+    if n > 2:
+        np.multiply(a, b, out=out[2])
+        out[2] *= k
+    return out
 
 
 def _white_totals(Omega, t):
     """Int_0^inf of each window: a white two-sided PSD S0 gives 2 S0 times these."""
-    return np.array([0.25 * t, 0.0, 0.25 * t * np.sinc(Omega * t / _PI)])
+    phi = Omega * t
+    return np.array([0.25 * t, 0.0, 0.25 * t * (math.sin(phi) / phi if phi else 1.0)])
 
 
 # --------------------------------------------------------------------- #
@@ -159,9 +192,12 @@ class IntegralPoint:
 
 
 def _overlap_edges(psd, Omega, t, lo_edge, W):
-    pts = [x for x in (0.5 * Omega, Omega, 1.5 * Omega, 2.0 * Omega) if lo_edge < x < W]
-    pts += [x for x in psd.breakpoints() if lo_edge < x < W]
-    edges = sorted_unique(np.concatenate([[lo_edge, W], pts]))
+    marks = np.array([0.5 * Omega, Omega, 1.5 * Omega, 2.0 * Omega])
+    # the sorted knots strictly inside (lo_edge, W), as a view
+    knots = psd.breakpoints()
+    knots = knots[np.searchsorted(knots, lo_edge, "right"):np.searchsorted(knots, W)]
+    edges = sorted_unique(np.concatenate([[lo_edge, W], marks[(marks > lo_edge) & (marks < W)],
+                                          knots]))
     if t <= 0:
         return edges
     # keep at most ~1.5 filter oscillations per starting panel
@@ -188,10 +224,13 @@ def _overlap(psd, Omega, t, rtol, n):
     """
     if t == 0.0:
         return np.zeros(n)
+    white = _white_totals(Omega, t)[:n]
 
     def rows(w):
-        f = _windows(w, Omega, t, n)
-        return np.concatenate([psd.eval(w) * f, f])
+        f = np.empty((2 * n, w.size))
+        _windows(w, Omega, t, n, out=f[n:])
+        np.multiply(f[n:], psd.eval(w), out=f[:n])
+        return f
 
     # Start where the filters carry their mass; the escalation below extends
     # the window over any remaining PSD structure.
@@ -215,7 +254,7 @@ def _overlap(psd, Omega, t, rtol, n):
         )
         inner += part
         abs_scale = np.maximum(abs_scale, abs_part[:n])
-        total = 2.0 * (inner[:n] + plateau * (_white_totals(Omega, t)[:n] - inner[n:]))
+        total = 2.0 * (inner[:n] + plateau * (white - inner[n:]))
         # A x3 window escalation shrinks the residual of an w^-2 spectrum by
         # ~x27, so a small step-to-step change bounds the remaining error.
         if prev is not None and np.all(
@@ -240,17 +279,23 @@ def filtered_integrals(psd, Omega, times, amp_psd=None, *, rtol=1e-8):
     Omega : float or array_like
         Rabi frequency in rad/s, one for all times or one per time.
     times : array_like
-        Nonnegative evaluation times in seconds.
+        Finite nonnegative evaluation times in seconds, a scalar or 1d.
     amp_psd : NoisePsd, optional
         Rabi-rate (amplitude) noise PSD; fills ``dgamma1`` when given, which
         is zeros otherwise.
     rtol : float
         Relative quadrature tolerance per integral.
     """
-    times = np.atleast_1d(np.asarray(times, dtype=float))
+    times = np.asarray(times, dtype=float)
+    Omega = np.asarray(Omega, dtype=float)
+    if times.ndim > 1:
+        raise ValidationError("times must be a scalar or a 1d array")
+    if not (np.isfinite(times).all() and np.isfinite(Omega).all()):
+        raise ValidationError("times and Omega must be finite")
+    times = np.atleast_1d(times)
     if np.any(times < 0):
         raise ValidationError("times must be nonnegative")
-    Omega = np.broadcast_to(np.asarray(Omega, dtype=float), times.shape)
+    Omega = np.broadcast_to(Omega, times.shape)
     g1, d1, mem = np.array([_overlap(psd, om, t, rtol, 3)
                             for om, t in zip(Omega, times)]).reshape(-1, 3).T
     dg = None

@@ -85,6 +85,7 @@ class NoisePsd:
         for lo, hi in bands:
             keep &= ~((omegas > lo) & (omegas < hi))
         omegas, densities = omegas[keep], densities[keep]
+        omegas.flags.writeable = densities.flags.writeable = False
         if omegas.size < 2:
             raise ValidationError("tabulated PSD needs at least 2 samples outside excluded bands")
         obj = cls(
@@ -194,10 +195,11 @@ class NoisePsd:
         return out
 
     def breakpoints(self):
-        """Frequencies where the density changes character (for quadrature)."""
+        """Sorted frequencies where the density changes character (for
+        quadrature); a table's read-only knots themselves, not a copy."""
         if self.kind == "ou":
             return np.array([1.0 / self.tau_c])
-        return self.omegas.copy()
+        return self.omegas
 
     def support_scale(self):
         """Angular frequency beyond which the density is plateau-like."""

@@ -12,11 +12,10 @@ from gatenoise._quadrature import (
 )
 from gatenoise.filters import (
     _overlap_edges,
+    _sin_cos,
+    _sin_minus_lin,
     _white_totals,
     _windows,
-    filter_delta1,
-    filter_gamma1,
-    filter_memory,
     filtered_integrals,
     ou_amplitude_integral,
     ou_filtered_integrals,
@@ -25,11 +24,20 @@ from gatenoise.filters import (
 )
 from gatenoise.errors import ValidationError
 from gatenoise.psd import NoisePsd
+import gatenoise.filters as filters
+import oracles
 from oracles import filter_tail_sici, filtered_integrals_timedomain, ou_kernels
 
 
 # --------------------------------------------------------------------- #
-# filter functions
+# filter functions: the rows of ``_windows``
+
+def _row(k):
+    return lambda w, Omega, t: _windows(np.atleast_1d(np.asarray(w, dtype=float)), Omega, t, 3)[k]
+
+
+filter_gamma1, filter_delta1, filter_memory = _row(0), _row(1), _row(2)
+
 
 def test_gamma1_filter_normalization():
     # integral over the real line is t/2 for any Omega, t
@@ -102,6 +110,33 @@ def test_filters_zero_at_t0():
     w = np.linspace(-5, 5, 11)
     for f in (filter_gamma1, filter_delta1, filter_memory):
         np.testing.assert_array_equal(f(w, 1.0, 0.0), np.zeros_like(w))
+
+
+@pytest.mark.parametrize("Omega, t", [(2.2, 1.7), (4000.0, 3e-3), (2e6, 1.6e-6), (0.0, 2.1),
+                                      (-3.0, 0.9), (5.0, 1e-12), (1.3, 0.0)])
+def test_windows_match_the_sinc_oracle(Omega, t):
+    # the one-tangent rows against the sinc formulas, resonances and zeros included
+    scale = abs(Omega) or 10.0 / t
+    special = [0.0, Omega, -Omega, Omega + 1e-9, Omega - 1e-9, -Omega + 1e-9, -Omega - 1e-9]
+    w = np.concatenate([np.linspace(-3.0, 3.0, 601) * scale, special])
+    got = _windows(w, Omega, t, 3)
+    want = oracles.windows(w, Omega, t, 3)
+    for k in range(3):
+        assert np.abs(got[k] - want[k]).max() <= 1e-13 * np.abs(want[k]).max(), k
+    np.testing.assert_array_equal(_windows(w, Omega, t, 1), got[:1])
+
+
+def test_sin_minus_lin_matches_mpmath():
+    # g(u) = (sin u - u) / u^2 at u = 2x from sin x cos x, as _windows forms it
+    mpmath = pytest.importorskip("mpmath")
+    u = np.geomspace(1e-8, 1e3, 200)
+    u = np.concatenate([-u, u])
+    x, sin, cos = 0.5 * u, np.empty_like(u), np.empty_like(u)
+    _sin_cos(x, sin, cos)
+    got = 0.5 * _sin_minus_lin(x, sin * cos)
+    with mpmath.workdps(50):
+        want = np.array([float((mpmath.sin(v) - v) / v**2) for v in map(mpmath.mpf, u.tolist())])
+    np.testing.assert_array_less(np.abs(got / want - 1.0), 1e-14)
 
 
 def test_amplitude_filter_values():
@@ -327,6 +362,49 @@ def test_overlap_edges_match_per_interval_linspace():
         np.testing.assert_array_equal(_overlap_edges(psd, Omega, t, lo, W), want)
 
 
+def _measured_table(seed):
+    """A seeded measured table: Lorentzian + 1/f + 0.05 plateau at 200 knots
+    from 1 Hz to 20 kHz (one-sided Hz) with 3% scatter and a bump in the
+    excluded band 2-5 kHz, ingested to two-sided rad/s."""
+    rng = np.random.default_rng(seed)
+    f = np.geomspace(1.0, 2.0e4, 200)
+    s = 600.0 / (1.0 + (f / 300.0) ** 2) + 2000.0 / f + 0.05
+    s *= np.exp(0.03 * rng.standard_normal(f.size))
+    s[(f > 2.0e3) & (f < 5.0e3)] += rng.uniform(30.0, 80.0)
+    return NoisePsd.tabulated(2.0 * math.pi * f, 0.5 * s, 0.5 * s[0], 0.025,
+                              excluded_bands=[(2.0 * math.pi * 2.0e3, 2.0 * math.pi * 5.0e3)])
+
+
+def test_windows_take_the_oracle_quadrature_path(monkeypatch):
+    # same integrals and the same nodes as the sinc-formula windows, on a
+    # time grid and on a pi-pulse Rabi sweep
+    psd = _measured_table(402)
+    Omega = 4000.0
+    times = np.linspace(0.0, 4.0 * math.pi / Omega, 20)
+    rabi = np.geomspace(2.0e3, 2.0e6, 10)
+    counts = []
+    eval_psd = NoisePsd.eval
+
+    def counted(self, omega):
+        counts.append(np.size(omega))
+        return eval_psd(self, omega)
+
+    def run():
+        counts.clear()
+        fis = (filtered_integrals(psd, Omega, times), filtered_integrals(psd, rabi, math.pi / rabi))
+        return fis, sum(counts)
+
+    monkeypatch.setattr(NoisePsd, "eval", counted)
+    got, n_got = run()
+    monkeypatch.setattr(filters, "_windows", oracles.windows)
+    want, n_want = run()
+    assert n_got == n_want
+    for fi, ref in zip(got, want):
+        for name in ("gamma1", "gamma2", "delta1", "delta2"):
+            value = getattr(ref, name)
+            assert np.abs(getattr(fi, name) - value).max() <= 1e-12 * np.abs(value).max(), name
+
+
 def test_flat_table_gives_the_white_closed_forms():
     s0 = 0.37
     knots = np.geomspace(1.0, 1e4, 7)
@@ -408,6 +486,14 @@ def test_white_noise_limit_linear_gamma1():
 def test_filtered_integrals_rejects_negative_times():
     with pytest.raises(ValidationError):
         filtered_integrals(NoisePsd.ou(1.0, 1.0), 1.0, [-1.0])
+
+
+@pytest.mark.parametrize("Omega, times", [(1.0, [0.5, np.nan]), (1.0, [0.5, np.inf]),
+                                          (np.nan, [0.5, 1.0]), (1.0, [[0.5, 1.0]])],
+                         ids=["nan-time", "inf-time", "nan-omega", "2d-times"])
+def test_filtered_integrals_rejects_bad_inputs(Omega, times):
+    with pytest.raises(ValidationError):
+        filtered_integrals(NoisePsd.ou(1.0, 1.0), Omega, times)
 
 
 def test_integrals_container_invariants():
