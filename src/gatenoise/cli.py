@@ -273,7 +273,7 @@ def cmd_predict(args, cfg, out_dir, psd, amp_psd):
     _write_csv(out_dir / "filtered_integrals.csv",
                ["t", "gamma1", "gamma2", "delta1", "delta2", "dgamma1"],
                zip(fi.times, fi.gamma1, fi.gamma2, fi.delta1, fi.delta2, fi.dgamma1))
-    rates = pauli_twirl(fi, times, with_amplitude=with_amp)
+    rates = pauli_twirl(fi, with_amplitude=with_amp)
     _write_csv(
         out_dir / "error_curves.csv",
         ["t", "eps_d", "eps_nc", "eps_nm", "eps_nc_i", "eps_nm_i", "p_d", "p_x", "p_y", "p_z"],
@@ -281,9 +281,9 @@ def cmd_predict(args, cfg, out_dir, psd, amp_psd):
             depolarizing_rate(fi), rates.px, rates.py, rates.pz),
     )
 
-    chi = chi_nm(fi, times, with_amplitude=with_amp).matrix
-    chi_lab = chi_full(fi, Omega, times, with_amplitude=with_amp).matrix
-    kraus = kraus_nc(fi, Omega, times, with_amplitude=with_amp).ops
+    chi = chi_nm(fi, with_amplitude=with_amp)
+    chi_lab = chi_full(fi, Omega, times, with_amplitude=with_amp)
+    kraus = kraus_nc(fi, Omega, times, with_amplitude=with_amp)
     snapshots = [
         {
             "t": t,
@@ -307,7 +307,7 @@ def cmd_predict(args, cfg, out_dir, psd, amp_psd):
                    zip(omegas, *(gate_error(fi, model) for model in ("NM", "NM_I", "D"))))
 
 
-def _validation(cfg, psd, amp_psd, n_haar, n_workers):
+def run_validation(cfg, psd, amp_psd, n_haar, n_workers=1):
     """The grid, per-model mean infidelities against the Langevin channel,
     and the ensemble."""
     Omega = cfg["drive"]["omega_rad_s"]
@@ -346,10 +346,10 @@ def _validation(cfg, psd, amp_psd, n_haar, n_workers):
                                        rho_to_bloch(haar)))
     haar = haar[:, None]
     mapped = {
-        "D": apply_chi(depolarizing_chi(depolarizing_rate(fi), times), haar),
-        "PT": apply_chi(pauli_chi(pauli_twirl(fi, times, with_amp), times), haar),
+        "D": apply_chi(depolarizing_chi(depolarizing_rate(fi)), haar),
+        "PT": apply_chi(pauli_chi(pauli_twirl(fi, with_amplitude=with_amp)), haar),
         "NC": apply_kraus(kraus_nc(fi, Omega, times, with_amplitude=with_amp), haar),
-        "NM": apply_chi(chi_nm(fi, times, with_amplitude=with_amp), haar),
+        "NM": apply_chi(chi_nm(fi, with_amplitude=with_amp), haar),
     }
     infidelity = {
         model: np.mean(1.0 - state_fidelity(rotate_to_lab(states, Omega, times), mc_states),
@@ -378,15 +378,6 @@ def _write_ensemble(out_dir, times, ensemble):
     )
 
 
-def run_validation(cfg, psd, amp_psd, n_haar, n_workers=1, out_dir=None):
-    """Grid and per-model mean infidelities; with ``out_dir``, also write the
-    ensemble's per-state files there."""
-    times, infidelity, ensemble = _validation(cfg, psd, amp_psd, n_haar, n_workers)
-    if out_dir is not None:
-        _write_ensemble(out_dir, times, ensemble)
-    return times, infidelity
-
-
 def _variance_ratio(ensemble):
     """Per grid time, the plain Monte Carlo variance averaged over input states
     and components, divided by the same average of the control-variate
@@ -398,7 +389,7 @@ def _variance_ratio(ensemble):
 
 def cmd_validate(args, cfg, out_dir, psd, amp_psd):
     n_haar = cfg["validation"]["n_haar"]
-    grid, infidelity, ensemble = _validation(cfg, psd, amp_psd, n_haar, args.threads)
+    grid, infidelity, ensemble = run_validation(cfg, psd, amp_psd, n_haar, args.threads)
     _write_ensemble(out_dir, grid, ensemble)
 
     models = list(infidelity)
@@ -428,13 +419,13 @@ def cmd_tomography(args, cfg, out_dir, psd, amp_psd):
         records = chain_records = counts_from_csv(args.counts)
         chis, _ = mle_fit(records, setup)
         targets = drive_unitary(Omega, np.array([rec.t for rec in records]))
-        errors = 1.0 - avg_gate_fidelity(np.array([chi.matrix for chi in chis]), targets)
-        results = [{"t": rec.t, "mle_chi": chi_hat.matrix, "mle_gate_error": error}
+        errors = 1.0 - avg_gate_fidelity(chis, targets)
+        results = [{"t": rec.t, "mle_chi": chi_hat, "mle_gate_error": error}
                    for rec, chi_hat, error in zip(records, chis, errors)]
     else:
         times = time_grid(cfg)
         fi = job_integrals(psd, Omega, times, amp_psd)
-        chis_true = chi_full(fi, Omega, times, with_amplitude=amp_psd is not None).matrix
+        chis_true = chi_full(fi, Omega, times, with_amplitude=amp_psd is not None)
         rng = np.random.default_rng(seed)
         n_rep = tomo["repetitions"]
         records, chain_records = [], []
@@ -447,8 +438,8 @@ def cmd_tomography(args, cfg, out_dir, psd, amp_psd):
         chis, _ = mle_fit(records, setup)
         targets = drive_unitary(Omega, times)
         # per time: the true channel, then its n_rep fits
-        stack = np.concatenate([chis_true[:, None], np.array(
-            [chi.matrix for chi in chis]).reshape(times.size, n_rep, 4, 4)], axis=1)
+        stack = np.concatenate([chis_true[:, None], chis.reshape(times.size, n_rep, 4, 4)],
+                               axis=1)
         errors = 1.0 - avg_gate_fidelity(stack, targets[:, None])
         results = []
         for i, t in enumerate(times):
@@ -484,7 +475,7 @@ def cmd_rb(args, cfg, out_dir, psd, amp_psd):
     t_pi = math.pi / Omega
     fi = job_integrals(psd, Omega, [t_pi], amp_psd)
     point = fi.at(0)
-    rates = pauli_twirl(point, t_pi, with_amplitude=amp_psd is not None)
+    rates = pauli_twirl(point, with_amplitude=amp_psd is not None)
 
     rb_cfg = cfg["rb"]
     lengths = [2**k for k in range(1, int(math.log2(rb_cfg["max_length"])) + 1)]

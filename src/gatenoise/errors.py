@@ -1,5 +1,7 @@
 """Exception hierarchy shared by all gatenoise modules."""
 
+import numbers
+
 
 class GateNoiseError(Exception):
     """Base class for all package errors."""
@@ -32,3 +34,9 @@ class FitError(NumericalError):
 
 class TuningWarning(UserWarning):
     """Sampler tuning landed outside the recommended operating range."""
+
+
+def _check_count(name, value, least=1):
+    """Raise ``ValidationError`` unless ``value`` is an integer >= ``least``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+        raise ValidationError(f"{name} must be an integer >= {least}, got {value!r}")

@@ -47,13 +47,12 @@ no variance is a difference of raw sums and the worker count changes no bit.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .channels import bloch_to_rho, check_density_matrix, rho_to_bloch
-from .errors import NumericalError, ValidationError
+from .errors import NumericalError, ValidationError, _check_count
 
 # Largest tolerated deviation of a propagator from unitarity, |a|^2 + |b|^2 - 1.
 MAX_NORM_DRIFT = 1e-6
@@ -88,12 +87,6 @@ class DriveConfig:
             raise ValidationError("Omega and dt must be positive and finite")
         _check_count("n_steps", self.n_steps)
         _check_count("m_mc", self.m_mc)
-
-
-def _check_count(name, value):
-    """Raise ``ValidationError`` unless ``value`` is an integer >= 1."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
-        raise ValidationError(f"{name} must be an integer >= 1, got {value!r}")
 
 
 def default_timestep(Omega, tau_c=None):

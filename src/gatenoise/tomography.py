@@ -35,8 +35,8 @@ import numpy as np
 import numpy.fft  # noqa: F401  loaded with the module: numpy 2 defers it to first use
 import numpy.random  # noqa: F401
 
-from .channels import _PTM, PAULIS, ProcessMatrix, gate_fidelity_matrix
-from .errors import DegenerateDataError, FitError, TuningWarning, ValidationError
+from .channels import _PTM, PAULIS, gate_fidelity_matrix
+from .errors import DegenerateDataError, FitError, TuningWarning, ValidationError, _check_count
 
 
 # --------------------------------------------------------------------- #
@@ -65,17 +65,16 @@ class TomographySetup:
     ``p(s, b, m) = tr(D chi)`` for the process matrix of the full evolution.
     The six POVM elements carry weight 1/3 per basis so they sum to the
     identity; consequently outcome pairs satisfy p(+) + p(-) = 1/3 for any
-    trace-preserving channel.  ``q_forms[s, b, m]`` is the same probability
-    as a real symmetric 6x6 form in the block-Cholesky vector:
-    ``p = ell^T Q ell / |ell|^2`` (see :func:`ell_form`).  ``chart_forms[k]``
-    holds the 5x5 forms in the trace-preserving entries (``_TP``) of pivot
-    chart k (see :func:`_rechart`); chart 0 is ``q_forms`` without l34.
+    trace-preserving channel.  ``chart_forms[k, s, b, m]`` is the same
+    probability as a real symmetric 5x5 form in the trace-preserving entries
+    (``_TP``) of the block-Cholesky vector in pivot chart k (see
+    :func:`_rechart`): ``p = ell^T Q ell / |ell|^2``.  Chart 0 is
+    ``ell_form(d_matrices)`` without l34.
     """
 
     states: list = field(default_factory=list)
     povm: list = field(default_factory=list)
     d_matrices: np.ndarray = None
-    q_forms: np.ndarray = None
     chart_forms: np.ndarray = None
 
     @classmethod
@@ -94,7 +93,7 @@ class TomographySetup:
                       np.array(states), PAULIS)
         # chart k factors chi in the basis order _CHART_ORDER[k]: its forms conjugate D
         charts = np.stack([ell_form(D[..., order, :][..., order]) for order in _CHART_ORDER])
-        return cls(states=states, povm=povm, d_matrices=D, q_forms=charts[0],
+        return cls(states=states, povm=povm, d_matrices=D,
                    chart_forms=charts[..., _TP, :][..., _TP])
 
 
@@ -107,7 +106,6 @@ def born_probs(chi, setup=None):
     """Measurement probabilities p[..., s, b, m] = tr(D_{s,b,m} chi) of a
     (..., 4, 4) chi."""
     setup = setup or default_setup()
-    chi = chi.matrix if isinstance(chi, ProcessMatrix) else np.asarray(chi)
     return np.einsum("sbmij,...ji->...sbm", setup.d_matrices, chi).real
 
 
@@ -205,7 +203,7 @@ def counts_from_csv(path):
 
 def linear_inversion(probs, setup=None):
     """Closed-form, trace-preserving process matrix of (..., 4, 3, 2) Born
-    probabilities: one (4, 4) chi per record of a stack.
+    probabilities: a (..., 4, 4) complex array, one chi per record of a stack.
 
     Basis b's contrast p(+) - p(-) is c_b0 + c_b . r on the output Bloch vector
     r, c_ba = tr(s_a (M_b+ - M_b-)) / 2; the states' r and input Bloch vectors
@@ -220,7 +218,7 @@ def linear_inversion(probs, setup=None):
     r_in = np.einsum("aij,sji->sa", PAULIS, np.array(setup.states)).real  # rows (1, r)
     ptm = np.broadcast_to(np.eye(4), probs.shape[:-3] + (4, 4)).copy()
     ptm[..., 1:, :] = np.swapaxes(np.linalg.solve(r_in, np.swapaxes(r_out, -1, -2)), -1, -2)
-    return ProcessMatrix(np.einsum("ijab,...ij->...ab", _PTM.conj(), ptm) / 4.0)
+    return np.einsum("ijab,...ij->...ab", _PTM.conj(), ptm) / 4.0
 
 
 # --------------------------------------------------------------------- #
@@ -409,7 +407,7 @@ def _inversion_starts(counts, shots, setup):
     chi_22 and chi_33, each raised to ``START_FLOOR`` first.
     """
     freqs = counts / (3.0 * np.repeat(shots, 2, axis=1))
-    chi = linear_inversion(freqs.reshape(-1, 4, 3, 2), setup).matrix
+    chi = linear_inversion(freqs.reshape(-1, 4, 3, 2), setup)
     diag, off = np.diagonal(chi, axis1=1, axis2=2).real, chi[:, 1, 0].imag
     lam, vec = np.linalg.eigh(np.stack([diag[:, 0], off, off, diag[:, 1]], 1).reshape(-1, 2, 2))
     lam = np.maximum(lam, START_FLOOR)
@@ -558,11 +556,10 @@ def mle_fit(counts, setup=None, *, n_starts=1, seed=0):
     padded to 6 entries with l34 = 0.
     A :class:`TuningWarning` counts the fits whose best start stopped at
     ``MLE_MAX_ITER`` iterations short of the tolerance, with the largest
-    Newton decrement left.  One record returns (ProcessMatrix, ell); a
-    sequence returns the list of ProcessMatrix and the (n, 6) ell stack.
+    Newton decrement left.  One record returns its (4, 4) chi and 6-entry
+    ell; a sequence returns the (n, 4, 4) chi stack and the (n, 6) ell stack.
     """
-    if n_starts < 1:
-        raise ValidationError(f"mle_fit needs n_starts >= 1, got {n_starts}")
+    _check_count("n_starts", n_starts)
     setup = setup or default_setup()
     single = isinstance(counts, CountRecord)
     records = [counts] if single else list(counts)
@@ -582,7 +579,7 @@ def mle_fit(counts, setup=None, *, n_starts=1, seed=0):
             TuningWarning,
         )
     ells = _padded(ell[best])
-    chis = [ProcessMatrix(chi_from_ell(e), rec.t) for e, rec in zip(ells, records)]
+    chis = np.array([chi_from_ell(e) for e in ells])
     if single:
         return chis[0], ells[0]
     return chis, ells
@@ -667,9 +664,10 @@ def mh_chain(counts, setup=None, *, n_steps=100000, width=0.02, seed=0,
     ``target_unitary`` (identity if omitted) are 1/2 - ell^T G ell.
     """
     score = _batch_scorer(counts, setup or default_setup())
+    _check_count("n_steps", n_steps)
+    if not (0.0 <= burn_in_frac < 1.0 and 0.0 < width < math.inf):
+        raise ValidationError("mh_chain needs 0 <= burn_in_frac < 1 and a finite width > 0")
     n_burn = int(burn_in_frac * n_steps)
-    if not (0 <= n_burn < n_steps and 0.0 < width < math.inf):
-        raise ValidationError("mh_chain needs a finite width > 0 and a step after burn-in")
     rng = np.random.default_rng(seed)
 
     ell = np.array([1.0, 0.0, 0.05, 0.05, 0.05])
@@ -893,6 +891,8 @@ def rb_simulate(pulse_channel, *, lengths=None, n_seq=100, shots=100, seed=0):
     Returns an :class:`RBResult` carrying the decay ``lam``, the standard
     average Clifford infidelity ``(1 - lam)/2`` and its per-pulse proxy.
     """
+    _check_count("n_seq", n_seq, least=2)
+    _check_count("shots", shots)
     if lengths is None:
         lengths = [2**k for k in range(1, 11)]
     lengths = np.asarray(lengths, dtype=int)

@@ -16,10 +16,7 @@ from scipy.special import sici
 from gatenoise._quadrature import adaptive_gk, cumulative_simpson
 from gatenoise.channels import (
     PAULIS,
-    KrausSet,
-    ProcessMatrix,
     apply_chi,
-    apply_kraus,
     bloch_to_rho,
     check_density_matrix,
     pauli_chi,
@@ -40,6 +37,7 @@ from gatenoise.tomography import (
     chi_from_ell,
     clifford_table,
     default_setup,
+    ell_form,
     fold_ell,
 )
 
@@ -305,23 +303,17 @@ def nm_measure_ou(c, tau_c, Omega, t_max, n_grid):
     return times, cumulative_trapezoid(negativity, dx=h, initial=0.0)
 
 
-def kraus_to_chi(kraus, t=0.0):
-    """Process matrix of a Kraus set in the plain Pauli basis."""
-    ops = np.asarray(kraus.ops if isinstance(kraus, KrausSet) else kraus)
-    coeff = 0.5 * np.einsum("aij,nji->an", PAULIS, ops)
-    return ProcessMatrix(coeff @ coeff.conj().T, t)
+def kraus_to_chi(kraus):
+    """Process matrix, (..., 4, 4), of (..., n, 2, 2) Kraus operators in the
+    plain Pauli basis."""
+    coeff = 0.5 * np.einsum("aij,...nji->...an", PAULIS, np.asarray(kraus))
+    return coeff @ np.swapaxes(coeff.conj(), -1, -2)
 
 
-def ptm(channel):
-    """Pauli transfer matrix R_ab = (1/2) tr[s_a E(s_b)] (affine row included).
-
-    ``channel`` is a ProcessMatrix / raw chi array / KrausSet / list of
-    Kraus operators.
-    """
-    if isinstance(channel, (ProcessMatrix, np.ndarray)):
-        images = apply_chi(channel, PAULIS)
-    else:
-        images = apply_kraus(channel, PAULIS)
+def ptm(chi):
+    """Pauli transfer matrix R_ab = (1/2) tr[s_a E(s_b)] (affine row included)
+    of a (4, 4) chi; Kraus operators go through :func:`kraus_to_chi`."""
+    images = apply_chi(chi, PAULIS)
     return 0.5 * np.einsum("aij,bji->ab", PAULIS, images).real
 
 
@@ -355,7 +347,7 @@ def linear_inversion_lstsq(probs, setup=None):
     A = np.vstack([rows.reshape(-1, basis.shape[0]), 100.0 * tp_rows])
     y = np.concatenate([np.asarray(probs, dtype=float).reshape(-1), 100.0 * tp_rhs])
     x, *_ = np.linalg.lstsq(A, y, rcond=None)
-    return ProcessMatrix(np.einsum("k,kij->ij", x, basis))
+    return np.einsum("k,kij->ij", x, basis)
 
 
 def master_equation_evolve(rho0, kernels, Omega, times, amp_rate=None):
@@ -424,7 +416,7 @@ def rb_survival_loop(rates, sequences, words):
     follows every pulse.  The ideal product is an explicit PTM product and
     the inversion gate is found by trying every Clifford.
     """
-    pulses = [ptm(KrausSet([U])) for U in pulse_unitaries()]
+    pulses = [ptm(kraus_to_chi([U])) for U in pulse_unitaries()]
     noise = ptm(pauli_chi(rates))
     noisy, ideal = [], []
     for word in words:
@@ -514,9 +506,10 @@ def log_likelihood(probs, counts, *, grad=False):
     return logl, counts.counts / p
 
 
-def _born_terms(ell, setup):
-    """(Q ell / |ell|^2, p) with p = ell^T Q ell / |ell|^2 the Born probabilities."""
-    q_ell = (setup.q_forms.reshape(-1, N_PARAMS) @ ell).reshape(4, 3, 2, N_PARAMS)
+def _born_terms(ell, q_forms):
+    """(Q ell / |ell|^2, p) with p = ell^T Q ell / |ell|^2 the Born probabilities;
+    ``q_forms`` is ``ell_form(setup.d_matrices)``."""
+    q_ell = (q_forms.reshape(-1, N_PARAMS) @ ell).reshape(4, 3, 2, N_PARAMS)
     q_ell /= ell @ ell
     return q_ell, q_ell @ ell
 
@@ -533,7 +526,7 @@ def mh_chain_scalar(counts, setup=None, *, n_steps=100000, width=0.02, seed=0,
     Returns (kept folded 6-entry ells, post-burn-in acceptance rate, width
     after tuning).
     """
-    setup = setup or default_setup()
+    q_forms = ell_form((setup or default_setup()).d_matrices)
     n_burn = int(burn_in_frac * n_steps)
     rng = np.random.default_rng(seed)
     normals = np.zeros((n_steps, N_PARAMS))
@@ -541,14 +534,14 @@ def mh_chain_scalar(counts, setup=None, *, n_steps=100000, width=0.02, seed=0,
     uniforms = rng.random(n_steps)
     ell = np.array([1.0, 0.0, 0.05, 0.05, 0.0, 0.05])
     ell /= np.linalg.norm(ell)
-    logl = log_likelihood(_born_terms(ell, setup)[1], counts)
+    logl = log_likelihood(_born_terms(ell, q_forms)[1], counts)
     chain = np.empty((n_steps, N_PARAMS))
     accepted = np.zeros(n_steps, dtype=bool)
     window = max(1, min(200, n_burn // 4))
     for step in range(n_steps):
         prop = ell + width * normals[step]
         prop /= math.sqrt(prop @ prop)
-        logl_prop = log_likelihood(_born_terms(prop, setup)[1], counts)
+        logl_prop = log_likelihood(_born_terms(prop, q_forms)[1], counts)
         if math.log(uniforms[step] + 1e-300) < logl_prop - logl:
             ell, logl, accepted[step] = prop, logl_prop, True
         chain[step] = ell
@@ -564,7 +557,7 @@ def loglik_and_grad(ell, counts, setup):
     With p = ell^T Q ell / |ell|^2, dp/dell = 2 Q ell / |ell|^2 - 2 p ell / |ell|^2.
     """
     ell = np.asarray(ell, dtype=float)
-    q_ell, probs = _born_terms(ell, setup)
+    q_ell, probs = _born_terms(ell, ell_form(setup.d_matrices))
     logl, weight = log_likelihood(probs, counts, grad=True)
     grad = 2.0 * (weight.ravel() @ q_ell.reshape(-1, N_PARAMS)
                   - float(weight.ravel() @ probs.ravel()) * ell / (ell @ ell))
@@ -578,7 +571,7 @@ def mle_fit_lbfgsb(counts, setup=None, *, n_starts=8, seed=0):
     Minimizes the negative log-likelihood per count over the 5 entries from
     the identity-channel start plus ``n_starts - 1`` random positive draws
     of one shared ``default_rng(seed)``, one scipy run per start.  Returns
-    (ProcessMatrix, 6-entry ell).
+    ((4, 4) chi, 6-entry ell).
     """
     setup = setup or default_setup()
     _stack_records([counts])  # rejects a (state, basis) pair without shots
@@ -609,7 +602,7 @@ def mle_fit_lbfgsb(counts, setup=None, *, n_starts=8, seed=0):
         if best is None or res.fun < best.fun:
             best = res
     ell = padded(best.x / np.linalg.norm(best.x))
-    return ProcessMatrix(chi_from_ell(ell), counts.t), ell
+    return chi_from_ell(ell), ell
 
 
 def fit_rb_decay_curve_fit(lengths, mean, se, *, shots=100, n_seq=100, **tols):

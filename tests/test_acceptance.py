@@ -160,7 +160,7 @@ def test_criterion_04_channel_infidelity_ordering():
         "simulation": {"m_mc": 20000, "dt_s": 2e-6, "seed": 1234, "chunk": 4096},
     }
     t0 = time.time()
-    grid, infid = run_validation(cfg, NoisePsd.ou(C_OU, TAU_OU), None, n_haar=1000)
+    grid, infid, _ = run_validation(cfg, NoisePsd.ou(C_OU, TAU_OU), None, n_haar=1000)
     wall = time.time() - t0
     avg = {m: float(infid[m].mean()) for m in infid}
     assert avg["D"] > avg["PT"] > avg["NC"], avg
@@ -212,8 +212,8 @@ def test_criterion_06_twirl_fidelity_equality():
         U = drive_unitary(Omega, t)
         m = pauli_left_matrix(U)
         from gatenoise.channels import chi_nm
-        chi_lab = m @ chi_nm(pt, with_amplitude=with_amp).matrix @ m.conj().T
-        twirl_lab = m @ pauli_chi(pauli_twirl(pt, with_amplitude=with_amp)).matrix @ m.conj().T
+        chi_lab = m @ chi_nm(pt, with_amplitude=with_amp) @ m.conj().T
+        twirl_lab = m @ pauli_chi(pauli_twirl(pt, with_amplitude=with_amp)) @ m.conj().T
         diff = abs(avg_gate_fidelity(chi_lab, U) - avg_gate_fidelity(twirl_lab, U))
         worst = max(worst, diff)
     wall = time.time() - t0
@@ -279,7 +279,7 @@ def test_criterion_08_tomography_roundtrip_and_bias():
         chi = chi_from_ell(ell)
         probs = born_probs(chi, setup)
         rec = linear_inversion(probs, setup)
-        worst_li = max(worst_li, float(np.abs(rec.matrix - chi).max()))
+        worst_li = max(worst_li, float(np.abs(rec - chi).max()))
     assert worst_li <= 1e-10
 
     worst_mle = 0.0
@@ -293,7 +293,7 @@ def test_criterion_08_tomography_roundtrip_and_bias():
         counts = np.round(probs * 3 * 10**9).astype(int)
         rec = CountRecord(t=0.0, shots=counts.sum(axis=2), counts=counts)
         chi_hat, _ = mle_fit(rec, setup, n_starts=4, seed=0)
-        worst_mle = max(worst_mle, float(np.abs(chi_hat.matrix - chi).max()))
+        worst_mle = max(worst_mle, float(np.abs(chi_hat - chi).max()))
     assert worst_mle <= 1e-7
 
     # shot-noise bias study on a memoryless channel snapshot
@@ -412,7 +412,7 @@ def test_criterion_10_rb_oracle_and_lower_bound():
     Omega = 2000.0
     t_pi = math.pi / Omega
     fi = ou_filtered_integrals(C_OU, TAU_OU, Omega, [t_pi])
-    rates = pauli_twirl(fi.at(0), t_pi)
+    rates = pauli_twirl(fi.at(0))
     eps_nm = gate_error(fi.at(0), "NM")
     res_nm = rb_simulate(rates, n_seq=100, shots=100, seed=43)
     assert res_nm.eps_rb >= eps_nm

@@ -5,7 +5,6 @@ import pytest
 
 from gatenoise.channels import (
     PAULIS,
-    ProcessMatrix,
     apply_chi,
     apply_kraus,
     avg_gate_fidelity,
@@ -48,7 +47,7 @@ RHOP = 0.5 * np.ones((2, 2), dtype=complex)
 
 def check_process_matrix(chi, herm_tol=1e-10, psd_tol=1e-10, tp_tol=1e-10):
     """CP/TP check of a Pauli-basis process matrix by explicit sums."""
-    chi = chi.matrix if isinstance(chi, ProcessMatrix) else np.asarray(chi, dtype=complex)
+    chi = np.asarray(chi, dtype=complex)
     if np.abs(chi - chi.conj().T).max() > herm_tol:
         raise ValidationError("process matrix is not Hermitian")
     min_eig = float(np.linalg.eigvalsh(chi)[0])
@@ -72,12 +71,11 @@ def pauli_conjugation_matrix(U):
 
 def twirl_chi(chi):
     """Brute-force Pauli twirl: average of P^dag E(P . P^dag) P over Paulis."""
-    chi = chi.matrix if isinstance(chi, ProcessMatrix) else np.asarray(chi)
     out = np.zeros_like(chi)
     for P in PAULIS:
         w = pauli_conjugation_matrix(P)
         out += w @ chi @ w.conj().T / 4.0
-    return ProcessMatrix(out)
+    return out
 
 
 def physical_point(rng, with_amplitude=False):
@@ -123,7 +121,7 @@ def test_dressed_evolve_matches_master_equation_weak_noise():
 
 def test_chi_identity_at_zero_integrals():
     chi = chi_nm(ZERO_POINT)
-    np.testing.assert_allclose(chi.matrix, np.diag([1.0, 0, 0, 0]), atol=1e-15)
+    np.testing.assert_allclose(chi, np.diag([1.0, 0, 0, 0]), atol=1e-15)
 
 
 def test_chi_invariants_on_physical_tuples():
@@ -134,7 +132,7 @@ def test_chi_invariants_on_physical_tuples():
             chi = chi_nm(pt, with_amplitude=flag)
             check_process_matrix(chi, psd_tol=1e-8)
             # block structure
-            assert np.abs(chi.matrix[:2, 2:]).max() == 0.0
+            assert np.abs(chi[:2, 2:]).max() == 0.0
 
 
 def test_kraus_rejects_negative_decay_exponent():
@@ -154,7 +152,7 @@ def test_kraus_completeness_random():
         pt = physical_point(rng, with_amplitude=True)
         for flag in (False, True):
             ks = kraus_nc(pt, Omega=2.0, t=rng.uniform(0, 5), with_amplitude=flag)
-            total = sum(K.conj().T @ K for K in ks.ops)
+            total = sum(K.conj().T @ K for K in ks)
             assert np.abs(total - np.eye(2)).max() < 1e-12
 
 
@@ -192,7 +190,7 @@ def test_kraus_pauli_form_at_special_times():
     pt = IntegralPoint(0.5, 0.0, 0.0, 0.0, 0.0)
     ks = kraus_nc(pt, Omega=1.0, t=0.0)
     found = set()
-    for K in ks.ops:
+    for K in ks:
         for idx in (2, 3):
             if np.abs(K - 0.5 * np.trace(PAULIS[idx] @ K) * PAULIS[idx]).max() < 1e-12 \
                     and np.abs(K).max() > 1e-8:
@@ -207,7 +205,7 @@ def test_chi_full_block_structure_and_gauge():
         Omega, t = rng.uniform(0.5, 5), rng.uniform(0, 6)
         cf = chi_full(pt, Omega, t)
         check_process_matrix(cf, psd_tol=1e-8)
-        assert np.abs(cf.matrix[:2, 2:]).max() < 1e-13
+        assert np.abs(cf[:2, 2:]).max() < 1e-13
         target = drive_unitary(Omega, t)
         assert avg_gate_fidelity(cf, target) == pytest.approx(
             1.0 - gate_error(pt, "NM"), abs=1e-12)
@@ -237,9 +235,9 @@ def test_twirl_matches_bruteforce_conjugation():
         tw = twirl_chi(chi)
         rates = pauli_twirl(pt, with_amplitude=True)
         np.testing.assert_allclose(
-            np.diag(tw.matrix).real,
+            np.diag(tw).real,
             [1.0 - rates.p, rates.px, rates.py, rates.pz], atol=1e-12)
-        assert np.abs(tw.matrix - np.diag(np.diag(tw.matrix))).max() < 1e-13
+        assert np.abs(tw - np.diag(np.diag(tw))).max() < 1e-13
 
 
 def test_twirl_preserves_average_fidelity():
@@ -249,8 +247,8 @@ def test_twirl_preserves_average_fidelity():
         Omega, t = rng.uniform(0.5, 4), rng.uniform(0.1, 5)
         U = drive_unitary(Omega, t)
         m = pauli_left_matrix(U)
-        chi_lab = m @ chi_nm(pt).matrix @ m.conj().T
-        twirl_lab = m @ pauli_chi(pauli_twirl(pt)).matrix @ m.conj().T
+        chi_lab = m @ chi_nm(pt) @ m.conj().T
+        twirl_lab = m @ pauli_chi(pauli_twirl(pt)) @ m.conj().T
         assert avg_gate_fidelity(chi_lab, U) == pytest.approx(
             avg_gate_fidelity(twirl_lab, U), abs=1e-12)
 
@@ -301,17 +299,18 @@ def test_gate_fidelity_matrix_agrees_with_direct():
     loose *= rng.uniform(0.7, 1.3, len(points))[:, None, None] / np.trace(
         loose, axis1=-2, axis2=-1).real[:, None, None]
     kraus = kraus_nc(fi, omegas, times, True)
-    fid_kraus = avg_gate_fidelity(kraus, targets)
-    for chis in (chi_full(fi, omegas, times, True).matrix, loose):
+    fid_kraus = avg_gate_fidelity(kraus_to_chi(kraus), targets)
+    for chis in (chi_full(fi, omegas, times, True), loose):
         fast = 0.5 + np.real(np.sum(chis * G, axis=(-2, -1)))
         fid_chi = avg_gate_fidelity(chis, targets)
         for i, U in enumerate(targets):
-            R_U = ptm([U])[1:, 1:]
+            R_U = ptm(kraus_to_chi([U]))[1:, 1:]
             want = 0.5 + np.trace(R_U.T @ ptm(chis[i])[1:, 1:]) / 6.0
             assert fast[i] == pytest.approx(want, rel=0, abs=1e-14)
             assert fid_chi[i] == pytest.approx(want, rel=0, abs=1e-14)
     for i, U in enumerate(targets):
-        want = 0.5 + np.trace(ptm([U])[1:, 1:].T @ ptm(list(kraus.ops[i]))[1:, 1:]) / 6.0
+        want = 0.5 + np.trace(ptm(kraus_to_chi([U]))[1:, 1:].T
+                              @ ptm(kraus_to_chi(kraus[i]))[1:, 1:]) / 6.0
         assert fid_kraus[i] == pytest.approx(want, rel=0, abs=1e-14)
         np.testing.assert_allclose(gate_fidelity_matrix(U), G[i], rtol=0, atol=1e-16)
 
@@ -338,8 +337,8 @@ def test_helpers_broadcast_over_state_stacks(helper, shape):
     states = haar_random_state(rng, n)
     mixed = 0.5 * states + 0.25 * np.eye(2)
     reference = {
-        "apply_chi": lambda k: _apply_chi_loop(chi.matrix, states[k]),
-        "apply_kraus": lambda k: sum(K @ states[k] @ K.conj().T for K in kraus.ops),
+        "apply_chi": lambda k: _apply_chi_loop(chi, states[k]),
+        "apply_kraus": lambda k: sum(K @ states[k] @ K.conj().T for K in kraus),
         "state_fidelity": lambda k: _state_fidelity_scalar(states[k], mixed[k]),
         "rotate_to_lab": lambda k: (drive_unitary(1.3, 0.7) @ states[k]
                                     @ drive_unitary(1.3, 0.7).conj().T),
@@ -412,15 +411,15 @@ def test_builders_on_a_grid_equal_pointwise_calls(with_amplitude):
     points, fi, times, omegas = _grid(31 + with_amplitude, with_amplitude)
     flag = with_amplitude
     targets = drive_unitary(omegas, times)
-    rates = pauli_twirl(fi, times, flag)
+    rates = pauli_twirl(fi, with_amplitude=flag)
     stacked = {
-        "chi_nm": chi_nm(fi, times, flag).matrix,
-        "chi_full": chi_full(fi, omegas, times, flag).matrix,
-        "kraus_nc": kraus_nc(fi, omegas, times, flag).ops,
+        "chi_nm": chi_nm(fi, with_amplitude=flag),
+        "chi_full": chi_full(fi, omegas, times, flag),
+        "kraus_nc": kraus_nc(fi, omegas, times, flag),
         "pauli_twirl": np.stack([rates.px, rates.py, rates.pz], axis=-1),
         "depolarizing_rate": depolarizing_rate(fi),
-        "depolarizing_chi": depolarizing_chi(depolarizing_rate(fi), times).matrix,
-        "pauli_chi": pauli_chi(rates, times).matrix,
+        "depolarizing_chi": depolarizing_chi(depolarizing_rate(fi)),
+        "pauli_chi": pauli_chi(rates),
         "gate_error": np.stack([gate_error(fi, m) for m in ("D", "NC", "NM", "NC_I", "NM_I")],
                                axis=-1),
         "drive_unitary": targets,
@@ -429,16 +428,16 @@ def test_builders_on_a_grid_equal_pointwise_calls(with_amplitude):
     assert stacked["chi_nm"].shape == (len(points), 4, 4)
     assert stacked["kraus_nc"].shape == (len(points), 4, 2, 2)
     for i, (pt, t, om) in enumerate(zip(points, times, omegas)):
-        r = pauli_twirl(pt, t, flag)
+        r = pauli_twirl(pt, with_amplitude=flag)
         U = drive_unitary(om, t)
         single = {
-            "chi_nm": chi_nm(pt, t, flag).matrix,
-            "chi_full": chi_full(pt, om, t, flag).matrix,
-            "kraus_nc": kraus_nc(pt, om, t, flag).ops,
+            "chi_nm": chi_nm(pt, with_amplitude=flag),
+            "chi_full": chi_full(pt, om, t, flag),
+            "kraus_nc": kraus_nc(pt, om, t, flag),
             "pauli_twirl": [r.px, r.py, r.pz],
             "depolarizing_rate": depolarizing_rate(pt),
-            "depolarizing_chi": depolarizing_chi(depolarizing_rate(pt), t).matrix,
-            "pauli_chi": pauli_chi(r, t).matrix,
+            "depolarizing_chi": depolarizing_chi(depolarizing_rate(pt)),
+            "pauli_chi": pauli_chi(r),
             "gate_error": [gate_error(pt, m) for m in ("D", "NC", "NM", "NC_I", "NM_I")],
             "drive_unitary": U,
             "pauli_left_matrix": pauli_left_matrix(U),
@@ -449,9 +448,23 @@ def test_builders_on_a_grid_equal_pointwise_calls(with_amplitude):
                                        err_msg=name)
     # scalar snapshots keep scalar shapes
     pt, t, om = points[0], times[0], omegas[0]
-    assert chi_full(pt, om, t, flag).matrix.shape == (4, 4)
-    assert np.ndim(pauli_twirl(pt, t, flag).px) == 0
+    assert chi_full(pt, om, t, flag).shape == (4, 4)
+    assert np.ndim(pauli_twirl(pt, with_amplitude=flag).px) == 0
     assert isinstance(gate_error(pt, "NM"), float)
+
+
+def test_builders_return_plain_arrays_and_take_no_time_label():
+    pt = physical_point(np.random.default_rng(35), with_amplitude=True)
+    rates = pauli_twirl(pt)
+    for chi in (chi_nm(pt), chi_full(pt, 1.3, 0.7), depolarizing_chi(0.1), pauli_chi(rates)):
+        assert isinstance(chi, np.ndarray) and chi.shape == (4, 4) and chi.dtype == complex
+    kraus = kraus_nc(pt, 1.3, 0.7)
+    assert isinstance(kraus, np.ndarray) and kraus.shape == (4, 2, 2)
+    # with_amplitude is keyword-only: a time where it stood is an error
+    for call in (lambda: chi_nm(pt, 0.5), lambda: pauli_twirl(pt, 0.5, True),
+                 lambda: depolarizing_chi(0.1, 0.5), lambda: pauli_chi(rates, 0.5)):
+        with pytest.raises(TypeError):
+            call()
 
 
 def test_one_cp_violating_snapshot_in_a_grid_raises():
@@ -461,9 +474,9 @@ def test_one_cp_violating_snapshot_in_a_grid_raises():
                            *[[getattr(p, name) for p in bad]
                              for name in ("gamma1", "gamma2", "delta1", "delta2", "dgamma1")])
     with pytest.raises(CPViolationError):
-        chi_nm(fi, fi.times)
+        chi_nm(fi)
     with pytest.raises(CPViolationError):
-        pauli_twirl(fi, fi.times)
+        pauli_twirl(fi)
 
 
 def test_avg_gate_fidelity_on_stacks_equals_scalar_calls():
@@ -472,16 +485,16 @@ def test_avg_gate_fidelity_on_stacks_equals_scalar_calls():
     kraus = kraus_nc(fi, omegas, times, True)
     targets = drive_unitary(omegas, times)
     fid_chi = avg_gate_fidelity(chis, targets)
-    fid_kraus = avg_gate_fidelity(kraus, targets)
+    fid_kraus = avg_gate_fidelity(kraus_to_chi(kraus), targets)
     # one channel against every target broadcasts too
-    fid_one = avg_gate_fidelity(chis.matrix[0], targets)
+    fid_one = avg_gate_fidelity(chis[0], targets)
     for i in range(len(points)):
-        assert isinstance(avg_gate_fidelity(chis.matrix[i], targets[i]), float)
-        assert fid_chi[i] == pytest.approx(avg_gate_fidelity(chis.matrix[i], targets[i]),
+        assert isinstance(avg_gate_fidelity(chis[i], targets[i]), float)
+        assert fid_chi[i] == pytest.approx(avg_gate_fidelity(chis[i], targets[i]),
                                            rel=0, abs=1e-14)
-        assert fid_kraus[i] == pytest.approx(avg_gate_fidelity(list(kraus.ops[i]), targets[i]),
-                                             rel=0, abs=1e-14)
-        assert fid_one[i] == pytest.approx(avg_gate_fidelity(chis.matrix[0], targets[i]),
+        assert fid_kraus[i] == pytest.approx(avg_gate_fidelity(kraus_to_chi(kraus[i]),
+                                                               targets[i]), rel=0, abs=1e-14)
+        assert fid_one[i] == pytest.approx(avg_gate_fidelity(chis[0], targets[i]),
                                            rel=0, abs=1e-14)
 
 
@@ -537,8 +550,6 @@ def test_master_equation_rejects_bad_state():
 
 
 def test_process_matrix_container_validation():
-    with pytest.raises(ValidationError):
-        ProcessMatrix(np.eye(3))
     with pytest.raises(ValidationError):
         check_process_matrix(np.diag([1.0, 0.1, 0, 0]))  # trace > 1 breaks TP
 

@@ -274,7 +274,8 @@ def test_validation_scoring_matches_per_state_loop(tmp_path, seed):
     cfg = load_config(cfg_path)
     psd, amp_psd = build_psds(cfg)
     n_haar = 50
-    grid, infidelity = run_validation(cfg, psd, amp_psd, n_haar=n_haar, out_dir=tmp_path)
+    grid, infidelity, ensemble = run_validation(cfg, psd, amp_psd, n_haar=n_haar)
+    cli._write_ensemble(tmp_path, grid, ensemble)
     snapshots = json.loads((tmp_path / "ensemble_states.json").read_text())
     Omega = cfg["drive"]["omega_rad_s"]
     fi = cli.job_integrals(psd, Omega, grid)
@@ -289,10 +290,10 @@ def test_validation_scoring_matches_per_state_loop(tmp_path, seed):
         point = fi.at(j)
         U = drive_unitary(Omega, t)
         models = {
-            "D": depolarizing_chi(depolarizing_rate(point)).matrix,
-            "PT": pauli_chi(pauli_twirl(point, t)).matrix,
-            "NC": kraus_nc(point, Omega, t).ops,
-            "NM": chi_nm(point, t).matrix,
+            "D": depolarizing_chi(depolarizing_rate(point)),
+            "PT": pauli_chi(pauli_twirl(point)),
+            "NC": kraus_nc(point, Omega, t),
+            "NM": chi_nm(point),
         }
         for model, obj in models.items():
             total = 0.0

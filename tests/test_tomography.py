@@ -9,7 +9,6 @@ from scipy.stats import chi2_contingency
 from gatenoise import tomography
 from gatenoise.channels import (
     PAULIS,
-    KrausSet,
     PauliRates,
     avg_gate_fidelity,
     chi_full,
@@ -73,6 +72,7 @@ from oracles import (
 SETUP = default_setup()
 CHI_ID = np.diag([1.0, 0, 0, 0]).astype(complex)
 Q_MAT = SETUP.chart_forms[0].reshape(-1, 5).T    # (5, 120): the standard chart's 24 forms
+Q_FORMS = ell_form(SETUP.d_matrices)              # (4, 3, 2, 6, 6): the 24 forms in all 6 entries
 
 
 def random_manifold_ell(rng, tp=True):
@@ -89,7 +89,7 @@ def random_cptp_chi(rng, n_kraus=3):
     total = sum(K.conj().T @ K for K in ops)
     evals, evecs = np.linalg.eigh(total)
     inv_sqrt = evecs @ np.diag(evals**-0.5) @ evecs.conj().T
-    return kraus_to_chi([K @ inv_sqrt for K in ops]).matrix
+    return kraus_to_chi([K @ inv_sqrt for K in ops])
 
 
 # --------------------------------------------------------------------- #
@@ -126,7 +126,7 @@ def test_depolarized_channel_probabilities():
 
 def test_linear_inversion_identity():
     chi = linear_inversion(born_probs(CHI_ID, SETUP), SETUP)
-    np.testing.assert_allclose(chi.matrix, CHI_ID, atol=1e-12)
+    np.testing.assert_allclose(chi, CHI_ID, atol=1e-12)
 
 
 def test_linear_inversion_roundtrip_random_cptp():
@@ -135,7 +135,7 @@ def test_linear_inversion_roundtrip_random_cptp():
         chi = random_cptp_chi(rng)
         probs = born_probs(chi, SETUP)
         rec = linear_inversion(probs, SETUP)
-        assert np.abs(rec.matrix - chi).max() < 1e-10
+        assert np.abs(rec - chi).max() < 1e-10
         np.testing.assert_allclose(born_probs(rec, SETUP), probs, atol=1e-12)
 
 
@@ -149,8 +149,8 @@ def test_linear_inversion_matches_the_least_squares_oracle():
             probs = born_probs(random_cptp_chi(rng), SETUP)
             if shots is not None:
                 probs = frequencies(sample_shots(probs, shots, rng))
-            chi = linear_inversion(probs, SETUP).matrix
-            assert np.abs(chi - linear_inversion_lstsq(probs, SETUP).matrix).max() < 1e-12
+            chi = linear_inversion(probs, SETUP)
+            assert np.abs(chi - linear_inversion_lstsq(probs, SETUP)).max() < 1e-12
             tp = np.einsum("ab,bij,ajk->ik", chi, PAULIS, PAULIS)
             assert np.abs(tp - np.eye(2)).max() < 1e-15
 
@@ -161,7 +161,7 @@ def test_linear_inversion_shot_noise_can_be_nonphysical():
     rec = sample_shots(probs, 100, rng)
     chi = linear_inversion(frequencies(rec), SETUP)
     # flagged by eigenvalue inspection, not rejected
-    assert np.linalg.eigvalsh(chi.matrix)[0] < 0.0
+    assert np.linalg.eigvalsh(chi)[0] < 0.0
 
 
 # --------------------------------------------------------------------- #
@@ -284,7 +284,7 @@ def test_q_form_probabilities_match_born_matrices():
     rng = np.random.default_rng(21)
     for _ in range(50):
         ell = rng.normal(size=6) * rng.uniform(0.1, 3.0)
-        p_form = np.einsum("k,sbmkl,l->sbm", ell, SETUP.q_forms, ell) / (ell @ ell)
+        p_form = np.einsum("k,sbmkl,l->sbm", ell, Q_FORMS, ell) / (ell @ ell)
         assert np.abs(p_form - born_probs(chi_from_ell(ell), SETUP)).max() < 1e-13
 
 
@@ -414,7 +414,7 @@ def test_mle_recovers_manifold_chi_from_exact_frequencies():
         counts = np.round(probs * 3 * 10**9).astype(int)
         rec = CountRecord(t=0.0, shots=counts.sum(axis=2), counts=counts)
         chi_hat, _ = mle_fit(rec, SETUP, n_starts=4, seed=0)
-        assert np.abs(chi_hat.matrix - chi).max() < 1e-7
+        assert np.abs(chi_hat - chi).max() < 1e-7
 
 
 def test_mle_equals_linear_inversion_at_large_n():
@@ -426,14 +426,14 @@ def test_mle_equals_linear_inversion_at_large_n():
     rec = CountRecord(t=0.0, shots=counts.sum(axis=2), counts=counts)
     chi_mle, _ = mle_fit(rec, SETUP, n_starts=4, seed=0)
     chi_li = linear_inversion(probs, SETUP)
-    assert np.abs(chi_mle.matrix - chi_li.matrix).max() < 1e-7
+    assert np.abs(chi_mle - chi_li).max() < 1e-7
 
 
 def test_mle_identity_counts_small_n():
     probs = born_probs(CHI_ID, SETUP)
     rec = sample_shots(probs, 100, np.random.default_rng(7))
     chi_hat, _ = mle_fit(rec, SETUP, seed=0)
-    assert chi_hat.matrix[0, 0].real >= 0.9
+    assert chi_hat[0, 0].real >= 0.9
 
 
 def test_mle_likelihood_at_least_truth():
@@ -505,7 +505,7 @@ def test_batched_mle_matches_one_fit_at_a_time():
         np.testing.assert_allclose(stack_logl[3 * k:3 * k + 3], logl, rtol=1e-13, atol=0)
         best = stack_ell[3 * k + np.argmax(stack_logl[3 * k:3 * k + 3])]
         np.testing.assert_array_equal(_padded(best), ells[k])
-        np.testing.assert_allclose(chis[k].matrix, chi_from_ell(ells[k]), rtol=0, atol=1e-15)
+        np.testing.assert_allclose(chis[k], chi_from_ell(ells[k]), rtol=0, atol=1e-15)
     chi0, ell0 = mle_fit(records[0], SETUP, n_starts=3, seed=9)
     np.testing.assert_allclose(ell0, ells[0], rtol=0, atol=1e-12)
 
@@ -572,7 +572,7 @@ def test_rechart_keeps_chi_and_is_an_involution():
     rng = np.random.default_rng(48)
     ells = np.array([random_manifold_ell(rng)[_TP] for _ in range(20)])
     assert len(tomography._CHART_ORDER) == 2
-    np.testing.assert_array_equal(SETUP.chart_forms[0], SETUP.q_forms[..., _TP, :][..., _TP])
+    np.testing.assert_array_equal(SETUP.chart_forms[0], Q_FORMS[..., _TP, :][..., _TP])
     for k, order in enumerate(tomography._CHART_ORDER):
         flip = np.full(len(ells), k == 1)
         charted = _rechart(ells, flip)
@@ -625,7 +625,7 @@ def test_pi_pulse_fits_converge_to_the_lbfgsb_oracle(monkeypatch):
     # near a pi pulse chi_II -> 0: from identity starts a fixed Cholesky chart
     # takes 117 iterations on this stack, the pivoted ascent 16
     t = math.pi / 4000.0
-    chi = chi_full(ou_filtered_integrals(1.6e9, 5e-4, 4000.0, [t]).at(0), 4000.0, t).matrix
+    chi = chi_full(ou_filtered_integrals(1.6e9, 5e-4, 4000.0, [t]).at(0), 4000.0, t)
     assert chi[0, 0].real < 1e-3
     rng = np.random.default_rng(3)
     records = [sample_shots(born_probs(chi, SETUP), 2000, rng) for _ in range(6)]
@@ -653,7 +653,7 @@ def test_the_bench_synthetic_stack_fits_in_few_iterations(monkeypatch):
     omega = 4000.0
     t_max = 4.0 * math.pi / omega
     times = np.linspace(t_max / 4, t_max, 4)
-    chis = chi_full(ou_filtered_integrals(1.6e9, 5e-4, omega, times), omega, times).matrix
+    chis = chi_full(ou_filtered_integrals(1.6e9, 5e-4, omega, times), omega, times)
     rng = np.random.default_rng(20240222)
     records = [sample_shots(probs, 2000, rng, t=t)
                for probs, t in zip(born_probs(chis, SETUP), times) for _ in range(15)]
@@ -676,7 +676,7 @@ def far_unitary_chi(rng):
     theta = rng.uniform(0.5 * math.pi, math.pi)
     u = math.cos(theta / 2) * np.eye(2) - 1j * math.sin(theta / 2) * np.einsum(
         "i,ijk->jk", axis, PAULIS[1:])
-    return kraus_to_chi([u]).matrix
+    return kraus_to_chi([u])
 
 
 def test_the_linear_inversion_start_alone_reaches_the_best_of_eight():
@@ -736,10 +736,21 @@ def test_stacked_linear_inversion_equals_one_record_at_a_time():
     rng = np.random.default_rng(2205)
     probs = born_probs(np.array([random_cptp_chi(rng) for _ in range(6)]), SETUP)
     freqs = np.array([frequencies(sample_shots(p, 40, rng)) for p in probs]).reshape(2, 3, 4, 3, 2)
-    stacked = linear_inversion(freqs, SETUP).matrix
+    stacked = linear_inversion(freqs, SETUP)
     assert stacked.shape == (2, 3, 4, 4)
     for idx in np.ndindex(2, 3):
-        np.testing.assert_array_equal(stacked[idx], linear_inversion(freqs[idx], SETUP).matrix)
+        np.testing.assert_array_equal(stacked[idx], linear_inversion(freqs[idx], SETUP))
+
+
+def test_estimators_return_plain_chi_arrays():
+    rng = np.random.default_rng(2206)
+    records = [sample_shots(born_probs(random_cptp_chi(rng), SETUP), 200, rng) for _ in range(3)]
+    chi_li = linear_inversion(frequencies(records[0]), SETUP)
+    chi_one, ell = mle_fit(records[0], SETUP)
+    chis, ells = mle_fit(records, SETUP)
+    for chi, shape in ((chi_li, (4, 4)), (chi_one, (4, 4)), (chis, (3, 4, 4))):
+        assert type(chi) is np.ndarray and chi.shape == shape and chi.dtype == complex
+    assert ell.shape == (6,) and ells.shape == (3, 6)
 
 
 @pytest.mark.parametrize("n_starts", [0, -1])
@@ -775,7 +786,7 @@ def test_no_fit_populates_l34(n_starts, monkeypatch):
     assert ells.shape == (len(records), 6)
     assert np.all(ells[:, 4] == 0.0) and not np.signbit(ells[:, 4]).any()
     for chi in chis:
-        assert chi.matrix[3, 2] == 0.0 and chi.matrix[2, 3] == 0.0
+        assert chi[3, 2] == 0.0 and chi[2, 3] == 0.0
     post = mh_chain(records[-1], SETUP, n_steps=3000, seed=2702)
     assert np.all(post.ells[:, 4] == 0.0) and not np.signbit(post.ells[:, 4]).any()
 
@@ -848,6 +859,24 @@ def test_mh_rejects_empty_chain_and_bad_width(kwargs):
     rec = sample_shots(born_probs(CHI_ID, SETUP), 10, np.random.default_rng(16))
     with pytest.raises(ValidationError):
         mh_chain(rec, SETUP, **{"n_steps": 100, **kwargs})
+
+
+@pytest.mark.parametrize("call, kwargs", [
+    ("mle_fit", {"n_starts": 2.5}),
+    ("mh_chain", {"n_steps": 100.5}),
+    ("mh_chain", {"burn_in_frac": math.nan}),
+    ("rb_simulate", {"n_seq": 1}),
+    ("rb_simulate", {"shots": 0}),
+])
+def test_entry_points_reject_bad_counts_and_fractions(call, kwargs):
+    rec = sample_shots(born_probs(CHI_ID, SETUP), 10, np.random.default_rng(17))
+    with pytest.raises(ValidationError):
+        if call == "mle_fit":
+            mle_fit(rec, SETUP, **kwargs)
+        elif call == "mh_chain":
+            mh_chain(rec, SETUP, **{"n_steps": 100, **kwargs})
+        else:
+            rb_simulate(PauliRates(1e-3, 2e-3, 3e-3), lengths=[2, 4], **kwargs)
 
 
 @pytest.mark.parametrize("shots", [8, 100, 1000])
@@ -934,7 +963,7 @@ def test_mh_mean_matches_importance_sampling_oracle():
         x = np.zeros((50000, 6))
         x[:, _TP] = rng.standard_normal((50000, 5))
         x /= np.linalg.norm(x, axis=1, keepdims=True)
-        probs = np.einsum("nk,sbmkl,nl->nsbm", x, SETUP.q_forms, x)
+        probs = np.einsum("nk,sbmkl,nl->nsbm", x, Q_FORMS, x)
         logls.append(np.einsum("nsbm,sbm->n", np.log(probs), rec.counts))
         errors.append(0.5 - np.einsum("nk,kl,nl->n", x, form, x))
     logl = np.concatenate(logls)
@@ -1021,7 +1050,7 @@ def test_clifford_table_properties():
         U = np.eye(2, dtype=complex)
         for g in word:
             U = pulse_unitaries()[g] @ U
-        np.testing.assert_allclose(ptm(KrausSet([U]))[1:, 1:], R, atol=1e-12)
+        np.testing.assert_allclose(ptm(kraus_to_chi([U]))[1:, 1:], R, atol=1e-12)
     compose, inverse = clifford_group()
     assert sorted(set(compose.ravel())) == list(range(24))
     for a in range(24):
