@@ -47,7 +47,7 @@ no variance is a difference of raw sums and the worker count changes no bit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -102,7 +102,7 @@ class DensityTrajectory:
     """Ensemble-averaged states, Pauli expectations and channel on the time grid.
 
     For a stack of input states the per-state arrays carry the stack's
-    leading axes first; indexing the trajectory selects one input state.
+    leading axes first.
     The channel at ``times[k]`` maps Bloch vectors as r -> bloch_map[k] @ r.
     """
 
@@ -117,10 +117,6 @@ class DensityTrajectory:
     def __post_init__(self):
         if not np.all(np.diff(self.times) > 0):
             raise ValidationError("times must be strictly increasing")
-
-    def __getitem__(self, k):
-        return replace(self, states=self.states[k], pauli_mean=self.pauli_mean[k],
-                       pauli_se=self.pauli_se[k], plain_se=self.plain_se[k])
 
 
 def _bloch_rotation(a, b):

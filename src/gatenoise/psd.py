@@ -108,7 +108,8 @@ class NoisePsd:
 
         The CSV must have a header naming two columns (frequency, density);
         the sidecar declares ``units`` ("hz_one_sided" or "rad_s_two_sided"),
-        plateau levels and optional ``excluded_bands``, all in file units.
+        plateau levels and optional ``excluded_bands``, all in file units,
+        and no other field.
         """
         try:
             sidecar = json.loads(Path(sidecar_path).read_text())
@@ -124,6 +125,9 @@ class NoisePsd:
         for key in ("units", "low_plateau", "high_plateau"):
             if key not in sidecar:
                 raise ValidationError(f"PSD sidecar is missing required field {key!r}")
+        unknown = sorted(set(sidecar) - {"units", "low_plateau", "high_plateau", "excluded_bands"})
+        if unknown:
+            raise ValidationError(f"PSD sidecar {sidecar_path} has unknown field {unknown[0]!r}")
         units = sidecar["units"]
         if units not in ("hz_one_sided", "rad_s_two_sided"):
             raise ValidationError(f"unknown PSD units {units!r}")

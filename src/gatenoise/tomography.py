@@ -4,24 +4,27 @@ Probabilities follow Born's rule ``p = tr(D chi)`` with precomputed
 measurement matrices, counts are binomial draws against the weighted POVM,
 and snapshots are reconstructed either by linear inversion (exact but
 possibly nonphysical under shot noise) or by likelihood methods constrained
-to trace-preserving positive matrices through a block Cholesky factor ell
-whose (Y, Z) block is diagonal: the fits move its 5 trace-preserving entries
-and hold the sixth, l34, at 0.  On that manifold every Born probability is a
-quadratic form, ``p = ell^T Q ell / |ell|^2``, with the forms Q built once
-per setup, and every (+, -) pair sums to 1/3.  The maximum-likelihood fit
-and a Metropolis-Hastings sampler evaluate one plain multinomial likelihood
-of a stack of unit vectors, with one floor (:func:`_log_likelihood`).  The
-fit starts each snapshot at its linear-inversion estimate and moves every
-start of every snapshot as one stack through a damped Newton ascent on the
-sphere, with the closed-form gradient and Hessian of the quadratic forms,
-each start with one pivot bit on the (I, X) block of the factor.  The
-sampler scores the proposals from one point as one stack and walks the whole
-unit sphere with a symmetric proposal, so it has no truncation and no
-Hastings term, and yields confidence regions for gate errors, themselves
-quadratic forms in ell.  Randomized benchmarking is index arithmetic on one
-exact table of the 24 Cliffords as signed-permutation Bloch rotations; all
-sequences of one length propagate under per-pulse Pauli noise as one stack
-of (Bloch axis, value) pairs.
+to trace-preserving positive matrices, chi = T T^dag / |x|^2 with T block
+diagonal: a real diagonal on the (Y, Z) block and, on the (I, X) block,
+either the lower Cholesky factor (the 5 trace-preserving entries of the block
+Cholesky vector ell, whose sixth, l34, is held at 0) or the Hermitian square
+root (the 5-vector s of :func:`_root_to_cholesky`).  In both coordinates
+every Born probability is a quadratic form, ``p = x^T Q x / |x|^2``, with
+the forms Q built once per setup, and every (+, -) pair sums to 1/3.  The
+maximum-likelihood fit and a Metropolis-Hastings sampler evaluate one plain
+multinomial likelihood of a stack of unit vectors, with one floor
+(:func:`_log_likelihood`).  The fit starts each snapshot at the square root
+of its linear-inversion estimate and moves every start of every snapshot as
+one stack through a damped Newton ascent on the sphere of square-root
+coordinates, which have no gauge on the cone boundary, with the closed-form
+gradient and Hessian of the quadratic forms, and reports Cholesky entries.
+The sampler scores the proposals from one point as one stack and walks the
+whole unit sphere of Cholesky entries with a symmetric proposal, so it has
+no truncation and no Hastings term, and yields confidence regions for gate
+errors, themselves quadratic forms in ell.  Randomized benchmarking is index
+arithmetic on one exact table of the 24 Cliffords as signed-permutation
+Bloch rotations; all sequences of one length propagate under per-pulse Pauli
+noise as one stack of (Bloch axis, value) pairs.
 """
 
 from __future__ import annotations
@@ -65,17 +68,18 @@ class TomographySetup:
     ``p(s, b, m) = tr(D chi)`` for the process matrix of the full evolution.
     The six POVM elements carry weight 1/3 per basis so they sum to the
     identity; consequently outcome pairs satisfy p(+) + p(-) = 1/3 for any
-    trace-preserving channel.  ``chart_forms[k, s, b, m]`` is the same
-    probability as a real symmetric 5x5 form in the trace-preserving entries
-    (``_TP``) of the block-Cholesky vector in pivot chart k (see
-    :func:`_rechart`): ``p = ell^T Q ell / |ell|^2``.  Chart 0 is
-    ``ell_form(d_matrices)`` without l34.
+    trace-preserving channel.  ``forms[s, b, m]`` is the same probability as
+    a real symmetric 5x5 form in the trace-preserving entries (``_TP``) of
+    the block-Cholesky vector, ``p = ell^T Q ell / |ell|^2``:
+    ``ell_form(d_matrices)`` without l34.  ``root_forms[s, b, m]`` is it in
+    the square-root coordinates s of :func:`_root_to_cholesky`.
     """
 
     states: list = field(default_factory=list)
     povm: list = field(default_factory=list)
     d_matrices: np.ndarray = None
-    chart_forms: np.ndarray = None
+    forms: np.ndarray = None
+    root_forms: np.ndarray = None
 
     @classmethod
     def standard(cls):
@@ -91,10 +95,9 @@ class TomographySetup:
         # D[s, b, m, beta, alpha] = tr(M_bm s_alpha rho_s s_beta)
         D = np.einsum("bmij,ajk,skl,cli->sbmca", np.array(povm), PAULIS,
                       np.array(states), PAULIS)
-        # chart k factors chi in the basis order _CHART_ORDER[k]: its forms conjugate D
-        charts = np.stack([ell_form(D[..., order, :][..., order]) for order in _CHART_ORDER])
         return cls(states=states, povm=povm, d_matrices=D,
-                   chart_forms=charts[..., _TP, :][..., _TP])
+                   forms=ell_form(D)[..., _TP, :][..., _TP],
+                   root_forms=_pair_forms(D, _ROOT_SLOTS))
 
 
 @functools.cache
@@ -222,7 +225,7 @@ def linear_inversion(probs, setup=None):
 
 
 # --------------------------------------------------------------------- #
-# block-Cholesky parametrization and the shared likelihood
+# block-Cholesky and square-root parametrizations and the shared likelihood
 
 N_PARAMS = 6
 # E_k: the entry parameter k fills in L = sum_k ell_k E_k.
@@ -234,9 +237,10 @@ _COLUMN_DIAG = np.array([0, 0, 2, 3, 3, 5])
 _TP = np.array([0, 1, 2, 3, 5])
 N_TP = len(_TP)
 _DIAG_IDX = (0, 2, 3, 4)       # l11, l22, l33, l44 positions among the TP entries
-# Pivot charts: chart 1 swaps which basis element, I or X, leads the (I, X) block.
-_CHART_ORDER = np.array([[0, 1, 2, 3], [1, 0, 2, 3]])
-PIVOT_DECREMENT = 1.0   # rows pivot once they have under about half a nat left to gain
+# Square-root coordinates: T = sum_k s_k R_k, with the (I, X) block of T Hermitian.
+_ROOT_SLOTS = np.zeros((N_TP, 4, 4), dtype=complex)
+_ROOT_SLOTS[[0, 1, 1, 2, 3, 4], [0, 0, 1, 1, 2, 3], [0, 1, 0, 1, 2, 3]] = [
+    1, -1j / math.sqrt(2.0), 1j / math.sqrt(2.0), 1, 1, 1]
 _EYE = np.eye(N_TP)
 
 
@@ -257,6 +261,14 @@ def chi_from_ell(ell):
     return L @ L.conj().T / norm2
 
 
+def _pair_forms(M, slots):
+    """Real symmetric (..., k, k) forms A with Re tr(M T T^dag) = x^T A x for
+    T = sum_k x_k slots[k]: A_kl is the symmetrized Re tr(M E_k E_l^dag)."""
+    pairs = np.einsum("kia,lja->klij", slots, slots.conj())
+    A = np.einsum("...ij,klji->...kl", M, pairs).real
+    return 0.5 * (A + np.swapaxes(A, -1, -2))
+
+
 def ell_form(M):
     """Real symmetric (..., 6, 6) forms A with Re tr(M chi) = ell^T A ell / |ell|^2.
 
@@ -265,40 +277,26 @@ def ell_form(M):
     Re tr(M E_k E_l^dag).  Born probabilities use M = D; the gate fidelity
     sum_ab chi_ab G_ab uses M = G^T.
     """
-    pairs = np.einsum("kia,lja->klij", _SLOTS, _SLOTS.conj())
-    A = np.einsum("...ij,klji->...kl", M, pairs).real
-    return 0.5 * (A + np.swapaxes(A, -1, -2))
+    return _pair_forms(M, _SLOTS)
 
 
-def _rechart(ell, flip):
-    """Re-factor the (I, X) block of L, on the rows flagged in ``flip`` (N,),
-    with the other basis element leading; ``ell`` is a (N, 5) stack of TP
-    entries.
+def _root_to_cholesky(s):
+    """TP Cholesky entries (N, 5) of a (N, 5) stack of square-root coordinates.
 
-    The block (a, b, c) of rows (a, 0), (i b, c) becomes (h, -a b / h, a c / h)
-    with h = hypot(b, c), the lower Cholesky factor of the block with its two
-    basis elements swapped, so chi and the norm stay put; at h = 0 it becomes
-    (0, 0, |a|).  For a >= 0 the map is an involution.  The (Y, Z) block is
-    diagonal and needs no pivot.
+    s = (s11, sqrt(2) s12, s22, l33, l44) holds T = [[s11, -i s12],
+    [i s12, s22]] on the (I, X) block and the diagonal l33, l44 on the (Y, Z)
+    block, and chi = T T^dag / |s|^2.  With r = s12 the (I, X) block of chi
+    is [[s11^2 + r^2, -i r (s11 + s22)], [i r (s11 + s22), s22^2 + r^2]], so
+    its lower Cholesky factor is (h, r (s11 + s22) / h, |s11 s22 - r^2| / h)
+    with h = hypot(s11, r), and (0, 0, |s22|) at h = 0: chi and the norm stay
+    put.  Any real s is a point of the model, indefinite T included.
     """
-    out = np.array(ell, dtype=float)
-    a, b, c = out[flip, :3].T
-    h = np.hypot(b, c)
+    s11, r, s22 = s[:, 0], s[:, 1] / math.sqrt(2.0), s[:, 2]
+    h = np.hypot(s11, r)
     safe = np.where(h > 0.0, h, 1.0)
-    out[flip, :3] = np.stack([h, -a * b / safe, np.where(h > 0.0, a * c / safe, np.abs(a))], 1)
-    return out
-
-
-def _pivot(ell, chart, ready):
-    """Re-chart the rows, among those flagged ``ready``, of a (N, 5) stack
-    whose leading diagonal squared is below its (I, X) block's trailing
-    entries squared (chi_11 is the larger diagonal); returns the new
-    (ell, chart) and whether any row flipped.  A flipped row leads with the
-    old trailing sum against the old l11^2: it does not flip straight back."""
-    flip = (ell[:, 0] ** 2 < ell[:, 1] ** 2 + ell[:, 2] ** 2) & ready
-    if not flip.any():
-        return ell, chart, False
-    return _rechart(ell, flip), chart ^ flip, True
+    return np.column_stack([h, r * (s11 + s22) / safe,
+                            np.where(h > 0.0, np.abs(s11 * s22 - r * r) / safe, np.abs(s22)),
+                            s[:, 3:]])
 
 
 def fold_ell(ells):
@@ -339,14 +337,7 @@ def _log_likelihood(probs, counts):
     return np.vecdot(np.log(np.maximum(probs, PROB_FLOOR, out=probs), out=probs), counts)
 
 
-def _in_chart(prod, chart):
-    """Each row's own chart block of a (N, n_charts * m) product with the
-    stacked chart forms, as (N, m)."""
-    n_charts = len(_CHART_ORDER)
-    return prod.reshape(len(prod) * n_charts, -1)[n_charts * np.arange(len(prod)) + chart]
-
-
-def _stack_terms(ell, counts, q_mat, chart=None):
+def _stack_terms(ell, counts, q_mat):
     """Born terms and log-likelihood of a (N, 5) stack of unit vectors for
     the MLE; the MH chain scores with :func:`_batch_scorer`, both through
     :func:`_log_likelihood`.
@@ -354,17 +345,12 @@ def _stack_terms(ell, counts, q_mat, chart=None):
     On the trace-preserving model every (state, basis) pair sums to 1/3, so
     the binomial of each pair is the multinomial cost ``sum c log tr(D chi)``
     up to a constant.  ``counts`` come from :func:`_stack_records` and
-    ``q_mat`` is the (5, 120) matrix of the 24 forms, or with ``chart`` (N,)
-    the (5, 240) matrix of both charts' forms, of which each row takes its
-    own.  ``ell @ q_mat`` is a 2-D matmul: a row can round differently in a
-    stack than alone, and the batched forms that would not cost 3-10 times
-    more at 16-64 rows.  Returns (log-likelihood (N,), Q ell (N, 24, 5),
-    unfloored p (N, 24)).
+    ``q_mat`` is the (5, 120) matrix of the 24 forms.  ``ell @ q_mat`` is a
+    2-D matmul: a row can round differently in a stack than alone, and the
+    batched forms that would not cost 3-10 times more at 16-64 rows.
+    Returns (log-likelihood (N,), Q ell (N, 24, 5), unfloored p (N, 24)).
     """
-    q_ell = ell @ q_mat
-    if chart is not None:
-        q_ell = _in_chart(q_ell, chart)
-    q_ell = q_ell.reshape(len(ell), -1, N_TP)
+    q_ell = (ell @ q_mat).reshape(len(ell), -1, N_TP)
     probs = (q_ell @ ell[:, :, None])[..., 0]
     return _log_likelihood(probs.copy(), counts), q_ell, probs
 
@@ -375,9 +361,10 @@ MH_PREFETCH = 16     # MH proposals from one point scored as one stack (Brockwel
 
 
 def _mle_starts(n_fits, n_starts, seed):
-    """(n_fits, n_starts, 5) unit starts: the identity channel, then random
-    draws with positive diagonals, fit k's from ``default_rng([seed, k])``;
-    :func:`mle_fit` puts each fit's linear-inversion start in place of the first."""
+    """(n_fits, n_starts, 5) unit starts in square-root coordinates: the
+    identity channel, then random draws with positive diagonals, fit k's from
+    ``default_rng([seed, k])``; :func:`mle_fit` puts each fit's
+    linear-inversion start in place of the first."""
     starts = np.empty((n_fits, n_starts, N_TP))
     starts[:, 0] = [1.0, 0.0, 1e-3, 1e-3, 1e-3]
     for k in range(n_fits if n_starts > 1 else 0):  # no stream to seed for one start
@@ -392,40 +379,31 @@ START_FLOOR = 1e-4   # eigenvalue floor of a start's blocks: keeps it off the co
 
 
 def _inversion_starts(counts, shots, setup):
-    """(N, 5) unit starts at the records' linear-inversion estimates, each in
-    the pivot chart (N,) that leads the (I, X) block with its larger diagonal.
+    """(N, 5) unit starts, in square-root coordinates, at the records'
+    linear-inversion estimates.
 
     ``counts`` and ``shots`` come from :func:`_stack_records`.  The model's
     (I, X) block (chi_00, Im chi_10, chi_11) of the estimate at frequencies
     counts / (3 shots) has its eigenvalues raised to ``START_FLOOR``: the
     projection onto the positive cone (Smolin, Gambetta and Smith, PRL 108,
-    070502, 2012), kept off its boundary, where a trailing Cholesky entry
-    would start at 0.  The block is factored with its larger diagonal d
-    leading, (sqrt(d), +-Im chi_10 / sqrt(d), sqrt(det / d)), the sign
-    flipped in the swapped order, as :func:`_pivot` would lead it.  The
-    model's (Y, Z) block is diagonal: l33 and l44 are the square roots of
-    chi_22 and chi_33, each raised to ``START_FLOOR`` first.
+    070502, 2012), kept off its boundary.  The start is the positive square
+    root of that block, the eigenvalues' roots on the same eigenvectors.
+    The model's (Y, Z) block is diagonal: l33 and l44 are the square roots
+    of chi_22 and chi_33, each raised to ``START_FLOOR`` first.
     """
     freqs = counts / (3.0 * np.repeat(shots, 2, axis=1))
     chi = linear_inversion(freqs.reshape(-1, 4, 3, 2), setup)
     diag, off = np.diagonal(chi, axis1=1, axis2=2).real, chi[:, 1, 0].imag
     lam, vec = np.linalg.eigh(np.stack([diag[:, 0], off, off, diag[:, 1]], 1).reshape(-1, 2, 2))
-    lam = np.maximum(lam, START_FLOOR)
-    block = np.einsum("nij,nj->ni", vec * vec, lam)   # the floored block's diagonal
-    off = np.einsum("nj,nj->n", vec[:, 0] * vec[:, 1], lam)
-    flip = block[:, 1] > block[:, 0]
-    lead = np.where(flip, block[:, 1], block[:, 0])
-    root = np.sqrt(lead)
-    ell = np.column_stack([root, np.where(flip, -off, off) / root,
-                           np.sqrt(lam[:, 0] * lam[:, 1] / lead),
-                           np.sqrt(np.maximum(diag[:, 2:], START_FLOOR))])
-    return ell / np.linalg.norm(ell, axis=1, keepdims=True), flip.astype(int)
+    root = np.einsum("nij,nkj,nj->nik", vec, vec, np.sqrt(np.maximum(lam, START_FLOOR)))
+    start = np.column_stack([root[:, 0, 0], math.sqrt(2.0) * root[:, 1, 0], root[:, 1, 1],
+                             np.sqrt(np.maximum(diag[:, 2:], START_FLOOR))])
+    return start / np.linalg.norm(start, axis=1, keepdims=True)
 
 
-def _tangent_newton(ell, q_ell, probs, counts, q_flat, chart=None):
+def _tangent_newton(ell, q_ell, probs, counts, q_flat):
     """Tangent gradient (N, 5) and Riemannian Hessian (N, 5, 5) of the
-    log-likelihood on the unit sphere; ``q_flat`` is the (24, 25) forms, or
-    with ``chart`` the (24, 50) forms of both charts.
+    log-likelihood on the unit sphere; ``q_flat`` is the (24, 25) forms.
 
     With u_i = 2 (Q_i ell - p_i ell) the tangent gradient of p_i and
     w_i = c_i / p_i = dlogL/dp_i, the gradient is sum_i w_i u_i and the
@@ -436,20 +414,17 @@ def _tangent_newton(ell, q_ell, probs, counts, q_flat, chart=None):
     w = counts / p
     u = 2.0 * (q_ell - probs[:, :, None] * ell[:, None, :])
     proj = _EYE - ell[:, :, None] * ell[:, None, :]
-    curv = w @ q_flat
-    if chart is not None:
-        curv = _in_chart(curv, chart)
-    curv = curv.reshape(len(ell), N_TP, N_TP)
+    curv = (w @ q_flat).reshape(len(ell), N_TP, N_TP)
     curv -= np.einsum("ni,ni->n", w, probs)[:, None, None] * _EYE
     hess = 2.0 * proj @ curv @ proj
     hess -= np.swapaxes(u * (w / p)[:, :, None], 1, 2) @ u
     return np.einsum("ni,nik->nk", w, u), hess
 
 
-def _ascend(ell, counts, setup, chart=None):
-    """Damped Newton ascent of a (N, 5) stack of unit starts on S^4, each
-    given in its pivot chart ``chart`` (N,) (default: the standard chart);
-    :func:`mle_fit` starts every fit at its linear-inversion estimate.
+def _ascend(ell, counts, setup):
+    """Damped Newton ascent of a (N, 5) stack of unit starts on S^4, in the
+    square-root coordinates of :func:`_root_to_cholesky`; :func:`mle_fit`
+    starts every fit at its linear-inversion estimate.
 
     Each row steps by (H+ + mu I)^-1 g in the eigenbasis of minus its
     Riemannian Hessian, with H+ those eigenvalues clipped at zero, and is
@@ -458,71 +433,43 @@ def _ascend(ell, counts, setup, chart=None):
     Newton decrement g^T |H|^-1 g, about twice the log-likelihood still to
     gain, is at most ``MLE_TOL`` times its total counts.
 
-    Each row carries a pivot chart, one bit: which basis element, I or X,
-    leads the lower Cholesky factor of the (I, X) block of L (the (Y, Z)
-    block is diagonal).  The standard chart has a gauge on the cone
+    The Cholesky factor of the (I, X) block has a gauge on the cone
     boundary: at l11 -> 0, (l12, l22) rotate freely and the Hessian's
     smallest eigenvalue falls like l11^2, so a fit whose maximum lies there
-    (a pi pulse, chi_II -> 0) crawls.  Diagonal pivoting removes it (Higham,
-    "Analysis of the Cholesky decomposition of a semi-definite matrix",
-    1990): before each step, on the rows whose last decrement is below
-    ``PIVOT_DECREMENT``, a row whose chi_11 is the larger diagonal,
-    l11^2 < l12^2 + l22^2, is re-factored with X leading (:func:`_pivot`),
-    and the row scores with that chart's forms from then on.  chi is
-    unchanged, so the row keeps its recorded log-likelihood.  Far from its
-    maximum a row stays put: a pivot puts the old small diagonal into the
-    trailing entry, which chi holds only squared, and a row whose maximum is
-    inside the cone would climb out of that slowly.  Returns (ell in the
-    standard chart, log-likelihood, decrement), each per row.
+    (a pi pulse, chi_II -> 0) would crawl.  The Hermitian square root has
+    none: S -> S^2 is one-to-one on positive S, so the rows move in it and
+    come back as Cholesky entries.  Returns (TP Cholesky entries,
+    log-likelihood, decrement), each per row.
     """
-    n_charts = len(_CHART_ORDER)
-    q_mats = setup.chart_forms.reshape(n_charts, -1, N_TP).swapaxes(1, 2)  # (2, 5, 120)
-    q_flats = setup.chart_forms.reshape(n_charts, -1, N_TP * N_TP)        # (2, 24, 25)
-    stacked = np.concatenate(q_mats, axis=1), np.concatenate(q_flats, axis=1)
-
-    def operands(chart):
-        """Forms for :func:`_stack_terms` and :func:`_tangent_newton`: rows all
-        in one chart take its forms alone, as one plain matmul."""
-        if (chart == chart[0]).all():
-            return q_mats[chart[0]], q_flats[chart[0]], None
-        return *stacked, chart
-
+    q_mat = setup.root_forms.reshape(-1, N_TP).T           # (5, 120)
+    q_flat = setup.root_forms.reshape(-1, N_TP * N_TP)     # (24, 25)
     out_ell = np.array(ell, dtype=float)
     out_logl, out_dec = np.empty(len(out_ell)), np.empty(len(out_ell))
     rows = np.arange(len(out_ell))
     ell, scale = out_ell.copy(), counts.sum(axis=1)
-    chart = np.zeros(len(ell), dtype=int) if chart is None else np.asarray(chart)
-    out_chart = chart.copy()
-    q_mat, q_flat, pick = operands(chart)
-    logl, q_ell, probs = _stack_terms(ell, counts, q_mat, pick)
+    logl, q_ell, probs = _stack_terms(ell, counts, q_mat)
     mu, nu = scale.copy(), np.full(len(ell), 2.0)  # first steps: short gradient steps
-    dec = np.full(len(ell), np.inf)
     for _ in range(MLE_MAX_ITER):
-        ell, chart, flipped = _pivot(ell, chart, dec < PIVOT_DECREMENT)
-        if flipped:   # the rows keep their recorded log-likelihoods
-            q_mat, q_flat, pick = operands(chart)
-            q_ell, probs = _stack_terms(ell, counts, q_mat, pick)[1:]
-        grad, hess = _tangent_newton(ell, q_ell, probs, counts, q_flat, pick)
+        grad, hess = _tangent_newton(ell, q_ell, probs, counts, q_flat)
         # the normal direction gets the total counts as curvature, so it takes no step
         lam, vec = np.linalg.eigh(scale[:, None, None] * ell[:, :, None] * ell[:, None, :] - hess)
         grad = np.einsum("nkj,nk->nj", vec, grad)
         dec = np.einsum("nj,nj->n", grad, grad / np.abs(lam))
         done = dec <= MLE_TOL * scale
         if done.any():
-            out_ell[rows[done]], out_chart[rows[done]] = ell[done], chart[done]
-            out_logl[rows[done]], out_dec[rows[done]] = logl[done], dec[done]
+            out_ell[rows[done]], out_logl[rows[done]] = ell[done], logl[done]
+            out_dec[rows[done]] = dec[done]
             keep = ~done
-            (rows, ell, chart, logl, dec, q_ell, probs, counts, scale, mu, nu, lam, vec,
-             grad) = (x[keep] for x in (rows, ell, chart, logl, dec, q_ell, probs, counts,
-                                         scale, mu, nu, lam, vec, grad))
+            (rows, ell, logl, dec, q_ell, probs, counts, scale, mu, nu, lam, vec, grad) = (
+                x[keep] for x in (rows, ell, logl, dec, q_ell, probs, counts, scale, mu, nu,
+                                  lam, vec, grad))
             if rows.size == 0:
                 break
-            q_mat, q_flat, pick = operands(chart)
         lam = np.maximum(lam, 0.0)
         coef = grad / (lam + mu[:, None])
         trial = ell + np.einsum("nkj,nj->nk", vec, coef)
         trial /= np.linalg.norm(trial, axis=1, keepdims=True)
-        trial_logl, trial_q, trial_p = _stack_terms(trial, counts, q_mat, pick)
+        trial_logl, trial_q, trial_p = _stack_terms(trial, counts, q_mat)
         # gain ratio against the damped quadratic model
         rho = (trial_logl - logl) / np.einsum("nj,nj->n", coef, grad - 0.5 * lam * coef)
         up = trial_logl >= logl
@@ -533,8 +480,8 @@ def _ascend(ell, counts, setup, chart=None):
         shrink = np.maximum(1.0 / 3.0, 1.0 - (2.0 * np.minimum(rho, 1.0) - 1.0) ** 3)
         mu = np.where(up, mu * shrink, mu * nu)
         nu = np.where(up, 2.0, 2.0 * nu)
-    out_ell[rows], out_chart[rows], out_logl[rows], out_dec[rows] = ell, chart, logl, dec
-    return _rechart(out_ell, out_chart > 0), out_logl, out_dec
+    out_ell[rows], out_logl[rows], out_dec[rows] = ell, logl, dec
+    return _root_to_cholesky(out_ell), out_logl, out_dec
 
 
 def mle_fit(counts, setup=None, *, n_starts=1, seed=0):
@@ -542,18 +489,16 @@ def mle_fit(counts, setup=None, *, n_starts=1, seed=0):
     manifold.
 
     ``counts`` is one :class:`CountRecord` or a sequence of them; every fit
-    of a call moves as one stack of unit 5-vectors of TP entries through a
-    damped Newton ascent on the sphere S^4 (:func:`_ascend`).  By default
-    each fit starts from its record's linear-inversion estimate alone,
-    projected into the model and factored with the larger diagonal of its
-    (I, X) block leading (:func:`_inversion_starts`), all fits in one
-    stacked pass; ``n_starts`` > 1 adds random starts in the standard chart,
-    fit k's from ``default_rng([seed, k])``, and keeps each fit's best.
-    The sphere has no edge and the column signs of L are a gauge fixed by
-    :func:`fold_ell`, so no bounds are needed.
-    On the cone boundary (a pi pulse, chi_II -> 0) each start finishes in a
-    diagonally pivoted chart of L, and ell comes back in the standard one,
-    padded to 6 entries with l34 = 0.
+    of a call moves as one stack of unit 5-vectors of square-root
+    coordinates through a damped Newton ascent on the sphere S^4
+    (:func:`_ascend`).  By default each fit starts from its record's
+    linear-inversion estimate alone, projected into the model
+    (:func:`_inversion_starts`), all fits in one stacked pass; ``n_starts``
+    > 1 adds random starts, fit k's from ``default_rng([seed, k])``, and
+    keeps each fit's best.  The sphere has no edge and every point of it is
+    a channel of the model, so no bounds are needed.  The fits come back as
+    Cholesky entries (:func:`_root_to_cholesky`), their column signs fixed
+    by :func:`fold_ell` and padded to 6 entries with l34 = 0.
     A :class:`TuningWarning` counts the fits whose best start stopped at
     ``MLE_MAX_ITER`` iterations short of the tolerance, with the largest
     Newton decrement left.  One record returns its (4, 4) chi and 6-entry
@@ -565,10 +510,10 @@ def mle_fit(counts, setup=None, *, n_starts=1, seed=0):
     records = [counts] if single else list(counts)
     rec_counts, rec_shots = _stack_records(records)
     n_fits = len(records)
-    starts, chart = _mle_starts(n_fits, n_starts, seed), np.zeros((n_fits, n_starts), dtype=int)
-    starts[:, 0], chart[:, 0] = _inversion_starts(rec_counts, rec_shots, setup)
+    starts = _mle_starts(n_fits, n_starts, seed)
+    starts[:, 0] = _inversion_starts(rec_counts, rec_shots, setup)
     ell, logl, dec = _ascend(starts.reshape(-1, N_TP), np.repeat(rec_counts, n_starts, axis=0),
-                             setup, chart.ravel())
+                             setup)
     best = np.argmax(logl.reshape(n_fits, n_starts), axis=1) + n_starts * np.arange(n_fits)
     stalled = dec[best] > MLE_TOL * rec_counts.sum(axis=1)
     if stalled.any():
@@ -635,7 +580,7 @@ def _batch_scorer(record, setup):
     :func:`mh_chain` scores them: one matmul of the rows' outer products
     ell ell^T against the 24 Born forms, then :func:`_log_likelihood`."""
     counts = _stack_records([record])[0][0]
-    forms = setup.chart_forms[0].reshape(24, -1).T
+    forms = setup.forms.reshape(24, -1).T
 
     def score(ells):
         outer = (ells[:, :, None] * ells[:, None, :]).reshape(len(ells), -1)

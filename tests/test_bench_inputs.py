@@ -2,7 +2,8 @@
 (bench/checks.py) with calls into the package: ``chi_full(point, Omega, t)``,
 its ``.matrix``, ``born_probs(chi, setup)`` and ``pauli_twirl(point, t_pi)``.
 A changed signature there fails every benchmark run, so both files are
-loaded and exercised here on a tomography-rb run (its counts file and checks)."""
+loaded and exercised here on a tomography-rb run (its counts file, its counts
+and synthetic tomography and its rb checks)."""
 
 import contextlib
 import importlib.util
@@ -37,11 +38,11 @@ def test_bench_counts_file_parses(tmp_path, monkeypatch):
     assert all(np.all(rec.shots == shots) for rec in records)
 
 
-def test_bench_checks_pass_on_counts_tomography_and_rb(tmp_path, monkeypatch):
+def test_bench_checks_pass_on_counts_and_synthetic_tomography_and_rb(tmp_path, monkeypatch):
     plan = _load("workloads", monkeypatch).write_inputs(tmp_path, "tomography-rb", 3)
     checks = _load("checks", monkeypatch)
     for step, extra in (("tomography_counts", ["--counts", str(tmp_path / "counts.csv")]),
-                        ("rb", [])):
+                        ("tomography_synth", []), ("rb", [])):
         argv = ["tomography" if step.startswith("tomography") else step,
                 "--config", str(tmp_path / f"cfg_{step}.json"),
                 "--out", str(tmp_path / f"out_{step}"), *extra]
@@ -49,6 +50,7 @@ def test_bench_checks_pass_on_counts_tomography_and_rb(tmp_path, monkeypatch):
         with contextlib.redirect_stdout(io.StringIO()), warnings.catch_warnings():
             warnings.simplefilter("ignore", TuningWarning)
             assert cli.main(argv) == 0
-    for check in (checks._check_tomography_counts, checks._check_rb):
+    for check in (checks._check_tomography_counts, checks._check_tomography_synth,
+                  checks._check_rb):
         ok, detail = check(tmp_path, plan)
         assert ok, detail

@@ -418,10 +418,9 @@ def test_langevin_csv_export(tmp_path, monkeypatch):
     (ensemble,) = ensembles
     times = np.append(0.0, time_grid(load_config(cfg_path)))
     for k, label in enumerate(("zero", "one", "plus", "plus_i")):
-        traj = ensemble[k]
+        mean, se = ensemble.pauli_mean[k], ensemble.pauli_se[k]
         want = _rows_text("t,sx,sy,sz,se_sx,se_sy,se_sz",
-                          ([t, *traj.pauli_mean[i], *traj.pauli_se[i]]
-                           for i, t in enumerate(times)))
+                          ([t, *mean[i], *se[i]] for i, t in enumerate(times)))
         assert (out / f"langevin_{label}.csv").read_text() == want
         assert len(want.strip().split("\n")) == times.size + 1
 
@@ -513,7 +512,8 @@ def test_tomography_synthetic_and_counts_modes(tmp_path):
 @pytest.mark.filterwarnings("error")
 def test_synthetic_tomography_through_pi_pulses_fits_every_snapshot(tmp_path):
     # two Rabi flops at 4000 rad/s: the snapshots at pi pulses have chi_II -> 0,
-    # where a fixed Cholesky chart stops 3 of these 60 fits at the iteration cap
+    # where an ascent in the Cholesky entries stops 3 of these 60 fits at the
+    # iteration cap
     cfg_path = tmp_path / "cfg.json"
     write_config(cfg_path, drive={"omega_rad_s": 4000.0, "t_max_s": math.pi / 1000.0,
                                   "n_times": 4},
@@ -791,8 +791,10 @@ GOOD_SIDECAR = json.dumps({"units": "hz_one_sided", "low_plateau": 1.0, "high_pl
     ("f,s\n10.0,1.0\n20.0,0.5\n", GOOD_SIDECAR.replace("1.0", '"high"'), "raw.json"),
     ("f,s\n10.0,1.0\n20.0,0.5\n", GOOD_SIDECAR[:-1] + ', "excluded_bands": [5]}',
      "raw.json"),
+    ("f,s\n10.0,1.0\n20.0,0.5\n", GOOD_SIDECAR[:-1] + ', "excluded_band": [[12, 14]]}',
+     "unknown field 'excluded_band'"),
 ], ids=["missing-csv", "missing-sidecar", "non-numeric-cell", "one-field-row",
-        "sidecar-not-json", "non-numeric-plateau", "band-not-a-pair"])
+        "sidecar-not-json", "non-numeric-plateau", "band-not-a-pair", "unknown-sidecar-key"])
 def test_ingest_psd_malformed_input_exits_2(tmp_path, capsys, csv_text, sidecar_text, bad):
     raw, sidecar = tmp_path / "raw.csv", tmp_path / "raw.json"
     if csv_text is not None:

@@ -146,8 +146,8 @@ def test_common_random_numbers_reconstruct_channel():
     np.testing.assert_allclose(mapped, single.states, rtol=0, atol=1e-12)
     np.testing.assert_allclose(stacked.bloch_map, single.bloch_map, rtol=0, atol=1e-12)
     first = evolve_ensemble(RHO0, drive, src, seed=17, record_every=30, chunk=128)
-    np.testing.assert_allclose(stacked[0].pauli_mean, first.pauli_mean, rtol=0, atol=1e-12)
-    np.testing.assert_allclose(stacked[0].pauli_se, first.pauli_se, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(stacked.pauli_mean[0], first.pauli_mean, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(stacked.pauli_se[0], first.pauli_se, rtol=0, atol=1e-12)
 
 
 def test_zero_noise_ensemble_is_pure_rabi():

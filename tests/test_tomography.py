@@ -27,8 +27,7 @@ from gatenoise.tomography import (
     _inversion_starts,
     _mle_starts,
     _padded,
-    _pivot,
-    _rechart,
+    _root_to_cholesky,
     _stack_records,
     _stack_terms,
     _tangent_newton,
@@ -71,7 +70,8 @@ from oracles import (
 
 SETUP = default_setup()
 CHI_ID = np.diag([1.0, 0, 0, 0]).astype(complex)
-Q_MAT = SETUP.chart_forms[0].reshape(-1, 5).T    # (5, 120): the standard chart's 24 forms
+Q_MAT = SETUP.forms.reshape(-1, 5).T             # (5, 120): the 24 forms in the TP entries
+ROOT_MAT = SETUP.root_forms.reshape(-1, 5).T     # (5, 120): the 24 forms in root coordinates
 Q_FORMS = ell_form(SETUP.d_matrices)              # (4, 3, 2, 6, 6): the 24 forms in all 6 entries
 
 
@@ -81,6 +81,14 @@ def random_manifold_ell(rng, tp=True):
     if tp:
         ell[4] = 0.0  # trace preservation on this manifold
     return ell / np.linalg.norm(ell)
+
+
+def chi_from_root(s):
+    """chi = T T^dag / |s|^2 of square-root coordinates s, with T written out:
+    [[s11, -i s12], [i s12, s22]] on the (I, X) block, s12 = s[1] / sqrt(2)."""
+    T = np.diag(np.asarray(s, dtype=float)[[0, 2, 3, 4]]).astype(complex)
+    T[0, 1], T[1, 0] = -1j * s[1] / math.sqrt(2.0), 1j * s[1] / math.sqrt(2.0)
+    return T @ T.conj().T / (s @ s)
 
 
 def random_cptp_chi(rng, n_kraus=3):
@@ -286,6 +294,9 @@ def test_q_form_probabilities_match_born_matrices():
         ell = rng.normal(size=6) * rng.uniform(0.1, 3.0)
         p_form = np.einsum("k,sbmkl,l->sbm", ell, Q_FORMS, ell) / (ell @ ell)
         assert np.abs(p_form - born_probs(chi_from_ell(ell), SETUP)).max() < 1e-13
+        root = ell[:5]
+        p_form = np.einsum("k,sbmkl,l->sbm", root, SETUP.root_forms, root) / (root @ root)
+        assert np.abs(p_form - born_probs(chi_from_root(root), SETUP)).max() < 1e-13
 
 
 def test_loglik_gradient_matches_central_differences():
@@ -320,13 +331,13 @@ def test_loglik_is_the_multinomial_and_the_pair_binomial_up_to_a_constant():
 
 
 def test_every_model_point_has_pair_sums_of_a_third():
-    # on the 5 trace-preserving entries, in both charts, at any scale and near
-    # the cone boundary, every (+, -) pair of Born probabilities sums to 1/3
+    # on the 5 trace-preserving entries and in root coordinates, at any scale
+    # and near the cone boundary, every (+, -) pair of Born probabilities sums to 1/3
     rng = np.random.default_rng(2701)
     ells = rng.standard_normal((300, 5)) * rng.choice([1e-6, 1e-3, 1.0], size=(300, 5))
     ells *= rng.uniform(0.1, 10.0, (300, 1))
     norm2 = (ells * ells).sum(axis=1)[:, None, None, None]
-    for forms in SETUP.chart_forms:
+    for forms in (SETUP.forms, SETUP.root_forms):
         p = np.einsum("nk,sbmkl,nl->nsbm", ells, forms, ells) / norm2
         np.testing.assert_allclose(p.sum(axis=3), 1.0 / 3.0, rtol=0, atol=1e-15)
     probs = born_probs(np.array([chi_from_ell(e) for e in _padded(ells)]), SETUP)
@@ -461,7 +472,7 @@ def test_sphere_hessian_matches_central_differences_of_the_gradient():
     noisy = sample_shots(probs, 300, rng)
     sparse = sample_shots(born_probs(CHI_ID, SETUP), 40, rng)
     assert np.any(sparse.counts == 0)
-    q_flat = SETUP.chart_forms[0].reshape(-1, 25)
+    q_flat = SETUP.forms.reshape(-1, 25)
 
     def oracle_grad(ell):   # the 6-entry oracle on the TP entries
         return loglik_and_grad(_padded(ell), rec, SETUP)[1][_TP]
@@ -485,29 +496,42 @@ def test_sphere_hessian_matches_central_differences_of_the_gradient():
                                            atol=1e-6 * np.abs(hess).max())
 
 
-def test_batched_mle_matches_one_fit_at_a_time():
+def test_batched_mle_matches_one_fit_at_a_time(monkeypatch):
     rng = np.random.default_rng(41)
     records = [sample_shots_per_shot(born_probs(random_cptp_chi(rng), SETUP), shots, rng)
                for shots in (30, 300, 3000, 300, 30)]
     chis, ells = mle_fit(records, SETUP, n_starts=3, seed=9)
     assert ells.shape == (5, 6) and len(chis) == 5
-    starts, chart = _mle_starts(5, 3, 9), np.zeros((5, 3), dtype=int)
-    starts[:, 0], chart[:, 0] = _inversion_starts(*_stack_records(records), SETUP)
+    starts = _mle_starts(5, 3, 9)
+    starts[:, 0] = _inversion_starts(*_stack_records(records), SETUP)
     counts = _stack_records(records)[0]
     stack_ell, stack_logl, _ = _ascend(starts.reshape(-1, 5), np.repeat(counts, 3, axis=0),
-                                       SETUP, chart.ravel())
+                                       SETUP)
     for k, rec in enumerate(records):
         # every start moves as it would alone; the starts of one record end
         # within the tolerance of one maximum, their log-likelihoods within
         # rounding, so the fit keeps the stack's best start
-        ell, logl, _ = _ascend(starts[k], _stack_records([rec] * 3)[0], SETUP, chart[k])
+        ell, logl, _ = _ascend(starts[k], _stack_records([rec] * 3)[0], SETUP)
         np.testing.assert_allclose(stack_ell[3 * k:3 * k + 3], ell, rtol=0, atol=1e-12)
         np.testing.assert_allclose(stack_logl[3 * k:3 * k + 3], logl, rtol=1e-13, atol=0)
         best = stack_ell[3 * k + np.argmax(stack_logl[3 * k:3 * k + 3])]
         np.testing.assert_array_equal(_padded(best), ells[k])
         np.testing.assert_allclose(chis[k], chi_from_ell(ells[k]), rtol=0, atol=1e-15)
-    chi0, ell0 = mle_fit(records[0], SETUP, n_starts=3, seed=9)
-    np.testing.assert_allclose(ell0, ells[0], rtol=0, atol=1e-12)
+    # the starts' log-likelihoods tie within rounding, so which one a call
+    # keeps can turn on how its matmuls round: the single call's ell is the
+    # stack's row of the start that the single call itself keeps
+    picked = []
+
+    def spy(*args):
+        picked.append(_ascend(*args))
+        return picked[-1]
+
+    monkeypatch.setattr(tomography, "_ascend", spy)
+    _, ell0 = mle_fit(records[0], SETUP, n_starts=3, seed=9)
+    own_ell, own_logl, _ = picked[0]
+    np.testing.assert_array_equal(ell0, _padded(own_ell[np.argmax(own_logl)]))
+    np.testing.assert_allclose(ell0, _padded(stack_ell[np.argmax(own_logl)]), rtol=0,
+                               atol=1e-12)
 
 
 def test_each_fit_draws_its_own_starts(monkeypatch):
@@ -516,15 +540,15 @@ def test_each_fit_draws_its_own_starts(monkeypatch):
     seen = []
 
     def spy(starts, *args):
-        seen.append((starts.copy(), args[-1].copy()))
+        seen.append(starts.copy())
         return _ascend(starts, *args)
 
     monkeypatch.setattr(tomography, "_ascend", spy)
     _, ells = mle_fit([rec, rec], SETUP, n_starts=3, seed=5)
-    starts, chart = seen[0][0].reshape(2, 3, 5), seen[0][1].reshape(2, 3)
-    first, first_chart = _inversion_starts(*_stack_records([rec]), SETUP)
+    starts = seen[0].reshape(2, 3, 5)
+    first = _inversion_starts(*_stack_records([rec]), SETUP)
     np.testing.assert_array_equal(starts[:, 0], np.repeat(first, 2, axis=0))  # the record's own
-    np.testing.assert_array_equal(chart, [[first_chart[0], 0, 0]] * 2)   # random starts: chart 0
+    np.testing.assert_array_equal(starts[:, 1:], _mle_starts(2, 3, 5)[:, 1:])
     assert np.abs(starts[0, 1:] - starts[1, 1:]).min() > 1e-6
     # one maximum: the starts end within the convergence tolerance of it
     np.testing.assert_allclose(ells[0], ells[1], rtol=0, atol=1e-7)
@@ -560,7 +584,7 @@ def test_newton_ascent_never_lowers_the_likelihood(monkeypatch):
     records += [sample_shots(near_unitary, 2000, rng) for _ in range(3)]
     starts = _mle_starts(6, 4, 47).reshape(-1, 5)
     counts = _stack_records([rec for rec in records for _ in range(4)])[0]
-    previous = _stack_terms(starts, counts, Q_MAT)[0]
+    previous = _stack_terms(starts, counts, ROOT_MAT)[0]
     for cap in range(1, 41):
         monkeypatch.setattr(tomography, "MLE_MAX_ITER", cap)
         logl = _ascend(starts, counts, SETUP)[1]
@@ -568,62 +592,35 @@ def test_newton_ascent_never_lowers_the_likelihood(monkeypatch):
         previous = logl
 
 
-def test_rechart_keeps_chi_and_is_an_involution():
+def test_root_to_cholesky_keeps_chi_and_the_norm():
+    # random root vectors at mixed scales, indefinite (I, X) blocks included
     rng = np.random.default_rng(48)
-    ells = np.array([random_manifold_ell(rng)[_TP] for _ in range(20)])
-    assert len(tomography._CHART_ORDER) == 2
-    np.testing.assert_array_equal(SETUP.chart_forms[0], Q_FORMS[..., _TP, :][..., _TP])
-    for k, order in enumerate(tomography._CHART_ORDER):
-        flip = np.full(len(ells), k == 1)
-        charted = _rechart(ells, flip)
-        np.testing.assert_allclose(np.linalg.norm(charted, axis=1), 1.0, rtol=0, atol=1e-15)
-        np.testing.assert_allclose(_rechart(charted, flip), ells, rtol=0, atol=1e-15)
-        np.testing.assert_array_equal(charted[:, 3:], ells[:, 3:])   # the diagonal (Y, Z) block
-        forms = SETUP.chart_forms[k].reshape(-1, 5, 5)
-        for ell, e_k in zip(_padded(ells), charted):
-            chi = chi_from_ell(ell)
-            # chart k factors chi with its basis in the order _CHART_ORDER[k]
-            np.testing.assert_allclose(chi_from_ell(_padded(e_k))[np.ix_(order, order)], chi,
-                                       rtol=0, atol=1e-15)
-            np.testing.assert_allclose(np.einsum("i,oij,j->o", e_k, forms, e_k),
-                                       born_probs(chi, SETUP).ravel(), rtol=0, atol=1e-15)
+    roots = rng.normal(size=(400, 5)) * rng.choice([1e-3, 0.1, 1.0], size=(400, 5))
+    roots /= np.linalg.norm(roots, axis=1, keepdims=True)
+    s12 = roots[:, 1] / math.sqrt(2.0)
+    assert np.any(roots[:, 0] * roots[:, 2] < s12 * s12)      # T's (I, X) block indefinite
+    ells = _root_to_cholesky(roots)
+    np.testing.assert_allclose(np.linalg.norm(ells, axis=1), 1.0, rtol=0, atol=1e-15)
+    assert np.all(ells[:, [0, 2]] >= 0.0)
+    np.testing.assert_array_equal(ells[:, 3:], roots[:, 3:])   # the diagonal (Y, Z) block
+    for root, ell in zip(roots, _padded(ells)):
+        np.testing.assert_allclose(chi_from_ell(ell), chi_from_root(root), rtol=0, atol=1e-15)
 
 
-def test_rechart_at_a_vanishing_trailing_pair_is_exact():
-    # h = hypot(l12, l22) = 0 in the pivoted chart: back in the standard chart
-    # the block is (0, 0, |a|), with no 0/0
-    ell = np.array([[0.6, 0.0, 0.0, 0.8, 0.0], [-0.6, 0.0, 0.0, 0.0, 0.8]])
+def test_root_to_cholesky_at_a_vanishing_leading_column_is_exact():
+    # h = hypot(s11, s12) = 0: the block is (0, 0, |s22|), with no 0/0
+    roots = np.array([[0.0, 0.0, -0.6, 0.8, 0.0], [0.0, 0.0, 0.6, 0.0, 0.8]])
     with np.errstate(all="raise"):
-        back = _rechart(ell, np.ones(2, dtype=bool))
-    np.testing.assert_array_equal(back, [[0.0, 0.0, 0.6, 0.8, 0.0], [0.0, 0.0, 0.6, 0.0, 0.8]])
-    order = tomography._CHART_ORDER[1]
-    for e, e_std in zip(_padded(ell), _padded(back)):
-        np.testing.assert_array_equal(chi_from_ell(e)[np.ix_(order, order)], chi_from_ell(e_std))
-
-
-def test_pivot_leads_each_ready_block_with_its_larger_diagonal():
-    rng = np.random.default_rng(49)
-    ells = rng.normal(size=(400, 5)) * rng.choice([1e-3, 0.1, 1.0], size=(400, 5))
-    ells /= np.linalg.norm(ells, axis=1, keepdims=True)
-    chart = rng.integers(0, 2, 400)
-    ready = rng.random(400) < 0.8
-    sq = ells * ells
-    smaller = sq[:, 0] < sq[:, 1] + sq[:, 2]
-    assert smaller[ready].any() and (~smaller[ready]).any() and smaller[~ready].any()
-    new_ell, new_chart, flipped = _pivot(ells, chart, ready)
-    assert flipped
-    changed = new_chart != chart
-    np.testing.assert_array_equal(changed, smaller & ready)
-    np.testing.assert_array_equal(new_ell[~changed], ells[~changed])
-    np.testing.assert_array_equal(new_ell[:, 3:], ells[:, 3:])
-    # a flipped block now leads with the larger diagonal: it stays put
-    again = _pivot(new_ell, new_chart, np.ones(400, dtype=bool))
-    assert not (again[1] != new_chart)[changed].any()
+        ells = _root_to_cholesky(roots)
+    np.testing.assert_array_equal(ells, [[0.0, 0.0, 0.6, 0.8, 0.0], [0.0, 0.0, 0.6, 0.0, 0.8]])
+    for root, ell in zip(roots, _padded(ells)):
+        np.testing.assert_array_equal(chi_from_ell(ell), chi_from_root(root))
 
 
 def test_pi_pulse_fits_converge_to_the_lbfgsb_oracle(monkeypatch):
-    # near a pi pulse chi_II -> 0: from identity starts a fixed Cholesky chart
-    # takes 117 iterations on this stack, the pivoted ascent 16
+    # near a pi pulse chi_II -> 0: from identity and random starts an ascent
+    # in the Cholesky entries takes 117 iterations on this stack, the
+    # square-root ascent 14
     t = math.pi / 4000.0
     chi = chi_full(ou_filtered_integrals(1.6e9, 5e-4, 4000.0, [t]).at(0), 4000.0, t)
     assert chi[0, 0].real < 1e-3
@@ -665,7 +662,7 @@ def test_the_bench_synthetic_stack_fits_in_few_iterations(monkeypatch):
         warnings.simplefilter("error", TuningWarning)
         mle_fit(records, SETUP)
     assert len(rows) <= 18      # iterations of the stack: 16 from the linear-inversion starts
-    assert sum(rows) <= 660     # rows summed over them: 611
+    assert sum(rows) <= 660     # rows summed over them: 610
 
 
 def far_unitary_chi(rng):
@@ -700,31 +697,31 @@ def test_the_linear_inversion_start_alone_reaches_the_best_of_eight():
 
 def test_the_start_of_exact_probabilities_is_the_true_ell():
     # exact frequencies of a TP model point invert to chi itself, whose blocks
-    # all clear the floor; the start gives back its ell through the one-bit chart
+    # all clear the floor; the start is chi's root and gives back its ell
     rng = np.random.default_rng(2204)
     ells = np.array([random_manifold_ell(rng) for _ in range(200)])
     chis = np.array([chi_from_ell(e) for e in ells])
     assert min(np.linalg.eigvalsh(chi[np.ix_(b, b)])[0]
                for chi in chis for b in ([0, 1], [2, 3])) > tomography.START_FLOOR
     counts = born_probs(chis, SETUP).reshape(200, -1) * 3000.0
-    starts, chart = _inversion_starts(counts, np.full((200, 12), 1000.0), SETUP)
-    back = _padded(_rechart(starts, chart > 0))
+    starts = _inversion_starts(counts, np.full((200, 12), 1000.0), SETUP)
+    back = _padded(_root_to_cholesky(starts))
     np.testing.assert_allclose(back, ells, rtol=0, atol=1e-12)
-    # the (I, X) block leads with its larger diagonal, so the start does not pivot again
-    assert 0 < np.count_nonzero(chart) < 200
-    assert not _pivot(starts, chart, np.ones(200, dtype=bool))[2]
+    # the positive root: both diagonals and the determinant of its (I, X) block are positive
+    s12 = starts[:, 1] / math.sqrt(2.0)
+    assert np.all(starts[:, [0, 2]] > 0.0) and np.all(starts[:, 0] * starts[:, 2] > s12 * s12)
 
 
-@pytest.mark.parametrize("gate, bit", [(0, 0), (1, 1), (2, 0), (3, 0)])
-def test_a_unitary_start_is_raised_off_the_cone_boundary(gate, bit):
+@pytest.mark.parametrize("gate, x_leads", [(0, 0), (1, 1), (2, 0), (3, 0)])
+def test_a_unitary_start_is_raised_off_the_cone_boundary(gate, x_leads):
     # the Pauli gates: every block eigenvalue, or (Y, Z) diagonal, below the
     # floor is raised to it
     chi = np.zeros((4, 4), dtype=complex)
     chi[gate, gate] = 1.0
     counts = born_probs(chi, SETUP).reshape(1, -1) * 300.0
-    start, chart = _inversion_starts(counts, np.full((1, 12), 100.0), SETUP)
-    assert chart[0] == bit    # the block of I and X leads with its larger diagonal
-    std = _padded(_rechart(start, chart > 0))[0]
+    start = _inversion_starts(counts, np.full((1, 12), 100.0), SETUP)
+    assert (start[0, 2] > start[0, 0]) == x_leads   # the root's (I, X) diagonal follows chi's
+    std = _padded(_root_to_cholesky(start))[0]
     floor = tomography.START_FLOOR
     expect = np.full(4, floor)
     expect[gate] = 1.0
