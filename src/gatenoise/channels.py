@@ -21,12 +21,12 @@ diag(1, 0, 0, 0)).  The comoving process matrix is block-diagonal in
 {I, sx} + {sy, sz}; the lab-frame (full evolution) matrix is obtained by
 conjugating with the ideal drive unitary and keeps the same block structure.
 
-The builders return plain arrays and broadcast over the fields of the
-snapshot they are given: a scalar :class:`IntegralPoint` (or ``fi.at(i)``)
-gives one (4, 4) complex process matrix, a (4, 2, 2) array of Kraus
-operators and scalar rates, and a whole :class:`FilteredIntegrals` gives
-(T, 4, 4) chi stacks, (T, 4, 2, 2) Kraus stacks and array rates.  Times and
-Rabi frequencies, where a builder needs them, broadcast with the fields.
+The builders take a :class:`FilteredIntegrals` snapshot, amplitude noise
+included through its ``dgamma1`` (zeros without it), return plain arrays and
+broadcast over its fields: one time, ``fi.at(i)``, gives one (4, 4) complex
+process matrix, a (4, 2, 2) array of Kraus operators and scalar rates, and a
+whole grid (T, 4, 4) chi stacks, (T, 4, 2, 2) Kraus stacks and array rates.
+Times and Rabi frequencies, where a builder needs them, broadcast with them.
 
 All Pauli-basis algebra derives from the stacked array ``PAULIS`` (shape
 (4, 2, 2)) through ``einsum``.  State and channel arguments are stacks too:
@@ -91,7 +91,7 @@ class PauliRates:
 # --------------------------------------------------------------------- #
 # core map construction
 
-def _coherence_block(point, with_amplitude):
+def _coherence_block(point, dgamma1):
     """(E_pop, E_c, C, S2) pieces of the comoving Bloch map.
 
     C = cos(Theta/2) and S2 = sin(Theta/2) / Theta are entire, real
@@ -99,7 +99,7 @@ def _coherence_block(point, with_amplitude):
     that one expression covers both signs of q and q = 0.
     """
     e_pop = np.exp(-point.gamma1)
-    e_c = np.exp(-0.5 * (point.gamma1 + (point.dgamma1 if with_amplitude else 0.0)))
+    e_c = np.exp(-0.5 * (point.gamma1 + dgamma1))
     theta = np.sqrt(point.delta1**2 - point.delta2**2 - point.gamma2**2 + 0j)
     return e_pop, e_c, np.cos(0.5 * theta).real, 0.5 * np.sinc(theta / (2.0 * math.pi)).real
 
@@ -148,7 +148,7 @@ def rotate_to_lab(rho, Omega, t):
 # --------------------------------------------------------------------- #
 # process matrices
 
-def chi_nm(point, *, with_amplitude=False):
+def chi_nm(point):
     """Block-diagonal comoving process matrix including memory terms.
 
     Raises
@@ -158,7 +158,7 @@ def chi_nm(point, *, with_amplitude=False):
         the validity regime of the second-order treatment rather than a
         rounding issue.
     """
-    e_pop, e_c, C, S2 = _coherence_block(point, with_amplitude)
+    e_pop, e_c, C, S2 = _coherence_block(point, point.dgamma1)
     chi = np.zeros(np.shape(e_pop) + (4, 4), dtype=complex)
     chi[..., 0, 0] = 0.25 * (1.0 + e_pop + 2.0 * e_c * C)
     chi[..., 1, 1] = 0.25 * (1.0 + e_pop - 2.0 * e_c * C)
@@ -182,13 +182,13 @@ def pauli_left_matrix(U):
     return 0.5 * np.einsum("cij,...jk,aki->...ca", PAULIS, U, PAULIS)
 
 
-def chi_full(point, Omega, t, with_amplitude=False):
+def chi_full(point, Omega, t):
     """Process matrix of the full evolution (ideal gate followed by error)."""
     m = pauli_left_matrix(drive_unitary(Omega, t))
-    return (m @ chi_nm(point, with_amplitude=with_amplitude) @ _dagger(m)).view(_ChiArray)
+    return (m @ chi_nm(point) @ _dagger(m)).view(_ChiArray)
 
 
-def kraus_nc(point, Omega=0.0, t=0.0, with_amplitude=False):
+def kraus_nc(point, Omega=0.0, t=0.0):
     """Kraus operators of the memoryless (non-Clifford) channel.
 
     Built by eigendecomposition of the comoving process matrix with the
@@ -202,7 +202,7 @@ def kraus_nc(point, Omega=0.0, t=0.0, with_amplitude=False):
     bad = eps[~((eps >= -1e-12) & (eps <= 1.0 + 1e-12))]
     if bad.size:
         raise NumericalError(f"effective error rate {bad[0]} outside [0, 1]")
-    chi = chi_nm(_memoryless(point), with_amplitude=with_amplitude)
+    chi = chi_nm(_memoryless(point))
     U = drive_unitary(Omega, t)[..., None, :, :]
     rotated = U @ PAULIS @ _dagger(U)
     evals, evecs = np.linalg.eigh(chi)
@@ -216,12 +216,12 @@ def kraus_nc(point, Omega=0.0, t=0.0, with_amplitude=False):
     return ops
 
 
-def pauli_twirl(point, _t=None, /, *, with_amplitude=False):
+def pauli_twirl(point, _t=None, /):
     """Pauli error rates of the twirled channel (diagonal of chi_nm).
 
     The second positional slot is ignored: the benchmark's RB check still
     passes the pulse time there."""
-    chi = chi_nm(point, with_amplitude=with_amplitude)
+    chi = chi_nm(point)
     return PauliRates(chi[..., 1, 1].real, chi[..., 2, 2].real, chi[..., 3, 3].real)
 
 
@@ -296,13 +296,13 @@ def gate_error(point, model):
 
     Models: "D" depolarizing-equivalent, "NC" memoryless non-Clifford,
     "NM" with memory terms, and the "_I" variants including amplitude noise
-    through DGamma1.
+    through DGamma1, which "NC" and "NM" drop.
     """
     if model not in ("D", "NC", "NM", "NC_I", "NM_I"):
         raise ValidationError(f"unknown gate-error model {model!r}")
     if model.startswith("NC"):
         point = _memoryless(point)
-    e_pop, e_c, C, _ = _coherence_block(point, model.endswith("_I"))
+    e_pop, e_c, C, _ = _coherence_block(point, point.dgamma1 if model.endswith("_I") else 0.0)
     if model == "D":
         return 0.5 * (1.0 - e_pop)
     return 0.5 - (e_pop + 2.0 * e_c * C) / 6.0

@@ -41,7 +41,7 @@ from .channels import (
     rotate_to_lab,
     state_fidelity,
 )
-from .errors import GateNoiseError, NumericalError, ValidationError
+from .errors import GateNoiseError, NumericalError, ValidationError, _unique_keys
 from .filters import filtered_integrals, ou_amplitude_integral, ou_filtered_integrals
 from .langevin import DriveConfig, default_timestep, evolve_ensemble
 from .noise import OUSource, PsdSource
@@ -104,7 +104,7 @@ _TYPES = {"number": (int, float), "integer": int, "boolean": bool, "string": str
 
 def load_config(path, seed_override=None):
     try:
-        cfg = json.loads(raw := Path(path).read_bytes())
+        cfg = json.loads(raw := Path(path).read_bytes(), object_pairs_hook=_unique_keys)
     except (OSError, ValueError) as exc:
         raise ValidationError(f"cannot read config {path}: {exc}") from None
     if not isinstance(cfg, dict):
@@ -218,7 +218,6 @@ def write_manifest(cfg, out_dir, command):
     }
     path = Path(out_dir) / "manifest.json"
     path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-    return manifest
 
 
 def _write_csv(path, header, rows):
@@ -241,9 +240,17 @@ def _json_default(obj):
 # --------------------------------------------------------------------- #
 # commands
 
+def _make_out_dir(out_dir):
+    """Create ``out_dir`` and its missing parents; returns those it made, deepest first."""
+    made = [d for d in (out_dir, *out_dir.parents) if not d.exists()]
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ValidationError(f"cannot create output directory {out_dir}: {exc.strerror}") from None
+    return made
+
+
 def cmd_ingest_psd(args):
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     psd = NoisePsd.from_files(args.raw_csv, args.sidecar)
     for lo, hi in psd.excluded_bands:
         for edge in (lo, hi):
@@ -252,9 +259,9 @@ def cmd_ingest_psd(args):
             below = psd.eval(edge * (1.0 - 1e-9))
             above = psd.eval(edge * (1.0 + 1e-9))
             if below > 0 and not (1 / 1.01 < above / below < 1.01):
-                raise NumericalError(
-                    f"PSD jump ratio {above / below:.4f} at band edge {edge}"
-                )
+                raise NumericalError(f"PSD jump ratio {above / below:.4f} at band edge {edge}")
+    out_dir = Path(args.out)
+    _make_out_dir(out_dir)   # only once the table has passed its checks
     psd.to_files(out_dir / "psd_normalized.csv", out_dir / "psd_normalized.json")
     print(f"wrote normalized PSD to {out_dir}")
     return 0
@@ -267,13 +274,12 @@ def cmd_ingest_psd(args):
 def cmd_predict(args, cfg, out_dir, psd, amp_psd):
     Omega = cfg["drive"]["omega_rad_s"]
     times = time_grid(cfg)
-    with_amp = amp_psd is not None
 
     fi = job_integrals(psd, Omega, times, amp_psd)
     _write_csv(out_dir / "filtered_integrals.csv",
                ["t", "gamma1", "gamma2", "delta1", "delta2", "dgamma1"],
                zip(fi.times, fi.gamma1, fi.gamma2, fi.delta1, fi.delta2, fi.dgamma1))
-    rates = pauli_twirl(fi, with_amplitude=with_amp)
+    rates = pauli_twirl(fi)
     _write_csv(
         out_dir / "error_curves.csv",
         ["t", "eps_d", "eps_nc", "eps_nm", "eps_nc_i", "eps_nm_i", "p_d", "p_x", "p_y", "p_z"],
@@ -281,9 +287,9 @@ def cmd_predict(args, cfg, out_dir, psd, amp_psd):
             depolarizing_rate(fi), rates.px, rates.py, rates.pz),
     )
 
-    chi = chi_nm(fi, with_amplitude=with_amp)
-    chi_lab = chi_full(fi, Omega, times, with_amplitude=with_amp)
-    kraus = kraus_nc(fi, Omega, times, with_amplitude=with_amp)
+    chi = chi_nm(fi)
+    chi_lab = chi_full(fi, Omega, times)
+    kraus = kraus_nc(fi, Omega, times)
     snapshots = [
         {
             "t": t,
@@ -327,11 +333,10 @@ def run_validation(cfg, psd, amp_psd, n_haar, n_workers=1):
         per += 1
     drive = DriveConfig(Omega=Omega, dt=times[0] / per, n_steps=per * times.size,
                         m_mc=cfg["simulation"]["m_mc"])
-    freq_noise = _noise_source(psd)
-    amp_noise = _noise_source(amp_psd) if amp_psd is not None else None
 
     ensemble = evolve_ensemble(
-        np.stack(list(_BASIS_STATES.values())), drive, freq_noise, amp_noise,
+        np.stack(list(_BASIS_STATES.values())), drive, _noise_source(psd),
+        _noise_source(amp_psd) if amp_psd is not None else None,
         seed=seed, record_every=per,
         chunk=cfg["simulation"]["chunk"], n_workers=n_workers,
     )
@@ -339,7 +344,6 @@ def run_validation(cfg, psd, amp_psd, n_haar, n_workers=1):
     ensemble = replace(ensemble, times=np.append(0.0, times))
 
     fi = job_integrals(psd, Omega, times, amp_psd)
-    with_amp = amp_psd is not None
     haar = haar_random_state(np.random.default_rng(seed + 99), n_haar)
     # every Haar state (axis 0) at every grid time (axis 1)
     mc_states = bloch_to_rho(np.einsum("tab,nb->nta", ensemble.bloch_map[1:],
@@ -347,9 +351,9 @@ def run_validation(cfg, psd, amp_psd, n_haar, n_workers=1):
     haar = haar[:, None]
     mapped = {
         "D": apply_chi(depolarizing_chi(depolarizing_rate(fi)), haar),
-        "PT": apply_chi(pauli_chi(pauli_twirl(fi, with_amplitude=with_amp)), haar),
-        "NC": apply_kraus(kraus_nc(fi, Omega, times, with_amplitude=with_amp), haar),
-        "NM": apply_chi(chi_nm(fi, with_amplitude=with_amp), haar),
+        "PT": apply_chi(pauli_chi(pauli_twirl(fi)), haar),
+        "NC": apply_kraus(kraus_nc(fi, Omega, times), haar),
+        "NM": apply_chi(chi_nm(fi), haar),
     }
     infidelity = {
         model: np.mean(1.0 - state_fidelity(rotate_to_lab(states, Omega, times), mc_states),
@@ -424,8 +428,7 @@ def cmd_tomography(args, cfg, out_dir, psd, amp_psd):
                    for rec, chi_hat, error in zip(records, chis, errors)]
     else:
         times = time_grid(cfg)
-        fi = job_integrals(psd, Omega, times, amp_psd)
-        chis_true = chi_full(fi, Omega, times, with_amplitude=amp_psd is not None)
+        chis_true = chi_full(job_integrals(psd, Omega, times, amp_psd), Omega, times)
         rng = np.random.default_rng(seed)
         n_rep = tomo["repetitions"]
         records, chain_records = [], []
@@ -473,9 +476,8 @@ def cmd_tomography(args, cfg, out_dir, psd, amp_psd):
 def cmd_rb(args, cfg, out_dir, psd, amp_psd):
     Omega = cfg["drive"]["omega_rad_s"]
     t_pi = math.pi / Omega
-    fi = job_integrals(psd, Omega, [t_pi], amp_psd)
-    point = fi.at(0)
-    rates = pauli_twirl(point, with_amplitude=amp_psd is not None)
+    point = job_integrals(psd, Omega, [t_pi], amp_psd).at(0)
+    rates = pauli_twirl(point)
 
     rb_cfg = cfg["rb"]
     lengths = [2**k for k in range(1, int(math.log2(rb_cfg["max_length"])) + 1)]
@@ -543,8 +545,7 @@ def main(argv=None):
                                   f"(only validate runs in parallel), got {args.threads}")
         cfg = load_config(args.config, args.seed)
         out_dir = Path(args.out or cfg["outputs"]["dir"])
-        made = [d for d in (out_dir, *out_dir.parents) if not d.exists()]  # deepest first
-        out_dir.mkdir(parents=True, exist_ok=True)
+        made = _make_out_dir(out_dir)
         try:
             suffix = args.body(args, cfg, out_dir, *build_psds(cfg))
         except BaseException:   # a failed run leaves no empty directory of its own behind

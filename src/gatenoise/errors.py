@@ -36,6 +36,14 @@ class TuningWarning(UserWarning):
     """Sampler tuning landed outside the recommended operating range."""
 
 
+def _unique_keys(pairs):
+    """``object_pairs_hook`` for ``json.loads``: reject a key given twice in one object."""
+    keys = [key for key, _ in pairs]
+    if len(set(keys)) < len(keys):
+        raise ValidationError(f"JSON key {max(keys, key=keys.count)!r} is given twice")
+    return dict(pairs)
+
+
 def _check_count(name, value, least=1):
     """Raise ``ValidationError`` unless ``value`` is an integer >= ``least``."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:

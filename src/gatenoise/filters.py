@@ -175,20 +175,9 @@ class FilteredIntegrals:
             raise ValidationError("Gamma1 must be nonnegative for a decay exponent")
 
     def at(self, i):
-        """Scalar snapshot of the integrals at grid index ``i``."""
-        return IntegralPoint(
-            float(self.gamma1[i]), float(self.gamma2[i]),
-            float(self.delta1[i]), float(self.delta2[i]), float(self.dgamma1[i]),
-        )
-
-
-@dataclass(frozen=True)
-class IntegralPoint:
-    gamma1: float
-    gamma2: float
-    delta1: float
-    delta2: float
-    dgamma1: float = 0.0
+        """The snapshot at grid index ``i``: the same fields as 0-d arrays."""
+        return FilteredIntegrals(self.times[i], self.gamma1[i], self.gamma2[i],
+                                 self.delta1[i], self.delta2[i], self.dgamma1[i])
 
 
 def _overlap_edges(psd, Omega, t, lo_edge, W):

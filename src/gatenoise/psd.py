@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, _unique_keys
 
 TWO_PI = 2.0 * math.pi
 
@@ -112,7 +112,7 @@ class NoisePsd:
         and no other field.
         """
         try:
-            sidecar = json.loads(Path(sidecar_path).read_text())
+            sidecar = json.loads(Path(sidecar_path).read_text(), object_pairs_hook=_unique_keys)
         except (OSError, ValueError) as exc:
             raise ValidationError(f"cannot read PSD sidecar {sidecar_path}: {exc}") from None
         try:

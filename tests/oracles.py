@@ -23,7 +23,7 @@ from gatenoise.channels import (
     rho_to_bloch,
 )
 from gatenoise.errors import FitError, NumericalError, ValidationError
-from gatenoise.filters import FilteredIntegrals, IntegralPoint
+from gatenoise.filters import FilteredIntegrals
 from gatenoise.tomography import (
     _DIAG_IDX,
     _TP,
@@ -41,7 +41,14 @@ from gatenoise.tomography import (
     fold_ell,
 )
 
-ZERO_POINT = IntegralPoint(0.0, 0.0, 0.0, 0.0, 0.0)
+
+def snapshot(gamma1, gamma2, delta1, delta2, dgamma1=0.0):
+    """One snapshot of the filtered integrals, 0-d fields as ``FilteredIntegrals.at``
+    gives them (at t = 0: no builder reads the time)."""
+    return FilteredIntegrals(0.0, gamma1, gamma2, delta1, delta2, dgamma1)
+
+
+ZERO_POINT = snapshot(0.0, 0.0, 0.0, 0.0)
 
 
 def ou_step(eta, dt, tau_c, c, u):

@@ -24,7 +24,7 @@ from gatenoise.channels import (
     rotate_to_lab,
 )
 from gatenoise.cli import main as cli_main, run_validation
-from gatenoise.filters import IntegralPoint, filtered_integrals, ou_filtered_integrals
+from gatenoise.filters import filtered_integrals, ou_filtered_integrals
 from gatenoise.langevin import DriveConfig, evolve_ensemble
 from gatenoise.noise import OUSource
 from gatenoise.psd import NoisePsd
@@ -45,6 +45,7 @@ from oracles import (
     filtered_integrals_timedomain,
     master_equation_evolve,
     ou_kernels,
+    snapshot,
 )
 
 REPORT = Path(__file__).resolve().parent.parent / "acceptance_report.txt"
@@ -205,15 +206,16 @@ def test_criterion_06_twirl_fidelity_equality():
         tt = rng.uniform(0.05, 30.0)
         c = rng.uniform(0.01, 0.5)
         fi = ou_filtered_integrals(c, 1.0, a, [tt])
-        pt = IntegralPoint(fi.gamma1[0], fi.gamma2[0], fi.delta1[0], fi.delta2[0],
-                           rng.uniform(0.0, 0.3))
+        dgamma1 = rng.uniform(0.0, 0.3)
         with_amp = bool(rng.integers(2))
+        pt = snapshot(fi.gamma1[0], fi.gamma2[0], fi.delta1[0], fi.delta2[0],
+                      dgamma1 if with_amp else 0.0)
         Omega, t = a, tt
         U = drive_unitary(Omega, t)
         m = pauli_left_matrix(U)
         from gatenoise.channels import chi_nm
-        chi_lab = m @ chi_nm(pt, with_amplitude=with_amp) @ m.conj().T
-        twirl_lab = m @ pauli_chi(pauli_twirl(pt, with_amplitude=with_amp)) @ m.conj().T
+        chi_lab = m @ chi_nm(pt) @ m.conj().T
+        twirl_lab = m @ pauli_chi(pauli_twirl(pt)) @ m.conj().T
         diff = abs(avg_gate_fidelity(chi_lab, U) - avg_gate_fidelity(twirl_lab, U))
         worst = max(worst, diff)
     wall = time.time() - t0
@@ -300,7 +302,7 @@ def test_criterion_08_tomography_roundtrip_and_bias():
     Omega = 2000.0
     t = 4.0 * math.pi / Omega
     fi = ou_filtered_integrals(C_OU, TAU_OU, Omega, [t])
-    pt = IntegralPoint(fi.gamma1[0], 0.0, fi.delta1[0], 0.0, 0.0)
+    pt = snapshot(fi.gamma1[0], 0.0, fi.delta1[0], 0.0, 0.0)
     chi_true = chi_full(pt, Omega, t)
     probs = born_probs(chi_true, setup)
     target = drive_unitary(Omega, t)

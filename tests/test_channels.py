@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -27,7 +28,7 @@ from gatenoise.channels import (
     state_fidelity,
 )
 from gatenoise.errors import CPViolationError, NumericalError, ValidationError
-from gatenoise.filters import FilteredIntegrals, IntegralPoint, ou_filtered_integrals
+from gatenoise.filters import FilteredIntegrals, ou_filtered_integrals
 from gatenoise.psd import NoisePsd
 from oracles import (
     ZERO_POINT,
@@ -36,6 +37,7 @@ from oracles import (
     nm_measure_ou,
     ou_kernels,
     ptm,
+    snapshot,
 )
 
 RHO0 = np.array([[1, 0], [0, 0]], dtype=complex)
@@ -85,7 +87,7 @@ def physical_point(rng, with_amplitude=False):
     c = rng.uniform(0.01, 0.5)
     fi = ou_filtered_integrals(c, 1.0, a, [tt])
     dg = rng.uniform(0.0, 0.3) if with_amplitude else 0.0
-    return IntegralPoint(fi.gamma1[0], fi.gamma2[0], fi.delta1[0], fi.delta2[0], dg)
+    return snapshot(fi.gamma1[0], fi.gamma2[0], fi.delta1[0], fi.delta2[0], dg)
 
 
 # --------------------------------------------------------------------- #
@@ -97,7 +99,7 @@ def test_dressed_evolve_identity_at_zero_integrals():
 
 
 def test_dressed_population_gap_halves_at_log2():
-    point = IntegralPoint(math.log(2.0), 0.0, 0.0, 0.0, 0.0)
+    point = snapshot(math.log(2.0), 0.0, 0.0, 0.0, 0.0)
     out = apply_chi(chi_nm(point), RHOP)
     rho_pp = 0.5 * (1.0 + rho_to_bloch(out)[0])
     assert rho_pp == pytest.approx(0.75, rel=1e-14)
@@ -128,20 +130,22 @@ def test_chi_invariants_on_physical_tuples():
     rng = np.random.default_rng(10)
     for _ in range(60):
         pt = physical_point(rng, with_amplitude=True)
-        for flag in (False, True):
-            chi = chi_nm(pt, with_amplitude=flag)
+        for p in (replace(pt, dgamma1=0.0), pt):
+            chi = chi_nm(p)
             check_process_matrix(chi, psd_tol=1e-8)
             # block structure
             assert np.abs(chi[:2, 2:]).max() == 0.0
 
 
 def test_kraus_rejects_negative_decay_exponent():
+    pt = snapshot(0.0, 0.0, 0.0, 0.0)
+    pt.gamma1 = np.array(-0.5)   # past the container's own check
     with pytest.raises(NumericalError):
-        kraus_nc(IntegralPoint(-0.5, 0.0, 0.0, 0.0, 0.0), Omega=1.0, t=0.1)
+        kraus_nc(pt, Omega=1.0, t=0.1)
 
 
 def test_chi_cp_violation_raises():
-    bad = IntegralPoint(0.01, 0.8, 0.0, 0.0, 0.0)
+    bad = snapshot(0.01, 0.8, 0.0, 0.0, 0.0)
     with pytest.raises(CPViolationError):
         chi_nm(bad)
 
@@ -150,14 +154,14 @@ def test_kraus_completeness_random():
     rng = np.random.default_rng(3)
     for _ in range(40):
         pt = physical_point(rng, with_amplitude=True)
-        for flag in (False, True):
-            ks = kraus_nc(pt, Omega=2.0, t=rng.uniform(0, 5), with_amplitude=flag)
+        for p in (replace(pt, dgamma1=0.0), pt):
+            ks = kraus_nc(p, Omega=2.0, t=rng.uniform(0, 5))
             total = sum(K.conj().T @ K for K in ks)
             assert np.abs(total - np.eye(2)).max() < 1e-12
 
 
 def test_kraus_identity_channel_at_zero_error():
-    ks = kraus_nc(IntegralPoint(0.0, 0.0, 0.0, 0.0, 0.0), Omega=1.0, t=0.3)
+    ks = kraus_nc(snapshot(0.0, 0.0, 0.0, 0.0, 0.0), Omega=1.0, t=0.3)
     rho = bloch_to_rho(np.array([0.2, 0.5, -0.1]))
     np.testing.assert_allclose(apply_kraus(ks, rho), rho, atol=1e-14)
 
@@ -165,7 +169,7 @@ def test_kraus_identity_channel_at_zero_error():
 def test_kraus_closed_forms_dephasing_only():
     """Eigendecomposition reproduces the closed jump/rotation operator set:
     dressed-state jumps weighted by sqrt(eps/2) and the x-rotation pair."""
-    pt = IntegralPoint(0.3, 0.0, 0.4, 0.0, 0.0)
+    pt = snapshot(0.3, 0.0, 0.4, 0.0, 0.0)
     Omega, t = 2.0, 0.9
     ks = kraus_nc(pt, Omega, t)
     eps = 1.0 - math.exp(-pt.gamma1)
@@ -187,7 +191,7 @@ def test_kraus_closed_forms_dephasing_only():
 
 def test_kraus_pauli_form_at_special_times():
     # with vanishing rotation the jump operators are plain sy, sz multiples
-    pt = IntegralPoint(0.5, 0.0, 0.0, 0.0, 0.0)
+    pt = snapshot(0.5, 0.0, 0.0, 0.0, 0.0)
     ks = kraus_nc(pt, Omega=1.0, t=0.0)
     found = set()
     for K in ks:
@@ -221,7 +225,7 @@ def test_twirl_rates_zero_at_zero_integrals():
 
 def test_twirl_small_markovian_limit():
     g1 = 1e-4
-    rates = pauli_twirl(IntegralPoint(g1, 0.0, 0.0, 0.0, 0.0))
+    rates = pauli_twirl(snapshot(g1, 0.0, 0.0, 0.0, 0.0))
     assert rates.px == pytest.approx(0.0, abs=1e-8)
     assert rates.py == pytest.approx(g1 / 4.0, rel=1e-3)
     assert rates.pz == pytest.approx(g1 / 4.0, rel=1e-3)
@@ -231,9 +235,9 @@ def test_twirl_matches_bruteforce_conjugation():
     rng = np.random.default_rng(12)
     for _ in range(40):
         pt = physical_point(rng, with_amplitude=True)
-        chi = chi_nm(pt, with_amplitude=True)
+        chi = chi_nm(pt)
         tw = twirl_chi(chi)
-        rates = pauli_twirl(pt, with_amplitude=True)
+        rates = pauli_twirl(pt)
         np.testing.assert_allclose(
             np.diag(tw).real,
             [1.0 - rates.p, rates.px, rates.py, rates.pz], atol=1e-12)
@@ -255,8 +259,8 @@ def test_twirl_preserves_average_fidelity():
 
 def test_depolarizing_rate_values():
     assert depolarizing_rate(ZERO_POINT) == 0.0
-    assert depolarizing_rate(IntegralPoint(math.log(2), 0, 0, 0, 0)) == pytest.approx(3 / 8)
-    assert depolarizing_rate(IntegralPoint(50.0, 0, 0, 0, 0)) == pytest.approx(0.75, rel=1e-9)
+    assert depolarizing_rate(snapshot(math.log(2), 0, 0, 0, 0)) == pytest.approx(3 / 8)
+    assert depolarizing_rate(snapshot(50.0, 0, 0, 0, 0)) == pytest.approx(0.75, rel=1e-9)
 
 
 # --------------------------------------------------------------------- #
@@ -265,7 +269,7 @@ def test_depolarizing_rate_values():
 def test_gate_error_zero_and_saturation():
     for model in ("D", "NC", "NM", "NC_I", "NM_I"):
         assert gate_error(ZERO_POINT, model) == pytest.approx(0.0, abs=1e-15)
-        deep = IntegralPoint(80.0, 0.0, 0.0, 0.0, 10.0)
+        deep = snapshot(80.0, 0.0, 0.0, 0.0, 10.0)
         assert gate_error(deep, model) == pytest.approx(0.5, rel=1e-10)
     with pytest.raises(ValidationError):
         gate_error(ZERO_POINT, "bogus")
@@ -273,7 +277,7 @@ def test_gate_error_zero_and_saturation():
 
 def test_gate_error_real_valued_with_complex_angle():
     # radicand negative: hyperbolic branch must still give real errors
-    pt = IntegralPoint(0.5, 0.3, 0.05, 0.1, 0.0)
+    pt = snapshot(0.5, 0.3, 0.05, 0.1, 0.0)
     err = gate_error(pt, "NM")
     assert isinstance(err, float) and 0.0 <= err <= 0.5
 
@@ -298,9 +302,9 @@ def test_gate_fidelity_matrix_agrees_with_direct():
     loose = A @ np.swapaxes(A.conj(), -1, -2)
     loose *= rng.uniform(0.7, 1.3, len(points))[:, None, None] / np.trace(
         loose, axis1=-2, axis2=-1).real[:, None, None]
-    kraus = kraus_nc(fi, omegas, times, True)
+    kraus = kraus_nc(fi, omegas, times)
     fid_kraus = avg_gate_fidelity(kraus_to_chi(kraus), targets)
-    for chis in (chi_full(fi, omegas, times, True), loose):
+    for chis in (chi_full(fi, omegas, times), loose):
         fast = 0.5 + np.real(np.sum(chis * G, axis=(-2, -1)))
         fid_chi = avg_gate_fidelity(chis, targets)
         for i, U in enumerate(targets):
@@ -331,8 +335,8 @@ def _state_fidelity_scalar(a, b):
 def test_helpers_broadcast_over_state_stacks(helper, shape):
     rng = np.random.default_rng(21)
     pt = physical_point(rng, with_amplitude=True)
-    chi = chi_nm(pt, with_amplitude=True)
-    kraus = kraus_nc(pt, Omega=1.3, t=0.7, with_amplitude=True)
+    chi = chi_nm(pt)
+    kraus = kraus_nc(pt, Omega=1.3, t=0.7)
     n = int(np.prod(shape))
     states = haar_random_state(rng, n)
     mixed = 0.5 * states + 0.25 * np.eye(2)
@@ -394,11 +398,11 @@ def test_haar_stack_equals_single_draws():
 # builders over a time grid
 
 def _grid(seed, with_amplitude, n=24):
-    """``n`` random physical snapshots plus two with tied Kraus weights, as
-    scalar points and as one FilteredIntegrals, with times and Rabi rates."""
+    """``n`` random physical snapshots plus two with tied Kraus weights, one by
+    one and as one FilteredIntegrals grid, with times and Rabi rates."""
     rng = np.random.default_rng(seed)
     points = [physical_point(rng, with_amplitude) for _ in range(n)]
-    points += [ZERO_POINT, IntegralPoint(0.5, 0.0, 0.0, 0.0, 0.0)]
+    points += [ZERO_POINT, snapshot(0.5, 0.0, 0.0, 0.0, 0.0)]
     times = rng.uniform(0.0, 5.0, len(points))
     omegas = rng.uniform(0.5, 5.0, len(points))
     fields = {name: [getattr(p, name) for p in points]
@@ -409,13 +413,12 @@ def _grid(seed, with_amplitude, n=24):
 @pytest.mark.parametrize("with_amplitude", [False, True])
 def test_builders_on_a_grid_equal_pointwise_calls(with_amplitude):
     points, fi, times, omegas = _grid(31 + with_amplitude, with_amplitude)
-    flag = with_amplitude
     targets = drive_unitary(omegas, times)
-    rates = pauli_twirl(fi, with_amplitude=flag)
+    rates = pauli_twirl(fi)
     stacked = {
-        "chi_nm": chi_nm(fi, with_amplitude=flag),
-        "chi_full": chi_full(fi, omegas, times, flag),
-        "kraus_nc": kraus_nc(fi, omegas, times, flag),
+        "chi_nm": chi_nm(fi),
+        "chi_full": chi_full(fi, omegas, times),
+        "kraus_nc": kraus_nc(fi, omegas, times),
         "pauli_twirl": np.stack([rates.px, rates.py, rates.pz], axis=-1),
         "depolarizing_rate": depolarizing_rate(fi),
         "depolarizing_chi": depolarizing_chi(depolarizing_rate(fi)),
@@ -428,12 +431,12 @@ def test_builders_on_a_grid_equal_pointwise_calls(with_amplitude):
     assert stacked["chi_nm"].shape == (len(points), 4, 4)
     assert stacked["kraus_nc"].shape == (len(points), 4, 2, 2)
     for i, (pt, t, om) in enumerate(zip(points, times, omegas)):
-        r = pauli_twirl(pt, with_amplitude=flag)
+        r = pauli_twirl(pt)
         U = drive_unitary(om, t)
         single = {
-            "chi_nm": chi_nm(pt, with_amplitude=flag),
-            "chi_full": chi_full(pt, om, t, flag),
-            "kraus_nc": kraus_nc(pt, om, t, flag),
+            "chi_nm": chi_nm(pt),
+            "chi_full": chi_full(pt, om, t),
+            "kraus_nc": kraus_nc(pt, om, t),
             "pauli_twirl": [r.px, r.py, r.pz],
             "depolarizing_rate": depolarizing_rate(pt),
             "depolarizing_chi": depolarizing_chi(depolarizing_rate(pt)),
@@ -448,9 +451,35 @@ def test_builders_on_a_grid_equal_pointwise_calls(with_amplitude):
                                        err_msg=name)
     # scalar snapshots keep scalar shapes
     pt, t, om = points[0], times[0], omegas[0]
-    assert chi_full(pt, om, t, flag).shape == (4, 4)
-    assert np.ndim(pauli_twirl(pt, with_amplitude=flag).px) == 0
+    assert chi_full(pt, om, t).shape == (4, 4)
+    assert np.ndim(pauli_twirl(pt).px) == 0
     assert isinstance(gate_error(pt, "NM"), float)
+
+
+@pytest.mark.parametrize("with_amplitude", [False, True])
+def test_builders_on_a_snapshot_equal_their_slice_of_the_grid_bitwise(with_amplitude):
+    _, fi, times, omegas = _grid(37 + with_amplitude, with_amplitude)
+    assert np.any(fi.dgamma1 > 0) == with_amplitude
+    models = ("D", "NC", "NM", "NC_I", "NM_I")
+
+    def build(point, om, t):
+        rates = pauli_twirl(point)
+        return {
+            "chi_nm": chi_nm(point),
+            "chi_full": chi_full(point, om, t),
+            "kraus_nc": kraus_nc(point, om, t),
+            "pauli_twirl": np.stack([rates.px, rates.py, rates.pz], axis=-1),
+            "depolarizing_rate": depolarizing_rate(point),
+            "gate_error": np.stack([gate_error(point, m) for m in models], axis=-1),
+        }
+
+    grid = build(fi, omegas, times)
+    for i in range(times.size):
+        pt = fi.at(i)
+        assert all(np.ndim(getattr(pt, name)) == 0
+                   for name in ("times", "gamma1", "gamma2", "delta1", "delta2", "dgamma1"))
+        for name, value in build(pt, omegas[i], times[i]).items():
+            assert np.asarray(value).tobytes() == grid[name][i].tobytes(), (name, i)
 
 
 def test_builders_return_plain_arrays_and_take_no_time_label():
@@ -460,16 +489,20 @@ def test_builders_return_plain_arrays_and_take_no_time_label():
         assert isinstance(chi, np.ndarray) and chi.shape == (4, 4) and chi.dtype == complex
     kraus = kraus_nc(pt, 1.3, 0.7)
     assert isinstance(kraus, np.ndarray) and kraus.shape == (4, 2, 2)
-    # with_amplitude is keyword-only: a time where it stood is an error
+    # no builder takes a time label or an amplitude flag: dgamma1 is in the snapshot
     for call in (lambda: chi_nm(pt, 0.5), lambda: pauli_twirl(pt, 0.5, True),
-                 lambda: depolarizing_chi(0.1, 0.5), lambda: pauli_chi(rates, 0.5)):
+                 lambda: depolarizing_chi(0.1, 0.5), lambda: pauli_chi(rates, 0.5),
+                 lambda: chi_nm(pt, with_amplitude=True),
+                 lambda: chi_full(pt, 1.3, 0.7, with_amplitude=True),
+                 lambda: kraus_nc(pt, 1.3, 0.7, with_amplitude=True),
+                 lambda: pauli_twirl(pt, with_amplitude=True)):
         with pytest.raises(TypeError):
             call()
 
 
 def test_one_cp_violating_snapshot_in_a_grid_raises():
     points, _, times, _ = _grid(33, True)
-    bad = points + [IntegralPoint(0.01, 0.8, 0.0, 0.0, 0.0)]
+    bad = points + [snapshot(0.01, 0.8, 0.0, 0.0, 0.0)]
     fi = FilteredIntegrals(np.append(times, 1.0),
                            *[[getattr(p, name) for p in bad]
                              for name in ("gamma1", "gamma2", "delta1", "delta2", "dgamma1")])
@@ -481,8 +514,8 @@ def test_one_cp_violating_snapshot_in_a_grid_raises():
 
 def test_avg_gate_fidelity_on_stacks_equals_scalar_calls():
     points, fi, times, omegas = _grid(34, True)
-    chis = chi_full(fi, omegas, times, True)
-    kraus = kraus_nc(fi, omegas, times, True)
+    chis = chi_full(fi, omegas, times)
+    kraus = kraus_nc(fi, omegas, times)
     targets = drive_unitary(omegas, times)
     fid_chi = avg_gate_fidelity(chis, targets)
     fid_kraus = avg_gate_fidelity(kraus_to_chi(kraus), targets)

@@ -152,6 +152,37 @@ def test_incomplete_section_rejected(tmp_path, capsys, section, body, message):
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("given, twice, key", [
+    ('"n_times": 5', '"n_times": 3, "n_times": 5', "'n_times'"),
+    ('"rb": {', '"rb": {}, "rb": {', "'rb'"),
+    ('"tau_c": ', '"tau_c": 1.0, "tau_c": ', "'tau_c'"),
+], ids=["section-key", "section", "psd-spec-key"])
+def test_a_config_key_given_twice_is_rejected(tmp_path, capsys, given, twice, key):
+    cfg_path = tmp_path / "cfg.json"
+    text = json.dumps(write_config(cfg_path))
+    assert text.count(given) == 1
+    cfg_path.write_text(text.replace(given, twice))
+    assert main(["predict", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
+    assert f"{key} is given twice" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("where", ["a-file", "through-a-file"])
+def test_an_out_path_that_cannot_be_a_directory_exits_2(tmp_path, capsys, where):
+    blocker = tmp_path / "taken"
+    blocker.write_text("")
+    out = blocker if where == "a-file" else blocker / "a" / "b"
+    cfg_path = tmp_path / "cfg.json"
+    write_config(cfg_path)
+    raw, sidecar = tmp_path / "raw.csv", tmp_path / "raw.json"
+    raw.write_text("f,s\n10.0,1.0\n20.0,0.5\n")
+    sidecar.write_text(GOOD_SIDECAR)
+    for argv in (["predict", "--config", str(cfg_path)], ["ingest-psd", str(raw), str(sidecar)]):
+        assert main([*argv, "--out", str(out)]) == 2
+        assert f"cannot create output directory {out}" in capsys.readouterr().err
+    assert blocker.is_file() and blocker.read_text() == ""
+
+
 @pytest.mark.parametrize("text", [None, "{\"drive\": ", "[1, 2]"])
 def test_unreadable_config_rejected(tmp_path, capsys, text):
     cfg_path = tmp_path / "cfg.json"
@@ -793,17 +824,23 @@ GOOD_SIDECAR = json.dumps({"units": "hz_one_sided", "low_plateau": 1.0, "high_pl
      "raw.json"),
     ("f,s\n10.0,1.0\n20.0,0.5\n", GOOD_SIDECAR[:-1] + ', "excluded_band": [[12, 14]]}',
      "unknown field 'excluded_band'"),
+    ("f,s\n10.0,1.0\n20.0,0.5\n", GOOD_SIDECAR[:-1] + ', "high_plateau": 0.2}',
+     "'high_plateau' is given twice"),
 ], ids=["missing-csv", "missing-sidecar", "non-numeric-cell", "one-field-row",
-        "sidecar-not-json", "non-numeric-plateau", "band-not-a-pair", "unknown-sidecar-key"])
+        "sidecar-not-json", "non-numeric-plateau", "band-not-a-pair", "unknown-sidecar-key",
+        "sidecar-key-twice"])
 def test_ingest_psd_malformed_input_exits_2(tmp_path, capsys, csv_text, sidecar_text, bad):
     raw, sidecar = tmp_path / "raw.csv", tmp_path / "raw.json"
     if csv_text is not None:
         raw.write_text(csv_text)
     if sidecar_text is not None:
         sidecar.write_text(sidecar_text)
-    assert main(["ingest-psd", str(raw), str(sidecar), "--out", str(tmp_path / "out")]) == 2
+    out = tmp_path / "ing" / "a" / "b"
+    assert main(["ingest-psd", str(raw), str(sidecar), "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert "validation error" in err and bad in err
+    # a failed ingest makes no directory
+    assert not (tmp_path / "ing").exists()
 
 
 @pytest.mark.parametrize("row, sidecar", [

@@ -20,7 +20,6 @@ from gatenoise.filters import (
     ou_amplitude_integral,
     ou_filtered_integrals,
     FilteredIntegrals,
-    IntegralPoint,
 )
 from gatenoise.errors import ValidationError
 from gatenoise.psd import NoisePsd
@@ -502,7 +501,11 @@ def test_integrals_container_invariants():
                           np.zeros(2), np.zeros(2), np.zeros(2))
     fi = ou_filtered_integrals(1.0, 1.0, 2.0, [0.5, 1.0])
     pt = fi.at(1)
-    assert isinstance(pt, IntegralPoint)
+    # one time of the grid, as 0-d fields of the same container
+    assert isinstance(pt, FilteredIntegrals)
+    for name in ("times", "gamma1", "gamma2", "delta1", "delta2", "dgamma1"):
+        assert np.ndim(getattr(pt, name)) == 0
+        assert getattr(pt, name) == getattr(fi, name)[1]
     assert pt.dgamma1 == 0.0
     # without amplitude noise the DGamma1 field is zeros, not absent
     np.testing.assert_array_equal(fi.dgamma1, np.zeros(2))

@@ -16,7 +16,7 @@ from gatenoise.channels import (
     gate_fidelity_matrix,
 )
 from gatenoise.errors import DegenerateDataError, FitError, TuningWarning, ValidationError
-from gatenoise.filters import IntegralPoint, ou_filtered_integrals
+from gatenoise.filters import ou_filtered_integrals
 from gatenoise.tomography import (
     _TP,
     PROB_FLOOR,
@@ -66,6 +66,7 @@ from oracles import (
     pulse_unitaries,
     rb_survival_loop,
     sample_shots_per_shot,
+    snapshot,
 )
 
 SETUP = default_setup()
@@ -386,7 +387,7 @@ def test_quadratic_gate_error_matches_avg_gate_fidelity():
         want = 1.0 - avg_gate_fidelity(chi_from_ell(ell), target)
         assert 0.5 - ell @ form @ ell == pytest.approx(want, abs=1e-13)
     # and through the chain, sample by sample
-    rec = sample_shots(born_probs(chi_full(IntegralPoint(0.05, 0.0, 0.08, 0.0, 0.0), 2.0, 1.1),
+    rec = sample_shots(born_probs(chi_full(snapshot(0.05, 0.0, 0.08, 0.0, 0.0), 2.0, 1.1),
                                   SETUP), 100, rng)
     post = mh_chain(rec, SETUP, n_steps=2000, seed=4, target_unitary=target)
     for ell, err in zip(post.ells[::100], post.gate_errors[::100]):
@@ -821,7 +822,7 @@ def test_mh_posterior_concentrates_on_identity():
 def test_mh_gate_errors_gauge_invariant():
     """Sampled gate errors computed against U and against the identity after
     conjugating the data-generating channel agree (same comoving gauge)."""
-    pt = IntegralPoint(0.05, 0.0, 0.08, 0.0, 0.0)
+    pt = snapshot(0.05, 0.0, 0.08, 0.0, 0.0)
     Omega, t = 2.0, 1.1
     chi_lab = chi_full(pt, Omega, t)
     probs = born_probs(chi_lab, SETUP)
