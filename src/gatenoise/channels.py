@@ -198,10 +198,6 @@ def kraus_nc(point, Omega=0.0, t=0.0):
     The operators of each snapshot are ordered by their largest entry,
     largest first (ties keep the eigenvalue order).
     """
-    eps = 1.0 - np.exp(-np.asarray(point.gamma1))
-    bad = eps[~((eps >= -1e-12) & (eps <= 1.0 + 1e-12))]
-    if bad.size:
-        raise NumericalError(f"effective error rate {bad[0]} outside [0, 1]")
     chi = chi_nm(_memoryless(point))
     U = drive_unitary(Omega, t)[..., None, :, :]
     rotated = U @ PAULIS @ _dagger(U)

@@ -18,7 +18,8 @@ Omega = 0; :func:`_windows` evaluates all three from one tangent per node.
 Per time point and PSD, one adaptive quadrature pass integrates S*F and
 the bare F for the windows it needs (all three for the dephasing PSD, the
 Gamma1 window alone for the amplitude PSD) as the rows of one buffer on
-one node set, escalating the upper limit W until the tuple converges.
+one node set, escalating the upper limit W until the tuple converges, or
+straight to a table's last knot when the table rises past W again.
 Beyond W the PSD is taken as the plateau S(W); its tail is the white-noise
 total of F (Gamma1: t/4, Delta1: 0, M: sin(Omega t) / (4 Omega), per unit
 S on [0, inf)) minus the bare integral on [0, W], so no special functions
@@ -173,11 +174,14 @@ class FilteredIntegrals:
             setattr(self, name, arr)
         if np.any(self.gamma1 < -1e-10 * max(1.0, np.abs(self.gamma1).max())):
             raise ValidationError("Gamma1 must be nonnegative for a decay exponent")
+        # a rounding-level negative is a zero decay: every builder may rely on Gamma1 >= 0
+        self.gamma1 = np.where(self.gamma1 < 0.0, 0.0, self.gamma1)
 
     def at(self, i):
-        """The snapshot at grid index ``i``: the same fields as 0-d arrays."""
-        return FilteredIntegrals(self.times[i], self.gamma1[i], self.gamma2[i],
-                                 self.delta1[i], self.delta2[i], self.dgamma1[i])
+        """The snapshot at grid index ``i``: the grid's checked fields as 0-d views."""
+        point = object.__new__(FilteredIntegrals)
+        point.__dict__.update({name: arr[i, ...] for name, arr in vars(self).items()})
+        return point
 
 
 def _overlap_edges(psd, Omega, t, lo_edge, W):
@@ -209,7 +213,8 @@ def _overlap(psd, Omega, t, rtol, n):
 
     Each window integrates S*F and the bare F on [0, W] as rows of one
     quadrature; beyond W the PSD is the plateau S(W), whose tail is the white
-    total of F minus the bare part.
+    total of F minus the bare part.  Two agreeing passes stop the escalation
+    unless a knot past W, or the high plateau, exceeds 2 S(W).
     """
     if t == 0.0:
         return np.zeros(n)
@@ -245,14 +250,17 @@ def _overlap(psd, Omega, t, rtol, n):
         abs_scale = np.maximum(abs_scale, abs_part[:n])
         total = 2.0 * (inner[:n] + plateau * (white - inner[n:]))
         # A x3 window escalation shrinks the residual of an w^-2 spectrum by
-        # ~x27, so a small step-to-step change bounds the remaining error.
-        if prev is not None and np.all(
-                np.abs(total - prev) <= rtol * 100 * np.maximum(np.abs(total), abs_scale)):
-            return total
-        if table_done:
+        # ~x27, so a small step-to-step change bounds the remaining error ...
+        converged = prev is not None and np.all(
+            np.abs(total - prev) <= rtol * 100 * np.maximum(np.abs(total), abs_scale))
+        # ... unless the table rises past W, where the tail is not S(W): then
+        # the next pass runs to its last knot, past which the plateau is exact
+        rising = converged and psd.kind == "tabulated" and max(
+            psd.high_plateau, psd.densities[psd.omegas > W].max(initial=0.0)) > 2.0 * plateau
+        if table_done or converged and not rising:
             return total
         prev = total
-        lo, W = W, 3.0 * W
+        lo, W = W, psd.support_scale() if rising else 3.0 * W
     raise NumericalError(
         f"filtered integrals did not converge (Omega={Omega}, t={t}, W={W})"
     )

@@ -50,7 +50,6 @@ class NoisePsd:
     densities: np.ndarray | None = None
     low_plateau: float = 0.0
     high_plateau: float = 0.0
-    excluded_bands: tuple = ()
     _log_w: np.ndarray = field(default=None, repr=False)
     _log_s: np.ndarray = field(default=None, repr=False)
 
@@ -94,7 +93,6 @@ class NoisePsd:
             densities=densities,
             low_plateau=float(low_plateau),
             high_plateau=float(high_plateau),
-            excluded_bands=bands,
         )
         # Zero densities break log interpolation; floor them far below scale.
         floor = max(densities.max(), 1.0) * 1e-300

@@ -89,9 +89,6 @@ class TomographySetup:
             [_proj(_KETPI) / 3.0, _proj(_KETMI) / 3.0],
             [_proj(_KET0) / 3.0, _proj(_KET1) / 3.0],
         ]
-        total = sum(m for basis in povm for m in basis)
-        if np.abs(total - np.eye(2)).max() > 1e-12:
-            raise ValidationError("POVM does not resolve the identity")
         # D[s, b, m, beta, alpha] = tr(M_bm s_alpha rho_s s_beta)
         D = np.einsum("bmij,ajk,skl,cli->sbmca", np.array(povm), PAULIS,
                       np.array(states), PAULIS)

@@ -297,16 +297,22 @@ def ou_kernels(c, tau_c, Omega, times):
     return g1, h1
 
 
-def nm_measure_ou(c, tau_c, Omega, t_max, n_grid):
+def nm_measure_ou(c, tau_c, Omega, t_max, n_grid, amp=None):
     """``nm_measure`` for OU noise with the closed-form kernels ``ou_kernels``.
 
     Same uniform grid and the same cumulative trapezoid over the negative
-    part of the smaller canonical rate ``(g1 - sqrt(g1^2 + h1^2)) / 4``;
-    only the kernels are exact.  Returns (times, N(t)).
+    part of the smaller canonical rate ``(g_eff - sqrt(g1^2 + h1^2)) / 4``;
+    only the kernels are exact.  ``amp = (c_a, tau_a)`` adds OU amplitude
+    noise, ``g_eff = g1 + c_a tau_a^2 (1 - exp(-t / tau_a))``; without it
+    ``g_eff = g1``.  Returns (times, N(t)).
     """
     times, h = np.linspace(0.0, t_max, n_grid, retstep=True)
     g1, h1 = ou_kernels(c, tau_c, Omega, times)
-    negativity = np.maximum(0.0, -0.25 * (g1 - np.sqrt(g1**2 + h1**2)))
+    g_eff = g1
+    if amp is not None:
+        c_a, tau_a = amp
+        g_eff = g1 - c_a * tau_a**2 * np.expm1(-times / tau_a)
+    negativity = np.maximum(0.0, -0.25 * (g_eff - np.sqrt(g1**2 + h1**2)))
     return times, cumulative_trapezoid(negativity, dx=h, initial=0.0)
 
 

@@ -27,7 +27,7 @@ from gatenoise.channels import (
     rotate_to_lab,
     state_fidelity,
 )
-from gatenoise.errors import CPViolationError, NumericalError, ValidationError
+from gatenoise.errors import CPViolationError, ValidationError
 from gatenoise.filters import FilteredIntegrals, ou_filtered_integrals
 from gatenoise.psd import NoisePsd
 from oracles import (
@@ -138,10 +138,25 @@ def test_chi_invariants_on_physical_tuples():
 
 
 def test_kraus_rejects_negative_decay_exponent():
-    pt = snapshot(0.0, 0.0, 0.0, 0.0)
-    pt.gamma1 = np.array(-0.5)   # past the container's own check
-    with pytest.raises(NumericalError):
-        kraus_nc(pt, Omega=1.0, t=0.1)
+    # Gamma1 >= 0 is the container's invariant, so the snapshot is refused
+    # before kraus_nc sees it
+    with pytest.raises(ValidationError):
+        kraus_nc(snapshot(-0.5, 0.0, 0.0, 0.0), Omega=1.0, t=0.1)
+
+
+@pytest.mark.parametrize("gamma1", [[-5e-11], [100.0, -5e-9]], ids=["snapshot", "grid"])
+def test_a_rounding_level_negative_gamma1_is_a_zero_decay(gamma1):
+    # within the container's tolerance, -1e-10 max(1, max|Gamma1|): stored as
+    # 0, so every builder, kraus_nc included, takes the snapshot
+    z = np.zeros(len(gamma1))
+    fi = FilteredIntegrals(z, gamma1, z, z, z)
+    np.testing.assert_array_equal(fi.gamma1, np.maximum(gamma1, 0.0))
+    kraus = kraus_nc(fi, 1.0, 0.0)
+    complete = np.einsum("...nji,...njk->...ik", kraus.conj(), kraus)
+    np.testing.assert_allclose(complete, np.broadcast_to(np.eye(2), complete.shape), atol=1e-12)
+    # at Gamma1 = 0 (and no other noise) the channel is the identity
+    chi = kraus_to_chi(kraus).reshape(-1, 4, 4)[-1]
+    np.testing.assert_allclose(chi, np.diag([1.0, 0, 0, 0]), atol=1e-15)
 
 
 def test_chi_cp_violation_raises():
@@ -563,6 +578,24 @@ def test_nm_measure_on_ou_matches_the_closed_form_kernels(n_grid, bound):
         times_ref, ncp_ref = nm_measure_ou(c, tau, Omega, 8.0 * tau, n_grid)
         np.testing.assert_array_equal(times, times_ref)
         assert np.abs(ncp - ncp_ref).max() <= bound * ncp_ref.max(), Omega
+
+
+@pytest.mark.parametrize("n_grid, bound", [(3200, 1e-9), (300, 1e-6)])
+def test_nm_measure_with_amplitude_noise_matches_the_closed_form_kernels(n_grid, bound):
+    # OU amplitude noise adds c_a tau_a^2 (1 - exp(-t / tau_a)) to the smaller
+    # rate's g1: it shrinks the negativity, and N_CP with it
+    c, tau = 1.6e9, 5e-4
+    amp = (4e7, 2e-4)
+    psd, amp_psd = NoisePsd.ou(c, tau), NoisePsd.ou(*amp)
+    for Omega in np.geomspace(0.2 / tau, 3.0 / tau, 20):
+        times, ncp = nm_measure(psd, Omega, 8.0 * tau, n_grid=n_grid, amp_psd=amp_psd)
+        times_ref, ncp_ref = nm_measure_ou(c, tau, Omega, 8.0 * tau, n_grid, amp=amp)
+        np.testing.assert_array_equal(times, times_ref)
+        assert ncp_ref[-1] > 0.0, Omega
+        assert np.abs(ncp - ncp_ref).max() <= bound * ncp_ref.max(), Omega
+        _, ncp_dephasing = nm_measure(psd, Omega, 8.0 * tau, n_grid=n_grid)
+        assert np.all(ncp <= ncp_dephasing), Omega
+        assert ncp[-1] < ncp_dephasing[-1], Omega
 
 
 def test_nm_measure_monotone_on_tabulated_psd():

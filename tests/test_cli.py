@@ -21,7 +21,7 @@ from gatenoise.channels import (
     pauli_chi,
     pauli_twirl,
 )
-from gatenoise import cli
+from gatenoise import _quadrature, cli
 from gatenoise.cli import build_psds, load_config, main, run_validation, time_grid
 from gatenoise.errors import NumericalError
 from gatenoise.filters import filtered_integrals, ou_amplitude_integral, ou_filtered_integrals
@@ -432,6 +432,26 @@ def test_filtered_integrals_csv_export_tabulated(tmp_path):
     want = _rows_text("t,gamma1,gamma2,delta1,delta2,dgamma1",
                       zip(fi.times, fi.gamma1, fi.gamma2, fi.delta1, fi.delta2, fi.dgamma1))
     assert (out / "filtered_integrals.csv").read_text() == want
+
+
+def test_a_quadrature_that_cannot_converge_exits_3_without_a_manifest(tmp_path, monkeypatch,
+                                                                       capsys):
+    # Omega t = 3000 needs a few thousand panels: below the cap the adaptive
+    # rule gives up, as a numerical failure, not a silent estimate
+    omegas = np.geomspace(10.0, 1e6, 40)
+    psd = NoisePsd.tabulated(omegas, 3e3 / (1.0 + (omegas * TAU) ** 2) + 0.5, 3e3, 0.5)
+    psd.to_files(tmp_path / "psd.csv", tmp_path / "psd.json")
+    filtered_integrals(psd, 1e4, [0.3])
+    monkeypatch.setattr(_quadrature, "MAX_PANELS", 50)
+    with pytest.raises(NumericalError, match="did not converge"):
+        filtered_integrals(psd, 1e4, [0.3])
+    cfg_path = tmp_path / "cfg.json"
+    write_config(cfg_path, drive={"omega_rad_s": 1e4, "t_max_s": 0.3, "n_times": 1},
+                 noise={"psd": {"kind": "tabulated", "csv": "psd.csv", "sidecar": "psd.json"}})
+    out = tmp_path / "pred"
+    assert main(["predict", "--config", str(cfg_path), "--out", str(out)]) == 3
+    assert "did not converge" in capsys.readouterr().err
+    assert not (out / "manifest.json").exists()
 
 
 def test_langevin_csv_export(tmp_path, monkeypatch):

@@ -330,6 +330,27 @@ def test_tabulated_gamma1_matches_gauss_legendre_oracle():
     assert np.all(np.abs(np.asarray(with_bump) / want - 1) > 0.1)
 
 
+def test_a_table_rising_past_the_converged_window_is_integrated_to_its_end():
+    # a Lorentzian table reaching 1e7 rad/s with a narrow spur near 2.5e6,
+    # far past where two escalation passes agree: the spur must count
+    Omega, t = 4000.0, 1e-3
+    w = np.geomspace(10.0, 1e7, 400)
+    s = 1e3 / (1.0 + (w / 2e3) ** 2) + 1e-4
+    s += np.where(np.abs(np.log(w / 2.5e6)) < 0.02, 5e4, 0.0)
+    psd = NoisePsd.tabulated(w, s, s[0], 1e-4)
+    fi = filtered_integrals(psd, Omega, t)
+    # 12-point Gauss-Legendre on the knots and 5000 equal panels of [0, w_N];
+    # past w_N the 1e-4 plateau adds under 1e-10 of each integral
+    edges = np.union1d(w, np.linspace(0.0, w[-1], 5000))
+    x, wts = np.polynomial.legendre.leggauss(12)
+    half, mid = 0.5 * np.diff(edges)[:, None], 0.5 * (edges[1:] + edges[:-1])[:, None]
+    nodes = mid + half * x
+    want = [2.0 * float((half * psd.eval(nodes) * f(nodes, Omega, t) * wts).sum())
+            for f in (oracles.filter_gamma1, oracles.filter_delta1, oracles.filter_memory)]
+    got = [fi.gamma1[0], fi.delta1[0], fi.gamma2[0] / math.cos(Omega * t)]
+    np.testing.assert_allclose(got, want, rtol=1e-6, atol=0)
+
+
 def _overlap_edges_per_interval(psd, Omega, t, lo_edge, W):
     """Reference build of the quadrature edges: one linspace per interval."""
     pts = [x for x in (0.5 * Omega, Omega, 1.5 * Omega, 2.0 * Omega) if lo_edge < x < W]
@@ -509,6 +530,21 @@ def test_integrals_container_invariants():
     assert pt.dgamma1 == 0.0
     # without amplitude noise the DGamma1 field is zeros, not absent
     np.testing.assert_array_equal(fi.dgamma1, np.zeros(2))
+
+
+def test_a_snapshot_is_a_view_of_the_checked_grid(monkeypatch):
+    fi = ou_filtered_integrals(1.0, 1.0, 2.0, [0.5, 1.0])
+
+    def check_again(self):
+        raise AssertionError("at() re-ran the container's checks")
+
+    monkeypatch.setattr(FilteredIntegrals, "__post_init__", check_again)
+    pt = fi.at(1)
+    assert type(pt) is FilteredIntegrals
+    for name in ("times", "gamma1", "gamma2", "delta1", "delta2", "dgamma1"):
+        field = getattr(pt, name)
+        assert field.shape == () and np.shares_memory(field, getattr(fi, name))
+        assert field == getattr(fi, name)[1]
 
 
 @pytest.mark.parametrize("dgamma1", [np.zeros(3), np.array([0.0, np.nan]),

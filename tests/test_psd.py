@@ -1,5 +1,6 @@
 import copy
 import json
+import math
 
 import numpy as np
 import pytest
@@ -40,6 +41,36 @@ def test_excluded_band_bridges_continuously():
         lo = psd.eval(edge * (1 - 1e-9))
         hi = psd.eval(edge * (1 + 1e-9))
         assert 1 / 1.01 < hi / lo < 1.01
+
+
+def _loglog_bridge(kept_w, kept_s, x):
+    """S(x) on the straight log-log line between the nearest kept knots."""
+    j = int(np.searchsorted(kept_w, x, "right")) - 1
+    if kept_w[j] == x:
+        return kept_s[j]
+    slope = math.log(kept_s[j + 1] / kept_s[j]) / math.log(kept_w[j + 1] / kept_w[j])
+    return kept_s[j] * math.exp(slope * math.log(x / kept_w[j]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.floats(min_value=-3.0, max_value=3.0), min_size=4, max_size=40),
+       st.lists(st.tuples(st.floats(min_value=0.01, max_value=0.5),
+                          st.floats(min_value=0.001, max_value=0.49)), min_size=1, max_size=3))
+def test_excluded_bands_are_bridged_log_log_between_the_nearest_kept_knots(log_s, cuts):
+    w = np.geomspace(1.0, 1e4, len(log_s))
+    s = 10.0 ** np.asarray(log_s)
+    # every band lies inside (w[0], w[-1]), so both end knots are kept
+    span = math.log(w[-1] / w[0])
+    bands = [(w[0] * math.exp(span * a), w[0] * math.exp(span * (a + d))) for a, d in cuts]
+    psd = NoisePsd.tabulated(w, s, s[0], s[-1], excluded_bands=bands)
+    keep = ~np.any([(w > lo) & (w < hi) for lo, hi in bands], axis=0)
+    np.testing.assert_array_equal(psd.omegas, w[keep])
+    # the kept knots carry the bands: the PSD stores no band list besides them
+    assert not hasattr(psd, "excluded_bands")
+    for lo, hi in bands:
+        for x in (lo, math.sqrt(lo * hi), hi):
+            assert psd.eval(x) == pytest.approx(_loglog_bridge(w[keep], s[keep], x),
+                                                rel=1e-12, abs=0), (x, lo, hi)
 
 
 @settings(max_examples=30, deadline=None)
