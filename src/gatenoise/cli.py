@@ -227,8 +227,6 @@ def _json_default(obj):
         if np.iscomplexobj(obj):
             return {"re": obj.real.tolist(), "im": obj.imag.tolist()}
         return obj.tolist()
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
     raise TypeError(f"not serializable: {type(obj)}")
 
 

@@ -114,10 +114,6 @@ class DensityTrajectory:
     bloch_map: np.ndarray       # (n_times, 3, 3)
     max_norm_drift: float = 0.0
 
-    def __post_init__(self):
-        if not np.all(np.diff(self.times) > 0):
-            raise ValidationError("times must be strictly increasing")
-
 
 def _bloch_rotation(a, b):
     """Bloch-vector rotation of U = [[a, -b*], [b, a*]], shape (3, 3, m).

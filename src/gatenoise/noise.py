@@ -2,7 +2,9 @@
 
 Two sources produce the dephasing (or Rabi-rate) noise of each trajectory:
 
-* ``OUSource``: exact Ornstein-Uhlenbeck updates, valid for any step size;
+* ``OUSource``: Ornstein-Uhlenbeck samples, exact at the step points for any
+  step size; the increments are the left-point ``dt * eta(t_i)``, which put
+  an error of about ``(dt / tau_c)**2 / 12`` on the decay they drive;
 * ``PsdSource``: a random Fourier series straight from any PSD, for
   wide-sense stationary processes (``percival_trajectory``).
 
@@ -92,11 +94,13 @@ def percival_trajectory(psd, m_f, span, draws):
 # noise sources for the Langevin integrator
 
 class OUSource:
-    """OU dephasing/amplitude noise with exact per-step updates.
+    """OU dephasing/amplitude noise sampled exactly at the step points.
 
-    Produces integrated increments ``dt * eta(t_i)`` (accurate to O(dt^2)
-    within the integrator); the initial value is drawn from the stationary
-    distribution.
+    Produces left-point increments ``dt * eta(t_i)``, the initial value drawn
+    from the stationary distribution.  Summed over all lags their covariances
+    are ``2 C(0) tau_c dt (1 + x**2 / 12)``, x = dt / tau_c, against exactly
+    ``2 C(0) tau_c dt`` for the integrals of eta over the steps, so the
+    decay they drive is off by about x**2 / 12.
     """
 
     def __init__(self, c, tau_c):

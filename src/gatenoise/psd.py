@@ -204,9 +204,7 @@ class NoisePsd:
         return self.omegas
 
     def support_scale(self):
-        """Angular frequency beyond which the density is plateau-like."""
-        if self.kind == "ou":
-            return 1.0 / self.tau_c
+        """Angular frequency beyond which a table is its high plateau: its last knot."""
         return float(self.omegas[-1])
 
     def autocovariance(self, t):

@@ -11,13 +11,15 @@ Cholesky vector ell, whose sixth, l34, is held at 0) or the Hermitian square
 root (the 5-vector s of :func:`_root_to_cholesky`).  In both coordinates
 every Born probability is a quadratic form, ``p = x^T Q x / |x|^2``, with
 the forms Q built once per setup, and every (+, -) pair sums to 1/3.  The
-maximum-likelihood fit and a Metropolis-Hastings sampler evaluate one plain
-multinomial likelihood of a stack of unit vectors, with one floor
-(:func:`_log_likelihood`).  The fit starts each snapshot at the square root
-of its linear-inversion estimate and moves every start of every snapshot as
-one stack through a damped Newton ascent on the sphere of square-root
-coordinates, which have no gauge on the cone boundary, with the closed-form
-gradient and Hessian of the quadratic forms, and reports Cholesky entries.
+maximum-likelihood fit and a Metropolis-Hastings sampler score a stack of
+unit vectors with one function, :func:`_scores`: one matmul of the rows'
+outer products against the forms, in either coordinates, then the plain
+multinomial likelihood with one floor.  The fit starts each snapshot at the
+square root of its linear-inversion estimate and moves every start of every
+snapshot as one stack through a damped Newton ascent on the sphere of
+square-root coordinates, which have no gauge on the cone boundary, with the
+closed-form gradient and Hessian of the quadratic forms, and reports
+Cholesky entries.
 The sampler scores the proposals from one point as one stack and walks the
 whole unit sphere of Cholesky entries with a symmetric proposal, so it has
 no truncation and no Hastings term, and yields confidence regions for gate
@@ -171,14 +173,14 @@ def counts_from_csv(path):
             raise ValidationError(f"expected 5 fields in counts row {row!r}")
         sl, bl, ts, np_, nm_ = fields
         if sl not in STATE_LABELS or bl not in BASIS_LABELS:
-            raise ValidationError(f"unknown state/basis {sl},{bl}")
+            raise ValidationError(f"unknown state or basis in counts row {row!r}")
         try:
             t = float(ts)
             counts = (int(np_), int(nm_))
         except ValueError as exc:
             raise ValidationError(f"unparsable number in counts row {row!r}") from exc
-        if not (math.isfinite(t) and t >= 0.0):
-            raise ValidationError(f"time must be finite and >= 0 in counts row {row!r}")
+        if not (math.isfinite(t) and t >= 0.0 and min(counts) >= 0):
+            raise ValidationError(f"need a finite time >= 0 and counts >= 0 in counts row {row!r}")
         if (sl, bl) in rows.setdefault(t, {}):
             raise ValidationError(f"repeated state, basis and time in counts row {row!r}")
         rows[t][(sl, bl)] = counts
@@ -326,30 +328,21 @@ def _stack_records(records):
     return counts, shots
 
 
-def _log_likelihood(probs, counts):
-    """Multinomial log-likelihood sum_i c_i log p_i of (N, 24) Born
-    probabilities, each floored at ``PROB_FLOOR`` (a steep but finite
-    barrier); ``probs`` is overwritten by the floored logs and ``counts`` is
-    (24,) or (N, 24)."""
-    return np.vecdot(np.log(np.maximum(probs, PROB_FLOOR, out=probs), out=probs), counts)
-
-
-def _stack_terms(ell, counts, q_mat):
-    """Born terms and log-likelihood of a (N, 5) stack of unit vectors for
-    the MLE; the MH chain scores with :func:`_batch_scorer`, both through
-    :func:`_log_likelihood`.
+def _scores(x, forms, counts):
+    """Log-likelihood (N,) and unfloored Born probabilities (N, 24) of a
+    (N, 5) stack of unit vectors: one matmul of the rows' outer products
+    x x^T against ``forms``, the (25, 24) matrix of the 24 Born forms in
+    the coordinates of ``x`` (``setup.forms`` for the chain's Cholesky
+    entries, ``setup.root_forms`` for the fit's square-root coordinates).
 
     On the trace-preserving model every (state, basis) pair sums to 1/3, so
-    the binomial of each pair is the multinomial cost ``sum c log tr(D chi)``
-    up to a constant.  ``counts`` come from :func:`_stack_records` and
-    ``q_mat`` is the (5, 120) matrix of the 24 forms.  ``ell @ q_mat`` is a
-    2-D matmul: a row can round differently in a stack than alone, and the
-    batched forms that would not cost 3-10 times more at 16-64 rows.
-    Returns (log-likelihood (N,), Q ell (N, 24, 5), unfloored p (N, 24)).
+    the binomial of each pair is the multinomial ``sum c log p`` up to a
+    constant, each p floored at ``PROB_FLOOR`` (a steep but finite barrier).
+    ``counts`` is (24,) or (N, 24), from :func:`_stack_records`.  The
+    matmul is 2-D: a row can round differently in a stack than alone.
     """
-    q_ell = (ell @ q_mat).reshape(len(ell), -1, N_TP)
-    probs = (q_ell @ ell[:, :, None])[..., 0]
-    return _log_likelihood(probs.copy(), counts), q_ell, probs
+    probs = (x[:, :, None] * x[:, None, :]).reshape(len(x), -1) @ forms
+    return np.vecdot(np.log(np.maximum(probs, PROB_FLOOR)), counts), probs
 
 
 MLE_MAX_ITER = 200   # damped Newton iterations before a fit is reported
@@ -398,9 +391,10 @@ def _inversion_starts(counts, shots, setup):
     return start / np.linalg.norm(start, axis=1, keepdims=True)
 
 
-def _tangent_newton(ell, q_ell, probs, counts, q_flat):
+def _tangent_newton(ell, probs, counts, q_flat):
     """Tangent gradient (N, 5) and Riemannian Hessian (N, 5, 5) of the
-    log-likelihood on the unit sphere; ``q_flat`` is the (24, 25) forms.
+    log-likelihood on the unit sphere at ``ell`` with unfloored Born
+    probabilities ``probs`` (:func:`_scores`); ``q_flat`` is the (24, 25) forms.
 
     With u_i = 2 (Q_i ell - p_i ell) the tangent gradient of p_i and
     w_i = c_i / p_i = dlogL/dp_i, the gradient is sum_i w_i u_i and the
@@ -409,6 +403,7 @@ def _tangent_newton(ell, q_ell, probs, counts, q_flat):
     """
     p = np.maximum(probs, PROB_FLOOR)
     w = counts / p
+    q_ell = (ell @ q_flat.reshape(-1, N_TP).T).reshape(len(ell), -1, N_TP)
     u = 2.0 * (q_ell - probs[:, :, None] * ell[:, None, :])
     proj = _EYE - ell[:, :, None] * ell[:, None, :]
     curv = (w @ q_flat).reshape(len(ell), N_TP, N_TP)
@@ -438,16 +433,15 @@ def _ascend(ell, counts, setup):
     come back as Cholesky entries.  Returns (TP Cholesky entries,
     log-likelihood, decrement), each per row.
     """
-    q_mat = setup.root_forms.reshape(-1, N_TP).T           # (5, 120)
     q_flat = setup.root_forms.reshape(-1, N_TP * N_TP)     # (24, 25)
     out_ell = np.array(ell, dtype=float)
     out_logl, out_dec = np.empty(len(out_ell)), np.empty(len(out_ell))
     rows = np.arange(len(out_ell))
     ell, scale = out_ell.copy(), counts.sum(axis=1)
-    logl, q_ell, probs = _stack_terms(ell, counts, q_mat)
+    logl, probs = _scores(ell, q_flat.T, counts)
     mu, nu = scale.copy(), np.full(len(ell), 2.0)  # first steps: short gradient steps
     for _ in range(MLE_MAX_ITER):
-        grad, hess = _tangent_newton(ell, q_ell, probs, counts, q_flat)
+        grad, hess = _tangent_newton(ell, probs, counts, q_flat)
         # the normal direction gets the total counts as curvature, so it takes no step
         lam, vec = np.linalg.eigh(scale[:, None, None] * ell[:, :, None] * ell[:, None, :] - hess)
         grad = np.einsum("nkj,nk->nj", vec, grad)
@@ -457,21 +451,20 @@ def _ascend(ell, counts, setup):
             out_ell[rows[done]], out_logl[rows[done]] = ell[done], logl[done]
             out_dec[rows[done]] = dec[done]
             keep = ~done
-            (rows, ell, logl, dec, q_ell, probs, counts, scale, mu, nu, lam, vec, grad) = (
-                x[keep] for x in (rows, ell, logl, dec, q_ell, probs, counts, scale, mu, nu,
-                                  lam, vec, grad))
+            (rows, ell, logl, dec, probs, counts, scale, mu, nu, lam, vec, grad) = (
+                x[keep] for x in (rows, ell, logl, dec, probs, counts, scale, mu, nu, lam,
+                                  vec, grad))
             if rows.size == 0:
                 break
         lam = np.maximum(lam, 0.0)
         coef = grad / (lam + mu[:, None])
         trial = ell + np.einsum("nkj,nj->nk", vec, coef)
         trial /= np.linalg.norm(trial, axis=1, keepdims=True)
-        trial_logl, trial_q, trial_p = _stack_terms(trial, counts, q_mat)
+        trial_logl, trial_p = _scores(trial, q_flat.T, counts)
         # gain ratio against the damped quadratic model
         rho = (trial_logl - logl) / np.einsum("nj,nj->n", coef, grad - 0.5 * lam * coef)
         up = trial_logl >= logl
         ell = np.where(up[:, None], trial, ell)
-        q_ell = np.where(up[:, None, None], trial_q, q_ell)
         probs = np.where(up[:, None], trial_p, probs)
         logl = np.where(up, trial_logl, logl)
         shrink = np.maximum(1.0 / 3.0, 1.0 - (2.0 * np.minimum(rho, 1.0) - 1.0) ** 3)
@@ -572,20 +565,6 @@ def effective_sample_size(trace):
     return n / max(2.0 * float(pairs[:stop].sum()) - 1.0, 1.0)
 
 
-def _batch_scorer(record, setup):
-    """Log-likelihood on ``record`` of (k, 5) unit stacks of TP entries, as
-    :func:`mh_chain` scores them: one matmul of the rows' outer products
-    ell ell^T against the 24 Born forms, then :func:`_log_likelihood`."""
-    counts = _stack_records([record])[0][0]
-    forms = setup.forms.reshape(24, -1).T
-
-    def score(ells):
-        outer = (ells[:, :, None] * ells[:, None, :]).reshape(len(ells), -1)
-        return _log_likelihood(outer @ forms, counts)
-
-    return score
-
-
 def mh_chain(counts, setup=None, *, n_steps=100000, width=0.02, seed=0,
              burn_in_frac=0.1, target_unitary=None):
     """Posterior sampling of the process matrix under the counting likelihood.
@@ -597,7 +576,7 @@ def mh_chain(counts, setup=None, *, n_steps=100000, width=0.02, seed=0,
     symmetric: no truncation and no Hastings term.  Normals, then uniforms,
     are drawn up front; until one is accepted, proposals share their start,
     so up to ``MH_PREFETCH`` of them are scored as one stack and walked to
-    the first acceptance (pre-fetching, Brockwell 2006); :func:`_batch_scorer`
+    the first acceptance (pre-fetching, Brockwell 2006); :func:`_scores`
     scores each stack and the start.  chi is unchanged by column sign flips
     of L, so kept samples are folded back to nonnegative diagonals and padded
     to 6 entries with l34 = 0.  The width is tuned toward 30% acceptance
@@ -605,7 +584,8 @@ def mh_chain(counts, setup=None, *, n_steps=100000, width=0.02, seed=0,
     post-burn-in rate leaves [0.1, 0.6].  Gate errors against
     ``target_unitary`` (identity if omitted) are 1/2 - ell^T G ell.
     """
-    score = _batch_scorer(counts, setup or default_setup())
+    rec_counts = _stack_records([counts])[0][0]
+    forms = (setup or default_setup()).forms.reshape(24, -1).T    # (25, 24)
     _check_count("n_steps", n_steps)
     if not (0.0 <= burn_in_frac < 1.0 and 0.0 < width < math.inf):
         raise ValidationError("mh_chain needs 0 <= burn_in_frac < 1 and a finite width > 0")
@@ -614,7 +594,7 @@ def mh_chain(counts, setup=None, *, n_steps=100000, width=0.02, seed=0,
 
     ell = np.array([1.0, 0.0, 0.05, 0.05, 0.05])
     ell /= np.linalg.norm(ell)
-    logl = score(ell[None])[0]
+    logl = _scores(ell[None], forms, rec_counts)[0][0]
 
     normals = rng.standard_normal((n_steps, N_TP))
     log_u = np.log(rng.random(n_steps) + 1e-300)
@@ -629,7 +609,7 @@ def mh_chain(counts, setup=None, *, n_steps=100000, width=0.02, seed=0,
             stop = min(stop, step + window - step % window)
         props = ell + width * normals[step:stop]
         props /= np.sqrt((props * props).sum(axis=1, keepdims=True))  # as np.linalg.norm
-        logl_props = score(props)
+        logl_props = _scores(props, forms, rec_counts)[0]
         hits = log_u[step:stop] < logl_props - logl
         first = int(hits.argmax())
         end = step + first + 1 if hits[first] else stop

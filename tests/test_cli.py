@@ -83,6 +83,38 @@ def test_nonzero_drive_phase_rejected(tmp_path, capsys):
     assert "phi_rad" in capsys.readouterr().err
 
 
+def test_seed_flag_writes_what_the_configured_seed_writes(tmp_path):
+    """``--seed 11`` on a config with seed 7 writes the same bytes as a config
+    with seed 11 and records 11 in its manifest; seed 7 writes other bytes."""
+    given, configured = tmp_path / "given.json", tmp_path / "configured.json"
+    write_config(given)
+    write_config(configured, **{"simulation.seed": 11})
+    runs = {"flag": ["--config", str(given), "--seed", "11"],
+            "config": ["--config", str(configured)],
+            "own": ["--config", str(given)]}
+    for name, argv in runs.items():
+        assert main(["rb", *argv, "--out", str(tmp_path / name)]) == 0
+    names = sorted(p.name for p in (tmp_path / "flag").iterdir())
+    assert names == ["manifest.json", "rb_decay.csv", "rb_fit.json"]
+    for name in names[1:]:
+        assert (tmp_path / "flag" / name).read_bytes() == (tmp_path / "config" / name).read_bytes()
+    assert (tmp_path / "own" / "rb_decay.csv").read_bytes() != \
+        (tmp_path / "flag" / "rb_decay.csv").read_bytes()
+    flag, config = (json.loads((tmp_path / name / "manifest.json").read_text())
+                    for name in ("flag", "config"))
+    assert flag["seed"] == config["seed"] == 11
+    assert flag["resolved_config"] == config["resolved_config"]
+
+
+def test_seed_flag_with_a_simulation_that_is_not_an_object_exits_2(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    write_config(cfg_path, simulation=5)
+    out = tmp_path / "out"
+    assert main(["rb", "--config", str(cfg_path), "--seed", "3", "--out", str(out)]) == 2
+    assert "config section simulation must be a JSON object" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_misspelled_section_rejected(tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
     cfg = write_config(cfg_path)
@@ -723,6 +755,26 @@ def test_counts_file_with_bad_rows_exits_2(tmp_path, capsys, rows, named):
     assert "validation error" in err and named in err
 
 
+@pytest.mark.parametrize("row", [
+    "plus,x,1e-4,3", "plus,w,1e-4,3,2", "minus,x,1e-4,3,2", "plus,x,1e-4,-1,6",
+], ids=["four-fields", "unknown-basis", "unknown-state", "negative-count"])
+def test_counts_file_row_rejections_name_the_row(tmp_path, capsys, row):
+    """A row with 4 fields, an unknown state or basis label and a negative
+    count, each in place of the plus,x row of a complete file."""
+    cfg_path = tmp_path / "cfg.json"
+    write_config(cfg_path)
+    bad = tmp_path / "bad_counts.csv"
+    rows = _counts_rows("1e-4")
+    assert rows.startswith("plus,x,1e-4,3,2\n")
+    bad.write_text("state,basis,time_s,n_plus,n_minus\n" + rows.replace("plus,x,1e-4,3,2", row))
+    out = tmp_path / "tomo"
+    assert main(["tomography", "--config", str(cfg_path), "--out", str(out),
+                 "--counts", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert "validation error" in err and repr(row) in err
+    assert not (out / "manifest.json").exists()
+
+
 @pytest.mark.parametrize("command", ["predict", "validate", "tomography", "rb"])
 @pytest.mark.parametrize("threads", [0, -3])
 def test_threads_below_one_rejected(tmp_path, capsys, command, threads):
@@ -861,6 +913,37 @@ def test_ingest_psd_malformed_input_exits_2(tmp_path, capsys, csv_text, sidecar_
     assert "validation error" in err and bad in err
     # a failed ingest makes no directory
     assert not (tmp_path / "ing").exists()
+
+
+@pytest.mark.parametrize("csv_text, sidecar_text, message", [
+    ("f,s\n10.0,1.0\n20.0,0.5\n", json.dumps([json.loads(GOOD_SIDECAR)]),
+     "raw.json must be a JSON object"),
+    ("f,s\n10.0,1.0\n20.0,0.5\n", GOOD_SIDECAR.replace("hz_one_sided", "hz_two_sided"),
+     "unknown PSD units 'hz_two_sided'"),
+    ("f\n10.0\n20.0\n", GOOD_SIDECAR, "raw.csv needs two columns"),
+], ids=["sidecar-a-list", "unknown-units", "one-column"])
+def test_ingest_psd_rejects_a_list_sidecar_unknown_units_and_one_column(
+        tmp_path, capsys, csv_text, sidecar_text, message):
+    raw, sidecar = tmp_path / "raw.csv", tmp_path / "raw.json"
+    raw.write_text(csv_text)
+    sidecar.write_text(sidecar_text)
+    out = tmp_path / "ing"
+    assert main(["ingest-psd", str(raw), str(sidecar), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "validation error" in err and message in err
+    assert not out.exists()
+
+
+def test_blank_lines_in_a_psd_table_ingest_to_the_same_bytes(tmp_path):
+    sidecar = tmp_path / "raw.json"
+    sidecar.write_text(GOOD_SIDECAR)
+    plain, blank = tmp_path / "plain.csv", tmp_path / "blank.csv"
+    plain.write_text("f,s\n10.0,1.0\n20.0,0.5\n40.0,0.2\n")
+    blank.write_text("f,s\n\n10.0,1.0\n   \n20.0,0.5\n,\n40.0,0.2\n\n\n")
+    for raw in (plain, blank):
+        assert main(["ingest-psd", str(raw), str(sidecar), "--out", str(tmp_path / raw.stem)]) == 0
+    for name in ("psd_normalized.csv", "psd_normalized.json"):
+        assert (tmp_path / "blank" / name).read_bytes() == (tmp_path / "plain" / name).read_bytes()
 
 
 @pytest.mark.parametrize("row, sidecar", [

@@ -111,6 +111,28 @@ def test_tabulated_rejects_non_finite_values(omegas, densities, low, high, bands
         NoisePsd.tabulated(omegas, densities, low, high, excluded_bands=bands)
 
 
+@pytest.mark.parametrize("omegas, densities, low, high, message", [
+    ([10.0, 20.0], [1.0], 1.0, 1.0, "matching 1d arrays"),
+    ([[10.0, 20.0]], [[1.0, 1.0]], 1.0, 1.0, "matching 1d arrays"),
+    ([0.0, 20.0], [1.0, 1.0], 1.0, 1.0, "must be positive"),
+    ([-10.0, 20.0], [1.0, 1.0], 1.0, 1.0, "must be positive"),
+    ([10.0, 20.0], [1.0, -1e-30], 1.0, 1.0, "nonnegative"),
+    ([10.0, 20.0], [1.0, 1.0], -1.0, 1.0, "nonnegative"),
+    ([10.0, 20.0], [1.0, 1.0], 1.0, -0.5, "nonnegative"),
+], ids=["lengths-differ", "two-dimensional", "zero-frequency", "negative-frequency",
+        "negative-density", "negative-low-plateau", "negative-high-plateau"])
+def test_tabulated_rejects_bad_shapes_frequencies_and_densities(omegas, densities, low, high,
+                                                                message):
+    with pytest.raises(ValidationError, match=message):
+        NoisePsd.tabulated(omegas, densities, low, high)
+
+
+@pytest.mark.parametrize("c, tau_c", [(-1.0, 1e-3), (1.0, 0.0), (1.0, -1e-3)])
+def test_ou_rejects_a_negative_diffusion_constant_or_correlation_time(c, tau_c):
+    with pytest.raises(ValidationError, match="need c >= 0 and tau_c > 0"):
+        NoisePsd.ou(c, tau_c)
+
+
 def test_plateaus_outside_range():
     psd = NoisePsd.tabulated([10.0, 100.0], [4.0, 2.0], 9.0, 0.5)
     assert psd.eval(1.0) == 9.0

@@ -23,13 +23,12 @@ from gatenoise.tomography import (
     CountRecord,
     TomographySetup,
     _ascend,
-    _batch_scorer,
     _inversion_starts,
     _mle_starts,
     _padded,
     _root_to_cholesky,
+    _scores,
     _stack_records,
-    _stack_terms,
     _tangent_newton,
     average_pulses_per_clifford,
     born_probs,
@@ -71,8 +70,8 @@ from oracles import (
 
 SETUP = default_setup()
 CHI_ID = np.diag([1.0, 0, 0, 0]).astype(complex)
-Q_MAT = SETUP.forms.reshape(-1, 5).T             # (5, 120): the 24 forms in the TP entries
-ROOT_MAT = SETUP.root_forms.reshape(-1, 5).T     # (5, 120): the 24 forms in root coordinates
+FORMS = SETUP.forms.reshape(24, -1).T            # (25, 24): the 24 forms in the TP entries
+ROOT_FORMS = SETUP.root_forms.reshape(24, -1).T  # (25, 24): the 24 forms in root coordinates
 Q_FORMS = ell_form(SETUP.d_matrices)              # (4, 3, 2, 6, 6): the 24 forms in all 6 entries
 
 
@@ -286,6 +285,13 @@ def test_count_record_validation():
                     counts=np.zeros((4, 3, 2), dtype=int))
 
 
+def test_count_record_rejects_negative_counts():
+    counts = np.full((4, 3, 2), 3)
+    counts[2, 1] = (-1, 7)
+    with pytest.raises(ValidationError, match="negative counts"):
+        CountRecord(t=0.0, shots=np.full((4, 3), 6), counts=counts)
+
+
 # --------------------------------------------------------------------- #
 # the quadratic-form likelihood shared by MLE and MH
 
@@ -320,7 +326,7 @@ def test_loglik_is_the_multinomial_and_the_pair_binomial_up_to_a_constant():
     ells = np.array([random_manifold_ell(rng) for _ in range(3)])
     all_probs = [born_probs(chi_from_ell(ell), SETUP) for ell in ells]
     records = [sample_shots(probs, 50, rng) for probs in all_probs]
-    logl, _, p = _stack_terms(ells[:, _TP], _stack_records(records)[0], Q_MAT)
+    logl, p = _scores(ells[:, _TP], FORMS, _stack_records(records)[0])
     for k, (probs, rec) in enumerate(zip(all_probs, records)):
         np.testing.assert_allclose(p[k], probs.ravel(), rtol=0, atol=1e-13)
         assert logl[k] == pytest.approx((rec.counts * np.log(probs)).sum(), rel=1e-13)
@@ -347,11 +353,13 @@ def test_every_model_point_has_pair_sums_of_a_third():
 
 @pytest.mark.parametrize("n_rows", [1, 16])
 def test_batch_scorer_matches_the_fit_and_the_oracle(n_rows):
-    """The MH chain's scorer, the fit's ``_stack_terms`` and the written-out
-    oracle give one log-likelihood to 1e-12 relative, on 16 unit 5-vectors
-    of TP entries (random directions, manifold points with positive
-    diagonals, the identity and a point next to it, whose Born probabilities
-    lie below ``PROB_FLOOR``) scored as stacks of ``n_rows``, on records with
+    """``_scores``, as the MH chain calls it (Cholesky entries, one counts
+    row) and as the fit calls it (square-root coordinates, a counts row per
+    point), gives the written-out oracle's log-likelihood to 1e-12 relative
+    and its Born probabilities, unfloored, to 1e-15, on 16 unit 5-vectors
+    (random directions, manifold points with positive diagonals, the
+    identity and a point next to it, whose Born probabilities lie below
+    ``PROB_FLOOR``) scored as stacks of ``n_rows``, on records with
     zero-count outcomes."""
     rng = np.random.default_rng(72)
     ells = rng.standard_normal((16, 5))
@@ -361,17 +369,17 @@ def test_batch_scorer_matches_the_fit_and_the_oracle(n_rows):
     records = [sample_shots(born_probs(CHI_ID, SETUP), 2000, rng),
                sample_shots(born_probs(random_cptp_chi(rng), SETUP), 8, rng)]
     assert born_probs(chi_from_ell(_padded(ells[5])), SETUP).min() < PROB_FLOOR
+    coordinates = [(FORMS, lambda x: chi_from_ell(_padded(x))), (ROOT_FORMS, chi_from_root)]
     for rec in records:
         assert np.any(rec.counts == 0)
-        score = _batch_scorer(rec, SETUP)
-        counts = _stack_records([rec] * n_rows)[0]
-        for stack in ells.reshape(-1, n_rows, 5):
-            got = score(stack)
-            np.testing.assert_allclose(got, _stack_terms(stack, counts, Q_MAT)[0],
-                                       rtol=1e-12, atol=0)
-            want = [log_likelihood(born_probs(chi_from_ell(ell), SETUP), rec)
-                    for ell in _padded(stack)]
-            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+        for forms, chi_of in coordinates:
+            for stack in ells.reshape(-1, n_rows, 5):
+                want_p = born_probs(np.array([chi_of(x) for x in stack]), SETUP).reshape(-1, 24)
+                want = [log_likelihood(p.reshape(4, 3, 2), rec) for p in want_p]
+                for counts in (_stack_records([rec])[0][0], _stack_records([rec] * n_rows)[0]):
+                    logl, p = _scores(stack, forms, counts)
+                    np.testing.assert_allclose(logl, want, rtol=1e-12, atol=0)
+                    np.testing.assert_allclose(p, want_p, rtol=0, atol=1e-15)
 
 
 def test_quadratic_gate_error_matches_avg_gate_fidelity():
@@ -482,9 +490,9 @@ def test_sphere_hessian_matches_central_differences_of_the_gradient():
         counts = _stack_records([rec])[0]
         for _ in range(4):
             ell = random_manifold_ell(rng)[_TP]
-            logl, q_ell, p = _stack_terms(ell[None], counts, Q_MAT)
+            logl, p = _scores(ell[None], FORMS, counts)
             assert logl[0] == pytest.approx(log_likelihood(p.reshape(4, 3, 2), rec), rel=1e-12)
-            grad, hess = _tangent_newton(ell[None], q_ell, p, counts, q_flat)
+            grad, hess = _tangent_newton(ell[None], p, counts, q_flat)
             np.testing.assert_allclose(grad[0], oracle_grad(ell),
                                        rtol=1e-10, atol=1e-10 * np.abs(grad).max())
             proj = np.eye(5) - np.outer(ell, ell)
@@ -585,7 +593,7 @@ def test_newton_ascent_never_lowers_the_likelihood(monkeypatch):
     records += [sample_shots(near_unitary, 2000, rng) for _ in range(3)]
     starts = _mle_starts(6, 4, 47).reshape(-1, 5)
     counts = _stack_records([rec for rec in records for _ in range(4)])[0]
-    previous = _stack_terms(starts, counts, ROOT_MAT)[0]
+    previous = _scores(starts, ROOT_FORMS, counts)[0]
     for cap in range(1, 41):
         monkeypatch.setattr(tomography, "MLE_MAX_ITER", cap)
         logl = _ascend(starts, counts, SETUP)[1]
