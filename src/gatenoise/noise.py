@@ -10,9 +10,11 @@ Two sources produce the dephasing (or Rabi-rate) noise of each trajectory:
 
 The contract of a source: ``increments_block(seed, indices, n_steps, dt)``
 returns the per-step noise integrals as a C-contiguous ``(n_steps, m)``
-block, time-major; column ``j`` depends only on the stream
-``trajectory_rng(seed, indices[j])``, so results are reproducible and
-independent of chunking and evaluation order.
+block, time-major; column ``j`` depends only on the stream of trajectory
+``indices[j]``, Philox seeded by ``SeedSequence((seed, indices[j]))``
+(``trajectory_rng`` in ``tests/oracles.py`` is the definition;
+``_stream_keys`` derives a block's keys in one pass), so results are
+reproducible and independent of chunking and evaluation order.
 """
 
 from __future__ import annotations
@@ -27,22 +29,65 @@ from .errors import ValidationError
 from .psd import NoisePsd
 
 
-def trajectory_rng(seed, index):
-    """Independent counter-based generator for one trajectory index."""
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, index))))
+# numpy's SeedSequence hash (O'Neill, PCG report HMC-CS-2014-0905): a pool of
+# 4 uint32 words, mixed with these constants, hashes the entropy words
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R, _MASK = 0xCA01F9DD, 0x4973F715, 0xFFFFFFFF
+
+
+def _stream_keys(seed, indices):
+    """(m, 2) uint64 Philox keys, row j ``SeedSequence((seed, indices[j]))
+    .generate_state(2, np.uint64)``: the seed_seq hash on uint32 arrays over
+    every index at once.  Entropy words are the seed's 32-bit words, then the
+    index (one word in [0, 2**32)); past 4 words they join in the final loop."""
+    try:
+        idx = np.asarray(indices, dtype=np.int64)
+        ok = isinstance(seed, (int, np.integer)) and seed >= 0 and np.all(idx >= 0)
+    except OverflowError:
+        ok = False
+    if not (ok and np.all(idx <= _MASK)):
+        raise ValidationError(f"need an integer seed >= 0 and indices in [0, 2**32), got {seed!r}")
+    seed, h = int(seed), _INIT_A
+    words = [np.full(idx.size, seed >> s & _MASK, np.uint32)
+             for s in range(0, max(seed.bit_length(), 1), 32)] + [idx.astype(np.uint32)]
+    words += [np.zeros(idx.size, np.uint32)] * (4 - len(words))
+
+    def hashmix(value, mult=_MULT_A):
+        nonlocal h
+        value = value ^ h
+        h = h * mult & _MASK
+        value *= h
+        return value ^ value >> 16
+
+    pool = [hashmix(w) for w in words[:4]]
+    for src in range(len(words)):
+        for dst in range(4):
+            if dst != src:
+                x = pool[dst] * _MIX_L - hashmix(pool[src] if src < 4 else words[src]) * _MIX_R
+                pool[dst] = x ^ x >> 16
+    h = _INIT_B
+    return np.stack([hashmix(w, _MULT_B) for w in pool], axis=1).astype("<u4").view("<u8")
 
 
 def _stream_normals(seed, indices, k):
     """(k, m) unit normals, column j from trajectory ``indices[j]``'s stream.
-    Streams fill a (tile, k) buffer copied in transposed, far faster than one
-    strided column write per stream."""
-    m, tile = len(indices), 64
+    One Philox per call (chunks run on threads) is reset to each stream's key
+    with its counter at 0 and an empty buffer.  Streams fill a (tile, k)
+    buffer copied in transposed, far faster than one strided column write
+    per stream."""
+    keys = _stream_keys(seed, indices)
+    m, tile = len(keys), 64
+    bitgen = np.random.Philox(key=0)
+    gen = np.random.Generator(bitgen)
+    state = bitgen.state    # counter 0, empty buffer, has_uint32 and uinteger 0
     out = np.empty((k, m))
     buf = np.empty((min(tile, m), k))
     for lo in range(0, m, tile):
         rows = buf[:min(tile, m - lo)]
-        for row, idx in zip(rows, indices[lo:lo + tile]):
-            trajectory_rng(seed, idx).standard_normal(k, out=row)
+        for row, key in zip(rows, keys[lo:lo + tile]):
+            state["state"]["key"] = key
+            bitgen.state = state
+            gen.standard_normal(k, out=row)
         out[:, lo:lo + len(rows)] = rows.T
     return out
 

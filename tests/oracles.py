@@ -51,6 +51,13 @@ def snapshot(gamma1, gamma2, delta1, delta2, dgamma1=0.0):
 ZERO_POINT = snapshot(0.0, 0.0, 0.0, 0.0)
 
 
+def trajectory_rng(seed, index):
+    """The random stream of one trajectory: a Philox generator seeded by
+    ``SeedSequence((seed, index))``.  This defines the noise sources' stream
+    contract, which ``gatenoise.noise`` computes for a whole block at once."""
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, index))))
+
+
 def ou_step(eta, dt, tau_c, c, u):
     """One exact update of an OU process.
 

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from gatenoise.errors import ValidationError
-from gatenoise.noise import OUSource, PsdSource, percival_trajectory, trajectory_rng
+from gatenoise.noise import OUSource, PsdSource, _stream_keys, _stream_normals, percival_trajectory
 from gatenoise.psd import NoisePsd
-from oracles import ConstantSource, ou_step, percival_lag0_variance
+from oracles import ConstantSource, ou_step, percival_lag0_variance, trajectory_rng
 
 
 # --------------------------------------------------------------------- #
@@ -185,3 +185,43 @@ def test_source_block_is_the_per_column_series_exactly(kind, n_steps):
             series = percival_trajectory(psd, m_f, m_f * dt,
                                          trajectory_rng(9, idx).standard_normal(m_f + 2))
             np.testing.assert_array_equal(cols[:, idx], series[:n_steps] * dt)
+
+
+# --------------------------------------------------------------------- #
+# stream keys: the seed_seq hash over a whole block
+
+STREAM_SEEDS = [0, 402, 2**31, 2**32 - 1, 2**32 + 1, 2**96, 2**96 + 0x0102030405060708090A0B0C,
+                402 + 2**31]
+STREAM_INDICES = [0, 1, 2**31, 2**32 - 1]
+
+
+@pytest.mark.parametrize("seed", STREAM_SEEDS)
+def test_stream_keys_are_numpys_seed_sequence_keys(seed):
+    # 1 to 4 seed words: the index lands in the pool or, past 3 seed words,
+    # in the hash's remaining-entropy loop; fails too if numpy changes its seeding
+    expected = np.array([np.random.SeedSequence((seed, i)).generate_state(2, np.uint64)
+                         for i in STREAM_INDICES])
+    keys = _stream_keys(seed, STREAM_INDICES)
+    assert keys.dtype == np.uint64 and keys.shape == (len(STREAM_INDICES), 2)
+    np.testing.assert_array_equal(keys, expected)
+
+
+@pytest.mark.parametrize("m, k", [(1, 1), (63, 5), (65, 1571), (200, 4)])
+def test_stream_normals_are_the_per_stream_draws(m, k):
+    for indices in (range(m), range(4096, 4096 + m)):
+        expected = np.stack([trajectory_rng(402, i).standard_normal(k) for i in indices], axis=1)
+        np.testing.assert_array_equal(_stream_normals(402, indices, k), expected)
+
+
+def test_stream_normals_at_a_chunk_offset_with_a_multiword_seed():
+    seed, indices = 2**96 + 5, range(4096, 4160)
+    expected = np.stack([trajectory_rng(seed, i).standard_normal(7) for i in indices], axis=1)
+    np.testing.assert_array_equal(_stream_normals(seed, indices, 7), expected)
+
+
+@pytest.mark.parametrize("seed, indices", [(0, [2**32]), (0, [3, -1]), (0, [2**70]), (-1, [0])])
+def test_stream_keys_reject_an_index_outside_32_bits_and_a_negative_seed(seed, indices):
+    with pytest.raises(ValidationError):
+        _stream_keys(seed, indices)
+    with pytest.raises(ValidationError):
+        OUSource(1.0, 1.0).increments_block(seed, indices, 3, 0.1)
