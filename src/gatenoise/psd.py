@@ -224,8 +224,11 @@ class NoisePsd:
         out = np.empty(flat.size)
         step = max(1, 2**18 // half.size)
         for i in range(0, flat.size, step):
-            s = np.sin(np.multiply.outer(flat[i:i + step], half))
-            out[i:i + step] = (s * s) @ q
+            # sin^2 x = tau^2 / (1 + tau^2), tau = tan x: numpy 2.4.6's float64 tan
+            # takes a SIMD path and sin does not; re-measure if numpy changes
+            tau2 = np.tan(np.multiply.outer(flat[i:i + step], half))
+            tau2 *= tau2
+            out[i:i + step] = (tau2 / (1.0 + tau2)) @ q
         # where t w_N / 2 < 1e-8, sin(u) = u in double precision and C(t) = C(0)
         out = np.divide(out, flat**2, out=np.full(flat.size, q @ half**2),
                         where=flat * half[-1] >= 1e-8)

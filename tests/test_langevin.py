@@ -10,6 +10,7 @@ from gatenoise.channels import bloch_to_rho, haar_random_state, rho_to_bloch, ro
 from gatenoise.errors import NumericalError, ValidationError
 from gatenoise.langevin import (
     DriveConfig,
+    _half_angle_terms,
     check_density_matrix,
     default_timestep,
     evolve_ensemble,
@@ -426,3 +427,20 @@ def test_degenerate_ensembles_fall_back_to_the_plain_estimator(m_mc, c):
     assert np.all(np.isfinite(traj.pauli_mean)) and np.all(np.isfinite(traj.pauli_se))
     np.testing.assert_array_equal(traj.pauli_se, traj.plain_se)
     np.testing.assert_allclose(traj.pauli_mean, plain, rtol=0, atol=1e-12)
+
+
+def test_half_angle_terms_match_sin_and_cos():
+    # one tangent tau = tan(theta/4) gives cos(theta/2) and sin(theta/2) / theta
+    # within an ulp or two, and s = 0 at theta = 0 as the step's guard
+    theta = np.array([0.0, 1e-300, 1e-8, 0.01, 1.0, 3.0])
+    tau, s, cos = np.empty((3, theta.size))
+    _half_angle_terms(theta.copy(), tau, s, cos)
+    assert s[0] == 0.0 and cos[0] == 1.0
+    np.testing.assert_allclose(s[1:], np.sin(theta[1:] / 2) / theta[1:], rtol=4.5e-16, atol=0)
+    np.testing.assert_allclose(cos, np.cos(theta / 2), rtol=0, atol=2.3e-16)
+    # step angles of a slab at Omega dt = 0.008 with noise
+    theta = np.abs(np.random.default_rng(3).normal(0.008, 0.004, (27, 600)))
+    tau, s, cos = np.empty((3,) + theta.shape)
+    _half_angle_terms(theta.copy(), tau, s, cos)
+    np.testing.assert_allclose(s, np.sin(theta / 2) / theta, rtol=4.5e-16, atol=0)
+    np.testing.assert_allclose(cos, np.cos(theta / 2), rtol=0, atol=1.2e-16)

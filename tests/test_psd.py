@@ -262,6 +262,24 @@ def test_tabulated_autocovariance_matches_adaptive_quadrature(table, t_max, n):
     np.testing.assert_allclose(psd.autocovariance(t), ref, rtol=0, atol=1e-6 * ref[0])
 
 
+def test_tabulated_autocovariance_tangent_form_equals_the_sine_form():
+    # the Filon sum takes sin^2 x as tau^2 / (1 + tau^2), tau = tan x; against
+    # the sin^2 form at t = 0, on the nm_measure grid, and where t half lands
+    # near odd multiples of pi/2 (|tau| ~ 1e16: sin^2 must be 1, no inf or nan)
+    psd = measured_style_table()
+    jumps, a, half, q = psd._filon
+    near = np.array([k * math.pi / 2 / h for h in half[[0, half.size // 2, -1]]
+                     for k in (1, 3, 101)])
+    assert np.abs(np.tan(np.multiply.outer(near, half))).max() > 1e15
+    t = np.concatenate([[0.0], np.linspace(0.0, T_MAX, 301)[1:], near])
+    s = np.sin(np.multiply.outer(t, half))
+    sine_form = np.divide((s * s) @ q, t**2, out=np.full(t.size, q @ half**2), where=t > 0)
+    sine_form += np.sinc(np.multiply.outer(t, jumps / math.pi)) @ a
+    got = psd.autocovariance(t)
+    assert np.isfinite(got).all()
+    np.testing.assert_allclose(got, sine_form, rtol=1e-13, atol=0)
+
+
 def test_tabulated_autocovariance_shapes_and_parity():
     psd = measured_style_table()
     t = np.linspace(-T_MAX, T_MAX, 12).reshape(3, 4)
