@@ -24,25 +24,27 @@ update (a, b) <- (u a + v b, u* b + v a): three array calls per step.
 The mean is a control-variate estimate (Glasserman, Monte Carlo Methods in
 Financial Engineering, 2004, sec. 4.1).  Along each trajectory the step also
 sums the first-order (filter-function) rotation vector of the noise in the
-drive's toggling frame, a = sum over steps of (amplitude increment,
-n_z sin(Omega t_mid), n_z cos(Omega t_mid)) (Green et al., New J. Phys. 15,
-095004, 2013), one component per noisy axis.  Its expectation is exactly 0
-for any zero-mean noise, so it borrows nothing from the analytic models.
-Every Bloch-map entry is regressed on a with an intercept over the ensemble,
-and the channel is R_mean - beta a_mean with beta = Cov(R, a) Cov(a, a)^+.
-``pauli_mean`` is that adjusted mean applied to each input state, and
-``pauli_se`` its residual standard error, sqrt((Var(Y) - Cov(Y, a)
-Cov(a, a)^+ Cov(a, Y)) / (m - r - 1)) for the r resolved directions of a;
-``plain_se`` keeps the standard error of the plain sample mean.  The
-adjusted mean is unbiased up to O(1/m) from the fitted beta, but need not be
-exactly a physical state: its deviation from one is within its standard
-error.  A record with no resolved control direction, or with m <= r + 1
+drive's toggling frame, a = sum over steps of (n_z sin(Omega t_mid), n_z
+cos(Omega t_mid), amplitude increment) (Green et al., New J. Phys. 15,
+095004, 2013), one component per noisy axis.  The controls are a and, at
+second order, its unique products a_p a_q less their exact means, which
+``_control_moments`` sums from the autocovariance each source returns for
+its own increments, so they borrow nothing from the analytic models.  Every
+Bloch-map entry is regressed on the controls with an intercept, and the
+channel is the intercept.  ``pauli_mean`` is that adjusted mean applied to
+each input state, ``pauli_se`` its residual standard error sqrt(SSR /
+(m - r - 1) / m) for the r resolved controls, and ``plain_se`` that of the
+plain sample mean.  The adjusted mean is unbiased up to O(1/m), but need
+not be exactly a physical state: its deviation from one is within its
+standard error.  A record with no resolved control, or with m <= r + 1
 trajectories, keeps the plain estimate.
 
-All of it is read off two moments per record of z = (vec R, a): the mean
-and the centred co-moment.  Chunks form both about their own mean and merge
-exactly in job order (Chan, Golub and LeVeque, Am. Stat. 37, 242, 1983), so
-no variance is a difference of raw sums and the worker count changes no bit.
+All of it is read off the mean and the R factor of the centred z =
+(controls, vec R) per record (TSQR: Demmel et al., SIAM J. Sci. Comput. 34,
+A206, 2012).  Each chunk factors row blocks of ``TSQR_ROWS`` trajectories,
+and the chunks merge in job order by one QR of their stacked factors and
+mean offsets, so no sum of squares is a difference of moments and the
+worker count changes no bit.
 """
 
 from __future__ import annotations
@@ -67,6 +69,13 @@ STEP_FRACTION = 0.002
 # more than one record interval's, so the slab's buffers (1.25 MB at most
 # when m <= SLAB_SIZE) stay in cache.
 SLAB_SIZE = 1 << 14
+
+# Row blocks of a chunk's per-record QR, one stacked call: 2x faster at 4096 rows.
+TSQR_ROWS = 512
+
+# A control is resolved when the standard deviation it keeps beyond the mean
+# and the resolved controls before it exceeds this fraction of its exact one.
+RANK_TOL = 1e-6
 
 
 @dataclass
@@ -145,39 +154,59 @@ def _half_angle_terms(theta, tau, s, cos):
     s *= 2.0
 
 
-def _control_variate(mean, cov, bloch0, m):
-    """Control-variate channel and per-state standard errors from the moments.
+def _control_moments(drive, freq_noise, amp_noise, rec_idx):
+    """Weights w (p, n_steps) of the linear controls a_p = sum_i w_pi inc_i,
+    (sin, cos)(Omega t_mid) on dephasing and 1 on amplitude increments, and
+    E[a_p a_q] (n_rec, p, p): sum_{i<n_j} w_pi w_qi gamma_0 + w_pi c_qi + w_qi
+    c_pi, c_i = sum_{l<i} gamma_{i-l} w_l by one causal FFT convolution per
+    row; the sources are independent."""
+    n = drive.n_steps
+    phase = drive.Omega * drive.dt * (np.arange(n) + 0.5)
+    rows = [(w, src) for w, src in ((np.stack([np.sin(phase), np.cos(phase)]), freq_noise),
+                                    (np.ones((1, n)), amp_noise)) if src is not None]
+    weights = np.concatenate([w for w, _ in rows] + [np.empty((0, n))])
+    moments = np.zeros((rec_idx.size, len(weights), len(weights)))
+    lo = 0
+    for w, src in rows:
+        gamma, hi = src.increment_autocovariance(n, drive.dt), lo + len(w)
+        c = np.zeros_like(w)
+        c[:, 1:] = np.fft.irfft(np.fft.rfft(w, 2 * n) * np.fft.rfft(gamma[1:], 2 * n))[:, :n - 1]
+        terms = np.cumsum(gamma[0] * w[:, None] * w + w[:, None] * c + c[:, None] * w, axis=-1)
+        moments[1:, lo:hi, lo:hi] = np.moveaxis(terms[..., rec_idx[1:] - 1], -1, 0)
+        lo = hi
+    return weights, moments
 
-    Per record t: mean[t] (9 + p) and cov[t] (9 + p, 9 + p) are the ensemble
-    mean and covariance of z = (vec R, a); per input state k, Y_k = R b0_k.
-    Returns the adjusted Bloch maps, means, standard errors and the plain
-    standard errors.
+
+def _control_variate(mean, rfac, sd, bloch0, m):
+    """Control-variate channel, means, standard errors and plain standard errors.
+
+    Per record t: mean[t] is the ensemble mean of z = (controls less their
+    exact means, vec R), rfac[t] an upper-triangular factor of its centred
+    cross products and sd[t] the controls' exact standard deviations; per
+    input state k, Y_k = R b0_k.
     """
-    n_rec, p = mean.shape[0], mean.shape[1] - 9
-    r_mean = mean[:, :9].reshape(n_rec, 3, 3)
-    a_mean = mean[:, 9:]
-    cov_rr = cov[:, :9, :9].reshape(n_rec, 3, 3, 3, 3)
-    cov_ra = cov[:, :9, 9:].reshape(n_rec, 3, 3, p)
-    cov_aa = cov[:, 9:, 9:]
-    # Var(Y_ki) = sum_jl b_kj b_kl Cov(R_ij, R_il)
-    var = np.maximum(np.einsum("tijil,kj,kl->kti", cov_rr, bloch0, bloch0), 0.0)
-    beta = np.zeros_like(cov_ra)
-    resid = var.copy()
+    n_rec, p = sd.shape
+    bloch_map = mean[:, p:].reshape(n_rec, 3, 3).copy()
+    plain_se, se = np.zeros((2, len(bloch0), n_rec, 3))
+    sum_sq = lambda r: (np.einsum("rij,kj->kri", r.reshape(-1, 3, 3), bloch0) ** 2).sum(axis=1)
+    scale = np.divide(1.0, sd, out=np.zeros_like(sd), where=sd > 0)
     for j in range(n_rec):
-        # directions of a resolved above the rounding of its raw second moment
-        w, vecs = np.linalg.eigh(cov_aa[j])
-        keep = w > 1e-12 * (np.trace(cov_aa[j]) + a_mean[j] @ a_mean[j])
-        r = int(keep.sum())
-        if r == 0 or m <= r + 1:
+        # all rows of the factor hold the centred Y, those below the controls its residual
+        plain_se[:, j] = se[:, j] = np.sqrt(sum_sq(rfac[j][:, p:])) / m
+        if not scale[j].any():   # no control varies (t = 0, no noise power)
             continue
-        inv = (vecs[:, keep] / w[keep]) @ vecs[:, keep].T
-        beta[j] = cov_ra[j] @ inv
-        cov_ya = np.einsum("ijp,kj->kip", cov_ra[j], bloch0)
-        explained = np.einsum("kip,pq,kiq->ki", cov_ya, inv, cov_ya)
-        resid[:, j] = np.maximum(var[:, j] - explained, 0.0) * (m / (m - r - 1))
-    bloch_map = r_mean - np.einsum("tijp,tp->tij", beta, a_mean)
-    pauli_mean = np.einsum("tij,kj->kti", bloch_map, bloch0)
-    return bloch_map, pauli_mean, np.sqrt(resid / m), np.sqrt(var / m)
+        # greedy rank rule on the controls at unit exact standard deviation (0
+        # for one with none): drop an unresolved control, refactor the rest
+        r, a_mean, k = rfac[j] * np.append(scale[j], np.ones(9)), mean[j, :p] * scale[j], 0
+        while k < a_mean.size:
+            if abs(r[k, k]) > RANK_TOL * math.sqrt(m):
+                k += 1
+            else:
+                r, a_mean = np.linalg.qr(np.delete(r, k, axis=1), mode="r"), np.delete(a_mean, k)
+        if 0 < k < m - 1:
+            bloch_map[j] -= (a_mean @ np.linalg.solve(r[:k, :k], r[:k, k:])).reshape(3, 3)
+            se[:, j] = np.sqrt(sum_sq(r[k:, k:]) / (m - k - 1) / m)
+    return bloch_map, np.einsum("tij,kj->kti", bloch_map, bloch0), se, plain_se
 
 
 def evolve_ensemble(rho0, drive, freq_noise, amp_noise=None, *, seed=0,
@@ -194,7 +223,9 @@ def evolve_ensemble(rho0, drive, freq_noise, amp_noise=None, *, seed=0,
         Objects whose ``increments_block(seed, indices, n_steps, dt)`` returns
         a time-major ``(n_steps, m)`` block of per-step noise integrals; any
         other shape raises ``ValidationError``, but no shape check can catch
-        the transposed layout when m == n_steps.  ``None``: no noise there.
+        the transposed layout when m == n_steps.  Their
+        ``increment_autocovariance(n_steps, dt)`` gives the control means.
+        ``None``: no noise there.
     seed : int
         Master seed; trajectory ``i`` always uses stream ``(seed, i)`` for
         the frequency noise and ``(seed + 2**31, i)`` for amplitude noise,
@@ -227,10 +258,11 @@ def evolve_ensemble(rho0, drive, freq_noise, amp_noise=None, *, seed=0,
     n_rec = rec_idx.size
     intervals = list(zip(np.append(0, rec_idx[:-1]), rec_idx))   # steps before each record
     omega_dt = drive.Omega * drive.dt
-    # toggling-frame weights (sin, cos of Omega t_mid) of the dephasing increments
-    phase = omega_dt * (np.arange(drive.n_steps) + 0.5)
-    trig = np.stack([np.sin(phase), np.cos(phase)])
-    n_ctrl = 2 * (freq_noise is not None) + (amp_noise is not None)
+    weights, moments = _control_moments(drive, freq_noise, amp_noise, rec_idx)
+    # controls: the linear a, then its unique products a_p a_q (p <= q)
+    n_lin = len(weights)
+    iu, ju = np.triu_indices(n_lin)
+    d = n_lin + iu.size + 9
     jobs = [(lo, min(lo + chunk, drive.m_mc)) for lo in range(0, drive.m_mc, chunk)]
 
     def steps_block(source, stream_seed, idx, axis):
@@ -258,10 +290,14 @@ def evolve_ensemble(rho0, drive, freq_noise, amp_noise=None, *, seed=0,
         nx_buf, theta_buf, tau_buf, s_buf = np.empty((4, slab, m))
         uu = np.empty((slab, 2, m), dtype=complex)
         v_buf = np.empty((slab, m), dtype=complex)
-        # control vector: rows (a_y, a_z) with dephasing noise, then a_x with amplitude noise
-        ctrl = np.zeros((n_ctrl, m))
-        mean = np.empty((n_rec, 9 + n_ctrl))
-        comoment = np.empty((n_rec, 9 + n_ctrl, 9 + n_ctrl))
+        # z = (a, products, vec R), a = (a_y, a_z) with dephasing noise, then a_x;
+        # its centred copy in row blocks (the zero padding adds nothing)
+        z = np.zeros((d, m))
+        ctrl, n_blk = z[:n_lin], -(-m // TSQR_ROWS)
+        dev = np.zeros((d, n_blk * -(-m // n_blk)))
+        leaves = dev.reshape(d, n_blk, -1).transpose(1, 2, 0)
+        mean = np.empty((n_rec, d))
+        factors = []
         max_drift = 0.0
         for j, (start, stop) in enumerate(intervals):
             for i0 in range(start, stop, slab):
@@ -286,17 +322,18 @@ def evolve_ensemble(rho0, drive, freq_noise, amp_noise=None, *, seed=0,
                     ab *= uu[k]
                     ab += vab
             if freq_inc is not None:
-                ctrl[:2] += np.einsum("sl,lm->sm", trig[:, start:stop], freq_inc[start:stop])
+                ctrl[:2] += np.einsum("sl,lm->sm", weights[:2, start:stop], freq_inc[start:stop])
             if amp_inc is not None:
                 ctrl[-1] += amp_inc[start:stop].sum(axis=0)
             a, b = ab
-            z = np.concatenate([_bloch_rotation(a, b).reshape(9, m), ctrl])
+            np.multiply(ctrl[iu], ctrl[ju], out=z[n_lin:-9])
+            z[-9:] = _bloch_rotation(a, b).reshape(9, m)
             mean[j] = z.mean(axis=1)
-            dev = z - mean[j][:, None]
-            comoment[j] = dev @ dev.T
+            np.subtract(z, mean[j][:, None], out=dev[:, :m])
+            factors.append(np.linalg.qr(leaves, mode="r").reshape(-1, d))
             drift = np.abs(a.real**2 + a.imag**2 + b.real**2 + b.imag**2 - 1.0).max()
             max_drift = np.maximum(max_drift, drift)   # keeps a NaN
-        return m, mean, comoment, max_drift
+        return m, mean, np.linalg.qr(np.stack(factors), mode="r"), max_drift
 
     if n_workers > 1:
         from concurrent.futures import ThreadPoolExecutor  # its imports cost every 1-thread run
@@ -312,12 +349,19 @@ def evolve_ensemble(rho0, drive, freq_noise, amp_noise=None, *, seed=0,
             f"propagator norm drift {max_drift:.3e} exceeds {MAX_NORM_DRIFT:.0e}"
         )
 
-    # chunk moments combined about the ensemble mean
+    # chunk factors and mean offsets in job order (d zero rows keep the merged
+    # factor square); the controls' exact means and, by Isserlis, their sds
     m = drive.m_mc
     z_mean = sum(n * mu for n, mu, _, _ in results) / m
-    comoment = sum(m2 + n * (mu - z_mean)[:, :, None] * (mu - z_mean)[:, None, :]
-                   for n, mu, m2, _ in results)
-    bloch_map, mean, se, plain_se = _control_variate(z_mean, comoment / m, bloch0, m)
+    rfac = np.linalg.qr(np.concatenate(
+        [f for _, _, f, _ in results]
+        + [math.sqrt(n) * (mu - z_mean)[:, None] for n, mu, _, _ in results]
+        + [np.zeros((n_rec, d, d))], axis=1), mode="r")
+    exact = moments[:, iu, ju]
+    z_mean[:, n_lin:-9] -= exact
+    sd = np.sqrt(np.concatenate([np.diagonal(moments, axis1=1, axis2=2),
+                                 moments[:, iu, iu] * moments[:, ju, ju] + exact**2], axis=1))
+    bloch_map, mean, se, plain_se = _control_variate(z_mean, rfac, sd, bloch0, m)
     states = bloch_to_rho(mean)
     return DensityTrajectory(
         times=drive.dt * rec_idx.astype(float),

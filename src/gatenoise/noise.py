@@ -15,6 +15,9 @@ block, time-major; column ``j`` depends only on the stream of trajectory
 (``trajectory_rng`` in ``tests/oracles.py`` is the definition;
 ``_stream_keys`` derives a block's keys in one pass), so results are
 reproducible and independent of chunking and evaluation order.
+``increment_autocovariance(n_steps, dt)`` returns gamma_k = Cov(inc_i,
+inc_{i+k}), k < n_steps, of exactly those increments, from the generator
+itself; ``evolve_ensemble`` takes its control means from it.
 """
 
 from __future__ import annotations
@@ -166,6 +169,9 @@ class OUSource:
         eta *= dt
         return eta
 
+    def increment_autocovariance(self, n_steps, dt):
+        return dt * dt * 0.5 * self.c * self.tau_c * np.exp(-(dt / self.tau_c) * np.arange(n_steps))
+
 
 class PsdSource:
     """Stationary noise drawn from an arbitrary PSD via the Fourier route.
@@ -189,3 +195,10 @@ class PsdSource:
                                      _stream_normals(seed, indices, m_f + 2))[:n_steps]
         values *= dt
         return values
+
+    def increment_autocovariance(self, n_steps, dt):
+        # the periodic covariance of the series' own bins, sum_m f0 S_m cos(2 pi m k / m_f)
+        m_f = max(4, n_steps + (n_steps % 2))
+        f0 = 1.0 / (m_f * dt)
+        S = np.asarray(self.psd.eval(2.0 * math.pi * f0 * np.arange(m_f // 2 + 1)), dtype=float)
+        return dt * dt * np.fft.irfft(f0 * S, m_f, norm="forward")[:n_steps]

@@ -10,6 +10,7 @@ import math
 
 import numpy as np
 from scipy.integrate import cumulative_trapezoid, solve_ivp
+from scipy.linalg import expm
 from scipy.optimize import curve_fit, minimize
 from scipy.special import sici
 
@@ -370,6 +371,26 @@ def linear_inversion_lstsq(probs, setup=None):
     return np.einsum("k,kij->ij", x, basis)
 
 
+def ou_exact_bloch_map(c, tau_c, Omega, t, levels=16):
+    """Exact ensemble-mean lab-frame Bloch map at time t under OU dephasing noise.
+
+    dr/dt = (Omega, 0, eta) x r with eta stationary OU (variance s^2 = c tau_c
+    / 2, rate g = 1 / tau_c): Kubo's stochastic Liouville equation in Hermite
+    functions of eta, dc_n/dt = (A - n g) c_n + s B (sqrt(n) c_{n-1} +
+    sqrt(n + 1) c_{n+1}), c_0(0) = r0, E[r(t)] = c_0(t), A and B the cross
+    products with (Omega, 0, 0) and (0, 0, 1); truncated at ``levels``.
+    """
+    s, g = math.sqrt(0.5 * c * tau_c), 1.0 / tau_c
+    A = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, -Omega], [0.0, Omega, 0.0]])
+    B = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+    G = np.zeros((levels, 3, levels, 3))
+    for n in range(levels):
+        G[n, :, n] = A - n * g * np.eye(3)
+        if n:
+            G[n, :, n - 1] = G[n - 1, :, n] = s * math.sqrt(n) * B
+    return expm(G.reshape(3 * levels, 3 * levels) * t)[:3, :3]
+
+
 def master_equation_evolve(rho0, kernels, Omega, times, amp_rate=None):
     """Exact solution of the second-order dressed master equation.
 
@@ -476,6 +497,9 @@ class ConstantSource:
 
     def increments_block(self, seed, indices, n_steps, dt):
         return np.full((n_steps, len(indices)), self.value * dt)
+
+    def increment_autocovariance(self, n_steps, dt):
+        return np.zeros(n_steps)
 
 
 def sample_shots_per_shot(probs, n_shots, rng, t=0.0):
@@ -697,23 +721,53 @@ def ensemble_samples(drive, freq_noise, amp_noise=None, *, seed=0, record_every=
     return np.array(rots), np.array(ctrls)
 
 
-def control_variate_fit(rots, ctrls, bloch0):
-    """Least-squares regression of every Bloch-map entry on [1, a], per record.
+def control_means(drive, freq_noise, amp_noise=None, *, record_every=1):
+    """E[a_p a_q] of the first-order control vector at the records, (n_rec, p, p).
 
-    Returns the intercepts (the control-variate channel, since E[a] = 0), the
-    per-state residual standard errors sqrt(SSR / (m - p - 1) / m), the plain
-    means and the plain standard errors sqrt(Var / m) of Y_k = R b0_k.
+    The plain O(n^2) double sum sum_{i, l < n_j} w_pi w_ql gamma_|i-l| over the
+    steps before each record, in ``ensemble_samples``' component order
+    (a_x, a_y, a_z) of the noisy axes, with weights 1 and sin, cos(Omega
+    t_mid), gamma each source's ``increment_autocovariance``, and 0 between
+    the independent sources.
+    """
+    n = drive.n_steps
+    phase = drive.Omega * drive.dt * (np.arange(n) + 0.5)
+    blocks = [(w, src) for w, src in ((np.ones((1, n)), amp_noise),
+                                      (np.stack([np.sin(phase), np.cos(phase)]), freq_noise))
+              if src is not None]
+    rec = [0] + [i + 1 for i in range(n) if (i + 1) % record_every == 0 or i + 1 == n]
+    out = np.zeros((len(rec), 3, 3))
+    lo = 0
+    for w, src in blocks:
+        gamma = src.increment_autocovariance(n, drive.dt)
+        cov = gamma[np.abs(np.subtract.outer(np.arange(n), np.arange(n)))]
+        for j, nj in enumerate(rec):
+            out[j, lo:lo + len(w), lo:lo + len(w)] = w[:, :nj] @ cov[:nj, :nj] @ w[:, :nj].T
+        lo += len(w)
+    return out[:, :lo, :lo]
+
+
+def control_variate_fit(rots, ctrls, bloch0, means):
+    """Least-squares regression of every Bloch-map entry on [1, a, a_p a_q - E],
+    per record, the unique products (p <= q) less their exact means ``means``
+    ((n_rec, p, p), ``control_means``).
+
+    Returns the intercepts (the control-variate channel, since every control
+    has mean 0), the per-state residual standard errors sqrt(SSR / (m - p - 1)
+    / m) for the p columns of controls, the plain means and the plain standard
+    errors sqrt(Var / m) of Y_k = R b0_k.
     """
     n_rec, m = rots.shape[:2]
+    iu, ju = np.triu_indices(ctrls.shape[2])
     maps, se, plain, plain_se = [], [], [], []
-    for rot, a in zip(rots, ctrls):
-        design = np.column_stack([np.ones(m), a])
+    for rot, a, mean in zip(rots, ctrls, means):
+        design = np.column_stack([np.ones(m), a, a[:, iu] * a[:, ju] - mean[iu, ju]])
         coef = np.linalg.lstsq(design, rot.reshape(m, 9), rcond=None)[0]
         resid = (rot.reshape(m, 9) - design @ coef).reshape(m, 3, 3)
         y = np.einsum("mij,kj->kmi", rot, bloch0)
         maps.append(coef[0].reshape(3, 3))
         ssr = (np.einsum("mij,kj->kmi", resid, bloch0) ** 2).sum(axis=1)
-        se.append(np.sqrt(ssr / (m - a.shape[1] - 1) / m))
+        se.append(np.sqrt(ssr / (m - design.shape[1]) / m))
         plain.append(y.mean(axis=1))
         plain_se.append(y.std(axis=1) / math.sqrt(m))
     return (np.array(maps), np.stack(se, axis=1), np.stack(plain, axis=1),

@@ -188,6 +188,51 @@ def test_source_block_is_the_per_column_series_exactly(kind, n_steps):
 
 
 # --------------------------------------------------------------------- #
+# increment autocovariance: gamma_k = Cov(inc_i, inc_{i+k}) of the generator
+
+def _table():
+    w = np.geomspace(1.0, 1e4, 40)
+    return NoisePsd.tabulated(w, 5.0 / (1.0 + (w / 300.0) ** 2) + 20.0 / w, 25.0, 0.01)
+
+
+def test_ou_increment_autocovariance_is_the_closed_form():
+    c, tau, dt, n = 2e6, 3e-3, 1e-4, 50
+    gamma = OUSource(c, tau).increment_autocovariance(n, dt)
+    assert gamma.shape == (n,)
+    for k in (0, 1, n - 1):
+        assert gamma[k] == pytest.approx(dt**2 * 0.5 * c * tau * math.exp(-k * dt / tau),
+                                         rel=1e-14)
+
+
+@pytest.mark.parametrize("n_steps", [7, 8, 33, 64])
+def test_fourier_increment_autocovariance_is_the_double_sum_over_bins(n_steps):
+    # Cov(x_j, x_l) = sum over draws d of A_jd A_ld, A the series each unit draw
+    # gives alone: every pair of steps at lag k has the same covariance
+    psd, dt = _table(), 1e-4
+    m_f = max(4, n_steps + n_steps % 2)
+    A = percival_trajectory(psd, m_f, m_f * dt, np.eye(m_f + 2))[:n_steps]
+    cov = dt * dt * A @ A.T
+    gamma = PsdSource(psd).increment_autocovariance(n_steps, dt)
+    assert gamma.shape == (n_steps,)
+    lags = np.abs(np.subtract.outer(np.arange(n_steps), np.arange(n_steps)))
+    np.testing.assert_allclose(cov, gamma[lags], rtol=0, atol=1e-12 * gamma[0])
+
+
+@pytest.mark.parametrize("kind, seed", [("ou", 71), ("psd", 72)])
+def test_increment_autocovariance_matches_the_empirical_lag_covariance(kind, seed):
+    # seeds fixed before the run: per-column lag products of a 2e4-column
+    # block average to gamma_k within 4 standard errors
+    src = OUSource(2e6, 3e-3) if kind == "ou" else PsdSource(_table())
+    n, m, dt = 41, 20000, 1e-4
+    block = src.increments_block(seed, range(m), n, dt)
+    gamma = src.increment_autocovariance(n, dt)
+    for k in (0, 1, 3, 10, n - 1):
+        b = (block[:n - k] * block[k:]).mean(axis=0)
+        se = b.std(ddof=1) / math.sqrt(m)
+        assert abs(b.mean() - gamma[k]) < 4 * se, (k, b.mean(), gamma[k], se)
+
+
+# --------------------------------------------------------------------- #
 # stream keys: the seed_seq hash over a whole block
 
 STREAM_SEEDS = [0, 402, 2**31, 2**32 - 1, 2**32 + 1, 2**96, 2**96 + 0x0102030405060708090A0B0C,
