@@ -31,10 +31,12 @@ second order, its unique products a_p a_q less their exact means, which
 ``_control_moments`` sums from the autocovariance each source returns for
 its own increments, so they borrow nothing from the analytic models.  Every
 Bloch-map entry is regressed on the controls with an intercept, and the
-channel is the intercept.  ``pauli_mean`` is that adjusted mean applied to
-each input state, ``pauli_se`` its residual standard error sqrt(SSR /
-(m - r - 1) / m) for the r resolved controls, and ``plain_se`` that of the
-plain sample mean.  The adjusted mean is unbiased up to O(1/m), but need
+channel is the intercept.  The products enter only with ``TRAJ_PER_CONTROL``
+trajectories per control.  ``pauli_mean`` is that adjusted mean applied to
+each input state, ``pauli_se`` the intercept's standard error sqrt(SSR /
+(m - r - 1) (1/m + abar^T S^-1 abar)) for the r resolved controls, their
+mean abar and centred cross products S, and ``plain_se`` that of the plain
+sample mean.  The adjusted mean is unbiased up to O(1/m), but need
 not be exactly a physical state: its deviation from one is within its
 standard error.  A record with no resolved control, or with m <= r + 1
 trajectories, keeps the plain estimate.
@@ -42,8 +44,8 @@ trajectories, keeps the plain estimate.
 All of it is read off the mean and the R factor of the centred z =
 (controls, vec R) per record (TSQR: Demmel et al., SIAM J. Sci. Comput. 34,
 A206, 2012).  Each chunk factors row blocks of ``TSQR_ROWS`` trajectories,
-and the chunks merge in job order by one QR of their stacked factors and
-mean offsets, so no sum of squares is a difference of moments and the
+and one QR merges the blocks' factors and the chunks' mean offsets in job
+order, so no sum of squares is a difference of moments and the
 worker count changes no bit.
 """
 
@@ -72,6 +74,11 @@ SLAB_SIZE = 1 << 14
 
 # Row blocks of a chunk's per-record QR, one stacked call: 2x faster at 4096 rows.
 TSQR_ROWS = 512
+
+# Trajectories per control that the products a_p a_q need: with fewer (40 per
+# control at m = 200 under dephasing) the residual error of the quadratic fit
+# understates its scatter by 20% in rms, so only the linear a enters.
+TRAJ_PER_CONTROL = 100
 
 # A control is resolved when the standard deviation it keeps beyond the mean
 # and the resolved controls before it exceeds this fraction of its exact one.
@@ -205,7 +212,8 @@ def _control_variate(mean, rfac, sd, bloch0, m):
                 r, a_mean = np.linalg.qr(np.delete(r, k, axis=1), mode="r"), np.delete(a_mean, k)
         if 0 < k < m - 1:
             bloch_map[j] -= (a_mean @ np.linalg.solve(r[:k, :k], r[:k, k:])).reshape(3, 3)
-            se[:, j] = np.sqrt(sum_sq(r[k:, k:]) / (m - k - 1) / m)
+            g = np.linalg.solve(r[:k, :k].T, a_mean)   # g.g = abar^T S^-1 abar
+            se[:, j] = np.sqrt(sum_sq(r[k:, k:]) / (m - k - 1) * (1.0 / m + g @ g))
     return bloch_map, np.einsum("tij,kj->kti", bloch_map, bloch0), se, plain_se
 
 
@@ -259,9 +267,12 @@ def evolve_ensemble(rho0, drive, freq_noise, amp_noise=None, *, seed=0,
     intervals = list(zip(np.append(0, rec_idx[:-1]), rec_idx))   # steps before each record
     omega_dt = drive.Omega * drive.dt
     weights, moments = _control_moments(drive, freq_noise, amp_noise, rec_idx)
-    # controls: the linear a, then its unique products a_p a_q (p <= q)
+    # controls: the linear a, then its unique products a_p a_q (p <= q) if m
+    # gives each control TRAJ_PER_CONTROL trajectories
     n_lin = len(weights)
     iu, ju = np.triu_indices(n_lin)
+    if drive.m_mc < TRAJ_PER_CONTROL * (n_lin + iu.size):
+        iu, ju = iu[:0], ju[:0]
     d = n_lin + iu.size + 9
     jobs = [(lo, min(lo + chunk, drive.m_mc)) for lo in range(0, drive.m_mc, chunk)]
 
@@ -333,7 +344,7 @@ def evolve_ensemble(rho0, drive, freq_noise, amp_noise=None, *, seed=0,
             factors.append(np.linalg.qr(leaves, mode="r").reshape(-1, d))
             drift = np.abs(a.real**2 + a.imag**2 + b.real**2 + b.imag**2 - 1.0).max()
             max_drift = np.maximum(max_drift, drift)   # keeps a NaN
-        return m, mean, np.linalg.qr(np.stack(factors), mode="r"), max_drift
+        return m, mean, np.stack(factors), max_drift
 
     if n_workers > 1:
         from concurrent.futures import ThreadPoolExecutor  # its imports cost every 1-thread run
@@ -349,7 +360,7 @@ def evolve_ensemble(rho0, drive, freq_noise, amp_noise=None, *, seed=0,
             f"propagator norm drift {max_drift:.3e} exceeds {MAX_NORM_DRIFT:.0e}"
         )
 
-    # chunk factors and mean offsets in job order (d zero rows keep the merged
+    # block factors and chunk mean offsets in job order (d zero rows keep the merged
     # factor square); the controls' exact means and, by Isserlis, their sds
     m = drive.m_mc
     z_mean = sum(n * mu for n, mu, _, _ in results) / m

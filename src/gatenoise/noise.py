@@ -189,8 +189,13 @@ class PsdSource:
             raise ValidationError("PsdSource needs a NoisePsd")
         self.psd = psd
 
+    @staticmethod
+    def _bins(n_steps):
+        # grid points of the series; the increments and their covariance share it
+        return max(4, n_steps + (n_steps % 2))
+
     def increments_block(self, seed, indices, n_steps, dt):
-        m_f = max(4, n_steps + (n_steps % 2))
+        m_f = self._bins(n_steps)
         values = percival_trajectory(self.psd, m_f, m_f * dt,
                                      _stream_normals(seed, indices, m_f + 2))[:n_steps]
         values *= dt
@@ -198,7 +203,7 @@ class PsdSource:
 
     def increment_autocovariance(self, n_steps, dt):
         # the periodic covariance of the series' own bins, sum_m f0 S_m cos(2 pi m k / m_f)
-        m_f = max(4, n_steps + (n_steps % 2))
+        m_f = self._bins(n_steps)
         f0 = 1.0 / (m_f * dt)
         S = np.asarray(self.psd.eval(2.0 * math.pi * f0 * np.arange(m_f // 2 + 1)), dtype=float)
         return dt * dt * np.fft.irfft(f0 * S, m_f, norm="forward")[:n_steps]

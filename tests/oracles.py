@@ -747,18 +747,21 @@ def control_means(drive, freq_noise, amp_noise=None, *, record_every=1):
     return out[:, :lo, :lo]
 
 
-def control_variate_fit(rots, ctrls, bloch0, means):
+def control_variate_fit(rots, ctrls, bloch0, means=None):
     """Least-squares regression of every Bloch-map entry on [1, a, a_p a_q - E],
     per record, the unique products (p <= q) less their exact means ``means``
-    ((n_rec, p, p), ``control_means``).
+    ((n_rec, p, p), ``control_means``); on [1, a] alone if ``means`` is None.
 
     Returns the intercepts (the control-variate channel, since every control
-    has mean 0), the per-state residual standard errors sqrt(SSR / (m - p - 1)
-    / m) for the p columns of controls, the plain means and the plain standard
-    errors sqrt(Var / m) of Y_k = R b0_k.
+    has mean 0), the per-state standard errors of the intercepts, sqrt(SSR /
+    (m - p - 1) [(D^T D)^-1]_00) for the design D with p columns of controls
+    (its pseudo-inverse at t = 0, where no control varies),
+    the plain means and the plain standard errors sqrt(Var / m) of Y_k = R b0_k.
     """
     n_rec, m = rots.shape[:2]
-    iu, ju = np.triu_indices(ctrls.shape[2])
+    iu, ju = np.triu_indices(0 if means is None else ctrls.shape[2])
+    if means is None:
+        means = np.zeros((n_rec, 0, 0))
     maps, se, plain, plain_se = [], [], [], []
     for rot, a, mean in zip(rots, ctrls, means):
         design = np.column_stack([np.ones(m), a, a[:, iu] * a[:, ju] - mean[iu, ju]])
@@ -767,7 +770,8 @@ def control_variate_fit(rots, ctrls, bloch0, means):
         y = np.einsum("mij,kj->kmi", rot, bloch0)
         maps.append(coef[0].reshape(3, 3))
         ssr = (np.einsum("mij,kj->kmi", resid, bloch0) ** 2).sum(axis=1)
-        se.append(np.sqrt(ssr / (m - design.shape[1]) / m))
+        row = np.linalg.pinv(design)[0]   # row @ row = [(D^T D)^-1]_00
+        se.append(np.sqrt(ssr / (m - design.shape[1]) * (row @ row)))
         plain.append(y.mean(axis=1))
         plain_se.append(y.std(axis=1) / math.sqrt(m))
     return (np.array(maps), np.stack(se, axis=1), np.stack(plain, axis=1),

@@ -306,6 +306,45 @@ def test_exact_ou_channel_oracle_converges_in_levels():
                                rotation, rtol=0, atol=1e-13)
 
 
+def _rotation(w, t):
+    # exp(t [w]x), the turn of dr/dt = w x r, by Rodrigues' formula
+    norm = np.linalg.norm(w)
+    k = np.array([[0.0, -w[2], w[1]], [w[2], 0.0, -w[0]], [-w[1], w[0], 0.0]]) / norm
+    return np.eye(3) + math.sin(norm * t) * k + (1.0 - math.cos(norm * t)) * (k @ k)
+
+
+def test_exact_ou_channel_oracle_meets_the_quasi_static_and_weak_noise_limits():
+    # quasi-static: at tau_c = 1e6 t with the OU spread s fixed (s t = 1) the
+    # map is the average of the rotations about (Omega, 0, delta) over delta ~
+    # N(0, s^2), by 80-node Gauss-Hermite; it is 4.7e-4 off at tau_c = 100 t and
+    # 4.7e-8 at 1e6 t, first order in t / tau_c
+    Omega = C4["Omega"]
+    t = math.pi / Omega
+    s = 1.0 / t
+    x, w = np.polynomial.hermite_e.hermegauss(80)
+    static = sum(wi * _rotation([Omega, 0.0, s * xi], t) for xi, wi in zip(x, w))
+    static /= math.sqrt(2.0 * math.pi)
+    tau_c = 1e6 * t
+    np.testing.assert_allclose(ou_exact_bloch_map(2.0 * s * s / tau_c, tau_c, Omega, t, levels=24),
+                               static, rtol=0, atol=2e-7)
+    assert np.abs(static - _rotation([Omega, 0.0, 0.0], t)).max() > 0.1
+    # weak noise at Omega tau_c = 2: the second-order master equation's error
+    # is fourth order in the noise amplitude, so it falls 4-fold per halving of
+    # c (6.5e-4 at README noise), while the noise's own effect halves
+    kernels = lambda c: (lambda tt: ou_kernels(c, C4["tau_c"], Omega, tt))
+    gaps, effects = [], []
+    for c in (C4["c"], 0.5 * C4["c"], 0.25 * C4["c"]):
+        exact = ou_exact_bloch_map(c, C4["tau_c"], Omega, t)
+        me = np.array([rho_to_bloch(rotate_to_lab(
+            master_equation_evolve(rho, kernels(c), Omega, [t])[0], Omega, t))
+            for rho in bloch_to_rho(np.eye(3))]).T
+        gaps.append(np.abs(exact - me).max())
+        effects.append(np.abs(exact - _rotation([Omega, 0.0, 0.0], t)).max())
+    assert gaps[0] < 1e-3
+    for k in (1, 2):
+        assert 3.6 < gaps[k - 1] / gaps[k] < 4.4 and 1.8 < effects[k - 1] / effects[k] < 2.2
+
+
 def test_psd_source_matches_ou_source_statistics():
     # the Fourier-series generator driving the qubit agrees with the exact
     # OU updates at the ensemble level
@@ -324,27 +363,35 @@ def test_psd_source_matches_ou_source_statistics():
 # --------------------------------------------------------------------- #
 # the control-variate estimator
 
-@pytest.mark.parametrize("with_amp", [False, True, "alone"])
-def test_control_variate_is_the_regression_intercept(with_amp):
+# the products enter from TRAJ_PER_CONTROL = 100 trajectories per control:
+# 500 for the 5 of dephasing, 900 for the 9 of both noises, 200 for the 2 of
+# amplitude noise alone; 499 and 300 keep the linear a alone
+@pytest.mark.parametrize("with_amp, m_mc", [(False, 500), (True, 900), ("alone", 200),
+                                            (False, 499), (True, 300)],
+                         ids=["False", "True", "alone", "False-499", "True-300"])
+def test_control_variate_is_the_regression_intercept(with_amp, m_mc):
     # the channel is the intercept of a least-squares fit of each entry on
-    # [1, a, a_p a_q - E[a_p a_q]] over the ensemble, the errors are its
-    # residual errors; the oracle propagates 2x2 matrices, sums the control
-    # step by step and takes the exact means from a double sum
-    drive = DriveConfig(Omega=C4["Omega"], dt=C4["dt"], n_steps=300, m_mc=300)
+    # [1, a, a_p a_q - E[a_p a_q]] over the ensemble, the errors are the
+    # intercept's standard errors; the oracle propagates 2x2 matrices, sums
+    # the control step by step and takes the exact means from a double sum
+    drive = DriveConfig(Omega=C4["Omega"], dt=C4["dt"], n_steps=300, m_mc=m_mc)
     freq = None if with_amp == "alone" else OUSource(C4["c"], C4["tau_c"])
     amp = OUSource(0.3 * C4["c"], 2.0 * C4["tau_c"]) if with_amp else None
     traj = evolve_ensemble(COLUMNS, drive, freq, amp, seed=8, record_every=60, chunk=128)
     rots, ctrls = ensemble_samples(drive, freq, amp, seed=8, record_every=60)
-    assert ctrls.shape == (6, 300, 2 * (freq is not None) + (amp is not None))
-    means = control_means(drive, freq, amp, record_every=60)
+    p = 2 * (freq is not None) + (amp is not None)
+    assert ctrls.shape == (6, m_mc, p)
+    products = m_mc >= langevin.TRAJ_PER_CONTROL * (p + p * (p + 1) // 2)
+    assert products == (m_mc not in (499, 300))
+    means = control_means(drive, freq, amp, record_every=60) if products else None
     maps, se, plain, plain_se = control_variate_fit(rots, ctrls, BLOCH_COLUMNS, means)
     np.testing.assert_allclose(traj.bloch_map, maps, rtol=0, atol=1e-12)
     np.testing.assert_allclose(traj.pauli_mean, np.einsum("tij,kj->kti", maps, BLOCH_COLUMNS),
                                rtol=0, atol=1e-12)
     # both sums of squares come from triangular factors with no difference of
     # moments, so on identical samples they agree with lstsq to the rounding
-    # of entries near 1 whose spread is ~1e-5: 1.0e-11 relative at worst
-    # (dephasing alone), 3.5e-12 with amplitude noise; amplitude noise alone
+    # of entries near 1 whose spread is ~1e-5: 2.4e-12 relative at worst
+    # (dephasing alone), 2.0e-12 with both noises; amplitude noise alone
     # keeps <sx> of |+> at 1, errors of 0 that the oracle's rotations leave at
     # rounding, ~1e-16
     np.testing.assert_allclose(traj.pauli_se[:, 1:], se[:, 1:], rtol=1e-10, atol=1e-15)
@@ -456,11 +503,30 @@ def test_control_mean_is_zero_within_its_error():
 
 
 def test_control_variate_z_scores_against_a_large_independent_ensemble():
-    """Bounds fixed before the run: over 12 seeds of validate's bench size, the
-    z-scores of the adjusted Bloch-map entries against an independent ensemble
-    30x the size (its own standard error in the denominator) have |mean| < 0.3
-    and a pooled rms in [0.85, 1.15].  The maximum is not bounded: one seed
-    can sit 4-5 standard errors off on a single component."""
+    """Bounds fixed before the run: over 20 seeds, the z-scores of the adjusted
+    Bloch-map entries against an independent ensemble 50x the size (its own
+    standard error in the denominator) have |mean| < 0.3 and a standard
+    deviation in [0.8, 1.25]."""
+    drive = DriveConfig(Omega=C4["Omega"], dt=C4["dt"], n_steps=785, m_mc=200)
+    source = OUSource(C4["c"], C4["tau_c"])
+    ref = evolve_ensemble(COLUMNS, replace(drive, m_mc=10000), source, seed=999,
+                          record_every=157)
+    z = []
+    for seed in range(1, 21):
+        traj = evolve_ensemble(COLUMNS, drive, source, seed=seed, record_every=157)
+        se = np.hypot(traj.pauli_se, ref.pauli_se)[:, 1:]
+        z.append((traj.pauli_mean - ref.pauli_mean)[:, 1:] / se)
+    z = np.array(z)
+    assert abs(z.mean()) < 0.3 and 0.8 <= z.std() <= 1.25, (z.mean(), z.std())
+
+
+def test_second_order_variate_z_scores_at_validate_bench_size():
+    """Bounds fixed before the run: over 12 seeds of validate's bench size, where
+    the products enter, the z-scores of the adjusted Bloch-map entries against
+    an independent ensemble 30x the size (its own standard error in the
+    denominator) have |mean| < 0.3 and a pooled rms in [0.85, 1.15].  The
+    maximum is not bounded: one seed can sit 4-5 standard errors off on a
+    single component."""
     drive = DriveConfig(Omega=C4["Omega"], dt=C4["dt"], n_steps=785, m_mc=600)
     source = OUSource(C4["c"], C4["tau_c"])
     ref = evolve_ensemble(COLUMNS, replace(drive, m_mc=18000), source, seed=999,
@@ -495,13 +561,15 @@ def test_control_variate_never_loses_in_criterion_3_regime():
     assert np.all(traj.pauli_se <= 1.05 * traj.plain_se)
 
 
-# m <= p + 1 trajectories for the p = 5, 2 and 9 controls of dephasing,
-# amplitude and both kinds of noise, or a zero-power source
-@pytest.mark.parametrize("m_mc, c", [(1, 1.6e9), (50, 0.0), (3, 1.6e9), (6, 1.6e9), (10, 1.6e9)])
+# m <= p + 1 trajectories for the p = 2, 1 and 3 linear controls of
+# dephasing, amplitude and both kinds of noise (the products need 100
+# trajectories each), or a zero-power source, with the products at m = 900
+@pytest.mark.parametrize("m_mc, c", [(1, 1.6e9), (2, 1.6e9), (3, 1.6e9), (4, 1.6e9),
+                                     (50, 0.0), (900, 0.0)])
 def test_degenerate_ensembles_fall_back_to_the_plain_estimator(m_mc, c):
     drive = DriveConfig(Omega=C4["Omega"], dt=C4["dt"], n_steps=100, m_mc=m_mc)
     source = OUSource(c, C4["tau_c"])
-    for freq, amp, p in ((source, None, 5), (None, source, 2), (source, source, 9)):
+    for freq, amp, p in ((source, None, 2), (None, source, 1), (source, source, 3)):
         if c and m_mc > p + 1:
             continue
         with warnings.catch_warnings():
